@@ -646,14 +646,18 @@ impl CorrelationGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn neighbors(&self, i: ObjectId) -> impl Iterator<Item = (ObjectId, f64)> + '_ {
+        let (ids, weights) = self.row(i);
+        ids.iter().copied().zip(weights.iter().copied())
+    }
+
+    /// Row `i` of the CSR as aligned `(neighbour ids, weights)` slices,
+    /// in pair-scan order.
+    fn row(&self, i: ObjectId) -> (&[ObjectId], &[f64]) {
         let (s, t) = (
             self.offsets[i.index()] as usize,
             self.offsets[i.index() + 1] as usize,
         );
-        self.nbr_ids[s..t]
-            .iter()
-            .copied()
-            .zip(self.nbr_weights[s..t].iter().copied())
+        (&self.nbr_ids[s..t], &self.nbr_weights[s..t])
     }
 
     /// Neighbours of `i` as `(neighbour, weight, edge)`, in pair-scan
@@ -969,6 +973,9 @@ impl CorrelationGraph {
     /// With `r = 1` this adds/subtracts exactly the weights
     /// [`CorrelationGraph::move_delta`] does, in the same order, so the
     /// result is bit-identical.
+    /// [`crate::CcaProblem::eval_replica_move_deltas`] computes it for
+    /// every target at once; this single-target form is that kernel's
+    /// test oracle.
     ///
     /// # Panics
     ///
@@ -981,30 +988,145 @@ impl CorrelationGraph {
         j: usize,
         target: usize,
     ) -> f64 {
-        let src = rp.node_of(i, j);
-        if src == target {
-            return 0.0;
+        let (ids, weights) = self.row(i);
+        replica_row_delta(ids, weights, rp, i, j, target)
+    }
+
+    /// [`CorrelationGraph::replica_move_delta`] for **every** target
+    /// node, from a single walk of `i`'s CSR row: `deltas[t]` receives
+    /// the delta of moving replica `j` of `i` to node `t`.
+    ///
+    /// Entry `t` is **bit-identical** to `replica_move_delta(rp, i, j, t)`:
+    /// it starts at `0.0` and adds exactly the same `±w` in the same row
+    /// order (an edge the move to `t` leaves unchanged adds nothing), so
+    /// the entry of the copy's current node is exactly `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is out of range, or if `deltas.len()` is not
+    /// the node count.
+    pub(crate) fn replica_move_deltas(
+        &self,
+        rp: &ReplicaPlacement,
+        i: ObjectId,
+        j: usize,
+        deltas: &mut [f64],
+    ) {
+        let (ids, weights) = self.row(i);
+        replica_row_deltas(ids, weights, rp, i, j, deltas);
+    }
+}
+
+/// What moving replica `j` of object `i` off node `src` does to one
+/// adjacent edge `(i, other)` — the replica move-delta rule, written
+/// once for the single-target and every-target kernels.
+enum CopyEdge {
+    /// Another copy of `i` colocates with `other`: the edge stays joined
+    /// wherever replica `j` goes.
+    HeldElsewhere,
+    /// Only replica `j` colocates with `other`: moving it splits the
+    /// edge (`+w`) unless the target also holds a copy of `other`.
+    HeldBySource,
+    /// No copy colocates: moving replica `j` joins the edge (`−w`) iff
+    /// the target holds a copy of `other`.
+    Split,
+}
+
+/// Classifies edge `(i, other)` for a move of replica `j` off `src`.
+fn copy_edge(
+    rp: &ReplicaPlacement,
+    i: ObjectId,
+    j: usize,
+    src: usize,
+    other: ObjectId,
+) -> CopyEdge {
+    let mut at_src = false;
+    for h in rp.nodes_of(other) {
+        if (0..rp.replicas()).any(|k| k != j && rp.node_of(i, k) == h) {
+            return CopyEdge::HeldElsewhere;
         }
-        let r = rp.replicas();
-        // `other` colocates with a replica of `i` after the move iff it
-        // shares a node with any replica k ≠ j, or with `target`.
-        let joined_after = |other: ObjectId| -> bool {
-            (0..r).any(|k| {
-                let n = if k == j { target } else { rp.node_of(i, k) };
-                rp.colocated(other, n)
-            })
-        };
-        let mut delta = 0.0;
-        for (other, w) in self.neighbors(i) {
-            let was_split = rp.split(i, other);
-            let now_split = !joined_after(other);
-            match (was_split, now_split) {
-                (false, true) => delta += w,
-                (true, false) => delta -= w,
-                _ => {}
+        at_src |= h == src;
+    }
+    if at_src {
+        CopyEdge::HeldBySource
+    } else {
+        CopyEdge::Split
+    }
+}
+
+/// The distinct home nodes of `i`, ascending, without allocating (a
+/// placement after best-effort repair may hold two copies on one node).
+fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = usize> + '_ {
+    let mut lo = 0;
+    std::iter::from_fn(move || {
+        let next = rp.nodes_of(i).filter(|&h| h >= lo).min()?;
+        lo = next + 1;
+        Some(next)
+    })
+}
+
+/// Single-target replica move delta over one CSR row (`ids`, `weights`
+/// aligned, pair-scan order) — the flat and sharded
+/// `replica_move_delta` body.
+pub(crate) fn replica_row_delta(
+    ids: &[ObjectId],
+    weights: &[f64],
+    rp: &ReplicaPlacement,
+    i: ObjectId,
+    j: usize,
+    target: usize,
+) -> f64 {
+    let src = rp.node_of(i, j);
+    if src == target {
+        return 0.0;
+    }
+    let mut delta = 0.0;
+    for (&other, &w) in ids.iter().zip(weights) {
+        match copy_edge(rp, i, j, src, other) {
+            CopyEdge::HeldBySource if !rp.colocated(other, target) => delta += w,
+            CopyEdge::Split if rp.colocated(other, target) => delta -= w,
+            _ => {}
+        }
+    }
+    delta
+}
+
+/// Every-target replica move deltas over one CSR row — the flat and
+/// sharded `replica_move_deltas` body. Each edge is classified once and
+/// its `±w` folded into exactly the entries whose single-target walk
+/// ([`replica_row_delta`]) would fold it, in row order.
+pub(crate) fn replica_row_deltas(
+    ids: &[ObjectId],
+    weights: &[f64],
+    rp: &ReplicaPlacement,
+    i: ObjectId,
+    j: usize,
+    deltas: &mut [f64],
+) {
+    assert_eq!(deltas.len(), rp.num_nodes(), "one delta per node");
+    deltas.fill(0.0);
+    let src = rp.node_of(i, j);
+    for (&other, &w) in ids.iter().zip(weights) {
+        match copy_edge(rp, i, j, src, other) {
+            CopyEdge::HeldElsewhere => {}
+            CopyEdge::HeldBySource => {
+                // `+w` on the runs of nodes between `other`'s homes.
+                let mut lo = 0;
+                for h in homes_ascending(rp, other) {
+                    deltas[lo..h].iter_mut().for_each(|d| *d += w);
+                    lo = h + 1;
+                }
+                deltas[lo..].iter_mut().for_each(|d| *d += w);
+            }
+            CopyEdge::Split => {
+                // `−w` once per distinct home: two copies may share a node.
+                for (m, h) in rp.nodes_of(other).enumerate() {
+                    if !rp.nodes_of(other).take(m).any(|p| p == h) {
+                        deltas[h] -= w;
+                    }
+                }
             }
         }
-        delta
     }
 }
 

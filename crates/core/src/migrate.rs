@@ -140,8 +140,9 @@ pub struct ReplicaMigrationOutcome {
 /// `capacity · capacity_slack`. Copies are visited object-major in
 /// ascending id order, replica index ascending (primary first), targets
 /// in ascending node order with a strict-improvement `<` selection, so
-/// the walk is deterministic. Deltas come from
-/// [`crate::problem::CcaProblem::eval_replica_move_delta`]
+/// the walk is deterministic. Each copy with at least one admissible
+/// target gets every target's delta from one row walk of
+/// [`crate::problem::CcaProblem::eval_replica_move_deltas`]
 /// (min-over-replica-choices split test).
 ///
 /// # Panics
@@ -161,6 +162,13 @@ pub fn improve_replicas_in_place(
     let mut loads = rp.replica_loads(problem);
     let mut moves = 0usize;
     let mut migrated = 0u64;
+    // Scratch reused by every visit: which targets pass the capacity and
+    // spread filters, and every target's delta.
+    let mut admissible = vec![false; n];
+    let mut deltas = vec![0.0f64; n];
+    let limits: Vec<f64> = (0..n)
+        .map(|k| problem.capacity(k) as f64 * options.capacity_slack)
+        .collect();
     for _ in 0..options.max_sweeps.max(1) {
         let mut improved = false;
         for o in problem.objects() {
@@ -168,22 +176,22 @@ pub fn improve_replicas_in_place(
             let price = options.migration_price_per_byte * size as f64;
             for j in 0..r {
                 let src = rp.node_of(o, j);
-                let used: Vec<usize> = (0..r)
-                    .filter(|&k| k != j)
-                    .map(|k| tree.domain_of(rp.node_of(o, k)))
-                    .collect();
+                for ((ok, &load), &limit) in admissible.iter_mut().zip(&loads).zip(&limits) {
+                    *ok = (load + size) as f64 <= limit;
+                }
+                admissible[src] = false;
+                for k in (0..r).filter(|&k| k != j) {
+                    for &node in tree.nodes_in(tree.domain_of(rp.node_of(o, k))) {
+                        admissible[node] = false;
+                    }
+                }
+                if !admissible.contains(&true) {
+                    continue;
+                }
+                problem.eval_replica_move_deltas(&rp, o, j, &mut deltas);
                 let mut best: Option<(f64, usize)> = None;
-                for k in 0..n {
-                    if k == src || used.contains(&tree.domain_of(k)) {
-                        continue;
-                    }
-                    let fits = (loads[k] + size) as f64
-                        <= problem.capacity(k) as f64 * options.capacity_slack;
-                    if !fits {
-                        continue;
-                    }
-                    let delta = problem.eval_replica_move_delta(&rp, o, j, k);
-                    if delta + price < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
+                for (k, (&ok, &delta)) in admissible.iter().zip(&deltas).enumerate() {
+                    if ok && delta + price < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
                         best = Some((delta, k));
                     }
                 }

@@ -138,6 +138,7 @@ pub fn read_placement<R: Read>(
             line: 1,
             message: format!("bad node count in header {header:?}"),
         })?;
+    check_node_count(nodes, problem)?;
 
     let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
     for o in problem.objects() {
@@ -196,6 +197,22 @@ pub fn read_placement<R: Read>(
         });
     }
     Ok(Placement::new(assignment, nodes))
+}
+
+/// Rejects a placement header whose node count differs from the
+/// problem's: every entry is range-checked against the header, so a
+/// larger header would let out-of-range nodes through.
+fn check_node_count(nodes: usize, problem: &CcaProblem) -> Result<(), PersistError> {
+    if nodes != problem.num_nodes() {
+        return Err(PersistError::Format {
+            line: 1,
+            message: format!(
+                "placement has {nodes} nodes but the problem has {}",
+                problem.num_nodes()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// Serialises a replica placement. With `r = 1` this is **byte-identical**
@@ -282,6 +299,14 @@ pub fn read_replica_placement<R: Read>(
         return Err(PersistError::Format {
             line: 1,
             message: format!("degenerate header {header:?}"),
+        });
+    }
+    // Both checks come before the `replicas × objects` column allocation.
+    check_node_count(nodes, problem)?;
+    if replicas > nodes {
+        return Err(PersistError::Format {
+            line: 1,
+            message: format!("{replicas} replicas exceed the {nodes} nodes"),
         });
     }
     let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
@@ -902,6 +927,29 @@ mod tests {
         // Duplicate assignment.
         let dup = "# cca-placement v1 nodes=3 objects=8\nkw0\t1\nkw0\t2\n";
         assert!(read_placement(dup.as_bytes(), &p).is_err());
+        // A header node count other than the problem's is rejected at
+        // line 1, by both readers, before any entry is range-checked —
+        // and a v2 `replicas=` above the node count before allocating.
+        for text in [
+            "# cca-placement v1 nodes=64 objects=8\nkw0\t50\n",
+            "# cca-placement v1 nodes=2 objects=8\nkw0\t1\n",
+            "# cca-placement v2 nodes=64 objects=8 replicas=2\nkw0\t50\t1\n",
+            "# cca-placement v2 nodes=3 objects=8 replicas=4\nkw0\t0\t1\t2\t0\n",
+            "# cca-placement v2 nodes=3 objects=8 replicas=18446744073709551615\n",
+        ] {
+            let err = read_replica_placement(text.as_bytes(), &p).expect_err(text);
+            assert!(
+                matches!(err, PersistError::Format { line: 1, .. }),
+                "{text:?}: {err}"
+            );
+            if text.starts_with("# cca-placement v1") {
+                let err = read_placement(text.as_bytes(), &p).expect_err(text);
+                assert!(
+                    matches!(err, PersistError::Format { line: 1, .. }),
+                    "{text:?}: {err}"
+                );
+            }
+        }
     }
 
     fn report() -> ControllerReport {

@@ -365,6 +365,31 @@ impl CcaProblem {
         }
     }
 
+    /// Every-target replica move deltas: `deltas[t]` receives the delta
+    /// of moving replica `j` of `i` to node `t`, from one walk of `i`'s
+    /// CSR row — on the sharded view when enabled (the shard row
+    /// replicates the flat row, so the result is bit-identical for any
+    /// shard count), else on the flat graph. `deltas[t]` bit-equals
+    /// [`CcaProblem::eval_replica_move_delta`]`(rp, i, j, t)`, and the
+    /// copy's own node reads exactly `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is out of range, or if `deltas.len()` is not
+    /// the node count.
+    pub fn eval_replica_move_deltas(
+        &self,
+        rp: &ReplicaPlacement,
+        i: ObjectId,
+        j: usize,
+        deltas: &mut [f64],
+    ) {
+        match &self.sharded {
+            Some(s) => s.replica_move_deltas(rp, i, j, deltas),
+            None => self.graph.replica_move_deltas(rp, i, j, deltas),
+        }
+    }
+
     /// Secondary capacity constraints (paper 3.3); empty in the base
     /// formulation.
     #[must_use]

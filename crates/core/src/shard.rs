@@ -28,7 +28,8 @@
 //!   suite asserts.
 
 use crate::graph::{
-    batch_edge_walk, check_csr_bounds, edge_cost_fold, InterleavedRows, PlacementBatch,
+    batch_edge_walk, check_csr_bounds, edge_cost_fold, replica_row_delta, replica_row_deltas,
+    InterleavedRows, PlacementBatch,
 };
 use crate::placement::Placement;
 use crate::problem::{ObjectId, Pair, ProblemError};
@@ -73,15 +74,19 @@ impl Shard {
     /// `(neighbour, weight)`, in pair-scan order — the flat
     /// [`crate::graph::CorrelationGraph::neighbors`] sequence.
     fn neighbors(&self, i: ObjectId) -> impl Iterator<Item = (ObjectId, f64)> + '_ {
+        let (ids, weights) = self.row(i);
+        ids.iter().copied().zip(weights.iter().copied())
+    }
+
+    /// Row of global object `i` (which this shard must own) as aligned
+    /// `(neighbour ids, weights)` slices — the flat CSR row.
+    fn row(&self, i: ObjectId) -> (&[ObjectId], &[f64]) {
         let local = i.index() - self.row_start;
         let (s, t) = (
             self.offsets[local] as usize,
             self.offsets[local + 1] as usize,
         );
-        self.nbr_ids[s..t]
-            .iter()
-            .copied()
-            .zip(self.nbr_weights[s..t].iter().copied())
+        (&self.nbr_ids[s..t], &self.nbr_weights[s..t])
     }
 }
 
@@ -389,7 +394,8 @@ impl ShardedGraph {
 
     /// Replica-aware move delta, walking the owning shard's row. The
     /// shard row replicates the flat CSR row content and order exactly,
-    /// so this is **bit-identical** to
+    /// and both graphs run the same row kernel, so this is
+    /// **bit-identical** to
     /// [`crate::graph::CorrelationGraph::replica_move_delta`] for any
     /// shard count.
     ///
@@ -404,28 +410,29 @@ impl ShardedGraph {
         j: usize,
         target: usize,
     ) -> f64 {
-        let src = rp.node_of(i, j);
-        if src == target {
-            return 0.0;
-        }
-        let r = rp.replicas();
-        let joined_after = |other: ObjectId| -> bool {
-            (0..r).any(|k| {
-                let n = if k == j { target } else { rp.node_of(i, k) };
-                rp.colocated(other, n)
-            })
-        };
-        let mut delta = 0.0;
-        for (other, w) in self.shards[self.shard_of(i)].neighbors(i) {
-            let was_split = rp.split(i, other);
-            let now_split = !joined_after(other);
-            match (was_split, now_split) {
-                (false, true) => delta += w,
-                (true, false) => delta -= w,
-                _ => {}
-            }
-        }
-        delta
+        let (ids, weights) = self.shards[self.shard_of(i)].row(i);
+        replica_row_delta(ids, weights, rp, i, j, target)
+    }
+
+    /// Every-target replica move deltas from one walk of the owning
+    /// shard's row — bit-identical to
+    /// [`crate::graph::CorrelationGraph::replica_move_deltas`] for any
+    /// shard count, for the same reason as
+    /// [`ShardedGraph::replica_move_delta`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is out of range, or if `deltas.len()` is not
+    /// the node count.
+    pub(crate) fn replica_move_deltas(
+        &self,
+        rp: &ReplicaPlacement,
+        i: ObjectId,
+        j: usize,
+        deltas: &mut [f64],
+    ) {
+        let (ids, weights) = self.shards[self.shard_of(i)].row(i);
+        replica_row_deltas(ids, weights, rp, i, j, deltas);
     }
 }
 

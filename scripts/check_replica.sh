@@ -15,10 +15,14 @@
 #      --domains flat` is byte-identical to the flag-free run;
 #   6. a release-mode replicated run survives a whole-domain kill with
 #      the spread invariant intact (spread valid: true on stdout);
-#   7. the quick-mode read bench runs (hard-asserting spread validity,
+#   7. a release-mode r=2 identity run: `place --replicas 2 --domains 4`
+#      prints the same report (wall-clock fields masked) under
+#      --threads 1, --threads 2 --shards 3 and --threads 8 --shards 7,
+#      so the sharded replica-delta path matches the flat one;
+#   8. the quick-mode read bench runs (hard-asserting spread validity,
 #      counter partition, monotone transfer bytes, and r=1 equivalence)
 #      and writes JSON;
-#   8. the committed BENCH_replica.json is a full (non-quick) 10^4-query
+#   9. the committed BENCH_replica.json is a full (non-quick) 10^4-query
 #      run with every invariant true and throughput above a conservative
 #      floor at every replication factor.
 #
@@ -80,9 +84,31 @@ grep -q 'spread valid: true' "$flagged" || {
 echo "OK: replicated place reports a valid spread."
 
 echo
+echo "== replica check: release r=2 identity across threads x shards =="
+r2_ref="$(mktemp)"
+r2_out="$(mktemp)"
+trap 'rm -f "$plain" "$flagged" "$r2_ref" "$r2_out"' EXIT
+r2_place() {
+  ./target/release/cca place --preset small --nodes 8 --scope 100 \
+    --strategy greedy --seed 7 --replicas 2 --domains 4 "$@" |
+    sed -E 's/[0-9]+ ms/X ms/g'
+}
+r2_place --threads 1 > "$r2_ref"
+for flags in "--threads 2 --shards 3" "--threads 8 --shards 7"; do
+  # shellcheck disable=SC2086 # word-split the flag list on purpose
+  r2_place $flags > "$r2_out"
+  if ! cmp -s "$r2_ref" "$r2_out"; then
+    echo "ERROR: r=2 place under $flags differs from --threads 1" >&2
+    diff "$r2_ref" "$r2_out" >&2 || true
+    exit 1
+  fi
+done
+echo "OK: r=2 place is byte-identical across threads x shards."
+
+echo
 echo "== replica check: quick bench smoke (hard-asserts invariants) =="
 smoke_out="$(mktemp)"
-trap 'rm -f "$plain" "$flagged" "$smoke_out"' EXIT
+trap 'rm -f "$plain" "$flagged" "$r2_ref" "$r2_out" "$smoke_out"' EXIT
 CCA_BENCH_QUICK=1 CCA_BENCH_OUT="$smoke_out" \
   cargo bench -q -p cca-bench --bench replica_read
 test -s "$smoke_out" || { echo "bench smoke wrote no JSON"; exit 1; }

@@ -108,6 +108,53 @@ fn place_save_then_replay_round_trips() {
 }
 
 #[test]
+fn replay_rejects_a_placement_for_another_node_count() {
+    let dir = std::env::temp_dir().join(format!("cca-cli-nodes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("placement.tsv");
+    let path_str = path.to_str().expect("utf-8 path");
+    let (ok, stdout, stderr) = run(&[
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--strategy",
+        "greedy",
+        "--out",
+        path_str,
+    ]);
+    assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
+
+    // Claim 64 nodes and put the first object on node 50: every entry is
+    // in range of the header, none of the 4-node problem.
+    let saved = std::fs::read_to_string(&path).expect("placement file written");
+    let mut lines: Vec<String> = saved.lines().map(str::to_owned).collect();
+    lines[0] = lines[0].replace("nodes=4", "nodes=64");
+    let (name, _) = lines[1].rsplit_once('\t').expect("name<TAB>node");
+    lines[1] = format!("{name}\t50");
+    std::fs::write(&path, lines.join("\n") + "\n").expect("rewrite placement");
+
+    let (code, _, stderr) = run_code(&[
+        "replay",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--placement",
+        path_str,
+    ]);
+    assert_eq!(code, 1, "stderr: {stderr}");
+    assert!(
+        stderr.contains("line 1: placement has 64 nodes but the problem has 4"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resilient_place_with_generous_deadline_succeeds() {
     let (code, stdout, stderr) = run_code(&[
         "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",

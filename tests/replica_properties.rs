@@ -15,15 +15,21 @@
 //! 3. **domain-kill chaos** — `survive_domain_loss` evacuates every
 //!    copy off the dead domain deterministically, and the repaired
 //!    placement still serves reads end to end (served > 0, counters
-//!    partition the offered stream).
+//!    partition the offered stream);
+//! 4. **batched replica deltas** — `eval_replica_move_deltas` bit-equals
+//!    the scalar `eval_replica_move_delta` for every node, r ∈ {1, 2, 3}
+//!    and every shard count, also with two copies of an object on one
+//!    node; and the polish built on it (`improve_replicas_in_place`,
+//!    `survive_domain_loss`) matches a per-target reference loop over
+//!    the scalar kernel exactly.
 //!
 //! Failures shrink to a minimal case and are pinned in
 //! `replica_properties.regressions`.
 
 use cca::algo::{
-    greedy_placement, improve_replicas_in_place, repair_replica_spread, spread_copies,
-    survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId, Placement,
-    ReplicaPlacement,
+    greedy_placement, improve_replicas_in_place, repair_replica_spread, replica_migration_bytes,
+    spread_copies, survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId,
+    Placement, ReplicaMigrationOutcome, ReplicaPlacement,
 };
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
@@ -113,6 +119,29 @@ fn random_placement(c: &ReplicaCase) -> Placement {
     let assignment: Vec<u32> =
         (0..c.objects).map(|_| rng.random_range(0u32..c.nodes as u32)).collect();
     Placement::new(assignment, c.nodes)
+}
+
+/// `r` random copy columns over `nodes ≥ c.nodes` nodes (primary from
+/// [`random_placement`]) — spread-oblivious, so copies may share a
+/// domain or a node. For `r ≥ 2`, copy 1 of the case's move object is
+/// forced onto its primary's node: two copies on one node, as a
+/// best-effort repair can leave them.
+fn random_replicas(c: &ReplicaCase, r: usize, nodes: usize) -> ReplicaPlacement {
+    let mut rng = StdRng::seed_from_u64(c.seed ^ 0x5851_f42d_4c95_7f2d);
+    let primary = Placement::new(random_placement(c).as_slice().to_vec(), nodes);
+    let mut columns = vec![primary];
+    for _ in 1..r {
+        let column = (0..c.objects)
+            .map(|_| rng.random_range(0u32..nodes as u32))
+            .collect();
+        columns.push(Placement::new(column, nodes));
+    }
+    let mut rp = ReplicaPlacement::from_columns(columns);
+    if r >= 2 {
+        let i = ObjectId((c.move_object % c.objects) as u32);
+        rp.assign(i, 1, rp.node_of(i, 0));
+    }
+    rp
 }
 
 /// Contract 1: with one copy per object, the replica kernels are the
@@ -352,4 +381,217 @@ fn reads_survive_domain_kill_end_to_end() {
         "counters must partition the offered stream"
     );
     assert_eq!(out.responses.len(), 200, "every offered query answered");
+}
+
+// ---------------------------------------------------------------------
+// Batched replica move deltas and the polish built on them.
+// ---------------------------------------------------------------------
+
+/// Contract 4a: for every object, copy and node, the every-target
+/// kernel bit-equals the scalar oracle, and the copy's own node reads
+/// exactly `+0.0` — at r ∈ {1, 2, 3} on the flat graph and every shard
+/// count, with two copies of one object on one node. At r = 1 it also
+/// bit-equals the single-copy `eval_move_delta_batch`.
+#[test]
+fn batched_replica_deltas_bit_equal_the_scalar_kernel() {
+    Checker::new("batched_replica_deltas_bit_equal_the_scalar_kernel")
+        .cases(24)
+        .regressions(REGRESSIONS)
+        .run(replica_case, |c| {
+            let base = build_problem(c);
+            let all_nodes: Vec<usize> = (0..c.nodes).collect();
+            let mut deltas = vec![f64::NAN; c.nodes];
+            for r in 1..=3 {
+                let rp = random_replicas(c, r, c.nodes);
+                for shards in SHARDS {
+                    let mut problem = base.clone();
+                    if let Some(s) = shards {
+                        problem.set_sharding(s, 2);
+                    }
+                    for i in problem.objects() {
+                        for j in 0..r {
+                            problem.eval_replica_move_deltas(&rp, i, j, &mut deltas);
+                            for (t, d) in deltas.iter().enumerate() {
+                                let scalar = problem.eval_replica_move_delta(&rp, i, j, t);
+                                prop_assert_eq!(
+                                    d.to_bits(),
+                                    scalar.to_bits(),
+                                    "r={} shards={:?} object {:?} copy {} node {}: {} vs {}",
+                                    r,
+                                    shards,
+                                    i,
+                                    j,
+                                    t,
+                                    d,
+                                    scalar
+                                );
+                            }
+                            let src = rp.node_of(i, j);
+                            prop_assert_eq!(deltas[src].to_bits(), 0.0f64.to_bits());
+                            if r == 1 {
+                                let single =
+                                    problem.eval_move_delta_batch(rp.primary(), i, &all_nodes);
+                                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect();
+                                let (a, b): (Vec<u64>, Vec<u64>) = (bits(&deltas), bits(&single));
+                                prop_assert_eq!(a, b, "r=1 shards={:?} object {:?}", shards, i);
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        });
+}
+
+/// Reference polish: per copy, one scalar `eval_replica_move_delta` per
+/// target passing the spread and capacity filters, ascending node
+/// order, strict `<` selection — the per-target loop the batched
+/// polish must reproduce move for move.
+fn reference_polish(
+    problem: &CcaProblem,
+    tree: &DomainTree,
+    current: &ReplicaPlacement,
+    options: &MigrateOptions,
+) -> ReplicaMigrationOutcome {
+    let mut rp = current.clone();
+    let r = rp.replicas();
+    let mut loads = rp.replica_loads(problem);
+    let (mut moves, mut migrated) = (0usize, 0u64);
+    for _ in 0..options.max_sweeps.max(1) {
+        let mut improved = false;
+        for o in problem.objects() {
+            let size = problem.size(o);
+            let price = options.migration_price_per_byte * size as f64;
+            for j in 0..r {
+                let src = rp.node_of(o, j);
+                let used: Vec<usize> = (0..r)
+                    .filter(|&k| k != j)
+                    .map(|k| tree.domain_of(rp.node_of(o, k)))
+                    .collect();
+                let mut best: Option<(f64, usize)> = None;
+                for (k, &load) in loads.iter().enumerate() {
+                    if k == src || used.contains(&tree.domain_of(k)) {
+                        continue;
+                    }
+                    let fits =
+                        (load + size) as f64 <= problem.capacity(k) as f64 * options.capacity_slack;
+                    if !fits {
+                        continue;
+                    }
+                    let delta = problem.eval_replica_move_delta(&rp, o, j, k);
+                    if delta + price < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
+                        best = Some((delta, k));
+                    }
+                }
+                if let Some((_, k)) = best {
+                    loads[src] -= size;
+                    loads[k] += size;
+                    rp.assign(o, j, k);
+                    migrated += size;
+                    moves += 1;
+                    improved = true;
+                }
+            }
+        }
+        if !improved {
+            break;
+        }
+    }
+    ReplicaMigrationOutcome {
+        comm_cost: problem.eval_cost_replicas(&rp, 1),
+        replica: rp,
+        migrated_bytes: migrated,
+        moves,
+    }
+}
+
+/// Contract 4b: the batched polish takes exactly the reference's moves
+/// — same columns, cost bits, move count and bytes — across shards
+/// {unsharded, 2, 7} × r {2, 3} × migration price {0, > 0} (a positive
+/// price exercises the gate the solve path never sets), and so does
+/// `survive_domain_loss`, which polishes at price 0 after repair.
+#[test]
+fn polish_matches_the_per_target_reference() {
+    Checker::new("polish_matches_the_per_target_reference")
+        .cases(16)
+        .regressions(REGRESSIONS)
+        .run(replica_case, |c| {
+            let base = build_problem(c);
+            // At least three leaf domains so r = 3 can spread.
+            let nodes = c.nodes + 2;
+            let tree = DomainTree::contiguous(nodes, 3 + c.seed as usize % (nodes - 2))
+                .map_err(|e| e.to_string())?;
+            // Tight capacities: with slack r, a node fits about its
+            // even share of the r copies, so the capacity filter binds.
+            let total: u64 = base.objects().map(|o| base.size(o)).sum();
+            let base = base.with_capacities(vec![total.div_ceil(nodes as u64); nodes]);
+            for shards in [None, Some(2), Some(7)] {
+                let mut problem = base.clone();
+                if let Some(s) = shards {
+                    problem.set_sharding(s, 2);
+                }
+                for r in [2, 3] {
+                    let rp = random_replicas(c, r, nodes);
+                    for price in [0.0, 0.05] {
+                        let options = MigrateOptions {
+                            capacity_slack: r as f64,
+                            migration_price_per_byte: price,
+                            ..MigrateOptions::default()
+                        };
+                        let got = improve_replicas_in_place(&problem, &tree, &rp, &options);
+                        let want = reference_polish(&problem, &tree, &rp, &options);
+                        prop_assert_eq!(
+                            got.replica.columns(),
+                            want.replica.columns(),
+                            "columns at shards={:?} r={} price={}",
+                            shards,
+                            r,
+                            price
+                        );
+                        prop_assert_eq!(got.comm_cost.to_bits(), want.comm_cost.to_bits());
+                        prop_assert_eq!(got.moves, want.moves);
+                        prop_assert_eq!(got.migrated_bytes, want.migrated_bytes);
+                    }
+                    let slack = r as f64;
+                    for domain in 0..tree.num_domains() {
+                        let (degraded, got, report) =
+                            survive_domain_loss(&problem, &tree, &rp, domain, slack);
+                        let dead = tree.nodes_in(domain).to_vec();
+                        let mut want = rp.clone();
+                        let _ = repair_replica_spread(&degraded, &tree, &mut want, &dead, slack);
+                        let options = MigrateOptions {
+                            capacity_slack: slack,
+                            ..MigrateOptions::default()
+                        };
+                        let want = reference_polish(&degraded, &tree, &want, &options).replica;
+                        prop_assert_eq!(
+                            got.columns(),
+                            want.columns(),
+                            "domain {} loss at shards={:?} r={}",
+                            domain,
+                            shards,
+                            r
+                        );
+                        prop_assert_eq!(
+                            degraded.eval_cost_replicas(&got, 1).to_bits(),
+                            degraded.eval_cost_replicas(&want, 1).to_bits()
+                        );
+                        let moves: usize = problem
+                            .objects()
+                            .map(|o| {
+                                (0..r)
+                                    .filter(|&j| rp.node_of(o, j) != want.node_of(o, j))
+                                    .count()
+                            })
+                            .sum();
+                        prop_assert_eq!(report.moves, moves);
+                        prop_assert_eq!(
+                            report.migrated_bytes,
+                            replica_migration_bytes(&problem, &rp, &want)
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
 }
