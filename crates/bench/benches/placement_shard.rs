@@ -2,23 +2,28 @@
 //! for the range-sharded graph view (DESIGN.md §11).
 //!
 //! The instance is `cca_trace::zipf_instance`'s 10⁶-object / 10⁷-edge
-//! Zipf table (50k / 500k in quick mode). The bench measures, on it:
+//! Zipf table (50k / 500k in quick mode), with its pairs sorted by
+//! `(a, b)` as `CcaProblemBuilder::build` stores them. The bench
+//! measures, on it:
 //!
 //! * flat [`cca_core::CorrelationGraph`] build time and resident bytes;
-//! * [`cca_core::ShardedGraph`] build time for shard counts {1, 2, 7} at
-//!   build thread counts {1, 2}, plus resident bytes;
+//! * [`cca_core::ShardedGraph`] partition time and resident bytes for
+//!   shard counts {1, 2, 7}, and the number of EdgeId ranges the shards
+//!   own (one per non-empty shard on `(a, b)`-sorted pairs);
 //! * `cost` and 8-wide `cost_batch` evaluation time for every
-//!   (shards, threads) combination vs. the flat serial walks,
-//!   **hard-asserting bit identity** for each — the instance's dyadic
-//!   weights (multiples of ⅛ × integral costs) make every reduction
-//!   shape exact, so shard/thread invariance is `==` on raw bits, not a
-//!   tolerance;
-//! * `move_delta` spot checks over a sample of objects (bit-identical
-//!   for any shard count by construction — the shard rows replicate the
-//!   flat rows);
+//!   (shards, threads) combination, threads {1, 2}, vs. the flat serial
+//!   walks, **hard-asserting bit identity** for each — the instance's
+//!   dyadic weights (multiples of ⅛ × integral costs) make every
+//!   reduction shape exact, so shard/thread invariance is `==` on raw
+//!   bits, not a tolerance;
 //! * the `> 2²⁴`-node **wide (f64) interleave regime**: a batch over
 //!   `2²⁴ + 1` nodes scored by flat and sharded walks must agree to the
-//!   bit, proving the fallback is a tested regime at generator scale.
+//!   bit, proving the fallback is a tested regime at generator scale;
+//! * the same measurements on **fragmented partitions**: the pairs in
+//!   the generator's draw order, where the owners alternate along the
+//!   edge list and each shard owns many short ranges — the shape
+//!   `restrict_to` (unsorted keep list) and `prune_pairs` (weight order)
+//!   leave behind.
 //!
 //! No speedup floor is asserted here — shard-parallel wins need cores
 //! and this bench must also hold on single-core hosts; the committed
@@ -67,7 +72,127 @@ struct ShardResult {
     cost_ms: f64,
     batch_ms: f64,
     memory_bytes: usize,
+    ranges: usize,
     bits_match: bool,
+}
+
+/// Flat serial walks over one edge order of the instance.
+struct FlatResult {
+    build_ms: f64,
+    cost_ms: f64,
+    batch_ms: f64,
+    memory_bytes: usize,
+}
+
+/// Builds the flat CSR over `pairs` and times its serial `cost` and
+/// `cost_batch`; returns the graph and the flat results to compare
+/// against.
+fn measure_flat(
+    objects: usize,
+    pairs: &[Pair],
+    builds: usize,
+    placement: &Placement,
+    batch: &PlacementBatch,
+) -> (CorrelationGraph, FlatResult, f64, Vec<f64>) {
+    let (build_ms, graph) = best_of(builds, || CorrelationGraph::build(objects, pairs));
+    let (cost_ms, cost) = best_of(3, || black_box(&graph).cost(placement));
+    let (batch_ms, costs) = best_of(2, || black_box(&graph).cost_batch(batch));
+    let flat = FlatResult {
+        build_ms,
+        cost_ms,
+        batch_ms,
+        memory_bytes: graph.memory_bytes(),
+    };
+    println!("flat\t-\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t-\t-");
+    (graph, flat, cost, costs)
+}
+
+/// Partitions `graph` for every shard count and times the sharded folds
+/// at every thread count, asserting each result bit-equals the flat
+/// `flat_cost` / `flat_batch`.
+fn measure_sharded(
+    graph: &CorrelationGraph,
+    shard_counts: &[usize],
+    placement: &Placement,
+    batch: &PlacementBatch,
+    flat_cost: f64,
+    flat_batch: &[f64],
+) -> Vec<ShardResult> {
+    let mut results = Vec::new();
+    for &shards in shard_counts {
+        // The partition is one sequential pass: no thread axis.
+        let (build_ms, sg) = best_of(2, || ShardedGraph::build(graph, shards));
+        let ranges = (0..sg.shard_count()).map(|s| sg.edge_ranges(s).len()).sum();
+        for threads in THREAD_COUNTS {
+            let (cost_ms, s_cost) = best_of(3, || black_box(&sg).cost(graph, placement, threads));
+            let (batch_ms, s_batch) =
+                best_of(2, || black_box(&sg).cost_batch(graph, batch, threads));
+
+            let cost_match = s_cost.to_bits() == flat_cost.to_bits();
+            let batch_match = s_batch.len() == flat_batch.len()
+                && s_batch
+                    .iter()
+                    .zip(flat_batch)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            let bits_match = cost_match && batch_match;
+            assert!(
+                bits_match,
+                "{shards} shards / {threads} threads diverged from the flat CSR \
+                 (cost {cost_match}, batch {batch_match})"
+            );
+            println!(
+                "{shards}\t{threads}\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t{ranges}\t{bits_match}"
+            );
+            results.push(ShardResult {
+                shards,
+                threads,
+                build_ms,
+                cost_ms,
+                batch_ms,
+                memory_bytes: sg.memory_bytes(),
+                ranges,
+                bits_match,
+            });
+        }
+    }
+    results
+}
+
+fn flat_json(f: &FlatResult, medges: f64) -> String {
+    format!(
+        "{{\"build_ms\": {:.3}, \"cost_ms\": {:.3}, \"cost_batch_ms\": {:.3}, \"k\": {BATCH_K}, \
+         \"memory_bytes\": {}, \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}}",
+        f.build_ms,
+        f.cost_ms,
+        f.batch_ms,
+        f.memory_bytes,
+        medges / (f.build_ms / 1e3),
+        medges / (f.cost_ms / 1e3)
+    )
+}
+
+fn sharded_json(results: &[ShardResult], medges: f64) -> String {
+    let rows: Vec<String> = results
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"shards\": {}, \"threads\": {}, \"build_ms\": {:.3}, \"cost_ms\": {:.3}, \
+                 \"cost_batch_ms\": {:.3}, \"memory_bytes\": {}, \"ranges\": {}, \
+                 \"bits_match\": {}, \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}}",
+                r.shards,
+                r.threads,
+                r.build_ms,
+                r.cost_ms,
+                r.batch_ms,
+                r.memory_bytes,
+                r.ranges,
+                r.bits_match,
+                medges / (r.build_ms / 1e3),
+                medges / (r.cost_ms / 1e3),
+            )
+        })
+        .collect();
+    format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -75,13 +200,12 @@ fn write_json(
     objects: usize,
     edges: usize,
     instance_bytes: usize,
-    flat_build_ms: f64,
-    flat_cost_ms: f64,
-    flat_batch_ms: f64,
-    flat_bytes: usize,
+    flat: &FlatResult,
     results: &[ShardResult],
     wide_nodes: usize,
     wide_bits_match: bool,
+    fragmented_flat: &FlatResult,
+    fragmented: &[ShardResult],
     path: &str,
 ) {
     let medges = edges as f64 / 1e6;
@@ -93,34 +217,21 @@ fn write_json(
         "  \"instance\": {{\"name\": \"zipf-1m\", \"objects\": {objects}, \"edges\": {edges}, \
          \"skew\": 0.8, \"raw_bytes\": {instance_bytes}}},\n"
     ));
+    out.push_str(&format!("  \"flat\": {},\n", flat_json(flat, medges)));
     out.push_str(&format!(
-        "  \"flat\": {{\"build_ms\": {flat_build_ms:.3}, \"cost_ms\": {flat_cost_ms:.3}, \
-         \"cost_batch_ms\": {flat_batch_ms:.3}, \"k\": {BATCH_K}, \"memory_bytes\": {flat_bytes}, \
-         \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}},\n",
-        medges / (flat_build_ms / 1e3),
-        medges / (flat_cost_ms / 1e3)
+        "  \"sharded\": {},\n",
+        sharded_json(results, medges)
     ));
-    out.push_str("  \"sharded\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shards\": {}, \"threads\": {}, \"build_ms\": {:.3}, \"cost_ms\": {:.3}, \
-             \"cost_batch_ms\": {:.3}, \"memory_bytes\": {}, \"bits_match\": {}, \
-             \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}}{}\n",
-            r.shards,
-            r.threads,
-            r.build_ms,
-            r.cost_ms,
-            r.batch_ms,
-            r.memory_bytes,
-            r.bits_match,
-            medges / (r.build_ms / 1e3),
-            medges / (r.cost_ms / 1e3),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"wide_interleave\": {{\"num_nodes\": {wide_nodes}, \"bits_match\": {wide_bits_match}}}\n"
+        "  \"wide_interleave\": {{\"num_nodes\": {wide_nodes}, \"bits_match\": {wide_bits_match}}},\n"
+    ));
+    out.push_str(&format!(
+        "  \"fragmented_flat\": {},\n",
+        flat_json(fragmented_flat, medges)
+    ));
+    out.push_str(&format!(
+        "  \"fragmented_sharded\": {}\n",
+        sharded_json(fragmented, medges)
     ));
     out.push_str("}\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -144,20 +255,21 @@ fn main() {
          ({:.0} MiB raw)",
         instance_bytes as f64 / (1024.0 * 1024.0)
     );
-    let pairs: Vec<Pair> = inst
-        .pairs
-        .iter()
-        .map(|p| Pair {
-            a: ObjectId(p.a),
-            b: ObjectId(p.b),
-            correlation: p.correlation,
-            comm_cost: p.comm_cost,
-        })
-        .collect();
-
-    // Flat CSR baseline: build, serial cost, serial 8-wide batch.
-    let (flat_build_ms, graph) = best_of(2, || CorrelationGraph::build(objects, &pairs));
-    let flat_bytes = graph.memory_bytes();
+    // The generator's draw order.
+    let draw_order = || -> Vec<Pair> {
+        inst.pairs
+            .iter()
+            .map(|p| Pair {
+                a: ObjectId(p.a),
+                b: ObjectId(p.b),
+                correlation: p.correlation,
+                comm_cost: p.comm_cost,
+            })
+            .collect()
+    };
+    // The problem builder's storage order.
+    let mut pairs = draw_order();
+    pairs.sort_unstable_by_key(|p| (p.a, p.b));
 
     let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5a4d);
     let placement = Placement::new(
@@ -179,60 +291,20 @@ fn main() {
         .collect();
     let batch = PlacementBatch::from_placements(&rotated);
 
-    let (flat_cost_ms, flat_cost) = best_of(3, || black_box(&graph).cost(&placement));
-    let (flat_batch_ms, flat_batch) = best_of(2, || black_box(&graph).cost_batch(&batch));
-
-    // Spot-check sample for move_delta identity.
-    let sample: Vec<ObjectId> = (0..100)
-        .map(|_| ObjectId(rng.random_range(0..objects as u32)))
-        .collect();
-
-    header(
-        "sharded vs flat CSR",
-        &["shards", "threads", "build_ms", "cost_ms", "batch_ms", "bits"],
+    let columns = [
+        "shards", "threads", "build_ms", "cost_ms", "batch_ms", "ranges", "bits",
+    ];
+    header("sharded vs flat CSR, (a, b)-sorted pairs", &columns);
+    let (graph, flat, flat_cost, flat_batch) = measure_flat(objects, &pairs, 2, &placement, &batch);
+    drop(pairs);
+    let results = measure_sharded(
+        &graph,
+        &SHARD_COUNTS,
+        &placement,
+        &batch,
+        flat_cost,
+        &flat_batch,
     );
-    println!("flat\t-\t{flat_build_ms:.1}\t{flat_cost_ms:.2}\t{flat_batch_ms:.2}\t-");
-
-    let mut results = Vec::new();
-    for shards in SHARD_COUNTS {
-        for threads in THREAD_COUNTS {
-            let (build_ms, sg) =
-                best_of(2, || ShardedGraph::build(objects, &pairs, shards, threads));
-            let (cost_ms, s_cost) = best_of(3, || black_box(&sg).cost(&placement, threads));
-            let (batch_ms, s_batch) = best_of(2, || black_box(&sg).cost_batch(&batch, threads));
-
-            let cost_match = s_cost.to_bits() == flat_cost.to_bits();
-            let batch_match = s_batch.len() == flat_batch.len()
-                && s_batch
-                    .iter()
-                    .zip(&flat_batch)
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            let delta_match = sample.iter().all(|&o| {
-                [0usize, 17, NODES - 1].iter().all(|&k| {
-                    sg.move_delta(&placement, o, k).to_bits()
-                        == graph.move_delta(&placement, o, k).to_bits()
-                })
-            });
-            let bits_match = cost_match && batch_match && delta_match;
-            assert!(
-                bits_match,
-                "{shards} shards / {threads} threads diverged from the flat CSR \
-                 (cost {cost_match}, batch {batch_match}, delta {delta_match})"
-            );
-            println!(
-                "{shards}\t{threads}\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t{bits_match}"
-            );
-            results.push(ShardResult {
-                shards,
-                threads,
-                build_ms,
-                cost_ms,
-                batch_ms,
-                memory_bytes: sg.memory_bytes(),
-                bits_match,
-            });
-        }
-    }
 
     // Wide-interleave regime: > 2^24 nodes forces the f64 layout; flat
     // and sharded batched walks must still agree to the bit.
@@ -250,7 +322,7 @@ fn main() {
         b
     };
     let wide_flat = graph.cost_batch(&wide_batch);
-    let wide_sharded = ShardedGraph::build(objects, &pairs, 7, 2).cost_batch(&wide_batch, 2);
+    let wide_sharded = ShardedGraph::build(&graph, 7).cost_batch(&graph, &wide_batch, 2);
     let wide_bits_match = wide_flat
         .iter()
         .zip(&wide_sharded)
@@ -261,6 +333,22 @@ fn main() {
     );
     println!();
     println!("# wide interleave at {wide_nodes} nodes: bits_match {wide_bits_match}");
+    drop((graph, wide_batch));
+
+    // Fragmented partitions: the same instance in draw order, so every
+    // shard's edges are scattered over the whole edge list (one shard
+    // is always one range, so it is not measured again).
+    header("sharded vs flat CSR, draw-order pairs", &columns);
+    let (graph, fragmented_flat, flat_cost, flat_batch) =
+        measure_flat(objects, &draw_order(), 1, &placement, &batch);
+    let fragmented = measure_sharded(
+        &graph,
+        &SHARD_COUNTS[1..],
+        &placement,
+        &batch,
+        flat_cost,
+        &flat_batch,
+    );
 
     let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").to_string()
@@ -269,13 +357,12 @@ fn main() {
         objects,
         edges,
         instance_bytes,
-        flat_build_ms,
-        flat_cost_ms,
-        flat_batch_ms,
-        flat_bytes,
+        &flat,
         &results,
         wide_nodes,
         wide_bits_match,
+        &fragmented_flat,
+        &fragmented,
         &path,
     );
 }

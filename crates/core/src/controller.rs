@@ -822,11 +822,9 @@ impl Controller {
             .zip(&residual)
             .map(|(&cap, &used)| cap.saturating_sub(used))
             .collect();
+        // `restrict_to` carries the estimate's sharding over to `sub`.
         let (sub, ids) = est.restrict_to(&keep);
-        let mut sub = sub.with_capacities(sub_caps);
-        if cfg.shards > 0 {
-            sub.set_sharding(cfg.shards, cfg.threads);
-        }
+        let sub = sub.with_capacities(sub_caps);
 
         let options = ResilienceOptions {
             budget: cfg.budget.clone(),

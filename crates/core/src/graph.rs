@@ -24,6 +24,11 @@
 //!   ranking §4.2, audit) are total orders (the `(a, b)` tie-break is
 //!   unique per edge), so they equal what a per-call `sort_unstable` of
 //!   pair indices produced, for any starting permutation.
+//! * **Edge folds over [`EdgeId`] ranges.** The cost folds (`cost`,
+//!   `cost_batch`, `cost_replicas`) are each written once, over a list of
+//!   ascending EdgeId ranges threaded through one accumulator. The flat
+//!   graph is the one-range case; a shard of
+//!   [`crate::shard::ShardedGraph`] is the ranges it owns.
 //!
 //! [`IncrementalCost`] layers an O(deg)-per-move cost accumulator on top,
 //! with the invariant that deltas match a full recompute difference (the
@@ -32,6 +37,7 @@
 use crate::placement::Placement;
 use crate::problem::{ObjectId, Pair, ProblemError};
 use crate::replica::ReplicaPlacement;
+use std::ops::Range;
 
 /// Identifier of an edge: the index of its [`Pair`] in
 /// [`crate::CcaProblem::pairs`] — this back-map is a stable, documented
@@ -63,8 +69,8 @@ pub struct Edge {
 
 /// CSR (compressed-sparse-row) adjacency view of a problem's pair list.
 ///
-/// Rows cover every object; row `i` holds `(neighbour, weight, edge)`
-/// entries in pair-scan order. The edge arrays are structure-of-arrays in
+/// Rows cover every object; row `i` holds `(neighbour, weight)` entries
+/// in pair-scan order. The edge arrays are structure-of-arrays in
 /// [`EdgeId`] order, i.e. pair-storage order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationGraph {
@@ -77,7 +83,6 @@ pub struct CorrelationGraph {
     offsets: Vec<u32>,
     nbr_ids: Vec<ObjectId>,
     nbr_weights: Vec<f64>,
-    nbr_edges: Vec<EdgeId>,
     // Σ of row weights, accumulated in row order.
     weighted_degree: Vec<f64>,
     // Total orders over EdgeId (unique (a, b) tie-break).
@@ -90,25 +95,14 @@ pub struct CorrelationGraph {
     positive_weights: bool,
 }
 
-/// Rows per fixed chunk of [`CorrelationGraph::cost_chunked`]. Chunk
-/// boundaries depend only on the object count — never on the thread count
-/// — so the chunked sum is invariant across `threads`.
-const COST_CHUNK_ROWS: usize = 256;
-
-/// Edges per fixed chunk of [`CorrelationGraph::cost_batch_chunked`].
-/// Chunk boundaries depend only on the edge count — never on the thread
-/// count — so the chunked batch sums are invariant across `threads`.
-const BATCH_CHUNK_EDGES: usize = 4096;
-
 /// A batch of k candidate placements laid out structure-of-arrays: one
 /// `Vec<u32>` assignment column per candidate, all over the same object
 /// universe and node count.
 ///
-/// This is the input to the batched evaluation kernels
-/// ([`CorrelationGraph::cost_batch`] and
-/// [`CorrelationGraph::cost_batch_chunked`]): one walk of the CSR edge
-/// columns scores every candidate, reading each edge's endpoints and
-/// weight once instead of once per candidate. See DESIGN.md §10 for the
+/// This is the input to the batched evaluation kernel
+/// ([`CorrelationGraph::cost_batch`]): one walk of the CSR edge columns
+/// scores every candidate, reading each edge's endpoints and weight once
+/// instead of once per candidate. See DESIGN.md §10 for the
 /// batched-evaluation contract.
 #[derive(Debug, Clone)]
 pub struct PlacementBatch {
@@ -240,7 +234,7 @@ impl PlacementBatch {
     /// is unchanged. Pure layout either way: the per-candidate fold order
     /// is untouched. Built on first use and cached until the next `push`,
     /// so re-scoring the same batch pays the transpose once.
-    pub(crate) fn interleaved(&self) -> &InterleavedRows {
+    fn interleaved(&self) -> &InterleavedRows {
         self.rows.get_or_init(|| {
             if self.num_nodes <= 1 << 24 {
                 InterleavedRows::Narrow(self.transpose(|node| node as f32))
@@ -269,7 +263,7 @@ impl PlacementBatch {
 /// narrow to `f32` whenever the node count keeps that exact (`< 2^24`),
 /// falling back to `f64` (exact for every `u32` id).
 #[derive(Debug, Clone)]
-pub(crate) enum InterleavedRows {
+enum InterleavedRows {
     Narrow(Vec<f32>),
     Wide(Vec<f64>),
 }
@@ -291,93 +285,11 @@ pub(crate) fn check_csr_bounds(num_objects: usize, num_pairs: usize) -> Result<(
     Ok(())
 }
 
-/// The serial CCA cost fold over structure-of-arrays edge columns: the
-/// same `filter · map · sum` sequence as the historic pair-list scan
-/// (including `sum`'s `-0.0` identity for the no-split case), shared by
-/// [`CorrelationGraph::cost`] and the per-shard partials of
-/// [`crate::shard::ShardedGraph`].
-pub(crate) fn edge_cost_fold(
-    edge_a: &[ObjectId],
-    edge_b: &[ObjectId],
-    edge_weight: &[f64],
-    placement: &Placement,
-) -> f64 {
-    edge_a
-        .iter()
-        .zip(edge_b)
-        .zip(edge_weight)
-        .filter(|&((&a, &b), _)| placement.node_of(a) != placement.node_of(b))
-        .map(|(_, &w)| w)
-        .sum()
-}
-
-/// The shared batched edge loop over structure-of-arrays edge columns in
-/// [`EdgeId`] order, accumulating into `acc` (one `-0.0`-initialised
-/// entry per candidate). `rows` is the batch's object-major interleaved
-/// layout: both endpoint rows of an edge are contiguous k-wide stripes,
-/// read once for all candidates.
-///
-/// With strictly positive edge weights the inner loop is branchless
-/// (`+= w` or `+= 0.0` by select), which lets the compiler vectorise
-/// across candidates. Adding `+0.0` for non-split edges perturbs a
-/// serial fold's bits in exactly one place — a candidate that never
-/// splits reads `+0.0` instead of the fold identity `-0.0` — and with
-/// `w > 0` everywhere "never split" is equivalent to "sum is ±0", so
-/// the trailing fix-up restores `-0.0` exactly. Graphs carrying
-/// zero-weight edges take the branchy scalar loop instead, which
-/// reproduces the serial fold sequence verbatim.
-///
-/// Shared by [`CorrelationGraph::cost_batch`] /
-/// [`CorrelationGraph::cost_batch_chunked`] (over edge sub-ranges) and
-/// the per-shard partials of [`crate::shard::ShardedGraph::cost_batch`]
-/// (over shard-owned edge columns).
-pub(crate) fn batch_edge_walk<T: Copy + PartialEq>(
-    edge_a: &[ObjectId],
-    edge_b: &[ObjectId],
-    edge_weight: &[f64],
-    positive_weights: bool,
-    rows: &[T],
-    k: usize,
-    acc: &mut [f64],
-) {
-    if positive_weights {
-        // Monomorphise the hot widths: a compile-time K fully unrolls
-        // the lane loop, keeps the K accumulators in registers, and
-        // elides every per-lane bounds check. Other widths take the
-        // dynamic-width loop, whose per-edge overhead amortises as k
-        // grows.
-        match k {
-            1 => walk_const::<1, T>(edge_a, edge_b, edge_weight, rows, acc),
-            2 => walk_const::<2, T>(edge_a, edge_b, edge_weight, rows, acc),
-            4 => walk_const::<4, T>(edge_a, edge_b, edge_weight, rows, acc),
-            8 => walk_const::<8, T>(edge_a, edge_b, edge_weight, rows, acc),
-            16 => walk_const::<16, T>(edge_a, edge_b, edge_weight, rows, acc),
-            _ => walk_dyn(edge_a, edge_b, edge_weight, rows, k, acc),
-        }
-        for s in acc.iter_mut() {
-            if *s == 0.0 {
-                *s = -0.0;
-            }
-        }
-    } else {
-        let edges = edge_a.iter().zip(edge_b).zip(edge_weight);
-        for ((&a, &b), &w) in edges {
-            let ra = &rows[a.index() * k..][..k];
-            let rb = &rows[b.index() * k..][..k];
-            for ((s, &x), &y) in acc.iter_mut().zip(ra).zip(rb) {
-                if x != y {
-                    *s += w;
-                }
-            }
-        }
-    }
-}
-
 /// The positive-weight select-add walk at compile-time width `K`:
 /// `K` independent accumulator lanes held in a local array (register-
-/// resident for the widths dispatched above), unrolled per edge.
-/// Assumes `acc` is `-0.0`-initialised and overwrites its first `K`
-/// entries with the folded lanes.
+/// resident for the widths [`CorrelationGraph::cost_batch_over`]
+/// dispatches), unrolled per edge. The lanes continue from, and are
+/// written back to, the first `K` entries of `acc`.
 fn walk_const<const K: usize, T: Copy + PartialEq>(
     edge_a: &[ObjectId],
     edge_b: &[ObjectId],
@@ -385,7 +297,7 @@ fn walk_const<const K: usize, T: Copy + PartialEq>(
     rows: &[T],
     acc: &mut [f64],
 ) {
-    let mut local = [-0.0f64; K];
+    let mut local: [f64; K] = std::array::from_fn(|j| acc[j]);
     let edges = edge_a.iter().zip(edge_b).zip(edge_weight);
     for ((&a, &b), &w) in edges {
         let ra = &rows[a.index() * K..][..K];
@@ -501,18 +413,15 @@ impl CorrelationGraph {
         let mut cursor: Vec<u32> = offsets[..num_objects].to_vec();
         let mut nbr_ids = vec![ObjectId(0); 2 * m];
         let mut nbr_weights = vec![0.0f64; 2 * m];
-        let mut nbr_edges = vec![EdgeId(0); 2 * m];
         for e in 0..m {
             let (a, b, w) = (edge_a[e], edge_b[e], edge_weight[e]);
             let slot = cursor[a.index()] as usize;
             nbr_ids[slot] = b;
             nbr_weights[slot] = w;
-            nbr_edges[slot] = EdgeId(e as u32);
             cursor[a.index()] += 1;
             let slot = cursor[b.index()] as usize;
             nbr_ids[slot] = a;
             nbr_weights[slot] = w;
-            nbr_edges[slot] = EdgeId(e as u32);
             cursor[b.index()] += 1;
         }
         // Weighted degree accumulates in row order (the order the exact
@@ -550,7 +459,6 @@ impl CorrelationGraph {
             offsets,
             nbr_ids,
             nbr_weights,
-            nbr_edges,
             weighted_degree,
             by_correlation,
             by_weight,
@@ -570,12 +478,10 @@ impl CorrelationGraph {
             + self.offsets.len() * size_of::<u32>()
             + self.nbr_ids.len() * size_of::<ObjectId>()
             + self.nbr_weights.len() * size_of::<f64>()
-            + self.nbr_edges.len() * size_of::<EdgeId>()
             + self.weighted_degree.len() * size_of::<f64>()
             + self.by_correlation.len() * size_of::<EdgeId>()
             + self.by_weight.len() * size_of::<EdgeId>()
     }
-
 
     /// Number of objects (CSR rows).
     #[must_use]
@@ -646,30 +552,6 @@ impl CorrelationGraph {
     ///
     /// Panics if `i` is out of range.
     pub fn neighbors(&self, i: ObjectId) -> impl Iterator<Item = (ObjectId, f64)> + '_ {
-        let (ids, weights) = self.row(i);
-        ids.iter().copied().zip(weights.iter().copied())
-    }
-
-    /// Row `i` of the CSR as aligned `(neighbour ids, weights)` slices,
-    /// in pair-scan order.
-    fn row(&self, i: ObjectId) -> (&[ObjectId], &[f64]) {
-        let (s, t) = (
-            self.offsets[i.index()] as usize,
-            self.offsets[i.index() + 1] as usize,
-        );
-        (&self.nbr_ids[s..t], &self.nbr_weights[s..t])
-    }
-
-    /// Neighbours of `i` as `(neighbour, weight, edge)`, in pair-scan
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn neighbor_edges(
-        &self,
-        i: ObjectId,
-    ) -> impl Iterator<Item = (ObjectId, f64, EdgeId)> + '_ {
         let (s, t) = (
             self.offsets[i.index()] as usize,
             self.offsets[i.index() + 1] as usize,
@@ -678,8 +560,6 @@ impl CorrelationGraph {
             .iter()
             .copied()
             .zip(self.nbr_weights[s..t].iter().copied())
-            .zip(self.nbr_edges[s..t].iter().copied())
-            .map(|((n, w), e)| (n, w, e))
     }
 
     /// Edge ids in descending correlation, ties by `(a, b)` — the order
@@ -706,11 +586,51 @@ impl CorrelationGraph {
     /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost(&self, placement: &Placement) -> f64 {
-        // The same `filter · map · sum` fold as the historic pair-list
-        // scan (including `sum`'s `-0.0` identity for the all-colocated
-        // case), over the SoA edge columns; zipped iteration keeps the
-        // loop free of bounds checks.
-        edge_cost_fold(&self.edge_a, &self.edge_b, &self.edge_weight, placement)
+        self.cost_over(&[self.all_edges()], placement)
+    }
+
+    /// Every edge as one range: the flat graph is the one-shard case of
+    /// the range folds.
+    pub(crate) fn all_edges(&self) -> Range<EdgeId> {
+        EdgeId(0)..EdgeId(self.edge_weight.len() as u32)
+    }
+
+    /// The structure-of-arrays edge columns of the edges in `range`.
+    fn columns(&self, range: &Range<EdgeId>) -> (&[ObjectId], &[ObjectId], &[f64]) {
+        let r = range.start.index()..range.end.index();
+        (
+            &self.edge_a[r.clone()],
+            &self.edge_b[r.clone()],
+            &self.edge_weight[r],
+        )
+    }
+
+    /// The one serial edge fold: the weights of the edges in `ranges` that
+    /// `split` selects, added range by range (ascending [`EdgeId`] within
+    /// each) to a single accumulator that starts at `sum`'s `-0.0`
+    /// identity — the `filter · map · sum` sequence of the historic
+    /// pair-list scan. Zipped iteration keeps the loop free of bounds
+    /// checks.
+    fn split_sum(
+        &self,
+        ranges: &[Range<EdgeId>],
+        split: impl Fn(ObjectId, ObjectId) -> bool,
+    ) -> f64 {
+        ranges.iter().fold(-0.0, |acc, range| {
+            let (edge_a, edge_b, edge_weight) = self.columns(range);
+            edge_a
+                .iter()
+                .zip(edge_b)
+                .zip(edge_weight)
+                .filter(|&((&a, &b), _)| split(a, b))
+                .fold(acc, |sum, (_, &w)| sum + w)
+        })
+    }
+
+    /// [`CorrelationGraph::cost`] over the edges in `ranges` only (the
+    /// edges one shard owns), folded into one accumulator from `-0.0`.
+    pub(crate) fn cost_over(&self, ranges: &[Range<EdgeId>], placement: &Placement) -> f64 {
+        self.split_sum(ranges, |a, b| placement.node_of(a) != placement.node_of(b))
     }
 
     /// Communication-cost change of moving `i` from its current node to
@@ -758,88 +678,85 @@ impl CorrelationGraph {
     /// Panics if the batch covers fewer objects than the graph.
     #[must_use]
     pub fn cost_batch(&self, batch: &PlacementBatch) -> Vec<f64> {
+        self.cost_batch_over(&[self.all_edges()], batch)
+    }
+
+    /// [`CorrelationGraph::cost_batch`] over the edges in `ranges` only:
+    /// each candidate's accumulator starts at `-0.0` and runs through
+    /// every range in turn.
+    ///
+    /// With strictly positive edge weights the inner loop is branchless
+    /// (`+= w` or `+= 0.0` by select), which lets the compiler vectorise
+    /// across candidates. Adding `+0.0` for non-split edges perturbs a
+    /// serial fold's bits in exactly one place — a candidate that never
+    /// splits reads `+0.0` instead of the fold identity `-0.0` — and with
+    /// `w > 0` everywhere "never split" is equivalent to "sum is ±0", so
+    /// one fix-up after the last range restores `-0.0` exactly. Graphs
+    /// carrying zero-weight edges take the branchy scalar loop instead,
+    /// which reproduces the serial fold sequence verbatim.
+    pub(crate) fn cost_batch_over(
+        &self,
+        ranges: &[Range<EdgeId>],
+        batch: &PlacementBatch,
+    ) -> Vec<f64> {
         let k = batch.width();
-        // `sum`'s identity is -0.0, so an all-colocated candidate scores
-        // the same bits as the serial walk.
         let mut acc = vec![-0.0f64; k];
         if k == 0 {
             return acc;
         }
         match batch.interleaved() {
-            InterleavedRows::Narrow(rows) => batch_edge_walk(
-                &self.edge_a,
-                &self.edge_b,
-                &self.edge_weight,
-                self.positive_weights,
-                rows,
-                k,
-                &mut acc,
-            ),
-            InterleavedRows::Wide(rows) => batch_edge_walk(
-                &self.edge_a,
-                &self.edge_b,
-                &self.edge_weight,
-                self.positive_weights,
-                rows,
-                k,
-                &mut acc,
-            ),
+            InterleavedRows::Narrow(rows) => self.batch_walk(ranges, rows, k, &mut acc),
+            InterleavedRows::Wide(rows) => self.batch_walk(ranges, rows, k, &mut acc),
         }
         acc
     }
 
-    /// [`CorrelationGraph::cost_batch`] evaluated in parallel over fixed
-    /// edge chunks (`BATCH_CHUNK_EDGES` edges each), with per-chunk
-    /// per-candidate partials reduced in chunk order.
-    ///
-    /// The result is identical for every `threads` value (chunk boundaries
-    /// depend only on the edge count), and on instances with at most one
-    /// chunk it is bit-identical to the serial [`CorrelationGraph::cost_batch`]
-    /// (each partial starts at the `-0.0` identity). On larger instances
-    /// the chunked reduction is a *different associativity* than the
-    /// serial walk, so — exactly like [`CorrelationGraph::cost_chunked`] —
-    /// solver-reported costs stay on the serial batch walk; use this for
-    /// bulk re-evaluation where thread invariance suffices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch covers fewer objects than the graph.
-    #[must_use]
-    pub fn cost_batch_chunked(&self, batch: &PlacementBatch, threads: usize) -> Vec<f64> {
-        let k = batch.width();
-        if k == 0 {
-            return Vec::new();
-        }
-        let m = self.edge_weight.len();
-        let chunks = m.div_ceil(BATCH_CHUNK_EDGES).max(1);
-        let rows = batch.interleaved();
-        let partials = cca_par::par_map_indexed(threads, chunks, |c| {
-            let start = c * BATCH_CHUNK_EDGES;
-            let end = (start + BATCH_CHUNK_EDGES).min(m);
-            let mut acc = vec![-0.0f64; k];
-            let (ea, eb, ew) = (
-                &self.edge_a[start..end],
-                &self.edge_b[start..end],
-                &self.edge_weight[start..end],
-            );
-            match rows {
-                InterleavedRows::Narrow(r) => {
-                    batch_edge_walk(ea, eb, ew, self.positive_weights, r, k, &mut acc);
+    /// The batched edge loop behind [`CorrelationGraph::cost_batch_over`].
+    /// `rows` is the batch's object-major interleaved layout: both
+    /// endpoint rows of an edge are contiguous k-wide stripes, read once
+    /// for all candidates.
+    fn batch_walk<T: Copy + PartialEq>(
+        &self,
+        ranges: &[Range<EdgeId>],
+        rows: &[T],
+        k: usize,
+        acc: &mut [f64],
+    ) {
+        for range in ranges {
+            let (ea, eb, ew) = self.columns(range);
+            if self.positive_weights {
+                // Monomorphise the hot widths: a compile-time K fully
+                // unrolls the lane loop, keeps the K accumulators in
+                // registers, and elides every per-lane bounds check.
+                // Other widths take the dynamic-width loop, whose
+                // per-edge overhead amortises as k grows.
+                match k {
+                    1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
+                    2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
+                    4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
+                    8 => walk_const::<8, T>(ea, eb, ew, rows, acc),
+                    16 => walk_const::<16, T>(ea, eb, ew, rows, acc),
+                    _ => walk_dyn(ea, eb, ew, rows, k, acc),
                 }
-                InterleavedRows::Wide(r) => {
-                    batch_edge_walk(ea, eb, ew, self.positive_weights, r, k, &mut acc);
+            } else {
+                for ((&a, &b), &w) in ea.iter().zip(eb).zip(ew) {
+                    let ra = &rows[a.index() * k..][..k];
+                    let rb = &rows[b.index() * k..][..k];
+                    for ((s, &x), &y) in acc.iter_mut().zip(ra).zip(rb) {
+                        if x != y {
+                            *s += w;
+                        }
+                    }
                 }
             }
-            acc
-        });
-        // Reduce per candidate in chunk (index) order.
-        let mut totals = vec![-0.0f64; k];
-        for partial in partials {
-            for (t, p) in totals.iter_mut().zip(partial) {
-                *t += p;
+        }
+        if self.positive_weights {
+            for s in acc.iter_mut() {
+                if *s == 0.0 {
+                    *s = -0.0;
+                }
             }
         }
-        totals
     }
 
     /// [`CorrelationGraph::move_delta`] for every target in `targets`, in
@@ -883,42 +800,6 @@ impl CorrelationGraph {
         deltas
     }
 
-    /// [`CorrelationGraph::cost`] evaluated in parallel over fixed chunks
-    /// of CSR row ranges (each edge counted at its smaller endpoint), with
-    /// per-chunk partials reduced in chunk order.
-    ///
-    /// The result is identical for every `threads` value (chunk boundaries
-    /// depend only on the object count) but is a *different associativity*
-    /// than the serial [`CorrelationGraph::cost`], so the two may differ in
-    /// the last ulps; solver-reported costs therefore stay on the serial
-    /// walk. Use this for bulk re-evaluation where the thread-invariance
-    /// contract suffices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the placement covers fewer objects than the graph.
-    #[must_use]
-    pub fn cost_chunked(&self, placement: &Placement, threads: usize) -> f64 {
-        let chunks = self.num_objects.div_ceil(COST_CHUNK_ROWS).max(1);
-        let partials = cca_par::par_map_indexed(threads, chunks, |c| {
-            let start = c * COST_CHUNK_ROWS;
-            let end = (start + COST_CHUNK_ROWS).min(self.num_objects);
-            let mut sum = -0.0;
-            for i in start..end {
-                let obj = ObjectId(i as u32);
-                let on = placement.node_of(obj);
-                for (other, w) in self.neighbors(obj) {
-                    // Count each edge once, at its smaller endpoint.
-                    if other.index() > i && placement.node_of(other) != on {
-                        sum += w;
-                    }
-                }
-            }
-            sum
-        });
-        partials.into_iter().sum()
-    }
-
     // -- Replica-aware evaluation ------------------------------------------
 
     /// The replica-aware CCA objective: edge `(a, b)` pays `r·w` iff **no**
@@ -928,41 +809,28 @@ impl CorrelationGraph {
     /// [`CorrelationGraph::cost`], so with `r = 1` the result is
     /// **bit-identical** to `cost(rp.primary())` (the split predicate
     /// degenerates to `node_of(a) != node_of(b)` and the fold order is
-    /// unchanged; the `r = 1` fast path below makes that structural).
+    /// unchanged; the `r = 1` fast path of the range fold makes that
+    /// structural).
     ///
     /// # Panics
     ///
     /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost_replicas(&self, rp: &ReplicaPlacement) -> f64 {
-        if rp.replicas() == 1 {
-            return self.cost(rp.primary());
-        }
-        self.edge_a
-            .iter()
-            .zip(&self.edge_b)
-            .zip(&self.edge_weight)
-            .filter(|&((&a, &b), _)| rp.split(a, b))
-            .map(|(_, &w)| w)
-            .sum()
+        self.cost_replicas_over(&[self.all_edges()], rp)
     }
 
-    /// [`CorrelationGraph::cost_replicas`] for a batch of candidates, in
-    /// slice order. All-`r = 1` batches route through the interleaved
-    /// [`CorrelationGraph::cost_batch`] kernel on the primary columns
-    /// (bit-identical per its contract); mixed/replicated batches fall
-    /// back to the serial replica fold per candidate.
-    #[must_use]
-    pub fn cost_replica_batch(&self, candidates: &[&ReplicaPlacement]) -> Vec<f64> {
-        if candidates.is_empty() {
-            return Vec::new();
+    /// [`CorrelationGraph::cost_replicas`] over the edges in `ranges`
+    /// only, folded into one accumulator from `-0.0`.
+    pub(crate) fn cost_replicas_over(
+        &self,
+        ranges: &[Range<EdgeId>],
+        rp: &ReplicaPlacement,
+    ) -> f64 {
+        if rp.replicas() == 1 {
+            return self.cost_over(ranges, rp.primary());
         }
-        if candidates.iter().all(|rp| rp.replicas() == 1) {
-            let primaries: Vec<Placement> =
-                candidates.iter().map(|rp| rp.primary().clone()).collect();
-            return self.cost_batch(&PlacementBatch::from_placements(&primaries));
-        }
-        candidates.iter().map(|rp| self.cost_replicas(rp)).collect()
+        self.split_sum(ranges, |a, b| rp.split(a, b))
     }
 
     /// Communication-cost change of moving **replica `j`** of object `i`
@@ -988,8 +856,19 @@ impl CorrelationGraph {
         j: usize,
         target: usize,
     ) -> f64 {
-        let (ids, weights) = self.row(i);
-        replica_row_delta(ids, weights, rp, i, j, target)
+        let src = rp.node_of(i, j);
+        if src == target {
+            return 0.0;
+        }
+        let mut delta = 0.0;
+        for (other, w) in self.neighbors(i) {
+            match copy_edge(rp, i, j, src, other) {
+                CopyEdge::HeldBySource if !rp.colocated(other, target) => delta += w,
+                CopyEdge::Split if rp.colocated(other, target) => delta -= w,
+                _ => {}
+            }
+        }
+        delta
     }
 
     /// [`CorrelationGraph::replica_move_delta`] for **every** target
@@ -1012,8 +891,33 @@ impl CorrelationGraph {
         j: usize,
         deltas: &mut [f64],
     ) {
-        let (ids, weights) = self.row(i);
-        replica_row_deltas(ids, weights, rp, i, j, deltas);
+        assert_eq!(deltas.len(), rp.num_nodes(), "one delta per node");
+        deltas.fill(0.0);
+        let src = rp.node_of(i, j);
+        // Each edge is classified once and its `±w` folded into exactly
+        // the entries whose single-target walk would fold it.
+        for (other, w) in self.neighbors(i) {
+            match copy_edge(rp, i, j, src, other) {
+                CopyEdge::HeldElsewhere => {}
+                CopyEdge::HeldBySource => {
+                    // `+w` on the runs of nodes between `other`'s homes.
+                    let mut lo = 0;
+                    for h in homes_ascending(rp, other) {
+                        deltas[lo..h].iter_mut().for_each(|d| *d += w);
+                        lo = h + 1;
+                    }
+                    deltas[lo..].iter_mut().for_each(|d| *d += w);
+                }
+                CopyEdge::Split => {
+                    // `−w` once per distinct home: two copies may share a node.
+                    for (m, h) in rp.nodes_of(other).enumerate() {
+                        if !rp.nodes_of(other).take(m).any(|p| p == h) {
+                            deltas[h] -= w;
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -1063,71 +967,6 @@ fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = u
         lo = next + 1;
         Some(next)
     })
-}
-
-/// Single-target replica move delta over one CSR row (`ids`, `weights`
-/// aligned, pair-scan order) — the flat and sharded
-/// `replica_move_delta` body.
-pub(crate) fn replica_row_delta(
-    ids: &[ObjectId],
-    weights: &[f64],
-    rp: &ReplicaPlacement,
-    i: ObjectId,
-    j: usize,
-    target: usize,
-) -> f64 {
-    let src = rp.node_of(i, j);
-    if src == target {
-        return 0.0;
-    }
-    let mut delta = 0.0;
-    for (&other, &w) in ids.iter().zip(weights) {
-        match copy_edge(rp, i, j, src, other) {
-            CopyEdge::HeldBySource if !rp.colocated(other, target) => delta += w,
-            CopyEdge::Split if rp.colocated(other, target) => delta -= w,
-            _ => {}
-        }
-    }
-    delta
-}
-
-/// Every-target replica move deltas over one CSR row — the flat and
-/// sharded `replica_move_deltas` body. Each edge is classified once and
-/// its `±w` folded into exactly the entries whose single-target walk
-/// ([`replica_row_delta`]) would fold it, in row order.
-pub(crate) fn replica_row_deltas(
-    ids: &[ObjectId],
-    weights: &[f64],
-    rp: &ReplicaPlacement,
-    i: ObjectId,
-    j: usize,
-    deltas: &mut [f64],
-) {
-    assert_eq!(deltas.len(), rp.num_nodes(), "one delta per node");
-    deltas.fill(0.0);
-    let src = rp.node_of(i, j);
-    for (&other, &w) in ids.iter().zip(weights) {
-        match copy_edge(rp, i, j, src, other) {
-            CopyEdge::HeldElsewhere => {}
-            CopyEdge::HeldBySource => {
-                // `+w` on the runs of nodes between `other`'s homes.
-                let mut lo = 0;
-                for h in homes_ascending(rp, other) {
-                    deltas[lo..h].iter_mut().for_each(|d| *d += w);
-                    lo = h + 1;
-                }
-                deltas[lo..].iter_mut().for_each(|d| *d += w);
-            }
-            CopyEdge::Split => {
-                // `−w` once per distinct home: two copies may share a node.
-                for (m, h) in rp.nodes_of(other).enumerate() {
-                    if !rp.nodes_of(other).take(m).any(|p| p == h) {
-                        deltas[h] -= w;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// O(deg)-per-move communication-cost accumulator over a
@@ -1230,14 +1069,8 @@ mod tests {
         assert_eq!(g.degree(ObjectId(3)), 1);
         assert_eq!(g.weighted_degree(ObjectId(0)), 10.0);
         // Builder sorts pairs by (a, b): (0,1), (0,2), (2,3).
-        let with_edges: Vec<_> = g.neighbor_edges(ObjectId(2)).collect();
-        assert_eq!(
-            with_edges,
-            vec![
-                (ObjectId(0), 1.0, EdgeId(1)),
-                (ObjectId(3), 5.0, EdgeId(2)),
-            ]
-        );
+        let row: Vec<_> = g.neighbors(ObjectId(2)).collect();
+        assert_eq!(row, vec![(ObjectId(0), 1.0), (ObjectId(3), 5.0)]);
     }
 
     #[test]
@@ -1304,19 +1137,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_chunked_is_thread_invariant() {
-        let p = problem();
-        let g = p.graph();
-        let pl = Placement::new(vec![0, 1, 0, 1], 2);
-        let serial = g.cost_chunked(&pl, 1);
-        for threads in [2, 3, 8] {
-            assert_eq!(g.cost_chunked(&pl, threads).to_bits(), serial.to_bits());
-        }
-        // Small instance: one chunk, so it even matches the serial walk.
-        assert_eq!(serial.to_bits(), g.cost(&pl).to_bits());
-    }
-
-    #[test]
     fn incremental_cost_tracks_moves() {
         let p = problem();
         let g = p.graph();
@@ -1357,25 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_batch_chunked_is_thread_invariant() {
-        let p = problem();
-        let g = p.graph();
-        let batch = PlacementBatch::from_placements(&[
-            Placement::new(vec![0, 1, 0, 1], 2),
-            Placement::new(vec![1, 1, 0, 0], 2),
-        ]);
-        let serial = g.cost_batch(&batch);
-        for threads in [1, 2, 3, 8] {
-            let chunked = g.cost_batch_chunked(&batch, threads);
-            for c in 0..batch.width() {
-                // Small instance: one edge chunk, so the chunked walk even
-                // matches the serial batch bit for bit.
-                assert_eq!(chunked[c].to_bits(), serial[c].to_bits(), "threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn move_delta_batch_bit_equals_per_target_deltas() {
         let p = problem();
         let g = p.graph();
@@ -1397,13 +1198,51 @@ mod tests {
     }
 
     #[test]
+    fn range_folds_thread_one_accumulator_through_every_range() {
+        let p = problem();
+        let g = p.graph();
+        // Edges (0,1) w9 and (2,3) w5, skipping (0,2) w1.
+        let ranges = [EdgeId(0)..EdgeId(1), EdgeId(2)..EdgeId(3)];
+        let pl = Placement::new(vec![0, 1, 0, 1], 2);
+        assert_eq!(g.cost_over(&ranges, &pl), 14.0);
+        assert_eq!(g.cost_over(&[], &pl).to_bits(), (-0.0f64).to_bits());
+        // The second column splits only the skipped edge, and the third
+        // nothing: both keep the `-0.0` identity across the two ranges.
+        // Width 4 runs a fixed-width kernel, width 3 the dynamic one.
+        let candidates = [
+            pl.clone(),
+            Placement::new(vec![0, 0, 1, 1], 2),
+            Placement::new(vec![0; 4], 2),
+            Placement::new(vec![0, 1, 1, 1], 2),
+        ];
+        for width in [3, 4] {
+            let batch = PlacementBatch::from_placements(&candidates[..width]);
+            let bits: Vec<u64> = g
+                .cost_batch_over(&ranges, &batch)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            assert_eq!(bits, [14.0f64, -0.0, -0.0, 9.0].map(f64::to_bits)[..width]);
+        }
+        // Two copies: (0,1) and (2,3) share a node, only (0,2) is split.
+        let rp = ReplicaPlacement::from_columns(vec![
+            Placement::new(vec![0, 0, 1, 1], 3),
+            Placement::new(vec![2, 1, 1, 0], 3),
+        ]);
+        assert_eq!(
+            g.cost_replicas_over(&ranges, &rp).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(g.cost_replicas(&rp), 1.0);
+    }
+
+    #[test]
     fn empty_batch_scores_nothing() {
         let p = problem();
         let g = p.graph();
         let batch = PlacementBatch::new(p.num_objects(), 2);
         assert!(batch.is_empty());
         assert!(g.cost_batch(&batch).is_empty());
-        assert!(g.cost_batch_chunked(&batch, 4).is_empty());
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
         assert!(g.move_delta_batch(&pl, ObjectId(0), &[]).is_empty());
     }
@@ -1427,7 +1266,6 @@ mod tests {
         assert_eq!(g.weighted_degree(ObjectId(0)), 0.0);
         let pl = Placement::new(vec![0, 1, 0], 2);
         assert_eq!(g.cost(&pl), 0.0);
-        assert_eq!(g.cost_chunked(&pl, 4), 0.0);
     }
 
     #[test]

@@ -609,9 +609,6 @@ pub fn drain_node(
             let fitting: Vec<usize> = (0..n)
                 .filter(|&k| k != node && loads.fits(k, o))
                 .collect();
-            // Dispatched through the problem so a sharded instance walks
-            // its shard row (bit-identical to the flat row for any shard
-            // count).
             let deltas = problem.eval_move_delta_batch(&placement, o, &fitting);
             let target = *fitting
                 .iter()

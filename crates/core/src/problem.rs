@@ -156,9 +156,9 @@ pub struct CcaProblem {
     pairs: Vec<Pair>,
     resources: Vec<Resource>,
     graph: CorrelationGraph,
-    // Opt-in range-sharded view of the same pair list (None by default —
-    // the flat CSR bit-contract is untouched unless sharding is enabled).
-    // Kept in lock-step with `pairs` by `restrict_to` / `prune_pairs`.
+    // Opt-in partition of `graph` into shards (None by default — the flat
+    // fold is the one-shard case). Rebuilt with `graph` by `restrict_to`
+    // / `prune_pairs`.
     sharded: Option<ShardedGraph>,
 }
 
@@ -225,30 +225,19 @@ impl CcaProblem {
         &self.graph
     }
 
-    /// Enables the range-sharded graph view: builds a [`ShardedGraph`]
-    /// over the current pair list with `shard_count` shards (clamped to
-    /// `[1, num_objects]`), constructing shards in parallel on up to
-    /// `threads` `cca-par` workers. The sharded view is a pure function of
-    /// `(pairs, shard_count)` — the build thread count never changes it.
+    /// Enables the range-sharded graph view: partitions the graph into
+    /// `shard_count` shards (clamped to `[1, num_objects]`), each the
+    /// [`crate::EdgeId`] ranges of the edges it owns. The partition is one
+    /// sequential pass over the edge list and a pure function of
+    /// `(pairs, shard_count)`; `threads` is unused.
     ///
-    /// Once enabled, the `eval_*` dispatchers route bulk cost queries
-    /// through the shards; [`CcaProblem::graph`] and everything built on
-    /// it are unaffected. [`CcaProblem::restrict_to`] and
-    /// [`CcaProblem::prune_pairs`] rebuild the sharded view over the new
-    /// pair list with the same shard count.
-    pub fn set_sharding(&mut self, shard_count: usize, threads: usize) {
-        self.sharded = Some(ShardedGraph::build(
-            self.sizes.len(),
-            &self.pairs,
-            shard_count,
-            threads,
-        ));
-    }
-
-    /// Drops the sharded view; the `eval_*` dispatchers fall back to the
-    /// flat CSR.
-    pub fn clear_sharding(&mut self) {
-        self.sharded = None;
+    /// Once enabled, the bulk `eval_*` folds (`eval_cost`,
+    /// `eval_cost_batch`, `eval_cost_replicas`) run shard-parallel;
+    /// [`CcaProblem::graph`] and everything built on it are unaffected.
+    /// [`CcaProblem::restrict_to`] and [`CcaProblem::prune_pairs`]
+    /// re-partition the new graph with the same shard count.
+    pub fn set_sharding(&mut self, shard_count: usize, _threads: usize) {
+        self.sharded = Some(ShardedGraph::build(&self.graph, shard_count));
     }
 
     /// The range-sharded graph view, if [`CcaProblem::set_sharding`] was
@@ -258,11 +247,12 @@ impl CcaProblem {
         self.sharded.as_ref()
     }
 
-    /// The CCA objective of `placement`, dispatched to the sharded view
-    /// (shard-parallel partials reduced in shard-index order — identical
-    /// for every `threads` value) when sharding is enabled, else the flat
-    /// serial [`CorrelationGraph::cost`]. With sharding disabled, or with
-    /// a single shard, the bits equal the flat serial walk.
+    /// The CCA objective of `placement`: shard-parallel on the sharded
+    /// view when sharding is enabled ([`ShardedGraph::cost`], identical
+    /// for every `threads` value), else the flat serial
+    /// [`CorrelationGraph::cost`]. Both run the graph's one edge fold;
+    /// with sharding disabled, or with a single shard, the bits are the
+    /// flat serial walk's.
     ///
     /// # Panics
     ///
@@ -270,13 +260,13 @@ impl CcaProblem {
     #[must_use]
     pub fn eval_cost(&self, placement: &Placement, threads: usize) -> f64 {
         match &self.sharded {
-            Some(s) => s.cost(placement, threads),
+            Some(s) => s.cost(&self.graph, placement, threads),
             None => self.graph.cost(placement),
         }
     }
 
-    /// Batched candidate scoring, dispatched to the sharded view when
-    /// sharding is enabled, else the flat serial
+    /// Batched candidate scoring, shard-parallel when sharding is enabled
+    /// ([`ShardedGraph::cost_batch`]), else the flat serial
     /// [`CorrelationGraph::cost_batch`]. Column `c` is deterministic for
     /// every `threads` value either way; with sharding disabled or a
     /// single shard it is bit-identical to `cost(batch.placement(c))`.
@@ -287,30 +277,23 @@ impl CcaProblem {
     #[must_use]
     pub fn eval_cost_batch(&self, batch: &PlacementBatch, threads: usize) -> Vec<f64> {
         match &self.sharded {
-            Some(s) => s.cost_batch(batch, threads),
+            Some(s) => s.cost_batch(&self.graph, batch, threads),
             None => self.graph.cost_batch(batch),
         }
     }
 
-    /// [`CorrelationGraph::move_delta`] via the sharded view when enabled
-    /// (a shard replicates the flat CSR row of each object it owns, so
-    /// the delta is bit-identical for **any** shard count), else the flat
-    /// row walk.
+    /// [`CorrelationGraph::move_delta`]: one walk of `i`'s CSR row.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn eval_move_delta(&self, placement: &Placement, i: ObjectId, target: usize) -> f64 {
-        match &self.sharded {
-            Some(s) => s.move_delta(placement, i, target),
-            None => self.graph.move_delta(placement, i, target),
-        }
+        self.graph.move_delta(placement, i, target)
     }
 
-    /// [`CorrelationGraph::move_delta_batch`] via the sharded view when
-    /// enabled (bit-identical for any shard count, as for
-    /// [`CcaProblem::eval_move_delta`]), else the flat row walk.
+    /// [`CorrelationGraph::move_delta_batch`]: one walk of `i`'s CSR row
+    /// for every target.
     ///
     /// # Panics
     ///
@@ -322,16 +305,13 @@ impl CcaProblem {
         i: ObjectId,
         targets: &[usize],
     ) -> Vec<f64> {
-        match &self.sharded {
-            Some(s) => s.move_delta_batch(placement, i, targets),
-            None => self.graph.move_delta_batch(placement, i, targets),
-        }
+        self.graph.move_delta_batch(placement, i, targets)
     }
 
-    /// Replica-aware cost via the sharded view when enabled
+    /// Replica-aware cost, shard-parallel when sharding is enabled
     /// ([`ShardedGraph::cost_replicas`]), else the flat replica fold
-    /// ([`CorrelationGraph::cost_replicas`]). With `r = 1` both sides
-    /// fast-path to their single-copy walks, so this is bit-identical to
+    /// ([`CorrelationGraph::cost_replicas`]). With `r = 1` both are the
+    /// single-copy fold, so this is bit-identical to
     /// [`CcaProblem::eval_cost`] on the primary column.
     ///
     /// # Panics
@@ -340,13 +320,13 @@ impl CcaProblem {
     #[must_use]
     pub fn eval_cost_replicas(&self, rp: &ReplicaPlacement, threads: usize) -> f64 {
         match &self.sharded {
-            Some(s) => s.cost_replicas(rp, threads),
+            Some(s) => s.cost_replicas(&self.graph, rp, threads),
             None => self.graph.cost_replicas(rp),
         }
     }
 
-    /// Replica-aware move delta via the sharded view when enabled
-    /// (bit-identical for any shard count), else the flat row walk.
+    /// [`CorrelationGraph::replica_move_delta`]: one walk of `i`'s CSR
+    /// row.
     ///
     /// # Panics
     ///
@@ -359,17 +339,12 @@ impl CcaProblem {
         j: usize,
         target: usize,
     ) -> f64 {
-        match &self.sharded {
-            Some(s) => s.replica_move_delta(rp, i, j, target),
-            None => self.graph.replica_move_delta(rp, i, j, target),
-        }
+        self.graph.replica_move_delta(rp, i, j, target)
     }
 
     /// Every-target replica move deltas: `deltas[t]` receives the delta
     /// of moving replica `j` of `i` to node `t`, from one walk of `i`'s
-    /// CSR row — on the sharded view when enabled (the shard row
-    /// replicates the flat row, so the result is bit-identical for any
-    /// shard count), else on the flat graph. `deltas[t]` bit-equals
+    /// CSR row. `deltas[t]` bit-equals
     /// [`CcaProblem::eval_replica_move_delta`]`(rp, i, j, t)`, and the
     /// copy's own node reads exactly `0.0`.
     ///
@@ -384,10 +359,7 @@ impl CcaProblem {
         j: usize,
         deltas: &mut [f64],
     ) {
-        match &self.sharded {
-            Some(s) => s.replica_move_deltas(rp, i, j, deltas),
-            None => self.graph.replica_move_deltas(rp, i, j, deltas),
-        }
+        self.graph.replica_move_deltas(rp, i, j, deltas);
     }
 
     /// Secondary capacity constraints (paper 3.3); empty in the base
@@ -499,12 +471,11 @@ impl CcaProblem {
         // order ride on this, so the graph is rebuilt over the list as-is.
         let graph = CorrelationGraph::build(keep.len(), &pairs);
         // A sharded parent yields a sharded subproblem: same shard count,
-        // rebuilt over the restricted pair list (a pure function of it, so
-        // no thread pool is needed for the typically small subproblem).
+        // re-partitioning the restricted graph.
         let sharded = self
             .sharded
             .as_ref()
-            .map(|s| ShardedGraph::build(keep.len(), &pairs, s.shard_count(), 1));
+            .map(|s| ShardedGraph::build(&graph, s.shard_count()));
         (
             CcaProblem {
                 names,
@@ -557,12 +528,7 @@ impl CcaProblem {
         // that exact order.
         self.graph = CorrelationGraph::build(self.sizes.len(), &self.pairs);
         if let Some(s) = &self.sharded {
-            self.sharded = Some(ShardedGraph::build(
-                self.sizes.len(),
-                &self.pairs,
-                s.shard_count(),
-                1,
-            ));
+            self.sharded = Some(ShardedGraph::build(&self.graph, s.shard_count()));
         }
         dropped
     }
@@ -911,8 +877,14 @@ mod tests {
                 );
             }
         }
-        p.clear_sharding();
-        assert!(p.sharded().is_none());
+    }
+
+    /// Edges the partition's shards own, summed over every range.
+    fn owned_edges(s: &ShardedGraph) -> usize {
+        (0..s.shard_count())
+            .flat_map(|i| s.edge_ranges(i))
+            .map(|r| r.end.index() - r.start.index())
+            .sum()
     }
 
     #[test]
@@ -922,8 +894,8 @@ mod tests {
         let (sub, _) = p.restrict_to(&[ObjectId(2), ObjectId(0)]);
         let sub_sharded = sub.sharded().expect("restrict_to must keep sharding");
         assert_eq!(sub_sharded.shard_count(), 2);
-        assert_eq!(sub_sharded.num_objects(), 2);
-        assert_eq!(sub_sharded.num_edges(), sub.pairs().len());
+        assert_eq!(sub_sharded.rows_per_shard(), 1);
+        assert_eq!(owned_edges(sub_sharded), sub.pairs().len());
         let pl = Placement::new(vec![0, 1], 2);
         assert_eq!(
             sub.eval_cost(&pl, 2).to_bits(),
@@ -932,7 +904,7 @@ mod tests {
         p.prune_pairs(1);
         let pruned_sharded = p.sharded().expect("prune_pairs must keep sharding");
         assert_eq!(pruned_sharded.shard_count(), 2);
-        assert_eq!(pruned_sharded.num_edges(), 1);
+        assert_eq!(owned_edges(pruned_sharded), 1);
         // An unsharded problem stays unsharded through both paths.
         let q = sample();
         assert!(q.restrict_to(&[ObjectId(0)]).0.sharded().is_none());

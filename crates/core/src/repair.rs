@@ -56,9 +56,7 @@ struct Repairer<'a> {
 impl Repairer<'_> {
     /// Cost changes of moving object `i` to each node in `targets`
     /// (negative is an improvement) — one O(deg) CSR row walk scores them
-    /// all, each entry bit-equal to the per-target walk. Dispatched
-    /// through the problem so a sharded instance walks its shard row
-    /// (bit-identical to the flat row for any shard count).
+    /// all, each entry bit-equal to the per-target walk.
     fn move_delta_batch(&self, placement: &Placement, i: ObjectId, targets: &[usize]) -> Vec<f64> {
         self.problem.eval_move_delta_batch(placement, i, targets)
     }

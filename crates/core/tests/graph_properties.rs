@@ -286,11 +286,19 @@ fn csr_structure_matches_pair_list() {
             }
             // Each edge appears in exactly both endpoint rows; rows are
             // symmetric and weighted degrees are the row sums.
+            let edge_of: std::collections::HashMap<_, usize> = p
+                .pairs()
+                .iter()
+                .enumerate()
+                .map(|(e, pair)| ((pair.a, pair.b), e))
+                .collect();
             let mut row_hits = vec![0usize; p.pairs().len()];
             for o in p.objects() {
                 let mut row_sum = -0.0f64;
-                for (other, w, e) in graph.neighbor_edges(o) {
-                    row_hits[e.index()] += 1;
+                for (other, w) in graph.neighbors(o) {
+                    let e = edge_of[&(o.min(other), o.max(other))];
+                    prop_assert_eq!(w.to_bits(), p.pairs()[e].weight().to_bits());
+                    row_hits[e] += 1;
                     row_sum += w;
                     prop_assert!(
                         graph.neighbors(other).any(|(back, bw)| back == o && bw == w),

@@ -1,18 +1,23 @@
 //! Shard-invariance property battery for [`cca_core::ShardedGraph`]
-//! (DESIGN.md §11).
+//! (DESIGN.md §11), exercised through the `CcaProblem::eval_*` folds
+//! with sharding on.
 //!
 //! Every equality here is **exact** (`==` on raw `f64` bits), not
-//! epsilon-tolerant: the generator draws dyadic-rational weights
+//! epsilon-tolerant. Most properties draw dyadic-rational weights
 //! (multiples of 1/8 with small magnitudes), so every partial sum is
 //! exactly representable and any reduction the sharded view performs —
 //! for **any** shard count {1, 2, 7, num_objects} at **any** thread
 //! count {1, 2, 8} — must reproduce the flat CSR's bits, not merely
-//! approximate them. This is the same battery pattern as the PR-3
-//! thread-invariance suite: the thread axis must never appear in any
-//! result.
+//! approximate them. The last property draws non-dyadic weights and pins
+//! what a sharded fold returns when the association of the sum does show:
+//! the shard-order reference, written out in the test. The thread axis
+//! must never appear in any result.
 
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
-use cca_core::{CcaProblem, ObjectId, Placement, PlacementBatch, ShardedGraph};
+use cca_core::{
+    CcaProblem, EdgeId, ObjectId, Placement, PlacementBatch, ReplicaPlacement, ShardedGraph,
+};
+use std::ops::Range;
 
 const REGRESSIONS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/shard_properties.regressions");
@@ -121,10 +126,25 @@ fn shard_counts(num_objects: usize) -> [usize; 4] {
     [1, 2, 7, num_objects]
 }
 
-/// `ShardedGraph::cost` is bit-identical to the flat serial
+/// `p` with sharding on at `shards` shards.
+fn sharded(p: &CcaProblem, shards: usize) -> CcaProblem {
+    let mut q = p.clone();
+    q.set_sharding(shards, 1);
+    q
+}
+
+/// Edges the shards of `sg` own, counted over every range.
+fn owned_edges(sg: &ShardedGraph) -> usize {
+    (0..sg.shard_count())
+        .flat_map(|s| sg.edge_ranges(s))
+        .map(|r| r.end.index() - r.start.index())
+        .sum()
+}
+
+/// The sharded `eval_cost` is bit-identical to the flat serial
 /// [`cca_core::CorrelationGraph::cost`] for every shard count at every
-/// thread count, and the sharded view is structurally consistent
-/// (clamped shard count, edge conservation).
+/// thread count, and the partition is structurally consistent (clamped
+/// shard count, edge conservation).
 #[test]
 fn sharded_cost_is_bitwise_flat_cost() {
     Checker::new("sharded_cost_is_bitwise_flat_cost")
@@ -135,16 +155,16 @@ fn sharded_cost_is_bitwise_flat_cost() {
             let pl = candidate(c, &p, 0);
             let flat = p.graph().cost(&pl);
             for shards in shard_counts(p.num_objects()) {
-                let sg = ShardedGraph::build(p.num_objects(), p.pairs(), shards, 2);
+                let q = sharded(&p, shards);
+                let sg = q.sharded().expect("sharding is on");
                 prop_assert_eq!(sg.shard_count(), shards.clamp(1, p.num_objects()));
-                prop_assert_eq!(sg.num_edges(), p.pairs().len());
-                prop_assert_eq!(sg.num_objects(), p.num_objects());
+                prop_assert_eq!(owned_edges(sg), p.pairs().len());
                 for threads in THREADS {
                     prop_assert_eq!(
-                        sg.cost(&pl, threads).to_bits(),
+                        q.eval_cost(&pl, threads).to_bits(),
                         flat.to_bits(),
                         "cost diverged at {shards} shards / {threads} threads: {} != {}",
-                        sg.cost(&pl, threads),
+                        q.eval_cost(&pl, threads),
                         flat
                     );
                 }
@@ -153,7 +173,7 @@ fn sharded_cost_is_bitwise_flat_cost() {
         });
 }
 
-/// `ShardedGraph::cost_batch` column `c` is bit-identical to the flat
+/// The sharded `eval_cost_batch` column `c` is bit-identical to the flat
 /// [`cca_core::CorrelationGraph::cost_batch`] column `c` (itself pinned
 /// to the serial per-candidate walk) for every shard count at every
 /// thread count — including the all-colocated `-0.0` identity column.
@@ -173,9 +193,9 @@ fn sharded_cost_batch_is_bitwise_flat_batch() {
             let flat = p.graph().cost_batch(&batch);
             prop_assert_eq!(flat.last().copied().map(f64::to_bits), Some((-0.0f64).to_bits()));
             for shards in shard_counts(p.num_objects()) {
-                let sg = ShardedGraph::build(p.num_objects(), p.pairs(), shards, 1);
+                let q = sharded(&p, shards);
                 for threads in THREADS {
-                    let got = sg.cost_batch(&batch, threads);
+                    let got = q.eval_cost_batch(&batch, threads);
                     prop_assert_eq!(got.len(), flat.len());
                     for (col, (g, f)) in got.iter().zip(&flat).enumerate() {
                         prop_assert_eq!(
@@ -190,9 +210,9 @@ fn sharded_cost_batch_is_bitwise_flat_batch() {
         });
 }
 
-/// `ShardedGraph::move_delta` / `move_delta_batch` replicate the flat
-/// row walks to the bit for any shard count — every (object, target)
-/// combination of the instance.
+/// With sharding on, `eval_move_delta` / `eval_move_delta_batch` are the
+/// flat row walks to the bit for any shard count — every (object,
+/// target) combination of the instance.
 #[test]
 fn sharded_move_delta_is_bitwise_flat_row_walk() {
     Checker::new("sharded_move_delta_is_bitwise_flat_row_walk")
@@ -204,10 +224,10 @@ fn sharded_move_delta_is_bitwise_flat_row_walk() {
             let graph = p.graph();
             let targets: Vec<usize> = (0..p.num_nodes()).collect();
             for shards in shard_counts(p.num_objects()) {
-                let sg = ShardedGraph::build(p.num_objects(), p.pairs(), shards, 2);
+                let q = sharded(&p, shards);
                 for o in p.objects() {
                     let flat_batch = graph.move_delta_batch(&pl, o, &targets);
-                    let shard_batch = sg.move_delta_batch(&pl, o, &targets);
+                    let shard_batch = q.eval_move_delta_batch(&pl, o, &targets);
                     for (t, (&f, &s)) in flat_batch.iter().zip(&shard_batch).enumerate() {
                         prop_assert_eq!(
                             s.to_bits(),
@@ -215,7 +235,7 @@ fn sharded_move_delta_is_bitwise_flat_row_walk() {
                             "move_delta_batch[{t}] of {o:?} diverged at {shards} shards"
                         );
                         prop_assert_eq!(
-                            sg.move_delta(&pl, o, t).to_bits(),
+                            q.eval_move_delta(&pl, o, t).to_bits(),
                             graph.move_delta(&pl, o, t).to_bits(),
                             "move_delta of {o:?} -> {t} diverged at {shards} shards"
                         );
@@ -249,7 +269,7 @@ fn problem_dispatch_and_restriction_preserve_bits() {
             let scope: Vec<ObjectId> = p.objects().take(p.num_objects().div_ceil(2)).collect();
             let (sub, _) = p.restrict_to(&scope);
             let sub_sharded = sub.sharded().expect("sharding must survive restrict_to");
-            prop_assert_eq!(sub_sharded.num_edges(), sub.pairs().len());
+            prop_assert_eq!(owned_edges(sub_sharded), sub.pairs().len());
             let sub_pl = Placement::new(
                 (0..sub.num_objects() as u32).map(|i| i % sub.num_nodes() as u32).collect(),
                 sub.num_nodes(),
@@ -265,11 +285,11 @@ fn problem_dispatch_and_restriction_preserve_bits() {
         });
 }
 
-/// Sharded builds are a pure function of `(pairs, shard_count)`: the
-/// build thread count never changes structure or any query result, and
-/// shard memory accounting stays within a constant factor of the flat
-/// CSR (each edge is stored once as a column entry and twice as row
-/// entries, same as flat — only fixed per-shard overhead differs).
+/// The partition is a pure function of `(pairs, shard_count)`:
+/// `set_sharding`'s thread count never changes it, and on the builder's
+/// `(a, b)`-sorted pairs each shard owns at most one range, so the
+/// partition's memory is a few bytes per shard, independent of the
+/// instance size.
 #[test]
 fn build_threads_never_change_the_view() {
     Checker::new("build_threads_never_change_the_view")
@@ -277,27 +297,218 @@ fn build_threads_never_change_the_view() {
         .regressions(REGRESSIONS)
         .run(shard_case, |c| {
             let p = build(c);
-            let pl = candidate(c, &p, 0);
             for shards in [2usize, 7] {
-                let reference = ShardedGraph::build(p.num_objects(), p.pairs(), shards, 1);
+                let q = sharded(&p, shards);
+                let reference = q.sharded().expect("sharding is on");
                 for build_threads in [2usize, 8] {
-                    let other =
-                        ShardedGraph::build(p.num_objects(), p.pairs(), shards, build_threads);
-                    prop_assert_eq!(other.shard_count(), reference.shard_count());
-                    prop_assert_eq!(other.memory_bytes(), reference.memory_bytes());
-                    prop_assert_eq!(
-                        other.cost(&pl, 1).to_bits(),
-                        reference.cost(&pl, 1).to_bits(),
-                        "build threads changed a query result at {shards} shards"
-                    );
+                    let mut other = p.clone();
+                    other.set_sharding(shards, build_threads);
+                    prop_assert_eq!(other.sharded(), Some(reference));
+                }
+                for s in 0..reference.shard_count() {
+                    prop_assert!(reference.edge_ranges(s).len() <= 1);
+                }
+                prop_assert!(
+                    reference.memory_bytes()
+                        <= reference.shard_count()
+                            * (size_of::<Vec<Range<EdgeId>>>() + size_of::<Range<EdgeId>>()),
+                    "the partition must not hold per-edge data"
+                );
+            }
+            Ok(())
+        });
+}
+
+/// Shrinkable random instance with **non-dyadic** weights: correlations
+/// in tenths, so a weight such as `0.3 · 7` is not an exact binary
+/// fraction and sums of weights depend on how they are associated.
+#[derive(Debug, Clone)]
+struct TenthsCase {
+    objects: usize,
+    nodes: usize,
+    /// (a, b, correlation tenths in 1..=9, cost in 1..=16)
+    pairs: Vec<(usize, usize, u8, u8)>,
+    /// Two replica columns; column 0 is also the single-copy candidate.
+    columns: Vec<Vec<u8>>,
+    /// Salt of the scattered keep order of the restricted subproblem.
+    salt: u32,
+}
+
+impl Shrink for TenthsCase {
+    fn shrink(&self) -> Vec<Self> {
+        self.pairs
+            .shrink()
+            .into_iter()
+            .map(|pairs| TenthsCase {
+                pairs,
+                ..self.clone()
+            })
+            .collect()
+    }
+}
+
+fn tenths_case(rng: &mut StdRng) -> TenthsCase {
+    let objects = rng.random_range(2usize..40);
+    let pairs = gen::vec(rng, 0..objects * 4, |r| {
+        (
+            r.random_range(0..objects),
+            r.random_range(0..objects),
+            r.random_range(1u8..=9),  // correlation = tenths/10 — not dyadic
+            r.random_range(1u8..=16), // integral cost
+        )
+    });
+    let columns = (0..2)
+        .map(|_| (0..objects).map(|_| rng.random_range(0u8..16)).collect())
+        .collect();
+    TenthsCase {
+        objects,
+        nodes: rng.random_range(1usize..6),
+        pairs,
+        columns,
+        salt: rng.random(),
+    }
+}
+
+fn build_tenths(c: &TenthsCase) -> CcaProblem {
+    let mut b = CcaProblem::builder();
+    let objs: Vec<_> = (0..c.objects)
+        .map(|i| b.add_object(format!("o{i}"), 1))
+        .collect();
+    for &(a, d, tenths, cost) in &c.pairs {
+        if a != d {
+            b.add_pair(objs[a], objs[d], f64::from(tenths) / 10.0, f64::from(cost))
+                .expect("valid pair");
+        }
+    }
+    b.uniform_capacities(c.nodes, c.objects as u64 + 1)
+        .build()
+        .expect("valid problem")
+}
+
+/// The sharded fold contract, written out: shard `s` owns the edges whose
+/// smaller endpoint lies in its row block (`ceil(n / shards)` rows per
+/// shard, the count clamped to `[1, n]`); each shard adds the weights of
+/// its owned split edges in `EdgeId` order from `-0.0`, and the partials
+/// are added in shard order from `-0.0`.
+fn shard_order_reference(
+    p: &CcaProblem,
+    shards: usize,
+    split: impl Fn(ObjectId, ObjectId) -> bool,
+) -> f64 {
+    let n = p.num_objects();
+    let count = shards.clamp(1, n.max(1));
+    let rows = n.div_ceil(count).max(1);
+    let mut partials = vec![-0.0f64; count];
+    for e in p.graph().edges() {
+        if split(e.a, e.b) {
+            partials[e.a.min(e.b).index() / rows] += e.weight;
+        }
+    }
+    partials.into_iter().fold(-0.0, |total, x| total + x)
+}
+
+/// `eval_cost`, every `eval_cost_batch` column at widths 1 to 4 (with an
+/// all-colocated `-0.0` column) and `eval_cost_replicas` at r = 2 of `q`
+/// equal [`shard_order_reference`] at `shards` shards, to the bit.
+fn folds_match_reference(
+    c: &TenthsCase,
+    q: &CcaProblem,
+    shards: usize,
+    threads: usize,
+    what: &str,
+) -> Result<(), String> {
+    let (n, nodes) = (q.num_objects(), q.num_nodes());
+    let cols: Vec<Placement> = c
+        .columns
+        .iter()
+        .map(|col| {
+            Placement::new(
+                col[..n]
+                    .iter()
+                    .map(|&k| u32::from(k) % nodes as u32)
+                    .collect(),
+                nodes,
+            )
+        })
+        .collect();
+    let at = format!("{what}, {shards} shards, {threads} threads");
+    let pl = &cols[0];
+    let want = shard_order_reference(q, shards, |a, b| pl.node_of(a) != pl.node_of(b));
+    prop_assert_eq!(
+        q.eval_cost(pl, threads).to_bits(),
+        want.to_bits(),
+        "eval_cost diverged from the shard-order reference ({at})"
+    );
+    // Widths 1..=4 run the batch kernel's fixed-width lanes (1, 2, 4) and
+    // its dynamic-width loop (3); column 2 is all-colocated.
+    let mut candidates = cols.clone();
+    candidates.push(Placement::new(vec![0; n], nodes));
+    candidates.push(Placement::new(
+        cols[1]
+            .as_slice()
+            .iter()
+            .map(|&k| (k + 1) % nodes as u32)
+            .collect(),
+        nodes,
+    ));
+    for width in 1..=candidates.len() {
+        let got = q.eval_cost_batch(
+            &PlacementBatch::from_placements(&candidates[..width]),
+            threads,
+        );
+        prop_assert_eq!(got.len(), width);
+        for (col, (g, cand)) in got.iter().zip(&candidates).enumerate() {
+            let want = shard_order_reference(q, shards, |a, b| cand.node_of(a) != cand.node_of(b));
+            prop_assert_eq!(
+                g.to_bits(),
+                want.to_bits(),
+                "eval_cost_batch column {col} of {width} diverged ({at})"
+            );
+        }
+        if width > 2 {
+            prop_assert_eq!(got[2].to_bits(), (-0.0f64).to_bits());
+        }
+    }
+    let rp = ReplicaPlacement::from_columns(cols);
+    let want = shard_order_reference(q, shards, |a, b| rp.split(a, b));
+    prop_assert_eq!(
+        q.eval_cost_replicas(&rp, threads).to_bits(),
+        want.to_bits(),
+        "eval_cost_replicas at r = 2 diverged ({at})"
+    );
+    Ok(())
+}
+
+/// What a sharded fold returns on **non-dyadic** weights, where the
+/// association of the sum shows in the last bits: every shard count
+/// {1, 2, 7, n} at every thread count {1, 2, 8} returns exactly the
+/// shard-order reference — on the builder's `(a, b)`-sorted problem, on
+/// a `restrict_to` subproblem of a sharded parent (scattered new ids, so
+/// a shard's owned edges are not one contiguous run) and on a sharded
+/// `prune_pairs` problem (pairs in weight order). Without sharding, the
+/// folds are the one-shard reference, i.e. the flat serial walk.
+#[test]
+fn sharded_folds_equal_the_shard_order_reference_on_non_dyadic_weights() {
+    Checker::new("sharded_folds_equal_the_shard_order_reference_on_non_dyadic_weights")
+        .cases(48)
+        .regressions(REGRESSIONS)
+        .run(tenths_case, |c| {
+            let p = build_tenths(c);
+            let mut keep: Vec<ObjectId> = p.objects().collect();
+            keep.sort_by_key(|o| (o.0.wrapping_mul(0x9E37_79B9) ^ c.salt, o.0));
+            keep.truncate((2 * p.num_objects()).div_ceil(3));
+            for threads in THREADS {
+                folds_match_reference(c, &p, 1, threads, "unsharded")?;
+                for shards in shard_counts(p.num_objects()) {
+                    let mut q = p.clone();
+                    q.set_sharding(shards, threads);
+                    folds_match_reference(c, &q, shards, threads, "builder order")?;
+                    let (sub, _) = q.restrict_to(&keep);
+                    folds_match_reference(c, &sub, shards, threads, "restricted")?;
+                    q.prune_pairs(p.pairs().len() / 2);
+                    folds_match_reference(c, &q, shards, threads, "pruned")?;
                 }
             }
-            prop_assert!(
-                ShardedGraph::build(p.num_objects(), p.pairs(), 1, 1).memory_bytes()
-                    <= p.graph().memory_bytes(),
-                "a single shard must not out-weigh the flat CSR (which also \
-                 carries precomputed orders)"
-            );
             Ok(())
         });
 }

@@ -3,9 +3,8 @@
 #   1. clippy is clean (-D warnings) on every crate the batch refactor
 #      touches (core, bench, the root crate with the probe subcommand);
 #   2. the graph unit tests and the exact-equality batch property suite
-#      pass (batch columns bit-equal serial folds, thread/chunk
-#      invariance, batched best-of vs a sequential reference, the wide
-#      f64 interleave fallback);
+#      pass (batch columns bit-equal serial folds, batched best-of vs a
+#      sequential reference, the wide f64 interleave fallback);
 #   3. the CLI taxonomy tests for `cca probe --candidates` pass
 #      (validation, exit codes, thread-invariant reports);
 #   4. the batch bench runs in quick mode (which itself asserts the

@@ -18,7 +18,7 @@
 #   7. a release-mode r=2 identity run: `place --replicas 2 --domains 4`
 #      prints the same report (wall-clock fields masked) under
 #      --threads 1, --threads 2 --shards 3 and --threads 8 --shards 7,
-#      so the sharded replica-delta path matches the flat one;
+#      so the sharded replica cost folds match the flat ones;
 #   8. the quick-mode read bench runs (hard-asserting spread validity,
 #      counter partition, monotone transfer bytes, and r=1 equivalence)
 #      and writes JSON;

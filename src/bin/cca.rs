@@ -159,9 +159,10 @@ fn usage() -> &'static str {
                               lprr|partial-lprr|greedy|hash (place only)\n\
        --threads N            worker threads for the solve (default: all\n\
                               cores; results are identical for any N)\n\
-       --shards N             evaluate costs on an N-shard graph view\n\
-                              (place/probe; results are identical for\n\
-                              any N, and --shards 1 equals no sharding)\n\
+       --shards N             evaluate bulk costs on an N-shard graph\n\
+                              view (every subcommand; --shards 1 equals\n\
+                              no sharding; with more shards, non-dyadic\n\
+                              weights may change the last bits of a cost)\n\
        --capacity-factor F    per-node capacity as a multiple of the\n\
                               average load (default 2.0, as in the paper)\n\
        --out FILE             output path (place/workload/export-lp/probe)\n\
@@ -323,8 +324,10 @@ fn build_pipeline(args: &Args) -> Result<Pipeline, String> {
     if let Some(n) = args.shards {
         // Bulk cost evaluation (rounding ranking, ladder ranking,
         // migrate/repair scoring, probe candidate scoring via the scoped
-        // subproblem) runs shard-parallel; every result is bit-identical
-        // to the unsharded run on these dyadic-weight workloads.
+        // subproblem) runs shard-parallel, for every subcommand. At one
+        // shard its bits are the unsharded run's. The presets' weights are
+        // not dyadic, so with more shards a cost can differ from the flat
+        // fold in its last bits (DESIGN.md §11).
         p.problem.set_sharding(n, args.threads());
     }
     Ok(p)
