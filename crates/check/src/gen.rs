@@ -78,10 +78,45 @@ pub fn ascii_string(rng: &mut StdRng, len: Range<usize>) -> String {
         .collect()
 }
 
+/// Corrupts a valid text the way malformed-input batteries need: one to
+/// four edits, each a truncation, a flip of one byte, or an insertion of
+/// one of `inserts` at a random byte offset. The result need not be
+/// UTF-8.
+///
+/// # Panics
+///
+/// Panics if `inserts` is empty.
+pub fn mutate(rng: &mut StdRng, text: &[u8], inserts: &[&str]) -> Vec<u8> {
+    let mut out = text.to_vec();
+    for _ in 0..rng.random_range(1..=4) {
+        let at = rng.random_range(0..=out.len());
+        match rng.random_range(0u8..5) {
+            0 => out.truncate(at),
+            1 | 2 if at < out.len() => out[at] ^= rng.random_range(1..=u8::MAX),
+            _ => {
+                let token = inserts[rng.random_range(0..inserts.len())];
+                out.splice(at..at, token.bytes());
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cca_rand::SeedableRng;
+
+    #[test]
+    fn mutate_is_seeded_and_bounded() {
+        let text = b"# header\nkey\t1\n";
+        for seed in 0..200 {
+            let a = mutate(&mut StdRng::seed_from_u64(seed), text, &["\t", "-1"]);
+            let b = mutate(&mut StdRng::seed_from_u64(seed), text, &["\t", "-1"]);
+            assert_eq!(a, b, "seed {seed}");
+            assert!(a.len() <= text.len() + 4 * 2, "seed {seed}: {a:?}");
+        }
+    }
 
     #[test]
     fn vec_respects_length_range() {

@@ -124,22 +124,47 @@ pub fn read_placement<R: Read>(
         line: 1,
         message: "empty input".into(),
     })?;
-    let rest = header
+    let nodes: usize = header
         .strip_prefix("# cca-placement v1 nodes=")
+        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
         .ok_or(PersistError::Format {
             line: 1,
             message: format!("bad header {header:?}"),
         })?;
-    let nodes: usize = rest
-        .split_whitespace()
-        .next()
-        .and_then(|n| n.parse().ok())
-        .ok_or(PersistError::Format {
-            line: 1,
-            message: format!("bad node count in header {header:?}"),
-        })?;
-    check_node_count(nodes, problem)?;
+    let mut columns = read_columns(lines, problem, nodes, 1)?;
+    Ok(columns.pop().expect("one column per replica"))
+}
 
+/// The body both placement readers share once their header is parsed:
+/// one `name<TAB>node…` line per object with `replicas` node fields,
+/// split from the right, so a name is everything before them. Checks the
+/// header's node and replica counts (line 1), then every line in order,
+/// then that no object is missing (line 0), and returns one column per
+/// replica.
+fn read_columns<L: AsRef<str>>(
+    lines: impl Iterator<Item = std::io::Result<L>>,
+    problem: &CcaProblem,
+    nodes: usize,
+    replicas: usize,
+) -> Result<Vec<Placement>, PersistError> {
+    // Both header checks come before the `replicas × objects` column
+    // allocation. Every entry is range-checked against the header's node
+    // count, so a larger one would let out-of-range nodes through.
+    if nodes != problem.num_nodes() {
+        return Err(PersistError::Format {
+            line: 1,
+            message: format!(
+                "placement has {nodes} nodes but the problem has {}",
+                problem.num_nodes()
+            ),
+        });
+    }
+    if replicas > nodes {
+        return Err(PersistError::Format {
+            line: 1,
+            message: format!("{replicas} replicas exceed the {nodes} nodes"),
+        });
+    }
     let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
     for o in problem.objects() {
         if by_name.insert(problem.name(o), o.index()).is_some() {
@@ -152,42 +177,40 @@ pub fn read_placement<R: Read>(
             });
         }
     }
-
-    let mut assignment = vec![u32::MAX; problem.num_objects()];
+    let mut columns = vec![vec![u32::MAX; problem.num_objects()]; replicas];
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
-        let trimmed = line.trim();
+        let trimmed = line.as_ref().trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let (name, node_str) = trimmed.rsplit_once('\t').ok_or(PersistError::Format {
+        let error = |message: String| PersistError::Format {
             line: line_no,
-            message: "expected name<TAB>node".into(),
-        })?;
-        let node: usize = node_str.trim().parse().map_err(|_| PersistError::Format {
-            line: line_no,
-            message: format!("invalid node {node_str:?}"),
-        })?;
-        if node >= nodes {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("node {node} out of range (< {nodes})"),
-            });
+            message,
+        };
+        let name = trimmed
+            .rsplitn(replicas + 1, '\t')
+            .nth(replicas)
+            .ok_or_else(|| error(format!("expected name and {replicas} tab-separated nodes")))?;
+        let &idx = by_name
+            .get(name)
+            .ok_or_else(|| error(format!("unknown object {name:?}")))?;
+        if columns[0][idx] != u32::MAX {
+            return Err(error(format!("object {name:?} assigned twice")));
         }
-        let &idx = by_name.get(name).ok_or(PersistError::Format {
-            line: line_no,
-            message: format!("unknown object {name:?}"),
-        })?;
-        if assignment[idx] != u32::MAX {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("object {name:?} assigned twice"),
-            });
+        for (column, field) in columns.iter_mut().zip(trimmed[name.len() + 1..].split('\t')) {
+            let node: usize = field
+                .trim()
+                .parse()
+                .map_err(|_| error(format!("invalid node {field:?}")))?;
+            if node >= nodes {
+                return Err(error(format!("node {node} out of range (< {nodes})")));
+            }
+            column[idx] = node as u32;
         }
-        assignment[idx] = node as u32;
     }
-    if let Some(missing) = assignment.iter().position(|&a| a == u32::MAX) {
+    if let Some(missing) = columns[0].iter().position(|&a| a == u32::MAX) {
         return Err(PersistError::Format {
             line: 0,
             message: format!(
@@ -196,23 +219,10 @@ pub fn read_placement<R: Read>(
             ),
         });
     }
-    Ok(Placement::new(assignment, nodes))
-}
-
-/// Rejects a placement header whose node count differs from the
-/// problem's: every entry is range-checked against the header, so a
-/// larger header would let out-of-range nodes through.
-fn check_node_count(nodes: usize, problem: &CcaProblem) -> Result<(), PersistError> {
-    if nodes != problem.num_nodes() {
-        return Err(PersistError::Format {
-            line: 1,
-            message: format!(
-                "placement has {nodes} nodes but the problem has {}",
-                problem.num_nodes()
-            ),
-        });
-    }
-    Ok(())
+    Ok(columns
+        .into_iter()
+        .map(|assignment| Placement::new(assignment, nodes))
+        .collect())
 }
 
 /// Serialises a replica placement. With `r = 1` this is **byte-identical**
@@ -301,84 +311,12 @@ pub fn read_replica_placement<R: Read>(
             message: format!("degenerate header {header:?}"),
         });
     }
-    // Both checks come before the `replicas × objects` column allocation.
-    check_node_count(nodes, problem)?;
-    if replicas > nodes {
-        return Err(PersistError::Format {
-            line: 1,
-            message: format!("{replicas} replicas exceed the {nodes} nodes"),
-        });
-    }
-    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(problem.num_objects());
-    for o in problem.objects() {
-        if by_name.insert(problem.name(o), o.index()).is_some() {
-            return Err(PersistError::Format {
-                line: 0,
-                message: format!(
-                    "problem has duplicate object name {:?}; name-keyed loading is ambiguous",
-                    problem.name(o)
-                ),
-            });
-        }
-    }
-    let mut columns = vec![vec![u32::MAX; problem.num_objects()]; replicas];
-    for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut fields = trimmed.split('\t');
-        let name = fields.next().unwrap_or_default();
-        let &idx = by_name.get(name).ok_or(PersistError::Format {
-            line: line_no,
-            message: format!("unknown object {name:?}"),
-        })?;
-        if columns[0][idx] != u32::MAX {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("object {name:?} assigned twice"),
-            });
-        }
-        for column in columns.iter_mut() {
-            let node_str = fields.next().ok_or(PersistError::Format {
-                line: line_no,
-                message: format!("expected {replicas} replica nodes"),
-            })?;
-            let node: usize = node_str.trim().parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid node {node_str:?}"),
-            })?;
-            if node >= nodes {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("node {node} out of range (< {nodes})"),
-                });
-            }
-            column[idx] = node as u32;
-        }
-        if fields.next().is_some() {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("more than {replicas} replica nodes"),
-            });
-        }
-    }
-    if let Some(missing) = columns[0].iter().position(|&a| a == u32::MAX) {
-        return Err(PersistError::Format {
-            line: 0,
-            message: format!(
-                "object {:?} has no assignment",
-                problem.name(crate::problem::ObjectId(missing as u32))
-            ),
-        });
-    }
-    Ok(ReplicaPlacement::from_columns(
-        columns
-            .into_iter()
-            .map(|assignment| Placement::new(assignment, nodes))
-            .collect(),
-    ))
+    Ok(ReplicaPlacement::from_columns(read_columns(
+        lines.map(Ok),
+        problem,
+        nodes,
+        replicas,
+    )?))
 }
 
 // ---------------------------------------------------------------------------
@@ -908,47 +846,87 @@ mod tests {
         assert_eq!(read_placement(buf.as_slice(), &p).unwrap(), placement);
     }
 
+    /// The line a placement reader's error names, or `None` for an I/O
+    /// error.
+    fn error_line(result: Result<impl std::fmt::Debug, PersistError>) -> Option<usize> {
+        match result.expect_err("malformed input must be rejected") {
+            PersistError::Format { line, .. } => Some(line),
+            PersistError::Io(_) => None,
+        }
+    }
+
+    /// One case per error branch of each placement reader, with the line
+    /// that [`read_placement`] and [`read_replica_placement`] must report
+    /// (`None`: an I/O error). Line 0 is a whole-file problem. The
+    /// problem-side duplicate-name branch is not listed: the builder
+    /// rejects duplicate names, so no problem reaches it.
     #[test]
     fn malformed_inputs_are_rejected() {
         let p = problem();
-        for text in [
-            "",
-            "not a header\nkw0\t1\n",
-            "# cca-placement v1 nodes=3 objects=8\nkw0 1\n", // no tab
-            "# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n",
-            "# cca-placement v1 nodes=3 objects=8\nkw0\t9\n", // node range
-            "# cca-placement v1 nodes=3 objects=8\nmystery\t1\n",
-        ] {
-            assert!(read_placement(text.as_bytes(), &p).is_err(), "{text:?}");
+        const V1: &str = "# cca-placement v1 nodes=3 objects=8\n";
+        const V2: &str = "# cca-placement v2 nodes=3 objects=8 replicas=2\n";
+        let cases: Vec<(String, Option<usize>, Option<usize>)> = vec![
+            // v1 header: empty, foreign, bad node count, foreign node count.
+            (String::new(), Some(1), Some(1)),
+            ("not a header\nkw0\t1\n".into(), Some(1), Some(1)),
+            ("# cca-placement v2\nkw0\t1\n".into(), Some(1), Some(1)),
+            ("# cca-placement v1 nodes=x objects=8\n".into(), Some(1), Some(1)),
+            ("# cca-placement v1 nodes=64 objects=8\nkw0\t50\n".into(), Some(1), Some(1)),
+            ("# cca-placement v1 nodes=2 objects=8\nkw0\t1\n".into(), Some(1), Some(1)),
+            // v1 entries; comments and blank lines count toward the line.
+            (format!("{V1}# note\n\nkw0 1\n"), Some(4), Some(4)),
+            (format!("{V1}kw0\tfour\n"), Some(2), Some(2)),
+            (format!("{V1}kw0\t-1\n"), Some(2), Some(2)),
+            (format!("{V1}kw0\t9\n"), Some(2), Some(2)),
+            (format!("{V1}mystery\t1\n"), Some(2), Some(2)),
+            (format!("{V1}kw0\t1\nkw0\t2\n"), Some(3), Some(3)),
+            (format!("{V1}kw0\t1\n"), Some(0), Some(0)),
+            // v2 header: `read_placement` rejects every v2 file at line 1.
+            ("# cca-placement v2 nodes=x objects=8 replicas=2\n".into(), Some(1), Some(1)),
+            ("# cca-placement v2 nodes=3 objects=8\n".into(), Some(1), Some(1)),
+            ("# cca-placement v2 nodes=3 objects=8 replicas=0\n".into(), Some(1), Some(1)),
+            ("# cca-placement v2 nodes=0 objects=8 replicas=1\n".into(), Some(1), Some(1)),
+            (
+                "# cca-placement v2 nodes=64 objects=8 replicas=2\nkw0\t50\t1\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v2 nodes=3 objects=8 replicas=4\nkw0\t0\t1\t2\t0\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v2 nodes=3 objects=8 replicas=18446744073709551615\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            // v2 entries.
+            (format!("{V2}mystery\t0\t1\n"), Some(1), Some(2)),
+            (format!("{V2}kw0\t0\t1\nkw0\t1\t2\n"), Some(1), Some(3)),
+            (format!("{V2}# note\n\nkw0\t0\n"), Some(1), Some(4)),
+            (format!("{V2}kw0\t0\tx\n"), Some(1), Some(2)),
+            (format!("{V2}kw0\t0\t3\n"), Some(1), Some(2)),
+            (format!("{V2}kw0\t0\t1\t2\n"), Some(1), Some(2)),
+            (format!("{V2}kw0\t0\t1\n"), Some(1), Some(0)),
+        ];
+        for (text, placement, replica) in &cases {
+            let got = error_line(read_placement(text.as_bytes(), &p));
+            assert_eq!(got, *placement, "read_placement on {text:?}");
+            let got = error_line(read_replica_placement(text.as_bytes(), &p));
+            assert_eq!(got, *replica, "read_replica_placement on {text:?}");
         }
-        // Missing objects.
-        let partial = "# cca-placement v1 nodes=3 objects=8\nkw0\t1\n";
-        assert!(read_placement(partial.as_bytes(), &p).is_err());
-        // Duplicate assignment.
-        let dup = "# cca-placement v1 nodes=3 objects=8\nkw0\t1\nkw0\t2\n";
-        assert!(read_placement(dup.as_bytes(), &p).is_err());
-        // A header node count other than the problem's is rejected at
-        // line 1, by both readers, before any entry is range-checked —
-        // and a v2 `replicas=` above the node count before allocating.
-        for text in [
-            "# cca-placement v1 nodes=64 objects=8\nkw0\t50\n",
-            "# cca-placement v1 nodes=2 objects=8\nkw0\t1\n",
-            "# cca-placement v2 nodes=64 objects=8 replicas=2\nkw0\t50\t1\n",
-            "# cca-placement v2 nodes=3 objects=8 replicas=4\nkw0\t0\t1\t2\t0\n",
-            "# cca-placement v2 nodes=3 objects=8 replicas=18446744073709551615\n",
+        // Invalid UTF-8 is an I/O error. `read_placement` reads line by
+        // line, so an earlier malformed line still wins; the replica
+        // reader reads the whole text first.
+        for (bytes, placement, replica) in [
+            (&b"\xff\n"[..], None, None),
+            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n\xff\n"[..], Some(2), None),
+            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\t1\n\xff\n"[..], None, None),
+            (&b"# cca-placement v2 nodes=3 objects=8 replicas=2\n\xff\n"[..], Some(1), None),
         ] {
-            let err = read_replica_placement(text.as_bytes(), &p).expect_err(text);
-            assert!(
-                matches!(err, PersistError::Format { line: 1, .. }),
-                "{text:?}: {err}"
-            );
-            if text.starts_with("# cca-placement v1") {
-                let err = read_placement(text.as_bytes(), &p).expect_err(text);
-                assert!(
-                    matches!(err, PersistError::Format { line: 1, .. }),
-                    "{text:?}: {err}"
-                );
-            }
+            assert_eq!(error_line(read_placement(bytes, &p)), placement, "{bytes:?}");
+            assert_eq!(error_line(read_replica_placement(bytes, &p)), replica, "{bytes:?}");
         }
     }
 

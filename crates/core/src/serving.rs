@@ -1,7 +1,7 @@
 //! Serving-side accounting: the dyadic latency histogram and the
 //! end-of-run serving report (DESIGN.md §13).
 //!
-//! The async serving front (the root crate's `serve` module) answers
+//! The serving front (the root crate's `serve` module) answers
 //! queries under a **virtual-time** cost model so its report is a pure
 //! function of the workload and the placement — independent of thread
 //! count, shard count, and admission-window size. This module holds the

@@ -5,12 +5,19 @@
 //! are randomized across the full field ranges (zeros, maxima, awkward
 //! floats, sparse and dense histograms), so any asymmetry between the
 //! shared writer and parser shows up as a shrunk counterexample.
+//!
+//! The malformed-input half feeds mutated placement and report texts to
+//! every reader: each returns a value or a typed [`PersistError`] and
+//! never panics, and every value it returns re-formats and re-reads to
+//! itself.
 
-use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, Shrink, StdRng};
+use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, Shrink, StdRng};
+use cca_core::persist::PersistError;
 use cca_core::{
-    format_controller_report, format_live_report, format_serving_report, read_controller_report,
-    read_live_report, read_serving_report, ControllerReport, LatencyHistogram, LiveReport,
-    ServingReport,
+    format_controller_report, format_live_report, format_placement, format_replica_placement,
+    format_serving_report, read_controller_report, read_live_report, read_placement,
+    read_replica_placement, read_serving_report, CcaProblem, ControllerReport, LatencyHistogram,
+    LiveReport, Placement, ReplicaPlacement, ServingReport,
 };
 
 const REGRESSIONS: &str =
@@ -226,4 +233,127 @@ fn headers_are_mutually_exclusive() {
     assert!(read_serving_report(live.as_bytes()).is_err());
     assert!(read_live_report(controller.as_bytes()).is_err());
     assert!(read_live_report(serving.as_bytes()).is_err());
+}
+
+/// Tokens the malformed-input battery splices into valid texts: field
+/// separators, numbers at and past the edges, and header keywords.
+const INSERTS: [&str; 7] = [
+    "\t",
+    "\n",
+    "18446744073709551615",
+    "-1",
+    "nodes=",
+    "replicas=",
+    "v2",
+];
+
+/// A mutated text: shrinks by dropping bytes, prints as (lossy) text.
+#[derive(Clone)]
+struct Mutated(Vec<u8>);
+
+impl std::fmt::Debug for Mutated {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", String::from_utf8_lossy(&self.0))
+    }
+}
+
+impl Shrink for Mutated {
+    fn shrink(&self) -> Vec<Self> {
+        self.0.shrink().into_iter().map(Mutated).collect()
+    }
+}
+
+/// The problem every mutated placement text is read against.
+fn placement_problem() -> CcaProblem {
+    let mut b = CcaProblem::builder();
+    for i in 0..12 {
+        b.add_object(format!("kw{i}"), 1 + i as u64);
+    }
+    b.uniform_capacities(4, 100).build().expect("valid problem")
+}
+
+/// A v1 or v2 placement text of a random placement of
+/// [`placement_problem`], mutated.
+fn mutated_placement(rng: &mut StdRng) -> Mutated {
+    let p = placement_problem();
+    let replicas = rng.random_range(1usize..=3);
+    let columns = (0..replicas)
+        .map(|_| {
+            let assignment = (0..p.num_objects())
+                .map(|_| rng.random_range(0..p.num_nodes() as u32))
+                .collect();
+            Placement::new(assignment, p.num_nodes())
+        })
+        .collect();
+    let text = format_replica_placement(&p, &ReplicaPlacement::from_columns(columns));
+    Mutated(gen::mutate(rng, text.as_bytes(), &INSERTS))
+}
+
+/// A random controller, serving or live report text, mutated.
+fn mutated_report(rng: &mut StdRng) -> Mutated {
+    let text = match rng.random_range(0u8..3) {
+        0 => format_controller_report(&controller_report(rng)),
+        1 => format_serving_report(&serving_report(rng)),
+        _ => format_live_report(&live_report(rng)),
+    };
+    Mutated(gen::mutate(rng, text.as_bytes(), &INSERTS))
+}
+
+/// Both placement readers answer every mutated text with a placement or
+/// a typed error, and a placement they return re-formats and re-reads to
+/// itself.
+#[test]
+fn mutated_placement_texts_are_rejected_or_round_trip() {
+    let p = placement_problem();
+    Checker::new("mutated_placement_texts_are_rejected_or_round_trip")
+        .cases(512)
+        .regressions(REGRESSIONS)
+        .run(mutated_placement, |text| {
+            if let Ok(placement) = read_placement(text.0.as_slice(), &p) {
+                let again = read_placement(format_placement(&p, &placement).as_bytes(), &p)
+                    .map_err(|e| format!("re-read failed: {e}"))?;
+                prop_assert_eq!(again, placement, "placement changed in flight");
+            }
+            if let Ok(rp) = read_replica_placement(text.0.as_slice(), &p) {
+                let again =
+                    read_replica_placement(format_replica_placement(&p, &rp).as_bytes(), &p)
+                        .map_err(|e| format!("re-read failed: {e}"))?;
+                prop_assert_eq!(again, rp, "replica placement changed in flight");
+            }
+            Ok(())
+        });
+}
+
+/// The three report readers answer every mutated report text, of any
+/// kind, with a report or a typed error, and a report they return
+/// re-formats and re-reads to itself.
+#[test]
+fn mutated_report_texts_are_rejected_or_round_trip() {
+    Checker::new("mutated_report_texts_are_rejected_or_round_trip")
+        .cases(512)
+        .regressions(REGRESSIONS)
+        .run(mutated_report, |text| {
+            let reread = |e: PersistError| format!("re-read failed: {e}");
+            if let Ok(r) = read_controller_report(text.0.as_slice()) {
+                let again = read_controller_report(format_controller_report(&r).as_bytes())
+                    .map_err(reread)?;
+                // Debug equality, so that a NaN read from the text equals
+                // itself while every other float compares bit for bit.
+                prop_assert_eq!(
+                    format!("{again:?}"),
+                    format!("{r:?}"),
+                    "controller report changed in flight"
+                );
+            }
+            if let Ok(r) = read_serving_report(text.0.as_slice()) {
+                let again =
+                    read_serving_report(format_serving_report(&r).as_bytes()).map_err(reread)?;
+                prop_assert_eq!(again, r, "serving report changed in flight");
+            }
+            if let Ok(r) = read_live_report(text.0.as_slice()) {
+                let again = read_live_report(format_live_report(&r).as_bytes()).map_err(reread)?;
+                prop_assert_eq!(again, r, "live report changed in flight");
+            }
+            Ok(())
+        });
 }

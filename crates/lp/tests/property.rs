@@ -274,6 +274,45 @@ fn lp_format_round_trip() {
         });
 }
 
+/// Malformed LP text is rejected with a typed error, never a panic: a
+/// written model, truncated, byte-flipped or with tokens spliced in, is
+/// either parsed or answered with a [`cca_lp::ParseLpError`].
+#[test]
+fn mutated_lp_texts_never_panic() {
+    const INSERTS: [&str; 12] = [
+        "\t",
+        "\n",
+        "18446744073709551615",
+        "-1",
+        "nodes=",
+        "replicas=",
+        "v2",
+        "<=",
+        ":",
+        "\\",
+        "End\n",
+        "Subject To\n",
+    ];
+    Checker::new("mutated_lp_texts_never_panic")
+        .cases(512)
+        .regressions(REGRESSIONS)
+        .run(
+            |rng| {
+                let text = cca_lp::write_lp(&build(&random_lp(rng)));
+                String::from_utf8_lossy(&gen::mutate(rng, text.as_bytes(), &INSERTS)).into_owned()
+            },
+            |text: &String| {
+                if let Err(e) = cca_lp::parse_lp(text) {
+                    prop_assert!(
+                        (1..=text.lines().count()).contains(&e.line),
+                        "error names no line of the input: {e}"
+                    );
+                }
+                Ok(())
+            },
+        );
+}
+
 /// Deterministic regression cases distilled from fuzzing-style exploration.
 #[test]
 fn regression_zero_rhs_equalities() {

@@ -22,8 +22,6 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::task::Wake;
 use std::time::Instant;
 
 /// Number of hardware threads available to this process, with a floor of 1
@@ -143,52 +141,6 @@ impl DeadlineGate {
     }
 }
 
-/// A one-bit [`std::task::Wake`] implementation: the waker primitive of the
-/// first-party poll-based executor (the root crate's `serve` module).
-///
-/// Wrapped in an [`Arc`] it converts to a [`std::task::Waker`] via the
-/// standard `Wake` machinery; the executor checks and clears the flag with
-/// [`WakeFlag::take`] to decide whether a task needs re-polling. There is
-/// no parking — the serving executor is cooperative and always has work to
-/// do between polls (dispatching batches), so a boolean is the whole
-/// story, and it keeps the crate `forbid(unsafe_code)`-clean (no hand-rolled
-/// `RawWaker` vtable).
-#[derive(Debug, Default)]
-pub struct WakeFlag {
-    woken: AtomicBool,
-}
-
-impl WakeFlag {
-    /// A new flag, initially woken so the first poll always runs.
-    #[must_use]
-    pub fn new() -> Arc<Self> {
-        Arc::new(WakeFlag {
-            woken: AtomicBool::new(true),
-        })
-    }
-
-    /// Raises the flag.
-    pub fn set(&self) {
-        self.woken.store(true, Ordering::Release);
-    }
-
-    /// Returns whether the flag was raised, clearing it.
-    #[must_use]
-    pub fn take(&self) -> bool {
-        self.woken.swap(false, Ordering::AcqRel)
-    }
-}
-
-impl Wake for WakeFlag {
-    fn wake(self: Arc<Self>) {
-        self.set();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.set();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,38 +233,5 @@ mod tests {
     #[test]
     fn available_parallelism_is_at_least_one() {
         assert!(available_parallelism() >= 1);
-    }
-
-    #[test]
-    fn wake_flag_starts_woken_and_take_clears() {
-        let flag = WakeFlag::new();
-        assert!(flag.take(), "fresh flag polls once");
-        assert!(!flag.take(), "take clears");
-        flag.set();
-        assert!(flag.take());
-        assert!(!flag.take());
-    }
-
-    #[test]
-    fn wake_flag_drives_a_std_waker() {
-        let flag = WakeFlag::new();
-        assert!(flag.take());
-        let waker = std::task::Waker::from(Arc::clone(&flag));
-        waker.wake_by_ref();
-        assert!(flag.take(), "wake_by_ref raises the flag");
-        assert!(!flag.take());
-        waker.wake();
-        assert!(flag.take(), "wake (by value) raises the flag");
-    }
-
-    #[test]
-    fn wake_flag_is_visible_across_threads() {
-        let flag = WakeFlag::new();
-        assert!(flag.take());
-        let remote = Arc::clone(&flag);
-        std::thread::scope(|s| {
-            s.spawn(move || remote.set());
-        });
-        assert!(flag.take(), "set on another thread is observed");
     }
 }

@@ -4,7 +4,7 @@
 #      touches (core, search, par, bench, the root crate);
 #   2. the runtime module tests pass (budget pacing, regime-shift
 #      replay, interference charging, threads/shards/inflight
-#      byte-identity) along with the executor's overhead-charging
+#      byte-identity) along with the serve module's overhead-charging
 #      tests;
 #   3. the report persistence round-trip holds for every report kind
 #      (unit tests plus the shrinking property battery);

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Verifies the async serving front end to end (DESIGN.md §13):
+# Verifies the serving front end to end (DESIGN.md §13):
 #   1. clippy is clean (-D warnings) on every crate the serving work
 #      touches (core, search, par, bench, the root crate);
 #   2. the histogram/report unit tests, the persisted-report round-trip
-#      tests, the engine probe/home-node pins, the waker primitive, and
-#      the executor's own module tests pass;
+#      tests, the engine probe/home-node pins, and the serve module's
+#      own tests pass;
 #   3. the serving property battery passes (batched admission
 #      byte-identical to serial per-query execution across
 #      inflight {1, 7, 64} x threads {1, 2, 8} x shards {1, 2, 7},
-#      overload accounting, golden report pin);
+#      overload accounting, golden closed- and open-loop report pins);
 #   4. the CLI `serve` taxonomy holds (0 clean / 2 shed / 3 infeasible,
 #      report shape, byte-identical output across thread/shard/inflight
 #      counts, degenerate flags rejected at parse time);
@@ -47,11 +47,7 @@ cargo test -q -p cca-search --lib probe_each
 cargo test -q -p cca-search --lib home_node
 
 echo
-echo "== serving check: waker primitive =="
-cargo test -q -p cca-par --lib wake_flag
-
-echo
-echo "== serving check: executor module tests =="
+echo "== serving check: serve module tests =="
 cargo test -q -p cca --lib serve
 
 echo

@@ -35,14 +35,14 @@
 //!     node losses are repaired mid-run (report on stdout)
 //!
 //! cca serve [--queries N] [--inflight K] [--deadline-ms D] ...
-//!     async serving front: place greedily, sample a fresh query stream,
-//!     and serve it through the batched-admission executor; stdout is
+//!     serving front: place greedily, sample a fresh query stream, and
+//!     serve it in batched admission windows; stdout is
 //!     the deterministic `# cca-serving-report v1` (byte-identical for
 //!     any --threads/--shards/--inflight), human summary on stderr
 //!
 //! cca live [--epochs N] [--warm-drift K] [--migration-budget B] ...
 //!     live re-optimizing runtime: serving and the drift controller in
-//!     one epoch loop — the executor's admitted stream feeds the
+//!     one epoch loop — the admitted serving stream feeds the
 //!     controller's estimates, accepted migrations ship as per-epoch
 //!     byte-budgeted slices between serving windows, and migration
 //!     bytes are charged into the serving virtual-time ledger; stdout
@@ -733,14 +733,14 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     ))
 }
 
-/// `cca serve`: the async serving front (DESIGN.md §13). Places greedily,
+/// `cca serve`: the serving front (DESIGN.md §13). Places greedily,
 /// samples a fresh `--queries`-long stream from the workload's query
 /// model (a seed distinct from the training log, so serving is measured
-/// on unseen traffic), and serves it through the batched-admission
-/// executor. Stdout is exactly the serialized `# cca-serving-report v1`
-/// — byte-identical for a fixed seed across any `--threads`, `--shards`
-/// and `--inflight`; the human summary and wall-clock throughput go to
-/// stderr.
+/// on unseen traffic), and serves it in batched admission windows of
+/// `--inflight` queries. Stdout is exactly the serialized
+/// `# cca-serving-report v1` — byte-identical for a fixed seed across
+/// any `--threads`, `--shards` and `--inflight`; the human summary and
+/// wall-clock throughput go to stderr.
 fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
     let tree = replica_spec(args)?;
     let p = build_pipeline(args)?;

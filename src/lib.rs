@@ -18,10 +18,10 @@
 //! * [`hashing`] (`cca-hash`) — RFC 1321 MD5 and hash placement.
 //! * [`pipeline`] — the end-to-end evaluation pipeline of the paper's §4
 //!   case study: workload → index → CCA problem → placement → trace replay.
-//! * [`serve`] — the async serving front: a first-party poll-based
-//!   executor that admits bounded windows of concurrent queries, batches
-//!   their execution per home node, and answers every query under the
-//!   served/degraded/shed taxonomy with a deterministic latency report.
+//! * [`serve`] — the serving front: admits the query stream in fixed
+//!   windows, batches each window's execution per home node, and answers
+//!   every query under the served/degraded/shed taxonomy with a
+//!   deterministic latency report.
 //!
 //! # End-to-end example
 //!

@@ -9,7 +9,7 @@
 //!    the serving cluster to the updated placement *between* admission
 //!    windows (queries never observe a half-applied epoch).
 //! 2. **Serve** — drift the query model, sample the epoch's offered
-//!    stream, and run it through the batched admission executor
+//!    stream, and serve it in batched admission windows
 //!    ([`crate::serve::serve`]) against the current cluster. The slice's
 //!    bytes are charged into the same virtual-time ledger as query
 //!    traffic: every query in the epoch carries
@@ -21,7 +21,7 @@
 //!    queries that actually ran; shed queries touched nothing) feeds
 //!    [`crate::online::epoch_observation`] and then
 //!    [`Controller::step`]: the controller estimates from exactly the
-//!    stream the executor answered — one EWMA path, not a parallel
+//!    stream serving answered — one EWMA path, not a parallel
 //!    estimator.
 //!
 //! Determinism: latency is virtual and the controller is deterministic
@@ -70,8 +70,8 @@ pub struct LiveConfig {
     pub warm_drift_steps: u64,
     /// Seed of the drift / sampling streams.
     pub seed: u64,
-    /// Admission-window size of the serving executor. Never changes the
-    /// report.
+    /// Admission-window size: each epoch's stream is served in windows
+    /// of this many queries. Never changes the report.
     pub inflight: usize,
     /// Worker threads for batch execution. Never changes the report.
     pub threads: usize,

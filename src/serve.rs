@@ -1,12 +1,12 @@
-//! Async serving front with batched admission (DESIGN.md §13).
+//! Serving front with windowed batched admission (DESIGN.md §13).
 //!
-//! A first-party poll-based executor — real [`std::future::Future`] tasks
-//! driven by [`cca_par::WakeFlag`] wakers, no external runtime — that
-//! admits concurrent query streams in bounded windows, coalesces the
-//! admitted work into batched calls ([`QueryEngine::probe_each`] for
-//! admission estimates, one home-node-grouped
-//! [`cca_par::par_map_indexed`] execution sweep per window), and enforces
-//! per-query latency budgets with the established 0/2/3 degrade taxonomy.
+//! [`serve`] answers a query stream in fixed arrival windows of
+//! [`ServeConfig::inflight`] queries ([`ServeConfig::burst`] in the open
+//! loop). Each window makes one batched [`QueryEngine::probe_each`]
+//! admission estimate, decides admission query by query in arrival
+//! order, and executes the admitted queries as one home-node-grouped
+//! [`cca_par::par_map_indexed`] sweep. Per-query latency budgets follow
+//! the established 0/2/3 degrade taxonomy.
 //!
 //! # Virtual time is the determinism contract
 //!
@@ -40,26 +40,25 @@
 //! * **shed (admission)** — the batched pre-execution estimate already
 //!   exceeded the budget; answered from the estimate without touching
 //!   posting lists.
-//! * **shed (overload)** — the bounded queue was full on arrival
-//!   (open-loop [`ServeConfig::burst`] mode only; a closed loop never
-//!   overflows).
+//! * **shed (overload)** — the bounded queue (capacity
+//!   [`ServeConfig::queue_capacity`]) was full on arrival. A window's
+//!   arrivals still find the previous window's admitted queries queued,
+//!   so an arrival is shed once the queries admitted earlier in its
+//!   window plus those the previous window admitted reach the capacity.
+//!   A closed-loop window holds at most `inflight` queries, so that sum
+//!   stays below `2 × inflight` and only an open-loop burst overflows.
 //! * **shed (deadline)** — the wall-clock backstop tripped mid-batch.
 //!
+//! Overload is checked before the budget, and
 //! `queries == served + degraded + shed_admission + shed_overload +
 //! shed_deadline` is asserted, not hoped for.
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
-use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use cca_core::ServingReport;
 use cca_hash::md5;
-use cca_par::{par_map_indexed, DeadlineGate, WakeFlag};
+use cca_par::{par_map_indexed, DeadlineGate};
 use cca_search::{AggregationPolicy, Cluster, InvertedIndex, QueryEngine};
 use cca_trace::Query;
 
@@ -91,9 +90,10 @@ pub fn service_ns(words: usize, comm_bytes: u64) -> u64 {
 /// Configuration of one serving run.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Admission-window size: at most this many queries are in flight
-    /// (admitted but unanswered) at once, and each dispatched batch
-    /// contains at most this many queries. Must be at least 1.
+    /// Admission-window size: the closed loop takes arrivals in windows
+    /// of this many queries, so at most this many are in flight at once
+    /// and each dispatched batch holds at most this many. Must be at
+    /// least 1.
     pub inflight: usize,
     /// Worker threads for batch execution (1 runs inline). Never changes
     /// the report.
@@ -102,11 +102,11 @@ pub struct ServeConfig {
     /// budgets (nothing is shed or degraded). Also arms the wall-clock
     /// [`DeadlineGate`] backstop, pooled per batch.
     pub deadline_ms: Option<u64>,
-    /// Open-loop mode: offer up to this many arrivals per executor cycle
+    /// Open-loop mode: take arrivals in windows of this many queries
     /// regardless of completions, shedding arrivals that find the bounded
     /// queue (capacity [`ServeConfig::queue_capacity`]) full. `None` is
-    /// the closed loop: arrivals are admitted only as slots free up, so
-    /// the queue never overflows.
+    /// the closed loop, whose windows of `inflight` queries never
+    /// overflow the queue. Must be at least 1.
     pub burst: Option<usize>,
     /// Extra virtual nanoseconds charged to every query on top of
     /// [`service_ns`] — background interference (the live runtime charges
@@ -226,127 +226,11 @@ pub struct ServeOutcome {
     pub report: ServingReport,
     /// Per-query responses in arrival order (one per offered query).
     pub responses: Vec<Response>,
-    /// Number of execution batches dispatched.
+    /// Number of execution batches dispatched: the windows that admitted
+    /// at least one query.
     pub batches: u64,
     /// Largest batch dispatched.
     pub max_batch: usize,
-}
-
-/// What batch execution hands back to a waiting task.
-#[derive(Debug, Clone, Copy)]
-enum BatchResult {
-    /// Executed: communicated bytes, page count, page-id digest.
-    Done {
-        comm_bytes: u64,
-        pages: u64,
-        pages_digest: [u8; 16],
-    },
-    /// The wall-clock backstop tripped before this query ran.
-    Shed,
-}
-
-/// Shared state between the executor and its tasks: the submission queue
-/// and the result/waker slots, one per offered query.
-struct Board {
-    /// Query indices awaiting execution, in submission order.
-    pending: Vec<usize>,
-    /// Deposited batch results, by query index.
-    results: Vec<Option<BatchResult>>,
-    /// Wakers of tasks waiting on a result, by query index.
-    wakers: Vec<Option<Waker>>,
-}
-
-/// The leaf future: submits its query to the board once, then parks until
-/// the executor deposits the batch result and wakes it.
-struct ExecuteInBatch {
-    board: Rc<RefCell<Board>>,
-    index: usize,
-    submitted: bool,
-}
-
-impl Future for ExecuteInBatch {
-    type Output = BatchResult;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<BatchResult> {
-        let this = self.get_mut();
-        let mut board = this.board.borrow_mut();
-        if let Some(result) = board.results[this.index].take() {
-            return Poll::Ready(result);
-        }
-        if !this.submitted {
-            board.pending.push(this.index);
-            this.submitted = true;
-        }
-        board.wakers[this.index] = Some(cx.waker().clone());
-        Poll::Pending
-    }
-}
-
-/// One in-flight task: the future answering one query, plus its waker.
-struct Task {
-    index: usize,
-    future: Pin<Box<dyn Future<Output = Response>>>,
-    flag: Arc<WakeFlag>,
-    waker: Waker,
-}
-
-impl Task {
-    /// A task that executes query `index` through the batch board and
-    /// grades the answer against the virtual budget.
-    fn new(
-        board: Rc<RefCell<Board>>,
-        index: usize,
-        words: usize,
-        est_bytes: u64,
-        budget_ns: Option<u64>,
-        overhead_ns: u64,
-    ) -> Self {
-        let flag = WakeFlag::new();
-        let waker = Waker::from(Arc::clone(&flag));
-        let future = async move {
-            let result = ExecuteInBatch {
-                board,
-                index,
-                submitted: false,
-            }
-            .await;
-            match result {
-                BatchResult::Done {
-                    comm_bytes,
-                    pages,
-                    pages_digest,
-                } => {
-                    let latency_ns =
-                        service_ns(words, comm_bytes).saturating_add(overhead_ns);
-                    let status = match budget_ns {
-                        Some(b) if latency_ns > b => ResponseStatus::Degraded,
-                        _ => ResponseStatus::Served,
-                    };
-                    Response {
-                        index,
-                        status,
-                        bytes: comm_bytes,
-                        latency_ns,
-                        pages,
-                        pages_digest,
-                    }
-                }
-                BatchResult::Shed => estimate_response(
-                    index,
-                    ResponseStatus::ShedDeadline,
-                    words,
-                    est_bytes,
-                    overhead_ns,
-                ),
-            }
-        };
-        Task {
-            index,
-            future: Box::pin(future),
-            flag,
-            waker,
-        }
-    }
 }
 
 /// A response answered from the admission estimate alone (any shed path).
@@ -369,17 +253,16 @@ fn estimate_response(
 
 /// Serves `queries` against `index` placed on `cluster`.
 ///
-/// The executor runs admission cycles until every offered query is
-/// answered: admit a window (batched [`QueryEngine::probe_each`]
-/// estimate, budget check, overload check), poll woken tasks in arrival
-/// order, then dispatch the accumulated submissions as one
-/// home-node-grouped [`par_map_indexed`] batch. See the module docs for
-/// the determinism contract.
+/// Arrivals are taken in windows of [`ServeConfig::inflight`] queries
+/// ([`ServeConfig::burst`] in the open loop). Each window is estimated
+/// with one [`QueryEngine::probe_each`] call, admitted query by query in
+/// arrival order (overload, then budget), and its admitted queries run as
+/// one home-node-grouped [`par_map_indexed`] batch. See the module docs
+/// for the determinism contract.
 ///
 /// # Panics
 ///
-/// Panics if `config.inflight` is 0, or on an internal executor stall
-/// (a cycle that makes no progress — a bug, never a load condition).
+/// Panics if `config.inflight` is 0 or `config.burst` is `Some(0)`.
 #[must_use]
 pub fn serve(
     index: &InvertedIndex,
@@ -389,164 +272,100 @@ pub fn serve(
     config: &ServeConfig,
 ) -> ServeOutcome {
     assert!(config.inflight > 0, "inflight window must be at least 1");
+    assert!(config.burst != Some(0), "burst must be at least 1");
     let engine = QueryEngine::new(index, cluster, policy);
-    let n = queries.len();
     let budget_ns = config.budget_ns();
     let capacity = config.queue_capacity();
+    let overhead_ns = config.overhead_ns;
+    let window = config.burst.unwrap_or(config.inflight);
 
-    let board = Rc::new(RefCell::new(Board {
-        pending: Vec::new(),
-        results: vec![None; n],
-        wakers: vec![None; n],
-    }));
-    let mut responses: Vec<Option<Response>> = vec![None; n];
-    let mut live: Vec<Task> = Vec::new();
-    let mut next_arrival = 0usize;
+    let mut responses: Vec<Response> = Vec::with_capacity(queries.len());
+    // Queries the previous window admitted: still queued on arrival.
+    let mut carried = 0usize;
     let mut batches = 0u64;
     let mut max_batch = 0usize;
-
-    loop {
-        let mut progressed = false;
-
-        // 1. Admission: pick the cycle's arrivals (closed loop fills the
-        // window; open loop offers a burst), estimate them with one
-        // batched probe, then answer or admit each in arrival order.
-        let mut offered: Vec<usize> = Vec::new();
-        match config.burst {
-            None => {
-                while live.len() + offered.len() < config.inflight && next_arrival < n {
-                    offered.push(next_arrival);
-                    next_arrival += 1;
-                }
-            }
-            Some(burst) => {
-                while offered.len() < burst && next_arrival < n {
-                    offered.push(next_arrival);
-                    next_arrival += 1;
-                }
-            }
-        }
-        if !offered.is_empty() {
-            progressed = true;
-            let window: Vec<Query> = offered.iter().map(|&i| queries[i].clone()).collect();
-            let estimates = engine.probe_each(&window);
-            let mut admitted = live.len();
-            for (&i, &est_bytes) in offered.iter().zip(&estimates) {
-                let words = queries[i].words.len();
-                if config.burst.is_some() && admitted >= capacity {
-                    responses[i] = Some(estimate_response(
-                        i,
-                        ResponseStatus::ShedOverload,
-                        words,
-                        est_bytes,
-                        config.overhead_ns,
-                    ));
-                    continue;
-                }
-                if let Some(budget) = budget_ns {
-                    if service_ns(words, est_bytes).saturating_add(config.overhead_ns) > budget {
-                        responses[i] = Some(estimate_response(
-                            i,
-                            ResponseStatus::ShedAdmission,
-                            words,
-                            est_bytes,
-                            config.overhead_ns,
-                        ));
-                        continue;
-                    }
-                }
-                live.push(Task::new(
-                    Rc::clone(&board),
-                    i,
-                    words,
-                    est_bytes,
-                    budget_ns,
-                    config.overhead_ns,
-                ));
-                admitted += 1;
-            }
-        }
-
-        // 2. Poll every woken task, in arrival order (live is kept sorted
-        // by construction: admissions append ascending indices and
-        // completions only remove).
-        let mut completed: Vec<(usize, Response)> = Vec::new();
-        for task in &mut live {
-            if !task.flag.take() {
-                continue;
-            }
-            progressed = true;
-            let mut cx = Context::from_waker(&task.waker);
-            if let Poll::Ready(response) = task.future.as_mut().poll(&mut cx) {
-                completed.push((task.index, response));
-            }
-        }
-        if !completed.is_empty() {
-            let done: Vec<usize> = completed.iter().map(|&(i, _)| i).collect();
-            for (i, response) in completed {
-                responses[i] = Some(response);
-            }
-            live.retain(|t| !done.contains(&t.index));
-        }
-
-        // 3. Dispatch: drain the submission queue as one batch, grouped
-        // by home node so co-located queries run adjacently (stable sort
-        // — submission order is preserved within a node).
-        let mut batch: Vec<usize> = std::mem::take(&mut board.borrow_mut().pending);
-        if !batch.is_empty() {
-            progressed = true;
-            batch.sort_by_key(|&i| engine.home_node(&queries[i]));
-            batches += 1;
-            max_batch = max_batch.max(batch.len());
-            // Wall-clock liveness backstop, pooled over the batch. The
-            // pool is deliberately generous — a constant grace term plus
-            // deadline_ms per query — because latency accounting is done
-            // entirely in virtual time: this gate exists only to shed
-            // the remainder of a genuinely hung batch instead of
-            // blocking forever, and must never trip on scheduler noise
-            // (a tripped gate would leak wall-clock nondeterminism into
-            // the report).
-            let gate = DeadlineGate::new(config.deadline_ms.map(|ms| {
-                Instant::now()
-                    + Duration::from_millis(
-                        GATE_GRACE_MS + ms.saturating_mul(batch.len() as u64),
-                    )
+    for chunk in queries.chunks(window) {
+        let first = responses.len();
+        let estimates = engine.probe_each(chunk);
+        let mut answers: Vec<Option<Response>> = Vec::with_capacity(chunk.len());
+        let mut admitted: Vec<usize> = Vec::with_capacity(chunk.len());
+        for (k, (q, &est_bytes)) in chunk.iter().zip(&estimates).enumerate() {
+            let words = q.words.len();
+            let shed = if carried + admitted.len() >= capacity {
+                Some(ResponseStatus::ShedOverload)
+            } else if budget_ns
+                .is_some_and(|b| service_ns(words, est_bytes).saturating_add(overhead_ns) > b)
+            {
+                Some(ResponseStatus::ShedAdmission)
+            } else {
+                admitted.push(k);
+                None
+            };
+            answers.push(shed.map(|status| {
+                estimate_response(first + k, status, words, est_bytes, overhead_ns)
             }));
-            let results: Vec<BatchResult> =
-                par_map_indexed(config.threads, batch.len(), |k| {
-                    if gate.expired() {
-                        return BatchResult::Shed;
-                    }
-                    let r = engine.execute(&queries[batch[k]]);
-                    let mut page_bytes = Vec::with_capacity(r.pages.len() * 8);
-                    for p in &r.pages {
-                        page_bytes.extend_from_slice(&p.0.to_le_bytes());
-                    }
-                    BatchResult::Done {
-                        comm_bytes: r.comm_bytes,
-                        pages: r.pages.len() as u64,
-                        pages_digest: md5::digest(&page_bytes),
-                    }
-                });
-            let mut board = board.borrow_mut();
-            for (&i, &result) in batch.iter().zip(&results) {
-                board.results[i] = Some(result);
-                if let Some(waker) = board.wakers[i].take() {
-                    waker.wake();
-                }
-            }
         }
+        carried = admitted.len();
 
-        if live.is_empty() && next_arrival >= n {
-            break;
+        // Execute the admitted queries grouped by home node, so co-located
+        // queries run adjacently (stable sort: arrival order within a node).
+        admitted.sort_by_key(|&k| engine.home_node(&chunk[k]));
+        batches += u64::from(!admitted.is_empty());
+        max_batch = max_batch.max(admitted.len());
+        // Wall-clock liveness backstop, pooled over the batch. The pool is
+        // deliberately generous — a constant grace term plus deadline_ms
+        // per query — because latency accounting is done entirely in
+        // virtual time: this gate exists only to shed the remainder of a
+        // genuinely hung batch instead of blocking forever, and must never
+        // trip on scheduler noise (a tripped gate would leak wall-clock
+        // nondeterminism into the report).
+        let gate = DeadlineGate::new(config.deadline_ms.map(|ms| {
+            Instant::now()
+                + Duration::from_millis(
+                    GATE_GRACE_MS.saturating_add(ms.saturating_mul(admitted.len() as u64)),
+                )
+        }));
+        let executed = par_map_indexed(config.threads, admitted.len(), |j| {
+            let k = admitted[j];
+            let words = chunk[k].words.len();
+            if gate.expired() {
+                return estimate_response(
+                    first + k,
+                    ResponseStatus::ShedDeadline,
+                    words,
+                    estimates[k],
+                    overhead_ns,
+                );
+            }
+            let r = engine.execute(&chunk[k]);
+            let mut page_bytes = Vec::with_capacity(r.pages.len() * 8);
+            for p in &r.pages {
+                page_bytes.extend_from_slice(&p.0.to_le_bytes());
+            }
+            let latency_ns = service_ns(words, r.comm_bytes).saturating_add(overhead_ns);
+            let status = match budget_ns {
+                Some(b) if latency_ns > b => ResponseStatus::Degraded,
+                _ => ResponseStatus::Served,
+            };
+            Response {
+                index: first + k,
+                status,
+                bytes: r.comm_bytes,
+                latency_ns,
+                pages: r.pages.len() as u64,
+                pages_digest: md5::digest(&page_bytes),
+            }
+        });
+        for (&k, response) in admitted.iter().zip(executed) {
+            answers[k] = Some(response);
         }
-        assert!(progressed, "serving executor stalled with work outstanding");
+        responses.extend(
+            answers
+                .into_iter()
+                .map(|r| r.expect("every query of the window is answered")),
+        );
     }
 
-    let responses: Vec<Response> = responses
-        .into_iter()
-        .map(|r| r.expect("every offered query is answered"))
-        .collect();
     let report = build_report(&responses);
     debug_assert!(report.counters_consistent());
     ServeOutcome {
@@ -641,7 +460,7 @@ mod tests {
                 ..ServeConfig::default()
             },
         );
-        for (inflight, threads) in [(7, 2), (64, 4), (queries.len().max(1), 3)] {
+        for (inflight, threads) in [(7, 2), (64, 4), (queries.len().max(1), 3), (usize::MAX, 2)] {
             let out = serve(
                 &p.index,
                 &cluster,
@@ -695,6 +514,22 @@ mod tests {
         assert_eq!(
             out.report.served + out.report.shed_overload,
             queries.len() as u64
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "burst must be at least 1")]
+    fn zero_burst_is_rejected_up_front() {
+        let (p, cluster, queries) = fixture();
+        let _ = serve(
+            &p.index,
+            &cluster,
+            p.config().aggregation,
+            &queries,
+            &ServeConfig {
+                burst: Some(0),
+                ..ServeConfig::default()
+            },
         );
     }
 

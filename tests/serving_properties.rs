@@ -5,9 +5,9 @@
 //!
 //! The reference model is deliberately simple: admission is a pure
 //! per-query decision (estimate vs budget), execution is
-//! [`QueryEngine::execute`], and grading is `service_ns` vs budget. The
-//! executor may batch, reorder, and parallelize however it likes, but
-//! its per-query [`Response`]s must equal the reference exactly.
+//! [`QueryEngine::execute`], and grading is `service_ns` vs budget.
+//! `serve` may batch, reorder, and parallelize however it likes, but its
+//! per-query [`Response`]s must equal the reference exactly.
 
 use cca::hashing::md5;
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -47,7 +47,7 @@ fn pages_digest(pages: &[cca::hashing::PageId]) -> [u8; 16] {
     md5::digest(&bytes)
 }
 
-/// The serial reference: what the executor must answer for query `i`,
+/// The serial reference: what `serve` must answer for query `i`,
 /// derived without any batching machinery. Admission is per-query
 /// (estimate vs budget), so the expected response stream is independent
 /// of the window size by construction.
@@ -320,6 +320,66 @@ fn trickle_burst_accounts_exactly() {
         out.report.served + out.report.degraded + out.report.shed_overload,
         64
     );
+}
+
+/// Golden pin of an open-loop run whose burst exceeds half the queue
+/// capacity. With inflight 4 (capacity 8) and burst 6, an arrival is
+/// shed for overload once the queries admitted earlier in its burst plus
+/// those the previous burst admitted reach 8, so bursts alternately
+/// admit 6 and 2. The pin fixes that carried count, not only the
+/// partition.
+#[test]
+fn golden_open_loop_report() {
+    let p = tiny_pipeline(None);
+    let placement = cca::algo::greedy_placement(&p.problem);
+    let cluster = p.cluster_for(&placement);
+    let queries = stream(&p, 79, 200);
+    let out = serve(
+        &p.index,
+        &cluster,
+        p.config().aggregation,
+        &queries,
+        &ServeConfig {
+            inflight: 4,
+            threads: 2,
+            deadline_ms: None,
+            burst: Some(6),
+            overhead_ns: 0,
+        },
+    );
+    let text = cca::algo::format_serving_report(&out.report);
+    let expected = "# cca-serving-report v1\n\
+        queries\t200\n\
+        served\t136\n\
+        degraded\t0\n\
+        shed_admission\t0\n\
+        shed_overload\t64\n\
+        shed_deadline\t0\n\
+        executed_bytes\t3848\n\
+        estimated_bytes\t424\n\
+        p50_ns\t65535\n\
+        p95_ns\t262143\n\
+        p99_ns\t524287\n\
+        digest\tb6dd261b65a652b4b30e2a5091178801\n\
+        bucket\t15\t63\n\
+        bucket\t16\t39\n\
+        bucket\t17\t26\n\
+        bucket\t18\t4\n\
+        bucket\t19\t3\n\
+        bucket\t20\t1\n";
+    assert_eq!(text, expected, "golden open-loop report drifted:\n{text}");
+    let statuses: Vec<ResponseStatus> = out.responses.iter().map(|r| r.status).collect();
+    for (b, burst) in statuses.chunks(6).enumerate() {
+        let admitted = if b % 2 == 0 { 6 } else { 2 };
+        let shed = burst.len().saturating_sub(admitted);
+        assert!(
+            burst[..burst.len() - shed].iter().all(|s| s.executed())
+                && burst[burst.len() - shed..]
+                    .iter()
+                    .all(|&s| s == ResponseStatus::ShedOverload),
+            "burst {b}: {burst:?}"
+        );
+    }
 }
 
 /// Golden pin of the full serving report for a fixed seed: counters,
