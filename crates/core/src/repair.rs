@@ -29,7 +29,6 @@ use crate::graph::CorrelationGraph;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::{respread_dead, DomainTree, ReplicaPlacement};
-use std::collections::HashMap;
 
 /// Outcome of [`repair_capacity`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,6 +39,8 @@ pub struct RepairOutcome {
     pub feasible: bool,
 }
 
+/// Repair state. An eviction step touches only the source node's
+/// members, through index-addressed work arrays that live across steps.
 struct Repairer<'a> {
     problem: &'a CcaProblem,
     /// `limits[node][dim]`: dimension 0 is storage, then one per secondary
@@ -50,10 +51,112 @@ struct Repairer<'a> {
     loads: Vec<Vec<f64>>,
     /// Cached per-object demand vectors.
     demands: Vec<Vec<f64>>,
+    /// `members[node]`: the objects placed on `node`, ascending by id;
+    /// [`Repairer::apply_move`] keeps it in step with the placement.
+    members: Vec<Vec<ObjectId>>,
+    /// `seen[obj] == seen_stamp`: `obj` was discovered in this step.
+    seen: Vec<u64>,
+    seen_stamp: u64,
+    /// `tag[obj] == cluster_tag`: `obj` is in the cluster being scored.
+    /// `u64`, because one repair can score more clusters than `u32` counts.
+    tag: Vec<u64>,
+    cluster_tag: u64,
+    /// Clusters on the current source node, largest first.
+    clusters: Vec<Vec<ObjectId>>,
+    /// Emptied cluster buffers, reused by the next discovery.
+    spare: Vec<Vec<ObjectId>>,
+    stack: Vec<ObjectId>,
+    /// One cluster's summed demand vector.
+    demand: Vec<f64>,
+    /// `join[k]`: one cluster's edge weight to objects on node `k`; only
+    /// the entries listed in `touched` can be non-zero.
+    join: Vec<f64>,
+    touched: Vec<usize>,
     moves: usize,
 }
 
-impl Repairer<'_> {
+impl<'a> Repairer<'a> {
+    /// `demands[i]` is object `i`'s demand vector (storage, then each
+    /// secondary resource); [`repair_capacity_with`] passes the problem's
+    /// own.
+    fn new(
+        problem: &'a CcaProblem,
+        placement: &Placement,
+        slack: f64,
+        demands: Vec<Vec<f64>>,
+    ) -> Self {
+        let n = problem.num_nodes();
+        let dims = 1 + problem.resources().len();
+        let limits: Vec<Vec<f64>> = (0..n)
+            .map(|k| {
+                let mut v = vec![problem.capacity(k) as f64 * slack];
+                for res in problem.resources() {
+                    v.push(res.capacity(k) as f64 * slack);
+                }
+                v
+            })
+            .collect();
+        let mut loads = vec![vec![0.0f64; dims]; n];
+        let mut members = vec![Vec::new(); n];
+        for i in problem.objects() {
+            let node = placement.node_of(i);
+            for (dst, d) in loads[node].iter_mut().zip(&demands[i.index()]) {
+                *dst += d;
+            }
+            members[node].push(i);
+        }
+        Repairer {
+            problem,
+            limits,
+            graph: problem.graph(),
+            loads,
+            demands,
+            members,
+            seen: vec![0; problem.num_objects()],
+            seen_stamp: 0,
+            tag: vec![0; problem.num_objects()],
+            cluster_tag: 0,
+            clusters: Vec::new(),
+            spare: Vec::new(),
+            stack: Vec::new(),
+            demand: vec![0.0; dims],
+            join: vec![0.0; n],
+            touched: Vec::new(),
+            moves: 0,
+        }
+    }
+
+    /// The eviction loop, then up to `improvement_sweeps` sweeps.
+    fn run(&mut self, placement: &mut Placement, improvement_sweeps: usize) -> RepairOutcome {
+        // Every step moves ≥1 object off an overloaded node onto a node
+        // that stays within limits, so total overload strictly decreases;
+        // the cap is defence in depth.
+        let max_steps = 4 * self.problem.num_objects() + 16;
+        let mut feasible = true;
+        for _ in 0..max_steps {
+            match self.step(placement) {
+                Ok(true) => continue,
+                Ok(false) => break,
+                Err(()) => {
+                    feasible = false;
+                    break;
+                }
+            }
+        }
+        if feasible {
+            feasible = (0..self.problem.num_nodes()).all(|k| self.overload(k) <= 1e-12);
+        }
+        for _ in 0..improvement_sweeps {
+            if self.improvement_sweep(placement) == 0 {
+                break;
+            }
+        }
+        RepairOutcome {
+            moves: self.moves,
+            feasible,
+        }
+    }
+
     /// Cost changes of moving object `i` to each node in `targets`
     /// (negative is an improvement) — one O(deg) CSR row walk scores them
     /// all, each entry bit-equal to the per-target walk.
@@ -75,6 +178,16 @@ impl Repairer<'_> {
             self.loads[src][dim] -= d;
             self.loads[dst][dim] += d;
         }
+        let from = &mut self.members[src];
+        let at = from
+            .binary_search(&obj)
+            .expect("a moved object is a member of its source node");
+        from.remove(at);
+        let to = &mut self.members[dst];
+        let at = to
+            .binary_search(&obj)
+            .expect_err("a moved object is not yet on its target node");
+        to.insert(at, obj);
         placement.assign(obj, dst);
         self.moves += 1;
     }
@@ -88,107 +201,121 @@ impl Repairer<'_> {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Clusters on `node`: connected groups (within the correlation graph)
-    /// of objects currently placed on `node`, sorted largest first.
-    fn clusters_on(&self, placement: &Placement, node: usize) -> Vec<Vec<ObjectId>> {
-        let mut visited: HashMap<ObjectId, bool> = HashMap::new();
-        let mut clusters = Vec::new();
-        for i in self.problem.objects() {
-            if placement.node_of(i) != node || visited.contains_key(&i) {
+    /// Fills `clusters` with the clusters on `node`: connected groups
+    /// (within the correlation graph) of its members, discovered from
+    /// `members[node]` in ascending id by a stack DFS over CSR neighbours,
+    /// then sorted largest first. Equal-size clusters keep whatever order
+    /// `sort_unstable_by_key` leaves them in, and the step's strict-<
+    /// selection depends on it, so the sort and its `Vec<ObjectId>`
+    /// elements must not change.
+    fn discover_clusters(&mut self, placement: &Placement, node: usize) {
+        self.spare.extend(self.clusters.drain(..).map(|mut c| {
+            c.clear();
+            c
+        }));
+        self.seen_stamp += 1;
+        let stamp = self.seen_stamp;
+        for &i in &self.members[node] {
+            if self.seen[i.index()] == stamp {
                 continue;
             }
-            let mut cluster = Vec::new();
-            let mut stack = vec![i];
-            visited.insert(i, true);
-            while let Some(o) = stack.pop() {
+            let mut cluster = self.spare.pop().unwrap_or_default();
+            self.seen[i.index()] = stamp;
+            self.stack.push(i);
+            while let Some(o) = self.stack.pop() {
                 cluster.push(o);
                 for (other, _) in self.graph.neighbors(o) {
-                    if placement.node_of(other) == node && !visited.contains_key(&other) {
-                        visited.insert(other, true);
-                        stack.push(other);
+                    if placement.node_of(other) == node && self.seen[other.index()] != stamp {
+                        self.seen[other.index()] = stamp;
+                        self.stack.push(other);
                     }
                 }
             }
-            clusters.push(cluster);
+            self.clusters.push(cluster);
         }
-        clusters.sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
-        clusters
+        self.clusters
+            .sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
     }
 
-    /// Tries one repair step on the most overloaded node. Returns `false`
-    /// when nothing is overloaded or nothing can move.
-    fn step(&mut self, placement: &mut Placement) -> Result<bool, ()> {
+    /// Candidate 1: the whole-cluster move off `src` with the lowest
+    /// Δcost per byte (zero cut cost for a complete component; cheap for
+    /// weakly attached groups), as `(cluster index, target)`. Singletons
+    /// are scored like any other cluster.
+    fn best_cluster_move(&mut self, placement: &Placement, src: usize) -> Option<(usize, usize)> {
         let n = self.problem.num_nodes();
-        let Some((src, _)) = (0..n)
-            .map(|k| (k, self.overload(k)))
-            .filter(|&(_, over)| over > 1e-12)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        else {
-            return Ok(false); // feasible
-        };
-
-        // Candidate 1: whole-cluster moves (zero cut cost for a complete
-        // component; cheap for weakly attached groups).
-        let dims = 1 + self.problem.resources().len();
-        let mut best_cluster: Option<(f64, Vec<ObjectId>, usize)> = None;
-        for cluster in self.clusters_on(placement, src) {
-            // Skip the degenerate "whole node" cluster if it cannot fit
-            // anywhere; singleton clusters are covered by candidate 2.
-            let mut demand = vec![0.0f64; dims];
-            for &o in &cluster {
-                for (dst, d) in demand.iter_mut().zip(&self.demands[o.index()]) {
-                    *dst += d;
-                }
-            }
-            let size = demand[0];
-            if demand.iter().all(|&d| d == 0.0) {
-                continue;
-            }
+        let mut best: Option<(f64, usize, usize)> = None;
+        for (c, cluster) in self.clusters.iter().enumerate() {
             // Cut cost to the rest of src plus joins at each target.
-            let in_cluster: std::collections::HashSet<ObjectId> =
-                cluster.iter().copied().collect();
+            self.cluster_tag += 1;
+            for &o in cluster {
+                self.tag[o.index()] = self.cluster_tag;
+            }
             let mut base = 0.0;
-            let mut join = vec![0.0f64; n];
-            for &o in &cluster {
+            for &o in cluster {
                 for (other, w) in self.graph.neighbors(o) {
-                    if in_cluster.contains(&other) {
+                    if self.tag[other.index()] == self.cluster_tag {
                         continue;
                     }
                     let on = placement.node_of(other);
                     if on == src {
                         base += w;
                     } else {
-                        join[on] += w;
+                        if self.join[on] == 0.0 {
+                            self.touched.push(on);
+                        }
+                        self.join[on] += w;
                     }
                 }
             }
-            for k in 0..n {
-                if k == src || !self.fits(k, &demand) {
-                    continue;
+            let size = (cluster.iter())
+                .fold(0.0, |s, o| s + self.demands[o.index()][0])
+                .max(1.0);
+            // Exact bound: every target's score (base − join[k]) / size is
+            // at least (base − max(0, maxₖ join[k])) / size, as IEEE
+            // subtraction and division by a positive number are monotone.
+            // Unless that bound is below the best score, no target can win
+            // the strict-< selection: skip the demand sum and `fits` scan.
+            let could_win = best.is_none_or(|(bs, _, _)| {
+                let max_join = (self.touched.iter())
+                    .map(|&k| self.join[k])
+                    .fold(0.0, f64::max);
+                (base - max_join) / size < bs
+            });
+            if could_win {
+                self.demand.fill(0.0);
+                for &o in cluster {
+                    for (dst, d) in self.demand.iter_mut().zip(&self.demands[o.index()]) {
+                        *dst += d;
+                    }
                 }
-                let delta = base - join[k];
-                let score = delta / size.max(1.0);
-                if best_cluster.as_ref().is_none_or(|&(bs, _, _)| score < bs) {
-                    best_cluster = Some((score, cluster.clone(), k));
+                // A cluster with zero demand in every dimension frees nothing.
+                if self.demand.iter().any(|&d| d != 0.0) {
+                    for k in 0..n {
+                        if k == src || !self.fits(k, &self.demand) {
+                            continue;
+                        }
+                        let score = (base - self.join[k]) / size;
+                        if best.is_none_or(|(bs, _, _)| score < bs) {
+                            best = Some((score, c, k));
+                        }
+                    }
                 }
             }
-        }
-        if let Some((_, cluster, target)) = best_cluster {
-            for &o in &cluster {
-                self.apply_move(placement, o, src, target);
+            for k in self.touched.drain(..) {
+                self.join[k] = 0.0;
             }
-            return Ok(true);
         }
+        best.map(|(_, c, k)| (c, k))
+    }
 
-        // Candidate 2: single-object eviction by Δcost per byte. One CSR
-        // row walk per object scores all its fitting targets; ascending-k
-        // strict-< selection is unchanged.
+    /// Candidate 2: the single-object eviction off `src` with the lowest
+    /// Δcost per byte. One CSR row walk per member scores all its fitting
+    /// targets; the selection is ascending-k strict-<.
+    fn best_object_move(&self, placement: &Placement, src: usize) -> Option<(ObjectId, usize)> {
+        let n = self.problem.num_nodes();
         let mut best: Option<(f64, ObjectId, usize)> = None;
         let mut fitting: Vec<usize> = Vec::with_capacity(n);
-        for i in self.problem.objects() {
-            if placement.node_of(i) != src {
-                continue;
-            }
+        for &i in &self.members[src] {
             let demand = &self.demands[i.index()];
             if demand.iter().all(|&d| d == 0.0) {
                 continue;
@@ -203,7 +330,37 @@ impl Repairer<'_> {
                 }
             }
         }
-        let Some((_, obj, target)) = best else {
+        best.map(|(_, i, k)| (i, k))
+    }
+
+    /// Tries one repair step on the most overloaded node. Returns `false`
+    /// when nothing is overloaded, and `Err` when nothing can move.
+    ///
+    /// A step costs O(members(src) + their edges) plus the cluster sort
+    /// and one `fits` scan per cluster that survives the score bound.
+    fn step(&mut self, placement: &mut Placement) -> Result<bool, ()> {
+        let n = self.problem.num_nodes();
+        let Some((src, _)) = (0..n)
+            .map(|k| (k, self.overload(k)))
+            .filter(|&(_, over)| over > 1e-12)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+        else {
+            return Ok(false); // feasible
+        };
+
+        self.discover_clusters(placement, src);
+        if let Some((c, target)) = self.best_cluster_move(placement, src) {
+            let cluster = std::mem::take(&mut self.clusters[c]);
+            for &o in &cluster {
+                self.apply_move(placement, o, src, target);
+            }
+            self.clusters[c] = cluster;
+            return Ok(true);
+        }
+
+        // Only when no cluster fits anywhere: evict single objects, members
+        // of larger clusters included.
+        let Some((obj, target)) = self.best_object_move(placement, src) else {
             return Err(()); // stuck: nothing fits anywhere
         };
         self.apply_move(placement, obj, src, target);
@@ -219,11 +376,11 @@ impl Repairer<'_> {
         let mut fitting: Vec<usize> = Vec::with_capacity(n);
         for i in self.problem.objects() {
             let src = placement.node_of(i);
-            let demand = self.demands[i.index()].clone();
+            let demand = &self.demands[i.index()];
             // One row walk scores every fitting target (bit-equal per
             // entry), with the same ascending-k strict-< winner.
             fitting.clear();
-            fitting.extend((0..n).filter(|&k| k != src && self.fits(k, &demand)));
+            fitting.extend((0..n).filter(|&k| k != src && self.fits(k, demand)));
             let deltas = self.move_delta_batch(placement, i, &fitting);
             let mut best: Option<(f64, usize)> = None;
             for (&k, &delta) in fitting.iter().zip(&deltas) {
@@ -271,63 +428,11 @@ pub fn repair_capacity_with(
 ) -> RepairOutcome {
     assert!(slack >= 1.0, "slack must be at least 1.0");
     assert_eq!(placement.num_objects(), problem.num_objects());
-    let n = problem.num_nodes();
-    let dims = 1 + problem.resources().len();
-    let limits: Vec<Vec<f64>> = (0..n)
-        .map(|k| {
-            let mut v = vec![problem.capacity(k) as f64 * slack];
-            for res in problem.resources() {
-                v.push(res.capacity(k) as f64 * slack);
-            }
-            v
-        })
+    let demands: Vec<Vec<f64>> = problem
+        .objects()
+        .map(|i| problem.demand_vector(i))
         .collect();
-    let mut loads = vec![vec![0.0f64; dims]; n];
-    let demands: Vec<Vec<f64>> = problem.objects().map(|i| problem.demand_vector(i)).collect();
-    for i in problem.objects() {
-        let node = placement.node_of(i);
-        for (dst, d) in loads[node].iter_mut().zip(&demands[i.index()]) {
-            *dst += d;
-        }
-    }
-    let mut repairer = Repairer {
-        problem,
-        limits,
-        graph: problem.graph(),
-        loads,
-        demands,
-        moves: 0,
-    };
-
-    // Eviction loop. Every step moves ≥1 object off an overloaded node
-    // onto a node that stays within limits, so total overload strictly
-    // decreases; the cap is defence in depth.
-    let max_steps = 4 * problem.num_objects() + 16;
-    let mut feasible = true;
-    for _ in 0..max_steps {
-        match repairer.step(placement) {
-            Ok(true) => continue,
-            Ok(false) => break,
-            Err(()) => {
-                feasible = false;
-                break;
-            }
-        }
-    }
-    if feasible {
-        feasible = (0..n).all(|k| repairer.overload(k) <= 1e-12);
-    }
-
-    for _ in 0..improvement_sweeps {
-        if repairer.improvement_sweep(placement) == 0 {
-            break;
-        }
-    }
-
-    RepairOutcome {
-        moves: repairer.moves,
-        feasible,
-    }
+    Repairer::new(problem, placement, slack, demands).run(placement, improvement_sweeps)
 }
 
 /// Outcome of [`repair_replica_spread`].
@@ -385,9 +490,486 @@ pub fn repair_replica_spread(
     }
 }
 
+/// The capacity repair as it was before per-node member lists and the
+/// score bound: every step rescans all objects through a `HashMap`. Kept
+/// verbatim, except that the demand vectors are passed in, as the
+/// differential oracle the rewrite must match move for move.
+#[cfg(test)]
+mod reference {
+    use super::RepairOutcome;
+    use crate::graph::CorrelationGraph;
+    use crate::placement::Placement;
+    use crate::problem::{CcaProblem, ObjectId};
+    use std::collections::HashMap;
+
+    struct Repairer<'a> {
+        problem: &'a CcaProblem,
+        /// `limits[node][dim]`: dimension 0 is storage, then one per secondary
+        /// resource (paper 3.3), all scaled by the slack.
+        limits: Vec<Vec<f64>>,
+        graph: &'a CorrelationGraph,
+        /// `loads[node][dim]`.
+        loads: Vec<Vec<f64>>,
+        /// Cached per-object demand vectors.
+        demands: Vec<Vec<f64>>,
+        moves: usize,
+    }
+
+    impl Repairer<'_> {
+        /// Cost changes of moving object `i` to each node in `targets`
+        /// (negative is an improvement) — one O(deg) CSR row walk scores them
+        /// all, each entry bit-equal to the per-target walk.
+        fn move_delta_batch(
+            &self,
+            placement: &Placement,
+            i: ObjectId,
+            targets: &[usize],
+        ) -> Vec<f64> {
+            self.problem.eval_move_delta_batch(placement, i, targets)
+        }
+
+        fn fits(&self, node: usize, extra: &[f64]) -> bool {
+            self.loads[node]
+                .iter()
+                .zip(extra)
+                .zip(&self.limits[node])
+                .all(|((&l, &e), &lim)| l + e <= lim + 1e-9)
+        }
+
+        fn apply_move(&mut self, placement: &mut Placement, obj: ObjectId, src: usize, dst: usize) {
+            for dim in 0..self.demands[obj.index()].len() {
+                let d = self.demands[obj.index()][dim];
+                self.loads[src][dim] -= d;
+                self.loads[dst][dim] += d;
+            }
+            placement.assign(obj, dst);
+            self.moves += 1;
+        }
+
+        /// Overload of `node`: the worst relative excess over any dimension.
+        fn overload(&self, node: usize) -> f64 {
+            self.loads[node]
+                .iter()
+                .zip(&self.limits[node])
+                .map(|(&l, &lim)| (l - lim) / (1.0 + lim))
+                .fold(f64::NEG_INFINITY, f64::max)
+        }
+
+        /// Clusters on `node`: connected groups (within the correlation graph)
+        /// of objects currently placed on `node`, sorted largest first.
+        fn clusters_on(&self, placement: &Placement, node: usize) -> Vec<Vec<ObjectId>> {
+            let mut visited: HashMap<ObjectId, bool> = HashMap::new();
+            let mut clusters = Vec::new();
+            for i in self.problem.objects() {
+                if placement.node_of(i) != node || visited.contains_key(&i) {
+                    continue;
+                }
+                let mut cluster = Vec::new();
+                let mut stack = vec![i];
+                visited.insert(i, true);
+                while let Some(o) = stack.pop() {
+                    cluster.push(o);
+                    for (other, _) in self.graph.neighbors(o) {
+                        if placement.node_of(other) == node && !visited.contains_key(&other) {
+                            visited.insert(other, true);
+                            stack.push(other);
+                        }
+                    }
+                }
+                clusters.push(cluster);
+            }
+            clusters.sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
+            clusters
+        }
+
+        /// Tries one repair step on the most overloaded node. Returns `false`
+        /// when nothing is overloaded or nothing can move.
+        fn step(&mut self, placement: &mut Placement) -> Result<bool, ()> {
+            let n = self.problem.num_nodes();
+            let Some((src, _)) = (0..n)
+                .map(|k| (k, self.overload(k)))
+                .filter(|&(_, over)| over > 1e-12)
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            else {
+                return Ok(false); // feasible
+            };
+
+            // Candidate 1: whole-cluster moves (zero cut cost for a complete
+            // component; cheap for weakly attached groups).
+            let dims = 1 + self.problem.resources().len();
+            let mut best_cluster: Option<(f64, Vec<ObjectId>, usize)> = None;
+            for cluster in self.clusters_on(placement, src) {
+                // Skip the degenerate "whole node" cluster if it cannot fit
+                // anywhere; singleton clusters are covered by candidate 2.
+                let mut demand = vec![0.0f64; dims];
+                for &o in &cluster {
+                    for (dst, d) in demand.iter_mut().zip(&self.demands[o.index()]) {
+                        *dst += d;
+                    }
+                }
+                let size = demand[0];
+                if demand.iter().all(|&d| d == 0.0) {
+                    continue;
+                }
+                // Cut cost to the rest of src plus joins at each target.
+                let in_cluster: std::collections::HashSet<ObjectId> =
+                    cluster.iter().copied().collect();
+                let mut base = 0.0;
+                let mut join = vec![0.0f64; n];
+                for &o in &cluster {
+                    for (other, w) in self.graph.neighbors(o) {
+                        if in_cluster.contains(&other) {
+                            continue;
+                        }
+                        let on = placement.node_of(other);
+                        if on == src {
+                            base += w;
+                        } else {
+                            join[on] += w;
+                        }
+                    }
+                }
+                for k in 0..n {
+                    if k == src || !self.fits(k, &demand) {
+                        continue;
+                    }
+                    let delta = base - join[k];
+                    let score = delta / size.max(1.0);
+                    if best_cluster.as_ref().is_none_or(|&(bs, _, _)| score < bs) {
+                        best_cluster = Some((score, cluster.clone(), k));
+                    }
+                }
+            }
+            if let Some((_, cluster, target)) = best_cluster {
+                for &o in &cluster {
+                    self.apply_move(placement, o, src, target);
+                }
+                return Ok(true);
+            }
+
+            // Candidate 2: single-object eviction by Δcost per byte. One CSR
+            // row walk per object scores all its fitting targets; ascending-k
+            // strict-< selection is unchanged.
+            let mut best: Option<(f64, ObjectId, usize)> = None;
+            let mut fitting: Vec<usize> = Vec::with_capacity(n);
+            for i in self.problem.objects() {
+                if placement.node_of(i) != src {
+                    continue;
+                }
+                let demand = &self.demands[i.index()];
+                if demand.iter().all(|&d| d == 0.0) {
+                    continue;
+                }
+                fitting.clear();
+                fitting.extend((0..n).filter(|&k| k != src && self.fits(k, demand)));
+                let deltas = self.move_delta_batch(placement, i, &fitting);
+                for (&k, &delta) in fitting.iter().zip(&deltas) {
+                    let score = delta / demand[0].max(1.0);
+                    if best.is_none_or(|(bs, _, _)| score < bs) {
+                        best = Some((score, i, k));
+                    }
+                }
+            }
+            let Some((_, obj, target)) = best else {
+                return Err(()); // stuck: nothing fits anywhere
+            };
+            self.apply_move(placement, obj, src, target);
+            Ok(true)
+        }
+
+        /// One local-search sweep: re-home any object whose best
+        /// capacity-respecting node strictly reduces cost. Returns the number
+        /// of improving moves.
+        fn improvement_sweep(&mut self, placement: &mut Placement) -> usize {
+            let n = self.problem.num_nodes();
+            let mut improved = 0;
+            let mut fitting: Vec<usize> = Vec::with_capacity(n);
+            for i in self.problem.objects() {
+                let src = placement.node_of(i);
+                let demand = self.demands[i.index()].clone();
+                // One row walk scores every fitting target (bit-equal per
+                // entry), with the same ascending-k strict-< winner.
+                fitting.clear();
+                fitting.extend((0..n).filter(|&k| k != src && self.fits(k, &demand)));
+                let deltas = self.move_delta_batch(placement, i, &fitting);
+                let mut best: Option<(f64, usize)> = None;
+                for (&k, &delta) in fitting.iter().zip(&deltas) {
+                    if delta < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
+                        best = Some((delta, k));
+                    }
+                }
+                if let Some((_, k)) = best {
+                    self.apply_move(placement, i, src, k);
+                    improved += 1;
+                }
+            }
+            improved
+        }
+    }
+
+    /// `repair_capacity_with` before the rewrite, taking the demand
+    /// vectors instead of reading them from `problem`.
+    pub(super) fn repair_capacity_with(
+        problem: &CcaProblem,
+        placement: &mut Placement,
+        slack: f64,
+        improvement_sweeps: usize,
+        demands: Vec<Vec<f64>>,
+    ) -> RepairOutcome {
+        assert!(slack >= 1.0, "slack must be at least 1.0");
+        assert_eq!(placement.num_objects(), problem.num_objects());
+        let n = problem.num_nodes();
+        let dims = 1 + problem.resources().len();
+        let limits: Vec<Vec<f64>> = (0..n)
+            .map(|k| {
+                let mut v = vec![problem.capacity(k) as f64 * slack];
+                for res in problem.resources() {
+                    v.push(res.capacity(k) as f64 * slack);
+                }
+                v
+            })
+            .collect();
+        let mut loads = vec![vec![0.0f64; dims]; n];
+        for i in problem.objects() {
+            let node = placement.node_of(i);
+            for (dst, d) in loads[node].iter_mut().zip(&demands[i.index()]) {
+                *dst += d;
+            }
+        }
+        let mut repairer = Repairer {
+            problem,
+            limits,
+            graph: problem.graph(),
+            loads,
+            demands,
+            moves: 0,
+        };
+
+        // Eviction loop. Every step moves ≥1 object off an overloaded node
+        // onto a node that stays within limits, so total overload strictly
+        // decreases; the cap is defence in depth.
+        let max_steps = 4 * problem.num_objects() + 16;
+        let mut feasible = true;
+        for _ in 0..max_steps {
+            match repairer.step(placement) {
+                Ok(true) => continue,
+                Ok(false) => break,
+                Err(()) => {
+                    feasible = false;
+                    break;
+                }
+            }
+        }
+        if feasible {
+            feasible = (0..n).all(|k| repairer.overload(k) <= 1e-12);
+        }
+
+        for _ in 0..improvement_sweeps {
+            if repairer.improvement_sweep(placement) == 0 {
+                break;
+            }
+        }
+
+        RepairOutcome {
+            moves: repairer.moves,
+            feasible,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::Resource;
+    use cca_check::{prop_assert_eq, Checker, Rng, Shrink, StdRng};
+    use cca_rand::seq::SliceRandom;
+    use std::cell::Cell;
+
+    /// A random instance for the differential property.
+    #[derive(Debug, Clone)]
+    struct DiffCase {
+        /// Object sizes. 0 gives the object no storage demand: a problem
+        /// cannot hold size-0 objects, so demand vectors are passed in.
+        sizes: Vec<u64>,
+        /// Optional secondary resource: per-object demands, per-node
+        /// capacities.
+        resource: Option<(Vec<u64>, Vec<u64>)>,
+        /// `(a, b, correlation in 997ths, comm cost in 7ths)`: weights
+        /// are not dyadic, so float sums round.
+        edges: Vec<(usize, usize, u32, u32)>,
+        /// Storage capacities; 0 marks a dead node.
+        capacities: Vec<u64>,
+        start: Vec<u32>,
+        slack: f64,
+        sweeps: usize,
+    }
+
+    impl Shrink for DiffCase {
+        fn shrink(&self) -> Vec<Self> {
+            let mut out: Vec<Self> = (self.edges.shrink().into_iter())
+                .map(|edges| DiffCase {
+                    edges,
+                    ..self.clone()
+                })
+                .collect();
+            for sweeps in self.sweeps.shrink() {
+                out.push(DiffCase {
+                    sweeps,
+                    ..self.clone()
+                });
+            }
+            out
+        }
+    }
+
+    /// 1–160 objects (about 10% of size 0) in shuffled groups of 1–6 with
+    /// mostly in-group edges, on 1–11 nodes (about 20% dead), starting all
+    /// on node 0, at random or round-robin.
+    fn diff_case(rng: &mut StdRng) -> DiffCase {
+        let t = rng.random_range(1usize..=160);
+        let n = rng.random_range(1usize..=11);
+        let sizes: Vec<u64> = (0..t)
+            .map(|_| {
+                if rng.random_bool(0.1) {
+                    0
+                } else {
+                    rng.random_range(1u64..=40)
+                }
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..t).collect();
+        order.shuffle(rng);
+        let mut edges = Vec::new();
+        let weight = |rng: &mut StdRng| (rng.random_range(1u32..=997), rng.random_range(1u32..=70));
+        let mut rest = &order[..];
+        while !rest.is_empty() {
+            let (group, tail) = rest.split_at(rng.random_range(1..=6).min(rest.len()));
+            for w in group.windows(2) {
+                if rng.random_bool(0.85) {
+                    let (r, c) = weight(rng);
+                    edges.push((w[0], w[1], r, c));
+                }
+            }
+            if group.len() > 2 && rng.random_bool(0.5) {
+                let (r, c) = weight(rng);
+                edges.push((group[0], group[group.len() - 1], r, c));
+            }
+            rest = tail;
+        }
+        for _ in 0..rng.random_range(0..=t / 8) {
+            let (r, c) = weight(rng);
+            edges.push((rng.random_range(0..t), rng.random_range(0..t), r, c));
+        }
+        let share = |rng: &mut StdRng, total: u64, pct: std::ops::RangeInclusive<u64>| {
+            total * rng.random_range(pct) / (100 * n as u64)
+        };
+        let total: u64 = sizes.iter().sum();
+        let mut capacities: Vec<u64> = (0..n)
+            .map(|_| {
+                if rng.random_bool(0.2) {
+                    0
+                } else {
+                    share(rng, total, 60..=220)
+                }
+            })
+            .collect();
+        if capacities.iter().all(|&c| c == 0) {
+            capacities[rng.random_range(0..n)] = total / n as u64 + 1;
+        }
+        let resource = rng.random_bool(1.0 / 3.0).then(|| {
+            let demands: Vec<u64> = (0..t).map(|_| rng.random_range(0u64..=6)).collect();
+            let total: u64 = demands.iter().sum();
+            let caps = (0..n).map(|_| share(rng, total, 60..=200)).collect();
+            (demands, caps)
+        });
+        let start = match rng.random_range(0..3) {
+            0 => vec![0; t],
+            1 => (0..t).map(|_| rng.random_range(0..n as u32)).collect(),
+            _ => (0..t).map(|i| (i % n) as u32).collect(),
+        };
+        DiffCase {
+            sizes,
+            resource,
+            edges,
+            capacities,
+            start,
+            slack: [1.0, 1.05, 1.25, 1.5][rng.random_range(0..4)],
+            sweeps: rng.random_range(0..=2),
+        }
+    }
+
+    /// The case's problem and demand vectors (storage entries from
+    /// `sizes`, zeros included).
+    fn build(c: &DiffCase) -> (CcaProblem, Vec<Vec<f64>>) {
+        let mut b = CcaProblem::builder();
+        let o: Vec<ObjectId> = (c.sizes.iter().enumerate())
+            .map(|(i, &s)| b.add_object(format!("o{i}"), s.max(1)))
+            .collect();
+        for &(a, d, r, w) in &c.edges {
+            if a != d {
+                b.add_pair(o[a], o[d], f64::from(r) / 997.0, f64::from(w) / 7.0)
+                    .expect("valid pair");
+            }
+        }
+        b.capacities(c.capacities.clone());
+        if let Some((demands, caps)) = &c.resource {
+            b.add_resource(Resource::new("bandwidth", demands.clone(), caps.clone()));
+        }
+        let p = b.build().expect("valid problem");
+        let demands = (p.objects())
+            .map(|i| {
+                let mut v = p.demand_vector(i);
+                v[0] = c.sizes[i.index()] as f64;
+                v
+            })
+            .collect();
+        (p, demands)
+    }
+
+    /// The rewrite (member lists, indexed work arrays, score bound) makes the
+    /// reference's every move: identical outcome and placement, stuck and
+    /// zero-demand cases included.
+    #[test]
+    fn repair_matches_reference_move_for_move() {
+        let (stuck, moved) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("repair_matches_reference_move_for_move")
+            .cases(2000)
+            .run(diff_case, |c| {
+                let (p, demands) = build(c);
+                let start = Placement::new(c.start.clone(), p.num_nodes());
+                let mut expected = start.clone();
+                let want = reference::repair_capacity_with(
+                    &p,
+                    &mut expected,
+                    c.slack,
+                    c.sweeps,
+                    demands.clone(),
+                );
+                let mut got = start.clone();
+                let outcome = Repairer::new(&p, &got, c.slack, demands).run(&mut got, c.sweeps);
+                prop_assert_eq!(outcome, want);
+                prop_assert_eq!(got, expected);
+                if c.sizes.iter().all(|&s| s > 0) {
+                    // The demands are the problem's own: the public entry
+                    // point takes the same path.
+                    let mut public = start;
+                    prop_assert_eq!(
+                        repair_capacity_with(&p, &mut public, c.slack, c.sweeps),
+                        want
+                    );
+                    prop_assert_eq!(public, expected);
+                }
+                stuck.set(stuck.get() + u32::from(!want.feasible));
+                moved.set(moved.get() + u32::from(want.moves > 0));
+                Ok(())
+            });
+        assert!(
+            stuck.get() > 0 && moved.get() > 0,
+            "the generator must reach stuck ({}) and moving ({}) cases",
+            stuck.get(),
+            moved.get()
+        );
+    }
 
     fn clustered() -> CcaProblem {
         let mut b = CcaProblem::builder();

@@ -3,9 +3,12 @@
 #   1. the workspace builds in release mode with the `chaos` fault-
 #      injection feature enabled;
 #   2. the core resilience unit tests and property suite pass;
-#   3. the tier-2 chaos suite passes — every seeded fault plan must yield
+#   3. the capacity-repair unit tests pass, including the differential
+#      property that pins every repair move to the reference
+#      implementation kept in `repair.rs`;
+#   4. the tier-2 chaos suite passes — every seeded fault plan must yield
 #      a complete, audited placement, deterministically per seed;
-#   4. the `cca place` exit-code taxonomy works (0 ok, 2 degraded).
+#   5. the `cca place` exit-code taxonomy works (0 ok, 2 degraded).
 #
 # Run from anywhere inside the repo:
 #   scripts/check_resilience.sh
@@ -22,6 +25,10 @@ echo
 echo "== resilience check: core resilience tests =="
 cargo test -q -p cca-core --features chaos --lib resilience
 cargo test -q -p cca-core --test property resilient
+
+echo
+echo "== resilience check: capacity repair (unit tests + differential oracle) =="
+cargo test -q -p cca-core --lib repair
 
 echo
 echo "== resilience check: tier-2 chaos suite =="

@@ -97,3 +97,42 @@ fn query_log_round_trip_replays_identically() {
         engine.replay(&loaded)
     );
 }
+
+/// Pins `survive_node_loss` on the `small` preset (seed 42): the greedy
+/// placement loses its heaviest node (ties toward the lower id), and the
+/// repaired placement's move count, migrated bytes and assignment digest
+/// must not change when the repair's implementation does.
+#[test]
+fn heaviest_node_loss_repair_is_pinned() {
+    use cca::algo::{greedy_placement, survive_node_loss};
+    use cca::hashing::md5;
+
+    let cases: [(usize, f64, usize, usize, u64, &str); 6] = [
+        (4, 1.0, 2, 520, 158_120, "ad957166e644108a8810a789e2fe57db"),
+        (4, 1.05, 2, 520, 158_120, "ad957166e644108a8810a789e2fe57db"),
+        (6, 1.0, 0, 428, 122_040, "90d1e364e1ee5d73bf9dfa3ed74988dc"),
+        (6, 1.05, 0, 428, 122_040, "90d1e364e1ee5d73bf9dfa3ed74988dc"),
+        (10, 1.0, 0, 235, 83_320, "d919e01121e52bf254f5a4c46a3ae8b2"),
+        (10, 1.05, 0, 238, 88_224, "5a9197f93e6a8a12ff35fbae66149f19"),
+    ];
+    for (nodes, slack, heaviest, moves, bytes, digest) in cases {
+        let p = Pipeline::build(&PipelineConfig::new(TraceConfig::small(), nodes));
+        let placement = greedy_placement(&p.problem);
+        let loads = placement.loads(&p.problem);
+        let dead = (0..nodes)
+            .max_by(|&a, &b| loads[a].cmp(&loads[b]).then(b.cmp(&a)))
+            .unwrap();
+        let (_, repaired, report) = survive_node_loss(&p.problem, &placement, &[dead], slack);
+        let bytes_le: Vec<u8> = repaired
+            .as_slice()
+            .iter()
+            .flat_map(|n| n.to_le_bytes())
+            .collect();
+        let got = md5::Md5::hex(&md5::digest(&bytes_le));
+        assert_eq!(
+            (dead, report.moves, report.migrated_bytes, got.as_str()),
+            (heaviest, moves, bytes, digest),
+            "{nodes} nodes, slack {slack}"
+        );
+    }
+}
