@@ -20,7 +20,7 @@
 //!   final placements.
 //!
 //! No throughput floor is asserted here — the committed numbers are
-//! gated by `scripts/check_controller.sh` instead. Besides the TSV
+//! gated by `scripts/check.sh baseline` instead. Besides the TSV
 //! table it writes `BENCH_controller.json` (override the path with
 //! `CCA_BENCH_OUT`).
 

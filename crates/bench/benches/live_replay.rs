@@ -24,11 +24,11 @@
 //! staged migration repays 122 832 bytes within the run). `BENCH_SEED`'s
 //! drift happens to shift toward pages the greedy placement already
 //! co-locates, leaving the gate nothing worth moving. The same scenario
-//! is driven through the binary by `scripts/check_live.sh` and the
+//! is driven through the binary by `scripts/check.sh cli` and the
 //! EXPERIMENTS.md walkthrough, so every artifact tells one story.
 //!
 //! No throughput floor is asserted here — the committed numbers are
-//! gated by `scripts/check_live.sh` instead. Besides the TSV table it
+//! gated by `scripts/check.sh baseline` instead. Besides the TSV table it
 //! writes `BENCH_live.json` (override the path with `CCA_BENCH_OUT`).
 
 use cca::algo::controller::ControllerConfig;

@@ -27,7 +27,7 @@
 //!
 //! No speedup floor is asserted here — shard-parallel wins need cores
 //! and this bench must also hold on single-core hosts; the committed
-//! throughput numbers are gated by `scripts/check_shard.sh` instead.
+//! throughput numbers are gated by `scripts/check.sh baseline` instead.
 //! Besides the TSV table it writes `BENCH_shard.json` (override the path
 //! with `CCA_BENCH_OUT`).
 

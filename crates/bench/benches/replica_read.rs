@@ -15,7 +15,7 @@
 //!   cluster's.
 //!
 //! No throughput floor is asserted here — the committed numbers are
-//! gated by `scripts/check_replica.sh` instead. Besides the TSV table
+//! gated by `scripts/check.sh baseline` instead. Besides the TSV table
 //! it writes `BENCH_replica.json` (override with `CCA_BENCH_OUT`).
 
 use cca::algo::{

@@ -18,7 +18,7 @@
 //!   byte-identical serving reports.
 //!
 //! No throughput floor is asserted here — the committed numbers are
-//! gated by `scripts/check_serving.sh` instead. Besides the TSV table
+//! gated by `scripts/check.sh baseline` instead. Besides the TSV table
 //! it writes `BENCH_serving.json` (override the path with
 //! `CCA_BENCH_OUT`).
 

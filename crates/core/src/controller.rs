@@ -667,7 +667,9 @@ impl Controller {
     #[must_use]
     pub fn report(&self) -> ControllerReport {
         let est = self.estimated_problem();
-        let final_cost = est.eval_cost(&self.placement, self.config.threads);
+        // `+ 0.0` turns the empty cost fold's `-0.0` (no split edge) into
+        // `0.0` and leaves every other value's bits unchanged.
+        let final_cost = est.eval_cost(&self.placement, self.config.threads) + 0.0;
         let final_feasible = self
             .placement
             .within_all_capacities(&est, self.config.capacity_slack);
@@ -1258,6 +1260,15 @@ mod tests {
         assert!(c.inject_fault(&plan(2)).is_some());
         assert_eq!(c.alive_nodes(), 1);
         assert!(c.inject_fault(&plan(3)).is_none(), "the last node survives");
+    }
+
+    #[test]
+    fn colocated_placement_reports_positive_zero_cost() {
+        let p = base_problem();
+        let c = Controller::new(&p, Placement::new(vec![0; 8], 3), config());
+        let r = c.report();
+        assert_eq!(r.final_cost.to_bits(), 0.0f64.to_bits(), "{r:?}");
+        assert!(r.summary().contains("final: cost 0.00,"), "{}", r.summary());
     }
 
     #[test]

@@ -207,12 +207,12 @@ pub fn exact_placement(
     let graph = problem.graph();
 
     // Branch on objects with the most incident weight first, then larger
-    // size (better pruning). The graph's weighted degree is the same
-    // row-order sum the local adjacency build produced.
+    // size (better pruning). Each row sums in CSR row order, the order the
+    // local adjacency build used.
     let mut order: Vec<ObjectId> = problem.objects().collect();
     let incident: Vec<f64> = problem
         .objects()
-        .map(|o| graph.weighted_degree(o))
+        .map(|o| graph.neighbors(o).map(|(_, w)| w).sum())
         .collect();
     order.sort_unstable_by(|&x, &y| {
         incident[y.index()]

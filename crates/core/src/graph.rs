@@ -83,16 +83,9 @@ pub struct CorrelationGraph {
     offsets: Vec<u32>,
     nbr_ids: Vec<ObjectId>,
     nbr_weights: Vec<f64>,
-    // Σ of row weights, accumulated in row order.
-    weighted_degree: Vec<f64>,
     // Total orders over EdgeId (unique (a, b) tie-break).
     by_correlation: Vec<EdgeId>,
     by_weight: Vec<EdgeId>,
-    // Every edge weight is > 0.0 — lets the batched kernel run its
-    // branchless (vectorizable) inner loop, whose only bit deviation from
-    // the serial fold (`+0.0` where a split-free candidate should read
-    // `-0.0`) is then detectable from the sum alone and fixed up exactly.
-    positive_weights: bool,
 }
 
 /// A batch of k candidate placements laid out structure-of-arrays: one
@@ -285,7 +278,7 @@ pub(crate) fn check_csr_bounds(num_objects: usize, num_pairs: usize) -> Result<(
     Ok(())
 }
 
-/// The positive-weight select-add walk at compile-time width `K`:
+/// The select-subtract walk at compile-time width `K`:
 /// `K` independent accumulator lanes held in a local array (register-
 /// resident for the widths [`CorrelationGraph::cost_batch_over`]
 /// dispatches), unrolled per edge. The lanes continue from, and are
@@ -310,14 +303,14 @@ fn walk_const<const K: usize, T: Copy + PartialEq>(
             split[j] = ra[j] != rb[j];
         }
         for j in 0..K {
-            local[j] += if split[j] { w } else { 0.0 };
+            local[j] -= if split[j] { -w } else { 0.0 };
         }
     }
     acc[..K].copy_from_slice(&local);
 }
 
-/// The positive-weight select-add walk at runtime width `k`, in
-/// bounds-check-free 4-lane tiles plus a remainder loop.
+/// The select-subtract walk at runtime width `k`, in bounds-check-free
+/// 4-lane tiles plus a remainder loop.
 fn walk_dyn<T: Copy + PartialEq>(
     edge_a: &[ObjectId],
     edge_b: &[ObjectId],
@@ -337,12 +330,12 @@ fn walk_dyn<T: Copy + PartialEq>(
             .zip(rb.chunks_exact(4));
         for ((av, xv), yv) in tiles {
             for j in 0..4 {
-                av[j] += if xv[j] != yv[j] { w } else { 0.0 };
+                av[j] -= if xv[j] != yv[j] { -w } else { 0.0 };
             }
         }
         let rest = k - k % 4;
         for ((s, &x), &y) in acc[rest..].iter_mut().zip(&ra[rest..]).zip(&rb[rest..]) {
-            *s += if x != y { w } else { 0.0 };
+            *s -= if x != y { -w } else { 0.0 };
         }
     }
 }
@@ -424,14 +417,6 @@ impl CorrelationGraph {
             nbr_weights[slot] = w;
             cursor[b.index()] += 1;
         }
-        // Weighted degree accumulates in row order (the order the exact
-        // solver's incident-weight sums used).
-        let weighted_degree = (0..num_objects)
-            .map(|i| {
-                let (s, t) = (offsets[i] as usize, offsets[i + 1] as usize);
-                nbr_weights[s..t].iter().sum()
-            })
-            .collect();
         // Descending correlation, ties by (a, b) — greedy §4.1 order.
         let mut by_correlation: Vec<EdgeId> = (0..m as u32).map(EdgeId).collect();
         by_correlation.sort_unstable_by(|&x, &y| {
@@ -450,7 +435,6 @@ impl CorrelationGraph {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then((edge_a[x.index()], edge_b[x.index()]).cmp(&(edge_a[y.index()], edge_b[y.index()])))
         });
-        let positive_weights = edge_weight.iter().all(|&w| w > 0.0);
         Ok(CorrelationGraph {
             num_objects,
             edge_a,
@@ -459,10 +443,8 @@ impl CorrelationGraph {
             offsets,
             nbr_ids,
             nbr_weights,
-            weighted_degree,
             by_correlation,
             by_weight,
-            positive_weights,
         })
     }
 
@@ -478,7 +460,6 @@ impl CorrelationGraph {
             + self.offsets.len() * size_of::<u32>()
             + self.nbr_ids.len() * size_of::<ObjectId>()
             + self.nbr_weights.len() * size_of::<f64>()
-            + self.weighted_degree.len() * size_of::<f64>()
             + self.by_correlation.len() * size_of::<EdgeId>()
             + self.by_weight.len() * size_of::<EdgeId>()
     }
@@ -503,16 +484,6 @@ impl CorrelationGraph {
     #[must_use]
     pub fn degree(&self, i: ObjectId) -> usize {
         (self.offsets[i.index() + 1] - self.offsets[i.index()]) as usize
-    }
-
-    /// Sum of the edge weights incident to `i`, accumulated in row order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn weighted_degree(&self, i: ObjectId) -> f64 {
-        self.weighted_degree[i.index()]
     }
 
     /// The edge with id `e`.
@@ -685,15 +656,11 @@ impl CorrelationGraph {
     /// each candidate's accumulator starts at `-0.0` and runs through
     /// every range in turn.
     ///
-    /// With strictly positive edge weights the inner loop is branchless
-    /// (`+= w` or `+= 0.0` by select), which lets the compiler vectorise
-    /// across candidates. Adding `+0.0` for non-split edges perturbs a
-    /// serial fold's bits in exactly one place — a candidate that never
-    /// splits reads `+0.0` instead of the fold identity `-0.0` — and with
-    /// `w > 0` everywhere "never split" is equivalent to "sum is ±0", so
-    /// one fix-up after the last range restores `-0.0` exactly. Graphs
-    /// carrying zero-weight edges take the branchy scalar loop instead,
-    /// which reproduces the serial fold sequence verbatim.
+    /// The inner loop is branchless (`-= -w` or `-= 0.0` by select), which
+    /// lets the compiler vectorise across candidates, and exact for every
+    /// weight: `x - (-w)` is `x + w`, and `x - 0.0` is `x` for every `x`,
+    /// `-0.0` included, so each accumulator takes the serial fold's values
+    /// edge by edge.
     pub(crate) fn cost_batch_over(
         &self,
         ranges: &[Range<EdgeId>],
@@ -724,37 +691,18 @@ impl CorrelationGraph {
     ) {
         for range in ranges {
             let (ea, eb, ew) = self.columns(range);
-            if self.positive_weights {
-                // Monomorphise the hot widths: a compile-time K fully
-                // unrolls the lane loop, keeps the K accumulators in
-                // registers, and elides every per-lane bounds check.
-                // Other widths take the dynamic-width loop, whose
-                // per-edge overhead amortises as k grows.
-                match k {
-                    1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
-                    2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
-                    4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
-                    8 => walk_const::<8, T>(ea, eb, ew, rows, acc),
-                    16 => walk_const::<16, T>(ea, eb, ew, rows, acc),
-                    _ => walk_dyn(ea, eb, ew, rows, k, acc),
-                }
-            } else {
-                for ((&a, &b), &w) in ea.iter().zip(eb).zip(ew) {
-                    let ra = &rows[a.index() * k..][..k];
-                    let rb = &rows[b.index() * k..][..k];
-                    for ((s, &x), &y) in acc.iter_mut().zip(ra).zip(rb) {
-                        if x != y {
-                            *s += w;
-                        }
-                    }
-                }
-            }
-        }
-        if self.positive_weights {
-            for s in acc.iter_mut() {
-                if *s == 0.0 {
-                    *s = -0.0;
-                }
+            // Monomorphise the hot widths: a compile-time K fully unrolls
+            // the lane loop, keeps the K accumulators in registers, and
+            // elides every per-lane bounds check. Other widths take the
+            // dynamic-width loop, whose per-edge overhead amortises as k
+            // grows.
+            match k {
+                1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
+                2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
+                4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
+                8 => walk_const::<8, T>(ea, eb, ew, rows, acc),
+                16 => walk_const::<16, T>(ea, eb, ew, rows, acc),
+                _ => walk_dyn(ea, eb, ew, rows, k, acc),
             }
         }
     }
@@ -1067,7 +1015,6 @@ mod tests {
         assert_eq!(row, vec![(ObjectId(1), 9.0), (ObjectId(2), 1.0)]);
         assert_eq!(g.degree(ObjectId(0)), 2);
         assert_eq!(g.degree(ObjectId(3)), 1);
-        assert_eq!(g.weighted_degree(ObjectId(0)), 10.0);
         // Builder sorts pairs by (a, b): (0,1), (0,2), (2,3).
         let row: Vec<_> = g.neighbors(ObjectId(2)).collect();
         assert_eq!(row, vec![(ObjectId(0), 1.0), (ObjectId(3), 5.0)]);
@@ -1263,7 +1210,6 @@ mod tests {
         let g = CorrelationGraph::build(3, &[]);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.degree(ObjectId(2)), 0);
-        assert_eq!(g.weighted_degree(ObjectId(0)), 0.0);
         let pl = Placement::new(vec![0, 1, 0], 2);
         assert_eq!(g.cost(&pl), 0.0);
     }

@@ -369,31 +369,6 @@ impl CcaProblem {
         &self.resources
     }
 
-    /// Returns `true` if object `i` (or a whole group with the given
-    /// aggregate demands) fits on node `k` given `current` loads, across
-    /// storage and every secondary resource. `current[0]` is the storage
-    /// load and `current[1 + r]` the load of resource `r`; `extra` is laid
-    /// out the same way. Both slices must have length
-    /// `1 + resources().len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slice lengths or `k` are out of range.
-    #[must_use]
-    pub fn fits_on_node(&self, k: usize, current: &[f64], extra: &[f64], slack: f64) -> bool {
-        assert_eq!(current.len(), 1 + self.resources.len());
-        assert_eq!(extra.len(), 1 + self.resources.len());
-        if current[0] + extra[0] > self.capacities[k] as f64 * slack {
-            return false;
-        }
-        for (r, res) in self.resources.iter().enumerate() {
-            if current[1 + r] + extra[1 + r] > res.capacity(k) as f64 * slack {
-                return false;
-            }
-        }
-        true
-    }
-
     /// The demand vector of object `i` across storage (entry 0) and every
     /// secondary resource.
     #[must_use]

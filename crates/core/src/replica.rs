@@ -229,17 +229,6 @@ impl DomainTree {
     pub fn is_flat(&self) -> bool {
         self.members.iter().all(|m| m.len() == 1)
     }
-
-    /// Sum of `loads` over the nodes of leaf domain `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range or `loads` is shorter than a member
-    /// node index.
-    #[must_use]
-    pub fn domain_load(&self, d: usize, loads: &[u64]) -> u64 {
-        self.members[d].iter().map(|&n| loads[n]).sum()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,13 +314,6 @@ impl ReplicaPlacement {
     #[must_use]
     pub fn columns(&self) -> &[Placement] {
         &self.columns
-    }
-
-    /// Unwraps the primary column, discarding extra copies.
-    #[must_use]
-    pub fn into_primary(mut self) -> Placement {
-        self.columns.truncate(1);
-        self.columns.pop().expect("replica placement is non-empty")
     }
 
     /// Node of replica `j` of object `i`.

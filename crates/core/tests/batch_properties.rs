@@ -375,7 +375,7 @@ fn interleave_width_switch_is_exact_at_the_boundary() {
             );
         }
         // The all-on-top column never splits an edge: the fold identity
-        // must survive the width switch (and the branchless fix-up).
+        // must survive the width switch.
         assert_eq!(costs[3].to_bits(), (-0.0f64).to_bits());
         // Adjacent top ids must not collapse: column 0 splits every edge.
         let every_edge: f64 = pairs.iter().map(|p| p.weight()).sum();
@@ -407,4 +407,74 @@ fn degenerate_batches_keep_fold_identities() {
             }
             Ok(())
         });
+}
+
+/// Zero-weight edges: a builder pair whose `r·w` underflows to `0.0` and a
+/// directly built zero-correlation [`Pair`]. Splitting only such edges
+/// moves a column from the `-0.0` identity to `+0.0` (`-0.0 + 0.0`), so
+/// at every width 1–17 (each monomorphised width and the dynamic tiles
+/// with their remainders) the batch must still carry each column's
+/// serial bits: split-nothing columns `-0.0`, zero-weight-only splits
+/// `+0.0`, and mixes the plain sum.
+#[test]
+fn zero_weight_edges_keep_serial_bits_at_every_width() {
+    let mut b = CcaProblem::builder();
+    let objs: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 1)).collect();
+    b.add_pair(objs[0], objs[1], 1e-200, 1e-200).expect("valid pair");
+    b.add_pair(objs[1], objs[2], 0.375, 1.0).expect("valid pair");
+    b.add_pair(objs[2], objs[3], 1e-300, 1e-100).expect("valid pair");
+    b.add_pair(objs[3], objs[4], 0.5, 4.0).expect("valid pair");
+    b.add_pair(objs[4], objs[5], 1e-250, 1e-150).expect("valid pair");
+    let built = b.uniform_capacities(3, 6).build().expect("valid problem");
+    let zero_edges = built.graph().edges().filter(|e| e.weight == 0.0).count();
+    assert_eq!(zero_edges, 3, "the r·w products must underflow to 0.0");
+
+    let direct_pairs: Vec<Pair> = [
+        (0, 1, 0.0),
+        (1, 2, 0.375),
+        (2, 3, 0.0),
+        (3, 4, 0.5),
+        (4, 5, 0.0),
+    ]
+    .into_iter()
+    .map(|(a, b, correlation)| Pair {
+        a: ObjectId(a),
+        b: ObjectId(b),
+        correlation,
+        comm_cost: 4.0,
+    })
+    .collect();
+    let direct = CorrelationGraph::build(6, &direct_pairs);
+
+    // Splits nothing; splits only the zero-weight edges; mixes.
+    let fixed: [[u32; 6]; 4] = [
+        [0, 0, 0, 0, 0, 0],
+        [0, 1, 1, 2, 2, 0],
+        [0, 1, 2, 2, 2, 2],
+        [1, 0, 1, 0, 1, 0],
+    ];
+    let mut rng = StdRng::seed_from_u64(17);
+    let pool: Vec<Placement> = fixed
+        .iter()
+        .map(|c| c.to_vec())
+        .chain((0..13).map(|_| (0..6).map(|_| rng.random_range(0u32..3)).collect()))
+        .map(|c| Placement::new(c, 3))
+        .collect();
+    for graph in [built.graph(), &direct] {
+        assert_eq!(graph.cost(&pool[0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(graph.cost(&pool[1]).to_bits(), 0.0f64.to_bits());
+        for width in 1..=17 {
+            let pls = &pool[..width];
+            let costs = graph.cost_batch(&PlacementBatch::from_placements(pls));
+            for (i, pl) in pls.iter().enumerate() {
+                assert_eq!(
+                    costs[i].to_bits(),
+                    graph.cost(pl).to_bits(),
+                    "width {width}, column {i}: batch {} != serial {}",
+                    costs[i],
+                    graph.cost(pl)
+                );
+            }
+        }
+    }
 }

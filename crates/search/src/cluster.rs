@@ -170,18 +170,6 @@ impl Cluster {
         self.replica_nodes(w).any(|n| n == node)
     }
 
-    /// Cheapest source for shipping `w`'s posting to `to`: `to` itself
-    /// when a replica lives there (zero bytes on the wire), otherwise
-    /// the first (lowest-index, i.e. primary-first) placed replica — the
-    /// documented source tie-break. `None` if `w` is unplaced.
-    #[must_use]
-    pub fn cheapest_source(&self, w: WordId, to: usize) -> Option<usize> {
-        if self.hosts(w, to) {
-            return Some(to);
-        }
-        self.replica_nodes(w).next()
-    }
-
     /// Bytes stored on `node`.
     ///
     /// # Panics

@@ -179,37 +179,6 @@ impl PairStats {
         all.into_iter().map(|(p, c)| (p, c as f64 / n)).collect()
     }
 
-    /// The paper's §4.2 keyword importance ranking: rank pairs by their
-    /// communication cost `r(i,j)·w(i,j)` (via `pair_cost`), then take
-    /// keywords in order of first appearance in that pair ranking. Keywords
-    /// involved in no pair are *not* included (the paper ranks them last;
-    /// append them in whatever secondary order the caller prefers).
-    #[must_use]
-    pub fn importance_ranking(&self, pair_cost: impl Fn(PairKey, f64) -> f64) -> Vec<WordId> {
-        let n = self.num_queries.max(1) as f64;
-        let mut pairs: Vec<(PairKey, f64)> = self
-            .counts
-            .iter()
-            .map(|(&p, &c)| (p, pair_cost(p, c as f64 / n)))
-            .collect();
-        pairs.sort_unstable_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let mut seen = std::collections::HashSet::new();
-        let mut ranking = Vec::new();
-        for (PairKey(a, b), _) in pairs {
-            if seen.insert(a) {
-                ranking.push(a);
-            }
-            if seen.insert(b) {
-                ranking.push(b);
-            }
-        }
-        ranking
-    }
-
     /// Fig 2B stability metric: among this log's `top_k` most correlated
     /// pairs, the fraction whose correlation in `other` is more than twice
     /// or less than half its correlation here. Pairs absent from `other`
@@ -424,19 +393,6 @@ mod tests {
         // (3,4) r=0.25 -> 0.25 (unchanged); (5,6) r=0.25 -> 0 (changed).
         let frac = s_jan.fraction_changed_beyond_2x(&s_feb, 3);
         assert!((frac - 1.0 / 3.0).abs() < 1e-12, "frac {frac}");
-    }
-
-    #[test]
-    fn importance_ranking_orders_by_pair_cost() {
-        let log = log_from(&[&[1, 2], &[1, 2], &[3, 4]]);
-        let s = PairStats::from_log(&log);
-        // Uniform w: pair (1,2) dominates.
-        let ranking = s.importance_ranking(|_, r| r);
-        assert_eq!(&ranking[..2], &[w(1), w(2)]);
-        assert_eq!(ranking.len(), 4);
-        // Weight w so pair (3,4) dominates instead.
-        let ranking2 = s.importance_ranking(|p, r| if p.0 == w(3) { r * 100.0 } else { r });
-        assert_eq!(&ranking2[..2], &[w(3), w(4)]);
     }
 
     #[test]

@@ -138,21 +138,6 @@ fn dominance_curves_monotone() {
         });
 }
 
-/// The importance ranking contains each paired keyword exactly once.
-#[test]
-fn importance_ranking_is_a_set() {
-    Checker::new("importance_ranking_is_a_set")
-        .cases(120)
-        .regressions(REGRESSIONS)
-        .run(arbitrary_queries, |raw| {
-            let stats = PairStats::from_log(&log_of(raw));
-            let ranking = stats.importance_ranking(|_, r| r);
-            let set: std::collections::HashSet<_> = ranking.iter().collect();
-            prop_assert_eq!(set.len(), ranking.len());
-            Ok(())
-        });
-}
-
 /// Generator-level invariants on a real (tiny) workload.
 #[test]
 fn generated_workload_invariants() {

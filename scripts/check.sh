@@ -1,0 +1,344 @@
+#!/usr/bin/env bash
+# The one check driver: every gate behind the evidence for the paper's
+# claims, grouped by kind of gate.
+#
+#   scripts/check.sh            run every step, in the order below
+#   scripts/check.sh STEP...    run only the named steps
+#
+#   hermetic  `cargo tree` holds only workspace-local crates; offline
+#             release build of every target, then with `--features chaos`
+#   clippy    `-D warnings` over every crate and target of the workspace
+#   test      the full test suite, then again with `--features chaos`
+#             (adds the tier-2 chaos suite): unit tests, the Lemma 1/2 and
+#             Theorem 2/3 batteries, golden and replay pins, property
+#             suites, threads x shards x inflight byte identity, CLI
+#             taxonomies
+#   cli       release-binary contracts: `place` exit codes and thread
+#             identity, a `run` chaos soak, a `serve` load run, the `live`
+#             regime-shift replay, replica identity and spread
+#   bench     quick-mode smokes of the gated benches (each asserts its own
+#             contract and must write JSON); the 8-thread speed-up gate
+#             arms only on hosts with 8 or more cores
+#   baseline  the committed BENCH_*.json files: full (non-quick) runs with
+#             their invariants recorded true and throughput above floors
+#
+# A step stops at its first failing command. The driver still runs the
+# remaining steps, prints one verdict line per step, and exits non-zero
+# if any step failed. Cargo runs offline: the build must be hermetic.
+set -uo pipefail
+
+cd "$(dirname "$0")/.."
+export CARGO_NET_OFFLINE=true
+
+steps=(hermetic clippy test cli bench baseline)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+fail() {
+  echo "ERROR: $*" >&2
+  exit 1
+}
+
+# -- file gates ----------------------------------------------------------
+
+# has FILE LITERAL...: FILE is non-empty and contains every literal.
+has() {
+  local file=$1 lit
+  shift
+  [ -s "$file" ] || fail "$file is missing or empty"
+  for lit in "$@"; do
+    grep -qF -- "$lit" "$file" || fail "$file lacks $lit"
+  done
+}
+
+# lacks FILE LITERAL...: FILE is non-empty and contains none of them.
+lacks() {
+  local file=$1 lit
+  shift
+  [ -s "$file" ] || fail "$file is missing or empty"
+  for lit in "$@"; do
+    if grep -qF -- "$lit" "$file"; then fail "$file records $lit"; fi
+  done
+}
+
+# The awk parser every numeric gate shares: num(KEY) is the number after
+# `"KEY": ` on the current line, 0 when the key is absent.
+num='function num(k,  i) {
+  i = index($0, "\"" k "\": ")
+  return i ? substr($0, i + length(k) + 4) + 0 : 0
+}'
+
+# values FILE KEY [ROW]: the KEY number of every line of FILE that holds
+# the key and matches the regex ROW (default: any line), one per line, at
+# full precision so a floor compares the recorded value exactly.
+values() {
+  awk -v k="$2" -v row="${3:-}" "$num"'
+    $0 ~ row && index($0, "\"" k "\": ") { printf "%.17g\n", num(k) }' "$1"
+}
+
+# floor FILE KEY MIN [ROW]: FILE holds KEY (on ROW lines), and every such
+# value is at least MIN.
+floor() {
+  local got low
+  got=$(values "$1" "$2" "${4:-}")
+  [ -n "$got" ] || fail "$1 has no $2${4:+ on $4 rows}"
+  low=$(awk -v min="$3" '$1 < min' <<<"$got")
+  [ -z "$low" ] || fail "$1: $2${4:+ on $4 rows} below the floor $3:" "$low"
+}
+
+# -- report gates (files under $tmp) -------------------------------------
+
+# The release binary the `cli` step builds and drives.
+cca=./target/release/cca
+
+# same FILE...: every file is byte-identical to the first.
+same() {
+  local ref=$1 f
+  shift
+  for f in "$@"; do
+    cmp -s "$tmp/$ref" "$tmp/$f" || { diff "$tmp/$ref" "$tmp/$f" >&2; return 1; }
+  done
+}
+
+# twins NAME FLAGS_A FLAGS_B ARGS...: runs `cca ARGS FLAGS_A` and
+# `cca ARGS FLAGS_B` into $tmp/NAME.a and NAME.b. Both must exit 0 or 2,
+# with the same code, and print byte-identical reports.
+twins() {
+  local name=$1 flags_a=$2 flags_b=$3 code_a=0 code_b=0 code
+  shift 3
+  # shellcheck disable=SC2086 # the flag sets split into words on purpose
+  "$cca" "$@" $flags_a >"$tmp/$name.a" || code_a=$?
+  # shellcheck disable=SC2086
+  "$cca" "$@" $flags_b >"$tmp/$name.b" || code_b=$?
+  for code in "$code_a" "$code_b"; do
+    [ "$code" -eq 0 ] || [ "$code" -eq 2 ] || fail "$name exited $code (want 0 or 2)"
+  done
+  [ "$code_a" -eq "$code_b" ] ||
+    fail "$name exit code changed with thread/shard count ($code_a vs $code_b)"
+  same "$name.a" "$name.b" || fail "$name report differs across thread/shard/inflight counts"
+  echo "OK: $name exited $code_a, byte-identical across configs."
+}
+
+# line FILE TEXT MESSAGE: FILE has a line that is exactly TEXT.
+line() {
+  grep -qxF -- "$2" "$tmp/$1" || fail "$3"
+}
+
+# partition FILE: a serving or live report's served, degraded and shed_*
+# counters sum to its offered queries.
+partition() {
+  awk -F'\t' '
+    $1 == "queries" { queries = $2 }
+    $1 == "served" || $1 == "degraded" || /^shed_/ { answered += $2 }
+    END { exit (queries > 0 && answered == queries) ? 0 : 1 }
+  ' "$tmp/$1" || fail "$1: counters do not partition the offered stream"
+}
+
+# -- steps ---------------------------------------------------------------
+
+step_hermetic() {
+  local tree bad
+  tree=$(cargo tree --workspace --edges normal,build,dev --prefix none 2>&1)
+  echo "$tree"
+  # Every line must be the root package `cca` or a `cca-*` crate, each
+  # with a local `(/...)` path source and no registry hash.
+  bad=$(printf '%s\n' "$tree" | sed 's/ (\*)$//' |
+    grep -v -E '^(cca|cca-[a-z]+) v[0-9][^ ]* \(/' || true)
+  [ -z "$bad" ] || fail "non-workspace dependencies found:" "$bad"
+  echo "OK: only workspace-local crates in the tree."
+  cargo build --release --workspace --all-targets
+  cargo build --release --features chaos
+}
+
+step_clippy() {
+  cargo clippy -q --workspace --all-targets -- -D warnings
+}
+
+step_test() {
+  cargo test -q
+  cargo test -q --features chaos
+}
+
+step_cli() {
+  local ok=0 degraded=0 t flags n=0
+  cargo build -q --release --bin cca
+
+  # place: exit codes 0 (ok) and 2 (degraded); reports identical across
+  # --threads 1/2/8.
+  "$cca" place --preset tiny --nodes 3 --deadline-ms 60000 >/dev/null 2>&1 || ok=$?
+  "$cca" place --preset tiny --nodes 3 --deadline-ms 0 >/dev/null 2>&1 || degraded=$?
+  [ "$ok" -eq 0 ] || fail "generous deadline should exit 0, got $ok"
+  [ "$degraded" -eq 2 ] || fail "zero deadline should exit 2 (degraded), got $degraded"
+  for t in 1 2 8; do
+    "$cca" place --preset tiny --nodes 3 --scope 40 --strategy lprr --seed 11 \
+      --threads "$t" >"$tmp/place.$t" 2>/dev/null
+  done
+  same place.1 place.2 place.8 || fail "cca place diverged across --threads 1/2/8"
+
+  # run: a chaos soak survives two node losses, never a panic.
+  twins soak "--threads 2" "--threads 8 --shards 7" \
+    run --preset small --epochs 2000 --seed 42 --drop-nodes 2
+  line soak.a $'node_losses\t2' "chaos soak did not record both node losses"
+  line soak.a $'unrecovered_losses\t0' "chaos soak left a node loss unrepaired"
+  line soak.a $'final_feasible\ttrue' "chaos soak ended infeasible"
+
+  # serve: a load run under a 1 ms budget sheds deterministically.
+  twins serve "--threads 2" "--threads 8 --shards 7 --inflight 1" \
+    serve --preset small --seed 42 --queries 10000 --deadline-ms 1
+  line serve.a $'shed_deadline\t0' "the wall-clock backstop tripped on a healthy run"
+  partition serve.a
+
+  # live: the pinned regime-shift replay migrates under its per-epoch
+  # budget and improves shipped bytes per query.
+  local live=(live --preset small --nodes 6 --seed 2 --epochs 100
+    --queries-per-epoch 256 --drift-sigma 0.25 --drift-epochs 0
+    --warm-drift 24 --migration-budget 16384)
+  "$cca" "${live[@]}" --threads 1 --inflight 1 >"$tmp/live.1"
+  "$cca" "${live[@]}" --threads 8 --shards 7 --inflight 64 >"$tmp/live.2"
+  "$cca" "${live[@]}" --threads 2 --shards 2 --inflight 1 >"$tmp/live.3"
+  same live.1 live.2 live.3 || fail "live report differs across thread/shard/inflight counts"
+  partition live.1
+  awk -F'\t' '{ v[$1] = $2 + 0 }
+    END {
+      if (v["migrations"] < 1 || v["migrated_bytes"] == 0)
+        err = "the regime shift never triggered a migration"
+      else if (v["max_epoch_migrated_bytes"] > v["migration_budget"])
+        err = sprintf("an epoch shipped %d bytes over the %d budget",
+          v["max_epoch_migrated_bytes"], v["migration_budget"])
+      else if (v["pre_queries"] == 0 || v["post_queries"] == 0)
+        err = "a replay window executed no queries"
+      else {
+        pre = v["pre_executed_bytes"] / v["pre_queries"]
+        post = v["post_executed_bytes"] / v["post_queries"]
+        if (post >= pre)
+          err = sprintf("bytes/query did not improve (%.1f pre -> %.1f post)", pre, post)
+      }
+      if (err != "") { print "ERROR: " err > "/dev/stderr"; exit 1 }
+      printf "OK: replay improved %.1f -> %.1f bytes/query, %d bytes paced under the %d budget.\n",
+        pre, post, v["migrated_bytes"], v["migration_budget"]
+    }' "$tmp/live.1"
+
+  # Replicas: r=1 on a flat tree is the default's bytes; r=2 keeps the
+  # spread; r=2 reports agree across threads x shards (wall-clock masked).
+  local r1=(place --preset tiny --nodes 4 --scope 40 --strategy greedy --seed 7)
+  "$cca" "${r1[@]}" >"$tmp/r1"
+  "$cca" "${r1[@]}" --replicas 1 --domains flat >"$tmp/r1.flat"
+  same r1 r1.flat || fail "--replicas 1 --domains flat changed the place output"
+  "$cca" place --preset tiny --nodes 6 --scope 40 --strategy greedy --seed 7 \
+    --replicas 2 --domains 3 >"$tmp/spread"
+  has "$tmp/spread" 'replicated x2' 'spread valid: true'
+  for flags in "--threads 1" "--threads 2 --shards 3" "--threads 8 --shards 7"; do
+    n=$((n + 1))
+    # shellcheck disable=SC2086 # word-split the flag list on purpose
+    "$cca" place --preset small --nodes 8 --scope 100 --strategy greedy --seed 7 \
+      --replicas 2 --domains 4 $flags | sed -E 's/[0-9]+ ms/X ms/g' >"$tmp/r2.$n"
+  done
+  same r2.1 r2.2 r2.3 || fail "r=2 place differs across threads x shards"
+}
+
+step_bench() {
+  local b cores slow
+  for b in placement_graph placement_batch placement_parallel placement_shard \
+    controller_soak serving_load live_replay replica_read; do
+    echo "-- $b (quick)"
+    CCA_BENCH_QUICK=1 CCA_BENCH_OUT="$tmp/$b.json" cargo bench -q -p cca-bench --bench "$b"
+    [ -s "$tmp/$b.json" ] || fail "$b smoke wrote no JSON"
+  done
+  lacks "$tmp/placement_parallel.json" '"identical_to_serial": false'
+  cores=$(nproc 2>/dev/null || echo 1)
+  if [ "$cores" -lt 8 ]; then
+    echo "SKIP: speed-up gate: $cores core(s) bound the speed-up at ~1.0;" \
+      "thread identity is the binding contract here."
+    return
+  fi
+  # On a real multicore host, 8 rounding workers must beat serial.
+  slow=$(values "$tmp/placement_parallel.json" speedup_vs_serial '"threads": 8,' |
+    awk '$1 <= 1.0')
+  [ -z "$slow" ] || fail "host has $cores cores but 8 rounding threads are not faster than serial"
+}
+
+step_baseline() {
+  # Each file: a full (non-quick) run on its named instance, with every
+  # invariant it records true.
+  has BENCH_graph.json '"bench": "placement_graph"' '"name": "zipf-10k"' '"quick": false'
+  has BENCH_batch.json '"bench": "placement_batch"' '"name": "zipf-10k"' \
+    '"batch_speedup_floor": 2' '"quick": false'
+  lacks BENCH_parallel.json '"identical_to_serial": false'
+  has BENCH_shard.json '"bench": "placement_shard"' '"name": "zipf-1m"' '"objects": 1000000' \
+    '"edges": 10000000' '"quick": false' '"fragmented_sharded": [' \
+    '"wide_interleave": {"num_nodes": 16777217, "bits_match": true}'
+  lacks BENCH_shard.json '"bits_match": false'
+  has BENCH_controller.json '"bench": "controller_soak"' '"epochs": 10000' '"quick": false' \
+    '"invariant_ok": true' '"repair_converged": true' '"reports_identical": true' \
+    '"final_feasible": true'
+  has BENCH_serving.json '"bench": "serving_load"' '"queries": 10000' '"quick": false' \
+    '"invariant_ok": true' '"reports_identical": true' '"shed_deadline": 0'
+  has BENCH_live.json '"bench": "live_replay"' '"epochs": 100' '"quick": false' \
+    '"counters_consistent": true' '"within_budget": true' '"improved": true' \
+    '"reports_identical": true'
+  has BENCH_replica.json '"bench": "replica_read"' '"queries": 10000' '"quick": false' \
+    '"r1_report_identical_to_single_copy": true'
+  lacks BENCH_replica.json '"spread_valid": false' '"counters_ok": false'
+
+  # Throughput floors, 5-7% of the recording host's figures, so they trip
+  # on a real regression (a quadratic loop, a per-query rescan, a solve
+  # every epoch), not on host-to-host noise. At 10^7 edges every shard
+  # partition build must clear 1 Medge/s and every sharded eval 50, on
+  # sorted and fragmented partitions alike; the flat sort-based CSR build
+  # must clear 0.2.
+  floor BENCH_controller.json epochs_per_s 500
+  floor BENCH_serving.json queries_per_s 5000
+  floor BENCH_live.json queries_per_s 5000
+  floor BENCH_replica.json queries_per_s 5000
+  floor BENCH_shard.json build_medges_per_s 1 '"shards":'
+  floor BENCH_shard.json eval_medges_per_s 50 '"shards":'
+  floor BENCH_shard.json build_medges_per_s 0.2 '"flat":'
+
+  # Builder-order pairs give each shard one EdgeId range; draw-order pairs
+  # must really fragment, or those rows measure nothing new.
+  awk "$num"'
+    /"sharded": \[/ { sec = "sorted" }
+    /"fragmented_sharded": \[/ { sec = "fragmented" }
+    /"shards":/ {
+      s = num("shards"); r = num("ranges")
+      if ((sec == "sorted" && r > s) || (sec == "fragmented" && r <= s)) bad = 1
+    }
+    END { exit bad }' BENCH_shard.json ||
+    fail "BENCH_shard.json range counts: sorted rows need <= 1 range per shard," \
+      "draw-order rows more than 1"
+}
+
+# -- driver --------------------------------------------------------------
+
+[ $# -gt 0 ] || set -- "${steps[@]}"
+for s in "$@"; do
+  declare -F "step_$s" >/dev/null || {
+    echo "unknown step '$s' (steps: ${steps[*]})" >&2
+    exit 2
+  }
+done
+
+declare -A verdict
+failed=0
+for s in "$@"; do
+  echo
+  echo "==================== $s ===================="
+  (
+    set -eE
+    trap 'echo "ERROR: failed: $BASH_COMMAND" >&2' ERR
+    "step_$s"
+  )
+  if [ $? -eq 0 ]; then
+    verdict[$s]=OK
+  else
+    verdict[$s]=FAILED
+    failed=1
+  fi
+done
+
+echo
+echo "==================== summary ===================="
+for s in "$@"; do
+  printf '%-10s %s\n' "$s" "${verdict[$s]}"
+done
+exit "$failed"

@@ -246,7 +246,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.scope = if v == "full" {
                     None
                 } else {
-                    Some(v.parse().map_err(|e| format!("--scope: {e}"))?)
+                    Some(parse_count(flag, &v, u64::MAX)? as usize)
                 };
             }
             "--strategy" => args.strategy = value()?,

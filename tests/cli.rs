@@ -664,7 +664,9 @@ fn count_options_reject_zero_uniformly() {
         ("run", "--shards"),
         ("run", "--drop-nodes"),
         ("place", "--nodes"),
+        ("place", "--scope"),
         ("probe", "--candidates"),
+        ("probe", "--scope"),
         ("serve", "--queries"),
         ("serve", "--inflight"),
     ] {
