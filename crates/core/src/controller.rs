@@ -122,11 +122,10 @@ pub struct ControllerConfig {
     /// contract, DESIGN.md §14). `None` (the default) keeps the
     /// immediate bulk apply.
     pub migration_budget_per_epoch: Option<u64>,
-    /// When set, the robustness gate probes the loss of the
-    /// heaviest-loaded surviving **leaf domain** of this tree instead of
-    /// the heaviest single node (DESIGN.md §15). A flat tree — every
-    /// node its own domain — selects the same probe node as `None`, so
-    /// the default behaviour is unchanged.
+    /// The robustness gate probes the loss of the heaviest-loaded
+    /// surviving **leaf domain** of this tree (DESIGN.md §15). `None` is
+    /// the flat tree — every node its own domain — which probes the
+    /// heaviest single node.
     pub domains: Option<DomainTree>,
 }
 
@@ -422,7 +421,7 @@ impl Controller {
     /// or the configuration is degenerate (`ewma_alpha` outside `(0, 1]`,
     /// zero `evaluate_every`/`scope_count`/`scope_top`, slack below 1).
     #[must_use]
-    pub fn new(problem: &CcaProblem, placement: Placement, config: ControllerConfig) -> Self {
+    pub fn new(problem: &CcaProblem, placement: Placement, mut config: ControllerConfig) -> Self {
         assert_eq!(placement.num_objects(), problem.num_objects());
         assert_eq!(placement.num_nodes(), problem.num_nodes());
         assert!(
@@ -433,6 +432,7 @@ impl Controller {
         assert!(config.scope_count >= 1, "scope_count must be >= 1");
         assert!(config.scope_top >= 1, "scope_top must be >= 1");
         assert!(config.capacity_slack >= 1.0, "capacity_slack must be >= 1");
+        config.domains.get_or_insert_with(|| DomainTree::flat(problem.num_nodes()));
 
         let n = problem.num_objects();
         let scope_count = config.scope_count.min(n.max(1));
@@ -926,63 +926,47 @@ impl Controller {
     }
 
     /// The robustness gate: the candidate must fit the surviving
-    /// capacities outright, and — when at least two nodes (or, with a
-    /// [`ControllerConfig::domains`] tree, two alive leaf domains)
-    /// survive — a [`survive_node_loss`] probe dropping the
-    /// heaviest-loaded surviving node (or every alive node of the
-    /// heaviest-loaded surviving domain) must repair back to feasibility
-    /// under the configured slack. A flat tree selects exactly the
-    /// single-node probe, so `domains: None` and `domains: Some(flat)`
-    /// gate identically.
+    /// capacities outright, and — when at least two leaf domains of the
+    /// [`ControllerConfig::domains`] tree (with the flat default, two
+    /// nodes) have an alive node — a [`survive_node_loss`] probe dropping
+    /// every alive node of the heaviest-loaded surviving domain must
+    /// repair back to feasibility under the configured slack.
     fn candidate_is_robust(&self, est: &CcaProblem, candidate: &Placement) -> bool {
         if !candidate.within_all_capacities(est, self.config.capacity_slack) {
             return false;
         }
+        let tree = (self.config.domains.as_ref()).expect("Controller::new resolves the tree");
         let loads = candidate.loads(est);
-        let probe_nodes: Vec<usize> = match &self.config.domains {
-            None => {
-                let probe = (0..loads.len())
-                    .filter(|&k| !self.dead[k])
-                    .max_by(|&a, &b| loads[a].cmp(&loads[b]).then(b.cmp(&a)));
-                let Some(probe) = probe else { return false };
-                if self.dead.iter().filter(|&&d| !d).count() <= 1 {
-                    return true; // no second node to lose
-                }
-                vec![probe]
-            }
-            Some(tree) => {
-                // Heaviest-loaded surviving domain, summing alive
-                // members; ties toward the smaller domain id (matches
-                // the single-node rule under the flat tree).
-                let alive_load = |d: usize| -> Option<u64> {
-                    let alive: Vec<&usize> = tree
-                        .nodes_in(d)
-                        .iter()
-                        .filter(|&&n| !self.dead[n])
-                        .collect();
-                    if alive.is_empty() {
-                        None
-                    } else {
-                        Some(alive.iter().map(|&&n| loads[n]).sum())
-                    }
-                };
-                let probe = (0..tree.num_domains())
-                    .filter_map(|d| alive_load(d).map(|l| (d, l)))
-                    .max_by(|&(da, la), &(db, lb)| la.cmp(&lb).then(db.cmp(&da)));
-                let Some((probe, _)) = probe else { return false };
-                let alive_domains = (0..tree.num_domains())
-                    .filter(|&d| alive_load(d).is_some())
-                    .count();
-                if alive_domains <= 1 {
-                    return true; // no second domain to lose
-                }
-                tree.nodes_in(probe)
-                    .iter()
-                    .copied()
-                    .filter(|&n| !self.dead[n])
-                    .collect()
+        // Heaviest-loaded surviving domain, summing alive members; ties
+        // toward the smaller domain id.
+        let alive_load = |d: usize| -> Option<u64> {
+            let alive: Vec<&usize> = tree
+                .nodes_in(d)
+                .iter()
+                .filter(|&&n| !self.dead[n])
+                .collect();
+            if alive.is_empty() {
+                None
+            } else {
+                Some(alive.iter().map(|&&n| loads[n]).sum())
             }
         };
+        let probe = (0..tree.num_domains())
+            .filter_map(|d| alive_load(d).map(|l| (d, l)))
+            .max_by(|&(da, la), &(db, lb)| la.cmp(&lb).then(db.cmp(&da)));
+        let Some((probe, _)) = probe else { return false };
+        let alive_domains = (0..tree.num_domains())
+            .filter(|&d| alive_load(d).is_some())
+            .count();
+        if alive_domains <= 1 {
+            return true; // no second domain to lose
+        }
+        let probe_nodes: Vec<usize> = tree
+            .nodes_in(probe)
+            .iter()
+            .copied()
+            .filter(|&n| !self.dead[n])
+            .collect();
         let (degraded, repaired, _info) =
             survive_node_loss(est, candidate, &probe_nodes, self.config.capacity_slack);
         repaired.within_all_capacities(&degraded, self.config.capacity_slack)

@@ -29,10 +29,6 @@
 //!   ascending EdgeId ranges threaded through one accumulator. The flat
 //!   graph is the one-range case; a shard of
 //!   [`crate::shard::ShardedGraph`] is the ranges it owns.
-//!
-//! [`IncrementalCost`] layers an O(deg)-per-move cost accumulator on top,
-//! with the invariant that deltas match a full recompute difference (the
-//! `graph_properties` suite pins this exactly, not within an epsilon).
 
 use crate::placement::Placement;
 use crate::problem::{ObjectId, Pair, ProblemError};
@@ -917,68 +913,6 @@ fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = u
     })
 }
 
-/// O(deg)-per-move communication-cost accumulator over a
-/// [`CorrelationGraph`].
-///
-/// Seeded with a full (bit-identical) cost walk, then kept current by
-/// adding each applied move's [`CorrelationGraph::move_delta`]. The
-/// `graph_properties` suite pins `delta == recompute difference` exactly
-/// (the delta and the recompute cancel/accumulate the same weights in the
-/// same row order), and `cost()` tracks a fresh recompute exactly on
-/// dyadic-weight instances across arbitrary move sequences.
-#[derive(Debug, Clone)]
-pub struct IncrementalCost<'g> {
-    graph: &'g CorrelationGraph,
-    cost: f64,
-}
-
-impl<'g> IncrementalCost<'g> {
-    /// Seeds the accumulator with the full cost of `placement`.
-    #[must_use]
-    pub fn new(graph: &'g CorrelationGraph, placement: &Placement) -> Self {
-        IncrementalCost {
-            graph,
-            cost: graph.cost(placement),
-        }
-    }
-
-    /// The tracked communication cost.
-    #[must_use]
-    pub fn cost(&self) -> f64 {
-        self.cost
-    }
-
-    /// Cost change of moving `i` to `target` under `placement`, without
-    /// applying it.
-    #[must_use]
-    pub fn delta(&self, placement: &Placement, i: ObjectId, target: usize) -> f64 {
-        self.graph.move_delta(placement, i, target)
-    }
-
-    /// Cost changes of moving `i` to each of `targets`, from one walk of
-    /// `i`'s row (see [`CorrelationGraph::move_delta_batch`]); entry `t`
-    /// bit-equals `delta(placement, i, targets[t])`.
-    #[must_use]
-    pub fn delta_batch(&self, placement: &Placement, i: ObjectId, targets: &[usize]) -> Vec<f64> {
-        self.graph.move_delta_batch(placement, i, targets)
-    }
-
-    /// Applies the move `i → target` to `placement` and folds its delta
-    /// into the tracked cost. Returns the delta.
-    pub fn apply(&mut self, placement: &mut Placement, i: ObjectId, target: usize) -> f64 {
-        let delta = self.graph.move_delta(placement, i, target);
-        placement.assign(i, target);
-        self.cost += delta;
-        delta
-    }
-
-    /// Re-seeds the tracked cost from a full walk of `placement` (e.g.
-    /// after bulk mutations applied outside this accumulator).
-    pub fn resync(&mut self, placement: &Placement) {
-        self.cost = self.graph.cost(placement);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,25 +1015,6 @@ mod tests {
                 assert_eq!(delta.to_bits(), diff.to_bits(), "obj {i} -> node {k}");
             }
         }
-    }
-
-    #[test]
-    fn incremental_cost_tracks_moves() {
-        let p = problem();
-        let g = p.graph();
-        let mut pl = Placement::new(vec![0, 0, 0, 0], 2);
-        let mut inc = IncrementalCost::new(g, &pl);
-        assert_eq!(inc.cost(), 0.0);
-        let d = inc.apply(&mut pl, ObjectId(1), 1);
-        assert_eq!(d, 9.0);
-        assert_eq!(inc.cost(), 9.0);
-        assert_eq!(pl.node_of(ObjectId(1)), 1);
-        inc.apply(&mut pl, ObjectId(0), 1);
-        // (0,1) rejoined (−9), (0,2) split (+1).
-        assert_eq!(inc.cost(), 1.0);
-        assert_eq!(inc.cost().to_bits(), g.cost(&pl).to_bits());
-        inc.resync(&pl);
-        assert_eq!(inc.cost(), 1.0);
     }
 
     #[test]

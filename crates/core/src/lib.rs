@@ -91,7 +91,7 @@ pub use controller::{
 };
 pub use exact::{exact_placement, ExactOptions};
 pub use fractional::FractionalPlacement;
-pub use graph::{CorrelationGraph, Edge, EdgeId, IncrementalCost, PlacementBatch};
+pub use graph::{CorrelationGraph, Edge, EdgeId, PlacementBatch};
 pub use greedy::greedy_placement;
 pub use migrate::{
     drain_node, improve_in_place, improve_replicas_in_place, migration_bytes, reconcile,

@@ -604,7 +604,9 @@ impl CcaProblemBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ProblemError::NoNodes`] if no capacities were set, or any
+    /// Returns [`ProblemError::NoNodes`] if no capacities were set,
+    /// [`ProblemError::InvalidNumber`] naming the smallest pair whose
+    /// accumulated correlation or weight `r·w` is not finite, or any
     /// error recorded during building.
     pub fn build(&mut self) -> Result<CcaProblem, ProblemError> {
         if let Some(e) = self.error.take() {
@@ -618,6 +620,18 @@ impl CcaProblemBuilder {
         }
         if self.capacities.iter().all(|&c| c == 0) {
             return Err(ProblemError::ZeroCapacity);
+        }
+        // Repeated pairs add their correlations, and `r·w` can overflow
+        // even when both are finite.
+        let overflow = (self.pair_weights.iter())
+            .filter(|(_, &(r, w))| !(r * w).is_finite())
+            .min_by_key(|(&key, _)| key);
+        if let Some((&(a, b), &(r, w))) = overflow {
+            return Err(ProblemError::InvalidNumber(if r.is_finite() {
+                format!("weight of ({a},{b}) is {}", r * w)
+            } else {
+                format!("correlation of ({a},{b}) is {r}")
+            }));
         }
         let mut pairs: Vec<Pair> = self
             .pair_weights
@@ -697,6 +711,27 @@ mod tests {
         assert_eq!(p.pairs().len(), 1);
         assert!((p.pairs()[0].correlation - 0.3).abs() < 1e-12);
         assert!((p.pairs()[0].comm_cost - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn overflowing_pair_weights_are_rejected() {
+        let invalid = |msg: &str| ProblemError::InvalidNumber(msg.into());
+        // Finite correlation and cost whose product `r·w` overflows.
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..4).map(|i| b.add_object(format!("o{i}"), 1)).collect();
+        b.add_pair(o[3], o[2], 1e300, 1e300).unwrap();
+        b.uniform_capacities(2, 10);
+        let err = b.clone().build().unwrap_err();
+        assert_eq!(err, invalid("weight of (obj2,obj3) is inf"));
+        // Repeated pairs whose correlations add up past f64::MAX; the
+        // error names the smallest failing pair whatever the insertion order.
+        for (first, second) in [(0, 1), (1, 0)] {
+            let mut b = b.clone();
+            b.add_pair(o[first], o[second], f64::MAX, 0.5).unwrap();
+            b.add_pair(o[second], o[first], f64::MAX, 0.5).unwrap();
+            let err = b.build().unwrap_err();
+            assert_eq!(err, invalid("correlation of (obj0,obj1) is inf"));
+        }
     }
 
     #[test]

@@ -18,14 +18,16 @@
 //! 2. **Single-object eviction** — when no whole cluster fits anywhere,
 //!    evict the object with the least communication-cost increase per byte
 //!    freed;
-//! 3. **Improvement sweeps** — a bounded local-search pass that re-homes
-//!    objects when a capacity-respecting move strictly reduces cost,
-//!    undoing greedy eviction mistakes.
+//! 3. **Improvement sweeps** — the `r = 1` polish of [`crate::migrate`]
+//!    on the repair's own capacity ledger: a bounded local search that
+//!    re-homes objects when a capacity-respecting move strictly reduces
+//!    cost, undoing greedy eviction mistakes.
 //!
 //! All reported experiment costs are measured *after* repair, so the
 //! comparison against the baselines stays honest.
 
 use crate::graph::CorrelationGraph;
+use crate::migrate::{polish, Loads, MigrateOptions};
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::{respread_dead, DomainTree, ReplicaPlacement};
@@ -43,14 +45,10 @@ pub struct RepairOutcome {
 /// members, through index-addressed work arrays that live across steps.
 struct Repairer<'a> {
     problem: &'a CcaProblem,
-    /// `limits[node][dim]`: dimension 0 is storage, then one per secondary
-    /// resource (paper 3.3), all scaled by the slack.
-    limits: Vec<Vec<f64>>,
     graph: &'a CorrelationGraph,
-    /// `loads[node][dim]`.
-    loads: Vec<Vec<f64>>,
-    /// Cached per-object demand vectors.
-    demands: Vec<Vec<f64>>,
+    /// Every node's load in every dimension (storage, then each secondary
+    /// resource, paper 3.3) against `capacity · slack`.
+    loads: Loads,
     /// `members[node]`: the objects placed on `node`, ascending by id;
     /// [`Repairer::apply_move`] keeps it in step with the placement.
     members: Vec<Vec<ObjectId>>,
@@ -66,8 +64,6 @@ struct Repairer<'a> {
     /// Emptied cluster buffers, reused by the next discovery.
     spare: Vec<Vec<ObjectId>>,
     stack: Vec<ObjectId>,
-    /// One cluster's summed demand vector.
-    demand: Vec<f64>,
     /// `join[k]`: one cluster's edge weight to objects on node `k`; only
     /// the entries listed in `touched` can be non-zero.
     join: Vec<f64>,
@@ -86,31 +82,15 @@ impl<'a> Repairer<'a> {
         demands: Vec<Vec<f64>>,
     ) -> Self {
         let n = problem.num_nodes();
-        let dims = 1 + problem.resources().len();
-        let limits: Vec<Vec<f64>> = (0..n)
-            .map(|k| {
-                let mut v = vec![problem.capacity(k) as f64 * slack];
-                for res in problem.resources() {
-                    v.push(res.capacity(k) as f64 * slack);
-                }
-                v
-            })
-            .collect();
-        let mut loads = vec![vec![0.0f64; dims]; n];
+        let columns = std::slice::from_ref(placement);
         let mut members = vec![Vec::new(); n];
         for i in problem.objects() {
-            let node = placement.node_of(i);
-            for (dst, d) in loads[node].iter_mut().zip(&demands[i.index()]) {
-                *dst += d;
-            }
-            members[node].push(i);
+            members[placement.node_of(i)].push(i);
         }
         Repairer {
             problem,
-            limits,
             graph: problem.graph(),
-            loads,
-            demands,
+            loads: Loads::with_demands(problem, columns, slack, |i, d| demands[i.index()][d]),
             members,
             seen: vec![0; problem.num_objects()],
             seen_stamp: 0,
@@ -119,14 +99,14 @@ impl<'a> Repairer<'a> {
             clusters: Vec::new(),
             spare: Vec::new(),
             stack: Vec::new(),
-            demand: vec![0.0; dims],
             join: vec![0.0; n],
             touched: Vec::new(),
             moves: 0,
         }
     }
 
-    /// The eviction loop, then up to `improvement_sweeps` sweeps.
+    /// The eviction loop, then up to `improvement_sweeps` sweeps of the
+    /// polish on this repair's ledger.
     fn run(&mut self, placement: &mut Placement, improvement_sweeps: usize) -> RepairOutcome {
         // Every step moves ≥1 object off an overloaded node onto a node
         // that stays within limits, so total overload strictly decreases;
@@ -144,12 +124,17 @@ impl<'a> Repairer<'a> {
             }
         }
         if feasible {
-            feasible = (0..self.problem.num_nodes()).all(|k| self.overload(k) <= 1e-12);
+            feasible = (0..self.problem.num_nodes()).all(|k| self.loads.overload(k) <= 1e-12);
         }
-        for _ in 0..improvement_sweeps {
-            if self.improvement_sweep(placement) == 0 {
-                break;
-            }
+        if improvement_sweeps > 0 {
+            let mut rp = ReplicaPlacement::from_primary(placement.clone());
+            let tree = DomainTree::flat(placement.num_nodes());
+            let options = MigrateOptions {
+                max_sweeps: improvement_sweeps,
+                ..MigrateOptions::default()
+            };
+            self.moves += polish(self.problem, &tree, &mut rp, &mut self.loads, &options).0;
+            *placement = rp.primary().clone();
         }
         RepairOutcome {
             moves: self.moves,
@@ -157,27 +142,8 @@ impl<'a> Repairer<'a> {
         }
     }
 
-    /// Cost changes of moving object `i` to each node in `targets`
-    /// (negative is an improvement) — one O(deg) CSR row walk scores them
-    /// all, each entry bit-equal to the per-target walk.
-    fn move_delta_batch(&self, placement: &Placement, i: ObjectId, targets: &[usize]) -> Vec<f64> {
-        self.problem.eval_move_delta_batch(placement, i, targets)
-    }
-
-    fn fits(&self, node: usize, extra: &[f64]) -> bool {
-        self.loads[node]
-            .iter()
-            .zip(extra)
-            .zip(&self.limits[node])
-            .all(|((&l, &e), &lim)| l + e <= lim + 1e-9)
-    }
-
     fn apply_move(&mut self, placement: &mut Placement, obj: ObjectId, src: usize, dst: usize) {
-        for dim in 0..self.demands[obj.index()].len() {
-            let d = self.demands[obj.index()][dim];
-            self.loads[src][dim] -= d;
-            self.loads[dst][dim] += d;
-        }
+        self.loads.apply(obj, src, dst);
         let from = &mut self.members[src];
         let at = from
             .binary_search(&obj)
@@ -190,15 +156,6 @@ impl<'a> Repairer<'a> {
         to.insert(at, obj);
         placement.assign(obj, dst);
         self.moves += 1;
-    }
-
-    /// Overload of `node`: the worst relative excess over any dimension.
-    fn overload(&self, node: usize) -> f64 {
-        self.loads[node]
-            .iter()
-            .zip(&self.limits[node])
-            .map(|(&l, &lim)| (l - lim) / (1.0 + lim))
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Fills `clusters` with the clusters on `node`: connected groups
@@ -268,13 +225,13 @@ impl<'a> Repairer<'a> {
                 }
             }
             let size = (cluster.iter())
-                .fold(0.0, |s, o| s + self.demands[o.index()][0])
+                .fold(0.0, |s, &o| s + self.loads.size(o))
                 .max(1.0);
             // Exact bound: every target's score (base − join[k]) / size is
             // at least (base − max(0, maxₖ join[k])) / size, as IEEE
             // subtraction and division by a positive number are monotone.
             // Unless that bound is below the best score, no target can win
-            // the strict-< selection: skip the demand sum and `fits` scan.
+            // the strict-< selection: skip the demand sum and group fits.
             let could_win = best.is_none_or(|(bs, _, _)| {
                 let max_join = (self.touched.iter())
                     .map(|&k| self.join[k])
@@ -282,16 +239,11 @@ impl<'a> Repairer<'a> {
                 (base - max_join) / size < bs
             });
             if could_win {
-                self.demand.fill(0.0);
-                for &o in cluster {
-                    for (dst, d) in self.demand.iter_mut().zip(&self.demands[o.index()]) {
-                        *dst += d;
-                    }
-                }
+                let demand = self.loads.demand(cluster);
                 // A cluster with zero demand in every dimension frees nothing.
-                if self.demand.iter().any(|&d| d != 0.0) {
+                if demand.iter().any(|&d| d != 0.0) {
                     for k in 0..n {
-                        if k == src || !self.fits(k, &self.demand) {
+                        if k == src || !self.loads.fits_demand(k, &demand) {
                             continue;
                         }
                         let score = (base - self.join[k]) / size;
@@ -316,15 +268,14 @@ impl<'a> Repairer<'a> {
         let mut best: Option<(f64, ObjectId, usize)> = None;
         let mut fitting: Vec<usize> = Vec::with_capacity(n);
         for &i in &self.members[src] {
-            let demand = &self.demands[i.index()];
-            if demand.iter().all(|&d| d == 0.0) {
+            if self.loads.demand(&[i]).iter().all(|&d| d == 0.0) {
                 continue;
             }
             fitting.clear();
-            fitting.extend((0..n).filter(|&k| k != src && self.fits(k, demand)));
-            let deltas = self.move_delta_batch(placement, i, &fitting);
+            fitting.extend((0..n).filter(|&k| k != src && self.loads.fits(k, i)));
+            let deltas = self.problem.eval_move_delta_batch(placement, i, &fitting);
             for (&k, &delta) in fitting.iter().zip(&deltas) {
-                let score = delta / demand[0].max(1.0);
+                let score = delta / self.loads.size(i).max(1.0);
                 if best.is_none_or(|(bs, _, _)| score < bs) {
                     best = Some((score, i, k));
                 }
@@ -337,11 +288,11 @@ impl<'a> Repairer<'a> {
     /// when nothing is overloaded, and `Err` when nothing can move.
     ///
     /// A step costs O(members(src) + their edges) plus the cluster sort
-    /// and one `fits` scan per cluster that survives the score bound.
+    /// and one group-fits scan per cluster that survives the score bound.
     fn step(&mut self, placement: &mut Placement) -> Result<bool, ()> {
         let n = self.problem.num_nodes();
         let Some((src, _)) = (0..n)
-            .map(|k| (k, self.overload(k)))
+            .map(|k| (k, self.loads.overload(k)))
             .filter(|&(_, over)| over > 1e-12)
             .max_by(|a, b| a.1.total_cmp(&b.1))
         else {
@@ -365,35 +316,6 @@ impl<'a> Repairer<'a> {
         };
         self.apply_move(placement, obj, src, target);
         Ok(true)
-    }
-
-    /// One local-search sweep: re-home any object whose best
-    /// capacity-respecting node strictly reduces cost. Returns the number
-    /// of improving moves.
-    fn improvement_sweep(&mut self, placement: &mut Placement) -> usize {
-        let n = self.problem.num_nodes();
-        let mut improved = 0;
-        let mut fitting: Vec<usize> = Vec::with_capacity(n);
-        for i in self.problem.objects() {
-            let src = placement.node_of(i);
-            let demand = &self.demands[i.index()];
-            // One row walk scores every fitting target (bit-equal per
-            // entry), with the same ascending-k strict-< winner.
-            fitting.clear();
-            fitting.extend((0..n).filter(|&k| k != src && self.fits(k, demand)));
-            let deltas = self.move_delta_batch(placement, i, &fitting);
-            let mut best: Option<(f64, usize)> = None;
-            for (&k, &delta) in fitting.iter().zip(&deltas) {
-                if delta < -1e-12 && best.is_none_or(|(bd, _)| delta < bd) {
-                    best = Some((delta, k));
-                }
-            }
-            if let Some((_, k)) = best {
-                self.apply_move(placement, i, src, k);
-                improved += 1;
-            }
-        }
-        improved
     }
 }
 

@@ -1,5 +1,5 @@
-//! Property tests for the canonical CSR correlation graph and the
-//! incremental move-delta accumulator.
+//! Property tests for the canonical CSR correlation graph and its
+//! move deltas.
 //!
 //! Every equality here is **exact** (`==` on `f64`, often on raw bits),
 //! not epsilon-tolerant: the generator draws dyadic-rational weights
@@ -9,9 +9,7 @@
 //! a tolerance.
 
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
-use cca_core::{
-    improve_in_place, reconcile, CcaProblem, IncrementalCost, MigrateOptions, ObjectId, Placement,
-};
+use cca_core::{improve_in_place, reconcile, CcaProblem, MigrateOptions, ObjectId, Placement};
 
 const REGRESSIONS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/graph_properties.regressions");
@@ -147,13 +145,14 @@ fn move_delta_equals_full_recompute_difference() {
         });
 }
 
-/// An [`IncrementalCost`] driven through an arbitrary move script agrees
-/// with the full recompute after **every** step, exactly; each `apply`
-/// returns exactly the cost change it caused. Post-apply comparisons use
-/// `f64 ==` (still exact — dyadic weights): the one bit a running
-/// accumulator cannot track is the sign of zero (`2.0 + (-2.0)` is `+0.0`
-/// while the recompute's empty fold is `-0.0`), and `==` treats ±0.0 as
-/// equal without admitting any magnitude error.
+/// A running cost — the start's full walk plus each applied move's
+/// `move_delta` — driven through an arbitrary move script agrees with the
+/// full recompute after **every** step, exactly; each delta is exactly
+/// the cost change its move causes. Post-move comparisons use `f64 ==`
+/// (still exact — dyadic weights): the one bit a running sum cannot
+/// track is the sign of zero (`2.0 + (-2.0)` is `+0.0` while the
+/// recompute's empty fold is `-0.0`), and `==` treats ±0.0 as equal
+/// without admitting any magnitude error.
 #[test]
 fn incremental_cost_tracks_multi_move_sequences() {
     Checker::new("incremental_cost_tracks_multi_move_sequences")
@@ -163,61 +162,27 @@ fn incremental_cost_tracks_multi_move_sequences() {
             let p = build(c);
             let graph = p.graph();
             let mut pl = placement(c, &p);
-            let mut inc = IncrementalCost::new(graph, &pl);
-            prop_assert_eq!(inc.cost().to_bits(), pl.communication_cost(&p).to_bits());
+            let mut running = graph.cost(&pl);
+            prop_assert_eq!(running.to_bits(), pl.communication_cost(&p).to_bits());
             for &(o, k) in &c.moves {
                 let o = ObjectId((o % p.num_objects()) as u32);
                 let k = k % p.num_nodes();
                 let before = pl.communication_cost(&p);
-                let predicted = inc.delta(&pl, o, k);
-                let applied = inc.apply(&mut pl, o, k);
-                prop_assert_eq!(predicted, applied, "delta() and apply() disagree");
+                let delta = graph.move_delta(&pl, o, k);
+                pl.assign(o, k);
+                running += delta;
                 let after = pl.communication_cost(&p);
                 prop_assert_eq!(
-                    applied,
+                    delta,
                     after - before,
-                    "apply returned {applied} but the cost moved by {}",
+                    "delta {delta} but the cost moved by {}",
                     after - before
                 );
                 prop_assert_eq!(
-                    inc.cost(),
+                    running,
                     after,
-                    "running cost {} != recompute {} after ({o:?} -> {k})",
-                    inc.cost(),
-                    after
+                    "running cost {running} != recompute {after} after ({o:?} -> {k})"
                 );
-            }
-            Ok(())
-        });
-}
-
-/// `resync` re-anchors the accumulator after out-of-band placement edits:
-/// scramble the placement behind the accumulator's back, resync, and the
-/// running cost must again equal the recompute to the bit.
-#[test]
-fn resync_recovers_from_external_edits() {
-    Checker::new("resync_recovers_from_external_edits")
-        .cases(96)
-        .regressions(REGRESSIONS)
-        .run(graph_case, |c| {
-            let p = build(c);
-            let graph = p.graph();
-            let mut pl = placement(c, &p);
-            let mut inc = IncrementalCost::new(graph, &pl);
-            // Out-of-band edits the accumulator never sees.
-            for &(o, k) in &c.moves {
-                pl.assign(ObjectId((o % p.num_objects()) as u32), k % p.num_nodes());
-            }
-            // `resync` is a full walk, so it must match to the bit.
-            inc.resync(&pl);
-            prop_assert_eq!(inc.cost().to_bits(), pl.communication_cost(&p).to_bits());
-            // And the re-anchored accumulator keeps tracking exactly
-            // (`==`: the running sum may lose only the sign of zero).
-            if p.num_objects() > 0 {
-                let o = ObjectId(0);
-                let k = p.num_nodes() - 1;
-                inc.apply(&mut pl, o, k);
-                prop_assert_eq!(inc.cost(), pl.communication_cost(&p));
             }
             Ok(())
         });
@@ -225,8 +190,7 @@ fn resync_recovers_from_external_edits() {
 
 /// The delta-driven migration paths report costs that equal the full
 /// recompute on their returned placements, exactly: `improve_in_place`
-/// (which runs on the accumulator internally) and `reconcile` must never
-/// drift from the canonical cost.
+/// and `reconcile` must never drift from the canonical cost.
 #[test]
 fn migration_outcomes_report_exact_costs() {
     Checker::new("migration_outcomes_report_exact_costs")

@@ -15,7 +15,8 @@
 #             taxonomies
 #   cli       release-binary contracts: `place` exit codes and thread
 #             identity, a `run` chaos soak, a `serve` load run, the `live`
-#             regime-shift replay, replica identity and spread
+#             regime-shift replay, replica identity and spread; then every
+#             program in examples/ runs and must exit 0
 #   bench     quick-mode smokes of the gated benches (each asserts its own
 #             contract and must write JSON); the 8-thread speed-up gate
 #             arms only on hosts with 8 or more cores
@@ -234,6 +235,15 @@ step_cli() {
       --replicas 2 --domains 4 $flags | sed -E 's/[0-9]+ ms/X ms/g' >"$tmp/r2.$n"
   done
   same r2.1 r2.2 r2.3 || fail "r=2 place differs across threads x shards"
+
+  # examples: each one runs to completion.
+  local ex
+  cargo build -q --release --examples
+  for ex in examples/*.rs; do
+    ex=$(basename "$ex" .rs)
+    ./target/release/examples/"$ex" >/dev/null || fail "example $ex exited non-zero"
+  done
+  echo "OK: every example in examples/ exited 0."
 }
 
 step_bench() {

@@ -905,7 +905,9 @@ fn domains_flag_rejects_bad_specs() {
 
 /// The r=1 equivalence contract at the CLI surface: `--replicas 1
 /// --domains flat` is the default, so spelling it out must not change a
-/// byte of output anywhere.
+/// byte of output anywhere. The `run` (one migration after a node loss)
+/// and `live` scenarios reach the controller's robustness probe, whose
+/// default tree is the flat one.
 #[test]
 fn replicas_one_flat_tree_is_byte_identical_to_default() {
     let base = [
@@ -918,6 +920,19 @@ fn replicas_one_flat_tree_is_byte_identical_to_default() {
     let explicit = run_code(&args);
     assert_eq!(explicit.0, reference.0, "exit code changed");
     assert_eq!(explicit.1, reference.1, "--replicas 1 --domains flat changed stdout");
+
+    let run = [
+        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "80", "--seed", "7",
+        "--drop-nodes", "1", "--drift-sigma", "0.1",
+    ];
+    for base in [&run[..], &LIVE_REPLAY[..]] {
+        let reference = run_code(base);
+        let mut args = base.to_vec();
+        args.extend(["--domains", "flat"]);
+        let explicit = run_code(&args);
+        assert_eq!(explicit.0, reference.0, "{base:?}: exit code changed");
+        assert_eq!(explicit.1, reference.1, "{base:?}: --domains flat changed stdout");
+    }
 }
 
 /// `place --replicas 2` reports the replica spread and persists a

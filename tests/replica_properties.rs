@@ -21,7 +21,10 @@
 //!    and every shard count, also with two copies of an object on one
 //!    node; and the polish built on it (`improve_replicas_in_place`,
 //!    `survive_domain_loss`) matches a per-target reference loop over
-//!    the scalar kernel exactly.
+//!    the scalar kernel exactly;
+//! 5. **every capacity dimension** — `improve_replicas_in_place` never
+//!    pushes a node that was within `capacity · slack` in storage and in
+//!    a secondary resource over it in either.
 //!
 //! Failures shrink to a minimal case and are pinned in
 //! `replica_properties.regressions`.
@@ -29,7 +32,7 @@
 use cca::algo::{
     greedy_placement, improve_replicas_in_place, repair_replica_spread, replica_migration_bytes,
     spread_copies, survive_domain_loss, CcaProblem, DomainTree, MigrateOptions, ObjectId,
-    Placement, ReplicaMigrationOutcome, ReplicaPlacement,
+    Placement, ReplicaMigrationOutcome, ReplicaPlacement, Resource,
 };
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
@@ -588,6 +591,84 @@ fn polish_matches_the_per_target_reference() {
                         prop_assert_eq!(
                             report.migrated_bytes,
                             replica_migration_bytes(&problem, &rp, &want)
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
+}
+
+/// The case's problem with tight storage and one secondary resource
+/// (demands 0–9 per copy): with slack `r`, each node fits about its even
+/// share of the `r` copies in both dimensions.
+fn resource_problem(c: &ReplicaCase, nodes: usize) -> CcaProblem {
+    let base = build_problem(c);
+    let mut rng = StdRng::seed_from_u64(c.seed ^ 0x2545_f491_4f6c_dd1d);
+    let mut b = CcaProblem::builder();
+    for o in base.objects() {
+        b.add_object(base.name(o), base.size(o));
+    }
+    for p in base.pairs() {
+        b.add_pair(p.a, p.b, p.correlation, p.comm_cost).unwrap();
+    }
+    let share = |total: u64| vec![total.div_ceil(nodes as u64); nodes];
+    let demands: Vec<u64> = base.objects().map(|_| rng.random_range(0u64..=9)).collect();
+    let caps = share(demands.iter().sum());
+    b.add_resource(Resource::new("bandwidth", demands, caps));
+    b.capacities(share(base.total_size())).build().unwrap()
+}
+
+/// Contract 5: the polish honours secondary resources like storage. A
+/// node within `capacity · slack` in every dimension before the polish
+/// stays within it in every dimension, for r ∈ {2, 3} over a flat and a
+/// contiguous tree, from spread-oblivious random copies.
+#[test]
+fn polish_keeps_every_capacity_dimension() {
+    Checker::new("polish_keeps_every_capacity_dimension")
+        .cases(64)
+        .regressions(REGRESSIONS)
+        .run(replica_case, |c| {
+            let nodes = c.nodes + 2;
+            let problem = resource_problem(c, nodes);
+            let res = &problem.resources()[0];
+            let contiguous = DomainTree::contiguous(nodes, 3 + c.seed as usize % (nodes - 2))
+                .map_err(|e| e.to_string())?;
+            // Every node within `capacity · slack` in both dimensions.
+            let within = |rp: &ReplicaPlacement, slack: f64| -> Vec<bool> {
+                let storage = rp.replica_loads(&problem);
+                let mut resource = vec![0u64; nodes];
+                for o in problem.objects() {
+                    for h in rp.nodes_of(o) {
+                        resource[h] += res.demand(o.index());
+                    }
+                }
+                (0..nodes)
+                    .map(|k| {
+                        storage[k] as f64 <= problem.capacity(k) as f64 * slack
+                            && resource[k] as f64 <= res.capacity(k) as f64 * slack
+                    })
+                    .collect()
+            };
+            for tree in [DomainTree::flat(nodes), contiguous] {
+                for r in [2, 3] {
+                    let rp = random_replicas(c, r, nodes);
+                    let slack = r as f64;
+                    let options = MigrateOptions {
+                        capacity_slack: slack,
+                        ..MigrateOptions::default()
+                    };
+                    let polished = improve_replicas_in_place(&problem, &tree, &rp, &options);
+                    let after = within(&polished.replica, slack);
+                    for (k, was) in within(&rp, slack).into_iter().enumerate() {
+                        prop_assert!(
+                            !was || after[k],
+                            "node {} left capacity · {} after {} moves (r={}, {} domains)",
+                            k,
+                            slack,
+                            polished.moves,
+                            r,
+                            tree.num_domains()
                         );
                     }
                 }
