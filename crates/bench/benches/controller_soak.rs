@@ -24,7 +24,7 @@
 //! table it writes `BENCH_controller.json` (override the path with
 //! `CCA_BENCH_OUT`).
 
-use cca::algo::{format_controller_report, format_placement, ControllerConfig, FaultPlan};
+use cca::algo::{format_placement, format_report, ControllerConfig, FaultPlan};
 use cca::online::{run_online, OnlineConfig, OnlineOutcome};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::trace::TraceConfig;
@@ -59,7 +59,7 @@ fn online_config(epochs: u64, threads: usize, shards: usize) -> OnlineConfig {
 fn render(outcome: &OnlineOutcome) -> String {
     format!(
         "{}{}",
-        format_controller_report(&outcome.report),
+        format_report(&outcome.report),
         format_placement(&outcome.problem, &outcome.placement)
     )
 }

@@ -32,7 +32,7 @@
 //! writes `BENCH_live.json` (override the path with `CCA_BENCH_OUT`).
 
 use cca::algo::controller::ControllerConfig;
-use cca::algo::{format_live_report, LiveReport};
+use cca::algo::{format_report, LiveReport};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::runtime::{run_live, LiveConfig};
 use cca::trace::TraceConfig;
@@ -103,7 +103,7 @@ fn run_at(
     let t = Instant::now();
     let outcome = run_live(&pipeline, &config);
     let elapsed_s = t.elapsed().as_secs_f64();
-    let text = format_live_report(&outcome.report);
+    let text = format_report(&outcome.report);
     (outcome.report, text, elapsed_s)
 }
 

@@ -19,7 +19,7 @@
 //! it writes `BENCH_replica.json` (override with `CCA_BENCH_OUT`).
 
 use cca::algo::{
-    format_serving_report, greedy_placement, spread_copies, DomainTree, ServingReport,
+    format_report, greedy_placement, spread_copies, DomainTree, ServingReport,
 };
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
@@ -189,9 +189,9 @@ fn main() {
                 overhead_ns: 0,
             },
         );
-        format_serving_report(&outcome.report)
+        format_report(&outcome.report)
     };
-    let r1_identical = single == format_serving_report(&rows[0].report);
+    let r1_identical = single == format_report(&rows[0].report);
     assert!(r1_identical, "r=1 replicated serving diverged from single-copy");
     println!();
     println!("# equivalence: r=1 replicated vs single-copy report identical {r1_identical}");

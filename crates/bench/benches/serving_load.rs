@@ -22,7 +22,7 @@
 //! it writes `BENCH_serving.json` (override the path with
 //! `CCA_BENCH_OUT`).
 
-use cca::algo::{format_serving_report, greedy_placement, ServingReport};
+use cca::algo::{format_report, greedy_placement, ServingReport};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
 use cca::trace::TraceConfig;
@@ -75,7 +75,7 @@ fn run_at(
         &config,
     );
     let elapsed_s = t.elapsed().as_secs_f64();
-    let text = format_serving_report(&outcome.report);
+    let text = format_report(&outcome.report);
     (outcome.report, text, elapsed_s)
 }
 

@@ -38,7 +38,7 @@
 //! The run is summarized by a [`ControllerReport`] whose counters satisfy
 //! `evaluated == migrations + rejected_not_worthwhile +
 //! rejected_not_robust` by construction, serialized by
-//! [`crate::persist::format_controller_report`].
+//! [`crate::persist::format_report`].
 
 use crate::graph::PlacementBatch;
 use crate::migrate::{
@@ -260,8 +260,8 @@ struct ScopeState {
 
 /// End-of-run account of a controller loop. Produced by
 /// [`Controller::report`]; serialized by
-/// [`crate::persist::format_controller_report`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`crate::persist::format_report`].
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControllerReport {
     /// Epochs stepped.
     pub epochs: u64,
@@ -322,7 +322,7 @@ impl ControllerReport {
     }
 
     /// Multi-line human summary (the machine format lives in
-    /// [`crate::persist::format_controller_report`]).
+    /// [`crate::persist::format_report`]).
     #[must_use]
     pub fn summary(&self) -> String {
         let mut s = String::new();

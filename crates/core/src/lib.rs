@@ -99,10 +99,8 @@ pub use migrate::{
     ReplicaMigrationOutcome,
 };
 pub use persist::{
-    format_controller_report, format_live_report, format_placement, format_replica_placement,
-    format_serving_report, read_controller_report, read_live_report, read_placement,
-    read_replica_placement, read_serving_report, write_controller_report, write_live_report,
-    write_placement, write_replica_placement, write_serving_report,
+    format_placement, format_replica_placement, format_report, read_placement,
+    read_replica_placement, read_report,
 };
 pub use placement::Placement;
 pub use problem::{CcaProblem, CcaProblemBuilder, ObjectId, Pair, ProblemError};

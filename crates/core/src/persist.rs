@@ -1,47 +1,42 @@
-//! Plain-text persistence for placements and controller reports.
+//! Plain-text persistence: two placement formats and three report
+//! formats. Every format is a header line, then one record per line;
+//! blank lines and `#` lines after the header are skipped, and errors
+//! name their 1-based line (0 for whole-file problems).
 //!
-//! Placement format (`# cca-placement v1`): one `object-name<TAB>node`
-//! line per object, in object-id order. Names make the file robust
-//! against object reordering between the writing and reading problem
-//! instances: loading matches by name, not by position.
+//! Placement formats: `# cca-placement v1 nodes=N objects=M`, then one
+//! `object-name<TAB>node` line per object in object-id order; and, for r
+//! copies per object, `# cca-placement v2 nodes=N objects=M replicas=r`
+//! with r tab-separated nodes per line, primary first (r = 1 is written
+//! as v1). Loading matches objects by name, not by position, so a file
+//! survives object reordering between the writing and the reading
+//! problem. One writer body and one reader (header parser, then a shared
+//! line loop) serve both formats.
 //!
-//! Controller-report format (`# cca-controller-report v1`): one
-//! `key<TAB>value` line per [`ControllerReport`] field in declaration
-//! order. Floats round-trip through Rust's shortest exact decimal
-//! `Display`, so a written report re-reads bit for bit.
-//!
-//! Serving-report format (`# cca-serving-report v1`): one
-//! `key<TAB>value` line per scalar [`ServingReport`] field in
-//! declaration order, then one `bucket<TAB>i<TAB>count` line per
-//! non-empty histogram bucket in ascending bucket order. Every value is
-//! a `u64` or a hex digest (the histogram's dyadic bucket bounds are the
-//! reason the quantiles are integers), so the round trip is bit-exact
-//! by construction.
-//!
-//! Live-report format (`# cca-live-report v1`): the same framing with
-//! [`LiveReport`]'s scalar fields and **three** histogram row kinds
-//! (`bucket_pre`/`bucket_mid`/`bucket_post`) for the latency split
-//! around the migration window.
-//!
-//! All three report formats share one framing layer (header check,
-//! `key<TAB>value` scalars, repeated histogram rows, line-numbered
-//! errors); the per-format functions only choose keys and field types.
+//! Report formats: `# cca-controller-report v1`, `# cca-serving-report
+//! v1` and `# cca-live-report v1`. After the header come one
+//! `key<TAB>value` line per scalar field, then, per histogram row kind,
+//! one `key<TAB>index<TAB>count` line per non-empty bucket in ascending
+//! order. Each report kind names its header and its persisted fields
+//! once, in one table (its [`Report`] impl); [`format_report`] and
+//! [`read_report`] walk that table. Floats use Rust's shortest exact
+//! decimal `Display`, so a written report re-reads bit for bit.
 
 use crate::controller::ControllerReport;
 use crate::placement::Placement;
 use crate::problem::CcaProblem;
 use crate::replica::ReplicaPlacement;
 use crate::serving::{LatencyHistogram, LiveReport, ServingReport, NUM_BUCKETS};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 
-/// Error from [`read_placement`].
+/// Error from the readers of this module.
 #[derive(Debug)]
 pub enum PersistError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The input is not a valid v1 placement for the given problem.
+    /// The input is malformed, or a placement does not fit the given
+    /// problem.
     Format {
         /// 1-based line number (0 for whole-file problems).
         line: usize,
@@ -74,79 +69,122 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Serialises `placement` against `problem` (names come from the problem).
+/// Serialises `placement` against `problem` (names come from the
+/// problem) in the v1 format.
 ///
 /// # Panics
 ///
 /// Panics if the dimensions disagree.
 #[must_use]
 pub fn format_placement(problem: &CcaProblem, placement: &Placement) -> String {
-    assert_eq!(placement.num_objects(), problem.num_objects());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cca-placement v1 nodes={} objects={}",
-        placement.num_nodes(),
-        placement.num_objects()
-    );
-    for o in problem.objects() {
-        let _ = writeln!(out, "{}\t{}", problem.name(o), placement.node_of(o));
-    }
-    out
+    format_columns(problem, std::slice::from_ref(placement))
 }
 
-/// Writes a placement in the v1 text format.
+/// Serialises a replica placement: v1 for r = 1, **byte-identical** to
+/// [`format_placement`] on the primary column; v2 for r > 1.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates I/O errors.
-pub fn write_placement<W: Write>(
-    mut writer: W,
-    problem: &CcaProblem,
-    placement: &Placement,
-) -> Result<(), PersistError> {
-    writer.write_all(format_placement(problem, placement).as_bytes())?;
-    Ok(())
+/// Panics if the dimensions disagree.
+#[must_use]
+pub fn format_replica_placement(problem: &CcaProblem, rp: &ReplicaPlacement) -> String {
+    format_columns(problem, rp.columns())
+}
+
+/// The one placement writer: the header (v1 for one column, v2 with
+/// `replicas=` for more), then one `name<TAB>node…` line per object with
+/// one node per column, in column order.
+fn format_columns(problem: &CcaProblem, columns: &[Placement]) -> String {
+    let (nodes, objects) = (columns[0].num_nodes(), columns[0].num_objects());
+    assert_eq!(objects, problem.num_objects());
+    let mut out = match columns.len() {
+        1 => format!("# cca-placement v1 nodes={nodes} objects={objects}\n"),
+        r => format!("# cca-placement v2 nodes={nodes} objects={objects} replicas={r}\n"),
+    };
+    for o in problem.objects() {
+        out.push_str(problem.name(o));
+        for column in columns {
+            let _ = write!(out, "\t{}", column.node_of(o));
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Reads a v1 placement and matches it against `problem` by object name.
 ///
 /// # Errors
 ///
-/// Fails on malformed input, unknown or missing object names, duplicate
-/// names (in the file or the problem), or nodes out of range.
+/// Fails on malformed input (a v2 file included), unknown or missing
+/// object names, duplicate names (in the file or the problem), or nodes
+/// out of range.
 pub fn read_placement<R: Read>(
     reader: R,
     problem: &CcaProblem,
 ) -> Result<Placement, PersistError> {
+    let mut columns = read_columns(reader, problem, false)?;
+    Ok(columns.pop().expect("a v1 placement has one column"))
+}
+
+/// Reads a placement in either format: a v1 file loads as an r = 1
+/// replica placement (exactly [`read_placement`]), a v2 file loads all r
+/// columns. Objects are matched by name.
+///
+/// # Errors
+///
+/// Fails on malformed input, unknown/missing/duplicate object names, or
+/// nodes out of range.
+pub fn read_replica_placement<R: Read>(
+    reader: R,
+    problem: &CcaProblem,
+) -> Result<ReplicaPlacement, PersistError> {
+    read_columns(reader, problem, true).map(ReplicaPlacement::from_columns)
+}
+
+/// The one placement header parser: `(nodes, replicas)`. A v1 header
+/// needs its node count right after `nodes=` and has one replica. A v2
+/// header, read only when `v2` is set, may hold `nodes=` and `replicas=`
+/// anywhere, and neither may be zero.
+fn placement_header(header: &str, v2: bool) -> Result<(usize, usize), PersistError> {
+    let error = |message: String| PersistError::Format { line: 1, message };
+    if !(v2 && header.starts_with("# cca-placement v2 ")) {
+        let nodes = header
+            .strip_prefix("# cca-placement v1 nodes=")
+            .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
+            .ok_or_else(|| error(format!("bad header {header:?}")))?;
+        return Ok((nodes, 1));
+    }
+    let field = |key: &str| -> Result<usize, PersistError> {
+        header
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix(key))
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| error(format!("bad {key} field in header {header:?}")))
+    };
+    let (nodes, replicas) = (field("nodes=")?, field("replicas=")?);
+    if replicas == 0 || nodes == 0 {
+        return Err(error(format!("degenerate header {header:?}")));
+    }
+    Ok((nodes, replicas))
+}
+
+/// The one placement reader, streaming line by line: the header
+/// ([`placement_header`]); its node and replica counts checked against
+/// the problem (line 1); then one `name<TAB>node…` line per object with
+/// `replicas` node fields, split from the right, so a name is everything
+/// before them; then that no object is missing (line 0). Returns one
+/// column per replica.
+fn read_columns<R: Read>(
+    reader: R,
+    problem: &CcaProblem,
+    v2: bool,
+) -> Result<Vec<Placement>, PersistError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines.next().transpose()?.ok_or(PersistError::Format {
         line: 1,
         message: "empty input".into(),
     })?;
-    let nodes: usize = header
-        .strip_prefix("# cca-placement v1 nodes=")
-        .and_then(|rest| rest.split_whitespace().next()?.parse().ok())
-        .ok_or(PersistError::Format {
-            line: 1,
-            message: format!("bad header {header:?}"),
-        })?;
-    let mut columns = read_columns(lines, problem, nodes, 1)?;
-    Ok(columns.pop().expect("one column per replica"))
-}
-
-/// The body both placement readers share once their header is parsed:
-/// one `name<TAB>node…` line per object with `replicas` node fields,
-/// split from the right, so a name is everything before them. Checks the
-/// header's node and replica counts (line 1), then every line in order,
-/// then that no object is missing (line 0), and returns one column per
-/// replica.
-fn read_columns<L: AsRef<str>>(
-    lines: impl Iterator<Item = std::io::Result<L>>,
-    problem: &CcaProblem,
-    nodes: usize,
-    replicas: usize,
-) -> Result<Vec<Placement>, PersistError> {
+    let (nodes, replicas) = placement_header(&header, v2)?;
     // Both header checks come before the `replicas × objects` column
     // allocation. Every entry is range-checked against the header's node
     // count, so a larger one would let out-of-range nodes through.
@@ -181,7 +219,7 @@ fn read_columns<L: AsRef<str>>(
     for (i, line) in lines.enumerate() {
         let line_no = i + 2;
         let line = line?;
-        let trimmed = line.as_ref().trim();
+        let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
@@ -225,586 +263,249 @@ fn read_columns<L: AsRef<str>>(
         .collect())
 }
 
-/// Serialises a replica placement. With `r = 1` this is **byte-identical**
-/// to [`format_placement`] on the primary column (the `v1` format); with
-/// `r > 1` the header becomes `# cca-placement v2 … replicas=r` and every
-/// line carries `r` tab-separated nodes (primary first).
-///
-/// # Panics
-///
-/// Panics if the dimensions disagree.
+/// One persisted report field: where it lives in the report, and so
+/// how it is written and read.
+#[derive(Debug)]
+pub enum Slot<'a> {
+    /// A counter, in decimal.
+    Count(&'a mut u64),
+    /// A float, as its shortest exact decimal.
+    Real(&'a mut f64),
+    /// `true` or `false`.
+    Flag(&'a mut bool),
+    /// The rest of the line after the key's TAB.
+    Text(&'a mut String),
+    /// A histogram row kind: one `key<TAB>index<TAB>count` line per
+    /// non-empty bucket. Its rows follow every scalar line.
+    Buckets(&'a mut LatencyHistogram),
+}
+
+impl Slot<'_> {
+    /// Parses a scalar's value into its field; `false` if it does not
+    /// parse (a row kind takes no scalar value).
+    fn set(&mut self, value: &str) -> bool {
+        match self {
+            Slot::Count(v) => value.parse().map(|x| **v = x).is_ok(),
+            Slot::Real(v) => value.parse().map(|x| **v = x).is_ok(),
+            Slot::Flag(v) => value.parse().map(|x| **v = x).is_ok(),
+            Slot::Text(v) => {
+                value.clone_into(v);
+                true
+            }
+            Slot::Buckets(_) => false,
+        }
+    }
+}
+
+/// A report kind with a text format: its header line and its field
+/// table. The table is the one place that names a kind's persisted keys;
+/// [`format_report`] and [`read_report`] walk it.
+pub trait Report: Clone + Default {
+    /// The header line, e.g. `# cca-controller-report v1`.
+    const HEADER: &'static str;
+
+    /// Every persisted field, in write order: its key and its slot.
+    fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)>;
+}
+
+/// Serialises a report: the header, one `key<TAB>value` line per scalar
+/// in table order, then each row kind's non-empty buckets as
+/// `key<TAB>index<TAB>count`, row kinds in table order, buckets
+/// ascending.
 #[must_use]
-pub fn format_replica_placement(problem: &CcaProblem, rp: &ReplicaPlacement) -> String {
-    if rp.replicas() == 1 {
-        return format_placement(problem, rp.primary());
+pub fn format_report<R: Report>(report: &R) -> String {
+    let mut copy = report.clone();
+    let (mut out, mut rows) = (format!("{}\n", R::HEADER), String::new());
+    for (key, slot) in copy.fields() {
+        let _ = match slot {
+            Slot::Count(v) => writeln!(out, "{key}\t{v}"),
+            Slot::Real(v) => writeln!(out, "{key}\t{v}"),
+            Slot::Flag(v) => writeln!(out, "{key}\t{v}"),
+            Slot::Text(v) => writeln!(out, "{key}\t{v}"),
+            Slot::Buckets(h) => (h.nonempty())
+                .try_for_each(|(i, count)| writeln!(rows, "{key}\t{i}\t{count}")),
+        };
     }
-    assert_eq!(rp.num_objects(), problem.num_objects());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "# cca-placement v2 nodes={} objects={} replicas={}",
-        rp.num_nodes(),
-        rp.num_objects(),
-        rp.replicas()
-    );
-    for o in problem.objects() {
-        let _ = write!(out, "{}", problem.name(o));
-        for j in 0..rp.replicas() {
-            let _ = write!(out, "\t{}", rp.node_of(o, j));
-        }
-        out.push('\n');
-    }
-    out
+    out + &rows
 }
 
-/// Writes a replica placement (`v1` framing for `r = 1`, `v2` otherwise).
+/// Reads a report of kind `R`. Each line splits at its first TAB; a row
+/// kind's value is `index<TAB>count`.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors.
-pub fn write_replica_placement<W: Write>(
-    mut writer: W,
-    problem: &CcaProblem,
-    rp: &ReplicaPlacement,
-) -> Result<(), PersistError> {
-    writer.write_all(format_replica_placement(problem, rp).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a placement in either framing: a `v1` file loads as an `r = 1`
-/// replica placement (exactly [`read_placement`]), a `v2` file loads all
-/// `r` columns and matches objects by name.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/missing/duplicate object names, or
-/// nodes out of range.
-pub fn read_replica_placement<R: Read>(
-    mut reader: R,
-    problem: &CcaProblem,
-) -> Result<ReplicaPlacement, PersistError> {
-    let mut text = String::new();
-    reader.read_to_string(&mut text)?;
-    if !text.starts_with("# cca-placement v2 ") {
-        return Ok(ReplicaPlacement::from_primary(read_placement(
-            text.as_bytes(),
-            problem,
-        )?));
-    }
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or_default();
-    let parse_field = |key: &str| -> Result<usize, PersistError> {
-        header
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(key))
-            .and_then(|v| v.parse().ok())
-            .ok_or(PersistError::Format {
-                line: 1,
-                message: format!("bad {key} field in header {header:?}"),
-            })
-    };
-    let nodes = parse_field("nodes=")?;
-    let replicas = parse_field("replicas=")?;
-    if replicas == 0 || nodes == 0 {
-        return Err(PersistError::Format {
-            line: 1,
-            message: format!("degenerate header {header:?}"),
-        });
-    }
-    Ok(ReplicaPlacement::from_columns(read_columns(
-        lines.map(Ok),
-        problem,
-        nodes,
-        replicas,
-    )?))
-}
-
-// ---------------------------------------------------------------------------
-// Shared `# cca-*-report v1` framing
-//
-// Every report format is the same line discipline: a fixed header, one
-// `key<TAB>value` line per scalar field in declaration order, then zero
-// or more repeated histogram rows (`<row-key><TAB>index<TAB>count`,
-// ascending index). The writer and parser below are that discipline,
-// factored once; the per-format functions are thin typed shells.
-// ---------------------------------------------------------------------------
-
-/// Writer half of the shared framing: accumulates the header, scalar
-/// fields, and histogram rows in emission order.
-struct ReportWriter {
-    out: String,
-}
-
-impl ReportWriter {
-    fn new(header: &str) -> Self {
-        ReportWriter {
-            out: format!("{header}\n"),
-        }
-    }
-
-    fn field(&mut self, key: &str, value: impl std::fmt::Display) {
-        let _ = writeln!(self.out, "{key}\t{value}");
-    }
-
-    fn buckets(&mut self, key: &str, histogram: &LatencyHistogram) {
-        for (i, count) in histogram.nonempty() {
-            let _ = writeln!(self.out, "{key}\t{i}\t{count}");
-        }
-    }
-
-    fn finish(self) -> String {
-        self.out
-    }
-}
-
-/// Parser half of the shared framing: scalar values and histogram rows
-/// collected with the line-numbered error discipline every report format
-/// shares (unknown key, duplicate key, bucket index range, duplicate
-/// bucket, missing key at line 0).
-struct ParsedReport {
-    values: HashMap<String, String>,
-    rows: HashMap<String, LatencyHistogram>,
-}
-
-fn parse_framed<R: Read>(
-    reader: R,
-    header_want: &str,
-    scalar_keys: &[&str],
-    row_keys: &[&str],
-) -> Result<ParsedReport, PersistError> {
+/// Fails on a foreign header (line 1); on a line with no TAB, an unknown
+/// or repeated key, a bucket index out of range or repeated within its
+/// row kind, or a value that does not parse (at that line); and on a
+/// missing scalar (line 0).
+pub fn read_report<R: Report>(reader: impl Read) -> Result<R, PersistError> {
+    let mut report = R::default();
+    let mut fields = report.fields();
+    // The `(field, bucket)` pairs read so far; a scalar is bucket 0.
+    let mut seen = HashSet::new();
     let mut lines = BufReader::new(reader).lines();
     let header = lines.next().transpose()?.ok_or(PersistError::Format {
         line: 1,
         message: "empty input".into(),
     })?;
-    if header.trim() != header_want {
+    if header.trim() != R::HEADER {
         return Err(PersistError::Format {
             line: 1,
             message: format!("bad header {header:?}"),
         });
     }
-    let mut values: HashMap<String, String> = HashMap::new();
-    let mut rows: HashMap<String, LatencyHistogram> = HashMap::new();
-    let mut seen_buckets: HashMap<&str, Vec<usize>> = HashMap::new();
     for (i, line) in lines.enumerate() {
-        let line_no = i + 2;
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let (key, value) = trimmed.split_once('\t').ok_or(PersistError::Format {
-            line: line_no,
-            message: "expected key<TAB>value".into(),
-        })?;
-        if let Some(&row_key) = row_keys.iter().find(|&&r| r == key) {
-            let (idx, count) = value.split_once('\t').ok_or(PersistError::Format {
-                line: line_no,
-                message: format!("expected {row_key}<TAB>index<TAB>count"),
-            })?;
-            let idx: usize = idx.parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid bucket index {idx:?}"),
-            })?;
+        let error = |message: String| PersistError::Format {
+            line: i + 2,
+            message,
+        };
+        let (key, value) = (trimmed.split_once('\t'))
+            .ok_or_else(|| error("expected key<TAB>value".into()))?;
+        let k = (fields.iter().position(|&(name, _)| name == key))
+            .ok_or_else(|| error(format!("unknown key {key:?}")))?;
+        let slot = &mut fields[k].1;
+        if let Slot::Buckets(histogram) = slot {
+            let (idx, count) = (value.split_once('\t'))
+                .ok_or_else(|| error(format!("expected {key}<TAB>index<TAB>count")))?;
+            let idx: usize = (idx.parse())
+                .map_err(|_| error(format!("invalid bucket index {idx:?}")))?;
             if idx >= NUM_BUCKETS {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("bucket {idx} out of range (< {NUM_BUCKETS})"),
-                });
+                return Err(error(format!("bucket {idx} out of range (< {NUM_BUCKETS})")));
             }
-            let seen = seen_buckets.entry(row_key).or_default();
-            if seen.contains(&idx) {
-                return Err(PersistError::Format {
-                    line: line_no,
-                    message: format!("duplicate bucket {idx}"),
-                });
+            if !seen.insert((k, idx)) {
+                return Err(error(format!("duplicate bucket {idx}")));
             }
-            seen.push(idx);
-            let count: u64 = count.parse().map_err(|_| PersistError::Format {
-                line: line_no,
-                message: format!("invalid bucket count {count:?}"),
-            })?;
-            rows.entry(row_key.to_string())
-                .or_default()
-                .add_bucket(idx, count);
-            continue;
+            let count = (count.parse())
+                .map_err(|_| error(format!("invalid bucket count {count:?}")))?;
+            histogram.add_bucket(idx, count);
+        } else if !seen.insert((k, 0)) {
+            return Err(error(format!("duplicate key {key:?}")));
+        } else if !slot.set(value) {
+            return Err(error(format!("invalid value {value:?} for {key:?}")));
         }
-        if !scalar_keys.contains(&key) {
+    }
+    for (k, (key, slot)) in fields.iter().enumerate() {
+        if !matches!(slot, Slot::Buckets(_)) && !seen.contains(&(k, 0)) {
             return Err(PersistError::Format {
-                line: line_no,
-                message: format!("unknown key {key:?}"),
-            });
-        }
-        if values.insert(key.to_string(), value.to_string()).is_some() {
-            return Err(PersistError::Format {
-                line: line_no,
-                message: format!("duplicate key {key:?}"),
-            });
-        }
-    }
-    Ok(ParsedReport { values, rows })
-}
-
-impl ParsedReport {
-    fn get(&self, key: &str) -> Result<&String, PersistError> {
-        self.values.get(key).ok_or(PersistError::Format {
-            line: 0,
-            message: format!("missing key {key:?}"),
-        })
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, PersistError> {
-        self.get(key)?.parse().map_err(|_| PersistError::Format {
-            line: 0,
-            message: format!("invalid integer for {key:?}"),
-        })
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, PersistError> {
-        self.get(key)?.parse().map_err(|_| PersistError::Format {
-            line: 0,
-            message: format!("invalid number for {key:?}"),
-        })
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, PersistError> {
-        match self.get(key)?.as_str() {
-            "true" => Ok(true),
-            "false" => Ok(false),
-            other => Err(PersistError::Format {
                 line: 0,
-                message: format!("invalid bool {other:?} for {key:?}"),
-            }),
+                message: format!("missing key {key:?}"),
+            });
         }
     }
+    drop(fields);
+    Ok(report)
+}
 
-    fn string(&self, key: &str) -> Result<String, PersistError> {
-        Ok(self.get(key)?.clone())
+impl Report for ControllerReport {
+    const HEADER: &'static str = "# cca-controller-report v1";
+
+    fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        use Slot::{Count, Flag, Real};
+        vec![
+            ("epochs", Count(&mut self.epochs)),
+            ("queries", Count(&mut self.queries)),
+            ("evaluated", Count(&mut self.evaluated)),
+            ("migrations", Count(&mut self.migrations)),
+            ("objects_moved", Count(&mut self.objects_moved)),
+            ("migrated_bytes", Count(&mut self.migrated_bytes)),
+            ("rejected_not_worthwhile", Count(&mut self.rejected_not_worthwhile)),
+            ("rejected_not_robust", Count(&mut self.rejected_not_robust)),
+            ("degradations", Count(&mut self.degradations)),
+            ("solve_retries", Count(&mut self.solve_retries)),
+            ("repairs", Count(&mut self.repairs)),
+            ("repair_retries", Count(&mut self.repair_retries)),
+            ("repair_moves", Count(&mut self.repair_moves)),
+            ("repair_bytes", Count(&mut self.repair_bytes)),
+            ("node_losses", Count(&mut self.node_losses)),
+            ("unrecovered_losses", Count(&mut self.unrecovered_losses)),
+            ("accumulated_loss", Real(&mut self.accumulated_loss)),
+            ("final_cost", Real(&mut self.final_cost)),
+            ("final_feasible", Flag(&mut self.final_feasible)),
+        ]
     }
+}
 
-    fn histogram(&mut self, row_key: &str) -> LatencyHistogram {
-        self.rows.remove(row_key).unwrap_or_default()
+impl Report for ServingReport {
+    const HEADER: &'static str = "# cca-serving-report v1";
+
+    fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        use Slot::{Buckets, Count, Text};
+        vec![
+            ("queries", Count(&mut self.queries)),
+            ("served", Count(&mut self.served)),
+            ("degraded", Count(&mut self.degraded)),
+            ("shed_admission", Count(&mut self.shed_admission)),
+            ("shed_overload", Count(&mut self.shed_overload)),
+            ("shed_deadline", Count(&mut self.shed_deadline)),
+            ("executed_bytes", Count(&mut self.executed_bytes)),
+            ("estimated_bytes", Count(&mut self.estimated_bytes)),
+            ("p50_ns", Count(&mut self.p50_ns)),
+            ("p95_ns", Count(&mut self.p95_ns)),
+            ("p99_ns", Count(&mut self.p99_ns)),
+            ("digest", Text(&mut self.digest)),
+            ("bucket", Buckets(&mut self.histogram)),
+        ]
     }
 }
 
-/// Field order of the v1 controller-report format (also the write order).
-const REPORT_KEYS: [&str; 19] = [
-    "epochs",
-    "queries",
-    "evaluated",
-    "migrations",
-    "objects_moved",
-    "migrated_bytes",
-    "rejected_not_worthwhile",
-    "rejected_not_robust",
-    "degradations",
-    "solve_retries",
-    "repairs",
-    "repair_retries",
-    "repair_moves",
-    "repair_bytes",
-    "node_losses",
-    "unrecovered_losses",
-    "accumulated_loss",
-    "final_cost",
-    "final_feasible",
-];
+impl Report for LiveReport {
+    const HEADER: &'static str = "# cca-live-report v1";
 
-/// Serialises a [`ControllerReport`] in the v1 text format.
-#[must_use]
-pub fn format_controller_report(report: &ControllerReport) -> String {
-    let mut w = ReportWriter::new("# cca-controller-report v1");
-    let u = [
-        report.epochs,
-        report.queries,
-        report.evaluated,
-        report.migrations,
-        report.objects_moved,
-        report.migrated_bytes,
-        report.rejected_not_worthwhile,
-        report.rejected_not_robust,
-        report.degradations,
-        report.solve_retries,
-        report.repairs,
-        report.repair_retries,
-        report.repair_moves,
-        report.repair_bytes,
-        report.node_losses,
-        report.unrecovered_losses,
-    ];
-    for (key, value) in REPORT_KEYS.iter().zip(u) {
-        w.field(key, value);
+    fn fields(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        use Slot::{Buckets, Count, Flag, Text};
+        vec![
+            ("epochs", Count(&mut self.epochs)),
+            ("queries", Count(&mut self.queries)),
+            ("served", Count(&mut self.served)),
+            ("degraded", Count(&mut self.degraded)),
+            ("shed_admission", Count(&mut self.shed_admission)),
+            ("shed_overload", Count(&mut self.shed_overload)),
+            ("shed_deadline", Count(&mut self.shed_deadline)),
+            ("executed_bytes", Count(&mut self.executed_bytes)),
+            ("estimated_bytes", Count(&mut self.estimated_bytes)),
+            ("evaluated", Count(&mut self.evaluated)),
+            ("migrations", Count(&mut self.migrations)),
+            ("abandoned_migrations", Count(&mut self.abandoned_migrations)),
+            ("migration_epochs", Count(&mut self.migration_epochs)),
+            ("migrated_bytes", Count(&mut self.migrated_bytes)),
+            ("max_epoch_migrated_bytes", Count(&mut self.max_epoch_migrated_bytes)),
+            ("migration_budget", Count(&mut self.migration_budget)),
+            ("pre_epochs", Count(&mut self.pre_epochs)),
+            ("pre_queries", Count(&mut self.pre_queries)),
+            ("pre_executed_bytes", Count(&mut self.pre_executed_bytes)),
+            ("post_epochs", Count(&mut self.post_epochs)),
+            ("post_queries", Count(&mut self.post_queries)),
+            ("post_executed_bytes", Count(&mut self.post_executed_bytes)),
+            ("p50_ns", Count(&mut self.p50_ns)),
+            ("p95_ns", Count(&mut self.p95_ns)),
+            ("p99_ns", Count(&mut self.p99_ns)),
+            ("final_feasible", Flag(&mut self.final_feasible)),
+            ("digest", Text(&mut self.digest)),
+            ("bucket_pre", Buckets(&mut self.pre_histogram)),
+            ("bucket_mid", Buckets(&mut self.mid_histogram)),
+            ("bucket_post", Buckets(&mut self.post_histogram)),
+        ]
     }
-    w.field("accumulated_loss", report.accumulated_loss);
-    w.field("final_cost", report.final_cost);
-    w.field("final_feasible", report.final_feasible);
-    w.finish()
 }
 
-/// Writes a controller report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_controller_report<W: Write>(
-    mut writer: W,
-    report: &ControllerReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_controller_report(report).as_bytes())?;
-    Ok(())
-}
+#[cfg(test)]
+mod reference;
 
-/// Reads a v1 controller report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, or
-/// unparsable values.
-pub fn read_controller_report<R: Read>(reader: R) -> Result<ControllerReport, PersistError> {
-    let p = parse_framed(reader, "# cca-controller-report v1", &REPORT_KEYS, &[])?;
-    Ok(ControllerReport {
-        epochs: p.u64("epochs")?,
-        queries: p.u64("queries")?,
-        evaluated: p.u64("evaluated")?,
-        migrations: p.u64("migrations")?,
-        objects_moved: p.u64("objects_moved")?,
-        migrated_bytes: p.u64("migrated_bytes")?,
-        rejected_not_worthwhile: p.u64("rejected_not_worthwhile")?,
-        rejected_not_robust: p.u64("rejected_not_robust")?,
-        degradations: p.u64("degradations")?,
-        solve_retries: p.u64("solve_retries")?,
-        repairs: p.u64("repairs")?,
-        repair_retries: p.u64("repair_retries")?,
-        repair_moves: p.u64("repair_moves")?,
-        repair_bytes: p.u64("repair_bytes")?,
-        node_losses: p.u64("node_losses")?,
-        unrecovered_losses: p.u64("unrecovered_losses")?,
-        accumulated_loss: p.f64("accumulated_loss")?,
-        final_cost: p.f64("final_cost")?,
-        final_feasible: p.bool("final_feasible")?,
-    })
-}
-
-/// Field order of the v1 serving-report format (also the write order);
-/// `bucket` lines follow the scalar fields.
-const SERVING_KEYS: [&str; 12] = [
-    "queries",
-    "served",
-    "degraded",
-    "shed_admission",
-    "shed_overload",
-    "shed_deadline",
-    "executed_bytes",
-    "estimated_bytes",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "digest",
-];
-
-/// Serialises a [`ServingReport`] in the v1 text format.
-#[must_use]
-pub fn format_serving_report(report: &ServingReport) -> String {
-    let mut w = ReportWriter::new("# cca-serving-report v1");
-    let u = [
-        report.queries,
-        report.served,
-        report.degraded,
-        report.shed_admission,
-        report.shed_overload,
-        report.shed_deadline,
-        report.executed_bytes,
-        report.estimated_bytes,
-        report.p50_ns,
-        report.p95_ns,
-        report.p99_ns,
-    ];
-    for (key, value) in SERVING_KEYS.iter().zip(u) {
-        w.field(key, value);
-    }
-    w.field("digest", &report.digest);
-    w.buckets("bucket", &report.histogram);
-    w.finish()
-}
-
-/// Writes a serving report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_serving_report<W: Write>(
-    mut writer: W,
-    report: &ServingReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_serving_report(report).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 serving report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, bucket
-/// indices out of range, or unparsable values.
-pub fn read_serving_report<R: Read>(reader: R) -> Result<ServingReport, PersistError> {
-    let mut p = parse_framed(reader, "# cca-serving-report v1", &SERVING_KEYS, &["bucket"])?;
-    Ok(ServingReport {
-        queries: p.u64("queries")?,
-        served: p.u64("served")?,
-        degraded: p.u64("degraded")?,
-        shed_admission: p.u64("shed_admission")?,
-        shed_overload: p.u64("shed_overload")?,
-        shed_deadline: p.u64("shed_deadline")?,
-        executed_bytes: p.u64("executed_bytes")?,
-        estimated_bytes: p.u64("estimated_bytes")?,
-        p50_ns: p.u64("p50_ns")?,
-        p95_ns: p.u64("p95_ns")?,
-        p99_ns: p.u64("p99_ns")?,
-        digest: p.string("digest")?,
-        histogram: p.histogram("bucket"),
-    })
-}
-
-/// Field order of the v1 live-report format (also the write order);
-/// `bucket_pre`/`bucket_mid`/`bucket_post` histogram rows follow the
-/// scalar fields.
-const LIVE_KEYS: [&str; 27] = [
-    "epochs",
-    "queries",
-    "served",
-    "degraded",
-    "shed_admission",
-    "shed_overload",
-    "shed_deadline",
-    "executed_bytes",
-    "estimated_bytes",
-    "evaluated",
-    "migrations",
-    "abandoned_migrations",
-    "migration_epochs",
-    "migrated_bytes",
-    "max_epoch_migrated_bytes",
-    "migration_budget",
-    "pre_epochs",
-    "pre_queries",
-    "pre_executed_bytes",
-    "post_epochs",
-    "post_queries",
-    "post_executed_bytes",
-    "p50_ns",
-    "p95_ns",
-    "p99_ns",
-    "final_feasible",
-    "digest",
-];
-
-/// Serialises a [`LiveReport`] in the v1 text format
-/// (`# cca-live-report v1`).
-#[must_use]
-pub fn format_live_report(report: &LiveReport) -> String {
-    let mut w = ReportWriter::new("# cca-live-report v1");
-    let u = [
-        report.epochs,
-        report.queries,
-        report.served,
-        report.degraded,
-        report.shed_admission,
-        report.shed_overload,
-        report.shed_deadline,
-        report.executed_bytes,
-        report.estimated_bytes,
-        report.evaluated,
-        report.migrations,
-        report.abandoned_migrations,
-        report.migration_epochs,
-        report.migrated_bytes,
-        report.max_epoch_migrated_bytes,
-        report.migration_budget,
-        report.pre_epochs,
-        report.pre_queries,
-        report.pre_executed_bytes,
-        report.post_epochs,
-        report.post_queries,
-        report.post_executed_bytes,
-        report.p50_ns,
-        report.p95_ns,
-        report.p99_ns,
-    ];
-    for (key, value) in LIVE_KEYS.iter().zip(u) {
-        w.field(key, value);
-    }
-    w.field("final_feasible", report.final_feasible);
-    w.field("digest", &report.digest);
-    w.buckets("bucket_pre", &report.pre_histogram);
-    w.buckets("bucket_mid", &report.mid_histogram);
-    w.buckets("bucket_post", &report.post_histogram);
-    w.finish()
-}
-
-/// Writes a live report in the v1 text format.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_live_report<W: Write>(
-    mut writer: W,
-    report: &LiveReport,
-) -> Result<(), PersistError> {
-    writer.write_all(format_live_report(report).as_bytes())?;
-    Ok(())
-}
-
-/// Reads a v1 live report.
-///
-/// # Errors
-///
-/// Fails on malformed input, unknown/duplicate/missing keys, bucket
-/// indices out of range, or unparsable values.
-pub fn read_live_report<R: Read>(reader: R) -> Result<LiveReport, PersistError> {
-    let mut p = parse_framed(
-        reader,
-        "# cca-live-report v1",
-        &LIVE_KEYS,
-        &["bucket_pre", "bucket_mid", "bucket_post"],
-    )?;
-    Ok(LiveReport {
-        epochs: p.u64("epochs")?,
-        queries: p.u64("queries")?,
-        served: p.u64("served")?,
-        degraded: p.u64("degraded")?,
-        shed_admission: p.u64("shed_admission")?,
-        shed_overload: p.u64("shed_overload")?,
-        shed_deadline: p.u64("shed_deadline")?,
-        executed_bytes: p.u64("executed_bytes")?,
-        estimated_bytes: p.u64("estimated_bytes")?,
-        evaluated: p.u64("evaluated")?,
-        migrations: p.u64("migrations")?,
-        abandoned_migrations: p.u64("abandoned_migrations")?,
-        migration_epochs: p.u64("migration_epochs")?,
-        migrated_bytes: p.u64("migrated_bytes")?,
-        max_epoch_migrated_bytes: p.u64("max_epoch_migrated_bytes")?,
-        migration_budget: p.u64("migration_budget")?,
-        pre_epochs: p.u64("pre_epochs")?,
-        pre_queries: p.u64("pre_queries")?,
-        pre_executed_bytes: p.u64("pre_executed_bytes")?,
-        post_epochs: p.u64("post_epochs")?,
-        post_queries: p.u64("post_queries")?,
-        post_executed_bytes: p.u64("post_executed_bytes")?,
-        p50_ns: p.u64("p50_ns")?,
-        p95_ns: p.u64("p95_ns")?,
-        p99_ns: p.u64("p99_ns")?,
-        final_feasible: p.bool("final_feasible")?,
-        digest: p.string("digest")?,
-        pre_histogram: p.histogram("bucket_pre"),
-        mid_histogram: p.histogram("bucket_mid"),
-        post_histogram: p.histogram("bucket_post"),
-    })
-}
+#[cfg(test)]
+#[path = "../tests/persist_cases/mod.rs"]
+mod cases;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::random::random_hash_placement;
+    use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, StdRng};
+    use std::cell::Cell;
 
     fn problem() -> CcaProblem {
         let mut b = CcaProblem::builder();
@@ -837,22 +538,31 @@ mod tests {
         assert_eq!(parsed, placement);
     }
 
+    /// The one writer emits v1 for a single copy, whichever entry point
+    /// calls it, and both readers load that text.
     #[test]
     fn writer_round_trip() {
         let p = problem();
         let placement = random_hash_placement(&p);
-        let mut buf = Vec::new();
-        write_placement(&mut buf, &p, &placement).expect("write");
-        assert_eq!(read_placement(buf.as_slice(), &p).unwrap(), placement);
+        let rp = ReplicaPlacement::from_primary(placement.clone());
+        let text = format_replica_placement(&p, &rp);
+        assert_eq!(text, format_placement(&p, &placement));
+        assert!(text.starts_with("# cca-placement v1 nodes=3 objects=8\n"));
+        assert_eq!(read_placement(text.as_bytes(), &p).unwrap(), placement);
+        assert_eq!(read_replica_placement(text.as_bytes(), &p).unwrap(), rp);
     }
 
     /// The line a placement reader's error names, or `None` for an I/O
     /// error.
-    fn error_line(result: Result<impl std::fmt::Debug, PersistError>) -> Option<usize> {
-        match result.expect_err("malformed input must be rejected") {
-            PersistError::Format { line, .. } => Some(line),
+    fn line_of(error: &PersistError) -> Option<usize> {
+        match error {
+            PersistError::Format { line, .. } => Some(*line),
             PersistError::Io(_) => None,
         }
+    }
+
+    fn error_line(result: Result<impl std::fmt::Debug, PersistError>) -> Option<usize> {
+        line_of(&result.expect_err("malformed input must be rejected"))
     }
 
     /// One case per error branch of each placement reader, with the line
@@ -916,12 +626,11 @@ mod tests {
             let got = error_line(read_replica_placement(text.as_bytes(), &p));
             assert_eq!(got, *replica, "read_replica_placement on {text:?}");
         }
-        // Invalid UTF-8 is an I/O error. `read_placement` reads line by
-        // line, so an earlier malformed line still wins; the replica
-        // reader reads the whole text first.
+        // Invalid UTF-8 is an I/O error. Both readers read line by line,
+        // so an earlier malformed line still wins.
         for (bytes, placement, replica) in [
             (&b"\xff\n"[..], None, None),
-            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n\xff\n"[..], Some(2), None),
+            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n\xff\n"[..], Some(2), Some(2)),
             (&b"# cca-placement v1 nodes=3 objects=8\nkw0\t1\n\xff\n"[..], None, None),
             (&b"# cca-placement v2 nodes=3 objects=8 replicas=2\n\xff\n"[..], Some(1), None),
         ] {
@@ -957,18 +666,16 @@ mod tests {
     #[test]
     fn controller_report_round_trips_bit_exact() {
         let r = report();
-        let text = format_controller_report(&r);
+        let text = format_report(&r);
         assert!(text.starts_with("# cca-controller-report v1\n"));
-        let parsed = read_controller_report(text.as_bytes()).expect("round trip");
+        let parsed: ControllerReport = read_report(text.as_bytes()).expect("round trip");
         assert_eq!(parsed, r);
         assert_eq!(
             parsed.final_cost.to_bits(),
             r.final_cost.to_bits(),
             "shortest-decimal Display must round-trip floats exactly"
         );
-        let mut buf = Vec::new();
-        write_controller_report(&mut buf, &r).expect("write");
-        assert_eq!(read_controller_report(buf.as_slice()).unwrap(), r);
+        assert_eq!(format_report(&parsed), text, "formatting is a fixed point");
     }
 
     fn serving_report() -> ServingReport {
@@ -1000,16 +707,13 @@ mod tests {
     fn serving_report_round_trips_bit_exact() {
         let r = serving_report();
         assert!(r.counters_consistent());
-        let text = format_serving_report(&r);
+        let text = format_report(&r);
         assert!(text.starts_with("# cca-serving-report v1\n"));
-        let parsed = read_serving_report(text.as_bytes()).expect("round trip");
+        let parsed: ServingReport = read_report(text.as_bytes()).expect("round trip");
         assert_eq!(parsed, r);
         assert!(parsed.counters_consistent());
         // And the round trip is a fixed point of formatting.
-        assert_eq!(format_serving_report(&parsed), text);
-        let mut buf = Vec::new();
-        write_serving_report(&mut buf, &r).expect("write");
-        assert_eq!(read_serving_report(buf.as_slice()).unwrap(), r);
+        assert_eq!(format_report(&parsed), text);
     }
 
     #[test]
@@ -1025,12 +729,12 @@ mod tests {
             "# cca-serving-report v1\nbucket\t65\t1\n",       // bucket range
             "# cca-serving-report v1\nbucket\t1\n",           // bucket shape
         ] {
-            assert!(read_serving_report(text.as_bytes()).is_err(), "{text:?}");
+            assert!(read_report::<ServingReport>(text.as_bytes()).is_err(), "{text:?}");
         }
         // Duplicate bucket lines are rejected even with all scalars present.
-        let mut full = format_serving_report(&serving_report());
+        let mut full = format_report(&serving_report());
         full.push_str("bucket\t7\t1\nbucket\t7\t2\n");
-        assert!(read_serving_report(full.as_bytes()).is_err());
+        assert!(read_report::<ServingReport>(full.as_bytes()).is_err());
     }
 
     fn live_report() -> LiveReport {
@@ -1078,15 +782,12 @@ mod tests {
     fn live_report_round_trips_bit_exact() {
         let r = live_report();
         assert!(r.counters_consistent());
-        let text = format_live_report(&r);
+        let text = format_report(&r);
         assert!(text.starts_with("# cca-live-report v1\n"));
-        let parsed = read_live_report(text.as_bytes()).expect("round trip");
+        let parsed: LiveReport = read_report(text.as_bytes()).expect("round trip");
         assert_eq!(parsed, r);
         assert!(parsed.counters_consistent());
-        assert_eq!(format_live_report(&parsed), text, "formatting is a fixed point");
-        let mut buf = Vec::new();
-        write_live_report(&mut buf, &r).expect("write");
-        assert_eq!(read_live_report(buf.as_slice()).unwrap(), r);
+        assert_eq!(format_report(&parsed), text, "formatting is a fixed point");
     }
 
     #[test]
@@ -1104,13 +805,13 @@ mod tests {
             "# cca-live-report v1\nbucket_mid\t1\n", // bucket shape
             "# cca-live-report v1\nbucket\t1\t1\n",  // serving's row key
         ] {
-            assert!(read_live_report(text.as_bytes()).is_err(), "{text:?}");
+            assert!(read_report::<LiveReport>(text.as_bytes()).is_err(), "{text:?}");
         }
         // The same bucket index may appear once per row kind, but not
         // twice within one kind.
-        let mut full = format_live_report(&live_report());
+        let mut full = format_report(&live_report());
         full.push_str("bucket_post\t3\t1\nbucket_post\t3\t2\n");
-        assert!(read_live_report(full.as_bytes()).is_err());
+        assert!(read_report::<LiveReport>(full.as_bytes()).is_err());
     }
 
     #[test]
@@ -1124,7 +825,163 @@ mod tests {
             "# cca-controller-report v1\nepochs\t1\nepochs\t2\n", // duplicate
             "# cca-controller-report v1\nepochs\t1\n",       // missing keys
         ] {
-            assert!(read_controller_report(text.as_bytes()).is_err(), "{text:?}");
+            assert!(read_report::<ControllerReport>(text.as_bytes()).is_err(), "{text:?}");
         }
+    }
+
+    /// A controller report from the battery's generator, whose floats
+    /// are now and then NaN, an infinity or -0.
+    fn controller_with_specials(rng: &mut StdRng) -> ControllerReport {
+        let mut r = cases::controller_report(rng);
+        for v in [&mut r.accumulated_loss, &mut r.final_cost] {
+            if rng.random_range(0u8..3) == 0 {
+                *v = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][rng.random_range(0..4)];
+            }
+        }
+        r
+    }
+
+    /// Equal reports, floats compared by their bits.
+    fn same_controller(a: &ControllerReport, b: &ControllerReport) -> bool {
+        let bits = |r: &ControllerReport| (r.accumulated_loss.to_bits(), r.final_cost.to_bits());
+        let rest = |r: &ControllerReport| ControllerReport {
+            accumulated_loss: 0.0,
+            final_cost: 0.0,
+            ..r.clone()
+        };
+        bits(a) == bits(b) && rest(a) == rest(b)
+    }
+
+    /// Random reports and placements format to the reference's bytes,
+    /// and a controller report's special floats read back bit for bit.
+    #[test]
+    fn writers_match_the_reference() {
+        Checker::new("writers_match_the_reference")
+            .cases(2048)
+            .run(|rng| rng.random_range(0..u64::MAX), |&seed| {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let r = controller_with_specials(rng);
+                let text = format_report(&r);
+                prop_assert_eq!(&text, &reference::format_controller_report(&r));
+                let back: ControllerReport =
+                    read_report(text.as_bytes()).map_err(|e| e.to_string())?;
+                prop_assert!(same_controller(&back, &r), "{back:?} read back from {text:?}");
+                let r = cases::serving_report(rng);
+                prop_assert_eq!(format_report(&r), reference::format_serving_report(&r));
+                let r = cases::live_report(rng);
+                prop_assert_eq!(format_report(&r), reference::format_live_report(&r));
+                let (p, rp) = (cases::placement_problem(), cases::replica_placement(rng));
+                prop_assert_eq!(
+                    format_replica_placement(&p, &rp),
+                    reference::format_replica_placement(&p, &rp)
+                );
+                prop_assert_eq!(
+                    format_placement(&p, rp.primary()),
+                    reference::format_placement(&p, rp.primary())
+                );
+                Ok(())
+            });
+    }
+
+    /// Feeds 2,048 mutated texts of one report kind (reports drawn by
+    /// `generate`) to [`read_report`] and to the reference's reader: both
+    /// accept with reports that are the `same`, or both reject. Returns
+    /// how many texts were accepted.
+    fn readers_agree<R: Report + std::fmt::Debug>(
+        name: &str,
+        generate: impl Fn(&mut StdRng) -> R,
+        reference: impl Fn(&[u8]) -> Result<R, PersistError>,
+        same: impl Fn(&R, &R) -> bool,
+    ) -> u32 {
+        let accepted = Cell::new(0);
+        Checker::new(name).cases(2048).run(
+            |rng| {
+                let report = generate(rng);
+                cases::mutated(rng, &format_report(&report))
+            },
+            |text| {
+                match (read_report::<R>(text.0.as_slice()), reference(&text.0)) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert!(same(&got, &want), "read {got:?}, reference {want:?}");
+                        accepted.set(accepted.get() + 1);
+                    }
+                    (Err(_), Err(_)) => {}
+                    (got, want) => prop_assert!(false, "read {got:?}, reference {want:?}"),
+                }
+                Ok(())
+            },
+        );
+        accepted.get()
+    }
+
+    /// Each report reader accepts and rejects what the reference does,
+    /// with equal values, on mutated texts of its own kind.
+    #[test]
+    fn report_readers_match_the_reference() {
+        let accepted = [
+            readers_agree(
+                "report_readers_match_the_reference/controller",
+                controller_with_specials,
+                |text| reference::read_controller_report(text),
+                same_controller,
+            ),
+            readers_agree(
+                "report_readers_match_the_reference/serving",
+                cases::serving_report,
+                |text| reference::read_serving_report(text),
+                ServingReport::eq,
+            ),
+            readers_agree(
+                "report_readers_match_the_reference/live",
+                cases::live_report,
+                |text| reference::read_live_report(text),
+                LiveReport::eq,
+            ),
+        ];
+        // Most mutations break a text; some survive to compare values.
+        assert!(accepted.iter().all(|&n| n > 0), "accepted: {accepted:?}");
+    }
+
+    /// Both placement readers accept what the reference does, with equal
+    /// placements, and fail at the same line. The one difference: the
+    /// reference's replica reader read the whole text first, so invalid
+    /// UTF-8 anywhere was an I/O error, where the streaming reader may
+    /// first meet a malformed line.
+    #[test]
+    fn placement_readers_match_the_reference() {
+        let p = cases::placement_problem();
+        let (accepted, moved) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("placement_readers_match_the_reference")
+            .cases(2048)
+            .run(cases::mutated_placement, |text| {
+                let bytes = text.0.as_slice();
+                let (got, want) = (read_placement(bytes, &p), reference::read_placement(bytes, &p));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+                    (Err(got), Err(want)) => {
+                        prop_assert_eq!(line_of(&got), line_of(&want));
+                    }
+                    (got, want) => prop_assert!(false, "read {got:?}, reference {want:?}"),
+                }
+                let got = read_replica_placement(bytes, &p);
+                let want = reference::read_replica_placement(bytes, &p);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        prop_assert_eq!(got, want);
+                        accepted.set(accepted.get() + 1);
+                    }
+                    (Err(PersistError::Format { .. }), Err(PersistError::Io(_)))
+                        if std::str::from_utf8(bytes).is_err() =>
+                    {
+                        moved.set(moved.get() + 1);
+                    }
+                    (Err(got), Err(want)) => {
+                        prop_assert_eq!(line_of(&got), line_of(&want));
+                    }
+                    (got, want) => prop_assert!(false, "read {got:?}, reference {want:?}"),
+                }
+                Ok(())
+            });
+        assert!(accepted.get() > 0 && moved.get() > 0, "{accepted:?} {moved:?}");
     }
 }

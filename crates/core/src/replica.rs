@@ -375,15 +375,6 @@ impl ReplicaPlacement {
         loads
     }
 
-    /// `true` if every node's copy-inclusive load fits `capacity · slack`.
-    #[must_use]
-    pub fn within_replica_capacity(&self, problem: &CcaProblem, slack: f64) -> bool {
-        self.replica_loads(problem)
-            .iter()
-            .enumerate()
-            .all(|(k, &load)| load as f64 <= problem.capacity(k) as f64 * slack)
-    }
-
     /// The spread invariant: no two replicas of any object share a leaf
     /// domain of `tree`.
     ///
@@ -513,8 +504,8 @@ fn pick_copy_node(
 ///
 /// Propagates [`validate_replica_spec`] errors. Capacity is a soft
 /// preference (`slack`-scaled): the spread invariant always holds for a
-/// valid spec, overloads are reported by
-/// [`ReplicaPlacement::within_replica_capacity`].
+/// valid spec, overloads show in
+/// [`ReplicaPlacement::replica_loads`].
 pub fn spread_copies(
     problem: &CcaProblem,
     tree: &DomainTree,

@@ -8,7 +8,7 @@
 //! placement-system side of that contract: the histogram whose bucket
 //! bounds are powers of two (so every persisted value is an exact `u64`
 //! and the report round-trips bit for bit through
-//! [`crate::persist::format_serving_report`]) and the counter partition
+//! [`crate::persist::format_report`]) and the counter partition
 //! mirroring the controller's gate accounting — every offered query is
 //! accounted served, degraded, or shed; nothing is dropped silently.
 
@@ -155,7 +155,7 @@ impl LatencyHistogram {
 /// ```
 ///
 /// Every field is either a `u64` or a hex digest, so the v1 text format
-/// ([`crate::persist::format_serving_report`]) round-trips bit for bit.
+/// ([`crate::persist::format_report`]) round-trips bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServingReport {
     /// Queries offered to the admission queue.
@@ -264,7 +264,7 @@ impl ServingReport {
 /// latency impact of the interleaved migration traffic.
 ///
 /// Every field is a `u64`, a `bool`, or a hex digest, so the v1 text
-/// format ([`crate::persist::format_live_report`]) round-trips bit for
+/// format ([`crate::persist::format_report`]) round-trips bit for
 /// bit.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LiveReport {

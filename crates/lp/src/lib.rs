@@ -49,7 +49,6 @@
 
 mod dense;
 pub mod lpformat;
-pub mod presolve;
 mod model;
 mod standard;
 pub mod tol;
@@ -58,6 +57,5 @@ mod validate;
 pub mod sparse;
 
 pub use lpformat::{parse_lp, write_lp, ParseLpError};
-pub use presolve::{presolve, Presolved, VarDisposition};
 pub use model::{Col, LpError, Model, Relation, Row, Sense, Solution, SolveStatus, SolverOptions};
 pub use validate::{validate_solution, Violation};

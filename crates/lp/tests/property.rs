@@ -3,7 +3,7 @@
 //! every reported optimum must validate from first principles.
 
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
-use cca_lp::{presolve, validate_solution, LpError, Model, Relation, SolverOptions};
+use cca_lp::{validate_solution, LpError, Model, Relation, SolverOptions};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/property.regressions");
 
@@ -205,39 +205,6 @@ fn objective_scaling() {
                 Ok(())
             },
         );
-}
-
-/// Presolve is equivalence-preserving: solving the presolved model and
-/// restoring gives the same objective (and a solution that validates on
-/// the original model) as solving directly. Status agreement includes
-/// presolve proving infeasibility/unboundedness early.
-#[test]
-fn presolve_preserves_equivalence() {
-    Checker::new("presolve_preserves_equivalence")
-        .cases(200)
-        .regressions(REGRESSIONS)
-        .run(random_lp, |lp| {
-            let model = build(lp);
-            let direct = model.solve(&SolverOptions::default());
-            let via = presolve(&model).and_then(|p| p.solve(&SolverOptions::default()));
-            match (direct, via) {
-                (Ok(a), Ok(b)) => {
-                    let scale = 1.0 + a.objective.abs().max(b.objective.abs());
-                    prop_assert!(
-                        (a.objective - b.objective).abs() < 1e-6 * scale,
-                        "direct {} vs presolved {}",
-                        a.objective,
-                        b.objective
-                    );
-                    let violations = validate_solution(&model, &b);
-                    prop_assert!(violations.is_empty(), "restored violations: {violations:?}");
-                }
-                (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}
-                (Err(LpError::Unbounded), Err(LpError::Unbounded)) => {}
-                (a, b) => prop_assert!(false, "status mismatch: direct {a:?}, presolved {b:?}"),
-            }
-            Ok(())
-        });
 }
 
 /// LP-format round trips preserve the optimum on random models.

@@ -20,14 +20,12 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
-pub mod compress;
 pub mod docpart;
 pub mod engine;
 pub mod index;
 pub mod stopwords;
 
 pub use cluster::Cluster;
-pub use compress::{intersect_compressed, CompressedIndex, CompressedPostings};
 pub use engine::{AggregationPolicy, ExecutionStats, QueryEngine, QueryResult, Transfer};
 pub use index::InvertedIndex;
 pub use stopwords::StopwordList;

@@ -61,9 +61,9 @@
 //! Argument parsing is deliberately dependency-free.
 
 use cca::algo::{
-    compose_with_hashed_rest, figure4::Figure4Lp, format_controller_report,
-    format_live_report, format_serving_report, greedy_placement, importance_ranking,
-    round_samples_scored, scope_subproblem, solve_relaxation, solve_resilient_replicated,
+    compose_with_hashed_rest, figure4::Figure4Lp, format_placement, format_replica_placement,
+    format_report, greedy_placement, importance_ranking, round_samples_scored, scope_subproblem,
+    solve_relaxation, solve_resilient_replicated,
     spread_copies, validate_replica_spec, ControllerConfig, DomainTree, FaultPlan, ObjectId,
     RelaxOptions, ResilienceOptions, Rung, SolveBudget, Strategy,
 };
@@ -74,6 +74,7 @@ use cca::serve::{serve, ServeConfig};
 use cca::trace::TraceConfig;
 use cca_rand::rngs::StdRng;
 use cca_rand::SeedableRng;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -150,7 +151,7 @@ fn usage() -> &'static str {
      options:\n\
        --preset small|paper   workload size (default small)\n\
        --seed N               workload seed (default 42)\n\
-       --nodes N              cluster size (default 10)\n\
+       --nodes N              cluster size, 1..=1024 (default 10)\n\
        --scope N              optimization scope; 'full' for all objects (default 400)\n\
        --strategy S           random|greedy|lprr (place only; default lprr)\n\
        --deadline-ms N        wall-clock budget; enables the resilient\n\
@@ -169,17 +170,17 @@ fn usage() -> &'static str {
        --placement FILE       saved placement to replay (replay only)\n\
        --candidates K         rounding candidates scored per batched\n\
                               probe, 1..=1024 (probe only; default 8)\n\
-       --epochs N             epochs of the online controller loop\n\
-                              (run only; default 1000)\n\
-       --queries-per-epoch Q  queries sampled per epoch (run only;\n\
-                              default 64)\n\
+       --epochs N             epochs of the online controller loop,\n\
+                              1..=1000000 (run/live; default 1000)\n\
+       --queries-per-epoch Q  queries sampled per epoch, 1..=10000000\n\
+                              (run/live; default 64)\n\
        --drift-sigma F        per-epoch drift of the query model (run\n\
                               only; default 0.02 — the paper's month is\n\
                               sigma 0.276)\n\
-       --drop-nodes K         chaos: K node losses spread across the run\n\
-                              (run only; default 0)\n\
-       --queries N            queries in the served stream (serve only;\n\
-                              default 10000)\n\
+       --drop-nodes K         chaos: K node losses spread across the run,\n\
+                              0..=1024 (run only; default 0)\n\
+       --queries N            queries in the served stream, 1..=10000000\n\
+                              (serve only; default 10000)\n\
        --inflight K           admission-window size: max queries in\n\
                               flight and max batch per dispatch (serve/\n\
                               live; default 64; the report is identical\n\
@@ -203,18 +204,21 @@ fn usage() -> &'static str {
      exit codes: 0 ok, 1 error, 2 degraded placement, 3 infeasible placement"
 }
 
-/// Unified parse-and-validate for count-valued flags: every count must be
-/// at least 1 (degenerate zeros would otherwise surface as downstream
-/// panics or silent empty output) and at most `max`.
-fn parse_count(flag: &str, raw: &str, max: u64) -> Result<u64, String> {
+/// Unified parse-and-validate for count-valued flags: every count must lie
+/// in `range`. The floor is 1 wherever zero is not a meaningful "off"
+/// (degenerate zeros would otherwise surface as downstream panics or
+/// silent empty output). A finite ceiling bounds every count that sizes
+/// an allocation up front (nodes, node losses, epochs, queries), so an
+/// oversized value is a usage error instead of an allocation failure.
+fn parse_count(flag: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64, String> {
     let n: u64 = raw
         .parse()
         .map_err(|e| format!("{flag}: {e}"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be at least 1"));
+    if n < *range.start() {
+        return Err(format!("{flag} must be at least {}", range.start()));
     }
-    if n > max {
-        return Err(format!("{flag} must be at most {max}"));
+    if n > *range.end() {
+        return Err(format!("{flag} must be at most {}", range.end()));
     }
     Ok(n)
 }
@@ -240,13 +244,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag.as_str() {
             "--preset" => args.preset = value()?,
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--nodes" => args.nodes = parse_count(flag, &value()?, u64::MAX)? as usize,
+            "--nodes" => args.nodes = parse_count(flag, &value()?, 1..=1024)? as usize,
             "--scope" => {
                 let v = value()?;
                 args.scope = if v == "full" {
                     None
                 } else {
-                    Some(parse_count(flag, &v, u64::MAX)? as usize)
+                    Some(parse_count(flag, &v, 1..=u64::MAX)? as usize)
                 };
             }
             "--strategy" => args.strategy = value()?,
@@ -255,8 +259,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     Some(value()?.parse().map_err(|e| format!("--deadline-ms: {e}"))?);
             }
             "--min-strategy" => args.min_strategy = Some(value()?),
-            "--threads" => args.threads = Some(parse_count(flag, &value()?, u64::MAX)? as usize),
-            "--shards" => args.shards = Some(parse_count(flag, &value()?, u64::MAX)? as usize),
+            "--threads" => {
+                args.threads = Some(parse_count(flag, &value()?, 1..=u64::MAX)? as usize);
+            }
+            "--shards" => args.shards = Some(parse_count(flag, &value()?, 1..=u64::MAX)? as usize),
             "--capacity-factor" => {
                 let f: f64 = value()?
                     .parse()
@@ -268,24 +274,22 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--out" => args.out = Some(value()?),
             "--placement" => args.placement = Some(value()?),
-            "--candidates" => args.candidates = parse_count(flag, &value()?, 1024)? as usize,
-            "--epochs" => args.epochs = parse_count(flag, &value()?, u64::MAX)?,
+            "--candidates" => args.candidates = parse_count(flag, &value()?, 1..=1024)? as usize,
+            "--epochs" => args.epochs = parse_count(flag, &value()?, 1..=1_000_000)?,
             "--queries-per-epoch" => {
-                args.queries_per_epoch = parse_count(flag, &value()?, u64::MAX)? as usize;
+                args.queries_per_epoch = parse_count(flag, &value()?, 1..=10_000_000)? as usize;
             }
             "--drift-sigma" => args.drift_sigma = parse_nonnegative(flag, &value()?)?,
-            "--queries" => args.queries = parse_count(flag, &value()?, u64::MAX)? as usize,
-            "--inflight" => args.inflight = parse_count(flag, &value()?, u64::MAX)? as usize,
-            "--drop-nodes" => {
-                args.drop_nodes = value()?.parse().map_err(|e| format!("--drop-nodes: {e}"))?;
-            }
+            "--queries" => args.queries = parse_count(flag, &value()?, 1..=10_000_000)? as usize,
+            "--inflight" => args.inflight = parse_count(flag, &value()?, 1..=u64::MAX)? as usize,
+            "--drop-nodes" => args.drop_nodes = parse_count(flag, &value()?, 0..=1024)? as usize,
             "--migration-budget" => {
-                args.migration_budget = parse_count(flag, &value()?, u64::MAX)?;
+                args.migration_budget = parse_count(flag, &value()?, 1..=u64::MAX)?;
             }
             "--warm-drift" => {
                 args.warm_drift = value()?.parse().map_err(|e| format!("--warm-drift: {e}"))?;
             }
-            "--replicas" => args.replicas = parse_count(flag, &value()?, 64)? as usize,
+            "--replicas" => args.replicas = parse_count(flag, &value()?, 1..=64)? as usize,
             "--domains" => args.domains = Some(value()?),
             "--drift-epochs" => {
                 let v = value()?;
@@ -421,15 +425,10 @@ fn print_loads(problem: &cca::algo::CcaProblem, placement: &cca::algo::Placement
     }
 }
 
-fn save_placement(
-    path: &str,
-    problem: &cca::algo::CcaProblem,
-    placement: &cca::algo::Placement,
-) -> Result<(), String> {
-    let mut file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-    cca::algo::write_placement(&mut file, problem, placement)
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    eprintln!("wrote placement to {path}");
+/// Writes `text` to `path` and says so on stderr.
+fn save(path: &str, text: &str, label: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+    eprintln!("wrote {label} to {path}");
     Ok(())
 }
 
@@ -438,11 +437,10 @@ fn save_placement(
 fn emit_report(text: &str, summary: &str, out: Option<&str>, label: &str) -> Result<(), String> {
     print!("{text}");
     eprint!("{summary}");
-    if let Some(path) = out {
-        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {label} to {path}");
+    match out {
+        Some(path) => save(path, text, label),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The repo-wide exit taxonomy (module docs): 3 when the outcome is
@@ -474,7 +472,7 @@ fn cmd_place(args: &Args) -> Result<ExitCode, String> {
     print!("{}", audit.report());
     print_loads(&p.problem, &report.placement);
     if let Some(path) = &args.out {
-        save_placement(path, &p.problem, &report.placement)?;
+        save(path, &format_placement(&p.problem, &report.placement), "placement")?;
     }
     Ok(exit_taxonomy(!audit.feasible(), false))
 }
@@ -512,7 +510,7 @@ fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
     print!("{}", r.audit.report());
     print_loads(&r.effective_problem, &r.placement);
     if let Some(path) = &args.out {
-        save_placement(path, &r.effective_problem, &r.placement)?;
+        save(path, &format_placement(&r.effective_problem, &r.placement), "placement")?;
     }
     Ok(exit_taxonomy(!r.audit.feasible(), r.report.degraded))
 }
@@ -571,11 +569,8 @@ fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, Stri
         println!("  node {k:>3}: {load:>12} ({:.2}x mean)", *load as f64 / mean);
     }
     if let Some(path) = &args.out {
-        let mut file =
-            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-        cca::algo::write_replica_placement(&mut file, &r.base.effective_problem, &r.replica)
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote replica placement to {path}");
+        let text = format_replica_placement(&r.base.effective_problem, &r.replica);
+        save(path, &text, "replica placement")?;
     }
     Ok(exit_taxonomy(
         !r.base.audit.feasible() || !r.spread_valid,
@@ -651,16 +646,12 @@ fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
             rp.spread_valid(&tree)
         );
         if let Some(path) = &args.out {
-            let mut file =
-                std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-            cca::algo::write_replica_placement(&mut file, &p.problem, &rp)
-                .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote replica placement to {path}");
+            save(path, &format_replica_placement(&p.problem, &rp), "replica placement")?;
         }
         return Ok(exit_taxonomy(!audit.feasible(), false));
     }
     if let Some(path) = &args.out {
-        save_placement(path, &p.problem, &placement)?;
+        save(path, &format_placement(&p.problem, &placement), "placement")?;
     }
     Ok(exit_taxonomy(!audit.feasible(), false))
 }
@@ -705,7 +696,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         config.epochs, config.queries_per_epoch, config.drift_sigma, args.drop_nodes
     );
     let outcome = run_online(&p, &config);
-    let text = format_controller_report(&outcome.report);
+    let text = format_report(&outcome.report);
     let mut summary = outcome.report.summary();
     if args.replicas > 1 {
         // The controller optimizes the primary column; the extra copies
@@ -790,7 +781,7 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         &config,
     );
     let elapsed = start.elapsed();
-    let text = format_serving_report(&outcome.report);
+    let text = format_report(&outcome.report);
     let mut summary = outcome.report.summary();
     summary.push_str(&format!(
         "{} batches (max {}), {:.0} queries/s wall-clock\n",
@@ -856,7 +847,7 @@ fn cmd_live(args: &Args) -> Result<ExitCode, String> {
         config.migration_budget
     );
     let outcome = run_live(&p, &config);
-    let text = format_live_report(&outcome.report);
+    let text = format_report(&outcome.report);
     emit_report(
         &text,
         &outcome.report.summary(),

@@ -1,5 +1,6 @@
 //! Integration tests driving the `cca` binary end to end.
 
+use cca::algo::{format_report, read_report, ControllerReport, LiveReport, ServingReport};
 use std::process::Command;
 
 fn cca() -> Command {
@@ -519,11 +520,47 @@ fn online_run_saves_readable_report() {
     assert_eq!(code, 0, "stderr: {stderr}");
     let saved = std::fs::read_to_string(&path).expect("report written");
     assert_eq!(saved, stdout, "--out and stdout disagree");
-    let report = cca::algo::read_controller_report(saved.as_bytes()).expect("parseable report");
+    let report: ControllerReport = read_report(saved.as_bytes()).expect("parseable report");
     assert_eq!(report.epochs, 40);
     assert!(report.counters_consistent());
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Golden pin of a whole controller report: one migration and one
+/// repaired node loss. Every field, its order and every float's digits
+/// are part of the persisted format, so a change to the controller or to
+/// the report codec shows up here and must be re-pinned deliberately.
+#[test]
+fn golden_controller_report() {
+    let (code, stdout, stderr) = run_code(&[
+        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "80", "--seed", "7",
+        "--drop-nodes", "1", "--drift-sigma", "0.1",
+    ]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    let expected = "# cca-controller-report v1\n\
+        epochs\t80\n\
+        queries\t5120\n\
+        evaluated\t5\n\
+        migrations\t1\n\
+        objects_moved\t5\n\
+        migrated_bytes\t1192\n\
+        rejected_not_worthwhile\t4\n\
+        rejected_not_robust\t0\n\
+        degradations\t0\n\
+        solve_retries\t0\n\
+        repairs\t1\n\
+        repair_retries\t0\n\
+        repair_moves\t53\n\
+        repair_bytes\t5016\n\
+        node_losses\t1\n\
+        unrecovered_losses\t0\n\
+        accumulated_loss\t0\n\
+        final_cost\t0.9063796997070313\n\
+        final_feasible\ttrue\n";
+    assert_eq!(stdout, expected, "golden controller report drifted:\n{stdout}");
+    let report: ControllerReport = read_report(stdout.as_bytes()).expect("parseable report");
+    assert_eq!(format_report(&report), stdout);
 }
 
 /// `serve` follows the workspace exit taxonomy: 0 = every query served
@@ -646,7 +683,7 @@ fn serve_saves_readable_report() {
     assert_eq!(code, 0, "stderr: {stderr}");
     let saved = std::fs::read_to_string(&path).expect("report written");
     assert_eq!(saved, stdout, "--out and stdout disagree");
-    let report = cca::algo::read_serving_report(saved.as_bytes()).expect("parseable report");
+    let report: ServingReport = read_report(saved.as_bytes()).expect("parseable report");
     assert_eq!(report.queries, 300);
     assert!(report.counters_consistent());
 
@@ -699,6 +736,33 @@ fn count_options_reject_zero_uniformly() {
     );
 }
 
+/// Every count that sizes an allocation up front has a finite maximum:
+/// one past it is a usage error at parse time, before any work (without
+/// the bound these values failed allocations of tens of GB or more).
+#[test]
+fn count_options_reject_values_above_their_maxima() {
+    for (cmd, flag, max) in [
+        ("place", "--nodes", 1024u64),
+        ("run", "--drop-nodes", 1024),
+        ("run", "--epochs", 1_000_000),
+        ("live", "--epochs", 1_000_000),
+        ("run", "--queries-per-epoch", 10_000_000),
+        ("live", "--queries-per-epoch", 10_000_000),
+        ("serve", "--queries", 10_000_000),
+    ] {
+        for value in [max + 1, u64::MAX] {
+            let value = value.to_string();
+            let (code, stdout, stderr) = run_code(&[cmd, "--preset", "tiny", flag, &value]);
+            assert_eq!(code, 1, "{cmd} {flag} {value} must be a usage error: {stderr}");
+            assert!(stdout.is_empty(), "{cmd} {flag} {value}: stdout: {stdout}");
+            assert!(
+                stderr.starts_with(&format!("error: {flag} must be at most {max}\n")),
+                "{cmd} {flag} {value}: stderr: {stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn workload_saves_readable_query_log() {
     let dir = std::env::temp_dir().join(format!("cca-cli-log-{}", std::process::id()));
@@ -733,7 +797,7 @@ fn live_replay_migrates_under_budget_and_improves() {
     let (code, stdout, stderr) = run_code(&LIVE_REPLAY);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.starts_with("# cca-live-report v1"), "stdout: {stdout}");
-    let report = cca::algo::read_live_report(stdout.as_bytes()).expect("parseable report");
+    let report: LiveReport = read_report(stdout.as_bytes()).expect("parseable report");
     assert!(report.counters_consistent(), "counters: {stdout}");
     assert!(report.migrations >= 1, "the regime shift must trigger a migration: {stdout}");
     assert!(report.within_budget(), "pacing contract: {stdout}");
@@ -758,7 +822,7 @@ fn live_exit_taxonomy() {
     args.extend(["--deadline-ms", "0"]);
     let (code, stdout, stderr) = run_code(&args);
     assert_eq!(code, 2, "stdout: {stdout}\nstderr: {stderr}");
-    let report = cca::algo::read_live_report(stdout.as_bytes()).expect("parseable report");
+    let report: LiveReport = read_report(stdout.as_bytes()).expect("parseable report");
     assert_eq!(report.served, 0, "zero deadline must shed everything");
     assert_eq!(report.shed_admission, report.queries);
     assert!(report.counters_consistent());
@@ -820,11 +884,68 @@ fn live_saves_readable_report() {
     assert_eq!(code, 0, "stderr: {stderr}");
     let saved = std::fs::read_to_string(&path).expect("report written");
     assert_eq!(saved, stdout, "--out and stdout disagree");
-    let report = cca::algo::read_live_report(saved.as_bytes()).expect("parseable report");
+    let report: LiveReport = read_report(saved.as_bytes()).expect("parseable report");
     assert_eq!(report.epochs, 80);
     assert!(report.counters_consistent());
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Golden pin of the whole [`LIVE_REPLAY`] report: scalars in table
+/// order, then the three histogram row kinds, each in ascending bucket
+/// order. Re-pin deliberately when the runtime or the codec changes.
+#[test]
+fn golden_live_report() {
+    let (code, stdout, stderr) = run_code(&LIVE_REPLAY);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let expected = "# cca-live-report v1\n\
+        epochs\t80\n\
+        queries\t20480\n\
+        served\t20480\n\
+        degraded\t0\n\
+        shed_admission\t0\n\
+        shed_overload\t0\n\
+        shed_deadline\t0\n\
+        executed_bytes\t403952\n\
+        estimated_bytes\t0\n\
+        evaluated\t5\n\
+        migrations\t1\n\
+        abandoned_migrations\t0\n\
+        migration_epochs\t1\n\
+        migrated_bytes\t4000\n\
+        max_epoch_migrated_bytes\t4000\n\
+        migration_budget\t4096\n\
+        pre_epochs\t16\n\
+        pre_queries\t4096\n\
+        pre_executed_bytes\t84952\n\
+        post_epochs\t63\n\
+        post_queries\t16128\n\
+        post_executed_bytes\t313648\n\
+        p50_ns\t65535\n\
+        p95_ns\t131071\n\
+        p99_ns\t524287\n\
+        final_feasible\ttrue\n\
+        digest\tb0cba765af8ead64ffcbd9541b18699a\n\
+        bucket_pre\t15\t2029\n\
+        bucket_pre\t16\t1371\n\
+        bucket_pre\t17\t442\n\
+        bucket_pre\t18\t118\n\
+        bucket_pre\t19\t132\n\
+        bucket_pre\t20\t4\n\
+        bucket_mid\t16\t153\n\
+        bucket_mid\t17\t87\n\
+        bucket_mid\t18\t12\n\
+        bucket_mid\t19\t4\n\
+        bucket_post\t15\t6879\n\
+        bucket_post\t16\t5903\n\
+        bucket_post\t17\t2806\n\
+        bucket_post\t18\t358\n\
+        bucket_post\t19\t160\n\
+        bucket_post\t20\t21\n\
+        bucket_post\t21\t1\n";
+    assert_eq!(stdout, expected, "golden live report drifted:\n{stdout}");
+    let report: LiveReport = read_report(stdout.as_bytes()).expect("parseable report");
+    assert_eq!(format_report(&report), stdout);
 }
 
 /// The live-only flags reject malformed input through the same uniform
@@ -973,7 +1094,7 @@ fn serve_replicated_reports_consistently() {
         "--queries", "200", "--replicas", "2", "--domains", "2",
     ]);
     assert_eq!(code, 0, "stderr: {stderr}");
-    let report = cca::algo::read_serving_report(stdout.as_bytes()).expect("parseable report");
+    let report: ServingReport = read_report(stdout.as_bytes()).expect("parseable report");
     assert_eq!(report.queries, 200);
     assert!(report.counters_consistent());
     assert!(

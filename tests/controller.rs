@@ -4,9 +4,7 @@
 //! the migration-counter invariant, accumulated-loss monotonicity, and
 //! fault recovery under the drifting query stream.
 
-use cca::algo::{
-    format_controller_report, format_placement, ControllerConfig, EpochOutcome, FaultPlan,
-};
+use cca::algo::{format_placement, format_report, ControllerConfig, EpochOutcome, FaultPlan};
 use cca::online::{fault_epochs, run_online, run_online_with, OnlineConfig, OnlineOutcome};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::trace::TraceConfig;
@@ -39,7 +37,7 @@ fn online_config(epochs: u64, drop_nodes: usize, threads: usize, shards: usize) 
 fn render(outcome: &OnlineOutcome) -> String {
     format!(
         "{}{}",
-        format_controller_report(&outcome.report),
+        format_report(&outcome.report),
         format_placement(&outcome.problem, &outcome.placement)
     )
 }

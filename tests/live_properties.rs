@@ -8,7 +8,7 @@
 //! `live_properties.regressions`.
 
 use cca::algo::controller::ControllerConfig;
-use cca::algo::{format_live_report, read_live_report};
+use cca::algo::{format_report, read_report, LiveReport};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::runtime::{run_live_with, LiveConfig};
 use cca::trace::TraceConfig;
@@ -232,8 +232,8 @@ fn live_pacing_and_accounting_hold_for_every_scenario() {
             );
 
             // (c) The report survives the v1 text format bit for bit.
-            let text = format_live_report(report);
-            let parsed = read_live_report(text.as_bytes()).expect("live report parses");
+            let text = format_report(report);
+            let parsed: LiveReport = read_report(text.as_bytes()).expect("live report parses");
             prop_assert_eq!(&parsed, report, "text round trip changed the report");
             Ok(())
         });

@@ -2,7 +2,7 @@
 //! migration, and persistence, all against the full pipeline.
 
 use cca::algo::{
-    drain_node, migration_bytes, read_placement, reconcile, write_placement, MigrateOptions,
+    drain_node, format_placement, migration_bytes, read_placement, reconcile, MigrateOptions,
     Strategy,
 };
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -72,9 +72,8 @@ fn drain_then_restore_round_trip() {
 fn persistence_preserves_replay() {
     let p = pipeline(4);
     let report = p.place(&Strategy::lprr(), Some(80)).unwrap();
-    let mut buf = Vec::new();
-    write_placement(&mut buf, &p.problem, &report.placement).unwrap();
-    let loaded = read_placement(buf.as_slice(), &p.problem).unwrap();
+    let text = format_placement(&p.problem, &report.placement);
+    let loaded = read_placement(text.as_bytes(), &p.problem).unwrap();
     assert_eq!(loaded, report.placement);
 
     let a = p.replay(&report.placement);

@@ -235,7 +235,7 @@ fn serving_report_is_byte_identical_across_the_matrix() {
                         overhead_ns: 0,
                     },
                 );
-                let text = cca::algo::format_serving_report(&out.report);
+                let text = cca::algo::format_report(&out.report);
                 match &reference {
                     None => reference = Some(text),
                     Some(r) => assert_eq!(
@@ -347,7 +347,7 @@ fn golden_open_loop_report() {
             overhead_ns: 0,
         },
     );
-    let text = cca::algo::format_serving_report(&out.report);
+    let text = cca::algo::format_report(&out.report);
     let expected = "# cca-serving-report v1\n\
         queries\t200\n\
         served\t136\n\
@@ -405,7 +405,7 @@ fn golden_serving_report_round_trips() {
             overhead_ns: 0,
         },
     );
-    let text = cca::algo::format_serving_report(&out.report);
+    let text = cca::algo::format_report(&out.report);
     let expected = "# cca-serving-report v1\n\
         queries\t400\n\
         served\t400\n\
@@ -427,7 +427,8 @@ fn golden_serving_report_round_trips() {
         bucket\t20\t1\n";
     assert_eq!(text, expected, "golden serving report drifted:\n{text}");
     // And the pinned bytes round-trip through the persistence layer.
-    let parsed = cca::algo::read_serving_report(text.as_bytes()).expect("parseable report");
+    let parsed: cca::algo::ServingReport =
+        cca::algo::read_report(text.as_bytes()).expect("parseable report");
     assert_eq!(parsed, out.report);
     assert!(parsed.counters_consistent());
 }
