@@ -1,15 +1,35 @@
 //! Micro-benchmarks of the placement substrate: rounding, baselines,
-//! repair, index intersection and trace replay throughput.
+//! repair, index intersection, trace replay throughput, and the dense
+//! against the sparse simplex.
 
 use cca::algo::{
     construct_clustered_vertex, greedy_placement, random_hash_placement, round_once, Strategy,
 };
 use cca::hashing::md5;
+use cca::lp::{Model, Relation, SolverOptions};
 use cca::search::{AggregationPolicy, InvertedIndex, QueryEngine};
 use cca_bench::timing::{self, Throughput};
 use cca_bench::{quick_pipeline, BENCH_SEED};
 use cca_rand::rngs::StdRng;
-use cca_rand::SeedableRng;
+use cca_rand::{Rng, SeedableRng};
+
+/// A random dense-ish LP for solver micro-benchmarks.
+fn random_lp(vars: usize, rows: usize, seed: u64) -> Model {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut m = Model::minimize();
+    let xs: Vec<_> = (0..vars)
+        .map(|i| m.add_var(format!("x{i}"), 1.0 + rng.random::<f64>()))
+        .collect();
+    for r in 0..rows {
+        let row = m.add_constraint(format!("r{r}"), Relation::Ge, 1.0 + rng.random::<f64>() * 4.0);
+        for &x in &xs {
+            if rng.random::<f64>() < 0.3 {
+                m.set_coeff(row, x, rng.random::<f64>() * 2.0);
+            }
+        }
+    }
+    m
+}
 
 fn main() {
     let pipeline = quick_pipeline(10);
@@ -77,6 +97,23 @@ fn main() {
         let data = vec![0xabu8; 4096];
         group.throughput(Throughput::Bytes(data.len() as u64));
         group.bench("md5_4k", || md5::digest(&data));
+        group.finish();
+    }
+
+    {
+        let mut group = timing::group("lp_solvers").sample_size(10);
+        for &(vars, rows) in &[(20usize, 15usize), (60, 40), (150, 100)] {
+            let model = random_lp(vars, rows, 99);
+            // Skip dense on the largest size to keep bench time sane.
+            if vars <= 60 {
+                group.bench(&format!("dense_simplex/{vars}x{rows}"), || {
+                    model.solve_dense().expect("solvable")
+                });
+            }
+            group.bench(&format!("sparse_revised_simplex/{vars}x{rows}"), || {
+                model.solve(&SolverOptions::default()).expect("solvable")
+            });
+        }
         group.finish();
     }
 

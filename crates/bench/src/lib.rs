@@ -1,10 +1,12 @@
-//! Shared harness code for the figure-regeneration benches.
+//! Shared harness code for the benches.
 //!
-//! Each bench target under `benches/` regenerates one table or figure of
-//! the paper (see DESIGN.md's experiment index) and prints the same series
-//! the paper plots, as TSV, so `cargo bench` output can be diffed across
-//! runs. This crate holds the common plumbing: canonical pipeline
-//! construction and table formatting.
+//! The `paper` bench regenerates every table and figure of the paper's
+//! evaluation (see DESIGN.md's experiment index), prints the series the
+//! paper plots as TSV and records them in `BENCH_paper.json`; the other
+//! bench targets measure the substrate (kernels, solve layer, serving,
+//! live runtime). This crate holds the common plumbing: canonical
+//! pipeline construction, quick mode, table formatting and the
+//! micro-benchmark timer.
 
 pub mod timing;
 
@@ -15,13 +17,18 @@ use cca::trace::TraceConfig;
 /// deterministic.
 pub const BENCH_SEED: u64 = 20080617; // ICDCS 2008 in Beijing
 
-/// The standard paper-scaled pipeline used by Figures 5–7 (10 nodes unless
-/// the sweep re-targets it).
+/// The pipeline configuration over `num_nodes` nodes at [`BENCH_SEED`]:
+/// the paper-scaled workload, or the small preset in quick mode.
 #[must_use]
-pub fn paper_pipeline(num_nodes: usize) -> Pipeline {
-    let mut config = PipelineConfig::new(TraceConfig::paper_scaled(), num_nodes);
+pub fn bench_config(num_nodes: usize) -> PipelineConfig {
+    let trace = if quick_mode() {
+        TraceConfig::small()
+    } else {
+        TraceConfig::paper_scaled()
+    };
+    let mut config = PipelineConfig::new(trace, num_nodes);
     config.seed = BENCH_SEED;
-    Pipeline::build(&config)
+    config
 }
 
 /// A reduced pipeline for quick smoke runs (`CCA_BENCH_QUICK=1`).
@@ -41,11 +48,7 @@ pub fn quick_mode() -> bool {
 /// Builds the pipeline honouring quick mode.
 #[must_use]
 pub fn bench_pipeline(num_nodes: usize) -> Pipeline {
-    if quick_mode() {
-        quick_pipeline(num_nodes)
-    } else {
-        paper_pipeline(num_nodes)
-    }
+    Pipeline::build(&bench_config(num_nodes))
 }
 
 /// Prints a TSV header row.

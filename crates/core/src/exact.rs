@@ -18,7 +18,7 @@ pub struct ExactOptions {
     pub max_visited: u64,
     /// Worker threads for the top-level branch fan-out. `1` is the
     /// classic serial search, bit-for-bit; with more threads the search
-    /// expands a fixed frontier of [`PARALLEL_FRONTIER_TARGET`] branches
+    /// expands a fixed frontier of `PARALLEL_FRONTIER_TARGET` branches
     /// (independent of the thread count, so `threads = 2` and
     /// `threads = 8` return identical placements) and explores them
     /// concurrently.

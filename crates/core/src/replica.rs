@@ -494,7 +494,7 @@ fn pick_copy_node(
 /// Spreads `replicas` copies of every object across the leaf domains of
 /// `tree`, keeping `primary` as column 0 untouched. Copies are placed
 /// object-by-object in ascending id order, each copy by the deterministic
-/// [`pick_copy_node`] rule (fresh zone first, then fitting node, then
+/// `pick_copy_node` rule (fresh zone first, then fitting node, then
 /// lightest load, then lowest node id) — the round-robin-across-domains
 /// behaviour of the greedy/hash rungs falls out of the load ranking.
 ///

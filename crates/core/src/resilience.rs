@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 
 use crate::audit::{audit_placement, PlacementAudit};
 use crate::error::CcaError;
-use crate::graph::PlacementBatch;
 use crate::greedy::greedy_placement;
 use crate::migrate::{
     improve_in_place, improve_replicas_in_place, migration_bytes, replica_migration_bytes,
@@ -43,7 +42,6 @@ use crate::relax::RelaxMethod;
 use crate::repair::{repair_capacity, repair_replica_spread};
 use crate::replica::{spread_copies, validate_replica_spec, DomainTree, ReplicaPlacement};
 use crate::solver::{place, place_partial_with, LprrOptions, Strategy};
-use cca_par::{par_map_indexed, DeadlineGate};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
 
@@ -315,12 +313,9 @@ pub struct ResilienceOptions {
     pub partial_scope: Option<usize>,
     /// How many heaviest split pairs the final audit keeps.
     pub audit_top: usize,
-    /// Worker threads for the solve. With `threads > 1` the ladder rungs
-    /// in the permitted window are *attempted* concurrently (each rung is
-    /// independent) and the rounding repetitions inside the LP rungs fan
-    /// out too; the selection still walks the attempts in ladder order, so
-    /// the chosen placement is identical to the serial walk whenever the
-    /// deadline does not fire mid-solve.
+    /// Worker threads for the rounding repetitions inside the LP rungs.
+    /// The ladder itself attempts one rung at a time, in ladder order, at
+    /// every thread count, so the chosen placement does not depend on it.
     pub threads: usize,
 }
 
@@ -410,57 +405,12 @@ pub fn solve_resilient_with_faults(
     // Best candidate so far: feasible beats infeasible, then lower cost.
     let mut best: Option<(Rung, Placement, f64, bool)> = None;
 
-    let window: Vec<Rung> = LADDER
+    // Walk the permitted window in ladder order, stopping at the first
+    // feasible rung; past the deadline only the O(t) hash rung still runs.
+    for rung in LADDER
         .into_iter()
         .filter(|&r| r >= options.start && r <= floor)
-        .collect();
-
-    // With threads > 1, attempt every rung in the window concurrently
-    // (each rung is an independent computation); serially, compute each
-    // attempt lazily at its turn. Either way the results are consumed in
-    // ladder order below, so the selection logic — and, deadline timing
-    // aside, the selected placement — does not depend on the thread count.
-    let computed: Vec<(bool, Option<Attempt>)> = if options.threads > 1 {
-        let gate = DeadlineGate::new(deadline);
-        par_map_indexed(options.threads, window.len(), |i| {
-            let expired = gate.expired();
-            // Hash is O(t) and guarantees an answer; everything else is
-            // skipped once the budget is gone.
-            if expired && window[i] != Rung::Hash {
-                return (true, None);
-            }
-            (expired, Some(attempt_rung(problem, window[i], &lprr, scope)))
-        })
-    } else {
-        Vec::new()
-    };
-
-    // With threads > 1 every eager attempt's placement is ranked by ONE
-    // batched CSR walk instead of a full edge scan per rung; column j is
-    // bit-identical to the per-candidate `communication_cost` walk, so the
-    // ladder selection below is unchanged.
-    let mut rung_costs: Vec<Option<f64>> = vec![None; window.len()];
-    if options.threads > 1 {
-        let mut batch = PlacementBatch::new(problem.num_objects(), problem.num_nodes());
-        let mut slots: Vec<Option<usize>> = vec![None; window.len()];
-        for (i, (_, attempt)) in computed.iter().enumerate() {
-            if let Some(Attempt { result: Ok(p), .. }) = attempt {
-                slots[i] = Some(batch.width());
-                batch.push(p);
-            }
-        }
-        if !batch.is_empty() {
-            let costs = problem.eval_cost_batch(&batch, options.threads);
-            for (i, slot) in slots.into_iter().enumerate() {
-                if let Some(j) = slot {
-                    rung_costs[i] = Some(costs[j]);
-                }
-            }
-        }
-    }
-
-    for (i, &rung) in window.iter().enumerate() {
-        let serial_slot;
+    {
         if let Some((_, _, _, true)) = best {
             attempts.push(RungAttempt {
                 rung,
@@ -470,70 +420,49 @@ pub fn solve_resilient_with_faults(
             });
             continue;
         }
-        let attempt = if options.threads > 1 {
-            let (expired, attempt) = &computed[i];
-            if *expired {
-                deadline_exceeded = true;
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            deadline_exceeded = true;
+            if rung != Rung::Hash {
+                attempts.push(RungAttempt {
+                    rung,
+                    outcome: RungOutcome::Skipped("deadline exceeded".into()),
+                    elapsed: Duration::ZERO,
+                    cost: None,
+                });
+                continue;
             }
-            match attempt {
-                None => {
-                    attempts.push(RungAttempt {
-                        rung,
-                        outcome: RungOutcome::Skipped("deadline exceeded".into()),
-                        elapsed: Duration::ZERO,
-                        cost: None,
-                    });
-                    continue;
+        }
+        let t = Instant::now();
+        let result = attempt_rung(problem, rung, &lprr, scope);
+        let elapsed = t.elapsed();
+        match result {
+            Ok(p) => {
+                let cost = p.communication_cost(problem);
+                let feasible = p.within_all_capacities(problem, 1.0);
+                attempts.push(RungAttempt {
+                    rung,
+                    outcome: if feasible {
+                        RungOutcome::Feasible
+                    } else {
+                        RungOutcome::Infeasible
+                    },
+                    elapsed,
+                    cost: Some(cost),
+                });
+                let replace = match &best {
+                    None => true,
+                    Some((_, _, bc, bf)) => (feasible, -cost) > (*bf, -*bc),
+                };
+                if replace {
+                    best = Some((rung, p, cost, feasible));
                 }
-                Some(a) => a,
             }
-        } else {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    deadline_exceeded = true;
-                    if rung != Rung::Hash {
-                        attempts.push(RungAttempt {
-                            rung,
-                            outcome: RungOutcome::Skipped("deadline exceeded".into()),
-                            elapsed: Duration::ZERO,
-                            cost: None,
-                        });
-                        continue;
-                    }
-                }
-            }
-            serial_slot = attempt_rung(problem, rung, &lprr, scope);
-            &serial_slot
-        };
-        if let Ok(p) = &attempt.result {
-            // Parallel rungs were scored by the batch walk above; lazy
-            // serial attempts pay their own single-candidate walk.
-            let cost = rung_costs[i].unwrap_or_else(|| p.communication_cost(problem));
-            let feasible = p.within_all_capacities(problem, 1.0);
-            let replace = match &best {
-                None => true,
-                Some((_, _, bc, bf)) => (feasible, -cost) > (*bf, -*bc),
-            };
-            if replace {
-                best = Some((rung, p.clone(), cost, feasible));
-            }
-            attempts.push(RungAttempt {
-                rung,
-                outcome: if feasible {
-                    RungOutcome::Feasible
-                } else {
-                    RungOutcome::Infeasible
-                },
-                elapsed: attempt.elapsed,
-                cost: Some(cost),
-            });
-        } else if let Err(e) = &attempt.result {
-            attempts.push(RungAttempt {
+            Err(e) => attempts.push(RungAttempt {
                 rung,
                 outcome: RungOutcome::Failed(e.to_string()),
-                elapsed: attempt.elapsed,
+                elapsed,
                 cost: None,
-            });
+            }),
         }
     }
 
@@ -547,10 +476,7 @@ pub fn solve_resilient_with_faults(
             floor_overridden = true;
             let t = Instant::now();
             let p = random_hash_placement(problem);
-            // Batch-of-1 ≡ `cost` (DESIGN §10), so the emergency candidate
-            // goes through the same batched ranking path as the rungs.
-            let cost = problem
-                .eval_cost_batch(&PlacementBatch::from_placements(std::slice::from_ref(&p)), 1)[0];
+            let cost = p.communication_cost(problem);
             let feasible = p.within_all_capacities(problem, 1.0);
             attempts.push(RungAttempt {
                 rung: Rung::Hash,
@@ -614,14 +540,13 @@ pub fn solve_resilient_with_faults(
     }
 }
 
-struct Attempt {
-    result: Result<Placement, CcaError>,
-    elapsed: Duration,
-}
-
-fn attempt_rung(problem: &CcaProblem, rung: Rung, lprr: &LprrOptions, scope: usize) -> Attempt {
-    let t = Instant::now();
-    let result = match rung {
+fn attempt_rung(
+    problem: &CcaProblem,
+    rung: Rung,
+    lprr: &LprrOptions,
+    scope: usize,
+) -> Result<Placement, CcaError> {
+    match rung {
         Rung::Lprr => place(problem, &Strategy::Lprr(lprr.clone())).map(|r| r.placement),
         Rung::PartialLprr => {
             place_partial_with(problem, scope, &Strategy::Lprr(lprr.clone()), false)
@@ -629,10 +554,6 @@ fn attempt_rung(problem: &CcaProblem, rung: Rung, lprr: &LprrOptions, scope: usi
         }
         Rung::Greedy => Ok(greedy_placement(problem)),
         Rung::Hash => Ok(random_hash_placement(problem)),
-    };
-    Attempt {
-        result,
-        elapsed: t.elapsed(),
     }
 }
 

@@ -4,7 +4,7 @@
 //! on a deliberately small primitive: [`par_map_indexed`], a scoped,
 //! fixed-size worker pool over [`std::thread::scope`] that maps a function
 //! over `0..len` and returns the results **in index order**. Determinism is
-//! the point: callers pair it with [`cca_rand::StreamFamily`]-style
+//! the point: callers pair it with `cca_rand::StreamFamily`-style
 //! per-index RNG substreams and index-ordered reductions, so the output is
 //! byte-identical for any thread count — including `threads = 1`, which
 //! runs inline on the calling thread with no pool at all.
@@ -24,6 +24,12 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
+/// The most worker threads one [`par_map_indexed`] call runs, whatever
+/// thread count it is asked for. Every result is thread-count-invariant,
+/// so the cap changes no output; it bounds the OS threads a large
+/// `--threads` (or a serving window that large) can ask for.
+pub const MAX_THREADS: usize = 256;
+
 /// Number of hardware threads available to this process, with a floor of 1
 /// (the standard query can fail on exotic platforms; 1 is always safe).
 #[must_use]
@@ -31,8 +37,9 @@ pub fn available_parallelism() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Maps `f` over `0..len` on a scoped pool of at most `threads` workers and
-/// returns the results in index order.
+/// Maps `f` over `0..len` on a scoped pool of at most `threads` workers
+/// (and never more than [`MAX_THREADS`]) and returns the results in index
+/// order.
 ///
 /// * `threads <= 1` (or `len <= 1`) runs inline on the calling thread —
 ///   bit-for-bit the plain serial loop, no threads spawned.
@@ -51,7 +58,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads.min(len).max(1);
+    let workers = threads.min(len).clamp(1, MAX_THREADS);
     if workers == 1 {
         return (0..len).map(f).collect();
     }
@@ -157,6 +164,36 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    #[test]
+    fn worker_count_never_exceeds_the_cap() {
+        // Every item holds its worker until all `n` items have started (or
+        // half a second has passed), so no worker claims a second item
+        // while another could still claim its first: the distinct thread
+        // ids count the workers.
+        let n = MAX_THREADS + 1;
+        let state = std::sync::Mutex::new((0, std::collections::HashSet::new()));
+        let all_started = std::sync::Condvar::new();
+        let out = par_map_indexed(n, n, |i| {
+            let mut s = state.lock().expect("no worker panics");
+            s.0 += 1;
+            s.1.insert(std::thread::current().id());
+            all_started.notify_all();
+            let wait = Duration::from_millis(500);
+            drop(
+                all_started
+                    .wait_timeout_while(s, wait, |s| s.0 < n)
+                    .expect("no worker panics"),
+            );
+            i
+        });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
+        let workers = state.into_inner().expect("no worker panics").1.len();
+        assert!(
+            workers <= MAX_THREADS,
+            "{workers} worker threads for threads = len = {n}"
+        );
     }
 
     #[test]

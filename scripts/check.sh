@@ -7,7 +7,8 @@
 #
 #   hermetic  `cargo tree` holds only workspace-local crates; offline
 #             release build of every target, then with `--features chaos`
-#   clippy    `-D warnings` over every crate and target of the workspace
+#   clippy    `-D warnings` over every crate and target of the workspace;
+#             rustdoc with warnings denied over the workspace's docs
 #   test      the full test suite, then again with `--features chaos`
 #             (adds the tier-2 chaos suite): unit tests, the Lemma 1/2 and
 #             Theorem 2/3 batteries, golden and replay pins, property
@@ -20,11 +21,14 @@
 #             identity, a `run` chaos soak, a `serve` load run, the `live`
 #             regime-shift replay, replica identity and spread; then every
 #             program in examples/ runs and must exit 0
-#   bench     quick-mode smokes of the gated benches (each asserts its own
-#             contract and must write JSON); the 8-thread speed-up gate
-#             arms only on hosts with 8 or more cores
+#   bench     quick-mode smokes of every bench target: the gated benches
+#             (each asserts its own contract and must write JSON), the
+#             paper bench under the paper shape gate, and placement_micro,
+#             which must exit 0; the 8-thread speed-up gate arms only on
+#             hosts with 8 or more cores
 #   baseline  the committed BENCH_*.json files: full (non-quick) runs with
-#             their invariants recorded true and throughput above floors
+#             their invariants recorded true and throughput above floors;
+#             BENCH_paper.json under the paper shape gate
 #
 # A step stops at its first failing command. The driver still runs the
 # remaining steps, prints one verdict line per step, and exits non-zero
@@ -88,6 +92,50 @@ floor() {
   [ -n "$got" ] || fail "$1 has no $2${4:+ on $4 rows}"
   low=$(awk -v min="$3" '$1 < min' <<<"$got")
   [ -z "$low" ] || fail "$1: $2${4:+ on $4 rows} below the floor $3:" "$low"
+}
+
+# paper_shape FILE: the paper bench's ledger (quick or full run) keeps
+# the shape of the paper's claims. Fig 6: LPRR < greedy < 1.0 (random)
+# at every scope, both curves non-increasing in scope within 0.03 (the
+# scope tolerance of tests/end_to_end.rs). Fig 7: LPRR < greedy < 1.0 at
+# every node count, LPRR non-decreasing in node count within 0.03.
+# Fig 5: both cumulative columns non-decreasing and ending at 1, comm
+# cost covered at least as fast as index size. Fig 2: the top pair at
+# least 20x the top-k-th, at most 10% of top pairs changing over 2x.
+# Sec 3.2: two-smallest estimation beats all-pairs under LPRR.
+paper_shape() {
+  awk "$num"'
+    function bad(msg) { printf "ERROR: %s: %s\n", FILENAME, msg > "/dev/stderr"; err = 1 }
+    /^  "[a-z0-9_]+": / { sec = substr($1, 2, length($1) - 3) }
+    sec == "fig2" && /"skew_ratio": / { skew = num("skew_ratio") }
+    sec == "fig2b" && /"metric": "fraction of top-/ { changed = num("value"); seen2 = 1 }
+    sec == "fig5" && /"rank": / {
+      s = num("cum_index_size"); c = num("cum_comm_cost")
+      if (n5++ && (s < s5 || c < c5)) bad(sprintf("Fig 5 rank %d: a cumulative column fell", num("rank")))
+      if (c < s) bad(sprintf("Fig 5 rank %d: comm cost %.4f below index size %.4f", num("rank"), c, s))
+      s5 = s; c5 = c
+    }
+    (sec == "fig6" && /"scope": /) || (sec == "fig7" && /"nodes": /) {
+      x = sec == "fig6" ? num("scope") : num("nodes")
+      g = num("greedy_norm"); l = num("lprr_norm")
+      if (!(l < g && g < 1)) bad(sprintf("%s at %d: lprr %.4f, greedy %.4f, random 1", sec, x, l, g))
+      if (sec == "fig6" && n6++ && (g > g6 + 0.03 || l > l6 + 0.03))
+        bad(sprintf("fig6 rises at scope %d: greedy %.4f -> %.4f, lprr %.4f -> %.4f", x, g6, g, l6, l))
+      if (sec == "fig7" && n7++ && l < l7 - 0.03)
+        bad(sprintf("fig7 lprr falls at %d nodes: %.4f -> %.4f", x, l7, l))
+      if (sec == "fig6") { g6 = g; l6 = l } else l7 = l
+    }
+    sec == "ablation3_correlation" && /"mode": "two-smallest"/ { two = num("lprr_norm") }
+    sec == "ablation3_correlation" && /"mode": "all-pairs"/ { all = num("lprr_norm") }
+    END {
+      if (!n5 || !n6 || !n7) bad("a Fig 5, 6 or 7 table is missing or empty")
+      if (n5 && (s5 != 1 || c5 != 1)) bad(sprintf("Fig 5 ends at %.4f / %.4f, not 1 / 1", s5, c5))
+      if (skew < 20) bad(sprintf("Fig 2 skew ratio %.1f is below 20", skew))
+      if (!seen2 || changed > 0.10) bad(sprintf("Fig 2 changed fraction %.4f is missing or above 0.10", changed))
+      if (!(two > 0 && two < all)) bad(sprintf("two-smallest lprr %.4f is not below all-pairs %.4f", two, all))
+      exit err
+    }' "$1" || fail "$1 breaks the paper shape"
+  echo "OK: $1 keeps the paper shape."
 }
 
 # -- report gates (files under $tmp) -------------------------------------
@@ -156,6 +204,7 @@ step_hermetic() {
 
 step_clippy() {
   cargo clippy -q --workspace --all-targets -- -D warnings
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 }
 
 step_test() {
@@ -253,11 +302,14 @@ step_cli() {
 step_bench() {
   local b cores slow
   for b in placement_graph placement_batch placement_parallel placement_shard \
-    controller_soak serving_load live_replay replica_read; do
+    controller_soak serving_load live_replay replica_read paper; do
     echo "-- $b (quick)"
     CCA_BENCH_QUICK=1 CCA_BENCH_OUT="$tmp/$b.json" cargo bench -q -p cca-bench --bench "$b"
     [ -s "$tmp/$b.json" ] || fail "$b smoke wrote no JSON"
   done
+  echo "-- placement_micro (quick)"
+  CCA_BENCH_QUICK=1 cargo bench -q -p cca-bench --bench placement_micro
+  paper_shape "$tmp/paper.json"
   lacks "$tmp/placement_parallel.json" '"identical_to_serial": false'
   cores=$(nproc 2>/dev/null || echo 1)
   if [ "$cores" -lt 8 ]; then
@@ -293,6 +345,8 @@ step_baseline() {
   has BENCH_replica.json '"bench": "replica_read"' '"queries": 10000' '"quick": false' \
     '"r1_report_identical_to_single_copy": true'
   lacks BENCH_replica.json '"spread_valid": false' '"counters_ok": false'
+  has BENCH_paper.json '"bench": "paper"' '"quick": false'
+  paper_shape BENCH_paper.json
 
   # Throughput floors, 5-7% of the recording host's figures, so they trip
   # on a real regression (a quadratic loop, a per-query rescan, a solve

@@ -158,12 +158,14 @@ fn usage() -> &'static str {
                               degradation ladder (place only)\n\
        --min-strategy S       worst rung the ladder may select:\n\
                               lprr|partial-lprr|greedy|hash (place only)\n\
-       --threads N            worker threads for the solve (default: all\n\
-                              cores; results are identical for any N)\n\
+       --threads N            worker threads for the solve, 1..=256\n\
+                              (default: all cores; results are identical\n\
+                              for any N)\n\
        --shards N             evaluate bulk costs on an N-shard graph\n\
-                              view (every subcommand; --shards 1 equals\n\
-                              no sharding; with more shards, non-dyadic\n\
-                              weights may change the last bits of a cost)\n\
+                              view, 1..=10000000 (every subcommand;\n\
+                              --shards 1 equals no sharding; with more\n\
+                              shards, non-dyadic weights may change the\n\
+                              last bits of a cost)\n\
        --capacity-factor F    per-node capacity as a multiple of the\n\
                               average load (default 2.0, as in the paper)\n\
        --out FILE             output path (place/workload/export-lp/probe)\n\
@@ -182,14 +184,14 @@ fn usage() -> &'static str {
        --queries N            queries in the served stream, 1..=10000000\n\
                               (serve only; default 10000)\n\
        --inflight K           admission-window size: max queries in\n\
-                              flight and max batch per dispatch (serve/\n\
-                              live; default 64; the report is identical\n\
-                              for any K)\n\
+                              flight and max batch per dispatch,\n\
+                              1..=10000000 (serve/live; default 64; the\n\
+                              report is identical for any K)\n\
        --migration-budget B   max migration bytes shipped per epoch\n\
                               (live only; default 65536)\n\
        --warm-drift K         drift steps applied before the first epoch\n\
-                              — the regime shift the run recovers from\n\
-                              (live only; default 0)\n\
+                              — the regime shift the run recovers from,\n\
+                              0..=1000000 (live only; default 0)\n\
        --drift-epochs N       drift only the first N epochs, or 'all'\n\
                               (live only; default all)\n\
        --replicas R           copies of every object, spread across\n\
@@ -208,8 +210,10 @@ fn usage() -> &'static str {
 /// in `range`. The floor is 1 wherever zero is not a meaningful "off"
 /// (degenerate zeros would otherwise surface as downstream panics or
 /// silent empty output). A finite ceiling bounds every count that sizes
-/// an allocation up front (nodes, node losses, epochs, queries), so an
-/// oversized value is a usage error instead of an allocation failure.
+/// an allocation, a thread pool or a loop up front (nodes, node losses,
+/// epochs, queries, threads, shards, in-flight window, warm drift), so an
+/// oversized value is a usage error instead of an allocation failure, a
+/// flood of OS threads or a run that never ends.
 fn parse_count(flag: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64, String> {
     let n: u64 = raw
         .parse()
@@ -260,9 +264,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--min-strategy" => args.min_strategy = Some(value()?),
             "--threads" => {
-                args.threads = Some(parse_count(flag, &value()?, 1..=u64::MAX)? as usize);
+                let max = cca_par::MAX_THREADS as u64;
+                args.threads = Some(parse_count(flag, &value()?, 1..=max)? as usize);
             }
-            "--shards" => args.shards = Some(parse_count(flag, &value()?, 1..=u64::MAX)? as usize),
+            "--shards" => {
+                args.shards = Some(parse_count(flag, &value()?, 1..=10_000_000)? as usize);
+            }
             "--capacity-factor" => {
                 let f: f64 = value()?
                     .parse()
@@ -281,14 +288,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--drift-sigma" => args.drift_sigma = parse_nonnegative(flag, &value()?)?,
             "--queries" => args.queries = parse_count(flag, &value()?, 1..=10_000_000)? as usize,
-            "--inflight" => args.inflight = parse_count(flag, &value()?, 1..=u64::MAX)? as usize,
+            "--inflight" => args.inflight = parse_count(flag, &value()?, 1..=10_000_000)? as usize,
             "--drop-nodes" => args.drop_nodes = parse_count(flag, &value()?, 0..=1024)? as usize,
             "--migration-budget" => {
                 args.migration_budget = parse_count(flag, &value()?, 1..=u64::MAX)?;
             }
-            "--warm-drift" => {
-                args.warm_drift = value()?.parse().map_err(|e| format!("--warm-drift: {e}"))?;
-            }
+            "--warm-drift" => args.warm_drift = parse_count(flag, &value()?, 0..=1_000_000)?,
             "--replicas" => args.replicas = parse_count(flag, &value()?, 1..=64)? as usize,
             "--domains" => args.domains = Some(value()?),
             "--drift-epochs" => {
@@ -326,8 +331,8 @@ fn build_pipeline(args: &Args) -> Result<Pipeline, String> {
     );
     let mut p = Pipeline::build(&config);
     if let Some(n) = args.shards {
-        // Bulk cost evaluation (rounding ranking, ladder ranking,
-        // migrate/repair scoring, probe candidate scoring via the scoped
+        // Bulk cost evaluation (rounding ranking, migrate/repair
+        // scoring, probe candidate scoring via the scoped
         // subproblem) runs shard-parallel, for every subcommand. At one
         // shard its bits are the unsharded run's. The presets' weights are
         // not dyadic, so with more shards a cost can differ from the flat

@@ -736,9 +736,10 @@ fn count_options_reject_zero_uniformly() {
     );
 }
 
-/// Every count that sizes an allocation up front has a finite maximum:
-/// one past it is a usage error at parse time, before any work (without
-/// the bound these values failed allocations of tens of GB or more).
+/// Every count that sizes an allocation, a thread pool or a loop up front
+/// has a finite maximum: one past it is a usage error at parse time,
+/// before any work (without the bound these values failed allocations of
+/// tens of GB or more, asked for that many OS threads, or never finished).
 #[test]
 fn count_options_reject_values_above_their_maxima() {
     for (cmd, flag, max) in [
@@ -749,6 +750,12 @@ fn count_options_reject_values_above_their_maxima() {
         ("run", "--queries-per-epoch", 10_000_000),
         ("live", "--queries-per-epoch", 10_000_000),
         ("serve", "--queries", 10_000_000),
+        ("place", "--threads", cca_par::MAX_THREADS as u64),
+        ("serve", "--threads", cca_par::MAX_THREADS as u64),
+        ("place", "--shards", 10_000_000),
+        ("serve", "--inflight", 10_000_000),
+        ("live", "--inflight", 10_000_000),
+        ("live", "--warm-drift", 1_000_000),
     ] {
         for value in [max + 1, u64::MAX] {
             let value = value.to_string();
