@@ -37,7 +37,7 @@ const NODES: usize = 10;
 /// Node losses injected across the run.
 const DROP_NODES: usize = 2;
 
-fn online_config(epochs: u64, threads: usize, shards: usize) -> OnlineConfig {
+fn online_config(epochs: u64, threads: usize) -> OnlineConfig {
     let mut config = OnlineConfig {
         epochs,
         seed: BENCH_SEED,
@@ -50,7 +50,6 @@ fn online_config(epochs: u64, threads: usize, shards: usize) -> OnlineConfig {
     };
     config.controller = ControllerConfig {
         threads,
-        shards,
         ..ControllerConfig::default()
     };
     config
@@ -136,12 +135,12 @@ fn main() {
     let mut pipeline_config = PipelineConfig::new(TraceConfig::small(), NODES);
     pipeline_config.seed = BENCH_SEED;
     let t = Instant::now();
-    let pipeline = Pipeline::build(&pipeline_config);
+    let mut pipeline = Pipeline::build(&pipeline_config);
     eprintln!("built small pipeline in {:.1}s", t.elapsed().as_secs_f64());
 
     // The measured run: serial, flat — the §12 reference configuration.
     let t = Instant::now();
-    let outcome = run_online(&pipeline, &online_config(epochs, 1, 0));
+    let outcome = run_online(&pipeline, &online_config(epochs, 1));
     let elapsed_s = t.elapsed().as_secs_f64();
     let r = &outcome.report;
 
@@ -173,7 +172,8 @@ fn main() {
     // Determinism cross-check: threads 2 x shards 7 must reproduce the
     // serial flat run to the byte (report + final placement).
     let reference = render(&outcome);
-    let crosscheck = render(&run_online(&pipeline, &online_config(epochs, 2, 7)));
+    pipeline.problem.set_sharding(7, 2);
+    let crosscheck = render(&run_online(&pipeline, &online_config(epochs, 2)));
     let reports_identical = crosscheck == reference;
     assert!(
         reports_identical,
@@ -182,8 +182,6 @@ fn main() {
     println!();
     println!("# determinism: flat serial vs threads 2 x shards 7: identical {reports_identical}");
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_controller.json").to_string()
-    });
+    let path = cca_bench::output_path("controller");
     write_json(epochs, elapsed_s, &outcome, reports_identical, &path);
 }

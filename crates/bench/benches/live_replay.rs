@@ -59,7 +59,7 @@ const WARM_DRIFT_STEPS: u64 = 24;
 /// Regime-shift drift σ (the paper's month-scale calibration is 0.276).
 const DRIFT_SIGMA: f64 = 0.25;
 
-fn live_config(epochs: u64, inflight: usize, threads: usize, shards: usize) -> LiveConfig {
+fn live_config(epochs: u64, inflight: usize, threads: usize) -> LiveConfig {
     LiveConfig {
         epochs,
         queries_per_epoch: QUERIES_PER_EPOCH,
@@ -75,7 +75,6 @@ fn live_config(epochs: u64, inflight: usize, threads: usize, shards: usize) -> L
         domains: None,
         controller: ControllerConfig {
             threads,
-            shards,
             // A bounded replay amortizes migrations over the run itself.
             horizon_epochs: epochs,
             ..ControllerConfig::default()
@@ -99,7 +98,7 @@ fn run_at(
     if shards > 0 {
         pipeline.problem.set_sharding(shards, threads.max(1));
     }
-    let config = live_config(epochs, inflight, threads, shards);
+    let config = live_config(epochs, inflight, threads);
     let t = Instant::now();
     let outcome = run_live(&pipeline, &config);
     let elapsed_s = t.elapsed().as_secs_f64();
@@ -237,8 +236,6 @@ fn main() {
         report.migration_epochs
     );
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_live.json").to_string()
-    });
+    let path = cca_bench::output_path("live");
     write_json(epochs, elapsed_s, &report, reports_identical, &path);
 }

@@ -33,6 +33,9 @@ use std::time::Instant;
 /// Cluster size of every table except Figure 7's sweep.
 const NODES: usize = 10;
 
+/// Drift draws of one January log that Figure 2B's spread rows summarise.
+const DRIFT_DRAWS: u64 = 8;
+
 /// A JSON value as the TSV prints it: numbers, booleans and `[...]` lists
 /// verbatim, anything else as a string.
 fn json_value(cell: &str) -> String {
@@ -179,6 +182,32 @@ fn fig2(ledger: &mut Vec<String>) {
     for (month, stats) in [("jan", &jan), ("feb", &feb)] {
         let observed = stats.num_pairs().to_string();
         fig2b.row(&[format!("{month} pairs observed"), observed, "-".into()]);
+    }
+    // Where that statistic sits: a sigma = 0 control (a fresh sample of
+    // the undrifted model, so sampling noise alone), and its spread over
+    // drift draws of the same January log, the bench's own draw first.
+    let changed_after = |sigma: f64, seed: u64| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let model = workload.model.drifted(DriftConfig { sigma }, &mut rng);
+        let log = model.sample_log(workload.queries.len(), &mut rng);
+        jan.fraction_changed_beyond_2x(&PairStats::from_log(&log), top_k)
+    };
+    let control = changed_after(0.0, BENCH_SEED ^ 0xFEB);
+    let metric = format!("sigma=0 control: top-{top_k} pairs changed >2x or <0.5x");
+    fig2b.row(&[metric, format!("{control:.4}"), "-".into()]);
+    let sigma = DriftConfig::paper_calibrated().sigma;
+    let mut draws = vec![changed];
+    draws.extend((1..DRIFT_DRAWS).map(|d| changed_after(sigma, BENCH_SEED ^ 0xFEB ^ (d << 32))));
+    draws.sort_by(f64::total_cmp);
+    let mid = draws.len() / 2;
+    let median = (draws[mid - 1] + draws[mid]) / 2.0;
+    for (stat, value) in [
+        ("median", median),
+        ("min", draws[0]),
+        ("max", draws[draws.len() - 1]),
+    ] {
+        let metric = format!("{stat} over {DRIFT_DRAWS} drift draws of the january log");
+        fig2b.row(&[metric, format!("{value:.4}"), "0.012".into()]);
     }
     ledger.extend([&fig2, &fig2a, &fig2b].map(|t| t.section("  ")));
 }
@@ -649,9 +678,7 @@ fn main() {
         start.elapsed().as_secs_f64()
     ));
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json").to_string()
-    });
+    let path = cca_bench::output_path("paper");
     let out = format!("{{\n{}\n}}\n", ledger.join(",\n"));
     std::fs::write(&path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     eprintln!("wrote paper ledger to {path}");

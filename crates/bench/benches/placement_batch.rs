@@ -210,8 +210,6 @@ fn main() {
         wide.k
     );
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json").to_string()
-    });
+    let path = cca_bench::output_path("batch");
     write_json(&zipf, &results, &path);
 }

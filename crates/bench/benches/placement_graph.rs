@@ -4,7 +4,9 @@
 //! The canonical [`cca_core::CorrelationGraph`] promises two speedups over
 //! the historic dense pair list: cost evaluation walks a cache-friendly
 //! CSR edge array instead of a `Vec<Pair>` of AoS records, and move
-//! deltas cost O(deg(i)) instead of an O(|E|) full rescan. This bench
+//! deltas cost O(deg(i)) instead of an O(|E|) full rescan (the delta rows
+//! time `eval_replica_move_delta` on the `r = 1` copy set, the kernel
+//! every single-copy mover runs). This bench
 //! measures both on the Figure-5/Figure-7 pipeline instances plus a
 //! 10 000-object Zipf-correlated instance built from `cca-trace`'s
 //! sampler, and asserts the headline contract: **move deltas on the 10k
@@ -13,7 +15,7 @@
 //! Besides the TSV table it writes `BENCH_graph.json` (override the path
 //! with `CCA_BENCH_OUT`).
 
-use cca::algo::{random_hash_placement, CcaProblem, ObjectId, Placement};
+use cca::algo::{random_hash_placement, CcaProblem, ObjectId, Placement, ReplicaPlacement};
 use cca_bench::{bench_pipeline, header, quick_mode, BENCH_SEED};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
@@ -164,10 +166,11 @@ fn run_instance(name: &str, problem: &CcaProblem, eval_iters: usize, moves: usiz
         }
         acc
     });
+    let rp = ReplicaPlacement::from_primary(placement.clone());
     let (csr_delta_ms, csr_delta_sum) = best_of(3, || {
         let mut acc = 0.0f64;
         for &(o, k) in &script {
-            acc += black_box(graph).move_delta(black_box(&placement), o, k);
+            acc += black_box(problem).eval_replica_move_delta(black_box(&rp), o, 0, k);
         }
         acc
     });
@@ -285,8 +288,6 @@ fn main() {
         "# zipf-10k move-delta speedup: {delta_speedup:.1}x (contract: >= {MOVE_DELTA_SPEEDUP_FLOOR}x)"
     );
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_graph.json").to_string()
-    });
+    let path = cca_bench::output_path("graph");
     write_json(&results, &path);
 }

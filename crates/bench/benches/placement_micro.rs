@@ -81,14 +81,6 @@ fn main() {
                 &cca::algo::MigrateOptions::default(),
             )
         });
-        group.bench("drain_node", || {
-            cca::algo::drain_node(
-                problem,
-                &desired,
-                0,
-                &cca::algo::MigrateOptions::default(),
-            )
-        });
         group.finish();
     }
 

@@ -178,9 +178,7 @@ fn main() {
         results.push(r);
     }
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json").to_string()
-    });
+    let path = cca_bench::output_path("parallel");
     write_json(&results, &path);
     println!();
     println!("# determinism: every thread count must reproduce the serial placement");

@@ -350,9 +350,7 @@ fn main() {
         &flat_batch,
     );
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").to_string()
-    });
+    let path = cca_bench::output_path("shard");
     write_json(
         objects,
         edges,

@@ -196,8 +196,6 @@ fn main() {
     println!();
     println!("# equivalence: r=1 replicated vs single-copy report identical {r1_identical}");
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_replica.json").to_string()
-    });
+    let path = cca_bench::output_path("replica");
     write_json(queries, &rows, r1_identical, &path);
 }

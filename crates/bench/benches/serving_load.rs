@@ -195,8 +195,6 @@ fn main() {
          identical {reports_identical}"
     );
 
-    let path = std::env::var("CCA_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json").to_string()
-    });
+    let path = cca_bench::output_path("serving");
     write_json(queries, elapsed_s, &report, reports_identical, &path);
 }

@@ -11,7 +11,8 @@
 //!    [`EdgeId`](crate::graph::EdgeId) order. Estimates are quantized to a
 //!    dyadic 2⁻²⁰ grid so every shard-parallel reduction over the
 //!    estimated weights is exact — controller runs are byte-identical for
-//!    any `threads`/`shards` configuration (DESIGN.md §11).
+//!    any `threads` and any shard count of the base problem (DESIGN.md
+//!    §11).
 //! 2. **Detects drift per scope.** Objects are range-partitioned into
 //!    scopes (an edge belongs to its smaller endpoint's scope, mirroring
 //!    [`ShardedGraph`](crate::shard::ShardedGraph) ownership); a scope's
@@ -95,9 +96,6 @@ pub struct ControllerConfig {
     /// Worker threads for solves and batched scoring (results are
     /// identical for any value).
     pub threads: usize,
-    /// Shard count for estimated-problem evaluation; `0` keeps the flat
-    /// graph (results are identical for any value — estimates are dyadic).
-    pub shards: usize,
     /// Budget applied to every scoped resilient solve. A wall-clock
     /// deadline here is the **only** nondeterministic knob in the loop.
     pub budget: SolveBudget,
@@ -140,7 +138,6 @@ impl Default for ControllerConfig {
             scope_top: 96,
             capacity_slack: 1.05,
             threads: 1,
-            shards: 0,
             budget: SolveBudget::default(),
             start: Rung::Greedy,
             floor: Rung::Hash,
@@ -772,8 +769,10 @@ impl Controller {
             .capacities(self.live_capacities.clone())
             .build()
             .expect("estimated problem mirrors the valid base problem");
-        if self.config.shards > 0 {
-            est.set_sharding(self.config.shards, self.config.threads);
+        // The base problem's shard count carries over (results are
+        // identical for any count — estimates are dyadic).
+        if let Some(s) = self.base.sharded() {
+            est.set_sharding(s.shard_count(), self.config.threads);
         }
         est
     }
@@ -1257,12 +1256,14 @@ mod tests {
 
     #[test]
     fn shard_and_thread_config_do_not_change_decisions() {
-        let p = base_problem();
         let mut reference: Option<(Vec<u32>, u64, u64)> = None;
         for (threads, shards) in [(1, 0), (2, 2), (8, 7), (2, 1)] {
+            let mut p = base_problem();
+            if shards > 0 {
+                p.set_sharding(shards, threads);
+            }
             let cfg = ControllerConfig {
                 threads,
-                shards,
                 ..config()
             };
             let mut c = Controller::new(&p, start_placement(&p), cfg);

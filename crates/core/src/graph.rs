@@ -600,32 +600,6 @@ impl CorrelationGraph {
         self.split_sum(ranges, |a, b| placement.node_of(a) != placement.node_of(b))
     }
 
-    /// Communication-cost change of moving `i` from its current node to
-    /// `target`: `Σ_{j∈adj(i)} w_ij·([f(j)=src] − [f(j)=target])`,
-    /// accumulated in row order (negative is an improvement; 0 when
-    /// `target` is `i`'s current node).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn move_delta(&self, placement: &Placement, i: ObjectId, target: usize) -> f64 {
-        let src = placement.node_of(i);
-        if src == target {
-            return 0.0;
-        }
-        let mut delta = 0.0;
-        for (other, w) in self.neighbors(i) {
-            let on = placement.node_of(other);
-            if on == src {
-                delta += w;
-            } else if on == target {
-                delta -= w;
-            }
-        }
-        delta
-    }
-
     /// Scores every candidate of `batch` in a **single** walk of the CSR
     /// edge columns: the outer loop runs over edges in [`EdgeId`] order,
     /// the inner loop over candidate columns, so each edge's endpoints and
@@ -703,47 +677,6 @@ impl CorrelationGraph {
         }
     }
 
-    /// [`CorrelationGraph::move_delta`] for every target in `targets`, in
-    /// a **single** walk of `i`'s CSR row: each neighbour's node is looked
-    /// up once and folded into all k target accumulators.
-    ///
-    /// Entry `t` of the result is **bit-identical** to
-    /// `move_delta(placement, i, targets[t])`: each accumulator starts at
-    /// `0.0` and adds/subtracts exactly the weights the per-target walk
-    /// does, in the same row order (`targets[t] == src` yields exactly
-    /// `0.0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn move_delta_batch(
-        &self,
-        placement: &Placement,
-        i: ObjectId,
-        targets: &[usize],
-    ) -> Vec<f64> {
-        let src = placement.node_of(i);
-        let mut deltas = vec![0.0f64; targets.len()];
-        if targets.iter().all(|&t| t == src) {
-            return deltas;
-        }
-        for (other, w) in self.neighbors(i) {
-            let on = placement.node_of(other);
-            for (d, &t) in deltas.iter_mut().zip(targets) {
-                if t == src {
-                    continue;
-                }
-                if on == src {
-                    *d += w;
-                } else if on == t {
-                    *d -= w;
-                }
-            }
-        }
-        deltas
-    }
-
     // -- Replica-aware evaluation ------------------------------------------
 
     /// The replica-aware CCA objective: edge `(a, b)` pays `r·w` iff **no**
@@ -782,9 +715,10 @@ impl CorrelationGraph {
     /// edge contributes `+w` when the move newly splits it and `−w` when
     /// it newly joins it, accumulated in row order.
     ///
-    /// With `r = 1` this adds/subtracts exactly the weights
-    /// [`CorrelationGraph::move_delta`] does, in the same order, so the
-    /// result is bit-identical.
+    /// With `r = 1` this is the single-copy move delta
+    /// `Σ_{j∈adj(i)} w_ij·([f(j)=src] − [f(j)=target])`, accumulated in
+    /// row order (0 when `target` is `i`'s current node): every
+    /// single-copy mover runs it through the `r = 1` copy set.
     /// [`crate::CcaProblem::eval_replica_move_deltas`] computes it for
     /// every target at once; this single-target form is that kernel's
     /// test oracle.
@@ -913,6 +847,37 @@ fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = u
     })
 }
 
+/// The single-copy move delta of moving `i` to each node in `targets`, as
+/// its own kernel computed it before every mover ran the `r = 1` replica
+/// kernel: one row walk, each entry starting at `0.0` and folding `+w`
+/// (the partner stays on `src`) or `−w` (the partner is on the target) in
+/// row order; a target equal to `src` reads exactly `0.0`. Kept as the
+/// test oracle of the capacity repair and local search references.
+#[cfg(test)]
+pub(crate) fn single_copy_move_deltas(
+    graph: &CorrelationGraph,
+    placement: &Placement,
+    i: ObjectId,
+    targets: &[usize],
+) -> Vec<f64> {
+    let src = placement.node_of(i);
+    let mut deltas = vec![0.0f64; targets.len()];
+    for (other, w) in graph.neighbors(i) {
+        let on = placement.node_of(other);
+        for (d, &t) in deltas.iter_mut().zip(targets) {
+            if t == src {
+                continue;
+            }
+            if on == src {
+                *d += w;
+            } else if on == t {
+                *d -= w;
+            }
+        }
+    }
+    deltas
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,9 +971,10 @@ mod tests {
         let p = problem();
         let g = p.graph();
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
+        let rp = ReplicaPlacement::from_primary(pl.clone());
         for i in 0..4u32 {
             for k in 0..2usize {
-                let delta = g.move_delta(&pl, ObjectId(i), k);
+                let delta = g.replica_move_delta(&rp, ObjectId(i), 0, k);
                 let mut moved = pl.clone();
                 moved.assign(ObjectId(i), k);
                 let diff = g.cost(&moved) - g.cost(&pl);
@@ -1043,20 +1009,21 @@ mod tests {
         let p = problem();
         let g = p.graph();
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
+        let rp = ReplicaPlacement::from_primary(pl.clone());
         let targets = [0usize, 1];
+        let mut deltas = [f64::NAN; 2];
         for i in 0..4u32 {
-            let deltas = g.move_delta_batch(&pl, ObjectId(i), &targets);
+            g.replica_move_deltas(&rp, ObjectId(i), 0, &mut deltas);
+            let rule = single_copy_move_deltas(g, &pl, ObjectId(i), &targets);
             for (t, &k) in targets.iter().enumerate() {
-                assert_eq!(
-                    deltas[t].to_bits(),
-                    g.move_delta(&pl, ObjectId(i), k).to_bits(),
-                    "obj {i} -> node {k}"
-                );
+                let scalar = g.replica_move_delta(&rp, ObjectId(i), 0, k);
+                assert_eq!(deltas[k].to_bits(), scalar.to_bits(), "obj {i} -> node {k}");
+                assert_eq!(deltas[k].to_bits(), rule[t].to_bits(), "obj {i} -> node {k}");
             }
+            // The copy's own node reads exactly zero.
+            assert_eq!(deltas[pl.node_of(ObjectId(i))].to_bits(), 0.0f64.to_bits());
         }
-        // All targets == src short-circuits to exact zeros.
-        let src = pl.node_of(ObjectId(0));
-        assert_eq!(g.move_delta_batch(&pl, ObjectId(0), &[src, src]), vec![0.0, 0.0]);
+        assert!(single_copy_move_deltas(g, &pl, ObjectId(0), &[]).is_empty());
     }
 
     #[test]
@@ -1105,8 +1072,6 @@ mod tests {
         let batch = PlacementBatch::new(p.num_objects(), 2);
         assert!(batch.is_empty());
         assert!(g.cost_batch(&batch).is_empty());
-        let pl = Placement::new(vec![0, 1, 0, 1], 2);
-        assert!(g.move_delta_batch(&pl, ObjectId(0), &[]).is_empty());
     }
 
     #[test]

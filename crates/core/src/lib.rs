@@ -94,7 +94,7 @@ pub use fractional::FractionalPlacement;
 pub use graph::{CorrelationGraph, Edge, EdgeId, PlacementBatch};
 pub use greedy::greedy_placement;
 pub use migrate::{
-    drain_node, improve_in_place, improve_replicas_in_place, migration_bytes, reconcile,
+    improve_in_place, improve_replicas_in_place, migration_bytes, reconcile,
     replica_migration_bytes, MigrateOptions, MigrationOutcome, MigrationSchedule, MigrationSlice,
     ReplicaMigrationOutcome,
 };

@@ -11,16 +11,19 @@
 //! * [`reconcile`] — move toward a desired placement under a migration
 //!   budget, applying the most valuable moves first;
 //! * [`improve_in_place`] — local search from the current placement where
-//!   every move must pay for itself against an amortised migration price;
-//! * [`drain_node`] — evacuate a node for decommission or failure
-//!   recovery, keeping correlation clusters together.
+//!   every move must pay for itself against an amortised migration price.
 //!
-//! Every mover here, and the capacity repair of [`crate::repair`], keeps
-//! its loads in one capacity ledger (`Loads`) and checks every dimension
-//! of it: storage and each secondary resource (paper §3.3). The local
-//! search is written once, as the spread-preserving replica polish of
-//! [`improve_replicas_in_place`]; [`improve_in_place`] is its `r = 1`
-//! case over a flat domain tree.
+//! Evacuating a node (decommission or failure recovery) is
+//! [`crate::resilience::survive_node_loss`]: zero the node's capacity,
+//! repair, polish.
+//!
+//! Every mover here, the capacity repair of [`crate::repair`] and the copy
+//! rule of [`crate::replica`] keep their loads in one capacity ledger
+//! (`Loads`) and check every dimension of it: storage and each secondary
+//! resource (paper §3.3). The local search is written once, as the
+//! spread-preserving replica polish of [`improve_replicas_in_place`];
+//! [`improve_in_place`] is its `r = 1` case over a flat domain tree, and
+//! every single-copy move delta is the `r = 1` replica kernel.
 
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
@@ -339,6 +342,11 @@ impl Loads {
         self.dims[0].demand[obj.index()]
     }
 
+    /// The storage load of `node`: every copy on it.
+    pub(crate) fn storage(&self, node: usize) -> f64 {
+        self.dims[0].load[node]
+    }
+
     /// The overload measure: `node`'s worst relative excess
     /// `(load − cap) / (1 + cap)` over every dimension, without the fit
     /// test's tolerance.
@@ -357,10 +365,10 @@ impl Loads {
         }
     }
 
-    /// Closes `node`: nothing fits on it any more.
-    pub(crate) fn close(&mut self, node: usize) {
+    /// Places one more copy of `obj` on `node`.
+    pub(crate) fn add(&mut self, obj: ObjectId, node: usize) {
         for d in &mut self.dims {
-            d.fit[node] = f64::NEG_INFINITY;
+            d.load[node] += d.demand[obj.index()];
         }
     }
 }
@@ -534,115 +542,13 @@ pub fn improve_in_place(
     let mut loads = Loads::new(problem, rp.columns(), options.capacity_slack);
     let tree = DomainTree::flat(current.num_nodes());
     let (moves, migrated_bytes) = polish(problem, &tree, &mut rp, &mut loads, options);
-    let placement = rp.primary().clone();
+    let placement = rp.into_primary();
     MigrationOutcome {
         comm_cost: placement.communication_cost(problem),
         placement,
         migrated_bytes,
         moves,
     }
-}
-
-/// Evacuates every object from `node` (decommission, maintenance, or
-/// failure recovery): each of the node's correlation clusters is re-homed
-/// to the surviving node with the strongest pull (existing partners) that
-/// fits it, largest clusters first; stragglers move object by object.
-///
-/// Returns `None` when the surviving capacity (with
-/// `options.capacity_slack`) cannot absorb the node's objects.
-///
-/// # Panics
-///
-/// Panics if `node` is out of range, the placement has fewer than two
-/// nodes, or dimensions disagree.
-#[must_use]
-pub fn drain_node(
-    problem: &CcaProblem,
-    current: &Placement,
-    node: usize,
-    options: &MigrateOptions,
-) -> Option<MigrationOutcome> {
-    assert!(node < current.num_nodes(), "node {node} out of range");
-    assert!(current.num_nodes() > 1, "cannot drain the only node");
-    let graph = problem.graph();
-    let mut placement = current.clone();
-    let mut loads = Loads::new(problem, std::slice::from_ref(current), options.capacity_slack);
-    // The drained node accepts nothing.
-    loads.close(node);
-    let mut moves = 0usize;
-    let mut migrated = 0u64;
-
-    // Correlation clusters on the drained node, largest first.
-    let evacuees: Vec<ObjectId> = problem
-        .objects()
-        .filter(|&o| placement.node_of(o) == node)
-        .collect();
-    let mut groups = components(problem, &evacuees, |_, _| true);
-    groups.sort_unstable_by_key(|g| {
-        std::cmp::Reverse(g.iter().map(|&o| problem.size(o)).sum::<u64>())
-    });
-
-    let n = problem.num_nodes();
-    for group in groups {
-        // Try the whole group on the node with the strongest pull.
-        let demand = loads.demand(&group);
-        let mut join = vec![0.0f64; n];
-        for &o in &group {
-            for (other, w) in graph.neighbors(o) {
-                if !group.contains(&other) {
-                    let on = placement.node_of(other);
-                    if on != node {
-                        join[on] += w;
-                    }
-                }
-            }
-        }
-        let target = (0..n)
-            .filter(|&k| loads.fits_demand(k, &demand))
-            .max_by(|&a, &b| {
-                join[a]
-                    .partial_cmp(&join[b])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.cmp(&a))
-            });
-        if let Some(k) = target {
-            for &o in &group {
-                loads.apply(o, node, k);
-                placement.assign(o, k);
-                migrated += problem.size(o);
-                moves += 1;
-            }
-            continue;
-        }
-        // Fragmented: per-object fallback, cheapest Δcost first; give up
-        // (returning None) when an object fits nowhere. One row walk
-        // scores all fitting survivors (each delta bit-equal to its
-        // per-target walk), replacing the min_by's rescan per comparison.
-        for &o in &group {
-            let fitting: Vec<usize> = (0..n).filter(|&k| loads.fits(k, o)).collect();
-            let deltas = problem.eval_move_delta_batch(&placement, o, &fitting);
-            let target = *fitting
-                .iter()
-                .zip(&deltas)
-                .min_by(|(a, da), (b, db)| {
-                    da.partial_cmp(db)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.cmp(b))
-                })
-                .map(|(k, _)| k)?;
-            loads.apply(o, node, target);
-            placement.assign(o, target);
-            migrated += problem.size(o);
-            moves += 1;
-        }
-    }
-
-    Some(MigrationOutcome {
-        comm_cost: placement.communication_cost(problem),
-        placement,
-        migrated_bytes: migrated,
-        moves,
-    })
 }
 
 /// One budget-bounded step of a [`MigrationSchedule`].
@@ -797,11 +703,13 @@ impl MigrationSchedule {
 /// `improve_in_place` as it was before it became the `r = 1` polish,
 /// with its own nested capacity ledger. Kept verbatim, except that the
 /// removed `IncrementalCost` wrapper is replaced by the two calls it made
-/// (`eval_move_delta_batch`, `Placement::assign`), as the differential
-/// oracle the polish must match move for move.
+/// (the single-copy delta kernel, now the test-only
+/// `single_copy_move_deltas`, and `Placement::assign`), as the
+/// differential oracle the polish must match move for move.
 #[cfg(test)]
 mod reference {
     use super::{MigrateOptions, MigrationOutcome};
+    use crate::graph::single_copy_move_deltas;
     use crate::placement::Placement;
     use crate::problem::{CcaProblem, ObjectId};
 
@@ -881,7 +789,7 @@ mod reference {
                 // ascending-k strict-< selection below picks the same winner.
                 fitting.clear();
                 fitting.extend((0..n).filter(|&k| k != src && loads.fits(k, o)));
-                let deltas = problem.eval_move_delta_batch(&placement, o, &fitting);
+                let deltas = single_copy_move_deltas(problem.graph(), &placement, o, &fitting);
                 let mut best: Option<(f64, usize)> = None;
                 for (&k, &delta) in fitting.iter().zip(&deltas) {
                     // Must beat the migration price strictly.
@@ -1027,54 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_moves_clusters_wholesale() {
-        let p = problem();
-        let start = Placement::new(vec![0, 0, 0, 1, 1, 1], 2);
-        // Need a third node so draining node 0 has somewhere to go.
-        let p3 = p.with_capacities(vec![40, 40, 40]);
-        let start3 = Placement::new(vec![0, 0, 0, 1, 1, 1], 3);
-        let out = drain_node(&p3, &start3, 0, &MigrateOptions::default()).expect("drainable");
-        for i in 0..3u32 {
-            assert_ne!(out.placement.node_of(crate::problem::ObjectId(i)), 0);
-        }
-        // The triangle stays together: zero cost.
-        assert_eq!(out.comm_cost, 0.0);
-        assert_eq!(out.migrated_bytes, 30);
-        assert_eq!(out.moves, 3);
-        let _ = start;
-    }
-
-    #[test]
-    fn drain_prefers_nodes_with_partners() {
-        // Object 0 on node 0, its partners on node 2 of 3: drain should
-        // send it to node 2, not node 1.
-        let mut b = CcaProblem::builder();
-        let o: Vec<_> = (0..3).map(|i| b.add_object(format!("o{i}"), 5)).collect();
-        b.add_pair(o[0], o[1], 0.9, 10.0).unwrap();
-        b.add_pair(o[0], o[2], 0.9, 10.0).unwrap();
-        let p = b.uniform_capacities(3, 20).build().unwrap();
-        let start = Placement::new(vec![0, 2, 2], 3);
-        let out = drain_node(&p, &start, 0, &MigrateOptions::default()).expect("drainable");
-        assert_eq!(out.placement.node_of(o[0]), 2);
-        assert_eq!(out.comm_cost, 0.0);
-    }
-
-    #[test]
-    fn drain_fails_when_capacity_missing() {
-        let mut b = CcaProblem::builder();
-        b.add_object("a", 10);
-        b.add_object("b", 10);
-        let p = b.uniform_capacities(2, 10).build().unwrap();
-        let start = Placement::new(vec![0, 1], 2);
-        // Node 1 is full (10/10): draining node 0 cannot fit `a` anywhere.
-        assert!(drain_node(&p, &start, 0, &MigrateOptions {
-            capacity_slack: 1.0,
-            ..MigrateOptions::default()
-        })
-        .is_none());
-    }
-
-    #[test]
     fn schedule_slices_respect_budget_and_converge() {
         let p = problem();
         let mut placement = Placement::new(vec![0, 1, 0, 1, 0, 1], 2);
@@ -1148,16 +1008,6 @@ mod tests {
         assert!(slice.complete);
         assert_eq!(slice.remaining_bytes, 0);
         assert_eq!(placement, desired);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot drain the only node")]
-    fn drain_single_node_panics() {
-        let mut b = CcaProblem::builder();
-        b.add_object("a", 1);
-        let p = b.uniform_capacities(1, 10).build().unwrap();
-        let start = Placement::new(vec![0], 1);
-        let _ = drain_node(&p, &start, 0, &MigrateOptions::default());
     }
 
     /// A random instance for the `r = 1` differential property.

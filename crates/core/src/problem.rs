@@ -73,6 +73,10 @@ pub enum ProblemError {
     /// (Individual zero-capacity nodes stay legal — they model failed or
     /// drained nodes.)
     ZeroCapacity,
+    /// A total that capacity checks sum — the object sizes, the node
+    /// capacities, or a secondary resource's demands or capacities —
+    /// does not fit a `u64`; names the total.
+    Overflow(String),
     /// A secondary resource's vectors do not match the problem dimensions.
     Resource(ResourceError),
     /// The instance overflows the graph's `u32` CSR indexing: more than
@@ -108,6 +112,7 @@ impl fmt::Display for ProblemError {
             ProblemError::NoNodes => f.write_str("problem has no nodes"),
             ProblemError::ZeroSizeObject(o) => write!(f, "object {o} has size zero"),
             ProblemError::ZeroCapacity => f.write_str("every node has zero capacity"),
+            ProblemError::Overflow(total) => write!(f, "{total} overflows a u64"),
             ProblemError::Resource(e) => write!(f, "invalid resource: {e}"),
             ProblemError::GraphTooLarge { objects, pairs } => write!(
                 f,
@@ -280,32 +285,6 @@ impl CcaProblem {
             Some(s) => s.cost_batch(&self.graph, batch, threads),
             None => self.graph.cost_batch(batch),
         }
-    }
-
-    /// [`CorrelationGraph::move_delta`]: one walk of `i`'s CSR row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn eval_move_delta(&self, placement: &Placement, i: ObjectId, target: usize) -> f64 {
-        self.graph.move_delta(placement, i, target)
-    }
-
-    /// [`CorrelationGraph::move_delta_batch`]: one walk of `i`'s CSR row
-    /// for every target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn eval_move_delta_batch(
-        &self,
-        placement: &Placement,
-        i: ObjectId,
-        targets: &[usize],
-    ) -> Vec<f64> {
-        self.graph.move_delta_batch(placement, i, targets)
     }
 
     /// Replica-aware cost, shard-parallel when sharding is enabled
@@ -606,8 +585,10 @@ impl CcaProblemBuilder {
     ///
     /// Returns [`ProblemError::NoNodes`] if no capacities were set,
     /// [`ProblemError::InvalidNumber`] naming the smallest pair whose
-    /// accumulated correlation or weight `r·w` is not finite, or any
-    /// error recorded during building.
+    /// accumulated correlation or weight `r·w` is not finite,
+    /// [`ProblemError::Overflow`] naming the first total of sizes,
+    /// capacities, or a resource's demands or capacities that does not
+    /// fit a `u64`, or any error recorded during building.
     pub fn build(&mut self) -> Result<CcaProblem, ProblemError> {
         if let Some(e) = self.error.take() {
             return Err(e);
@@ -649,6 +630,27 @@ impl CcaProblemBuilder {
             if let Err(e) = res.validate(self.sizes.len(), self.capacities.len()) {
                 return Err(ProblemError::Resource(e));
             }
+        }
+        // Every total a capacity check sums must fit a `u64`.
+        fn sum(mut values: impl Iterator<Item = u64>) -> Option<u64> {
+            values.try_fold(0u64, u64::checked_add)
+        }
+        let (t, n) = (self.sizes.len(), self.capacities.len());
+        let mut totals = vec![
+            ("total size".to_string(), sum(self.sizes.iter().copied())),
+            (
+                "total capacity".to_string(),
+                sum(self.capacities.iter().copied()),
+            ),
+        ];
+        for res in &self.resources {
+            let demand = sum((0..t).map(|i| res.demand(i)));
+            let capacity = sum((0..n).map(|k| res.capacity(k)));
+            totals.push((format!("total {} demand", res.name()), demand));
+            totals.push((format!("total {} capacity", res.name()), capacity));
+        }
+        if let Some((total, _)) = totals.into_iter().find(|(_, sum)| sum.is_none()) {
+            return Err(ProblemError::Overflow(total));
         }
         let graph = CorrelationGraph::try_build(self.sizes.len(), &pairs)?;
         Ok(CcaProblem {
@@ -821,6 +823,40 @@ mod tests {
     }
 
     #[test]
+    fn totals_that_overflow_a_u64_are_rejected() {
+        let build = |sizes: &[u64], caps: Vec<u64>, res: Option<Resource>| {
+            let mut b = CcaProblem::builder();
+            for (i, &s) in sizes.iter().enumerate() {
+                b.add_object(format!("o{i}"), s);
+            }
+            b.capacities(caps);
+            if let Some(r) = res {
+                b.add_resource(r);
+            }
+            b.build()
+        };
+        let half = u64::MAX / 2 + 1;
+        let overflow = |built: Result<CcaProblem, ProblemError>| match built {
+            Err(ProblemError::Overflow(total)) => total,
+            other => panic!("expected an overflow error, got {:?}", other.err()),
+        };
+        assert_eq!(overflow(build(&[half, half], vec![1], None)), "total size");
+        assert_eq!(
+            overflow(build(&[1], vec![u64::MAX, 1], None)),
+            "total capacity"
+        );
+        let bw = |demands, caps| Some(Resource::new("bw", demands, caps));
+        let demand = build(&[1, 1], vec![1], bw(vec![half, half], vec![1]));
+        assert_eq!(overflow(demand), "total bw demand");
+        let capacity = build(&[1], vec![1, 1], bw(vec![1], vec![half, half]));
+        assert_eq!(overflow(capacity), "total bw capacity");
+        let msg = ProblemError::Overflow("total size".into()).to_string();
+        assert_eq!(msg, "total size overflows a u64");
+        // The largest totals that fit still build.
+        assert!(build(&[u64::MAX - 1, 1], vec![u64::MAX], None).is_ok());
+    }
+
+    #[test]
     fn zero_weight_pairs_are_dropped() {
         let mut b = CcaProblem::builder();
         let a = b.add_object("a", 1);
@@ -873,18 +909,19 @@ mod tests {
                 p.eval_cost_batch(&batch, 2)[0].to_bits(),
                 p.graph().cost_batch(&batch)[0].to_bits()
             );
+            let rp = ReplicaPlacement::from_primary(pl.clone());
+            let mut deltas = [f64::NAN; 2];
             for i in 0..3 {
                 let i = ObjectId(i);
+                p.eval_replica_move_deltas(&rp, i, 0, &mut deltas);
                 for target in 0..2 {
+                    let flat = p.graph().replica_move_delta(&rp, i, 0, target);
                     assert_eq!(
-                        p.eval_move_delta(&pl, i, target).to_bits(),
-                        p.graph().move_delta(&pl, i, target).to_bits()
+                        p.eval_replica_move_delta(&rp, i, 0, target).to_bits(),
+                        flat.to_bits()
                     );
+                    assert_eq!(deltas[target].to_bits(), flat.to_bits());
                 }
-                assert_eq!(
-                    p.eval_move_delta_batch(&pl, i, &[0, 1]),
-                    p.graph().move_delta_batch(&pl, i, &[0, 1])
-                );
             }
         }
     }

@@ -30,7 +30,7 @@ use crate::graph::CorrelationGraph;
 use crate::migrate::{polish, Loads, MigrateOptions};
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
-use crate::replica::{respread_dead, DomainTree, ReplicaPlacement};
+use crate::replica::{pick_copy_node, DomainTree, ReplicaPlacement};
 
 /// Outcome of [`repair_capacity`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,11 +46,14 @@ pub struct RepairOutcome {
 struct Repairer<'a> {
     problem: &'a CcaProblem,
     graph: &'a CorrelationGraph,
+    /// The placement under repair as its `r = 1` copy set: the eviction
+    /// steps and the polish move the same copies.
+    rp: ReplicaPlacement,
     /// Every node's load in every dimension (storage, then each secondary
     /// resource, paper 3.3) against `capacity · slack`.
     loads: Loads,
     /// `members[node]`: the objects placed on `node`, ascending by id;
-    /// [`Repairer::apply_move`] keeps it in step with the placement.
+    /// [`Repairer::apply_move`] keeps it in step with `rp`.
     members: Vec<Vec<ObjectId>>,
     /// `seen[obj] == seen_stamp`: `obj` was discovered in this step.
     seen: Vec<u64>,
@@ -77,20 +80,21 @@ impl<'a> Repairer<'a> {
     /// own.
     fn new(
         problem: &'a CcaProblem,
-        placement: &Placement,
+        placement: Placement,
         slack: f64,
         demands: Vec<Vec<f64>>,
     ) -> Self {
         let n = problem.num_nodes();
-        let columns = std::slice::from_ref(placement);
         let mut members = vec![Vec::new(); n];
         for i in problem.objects() {
             members[placement.node_of(i)].push(i);
         }
+        let rp = ReplicaPlacement::from_primary(placement);
         Repairer {
             problem,
             graph: problem.graph(),
-            loads: Loads::with_demands(problem, columns, slack, |i, d| demands[i.index()][d]),
+            loads: Loads::with_demands(problem, rp.columns(), slack, |i, d| demands[i.index()][d]),
+            rp,
             members,
             seen: vec![0; problem.num_objects()],
             seen_stamp: 0,
@@ -106,15 +110,16 @@ impl<'a> Repairer<'a> {
     }
 
     /// The eviction loop, then up to `improvement_sweeps` sweeps of the
-    /// polish on this repair's ledger.
-    fn run(&mut self, placement: &mut Placement, improvement_sweeps: usize) -> RepairOutcome {
+    /// polish on this repair's ledger. Returns the outcome and the
+    /// repaired placement.
+    fn run(mut self, improvement_sweeps: usize) -> (RepairOutcome, Placement) {
         // Every step moves ≥1 object off an overloaded node onto a node
         // that stays within limits, so total overload strictly decreases;
         // the cap is defence in depth.
         let max_steps = 4 * self.problem.num_objects() + 16;
         let mut feasible = true;
         for _ in 0..max_steps {
-            match self.step(placement) {
+            match self.step() {
                 Ok(true) => continue,
                 Ok(false) => break,
                 Err(()) => {
@@ -127,22 +132,21 @@ impl<'a> Repairer<'a> {
             feasible = (0..self.problem.num_nodes()).all(|k| self.loads.overload(k) <= 1e-12);
         }
         if improvement_sweeps > 0 {
-            let mut rp = ReplicaPlacement::from_primary(placement.clone());
-            let tree = DomainTree::flat(placement.num_nodes());
+            let tree = DomainTree::flat(self.rp.num_nodes());
             let options = MigrateOptions {
                 max_sweeps: improvement_sweeps,
                 ..MigrateOptions::default()
             };
-            self.moves += polish(self.problem, &tree, &mut rp, &mut self.loads, &options).0;
-            *placement = rp.primary().clone();
+            self.moves += polish(self.problem, &tree, &mut self.rp, &mut self.loads, &options).0;
         }
-        RepairOutcome {
+        let outcome = RepairOutcome {
             moves: self.moves,
             feasible,
-        }
+        };
+        (outcome, self.rp.into_primary())
     }
 
-    fn apply_move(&mut self, placement: &mut Placement, obj: ObjectId, src: usize, dst: usize) {
+    fn apply_move(&mut self, obj: ObjectId, src: usize, dst: usize) {
         self.loads.apply(obj, src, dst);
         let from = &mut self.members[src];
         let at = from
@@ -154,7 +158,7 @@ impl<'a> Repairer<'a> {
             .binary_search(&obj)
             .expect_err("a moved object is not yet on its target node");
         to.insert(at, obj);
-        placement.assign(obj, dst);
+        self.rp.assign(obj, 0, dst);
         self.moves += 1;
     }
 
@@ -165,7 +169,8 @@ impl<'a> Repairer<'a> {
     /// `sort_unstable_by_key` leaves them in, and the step's strict-<
     /// selection depends on it, so the sort and its `Vec<ObjectId>`
     /// elements must not change.
-    fn discover_clusters(&mut self, placement: &Placement, node: usize) {
+    fn discover_clusters(&mut self, node: usize) {
+        let placement = self.rp.primary();
         self.spare.extend(self.clusters.drain(..).map(|mut c| {
             c.clear();
             c
@@ -198,8 +203,9 @@ impl<'a> Repairer<'a> {
     /// Δcost per byte (zero cut cost for a complete component; cheap for
     /// weakly attached groups), as `(cluster index, target)`. Singletons
     /// are scored like any other cluster.
-    fn best_cluster_move(&mut self, placement: &Placement, src: usize) -> Option<(usize, usize)> {
+    fn best_cluster_move(&mut self, src: usize) -> Option<(usize, usize)> {
         let n = self.problem.num_nodes();
+        let placement = self.rp.primary();
         let mut best: Option<(f64, usize, usize)> = None;
         for (c, cluster) in self.clusters.iter().enumerate() {
             // Cut cost to the rest of src plus joins at each target.
@@ -261,21 +267,27 @@ impl<'a> Repairer<'a> {
     }
 
     /// Candidate 2: the single-object eviction off `src` with the lowest
-    /// Δcost per byte. One CSR row walk per member scores all its fitting
-    /// targets; the selection is ascending-k strict-<.
-    fn best_object_move(&self, placement: &Placement, src: usize) -> Option<(ObjectId, usize)> {
+    /// Δcost per byte. One CSR row walk per member with a fitting target
+    /// scores every target; the selection over the fitting ones is
+    /// ascending-k strict-<.
+    fn best_object_move(&self, src: usize) -> Option<(ObjectId, usize)> {
         let n = self.problem.num_nodes();
         let mut best: Option<(f64, ObjectId, usize)> = None;
         let mut fitting: Vec<usize> = Vec::with_capacity(n);
+        let mut deltas = vec![0.0f64; n];
         for &i in &self.members[src] {
             if self.loads.demand(&[i]).iter().all(|&d| d == 0.0) {
                 continue;
             }
             fitting.clear();
             fitting.extend((0..n).filter(|&k| k != src && self.loads.fits(k, i)));
-            let deltas = self.problem.eval_move_delta_batch(placement, i, &fitting);
-            for (&k, &delta) in fitting.iter().zip(&deltas) {
-                let score = delta / self.loads.size(i).max(1.0);
+            if fitting.is_empty() {
+                continue;
+            }
+            self.problem
+                .eval_replica_move_deltas(&self.rp, i, 0, &mut deltas);
+            for &k in &fitting {
+                let score = deltas[k] / self.loads.size(i).max(1.0);
                 if best.is_none_or(|(bs, _, _)| score < bs) {
                     best = Some((score, i, k));
                 }
@@ -289,7 +301,7 @@ impl<'a> Repairer<'a> {
     ///
     /// A step costs O(members(src) + their edges) plus the cluster sort
     /// and one group-fits scan per cluster that survives the score bound.
-    fn step(&mut self, placement: &mut Placement) -> Result<bool, ()> {
+    fn step(&mut self) -> Result<bool, ()> {
         let n = self.problem.num_nodes();
         let Some((src, _)) = (0..n)
             .map(|k| (k, self.loads.overload(k)))
@@ -299,11 +311,11 @@ impl<'a> Repairer<'a> {
             return Ok(false); // feasible
         };
 
-        self.discover_clusters(placement, src);
-        if let Some((c, target)) = self.best_cluster_move(placement, src) {
+        self.discover_clusters(src);
+        if let Some((c, target)) = self.best_cluster_move(src) {
             let cluster = std::mem::take(&mut self.clusters[c]);
             for &o in &cluster {
-                self.apply_move(placement, o, src, target);
+                self.apply_move(o, src, target);
             }
             self.clusters[c] = cluster;
             return Ok(true);
@@ -311,10 +323,10 @@ impl<'a> Repairer<'a> {
 
         // Only when no cluster fits anywhere: evict single objects, members
         // of larger clusters included.
-        let Some((obj, target)) = self.best_object_move(placement, src) else {
+        let Some((obj, target)) = self.best_object_move(src) else {
             return Err(()); // stuck: nothing fits anywhere
         };
-        self.apply_move(placement, obj, src, target);
+        self.apply_move(obj, src, target);
         Ok(true)
     }
 }
@@ -354,7 +366,12 @@ pub fn repair_capacity_with(
         .objects()
         .map(|i| problem.demand_vector(i))
         .collect();
-    Repairer::new(problem, placement, slack, demands).run(placement, improvement_sweeps)
+    // Take the placement out for the repair (the stand-in holds no
+    // objects) and put the repaired one back.
+    let start = std::mem::replace(placement, Placement::new(Vec::new(), placement.num_nodes()));
+    let (outcome, repaired) = Repairer::new(problem, start, slack, demands).run(improvement_sweeps);
+    *placement = repaired;
+    outcome
 }
 
 /// Outcome of [`repair_replica_spread`].
@@ -373,11 +390,14 @@ pub struct ReplicaRepairOutcome {
 /// Re-spreads a replica placement after node or whole-domain loss: every
 /// copy on a node in `dead_nodes` is re-placed onto an alive node whose
 /// leaf domain holds no surviving copy of the object, by the
-/// deterministic copy-target rule of [`crate::replica`] (fresh zone,
-/// then fitting under `capacity · slack`, then lightest copy-inclusive
-/// load, then lowest node id). Objects are visited in ascending id
-/// order, replicas in ascending index order — reproducible across
-/// threads and shards.
+/// deterministic copy-target rule of [`crate::replica`] (fresh zone, then
+/// fitting under `capacity · slack` in every dimension, then lightest
+/// copy-inclusive storage load, then lowest node id). Objects are visited
+/// in ascending id order, replicas in ascending index order —
+/// reproducible across threads and shards. If every alive leaf already
+/// holds a copy (fewer alive domains than replicas), the copy falls back
+/// to the alive node with the lightest storage load: a best-effort
+/// spread, reported in [`ReplicaRepairOutcome::spread_valid`].
 ///
 /// This is the replica analogue of zero-capacity +
 /// [`repair_capacity`] in [`crate::resilience::survive_node_loss`]; it
@@ -404,7 +424,41 @@ pub fn repair_replica_spread(
     for &n in dead_nodes {
         dead[n] = true;
     }
-    let (moves, migrated_bytes) = respread_dead(problem, tree, rp, &dead, slack);
+    let alive = |node: usize| !dead[node];
+    // Copies leaving a dead node lighten it, which nothing reads: dead
+    // nodes are never candidates.
+    let mut loads = Loads::new(problem, rp.columns(), slack);
+    let r = rp.replicas();
+    let mut moves = 0usize;
+    let mut migrated_bytes = 0u64;
+    for i in problem.objects() {
+        let mut used_leaves: Vec<usize> = Vec::with_capacity(r);
+        let mut used_zones: Vec<usize> = Vec::with_capacity(r);
+        for n in rp.nodes_of(i).filter(|&n| alive(n)) {
+            used_leaves.push(tree.domain_of(n));
+            used_zones.push(tree.zone_of(n));
+        }
+        for j in 0..r {
+            let n = rp.node_of(i, j);
+            if alive(n) {
+                continue;
+            }
+            let target =
+                pick_copy_node(tree, &loads, alive, &used_leaves, &used_zones, i).or_else(|| {
+                    (0..tree.num_nodes())
+                        .filter(|&node| alive(node))
+                        .min_by(|&a, &b| loads.storage(a).total_cmp(&loads.storage(b)))
+                });
+            if let Some(target) = target {
+                loads.apply(i, n, target);
+                rp.assign(i, j, target);
+                used_leaves.push(tree.domain_of(target));
+                used_zones.push(tree.zone_of(target));
+                moves += 1;
+                migrated_bytes += problem.size(i);
+            }
+        }
+    }
     ReplicaRepairOutcome {
         moves,
         migrated_bytes,
@@ -419,7 +473,7 @@ pub fn repair_replica_spread(
 #[cfg(test)]
 mod reference {
     use super::RepairOutcome;
-    use crate::graph::CorrelationGraph;
+    use crate::graph::{single_copy_move_deltas, CorrelationGraph};
     use crate::placement::Placement;
     use crate::problem::{CcaProblem, ObjectId};
     use std::collections::HashMap;
@@ -447,7 +501,7 @@ mod reference {
             i: ObjectId,
             targets: &[usize],
         ) -> Vec<f64> {
-            self.problem.eval_move_delta_batch(placement, i, targets)
+            single_copy_move_deltas(self.graph, placement, i, targets)
         }
 
         fn fits(&self, node: usize, extra: &[f64]) -> bool {
@@ -867,8 +921,8 @@ mod tests {
                     c.sweeps,
                     demands.clone(),
                 );
-                let mut got = start.clone();
-                let outcome = Repairer::new(&p, &got, c.slack, demands).run(&mut got, c.sweeps);
+                let (outcome, got) =
+                    Repairer::new(&p, start.clone(), c.slack, demands).run(c.sweeps);
                 prop_assert_eq!(outcome, want);
                 prop_assert_eq!(got, expected);
                 if c.sizes.iter().all(|&s| s > 0) {

@@ -29,10 +29,11 @@
 //! reproducible across threads and shards:
 //!
 //! * **Copy targets** (spreading + repair): candidate nodes are ranked by
-//!   `(zone already used by this object, projected load would overflow
-//!   capacity·slack, projected load, node id)` and the minimum wins —
-//!   prefer fresh zones, then fitting nodes, then lighter nodes, then
-//!   the lowest node id.
+//!   `(zone already used by this object, the copy would not fit under
+//!   capacity·slack in every dimension, storage load, node id)` and the
+//!   minimum wins — prefer fresh zones, then nodes where the copy fits
+//!   (the fit test every mover uses), then lighter nodes, then the lowest
+//!   node id.
 //! * **Edge split test** ([`ReplicaPlacement::split`]): an edge is split
 //!   iff *no* replica pair of its endpoints colocates — the
 //!   min-over-replica-choices read cost of the subset-assignment view.
@@ -40,6 +41,7 @@
 //! * **Replica scans** are always in ascending replica-index order
 //!   (primary first), so "first colocated replica" is well defined.
 
+use crate::migrate::Loads;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId, ProblemError};
 
@@ -300,6 +302,16 @@ impl ReplicaPlacement {
         &self.columns[0]
     }
 
+    /// Unwraps the primary column without a copy, dropping the others:
+    /// the inverse of [`ReplicaPlacement::from_primary`] at `r = 1`.
+    #[must_use]
+    pub fn into_primary(self) -> Placement {
+        self.columns
+            .into_iter()
+            .next()
+            .expect("a replica placement has at least one column")
+    }
+
     /// Replica column `j`.
     ///
     /// # Panics
@@ -452,51 +464,47 @@ pub fn validate_replica_spec(replicas: usize, tree: &DomainTree) -> Result<(), P
     Ok(())
 }
 
-/// Picks the target node for one copy of `size` bytes, given the leaf
+/// Picks the target node for one more copy of `obj`, given the leaf
 /// domains and zones already used by the object's other copies. This is
 /// the single tie-break rule shared by spreading and repair (see the
-/// module docs): candidates are nodes outside `used_leaves`; rank by
-/// `(zone used, would overflow capacity·slack, projected load, node id)`
-/// and take the minimum. Returns `None` only when every alive node's
-/// leaf is already used.
-#[allow(clippy::too_many_arguments)]
-fn pick_copy_node(
-    problem: &CcaProblem,
+/// module docs): candidates are `alive` nodes outside `used_leaves`; rank
+/// by `(zone used, copy does not fit, storage load, node id)` and take
+/// the minimum, where "fits" is the capacity ledger's fit test in every
+/// dimension. Returns `None` only when every alive node's leaf is already
+/// used.
+pub(crate) fn pick_copy_node(
     tree: &DomainTree,
-    loads: &[u64],
+    loads: &Loads,
     alive: impl Fn(usize) -> bool,
     used_leaves: &[usize],
     used_zones: &[usize],
-    size: u64,
-    slack: f64,
+    obj: ObjectId,
 ) -> Option<usize> {
-    let mut best: Option<(bool, bool, u64, usize)> = None;
-    let mut best_node = None;
+    let mut best: Option<(bool, bool, f64, usize)> = None;
     for node in 0..tree.num_nodes() {
         if !alive(node) || used_leaves.contains(&tree.domain_of(node)) {
             continue;
         }
-        let projected = loads[node] + size;
         let key = (
             used_zones.contains(&tree.zone_of(node)),
-            projected as f64 > problem.capacity(node) as f64 * slack,
-            projected,
+            !loads.fits(node, obj),
+            loads.storage(node),
             node,
         );
         if best.is_none_or(|b| key < b) {
             best = Some(key);
-            best_node = Some(node);
         }
     }
-    best_node
+    best.map(|(_, _, _, node)| node)
 }
 
 /// Spreads `replicas` copies of every object across the leaf domains of
 /// `tree`, keeping `primary` as column 0 untouched. Copies are placed
 /// object-by-object in ascending id order, each copy by the deterministic
-/// `pick_copy_node` rule (fresh zone first, then fitting node, then
-/// lightest load, then lowest node id) — the round-robin-across-domains
-/// behaviour of the greedy/hash rungs falls out of the load ranking.
+/// `pick_copy_node` rule (fresh zone first, then a node where the copy
+/// fits in every dimension, then lightest storage load, then lowest node
+/// id) — the round-robin-across-domains behaviour of the greedy/hash
+/// rungs falls out of the load ranking.
 ///
 /// With `replicas = 1` this returns `primary` wrapped unchanged.
 ///
@@ -523,27 +531,16 @@ pub fn spread_copies(
         return Ok(ReplicaPlacement::from_primary(primary));
     }
     let num_objects = primary.num_objects();
-    let mut loads = primary.loads(problem);
+    let mut loads = Loads::new(problem, std::slice::from_ref(&primary), slack);
     let mut columns: Vec<Vec<u32>> = vec![vec![0u32; num_objects]; replicas - 1];
-    for idx in 0..num_objects {
-        let i = ObjectId(idx as u32);
-        let size = problem.size(i);
+    for i in problem.objects() {
         let mut used_leaves = vec![tree.domain_of(primary.node_of(i))];
         let mut used_zones = vec![tree.zone_of(primary.node_of(i))];
         for column in columns.iter_mut() {
-            let node = pick_copy_node(
-                problem,
-                tree,
-                &loads,
-                |_| true,
-                &used_leaves,
-                &used_zones,
-                size,
-                slack,
-            )
-            .expect("validate_replica_spec guarantees a free leaf domain");
-            column[idx] = node as u32;
-            loads[node] += size;
+            let node = pick_copy_node(tree, &loads, |_| true, &used_leaves, &used_zones, i)
+                .expect("validate_replica_spec guarantees a free leaf domain");
+            column[i.index()] = node as u32;
+            loads.add(i, node);
             used_leaves.push(tree.domain_of(node));
             used_zones.push(tree.zone_of(node));
         }
@@ -559,83 +556,166 @@ pub fn spread_copies(
     Ok(ReplicaPlacement::from_columns(cols))
 }
 
-/// Re-places every replica that sits on a dead node, re-establishing the
-/// spread invariant among *surviving* copies. Shared by
-/// [`crate::repair::repair_replica_spread`] and the domain-loss chaos
-/// path; returns `(moves, migrated_bytes)`.
-///
-/// Objects are visited in ascending id order, replicas in ascending
-/// index order, each dead copy re-targeted by [`pick_copy_node`] over
-/// alive nodes whose leaf no surviving copy of the object uses. If every
-/// alive leaf is taken (fewer alive domains than replicas), the copy
-/// falls back to the least-loaded alive node — best-effort spread,
-/// reported via [`ReplicaPlacement::spread_valid`].
-pub(crate) fn respread_dead(
-    problem: &CcaProblem,
-    tree: &DomainTree,
-    rp: &mut ReplicaPlacement,
-    dead: &[bool],
-    slack: f64,
-) -> (usize, u64) {
-    let mut loads = rp.replica_loads(problem);
-    for (node, &d) in dead.iter().enumerate() {
-        if d {
-            loads[node] = 0;
-        }
-    }
-    let r = rp.replicas();
-    let mut moves = 0usize;
-    let mut bytes = 0u64;
-    for idx in 0..rp.num_objects() {
-        let i = ObjectId(idx as u32);
-        let size = problem.size(i);
-        let mut used_leaves: Vec<usize> = Vec::with_capacity(r);
-        let mut used_zones: Vec<usize> = Vec::with_capacity(r);
-        for j in 0..r {
-            let n = rp.node_of(i, j);
-            if !dead[n] {
-                used_leaves.push(tree.domain_of(n));
-                used_zones.push(tree.zone_of(n));
-            }
-        }
-        for j in 0..r {
-            let n = rp.node_of(i, j);
-            if !dead[n] {
+/// The copy-target rule as it was before it took the capacity ledger's
+/// fit test: a copy "fits" when its storage alone stays within
+/// `capacity · slack`, and loads are `u64` storage bytes. Kept verbatim
+/// (spreading, and the dead-copy re-spread of
+/// [`crate::repair::repair_replica_spread`]) as the differential oracle
+/// the ledger rule must match on storage-only problems whose
+/// `capacity · slack` is an integer.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{DomainTree, ReplicaPlacement};
+    use crate::placement::Placement;
+    use crate::problem::{CcaProblem, ObjectId};
+
+    #[allow(clippy::too_many_arguments)]
+    fn pick_copy_node(
+        problem: &CcaProblem,
+        tree: &DomainTree,
+        loads: &[u64],
+        alive: impl Fn(usize) -> bool,
+        used_leaves: &[usize],
+        used_zones: &[usize],
+        size: u64,
+        slack: f64,
+    ) -> Option<usize> {
+        let mut best: Option<(bool, bool, u64, usize)> = None;
+        let mut best_node = None;
+        for node in 0..tree.num_nodes() {
+            if !alive(node) || used_leaves.contains(&tree.domain_of(node)) {
                 continue;
             }
-            let target = pick_copy_node(
-                problem,
-                tree,
-                &loads,
-                |node| !dead[node],
-                &used_leaves,
-                &used_zones,
-                size,
-                slack,
-            )
-            .or_else(|| {
-                // Every alive leaf already holds a copy: best-effort —
-                // lightest alive node, ties by lowest id.
-                (0..tree.num_nodes())
-                    .filter(|&node| !dead[node])
-                    .min_by_key(|&node| (loads[node], node))
-            });
-            if let Some(target) = target {
-                rp.assign(i, j, target);
-                loads[target] += size;
-                used_leaves.push(tree.domain_of(target));
-                used_zones.push(tree.zone_of(target));
-                moves += 1;
-                bytes += size;
+            let projected = loads[node] + size;
+            let key = (
+                used_zones.contains(&tree.zone_of(node)),
+                projected as f64 > problem.capacity(node) as f64 * slack,
+                projected,
+                node,
+            );
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+                best_node = Some(node);
             }
         }
+        best_node
     }
-    (moves, bytes)
+
+    /// `spread_copies` for `replicas >= 2`.
+    pub(crate) fn spread_copies(
+        problem: &CcaProblem,
+        tree: &DomainTree,
+        primary: Placement,
+        replicas: usize,
+        slack: f64,
+    ) -> ReplicaPlacement {
+        let num_objects = primary.num_objects();
+        let mut loads = primary.loads(problem);
+        let mut columns: Vec<Vec<u32>> = vec![vec![0u32; num_objects]; replicas - 1];
+        for idx in 0..num_objects {
+            let i = ObjectId(idx as u32);
+            let size = problem.size(i);
+            let mut used_leaves = vec![tree.domain_of(primary.node_of(i))];
+            let mut used_zones = vec![tree.zone_of(primary.node_of(i))];
+            for column in columns.iter_mut() {
+                let node = pick_copy_node(
+                    problem,
+                    tree,
+                    &loads,
+                    |_| true,
+                    &used_leaves,
+                    &used_zones,
+                    size,
+                    slack,
+                )
+                .expect("validate_replica_spec guarantees a free leaf domain");
+                column[idx] = node as u32;
+                loads[node] += size;
+                used_leaves.push(tree.domain_of(node));
+                used_zones.push(tree.zone_of(node));
+            }
+        }
+        let num_nodes = primary.num_nodes();
+        let mut cols = Vec::with_capacity(replicas);
+        cols.push(primary);
+        cols.extend(
+            columns
+                .into_iter()
+                .map(|assignment| Placement::new(assignment, num_nodes)),
+        );
+        ReplicaPlacement::from_columns(cols)
+    }
+
+    /// The dead-copy re-spread; returns `(moves, migrated_bytes)`.
+    pub(crate) fn respread(
+        problem: &CcaProblem,
+        tree: &DomainTree,
+        rp: &mut ReplicaPlacement,
+        dead: &[bool],
+        slack: f64,
+    ) -> (usize, u64) {
+        let mut loads = rp.replica_loads(problem);
+        for (node, &d) in dead.iter().enumerate() {
+            if d {
+                loads[node] = 0;
+            }
+        }
+        let r = rp.replicas();
+        let mut moves = 0usize;
+        let mut bytes = 0u64;
+        for idx in 0..rp.num_objects() {
+            let i = ObjectId(idx as u32);
+            let size = problem.size(i);
+            let mut used_leaves: Vec<usize> = Vec::with_capacity(r);
+            let mut used_zones: Vec<usize> = Vec::with_capacity(r);
+            for j in 0..r {
+                let n = rp.node_of(i, j);
+                if !dead[n] {
+                    used_leaves.push(tree.domain_of(n));
+                    used_zones.push(tree.zone_of(n));
+                }
+            }
+            for j in 0..r {
+                let n = rp.node_of(i, j);
+                if !dead[n] {
+                    continue;
+                }
+                let target = pick_copy_node(
+                    problem,
+                    tree,
+                    &loads,
+                    |node| !dead[node],
+                    &used_leaves,
+                    &used_zones,
+                    size,
+                    slack,
+                )
+                .or_else(|| {
+                    (0..tree.num_nodes())
+                        .filter(|&node| !dead[node])
+                        .min_by_key(|&node| (loads[node], node))
+                });
+                if let Some(target) = target {
+                    rp.assign(i, j, target);
+                    loads[target] += size;
+                    used_leaves.push(tree.domain_of(target));
+                    used_zones.push(tree.zone_of(target));
+                    moves += 1;
+                    bytes += size;
+                }
+            }
+        }
+        (moves, bytes)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repair::repair_replica_spread;
+    use crate::resources::Resource;
+    use cca_check::{prop_assert_eq, Checker, Rng, Shrink, StdRng};
+    use std::cell::Cell;
 
     fn problem(nodes: usize) -> CcaProblem {
         let mut b = CcaProblem::builder();
@@ -728,13 +808,14 @@ mod tests {
         let primary = Placement::new(vec![0, 1, 2, 3, 4, 5], 6);
         let mut rp = spread_copies(&p, &tree, primary, 2, 1.0).unwrap();
         // Kill leaf domain 0 == nodes {0, 1}.
-        let mut dead = vec![false; 6];
+        let mut dead = [false; 6];
         for &n in tree.nodes_in(0) {
             dead[n] = true;
         }
-        let (moves, bytes) = respread_dead(&p, &tree, &mut rp, &dead, 1.0);
-        assert!(moves > 0);
-        assert_eq!(bytes, moves as u64 * 10);
+        let out = crate::repair::repair_replica_spread(&p, &tree, &mut rp, tree.nodes_in(0), 1.0);
+        assert!(out.moves > 0);
+        assert_eq!(out.migrated_bytes, out.moves as u64 * 10);
+        assert!(out.spread_valid);
         for i in 0..rp.num_objects() {
             for j in 0..rp.replicas() {
                 assert!(!dead[rp.node_of(ObjectId(i as u32), j)]);
@@ -754,5 +835,163 @@ mod tests {
         // Objects 0 and 3: replicas {0,2} vs {1,3} — disjoint.
         assert!(rp.split(ObjectId(0), ObjectId(3)));
         let _ = p;
+    }
+
+    /// A random storage-only instance for the copy-rule differential.
+    #[derive(Debug, Clone)]
+    struct CopyCase {
+        sizes: Vec<u64>,
+        /// Storage capacities, multiples of 4 so that `capacity · slack`
+        /// is an integer at every drawn slack.
+        capacities: Vec<u64>,
+        slack: f64,
+        /// `None` is the flat tree, else `(zones, leaves per zone)`.
+        tree: Option<(usize, usize)>,
+        replicas: usize,
+        primary: Vec<u32>,
+        /// Nodes killed before the re-spread (at least one survives).
+        dead: Vec<usize>,
+    }
+
+    impl Shrink for CopyCase {}
+
+    /// 1–60 objects of 1–40 bytes on 2–10 nodes with 30–250% of an even
+    /// share of the replicated bytes, a flat, contiguous or zoned tree,
+    /// 2–3 copies and up to half the nodes dead.
+    fn copy_case(rng: &mut StdRng) -> CopyCase {
+        let t = rng.random_range(1usize..=60);
+        let n = rng.random_range(2usize..=10);
+        let sizes: Vec<u64> = (0..t).map(|_| rng.random_range(1u64..=40)).collect();
+        let tree = match rng.random_range(0..3) {
+            0 => None,
+            1 => Some((rng.random_range(2..=n), 1)),
+            _ => {
+                let zones = rng.random_range(1..=n / 2);
+                Some((zones, rng.random_range(1..=n / zones).max(2).min(n / zones)))
+            }
+        };
+        let domains = tree.map_or(n, |(z, l)| z * l);
+        let replicas = rng.random_range(2..=3.min(domains).max(2));
+        let total: u64 = sizes.iter().sum::<u64>() * replicas as u64;
+        let capacities = (0..n)
+            .map(|_| 4 * (total * rng.random_range(30u64..=250) / (400 * n as u64)).max(1))
+            .collect();
+        let primary = (0..t).map(|_| rng.random_range(0..n as u32)).collect();
+        let mut dead: Vec<usize> = (0..n).filter(|_| rng.random_bool(0.25)).collect();
+        dead.truncate(n / 2);
+        CopyCase {
+            sizes,
+            capacities,
+            slack: [1.0, 1.25, 1.5, 2.0, 3.0][rng.random_range(0..5)],
+            tree,
+            replicas,
+            primary,
+            dead,
+        }
+    }
+
+    /// The ledger's copy rule makes every pick of the storage-only rule
+    /// it replaced — in spreading and in the dead-copy re-spread — on
+    /// storage-only problems whose `capacity · slack` is an integer.
+    #[test]
+    fn copy_rule_matches_the_storage_only_reference() {
+        let (overflowed, moved) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("copy_rule_matches_the_storage_only_reference")
+            .cases(600)
+            .run(copy_case, |c| {
+                let mut b = CcaProblem::builder();
+                for (i, &size) in c.sizes.iter().enumerate() {
+                    b.add_object(format!("o{i}"), size);
+                }
+                let p = b
+                    .capacities(c.capacities.clone())
+                    .build()
+                    .expect("valid problem");
+                let n = p.num_nodes();
+                let tree = match c.tree {
+                    None => DomainTree::flat(n),
+                    Some((z, l)) => DomainTree::zoned(n, z, l).expect("valid tree"),
+                };
+                let primary = Placement::new(c.primary.clone(), n);
+                let got = spread_copies(&p, &tree, primary.clone(), c.replicas, c.slack)
+                    .expect("valid spec");
+                let want = reference::spread_copies(&p, &tree, primary, c.replicas, c.slack);
+                prop_assert_eq!(&got, &want);
+                let loads = want.replica_loads(&p);
+                overflowed.set(
+                    overflowed.get()
+                        + u32::from(
+                            (0..n).any(|k| loads[k] as f64 > p.capacity(k) as f64 * c.slack),
+                        ),
+                );
+
+                let capacities = (0..n)
+                    .map(|k| {
+                        if c.dead.contains(&k) {
+                            0
+                        } else {
+                            p.capacity(k)
+                        }
+                    })
+                    .collect();
+                let degraded = p.with_capacities(capacities);
+                let mut got = want.clone();
+                let outcome = repair_replica_spread(&degraded, &tree, &mut got, &c.dead, c.slack);
+                let mut expected = want;
+                let dead: Vec<bool> = (0..n).map(|k| c.dead.contains(&k)).collect();
+                let (moves, bytes) =
+                    reference::respread(&degraded, &tree, &mut expected, &dead, c.slack);
+                prop_assert_eq!(&got, &expected);
+                prop_assert_eq!((outcome.moves, outcome.migrated_bytes), (moves, bytes));
+                prop_assert_eq!(outcome.spread_valid, expected.spread_valid(&tree));
+                moved.set(moved.get() + u32::from(moves > 0));
+                Ok(())
+            });
+        assert!(
+            overflowed.get() > 0 && moved.get() > 0,
+            "the generator must reach overflowing spreads ({}) and re-spreads ({})",
+            overflowed.get(),
+            moved.get()
+        );
+    }
+
+    /// Two candidates for a copy, only one of which has room in a
+    /// secondary resource: the copy goes there, where the storage-only
+    /// rule took the lighter node.
+    #[test]
+    fn a_copy_prefers_the_node_where_it_fits_every_dimension() {
+        let mut b = CcaProblem::builder();
+        let o0 = b.add_object("o0", 10);
+        let o1 = b.add_object("o1", 10);
+        // Bandwidth: o0 needs 5; node 1 has room for 4, node 2 for 10.
+        b.add_resource(Resource::new("bandwidth", vec![5, 0], vec![10, 4, 10]));
+        let p = b.uniform_capacities(3, 100).build().unwrap();
+        let tree = DomainTree::flat(3);
+        // o1's primary makes node 2 the heavier candidate for o0's copy.
+        let primary = Placement::new(vec![0, 2], 3);
+        let rp = spread_copies(&p, &tree, primary.clone(), 2, 1.0).unwrap();
+        assert_eq!(rp.node_of(o0, 1), 2, "the copy must fit its bandwidth");
+        let old = reference::spread_copies(&p, &tree, primary, 2, 1.0);
+        assert_eq!(
+            old.node_of(o0, 1),
+            1,
+            "storage alone picks the lighter node"
+        );
+        assert_eq!(rp.node_of(o1, 1), 1);
+
+        // Re-spread after losing node 0: o0's only copy has the same two
+        // candidates.
+        let mut got = ReplicaPlacement::from_primary(Placement::new(vec![0, 2], 3));
+        let mut old = got.clone();
+        let degraded = p.with_capacities(vec![0, 100, 100]);
+        let out = repair_replica_spread(&degraded, &tree, &mut got, &[0], 1.0);
+        assert_eq!(out.moves, 1);
+        assert_eq!(got.node_of(o0, 0), 2, "the copy must fit its bandwidth");
+        let _ = reference::respread(&degraded, &tree, &mut old, &[true, false, false], 1.0);
+        assert_eq!(
+            old.node_of(o0, 0),
+            1,
+            "storage alone picks the lighter node"
+        );
     }
 }

@@ -573,6 +573,20 @@ fn pick_dead_nodes(n: usize, k: usize, seed: u64) -> Vec<usize> {
     dead
 }
 
+/// A copy of `problem` whose `dead_nodes` have zero storage capacity.
+fn without_nodes(problem: &CcaProblem, dead_nodes: &[usize]) -> CcaProblem {
+    let capacities = (0..problem.num_nodes())
+        .map(|k| {
+            if dead_nodes.contains(&k) {
+                0
+            } else {
+                problem.capacity(k)
+            }
+        })
+        .collect();
+    problem.with_capacities(capacities)
+}
+
 /// Simulates losing `dead_nodes`: their storage capacity drops to zero in
 /// a copy of `problem`, the placement is repaired off them (and polished
 /// with capacity-respecting migration), and the data movement is
@@ -591,16 +605,7 @@ pub fn survive_node_loss(
     capacity_slack: f64,
 ) -> (CcaProblem, Placement, NodeLossReport) {
     let slack = capacity_slack.max(1.0);
-    let capacities: Vec<u64> = (0..problem.num_nodes())
-        .map(|k| {
-            if dead_nodes.contains(&k) {
-                0
-            } else {
-                problem.capacity(k)
-            }
-        })
-        .collect();
-    let degraded = problem.with_capacities(capacities);
+    let degraded = without_nodes(problem, dead_nodes);
     let mut replaced = placement.clone();
     let _ = repair_capacity(&degraded, &mut replaced, slack);
     let polished = improve_in_place(
@@ -669,16 +674,7 @@ pub fn survive_domain_loss(
 ) -> (CcaProblem, ReplicaPlacement, DomainLossReport) {
     let slack = capacity_slack.max(1.0);
     let dead_nodes: Vec<usize> = tree.nodes_in(domain).to_vec();
-    let capacities: Vec<u64> = (0..problem.num_nodes())
-        .map(|k| {
-            if dead_nodes.contains(&k) {
-                0
-            } else {
-                problem.capacity(k)
-            }
-        })
-        .collect();
-    let degraded = problem.with_capacities(capacities);
+    let degraded = without_nodes(problem, &dead_nodes);
     let mut repaired = rp.clone();
     let _ = repair_replica_spread(&degraded, tree, &mut repaired, &dead_nodes, slack);
     let polished = improve_replicas_in_place(
@@ -933,6 +929,58 @@ mod tests {
             loss.migrated_bytes,
             migration_bytes(&p, &r.placement, &replaced)
         );
+    }
+
+    /// Two triangles, one per node, plus an empty third node: losing
+    /// node 0 moves its triangle to node 2 whole, at zero cost.
+    #[test]
+    fn node_loss_moves_clusters_wholesale() {
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 10)).collect();
+        for g in 0..2 {
+            for i in 0..3 {
+                for j in i + 1..3 {
+                    b.add_pair(o[g * 3 + i], o[g * 3 + j], 0.9, 10.0).unwrap();
+                }
+            }
+        }
+        let p = b.uniform_capacities(3, 40).build().unwrap();
+        let start = Placement::new(vec![0, 0, 0, 1, 1, 1], 3);
+        let (degraded, replaced, loss) = survive_node_loss(&p, &start, &[0], 1.05);
+        for &i in &o[..3] {
+            assert_eq!(replaced.node_of(i), 2, "the triangle moves together");
+        }
+        assert_eq!(replaced.communication_cost(&degraded), 0.0);
+        assert_eq!((loss.moves, loss.migrated_bytes), (3, 30));
+    }
+
+    /// An evacuated object goes to the node that holds its partners.
+    #[test]
+    fn node_loss_sends_objects_to_their_partners() {
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..3).map(|i| b.add_object(format!("o{i}"), 5)).collect();
+        b.add_pair(o[0], o[1], 0.9, 10.0).unwrap();
+        b.add_pair(o[0], o[2], 0.9, 10.0).unwrap();
+        let p = b.uniform_capacities(3, 20).build().unwrap();
+        let start = Placement::new(vec![0, 2, 2], 3);
+        let (degraded, replaced, _) = survive_node_loss(&p, &start, &[0], 1.05);
+        assert_eq!(replaced.node_of(o[0]), 2);
+        assert_eq!(replaced.communication_cost(&degraded), 0.0);
+    }
+
+    /// Without room on the survivors the repair leaves the loss
+    /// infeasible (the object stays on the dead node) instead of failing.
+    #[test]
+    fn node_loss_without_room_stays_infeasible() {
+        let mut b = CcaProblem::builder();
+        let a = b.add_object("a", 10);
+        b.add_object("b", 10);
+        let p = b.uniform_capacities(2, 10).build().unwrap();
+        let start = Placement::new(vec![0, 1], 2);
+        let (degraded, replaced, loss) = survive_node_loss(&p, &start, &[0], 1.0);
+        assert!(!replaced.within_all_capacities(&degraded, 1.0));
+        assert_eq!(replaced.node_of(a), 0);
+        assert_eq!((loss.moves, loss.migrated_bytes), (0, 0));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, Shrink, StdRng};
 use cca_core::{
     round_best_of_within, round_samples, CcaProblem, CorrelationGraph, FractionalPlacement,
-    ObjectId, Pair, Placement, PlacementBatch,
+    ObjectId, Pair, Placement, PlacementBatch, ReplicaPlacement,
 };
 
 const REGRESSIONS: &str =
@@ -162,8 +162,9 @@ fn cost_batch_columns_bit_equal_serial_cost() {
         });
 }
 
-/// One CSR row walk scoring all targets of one object equals the
-/// per-target `move_delta` recomputation to the bit.
+/// One CSR row walk scoring all targets of one object (the every-target
+/// kernel on the `r = 1` copy set) equals the per-target
+/// `replica_move_delta` recomputation to the bit.
 #[test]
 fn move_delta_batch_bit_equals_per_move_delta() {
     Checker::new("move_delta_batch_bit_equals_per_move_delta")
@@ -176,11 +177,12 @@ fn move_delta_batch_bit_equals_per_move_delta() {
                 return Ok(());
             };
             let targets: Vec<usize> = (0..p.num_nodes()).collect();
+            let rp = ReplicaPlacement::from_primary(pl.clone());
+            let mut deltas = vec![f64::NAN; p.num_nodes()];
             for o in p.objects() {
-                let deltas = graph.move_delta_batch(&pl, o, &targets);
-                prop_assert_eq!(deltas.len(), targets.len());
+                p.eval_replica_move_deltas(&rp, o, 0, &mut deltas);
                 for (&k, &d) in targets.iter().zip(&deltas) {
-                    let serial = graph.move_delta(&pl, o, k);
+                    let serial = graph.replica_move_delta(&rp, o, 0, k);
                     prop_assert_eq!(
                         d.to_bits(),
                         serial.to_bits(),

@@ -9,7 +9,9 @@
 //! a tolerance.
 
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
-use cca_core::{improve_in_place, reconcile, CcaProblem, MigrateOptions, ObjectId, Placement};
+use cca_core::{
+    improve_in_place, reconcile, CcaProblem, MigrateOptions, ObjectId, Placement, ReplicaPlacement,
+};
 
 const REGRESSIONS: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/tests/graph_properties.regressions");
@@ -114,7 +116,8 @@ fn placement(c: &GraphCase, p: &CcaProblem) -> Placement {
     )
 }
 
-/// `move_delta(i, a→b)` equals the full-recompute cost difference — to the
+/// The single-copy move delta `Δ(i, a→b)` — the replica kernel on the
+/// `r = 1` copy set — equals the full-recompute cost difference, to the
 /// bit, for every (object, target) combination of the instance.
 #[test]
 fn move_delta_equals_full_recompute_difference() {
@@ -125,10 +128,11 @@ fn move_delta_equals_full_recompute_difference() {
             let p = build(c);
             let graph = p.graph();
             let pl = placement(c, &p);
+            let rp = ReplicaPlacement::from_primary(pl.clone());
             let before = pl.communication_cost(&p);
             for o in p.objects() {
                 for k in 0..p.num_nodes() {
-                    let delta = graph.move_delta(&pl, o, k);
+                    let delta = graph.replica_move_delta(&rp, o, 0, k);
                     let mut moved = pl.clone();
                     moved.assign(o, k);
                     let after = moved.communication_cost(&p);
@@ -146,7 +150,7 @@ fn move_delta_equals_full_recompute_difference() {
 }
 
 /// A running cost — the start's full walk plus each applied move's
-/// `move_delta` — driven through an arbitrary move script agrees with the
+/// `r = 1` move delta — driven through an arbitrary move script agrees with the
 /// full recompute after **every** step, exactly; each delta is exactly
 /// the cost change its move causes. Post-move comparisons use `f64 ==`
 /// (still exact — dyadic weights): the one bit a running sum cannot
@@ -161,17 +165,20 @@ fn incremental_cost_tracks_multi_move_sequences() {
         .run(graph_case, |c| {
             let p = build(c);
             let graph = p.graph();
-            let mut pl = placement(c, &p);
-            let mut running = graph.cost(&pl);
-            prop_assert_eq!(running.to_bits(), pl.communication_cost(&p).to_bits());
+            let mut rp = ReplicaPlacement::from_primary(placement(c, &p));
+            let mut running = graph.cost(rp.primary());
+            prop_assert_eq!(
+                running.to_bits(),
+                rp.primary().communication_cost(&p).to_bits()
+            );
             for &(o, k) in &c.moves {
                 let o = ObjectId((o % p.num_objects()) as u32);
                 let k = k % p.num_nodes();
-                let before = pl.communication_cost(&p);
-                let delta = graph.move_delta(&pl, o, k);
-                pl.assign(o, k);
+                let before = rp.primary().communication_cost(&p);
+                let delta = graph.replica_move_delta(&rp, o, 0, k);
+                rp.assign(o, 0, k);
                 running += delta;
-                let after = pl.communication_cost(&p);
+                let after = rp.primary().communication_cost(&p);
                 prop_assert_eq!(
                     delta,
                     after - before,

@@ -276,8 +276,9 @@ fn reconcile_respects_budget() {
         );
 }
 
-/// Draining empties the node or reports None; on success every other
-/// node stays within the slackened capacity.
+/// Draining a node (a node loss: zero capacity, repair, polish) empties
+/// it or leaves the repair infeasible; on success every other node stays
+/// within the slackened capacity.
 #[test]
 fn drain_empties_node_or_fails() {
     Checker::new("drain_empties_node_or_fails")
@@ -293,20 +294,15 @@ fn drain_empties_node_or_fails() {
                 return Ok(());
             }
             let node = 0usize;
-            // `None` means legitimately undrainable.
-            if let Some(out) = cca_core::drain_node(
-                &p,
-                &start,
-                node,
-                &cca_core::MigrateOptions {
-                    capacity_slack: 2.0,
-                    ..cca_core::MigrateOptions::default()
-                },
-            ) {
+            let (degraded, out, report) = cca_core::survive_node_loss(&p, &start, &[node], 2.0);
+            prop_assert_eq!(report.dropped_nodes, vec![node]);
+            // An infeasible repair means legitimately undrainable: the
+            // dead node's zero capacity holds no object.
+            if out.within_all_capacities(&degraded, 2.0 + 1e-9) {
                 for o in p.objects() {
-                    prop_assert_ne!(out.placement.node_of(o), node);
+                    prop_assert_ne!(out.node_of(o), node);
                 }
-                prop_assert!(out.placement.within_all_capacities(&p, 2.0 + 1e-9));
+                prop_assert!(out.within_all_capacities(&p, 2.0 + 1e-9));
             }
             Ok(())
         });

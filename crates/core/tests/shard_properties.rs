@@ -210,9 +210,10 @@ fn sharded_cost_batch_is_bitwise_flat_batch() {
         });
 }
 
-/// With sharding on, `eval_move_delta` / `eval_move_delta_batch` are the
-/// flat row walks to the bit for any shard count — every (object,
-/// target) combination of the instance.
+/// With sharding on, the single-copy move deltas — the scalar and
+/// every-target replica kernels on the `r = 1` copy set — are the flat
+/// row walks to the bit for any shard count, every (object, target)
+/// combination of the instance.
 #[test]
 fn sharded_move_delta_is_bitwise_flat_row_walk() {
     Checker::new("sharded_move_delta_is_bitwise_flat_row_walk")
@@ -220,23 +221,23 @@ fn sharded_move_delta_is_bitwise_flat_row_walk() {
         .regressions(REGRESSIONS)
         .run(shard_case, |c| {
             let p = build(c);
-            let pl = candidate(c, &p, 0);
+            let rp = ReplicaPlacement::from_primary(candidate(c, &p, 0));
             let graph = p.graph();
-            let targets: Vec<usize> = (0..p.num_nodes()).collect();
+            let mut shard_batch = vec![f64::NAN; p.num_nodes()];
             for shards in shard_counts(p.num_objects()) {
                 let q = sharded(&p, shards);
                 for o in p.objects() {
-                    let flat_batch = graph.move_delta_batch(&pl, o, &targets);
-                    let shard_batch = q.eval_move_delta_batch(&pl, o, &targets);
-                    for (t, (&f, &s)) in flat_batch.iter().zip(&shard_batch).enumerate() {
+                    q.eval_replica_move_deltas(&rp, o, 0, &mut shard_batch);
+                    for (t, &s) in shard_batch.iter().enumerate() {
+                        let f = graph.replica_move_delta(&rp, o, 0, t);
                         prop_assert_eq!(
                             s.to_bits(),
                             f.to_bits(),
                             "move_delta_batch[{t}] of {o:?} diverged at {shards} shards"
                         );
                         prop_assert_eq!(
-                            q.eval_move_delta(&pl, o, t).to_bits(),
-                            graph.move_delta(&pl, o, t).to_bits(),
+                            q.eval_replica_move_delta(&rp, o, 0, t).to_bits(),
+                            f.to_bits(),
                             "move_delta of {o:?} -> {t} diverged at {shards} shards"
                         );
                     }

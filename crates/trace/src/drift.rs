@@ -46,10 +46,20 @@ pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// `2⁵¹²`: the drifted weights' largest entry is kept within
+/// `[2⁻⁵¹², 2⁵¹²]` by rescaling with this exact power of two.
+const WEIGHT_BOUND: f64 = f64::from_bits((1023 + 512) << 52);
+
 impl QueryModel {
     /// Returns a drifted copy of this model: phrase popularities are
     /// perturbed log-normally with standard deviation `config.sigma`;
     /// the phrase set, vocabulary and length distribution are unchanged.
+    ///
+    /// Repeated drift is a random walk in log space, so after enough
+    /// steps a weight would overflow to infinity (or all would underflow).
+    /// When the largest weight leaves `[2⁻⁵¹², 2⁵¹²]`, every weight is
+    /// multiplied by `2⁻⁵¹²` (or `2⁵¹²`): an exact power of two, which
+    /// changes no cumulative sum and so no sampled query.
     #[must_use]
     pub fn drifted<R: Rng + ?Sized>(&self, config: DriftConfig, rng: &mut R) -> QueryModel {
         assert!(
@@ -59,6 +69,17 @@ impl QueryModel {
         let mut out = self.clone();
         for w in &mut out.phrase_weights {
             *w *= (config.sigma * standard_normal(rng)).exp();
+        }
+        let largest = out.phrase_weights.iter().fold(0.0f64, |m, &w| m.max(w));
+        let scale = if largest > WEIGHT_BOUND {
+            1.0 / WEIGHT_BOUND
+        } else if largest > 0.0 && largest < 1.0 / WEIGHT_BOUND {
+            WEIGHT_BOUND
+        } else {
+            1.0
+        };
+        if scale != 1.0 {
+            out.phrase_weights.iter_mut().for_each(|w| *w *= scale);
         }
         out
     }
@@ -99,6 +120,56 @@ mod tests {
             }
         }
         assert!(changed > model.phrase_weights.len() / 2);
+    }
+
+    /// Weights near the top of the `f64` range stay finite through a
+    /// drift step, rescaled by an exact power of two, and sample exactly
+    /// the queries the unscaled model samples.
+    #[test]
+    fn drift_keeps_weights_finite_without_changing_draws() {
+        let cfg = TraceConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(8);
+        let vocab = Vocabulary::generate(&cfg, &mut rng);
+        let model = QueryModel::generate(&cfg, &vocab, &mut rng);
+        let mut huge = model.clone();
+        let up = f64::from_bits((1023 + 1020) << 52); // 2^1020
+        huge.phrase_weights.iter_mut().for_each(|w| *w *= up);
+        let sigma = DriftConfig { sigma: 1.0 };
+        let plain = model.drifted(sigma, &mut StdRng::seed_from_u64(9));
+        let drifted = huge.drifted(sigma, &mut StdRng::seed_from_u64(9));
+        let largest = drifted.phrase_weights.iter().fold(0.0f64, |m, &w| m.max(w));
+        assert!(
+            largest.is_finite() && largest <= WEIGHT_BOUND,
+            "largest {largest}"
+        );
+        // One exact rescale by 2^-512: 2^1020 · 2^-512 = 2^508.
+        let kept = f64::from_bits((1023 + 508) << 52);
+        for (a, b) in plain.phrase_weights.iter().zip(&drifted.phrase_weights) {
+            assert_eq!((a * kept).to_bits(), b.to_bits());
+        }
+        let a = plain.sample_log(200, &mut StdRng::seed_from_u64(10));
+        let b = drifted.sample_log(200, &mut StdRng::seed_from_u64(10));
+        assert!(a.iter().eq(b.iter()), "the rescale changed a draw");
+        // A long walk from there: without the rescale a weight leaves
+        // the f64 range within a few dozen steps.
+        let mut walk = huge;
+        let mut rng = StdRng::seed_from_u64(11);
+        for step in 0..256 {
+            walk = walk.drifted(sigma, &mut rng);
+            let finite = walk.phrase_weights.iter().all(|w| w.is_finite());
+            assert!(finite, "a weight overflowed at step {step}");
+        }
+        assert_eq!(walk.sample_log(50, &mut rng).len(), 50);
+        // And from the bottom of the range: tiny weights are scaled up.
+        let mut tiny = model;
+        let down = f64::from_bits((1023 - 600) << 52); // 2^-600
+        tiny.phrase_weights.iter_mut().for_each(|w| *w *= down);
+        let lifted = tiny.drifted(DriftConfig { sigma: 0.0 }, &mut rng);
+        let largest = lifted.phrase_weights.iter().fold(0.0f64, |m, &w| m.max(w));
+        assert!(
+            (1.0 / WEIGHT_BOUND..=WEIGHT_BOUND).contains(&largest),
+            "largest {largest}"
+        );
     }
 
     #[test]

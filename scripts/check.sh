@@ -101,7 +101,8 @@ floor() {
 # every node count, LPRR non-decreasing in node count within 0.03.
 # Fig 5: both cumulative columns non-decreasing and ending at 1, comm
 # cost covered at least as fast as index size. Fig 2: the top pair at
-# least 20x the top-k-th, at most 10% of top pairs changing over 2x.
+# least 20x the top-k-th, at most 10% of top pairs changing over 2x, and
+# the sigma = 0 control (sampling noise alone) below that fraction.
 # Sec 3.2: two-smallest estimation beats all-pairs under LPRR.
 paper_shape() {
   awk "$num"'
@@ -109,6 +110,7 @@ paper_shape() {
     /^  "[a-z0-9_]+": / { sec = substr($1, 2, length($1) - 3) }
     sec == "fig2" && /"skew_ratio": / { skew = num("skew_ratio") }
     sec == "fig2b" && /"metric": "fraction of top-/ { changed = num("value"); seen2 = 1 }
+    sec == "fig2b" && /"metric": "sigma=0 control: / { control = num("value"); seenc = 1 }
     sec == "fig5" && /"rank": / {
       s = num("cum_index_size"); c = num("cum_comm_cost")
       if (n5++ && (s < s5 || c < c5)) bad(sprintf("Fig 5 rank %d: a cumulative column fell", num("rank")))
@@ -132,6 +134,7 @@ paper_shape() {
       if (n5 && (s5 != 1 || c5 != 1)) bad(sprintf("Fig 5 ends at %.4f / %.4f, not 1 / 1", s5, c5))
       if (skew < 20) bad(sprintf("Fig 2 skew ratio %.1f is below 20", skew))
       if (!seen2 || changed > 0.10) bad(sprintf("Fig 2 changed fraction %.4f is missing or above 0.10", changed))
+      if (!seenc || !(control < changed)) bad(sprintf("Fig 2 sigma=0 control %.4f is missing or not below %.4f", control, changed))
       if (!(two > 0 && two < all)) bad(sprintf("two-smallest lprr %.4f is not below all-pairs %.4f", two, all))
       exit err
     }' "$1" || fail "$1 breaks the paper shape"

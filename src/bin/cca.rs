@@ -150,12 +150,16 @@ fn usage() -> &'static str {
     "usage: cca <workload|evaluate|place|replay|export-lp|probe|run|serve|live> [options]\n\
      options:\n\
        --preset small|paper   workload size (default small)\n\
-       --seed N               workload seed (default 42)\n\
+       --seed N               workload seed, 0..=18446744073709551615\n\
+                              (default 42)\n\
        --nodes N              cluster size, 1..=1024 (default 10)\n\
-       --scope N              optimization scope; 'full' for all objects (default 400)\n\
+       --scope N              optimization scope, 1..=10000000, or 'full'\n\
+                              for all objects (default 400)\n\
        --strategy S           random|greedy|lprr (place only; default lprr)\n\
-       --deadline-ms N        wall-clock budget; enables the resilient\n\
-                              degradation ladder (place only)\n\
+       --deadline-ms N        wall-clock budget, 0..=86400000 (place:\n\
+                              enables the resilient degradation ladder;\n\
+                              run: the controller's solve budget;\n\
+                              serve/live: the per-query budget)\n\
        --min-strategy S       worst rung the ladder may select:\n\
                               lprr|partial-lprr|greedy|hash (place only)\n\
        --threads N            worker threads for the solve, 1..=256\n\
@@ -167,7 +171,8 @@ fn usage() -> &'static str {
                               shards, non-dyadic weights may change the\n\
                               last bits of a cost)\n\
        --capacity-factor F    per-node capacity as a multiple of the\n\
-                              average load (default 2.0, as in the paper)\n\
+                              average load, in (0, 1000000] (default 2.0,\n\
+                              as in the paper)\n\
        --out FILE             output path (place/workload/export-lp/probe)\n\
        --placement FILE       saved placement to replay (replay only)\n\
        --candidates K         rounding candidates scored per batched\n\
@@ -176,9 +181,9 @@ fn usage() -> &'static str {
                               1..=1000000 (run/live; default 1000)\n\
        --queries-per-epoch Q  queries sampled per epoch, 1..=10000000\n\
                               (run/live; default 64)\n\
-       --drift-sigma F        per-epoch drift of the query model (run\n\
-                              only; default 0.02 — the paper's month is\n\
-                              sigma 0.276)\n\
+       --drift-sigma F        per-epoch drift of the query model, in\n\
+                              [0, 1] (run/live; default 0.02 — the\n\
+                              paper's month is sigma 0.276)\n\
        --drop-nodes K         chaos: K node losses spread across the run,\n\
                               0..=1024 (run only; default 0)\n\
        --queries N            queries in the served stream, 1..=10000000\n\
@@ -187,16 +192,16 @@ fn usage() -> &'static str {
                               flight and max batch per dispatch,\n\
                               1..=10000000 (serve/live; default 64; the\n\
                               report is identical for any K)\n\
-       --migration-budget B   max migration bytes shipped per epoch\n\
-                              (live only; default 65536)\n\
+       --migration-budget B   max migration bytes shipped per epoch,\n\
+                              1..=1000000000000 (live only; default 65536)\n\
        --warm-drift K         drift steps applied before the first epoch\n\
                               — the regime shift the run recovers from,\n\
                               0..=1000000 (live only; default 0)\n\
-       --drift-epochs N       drift only the first N epochs, or 'all'\n\
-                              (live only; default all)\n\
-       --replicas R           copies of every object, spread across\n\
-                              distinct failure domains (place/probe/\n\
-                              serve/run/live; default 1 = exact\n\
+       --drift-epochs N       drift only the first N epochs,\n\
+                              0..=1000000, or 'all' (live only; default all)\n\
+       --replicas R           copies of every object, 1..=64, spread\n\
+                              across distinct failure domains (place/\n\
+                              probe/serve/run/live; default 1 = exact\n\
                               single-copy behaviour)\n\
        --domains SPEC         failure-domain tree over the nodes:\n\
                               'flat' (one domain per node, default),\n\
@@ -227,11 +232,18 @@ fn parse_count(flag: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64,
     Ok(n)
 }
 
-/// Parses a finite non-negative float flag.
-fn parse_nonnegative(flag: &str, raw: &str) -> Result<f64, String> {
+/// Parse-and-validate for real-valued flags: a finite number in
+/// `[0, max]`, or in `(0, max]` when `zero` is false. The ceiling keeps
+/// every derived quantity finite and in range (node capacities summed as
+/// `u64`, drifted query weights).
+fn parse_real(flag: &str, raw: &str, zero: bool, max: f64) -> Result<f64, String> {
     let f: f64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
-    if !(f.is_finite() && f >= 0.0) {
-        return Err(format!("{flag} must be a finite non-negative number"));
+    if !(f.is_finite() && (f > 0.0 || zero && f == 0.0)) {
+        let what = if zero { "a finite non-negative" } else { "a positive" };
+        return Err(format!("{flag} must be {what} number"));
+    }
+    if f > max {
+        return Err(format!("{flag} must be at most {max}"));
     }
     Ok(f)
 }
@@ -247,20 +259,19 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match flag.as_str() {
             "--preset" => args.preset = value()?,
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seed" => args.seed = parse_count(flag, &value()?, 0..=u64::MAX)?,
             "--nodes" => args.nodes = parse_count(flag, &value()?, 1..=1024)? as usize,
             "--scope" => {
                 let v = value()?;
                 args.scope = if v == "full" {
                     None
                 } else {
-                    Some(parse_count(flag, &v, 1..=u64::MAX)? as usize)
+                    Some(parse_count(flag, &v, 1..=10_000_000)? as usize)
                 };
             }
             "--strategy" => args.strategy = value()?,
             "--deadline-ms" => {
-                args.deadline_ms =
-                    Some(value()?.parse().map_err(|e| format!("--deadline-ms: {e}"))?);
+                args.deadline_ms = Some(parse_count(flag, &value()?, 0..=86_400_000)?);
             }
             "--min-strategy" => args.min_strategy = Some(value()?),
             "--threads" => {
@@ -271,13 +282,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.shards = Some(parse_count(flag, &value()?, 1..=10_000_000)? as usize);
             }
             "--capacity-factor" => {
-                let f: f64 = value()?
-                    .parse()
-                    .map_err(|e| format!("--capacity-factor: {e}"))?;
-                if !(f.is_finite() && f > 0.0) {
-                    return Err("--capacity-factor must be a positive number".into());
-                }
-                args.capacity_factor = Some(f);
+                args.capacity_factor = Some(parse_real(flag, &value()?, false, 1e6)?);
             }
             "--out" => args.out = Some(value()?),
             "--placement" => args.placement = Some(value()?),
@@ -286,12 +291,12 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--queries-per-epoch" => {
                 args.queries_per_epoch = parse_count(flag, &value()?, 1..=10_000_000)? as usize;
             }
-            "--drift-sigma" => args.drift_sigma = parse_nonnegative(flag, &value()?)?,
+            "--drift-sigma" => args.drift_sigma = parse_real(flag, &value()?, true, 1.0)?,
             "--queries" => args.queries = parse_count(flag, &value()?, 1..=10_000_000)? as usize,
             "--inflight" => args.inflight = parse_count(flag, &value()?, 1..=10_000_000)? as usize,
             "--drop-nodes" => args.drop_nodes = parse_count(flag, &value()?, 0..=1024)? as usize,
             "--migration-budget" => {
-                args.migration_budget = parse_count(flag, &value()?, 1..=u64::MAX)?;
+                args.migration_budget = parse_count(flag, &value()?, 1..=1_000_000_000_000)?;
             }
             "--warm-drift" => args.warm_drift = parse_count(flag, &value()?, 0..=1_000_000)?,
             "--replicas" => args.replicas = parse_count(flag, &value()?, 1..=64)? as usize,
@@ -301,7 +306,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.drift_epochs = if v == "all" {
                     None
                 } else {
-                    Some(v.parse().map_err(|e| format!("--drift-epochs: {e}"))?)
+                    Some(parse_count(flag, &v, 0..=1_000_000)?)
                 };
             }
             other => return Err(format!("unknown option {other}")),
@@ -673,7 +678,6 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let p = build_pipeline(args)?;
     let controller = ControllerConfig {
         threads: args.threads(),
-        shards: args.shards.unwrap_or(0),
         budget: SolveBudget {
             deadline: args.deadline_ms.map(Duration::from_millis),
             ..SolveBudget::default()
@@ -817,7 +821,6 @@ fn cmd_live(args: &Args) -> Result<ExitCode, String> {
     let p = build_pipeline(args)?;
     let controller = ControllerConfig {
         threads: args.threads(),
-        shards: args.shards.unwrap_or(0),
         // A bounded replay amortizes migrations over the run itself: a
         // move is worthwhile iff it pays for its bytes within the epochs
         // this run will actually serve.

@@ -13,8 +13,8 @@
 //! Determinism: with no wall-clock deadline in
 //! [`ControllerConfig::budget`], the entire run — estimates, gate
 //! decisions, migrations, repairs, the final report — is a pure function
-//! of `(pipeline, OnlineConfig)`; `threads` and `shards` change only how
-//! fast it runs. The drift and sampling RNG streams are seeded from
+//! of `(pipeline, OnlineConfig)`; the thread count and the shard count
+//! of the pipeline's problem change only how fast it runs. The drift and sampling RNG streams are seeded from
 //! [`OnlineConfig::seed`] independently of the pipeline seed.
 
 use crate::pipeline::{CorrelationMode, Pipeline};

@@ -175,18 +175,15 @@ pub fn run_live_with(
         .unwrap_or_else(|| DomainTree::flat(problem.num_nodes()));
     validate_replica_spec(config.replicas.max(1), &tree).expect("replica spec must be valid");
     let replicas = config.replicas.max(1);
-    // The serving overlay: with one copy this is exactly `cluster_for`
-    // (bit-identical reports); with more, the extra copies are re-spread
+    // The serving overlay: the extra copies are re-spread
     // deterministically from the controller's primary placement, so the
-    // overlay follows every migration without its own state.
+    // overlay follows every migration without its own state. With one
+    // copy, `spread_copies` wraps the primary untouched and the cluster
+    // is exactly `cluster_for`'s (bit-identical reports).
     let cluster_of = |primary: &Placement| {
-        if replicas == 1 {
-            pipeline.cluster_for(primary)
-        } else {
-            let rp = spread_copies(problem, &tree, primary.clone(), replicas, replicas as f64)
-                .expect("spec validated above");
-            pipeline.cluster_for_replicas(&rp)
-        }
+        let rp = spread_copies(problem, &tree, primary.clone(), replicas, replicas as f64)
+            .expect("spec validated above");
+        pipeline.cluster_for_replicas(&rp)
     };
     let initial = greedy_placement(problem);
     let mut controller_config = config.controller.clone();
@@ -423,10 +420,6 @@ mod tests {
                 &LiveConfig {
                     threads,
                     inflight,
-                    controller: ControllerConfig {
-                        shards: shards.unwrap_or(1),
-                        ..config.controller.clone()
-                    },
                     ..config.clone()
                 },
             );

@@ -770,6 +770,112 @@ fn count_options_reject_values_above_their_maxima() {
     }
 }
 
+/// The numeric flags of `usage()` with their stated ranges: `(flag,
+/// whether 0 is accepted, max)`.
+const NUMERIC_FLAGS: [(&str, bool, f64); 18] = [
+    ("--seed", true, u64::MAX as f64),
+    ("--nodes", false, 1024.0),
+    ("--scope", false, 1e7),
+    ("--deadline-ms", true, 86_400_000.0),
+    ("--threads", false, cca_par::MAX_THREADS as f64),
+    ("--shards", false, 1e7),
+    ("--capacity-factor", false, 1e6),
+    ("--candidates", false, 1024.0),
+    ("--epochs", false, 1e6),
+    ("--queries-per-epoch", false, 1e7),
+    ("--drift-sigma", true, 1.0),
+    ("--drop-nodes", true, 1024.0),
+    ("--queries", false, 1e7),
+    ("--inflight", false, 1e7),
+    ("--migration-budget", false, 1e12),
+    ("--warm-drift", true, 1e6),
+    ("--drift-epochs", true, 1e6),
+    ("--replicas", false, 64.0),
+];
+
+/// Every numeric flag in `usage()` × {0, max + 1, `u64::MAX`, −1, NaN,
+/// inf, empty, garbage}: each value the flag's stated range rejects is a
+/// usage error at parse time — exit 1, empty stdout, and a one-line
+/// `error:` naming the flag before the usage text. Only rejected values
+/// run, so no row builds a workload or starts a pool.
+#[test]
+fn numeric_flags_reject_values_outside_their_stated_ranges() {
+    // The table covers exactly the numeric flags the usage text lists.
+    let (ok, usage, _) = run(&["help"]);
+    assert!(ok);
+    let mut listed: Vec<&str> = (usage.lines())
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            let flag = words.next().filter(|w| w.starts_with("--"))?;
+            ["N", "F", "K", "Q", "B", "R"]
+                .contains(&words.next()?)
+                .then_some(flag)
+        })
+        .collect();
+    let mut table: Vec<&str> = NUMERIC_FLAGS.iter().map(|f| f.0).collect();
+    listed.sort_unstable();
+    table.sort_unstable();
+    assert_eq!(listed, table, "every numeric flag needs a battery row");
+
+    let mut rejected = 0;
+    for (flag, zero, max) in NUMERIC_FLAGS {
+        let above = if max == u64::MAX as f64 {
+            "18446744073709551616".to_string()
+        } else {
+            format!("{}", max + 1.0)
+        };
+        let rows = [
+            ("0", !zero),
+            (above.as_str(), true),
+            ("18446744073709551615", max < u64::MAX as f64),
+            ("-1", true),
+            ("NaN", true),
+            ("inf", true),
+            ("", true),
+            ("many", true),
+        ];
+        for (value, rejects) in rows {
+            if !rejects {
+                continue;
+            }
+            let (code, stdout, stderr) = run_code(&["place", "--preset", "tiny", flag, value]);
+            assert_eq!(code, 1, "{flag} {value:?} must be a usage error: {stderr}");
+            assert!(stdout.is_empty(), "{flag} {value:?}: stdout: {stdout}");
+            let first = stderr.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with(&format!("error: {flag}")),
+                "{flag} {value:?}: stderr: {stderr}"
+            );
+            assert!(
+                stderr[first.len()..].starts_with("\nusage:"),
+                "{flag} {value:?}: {stderr}"
+            );
+            rejected += 1;
+        }
+    }
+    assert_eq!(rejected, 137);
+
+    // The two values that used to panic downstream: a capacity factor
+    // whose capacities overflow a u64 sum, and a drift that multiplied
+    // phrase weights to infinity.
+    let factor = ("--capacity-factor", "1e300", "must be at most 1000000");
+    let sigma = ("--drift-sigma", "10", "must be at most 1");
+    for (cmd, (flag, value, message)) in [
+        ("place", factor),
+        ("probe", factor),
+        ("run", sigma),
+        ("live", sigma),
+    ] {
+        let (code, stdout, stderr) = run_code(&[cmd, "--preset", "tiny", flag, value]);
+        assert_eq!(code, 1, "{cmd} {flag} {value}: {stderr}");
+        assert!(stdout.is_empty());
+        assert!(
+            stderr.starts_with(&format!("error: {flag} {message}\n")),
+            "{cmd} {flag} {value}: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn workload_saves_readable_query_log() {
     let dir = std::env::temp_dir().join(format!("cca-cli-log-{}", std::process::id()));

@@ -15,7 +15,7 @@ fn pipeline(nodes: usize) -> Pipeline {
     Pipeline::build(&config)
 }
 
-fn online_config(epochs: u64, drop_nodes: usize, threads: usize, shards: usize) -> OnlineConfig {
+fn online_config(epochs: u64, drop_nodes: usize, threads: usize) -> OnlineConfig {
     let mut config = OnlineConfig {
         epochs,
         seed: 7,
@@ -28,7 +28,6 @@ fn online_config(epochs: u64, drop_nodes: usize, threads: usize, shards: usize) 
     };
     config.controller = ControllerConfig {
         threads,
-        shards,
         ..ControllerConfig::default()
     };
     config
@@ -43,15 +42,17 @@ fn render(outcome: &OnlineOutcome) -> String {
 }
 
 /// With no wall-clock deadline, the full run — report and final placement
-/// — is byte-identical across every thread × shard configuration.
+/// — is byte-identical across every thread count × shard count of the
+/// pipeline's problem.
 #[test]
 fn report_and_placement_are_byte_identical_across_threads_and_shards() {
-    let p = pipeline(4);
-    let reference = render(&run_online(&p, &online_config(300, 1, 1, 1)));
+    let mut p = pipeline(4);
+    let reference = render(&run_online(&p, &online_config(300, 1, 1)));
     assert!(reference.contains("# cca-controller-report v1"));
     for threads in [1usize, 2, 8] {
         for shards in [1usize, 2, 7] {
-            let got = render(&run_online(&p, &online_config(300, 1, threads, shards)));
+            p.problem.set_sharding(shards, threads);
+            let got = render(&run_online(&p, &online_config(300, 1, threads)));
             assert_eq!(
                 got, reference,
                 "threads={threads} shards={shards} diverged from the serial flat run"
@@ -65,7 +66,7 @@ fn report_and_placement_are_byte_identical_across_threads_and_shards() {
 #[test]
 fn gate_counters_partition_the_evaluations() {
     let p = pipeline(4);
-    let outcome = run_online(&p, &online_config(400, 1, 1, 0));
+    let outcome = run_online(&p, &online_config(400, 1, 1));
     let r = &outcome.report;
     assert!(r.counters_consistent(), "{}", r.summary());
     assert_eq!(
@@ -83,7 +84,7 @@ fn gate_counters_partition_the_evaluations() {
 #[test]
 fn accumulated_loss_is_monotone_between_migrations_and_resets_on_acceptance() {
     let p = pipeline(4);
-    let mut config = online_config(500, 0, 1, 0);
+    let mut config = online_config(500, 0, 1);
     // Stronger per-epoch drift so the worthwhile gate actually opens
     // within the test's horizon (σ = 0.02 stays sub-threshold on tiny).
     config.drift_sigma = 0.1;
@@ -119,7 +120,7 @@ fn accumulated_loss_is_monotone_between_migrations_and_resets_on_acceptance() {
 #[test]
 fn node_loss_mid_run_is_repaired_and_the_run_stays_feasible() {
     let p = pipeline(4);
-    let outcome = run_online(&p, &online_config(300, 1, 1, 0));
+    let outcome = run_online(&p, &online_config(300, 1, 1));
     let r = &outcome.report;
     assert_eq!(r.node_losses, 1);
     assert_eq!(r.unrecovered_losses, 0);

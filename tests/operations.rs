@@ -2,8 +2,8 @@
 //! migration, and persistence, all against the full pipeline.
 
 use cca::algo::{
-    drain_node, format_placement, migration_bytes, read_placement, reconcile, MigrateOptions,
-    Strategy,
+    format_placement, migration_bytes, read_placement, reconcile, survive_node_loss,
+    MigrateOptions, Strategy,
 };
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::search::{AggregationPolicy, Cluster, QueryEngine};
@@ -23,14 +23,19 @@ fn node_decommission_end_to_end() {
     let lprr = p.place(&Strategy::lprr(), Some(80)).unwrap();
     let before = p.replay(&lprr.placement).total_bytes;
 
-    let drained = drain_node(&p.problem, &lprr.placement, 2, &MigrateOptions::default())
-        .expect("survivors have 2x-average capacity headroom");
+    // Decommissioning is a node loss: zero its capacity, repair, polish.
+    let slack = MigrateOptions::default().capacity_slack;
+    let (degraded, drained, _) = survive_node_loss(&p.problem, &lprr.placement, &[2], slack);
+    assert!(
+        drained.within_all_capacities(&degraded, slack),
+        "survivors have 2x-average capacity headroom"
+    );
     for o in p.problem.objects() {
-        assert_ne!(drained.placement.node_of(o), 2, "{o} left on drained node");
+        assert_ne!(drained.node_of(o), 2, "{o} left on drained node");
     }
-    // Replay still works; traffic should not explode (drain keeps
+    // Replay still works; traffic should not explode (the repair moves
     // correlation clusters together).
-    let after = p.replay(&drained.placement).total_bytes;
+    let after = p.replay(&drained).total_bytes;
     let random = p.evaluate(&Strategy::RandomHash, None).unwrap().replay.total_bytes;
     assert!(
         after <= random,
@@ -45,9 +50,9 @@ fn node_decommission_end_to_end() {
 fn drain_then_restore_round_trip() {
     let p = pipeline(4);
     let original = p.place(&Strategy::Greedy, Some(60)).unwrap().placement;
-    let drained = drain_node(&p.problem, &original, 1, &MigrateOptions::default())
-        .expect("drainable")
-        .placement;
+    let slack = MigrateOptions::default().capacity_slack;
+    let (degraded, drained, _) = survive_node_loss(&p.problem, &original, &[1], slack);
+    assert!(drained.within_all_capacities(&degraded, slack), "drainable");
     assert!(migration_bytes(&p.problem, &original, &drained) > 0);
 
     let restored = reconcile(

@@ -6,8 +6,10 @@
 //!
 //! 1. **r=1 bit-identity** — with one copy and a flat tree,
 //!    `eval_cost_replicas` / `eval_replica_move_delta` return the same
-//!    bits as `eval_cost` / `eval_move_delta` for every thread count in
-//!    {1, 2, 8} and shard count in {unsharded, 1, 2, 7};
+//!    bits as `eval_cost` / the single-copy move-delta rule (a test-local
+//!    row walk: the library runs every single-copy delta through the
+//!    replica kernel) for every thread count in {1, 2, 8} and shard count
+//!    in {unsharded, 1, 2, 7};
 //! 2. **spread preservation** — `spread_copies`,
 //!    `improve_replicas_in_place` and `repair_replica_spread` all leave
 //!    no two copies of an object in one leaf domain (whenever enough
@@ -19,7 +21,8 @@
 //! 4. **batched replica deltas** — `eval_replica_move_deltas` bit-equals
 //!    the scalar `eval_replica_move_delta` for every node, r ∈ {1, 2, 3}
 //!    and every shard count, also with two copies of an object on one
-//!    node; and the polish built on it (`improve_replicas_in_place`,
+//!    node, and at r = 1 the single-copy rule; and the polish built on it
+//!    (`improve_replicas_in_place`,
 //!    `survive_domain_loss`) matches a per-target reference loop over
 //!    the scalar kernel exactly;
 //! 5. **every capacity dimension** — `improve_replicas_in_place` never
@@ -147,6 +150,32 @@ fn random_replicas(c: &ReplicaCase, r: usize, nodes: usize) -> ReplicaPlacement 
     rp
 }
 
+/// The single-copy move delta of `i` to `target`, as its own kernel
+/// computed it before every mover ran the `r = 1` replica kernel:
+/// `Σ_{j∈adj(i)} w_ij·([f(j)=src] − [f(j)=target])`, accumulated in row
+/// order (exactly `0.0` when `target` is `i`'s node).
+fn single_copy_move_delta(
+    problem: &CcaProblem,
+    placement: &Placement,
+    i: ObjectId,
+    target: usize,
+) -> f64 {
+    let src = placement.node_of(i);
+    if src == target {
+        return 0.0;
+    }
+    let mut delta = 0.0;
+    for (other, w) in problem.graph().neighbors(i) {
+        let on = placement.node_of(other);
+        if on == src {
+            delta += w;
+        } else if on == target {
+            delta -= w;
+        }
+    }
+    delta
+}
+
 /// Contract 1: with one copy per object, the replica kernels are the
 /// single-copy kernels bit for bit — cost and move delta — across the
 /// full threads × shards matrix. This is the r=1 equivalence guarantee
@@ -180,7 +209,7 @@ fn r1_cost_and_delta_are_bit_identical_across_threads_and_shards() {
                         multi
                     );
                 }
-                let single = problem.eval_move_delta(&placement, i, target);
+                let single = single_copy_move_delta(&problem, &placement, i, target);
                 let multi = problem.eval_replica_move_delta(&rp, i, 0, target);
                 prop_assert_eq!(
                     single.to_bits(),
@@ -394,7 +423,7 @@ fn reads_survive_domain_kill_end_to_end() {
 /// kernel bit-equals the scalar oracle, and the copy's own node reads
 /// exactly `+0.0` — at r ∈ {1, 2, 3} on the flat graph and every shard
 /// count, with two copies of one object on one node. At r = 1 it also
-/// bit-equals the single-copy `eval_move_delta_batch`.
+/// bit-equals the single-copy rule on every node.
 #[test]
 fn batched_replica_deltas_bit_equal_the_scalar_kernel() {
     Checker::new("batched_replica_deltas_bit_equal_the_scalar_kernel")
@@ -402,7 +431,6 @@ fn batched_replica_deltas_bit_equal_the_scalar_kernel() {
         .regressions(REGRESSIONS)
         .run(replica_case, |c| {
             let base = build_problem(c);
-            let all_nodes: Vec<usize> = (0..c.nodes).collect();
             let mut deltas = vec![f64::NAN; c.nodes];
             for r in 1..=3 {
                 let rp = random_replicas(c, r, c.nodes);
@@ -432,11 +460,20 @@ fn batched_replica_deltas_bit_equal_the_scalar_kernel() {
                             let src = rp.node_of(i, j);
                             prop_assert_eq!(deltas[src].to_bits(), 0.0f64.to_bits());
                             if r == 1 {
-                                let single =
-                                    problem.eval_move_delta_batch(rp.primary(), i, &all_nodes);
-                                let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect();
-                                let (a, b): (Vec<u64>, Vec<u64>) = (bits(&deltas), bits(&single));
-                                prop_assert_eq!(a, b, "r=1 shards={:?} object {:?}", shards, i);
+                                let single: Vec<u64> = (0..c.nodes)
+                                    .map(|t| {
+                                        single_copy_move_delta(&problem, rp.primary(), i, t)
+                                            .to_bits()
+                                    })
+                                    .collect();
+                                let got: Vec<u64> = deltas.iter().map(|d| d.to_bits()).collect();
+                                prop_assert_eq!(
+                                    got,
+                                    single,
+                                    "r=1 shards={:?} object {:?}",
+                                    shards,
+                                    i
+                                );
                             }
                         }
                     }
