@@ -146,7 +146,15 @@ fn main() {
 
     header(
         "controller soak",
-        &["epochs", "epochs_per_s", "evaluated", "migrated", "not_worthwhile", "not_robust", "repairs"],
+        &[
+            "epochs",
+            "epochs_per_s",
+            "evaluated",
+            "migrated",
+            "not_worthwhile",
+            "not_robust",
+            "repairs",
+        ],
     );
     println!(
         "{epochs}\t{:.0}\t{}\t{}\t{}\t{}\t{}",
@@ -164,7 +172,10 @@ fn main() {
         r.summary()
     );
     assert_eq!(r.epochs, epochs);
-    assert_eq!(r.node_losses, DROP_NODES as u64, "chaos injection miscounted");
+    assert_eq!(
+        r.node_losses, DROP_NODES as u64,
+        "chaos injection miscounted"
+    );
     assert_eq!(r.unrecovered_losses, 0, "a node loss failed to repair");
     assert!(r.final_feasible, "soak ended infeasible");
     assert!(r.evaluated > 0, "drift never triggered an evaluation");

@@ -106,7 +106,13 @@ fn run_at(
     (outcome.report, text, elapsed_s)
 }
 
-fn write_json(epochs: u64, elapsed_s: f64, report: &LiveReport, reports_identical: bool, path: &str) {
+fn write_json(
+    epochs: u64,
+    elapsed_s: f64,
+    report: &LiveReport,
+    reports_identical: bool,
+    path: &str,
+) {
     let pre = report.pre_bytes_per_query().unwrap_or(0.0);
     let post = report.post_bytes_per_query().unwrap_or(0.0);
     let mut out = String::from("{\n");
@@ -167,12 +173,22 @@ fn main() {
     header(
         "live replay",
         &[
-            "epochs", "queries", "queries_per_s", "migrations", "migration_epochs",
-            "migrated_bytes", "pre_bpq", "post_bpq",
+            "epochs",
+            "queries",
+            "queries_per_s",
+            "migrations",
+            "migration_epochs",
+            "migrated_bytes",
+            "pre_bpq",
+            "post_bpq",
         ],
     );
-    let pre = report.pre_bytes_per_query().expect("pre window executed queries");
-    let post = report.post_bytes_per_query().expect("post window executed queries");
+    let pre = report
+        .pre_bytes_per_query()
+        .expect("pre window executed queries");
+    let post = report
+        .post_bytes_per_query()
+        .expect("post window executed queries");
     println!(
         "{epochs}\t{}\t{:.0}\t{}\t{}\t{}\t{pre:.1}\t{post:.1}",
         report.queries,
@@ -188,7 +204,10 @@ fn main() {
         report.summary()
     );
     assert_eq!(report.queries, epochs * QUERIES_PER_EPOCH as u64);
-    assert!(report.migrations >= 1, "the regime shift never triggered a migration");
+    assert!(
+        report.migrations >= 1,
+        "the regime shift never triggered a migration"
+    );
     assert!(
         report.migration_epochs >= 2,
         "the budget must pace the migration across epochs (shipped in {})",

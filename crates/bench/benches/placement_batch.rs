@@ -109,7 +109,10 @@ fn run_width(problem: &CcaProblem, k: usize, iters: usize) -> WidthResult {
             .zip(w.iter())
             .all(|(c, pl)| c.to_bits() == graph.cost(pl).to_bits())
     });
-    assert!(bit_identical, "k = {k}: batch columns diverged from serial scans");
+    assert!(
+        bit_identical,
+        "k = {k}: batch columns diverged from serial scans"
+    );
 
     let (scans_ms, scan_sum) = best_of(3, || {
         let mut acc = 0.0f64;
@@ -149,7 +152,9 @@ fn write_json(problem: &CcaProblem, results: &[WidthResult], path: &str) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"placement_batch\",\n");
     out.push_str(&format!("  \"seed\": {BENCH_SEED},\n"));
-    out.push_str(&format!("  \"batch_speedup_floor\": {BATCH_SPEEDUP_FLOOR},\n"));
+    out.push_str(&format!(
+        "  \"batch_speedup_floor\": {BATCH_SPEEDUP_FLOOR},\n"
+    ));
     out.push_str(&format!("  \"quick\": {},\n", quick_mode()));
     out.push_str(&format!(
         "  \"instance\": {{\"name\": \"zipf-10k\", \"objects\": {}, \"edges\": {}}},\n",

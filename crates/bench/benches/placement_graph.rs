@@ -98,7 +98,12 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
     (best_ms, last.expect("runs >= 1"))
 }
 
-fn run_instance(name: &str, problem: &CcaProblem, eval_iters: usize, moves: usize) -> InstanceResult {
+fn run_instance(
+    name: &str,
+    problem: &CcaProblem,
+    eval_iters: usize,
+    moves: usize,
+) -> InstanceResult {
     let placement = random_hash_placement(problem);
     let graph = problem.graph();
 
@@ -247,9 +252,19 @@ fn main() {
 
     let mut results = Vec::new();
     let fig5 = bench_pipeline(10);
-    results.push(run_instance("fig5-pipeline", &fig5.problem, eval_iters, moves));
+    results.push(run_instance(
+        "fig5-pipeline",
+        &fig5.problem,
+        eval_iters,
+        moves,
+    ));
     let fig7 = bench_pipeline(40);
-    results.push(run_instance("fig7-pipeline", &fig7.problem, eval_iters, moves));
+    results.push(run_instance(
+        "fig7-pipeline",
+        &fig7.problem,
+        eval_iters,
+        moves,
+    ));
     // The 10k Zipf instance runs at full size even in quick mode — it is
     // the instance the ≥5× contract is stated over.
     let zipf = zipf_instance(10_000, 32);

@@ -21,7 +21,11 @@ fn random_lp(vars: usize, rows: usize, seed: u64) -> Model {
         .map(|i| m.add_var(format!("x{i}"), 1.0 + rng.random::<f64>()))
         .collect();
     for r in 0..rows {
-        let row = m.add_constraint(format!("r{r}"), Relation::Ge, 1.0 + rng.random::<f64>() * 4.0);
+        let row = m.add_constraint(
+            format!("r{r}"),
+            Relation::Ge,
+            1.0 + rng.random::<f64>() * 4.0,
+        );
         for &x in &xs {
             if rng.random::<f64>() < 0.3 {
                 m.set_coeff(row, x, rng.random::<f64>() * 2.0);

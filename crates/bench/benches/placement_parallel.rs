@@ -44,8 +44,7 @@ fn run_instance(name: &str, nodes: usize, scope: usize, repetitions: usize) -> I
     let ranking = importance_ranking(&pipeline.problem);
     let keep: Vec<_> = ranking.into_iter().take(scope).collect();
     let sub = scope_subproblem(&pipeline.problem, &keep, false);
-    let relax =
-        solve_relaxation(&sub, None, &RelaxOptions::default()).expect("relaxation solves");
+    let relax = solve_relaxation(&sub, None, &RelaxOptions::default()).expect("relaxation solves");
 
     let mut series = Vec::new();
     for &threads in &THREAD_COUNTS {
@@ -154,14 +153,23 @@ fn main() {
     let (instances, repetitions): (&[(&str, usize, usize)], usize) = if quick_mode() {
         (&[("fig5-small", 5, 200), ("fig7-small", 10, 200)], 8)
     } else {
-        (&[("fig5-scope1000", 10, 1000), ("fig7-scope1000", 40, 1000)], 32)
+        (
+            &[("fig5-scope1000", 10, 1000), ("fig7-scope1000", 40, 1000)],
+            32,
+        )
     };
 
     let mut results = Vec::new();
     for &(name, nodes, scope) in instances {
         header(
             &format!("{name}: rounding wall time ({repetitions} repetitions)"),
-            &["threads", "wall_ms", "speedup", "cost", "identical_to_serial"],
+            &[
+                "threads",
+                "wall_ms",
+                "speedup",
+                "cost",
+                "identical_to_serial",
+            ],
         );
         let r = run_instance(name, nodes, scope, repetitions);
         let serial_ms = r.series[0].wall_ms;

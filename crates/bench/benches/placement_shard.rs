@@ -31,9 +31,7 @@
 //! Besides the TSV table it writes `BENCH_shard.json` (override the path
 //! with `CCA_BENCH_OUT`).
 
-use cca::algo::{
-    CorrelationGraph, ObjectId, Pair, Placement, PlacementBatch, ShardedGraph,
-};
+use cca::algo::{CorrelationGraph, ObjectId, Pair, Placement, PlacementBatch, ShardedGraph};
 use cca_bench::{header, quick_mode, BENCH_SEED};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
@@ -273,7 +271,9 @@ fn main() {
 
     let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5a4d);
     let placement = Placement::new(
-        (0..objects).map(|_| rng.random_range(0..NODES as u32)).collect(),
+        (0..objects)
+            .map(|_| rng.random_range(0..NODES as u32))
+            .collect(),
         NODES,
     );
     // BATCH_K node-relabelled copies so no column is trivially equal.

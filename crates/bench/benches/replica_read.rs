@@ -18,9 +18,7 @@
 //! gated by `scripts/check.sh baseline` instead. Besides the TSV table
 //! it writes `BENCH_replica.json` (override with `CCA_BENCH_OUT`).
 
-use cca::algo::{
-    format_report, greedy_placement, spread_copies, DomainTree, ServingReport,
-};
+use cca::algo::{format_report, greedy_placement, spread_copies, DomainTree, ServingReport};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::serve::{serve, ServeConfig};
 use cca::trace::TraceConfig;
@@ -54,7 +52,11 @@ fn run_at(pipeline: &Pipeline, tree: &DomainTree, replicas: usize, queries: usiz
     let cluster = pipeline.cluster_for_replicas(&rp);
     let stream = {
         let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5e12_7e00);
-        pipeline.workload.model.sample_log(queries, &mut rng).queries
+        pipeline
+            .workload
+            .model
+            .sample_log(queries, &mut rng)
+            .queries
     };
     let config = ServeConfig {
         inflight: 64,
@@ -132,7 +134,15 @@ fn main() {
 
     header(
         "replica read",
-        &["replicas", "queries_per_s", "served", "degraded", "executed_bytes", "p50_ns", "p99_ns"],
+        &[
+            "replicas",
+            "queries_per_s",
+            "served",
+            "degraded",
+            "executed_bytes",
+            "p50_ns",
+            "p99_ns",
+        ],
     );
     let mut rows = Vec::new();
     for replicas in [1usize, 2, 3] {
@@ -174,7 +184,11 @@ fn main() {
         let cluster = pipeline.cluster_for(&placement);
         let stream = {
             let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5e12_7e00);
-            pipeline.workload.model.sample_log(queries, &mut rng).queries
+            pipeline
+                .workload
+                .model
+                .sample_log(queries, &mut rng)
+                .queries
         };
         let outcome = serve(
             &pipeline.index,
@@ -192,7 +206,10 @@ fn main() {
         format_report(&outcome.report)
     };
     let r1_identical = single == format_report(&rows[0].report);
-    assert!(r1_identical, "r=1 replicated serving diverged from single-copy");
+    assert!(
+        r1_identical,
+        "r=1 replicated serving diverged from single-copy"
+    );
     println!();
     println!("# equivalence: r=1 replicated vs single-copy report identical {r1_identical}");
 

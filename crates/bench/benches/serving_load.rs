@@ -57,7 +57,11 @@ fn run_at(
     let cluster = pipeline.cluster_for(&placement);
     let stream = {
         let mut rng = StdRng::seed_from_u64(BENCH_SEED ^ 0x5e12_7e00);
-        pipeline.workload.model.sample_log(queries, &mut rng).queries
+        pipeline
+            .workload
+            .model
+            .sample_log(queries, &mut rng)
+            .queries
     };
     let config = ServeConfig {
         inflight,
@@ -144,7 +148,15 @@ fn main() {
 
     header(
         "serving load",
-        &["queries", "queries_per_s", "served", "degraded", "shed_admission", "p50_ns", "p99_ns"],
+        &[
+            "queries",
+            "queries_per_s",
+            "served",
+            "degraded",
+            "shed_admission",
+            "p50_ns",
+            "p99_ns",
+        ],
     );
     println!(
         "{queries}\t{:.0}\t{}\t{}\t{}\t{}\t{}",

@@ -215,7 +215,9 @@ impl Checker {
             .filter_map(|line| {
                 let line = line.trim();
                 let (name, seed) = line.split_once(char::is_whitespace)?;
-                (name == self.name).then(|| parse_seed(seed.trim())).flatten()
+                (name == self.name)
+                    .then(|| parse_seed(seed.trim()))
+                    .flatten()
             })
             .collect()
     }

@@ -148,11 +148,7 @@ impl PlacementAudit {
 ///
 /// Panics if the placement and problem disagree on object count.
 #[must_use]
-pub fn audit_placement(
-    problem: &CcaProblem,
-    placement: &Placement,
-    top: usize,
-) -> PlacementAudit {
+pub fn audit_placement(problem: &CcaProblem, placement: &Placement, top: usize) -> PlacementAudit {
     assert_eq!(placement.num_objects(), problem.num_objects());
     let n = placement.num_nodes();
 
@@ -318,7 +314,10 @@ mod tests {
 
     #[test]
     fn empty_problem_audits_clean() {
-        let p = CcaProblem::builder().uniform_capacities(2, 10).build().unwrap();
+        let p = CcaProblem::builder()
+            .uniform_capacities(2, 10)
+            .build()
+            .unwrap();
         let pl = Placement::new(vec![], 2);
         let audit = audit_placement(&p, &pl, 5);
         assert!(audit.feasible());

@@ -307,8 +307,7 @@ impl ControllerReport {
     /// one verdict.
     #[must_use]
     pub fn counters_consistent(&self) -> bool {
-        self.evaluated
-            == self.migrations + self.rejected_not_worthwhile + self.rejected_not_robust
+        self.evaluated == self.migrations + self.rejected_not_worthwhile + self.rejected_not_robust
     }
 
     /// Whether the run deviated from the ideal path (degraded solves or
@@ -429,7 +428,9 @@ impl Controller {
         assert!(config.scope_count >= 1, "scope_count must be >= 1");
         assert!(config.scope_top >= 1, "scope_top must be >= 1");
         assert!(config.capacity_slack >= 1.0, "capacity_slack must be >= 1");
-        config.domains.get_or_insert_with(|| DomainTree::flat(problem.num_nodes()));
+        config
+            .domains
+            .get_or_insert_with(|| DomainTree::flat(problem.num_nodes()));
 
         let n = problem.num_objects();
         let scope_count = config.scope_count.min(n.max(1));
@@ -457,7 +458,9 @@ impl Controller {
         let obs_scratch = vec![0.0; pairs.len()];
 
         Controller {
-            live_capacities: (0..problem.num_nodes()).map(|k| problem.capacity(k)).collect(),
+            live_capacities: (0..problem.num_nodes())
+                .map(|k| problem.capacity(k))
+                .collect(),
             dead: vec![false; problem.num_nodes()],
             base: problem.clone(),
             placement,
@@ -569,10 +572,7 @@ impl Controller {
     /// the loop can never wedge on an unshippable candidate.
     pub fn advance_migration(&mut self) -> Option<MigrationSlice> {
         let mut schedule = self.pending_migration.take()?;
-        let budget = self
-            .config
-            .migration_budget_per_epoch
-            .unwrap_or(u64::MAX);
+        let budget = self.config.migration_budget_per_epoch.unwrap_or(u64::MAX);
         let est = self.estimated_problem();
         let slice = schedule.advance(&est, &mut self.placement, budget);
         self.objects_moved += slice.moves;
@@ -808,7 +808,10 @@ impl Controller {
         let est = self.estimated_problem();
         let keep = self.scope_selection(s);
         if keep.is_empty() {
-            return EpochOutcome::NoDrift { scope: s, drift: 0.0 };
+            return EpochOutcome::NoDrift {
+                scope: s,
+                drift: 0.0,
+            };
         }
 
         // Out-of-scope objects keep their nodes; the subproblem sees only
@@ -953,7 +956,9 @@ impl Controller {
         let probe = (0..tree.num_domains())
             .filter_map(|d| alive_load(d).map(|l| (d, l)))
             .max_by(|&(da, la), &(db, lb)| la.cmp(&lb).then(db.cmp(&da)));
-        let Some((probe, _)) = probe else { return false };
+        let Some((probe, _)) = probe else {
+            return false;
+        };
         let alive_domains = (0..tree.num_domains())
             .filter(|&d| alive_load(d).is_some())
             .count();
@@ -1051,7 +1056,11 @@ mod tests {
         assert_eq!((q * EST_GRID).fract(), 0.0, "estimate is on the grid");
         assert_eq!(quantize_estimate(0.0), 0.0);
         assert_eq!(quantize_estimate(1.0), 1.0);
-        assert_eq!(quantize_estimate(0.25), 0.25, "dyadic values are fixed points");
+        assert_eq!(
+            quantize_estimate(0.25),
+            0.25,
+            "dyadic values are fixed points"
+        );
     }
 
     #[test]
@@ -1078,7 +1087,10 @@ mod tests {
         let mut c = Controller::new(&p, start_placement(&p), config());
         let mut migrated = false;
         for _ in 0..128 {
-            if let EpochOutcome::Migrated { saving_per_query, .. } = c.step(&flipped_obs()) {
+            if let EpochOutcome::Migrated {
+                saving_per_query, ..
+            } = c.step(&flipped_obs())
+            {
                 migrated = true;
                 assert!(saving_per_query > 0.0);
             }
@@ -1132,7 +1144,10 @@ mod tests {
             }
         }
         assert!(saw_reject, "the 1-epoch horizon must reject at least once");
-        assert!(saw_reset, "accrued loss must eventually pay for the migration");
+        assert!(
+            saw_reset,
+            "accrued loss must eventually pay for the migration"
+        );
         assert!(c.report().counters_consistent());
     }
 
@@ -1148,7 +1163,9 @@ mod tests {
             seed: 7,
             ..FaultPlan::default()
         };
-        let rec = c.inject_fault(&plan).expect("three nodes: a loss is injectable");
+        let rec = c
+            .inject_fault(&plan)
+            .expect("three nodes: a loss is injectable");
         assert_eq!(rec.dropped_nodes.len(), 1);
         assert!(rec.recovered, "24 spare bytes: repair must converge");
         assert_eq!(c.alive_nodes(), 2);
@@ -1186,7 +1203,10 @@ mod tests {
         let rec = c.inject_fault(&plan).expect("two nodes: one may die");
         assert!(!rec.recovered, "16 bytes cannot fit one 8-byte node");
         let out = c.step(&steady_obs());
-        assert!(matches!(out, EpochOutcome::Idle | EpochOutcome::NoDrift { .. }));
+        assert!(matches!(
+            out,
+            EpochOutcome::Idle | EpochOutcome::NoDrift { .. }
+        ));
         let r = c.report();
         assert_eq!(r.unrecovered_losses, 1);
         assert!(!r.final_feasible);
@@ -1224,7 +1244,10 @@ mod tests {
             }
         }
         let r = c.report();
-        assert!(not_robust > 0, "the flip must pass worthwhile and fail robust: {r:?}");
+        assert!(
+            not_robust > 0,
+            "the flip must pass worthwhile and fail robust: {r:?}"
+        );
         assert_eq!(r.migrations, 0, "a fragile migration must never be applied");
         assert_eq!(r.rejected_not_robust, not_robust);
         assert!(r.counters_consistent());
@@ -1271,11 +1294,7 @@ mod tests {
                 c.step(&flipped_obs());
             }
             let r = c.report();
-            let key = (
-                c.placement().as_slice().to_vec(),
-                r.migrations,
-                r.evaluated,
-            );
+            let key = (c.placement().as_slice().to_vec(), r.migrations, r.evaluated);
             match &reference {
                 None => reference = Some(key),
                 Some(want) => assert_eq!(
@@ -1323,10 +1342,16 @@ mod tests {
         while c.migration_in_progress() {
             shipped += c.advance_migration().expect("in progress").bytes;
         }
-        assert!(scheduled, "a persistent flip must eventually stage a migration");
+        assert!(
+            scheduled,
+            "a persistent flip must eventually stage a migration"
+        );
         let r = c.report();
         assert!(r.migrations >= 1);
-        assert_eq!(r.migrated_bytes, shipped, "report accrues exactly the slices");
+        assert_eq!(
+            r.migrated_bytes, shipped,
+            "report accrues exactly the slices"
+        );
         assert!(r.counters_consistent());
         assert_eq!(c.abandoned_migrations(), 0);
         assert!(r.final_feasible);

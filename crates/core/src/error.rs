@@ -44,9 +44,9 @@ impl fmt::Display for CcaError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CcaError::Lp(e) => write!(f, "LP relaxation failed: {e}"),
-            CcaError::NotStochastic => f.write_str(
-                "fractional placement must be row-stochastic; call normalise() first",
-            ),
+            CcaError::NotStochastic => {
+                f.write_str("fractional placement must be row-stochastic; call normalise() first")
+            }
             CcaError::DimensionMismatch {
                 what,
                 expected,
@@ -95,7 +95,9 @@ mod tests {
         assert!(CcaError::Lp(cca_lp::LpError::Infeasible)
             .to_string()
             .contains("infeasible"));
-        assert!(CcaError::NotStochastic.to_string().contains("row-stochastic"));
+        assert!(CcaError::NotStochastic
+            .to_string()
+            .contains("row-stochastic"));
         let e = CcaError::DimensionMismatch {
             what: "object count",
             expected: 3,
@@ -103,7 +105,9 @@ mod tests {
         };
         assert_eq!(e.to_string(), "object count mismatch: expected 3, got 5");
         assert!(CcaError::NoRepetitions.to_string().contains("repetition"));
-        assert!(CcaError::RoundingDiverged { steps: 9 }.to_string().contains("9"));
+        assert!(CcaError::RoundingDiverged { steps: 9 }
+            .to_string()
+            .contains("9"));
     }
 
     #[test]

@@ -195,10 +195,7 @@ impl Search<'_> {
 /// # }
 /// ```
 #[must_use]
-pub fn exact_placement(
-    problem: &CcaProblem,
-    options: &ExactOptions,
-) -> Option<(Placement, f64)> {
+pub fn exact_placement(problem: &CcaProblem, options: &ExactOptions) -> Option<(Placement, f64)> {
     let t = problem.num_objects();
     if t == 0 {
         return Some((Placement::new(Vec::new(), problem.num_nodes()), 0.0));
@@ -345,7 +342,10 @@ mod tests {
     #[test]
     fn trivial_instances() {
         // Empty problem.
-        let p = CcaProblem::builder().uniform_capacities(2, 10).build().unwrap();
+        let p = CcaProblem::builder()
+            .uniform_capacities(2, 10)
+            .build()
+            .unwrap();
         let (pl, cost) = exact_placement(&p, &ExactOptions::default()).unwrap();
         assert_eq!(pl.num_objects(), 0);
         assert_eq!(cost, 0.0);
@@ -408,7 +408,8 @@ mod tests {
             for i in 0..t {
                 for j in i + 1..t {
                     if rng.random::<f64>() < 0.6 {
-                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 1.0).unwrap();
+                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 1.0)
+                            .unwrap();
                     }
                 }
             }
@@ -479,7 +480,8 @@ mod tests {
             for i in 0..t {
                 for j in i + 1..t {
                     if rng.random::<f64>() < 0.6 {
-                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 1.0).unwrap();
+                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 1.0)
+                            .unwrap();
                     }
                 }
             }

@@ -93,7 +93,9 @@ impl Figure4Lp {
                 format!("cap_{k}"),
                 Relation::Le,
                 problem.capacity(k) as f64,
-                problem.objects().map(|i| (x(i.index(), k), problem.size(i) as f64)),
+                problem
+                    .objects()
+                    .map(|i| (x(i.index(), k), problem.size(i) as f64)),
             );
         }
 
@@ -104,7 +106,9 @@ impl Figure4Lp {
                     format!("res{r}_cap_{k}"),
                     Relation::Le,
                     res.capacity(k) as f64,
-                    problem.objects().map(|i| (x(i.index(), k), res.demand(i.index()) as f64)),
+                    problem
+                        .objects()
+                        .map(|i| (x(i.index(), k), res.demand(i.index()) as f64)),
                 );
             }
         }
@@ -223,7 +227,9 @@ mod tests {
     #[test]
     fn dense_sparse_agree() {
         let mut b = CcaProblem::builder();
-        let o: Vec<_> = (0..4).map(|i| b.add_object(format!("o{i}"), 2 + i as u64)).collect();
+        let o: Vec<_> = (0..4)
+            .map(|i| b.add_object(format!("o{i}"), 2 + i as u64))
+            .collect();
         b.add_pair(o[0], o[1], 0.9, 4.0).unwrap();
         b.add_pair(o[1], o[2], 0.5, 2.0).unwrap();
         b.add_pair(o[2], o[3], 0.8, 3.0).unwrap();

@@ -84,11 +84,7 @@ impl FractionalPlacement {
     #[must_use]
     pub fn split_indicator(&self, i: ObjectId, j: ObjectId) -> f64 {
         let (ri, rj) = (self.row(i), self.row(j));
-        0.5 * ri
-            .iter()
-            .zip(rj)
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
+        0.5 * ri.iter().zip(rj).map(|(a, b)| (a - b).abs()).sum::<f64>()
     }
 
     /// The LP objective value `Σ_e r·w·z_e` this fractional placement

@@ -429,7 +429,10 @@ impl CorrelationGraph {
             edge_weight[y.index()]
                 .partial_cmp(&edge_weight[x.index()])
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then((edge_a[x.index()], edge_b[x.index()]).cmp(&(edge_a[y.index()], edge_b[y.index()])))
+                .then(
+                    (edge_a[x.index()], edge_b[x.index()])
+                        .cmp(&(edge_a[y.index()], edge_b[y.index()])),
+                )
         });
         Ok(CorrelationGraph {
             num_objects,
@@ -1018,7 +1021,11 @@ mod tests {
             for (t, &k) in targets.iter().enumerate() {
                 let scalar = g.replica_move_delta(&rp, ObjectId(i), 0, k);
                 assert_eq!(deltas[k].to_bits(), scalar.to_bits(), "obj {i} -> node {k}");
-                assert_eq!(deltas[k].to_bits(), rule[t].to_bits(), "obj {i} -> node {k}");
+                assert_eq!(
+                    deltas[k].to_bits(),
+                    rule[t].to_bits(),
+                    "obj {i} -> node {k}"
+                );
             }
             // The copy's own node reads exactly zero.
             assert_eq!(deltas[pl.node_of(ObjectId(i))].to_bits(), 0.0f64.to_bits());

@@ -61,9 +61,7 @@ pub fn greedy_placement(problem: &CcaProblem) -> Placement {
                 .collect()
         })
         .collect();
-    let fits = |free_k: &[i128], demand: &[i128]| {
-        free_k.iter().zip(demand).all(|(&f, &d)| f >= d)
-    };
+    let fits = |free_k: &[i128], demand: &[i128]| free_k.iter().zip(demand).all(|(&f, &d)| f >= d);
 
     let place = |assignment: &mut Vec<u32>, free: &mut Vec<Vec<i128>>, i: ObjectId, k: usize| {
         assignment[i.index()] = k as u32;
@@ -95,14 +93,12 @@ pub fn greedy_placement(problem: &CcaProblem) -> Placement {
                     place(&mut assignment, &mut free, b, k);
                 }
             }
-            (k, u32::MAX)
-                if fits(&free[k as usize], &demands[b.index()]) => {
-                    place(&mut assignment, &mut free, b, k as usize);
-                }
-            (u32::MAX, k)
-                if fits(&free[k as usize], &demands[a.index()]) => {
-                    place(&mut assignment, &mut free, a, k as usize);
-                }
+            (k, u32::MAX) if fits(&free[k as usize], &demands[b.index()]) => {
+                place(&mut assignment, &mut free, b, k as usize);
+            }
+            (u32::MAX, k) if fits(&free[k as usize], &demands[a.index()]) => {
+                place(&mut assignment, &mut free, a, k as usize);
+            }
             _ => {}
         }
     }
@@ -168,7 +164,9 @@ mod tests {
     #[test]
     fn uncorrelated_objects_still_get_placed() {
         let mut b = CcaProblem::builder();
-        let o: Vec<_> = (0..6).map(|i| b.add_object(format!("lonely{i}"), 5)).collect();
+        let o: Vec<_> = (0..6)
+            .map(|i| b.add_object(format!("lonely{i}"), 5))
+            .collect();
         let p = b.uniform_capacities(3, 15).build().unwrap();
         let pl = greedy_placement(&p);
         assert_eq!(pl.num_objects(), 6);
@@ -194,7 +192,9 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let mut b = CcaProblem::builder();
-        let o: Vec<_> = (0..8).map(|i| b.add_object(format!("o{i}"), 3 + i as u64)).collect();
+        let o: Vec<_> = (0..8)
+            .map(|i| b.add_object(format!("o{i}"), 3 + i as u64))
+            .collect();
         for i in 0..8 {
             for j in i + 1..8 {
                 b.add_pair(o[i], o[j], ((i * 7 + j) % 5) as f64 / 5.0 + 0.01, 2.0)

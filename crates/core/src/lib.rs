@@ -73,8 +73,8 @@ pub mod placement;
 pub mod problem;
 pub mod random;
 pub mod relax;
-pub mod replica;
 pub mod repair;
+pub mod replica;
 pub mod resilience;
 pub mod resources;
 pub mod rounding;
@@ -89,6 +89,7 @@ pub use controller::{
     quantize_estimate, Controller, ControllerConfig, ControllerReport, EpochObservation,
     EpochOutcome, FaultRecovery,
 };
+pub use error::{CcaError, PlaceError};
 pub use exact::{exact_placement, ExactOptions};
 pub use fractional::FractionalPlacement;
 pub use graph::{CorrelationGraph, Edge, EdgeId, PlacementBatch};
@@ -105,12 +106,12 @@ pub use persist::{
 pub use placement::Placement;
 pub use problem::{CcaProblem, CcaProblemBuilder, ObjectId, Pair, ProblemError};
 pub use random::random_hash_placement;
-pub use replica::{spread_copies, validate_replica_spec, DomainTree, ReplicaPlacement};
 pub use relax::{
-    construct_clustered_vertex, construct_optimal_vertex, solve_relaxation, RelaxMethod, RelaxOptions, RelaxOutcome,
-    StopReason,
+    construct_clustered_vertex, construct_optimal_vertex, solve_relaxation, RelaxMethod,
+    RelaxOptions, RelaxOutcome, StopReason,
 };
 pub use repair::{repair_capacity, repair_replica_spread, RepairOutcome, ReplicaRepairOutcome};
+pub use replica::{spread_copies, validate_replica_spec, DomainTree, ReplicaPlacement};
 pub use resilience::{
     solve_resilient, solve_resilient_replicated, solve_resilient_with_faults, survive_domain_loss,
     survive_node_loss, DegradationReport, DomainLossReport, FaultPlan, NodeLossReport,
@@ -118,7 +119,6 @@ pub use resilience::{
     RungOutcome, SolveBudget, LADDER,
 };
 pub use resources::{Resource, ResourceError};
-pub use error::{CcaError, PlaceError};
 pub use rounding::{
     round_best_of, round_best_of_within, round_once, round_samples, round_samples_scored,
     RoundingOutcome,
@@ -126,4 +126,6 @@ pub use rounding::{
 pub use scope::{compose_with_hashed_rest, importance_ranking, scope_subproblem};
 pub use serving::{LatencyHistogram, LiveReport, ServingReport};
 pub use shard::ShardedGraph;
-pub use solver::{place, place_partial, place_partial_with, LprrOptions, PlacementReport, Strategy};
+pub use solver::{
+    place, place_partial, place_partial_with, LprrOptions, PlacementReport, Strategy,
+};

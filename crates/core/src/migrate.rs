@@ -399,7 +399,11 @@ pub fn reconcile(
     assert_eq!(desired.num_nodes(), current.num_nodes());
     let graph = problem.graph();
     let mut placement = current.clone();
-    let mut loads = Loads::new(problem, std::slice::from_ref(current), options.capacity_slack);
+    let mut loads = Loads::new(
+        problem,
+        std::slice::from_ref(current),
+        options.capacity_slack,
+    );
     let mut budget = budget_bytes;
     let mut moves = 0usize;
     let mut migrated = 0u64;
@@ -651,7 +655,13 @@ impl MigrationSchedule {
         placement: &mut Placement,
         budget_bytes: u64,
     ) -> MigrationSlice {
-        let out = reconcile(problem, placement, &self.desired, budget_bytes, &self.options);
+        let out = reconcile(
+            problem,
+            placement,
+            &self.desired,
+            budget_bytes,
+            &self.options,
+        );
         let mut moves = out.moves as u64;
         let mut bytes = out.migrated_bytes;
         *placement = out.placement;
@@ -680,7 +690,10 @@ impl MigrationSchedule {
                 moves += 1;
             }
         }
-        debug_assert!(bytes <= budget_bytes, "slice {bytes} over budget {budget_bytes}");
+        debug_assert!(
+            bytes <= budget_bytes,
+            "slice {bytes} over budget {budget_bytes}"
+        );
 
         self.slices += 1;
         self.total_moves += moves;
@@ -734,8 +747,10 @@ mod reference {
                     v
                 })
                 .collect();
-            let demands: Vec<Vec<f64>> =
-                problem.objects().map(|o| problem.demand_vector(o)).collect();
+            let demands: Vec<Vec<f64>> = problem
+                .objects()
+                .map(|o| problem.demand_vector(o))
+                .collect();
             let mut loads = vec![vec![0.0; dims]; n];
             for o in problem.objects() {
                 let k = placement.node_of(o);
@@ -865,7 +880,13 @@ mod tests {
         let p = problem();
         let scattered = Placement::new(vec![0, 1, 0, 1, 0, 1], 2);
         let desired = Placement::new(vec![0, 0, 0, 1, 1, 1], 2);
-        let out = reconcile(&p, &scattered, &desired, u64::MAX, &MigrateOptions::default());
+        let out = reconcile(
+            &p,
+            &scattered,
+            &desired,
+            u64::MAX,
+            &MigrateOptions::default(),
+        );
         assert_eq!(out.comm_cost, desired.communication_cost(&p));
         assert_eq!(out.comm_cost, 0.0);
         assert!(out.migrated_bytes <= migration_bytes(&p, &scattered, &desired));
@@ -927,10 +948,16 @@ mod tests {
         let p = b.uniform_capacities(2, 10).build().unwrap();
         let start = Placement::new(vec![0, 1], 2);
         let desired = Placement::new(vec![0, 0], 2); // infeasible target
-        let out = reconcile(&p, &start, &desired, u64::MAX, &MigrateOptions {
-            capacity_slack: 1.0,
-            ..MigrateOptions::default()
-        });
+        let out = reconcile(
+            &p,
+            &start,
+            &desired,
+            u64::MAX,
+            &MigrateOptions {
+                capacity_slack: 1.0,
+                ..MigrateOptions::default()
+            },
+        );
         assert_eq!(out.placement, start, "capacity must block the move");
     }
 
@@ -1177,9 +1204,8 @@ mod tests {
                     p.eval_cost(&want.placement, 1).to_bits()
                 );
                 moved.set(moved.get() + u32::from(want.moves > 0));
-                resource_moved.set(
-                    resource_moved.get() + u32::from(want.moves > 0 && c.resource.is_some()),
-                );
+                resource_moved
+                    .set(resource_moved.get() + u32::from(want.moves > 0 && c.resource.is_some()));
                 Ok(())
             });
         assert!(

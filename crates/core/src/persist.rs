@@ -118,10 +118,7 @@ fn format_columns(problem: &CcaProblem, columns: &[Placement]) -> String {
 /// Fails on malformed input (a v2 file included), unknown or missing
 /// object names, duplicate names (in the file or the problem), or nodes
 /// out of range.
-pub fn read_placement<R: Read>(
-    reader: R,
-    problem: &CcaProblem,
-) -> Result<Placement, PersistError> {
+pub fn read_placement<R: Read>(reader: R, problem: &CcaProblem) -> Result<Placement, PersistError> {
     let mut columns = read_columns(reader, problem, false)?;
     Ok(columns.pop().expect("a v1 placement has one column"))
 }
@@ -237,7 +234,10 @@ fn read_columns<R: Read>(
         if columns[0][idx] != u32::MAX {
             return Err(error(format!("object {name:?} assigned twice")));
         }
-        for (column, field) in columns.iter_mut().zip(trimmed[name.len() + 1..].split('\t')) {
+        for (column, field) in columns
+            .iter_mut()
+            .zip(trimmed[name.len() + 1..].split('\t'))
+        {
             let node: usize = field
                 .trim()
                 .parse()
@@ -322,8 +322,9 @@ pub fn format_report<R: Report>(report: &R) -> String {
             Slot::Real(v) => writeln!(out, "{key}\t{v}"),
             Slot::Flag(v) => writeln!(out, "{key}\t{v}"),
             Slot::Text(v) => writeln!(out, "{key}\t{v}"),
-            Slot::Buckets(h) => (h.nonempty())
-                .try_for_each(|(i, count)| writeln!(rows, "{key}\t{i}\t{count}")),
+            Slot::Buckets(h) => {
+                (h.nonempty()).try_for_each(|(i, count)| writeln!(rows, "{key}\t{i}\t{count}"))
+            }
         };
     }
     out + &rows
@@ -364,24 +365,26 @@ pub fn read_report<R: Report>(reader: impl Read) -> Result<R, PersistError> {
             line: i + 2,
             message,
         };
-        let (key, value) = (trimmed.split_once('\t'))
-            .ok_or_else(|| error("expected key<TAB>value".into()))?;
+        let (key, value) =
+            (trimmed.split_once('\t')).ok_or_else(|| error("expected key<TAB>value".into()))?;
         let k = (fields.iter().position(|&(name, _)| name == key))
             .ok_or_else(|| error(format!("unknown key {key:?}")))?;
         let slot = &mut fields[k].1;
         if let Slot::Buckets(histogram) = slot {
             let (idx, count) = (value.split_once('\t'))
                 .ok_or_else(|| error(format!("expected {key}<TAB>index<TAB>count")))?;
-            let idx: usize = (idx.parse())
-                .map_err(|_| error(format!("invalid bucket index {idx:?}")))?;
+            let idx: usize =
+                (idx.parse()).map_err(|_| error(format!("invalid bucket index {idx:?}")))?;
             if idx >= NUM_BUCKETS {
-                return Err(error(format!("bucket {idx} out of range (< {NUM_BUCKETS})")));
+                return Err(error(format!(
+                    "bucket {idx} out of range (< {NUM_BUCKETS})"
+                )));
             }
             if !seen.insert((k, idx)) {
                 return Err(error(format!("duplicate bucket {idx}")));
             }
-            let count = (count.parse())
-                .map_err(|_| error(format!("invalid bucket count {count:?}")))?;
+            let count =
+                (count.parse()).map_err(|_| error(format!("invalid bucket count {count:?}")))?;
             histogram.add_bucket(idx, count);
         } else if !seen.insert((k, 0)) {
             return Err(error(format!("duplicate key {key:?}")));
@@ -413,7 +416,10 @@ impl Report for ControllerReport {
             ("migrations", Count(&mut self.migrations)),
             ("objects_moved", Count(&mut self.objects_moved)),
             ("migrated_bytes", Count(&mut self.migrated_bytes)),
-            ("rejected_not_worthwhile", Count(&mut self.rejected_not_worthwhile)),
+            (
+                "rejected_not_worthwhile",
+                Count(&mut self.rejected_not_worthwhile),
+            ),
             ("rejected_not_robust", Count(&mut self.rejected_not_robust)),
             ("degradations", Count(&mut self.degradations)),
             ("solve_retries", Count(&mut self.solve_retries)),
@@ -470,10 +476,16 @@ impl Report for LiveReport {
             ("estimated_bytes", Count(&mut self.estimated_bytes)),
             ("evaluated", Count(&mut self.evaluated)),
             ("migrations", Count(&mut self.migrations)),
-            ("abandoned_migrations", Count(&mut self.abandoned_migrations)),
+            (
+                "abandoned_migrations",
+                Count(&mut self.abandoned_migrations),
+            ),
             ("migration_epochs", Count(&mut self.migration_epochs)),
             ("migrated_bytes", Count(&mut self.migrated_bytes)),
-            ("max_epoch_migrated_bytes", Count(&mut self.max_epoch_migrated_bytes)),
+            (
+                "max_epoch_migrated_bytes",
+                Count(&mut self.max_epoch_migrated_bytes),
+            ),
             ("migration_budget", Count(&mut self.migration_budget)),
             ("pre_epochs", Count(&mut self.pre_epochs)),
             ("pre_queries", Count(&mut self.pre_queries)),
@@ -580,9 +592,21 @@ mod tests {
             (String::new(), Some(1), Some(1)),
             ("not a header\nkw0\t1\n".into(), Some(1), Some(1)),
             ("# cca-placement v2\nkw0\t1\n".into(), Some(1), Some(1)),
-            ("# cca-placement v1 nodes=x objects=8\n".into(), Some(1), Some(1)),
-            ("# cca-placement v1 nodes=64 objects=8\nkw0\t50\n".into(), Some(1), Some(1)),
-            ("# cca-placement v1 nodes=2 objects=8\nkw0\t1\n".into(), Some(1), Some(1)),
+            (
+                "# cca-placement v1 nodes=x objects=8\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v1 nodes=64 objects=8\nkw0\t50\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v1 nodes=2 objects=8\nkw0\t1\n".into(),
+                Some(1),
+                Some(1),
+            ),
             // v1 entries; comments and blank lines count toward the line.
             (format!("{V1}# note\n\nkw0 1\n"), Some(4), Some(4)),
             (format!("{V1}kw0\tfour\n"), Some(2), Some(2)),
@@ -592,10 +616,26 @@ mod tests {
             (format!("{V1}kw0\t1\nkw0\t2\n"), Some(3), Some(3)),
             (format!("{V1}kw0\t1\n"), Some(0), Some(0)),
             // v2 header: `read_placement` rejects every v2 file at line 1.
-            ("# cca-placement v2 nodes=x objects=8 replicas=2\n".into(), Some(1), Some(1)),
-            ("# cca-placement v2 nodes=3 objects=8\n".into(), Some(1), Some(1)),
-            ("# cca-placement v2 nodes=3 objects=8 replicas=0\n".into(), Some(1), Some(1)),
-            ("# cca-placement v2 nodes=0 objects=8 replicas=1\n".into(), Some(1), Some(1)),
+            (
+                "# cca-placement v2 nodes=x objects=8 replicas=2\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v2 nodes=3 objects=8\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v2 nodes=3 objects=8 replicas=0\n".into(),
+                Some(1),
+                Some(1),
+            ),
+            (
+                "# cca-placement v2 nodes=0 objects=8 replicas=1\n".into(),
+                Some(1),
+                Some(1),
+            ),
             (
                 "# cca-placement v2 nodes=64 objects=8 replicas=2\nkw0\t50\t1\n".into(),
                 Some(1),
@@ -630,12 +670,32 @@ mod tests {
         // so an earlier malformed line still wins.
         for (bytes, placement, replica) in [
             (&b"\xff\n"[..], None, None),
-            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n\xff\n"[..], Some(2), Some(2)),
-            (&b"# cca-placement v1 nodes=3 objects=8\nkw0\t1\n\xff\n"[..], None, None),
-            (&b"# cca-placement v2 nodes=3 objects=8 replicas=2\n\xff\n"[..], Some(1), None),
+            (
+                &b"# cca-placement v1 nodes=3 objects=8\nkw0\tfour\n\xff\n"[..],
+                Some(2),
+                Some(2),
+            ),
+            (
+                &b"# cca-placement v1 nodes=3 objects=8\nkw0\t1\n\xff\n"[..],
+                None,
+                None,
+            ),
+            (
+                &b"# cca-placement v2 nodes=3 objects=8 replicas=2\n\xff\n"[..],
+                Some(1),
+                None,
+            ),
         ] {
-            assert_eq!(error_line(read_placement(bytes, &p)), placement, "{bytes:?}");
-            assert_eq!(error_line(read_replica_placement(bytes, &p)), replica, "{bytes:?}");
+            assert_eq!(
+                error_line(read_placement(bytes, &p)),
+                placement,
+                "{bytes:?}"
+            );
+            assert_eq!(
+                error_line(read_replica_placement(bytes, &p)),
+                replica,
+                "{bytes:?}"
+            );
         }
     }
 
@@ -721,15 +781,18 @@ mod tests {
         for text in [
             "",
             "not a header\nqueries\t1\n",
-            "# cca-serving-report v1\nqueries one\n",         // no tab
-            "# cca-serving-report v1\nqueries\tone\n",        // bad integer
-            "# cca-serving-report v1\nmystery\t1\n",          // unknown key
+            "# cca-serving-report v1\nqueries one\n", // no tab
+            "# cca-serving-report v1\nqueries\tone\n", // bad integer
+            "# cca-serving-report v1\nmystery\t1\n",  // unknown key
             "# cca-serving-report v1\nqueries\t1\nqueries\t2\n", // duplicate
-            "# cca-serving-report v1\nqueries\t1\n",          // missing keys
-            "# cca-serving-report v1\nbucket\t65\t1\n",       // bucket range
-            "# cca-serving-report v1\nbucket\t1\n",           // bucket shape
+            "# cca-serving-report v1\nqueries\t1\n",  // missing keys
+            "# cca-serving-report v1\nbucket\t65\t1\n", // bucket range
+            "# cca-serving-report v1\nbucket\t1\n",   // bucket shape
         ] {
-            assert!(read_report::<ServingReport>(text.as_bytes()).is_err(), "{text:?}");
+            assert!(
+                read_report::<ServingReport>(text.as_bytes()).is_err(),
+                "{text:?}"
+            );
         }
         // Duplicate bucket lines are rejected even with all scalars present.
         let mut full = format_report(&serving_report());
@@ -805,7 +868,10 @@ mod tests {
             "# cca-live-report v1\nbucket_mid\t1\n", // bucket shape
             "# cca-live-report v1\nbucket\t1\t1\n",  // serving's row key
         ] {
-            assert!(read_report::<LiveReport>(text.as_bytes()).is_err(), "{text:?}");
+            assert!(
+                read_report::<LiveReport>(text.as_bytes()).is_err(),
+                "{text:?}"
+            );
         }
         // The same bucket index may appear once per row kind, but not
         // twice within one kind.
@@ -819,13 +885,16 @@ mod tests {
         for text in [
             "",
             "not a header\nepochs\t1\n",
-            "# cca-controller-report v1\nepochs one\n",      // no tab
-            "# cca-controller-report v1\nepochs\tone\n",     // bad integer
-            "# cca-controller-report v1\nmystery\t1\n",      // unknown key
+            "# cca-controller-report v1\nepochs one\n", // no tab
+            "# cca-controller-report v1\nepochs\tone\n", // bad integer
+            "# cca-controller-report v1\nmystery\t1\n", // unknown key
             "# cca-controller-report v1\nepochs\t1\nepochs\t2\n", // duplicate
-            "# cca-controller-report v1\nepochs\t1\n",       // missing keys
+            "# cca-controller-report v1\nepochs\t1\n",  // missing keys
         ] {
-            assert!(read_report::<ControllerReport>(text.as_bytes()).is_err(), "{text:?}");
+            assert!(
+                read_report::<ControllerReport>(text.as_bytes()).is_err(),
+                "{text:?}"
+            );
         }
     }
 
@@ -856,16 +925,19 @@ mod tests {
     /// and a controller report's special floats read back bit for bit.
     #[test]
     fn writers_match_the_reference() {
-        Checker::new("writers_match_the_reference")
-            .cases(2048)
-            .run(|rng| rng.random_range(0..u64::MAX), |&seed| {
+        Checker::new("writers_match_the_reference").cases(2048).run(
+            |rng| rng.random_range(0..u64::MAX),
+            |&seed| {
                 let rng = &mut StdRng::seed_from_u64(seed);
                 let r = controller_with_specials(rng);
                 let text = format_report(&r);
                 prop_assert_eq!(&text, &reference::format_controller_report(&r));
                 let back: ControllerReport =
                     read_report(text.as_bytes()).map_err(|e| e.to_string())?;
-                prop_assert!(same_controller(&back, &r), "{back:?} read back from {text:?}");
+                prop_assert!(
+                    same_controller(&back, &r),
+                    "{back:?} read back from {text:?}"
+                );
                 let r = cases::serving_report(rng);
                 prop_assert_eq!(format_report(&r), reference::format_serving_report(&r));
                 let r = cases::live_report(rng);
@@ -880,7 +952,8 @@ mod tests {
                     reference::format_placement(&p, rp.primary())
                 );
                 Ok(())
-            });
+            },
+        );
     }
 
     /// Feeds 2,048 mutated texts of one report kind (reports drawn by
@@ -955,7 +1028,10 @@ mod tests {
             .cases(2048)
             .run(cases::mutated_placement, |text| {
                 let bytes = text.0.as_slice();
-                let (got, want) = (read_placement(bytes, &p), reference::read_placement(bytes, &p));
+                let (got, want) = (
+                    read_placement(bytes, &p),
+                    reference::read_placement(bytes, &p),
+                );
                 match (got, want) {
                     (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
                     (Err(got), Err(want)) => {
@@ -982,6 +1058,9 @@ mod tests {
                 }
                 Ok(())
             });
-        assert!(accepted.get() > 0 && moved.get() > 0, "{accepted:?} {moved:?}");
+        assert!(
+            accepted.get() > 0 && moved.get() > 0,
+            "{accepted:?} {moved:?}"
+        );
     }
 }

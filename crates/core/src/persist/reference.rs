@@ -41,10 +41,7 @@ pub fn format_placement(problem: &CcaProblem, placement: &Placement) -> String {
 ///
 /// Fails on malformed input, unknown or missing object names, duplicate
 /// names (in the file or the problem), or nodes out of range.
-pub fn read_placement<R: Read>(
-    reader: R,
-    problem: &CcaProblem,
-) -> Result<Placement, PersistError> {
+pub fn read_placement<R: Read>(reader: R, problem: &CcaProblem) -> Result<Placement, PersistError> {
     let mut lines = BufReader::new(reader).lines();
     let header = lines.next().transpose()?.ok_or(PersistError::Format {
         line: 1,
@@ -125,7 +122,10 @@ fn read_columns<L: AsRef<str>>(
         if columns[0][idx] != u32::MAX {
             return Err(error(format!("object {name:?} assigned twice")));
         }
-        for (column, field) in columns.iter_mut().zip(trimmed[name.len() + 1..].split('\t')) {
+        for (column, field) in columns
+            .iter_mut()
+            .zip(trimmed[name.len() + 1..].split('\t'))
+        {
             let node: usize = field
                 .trim()
                 .parse()
@@ -533,7 +533,12 @@ pub fn format_serving_report(report: &ServingReport) -> String {
 /// Fails on malformed input, unknown/duplicate/missing keys, bucket
 /// indices out of range, or unparsable values.
 pub fn read_serving_report<R: Read>(reader: R) -> Result<ServingReport, PersistError> {
-    let mut p = parse_framed(reader, "# cca-serving-report v1", &SERVING_KEYS, &["bucket"])?;
+    let mut p = parse_framed(
+        reader,
+        "# cca-serving-report v1",
+        &SERVING_KEYS,
+        &["bucket"],
+    )?;
     Ok(ServingReport {
         queries: p.u64("queries")?,
         served: p.u64("served")?,

@@ -105,7 +105,10 @@ impl fmt::Display for ProblemError {
         match self {
             ProblemError::UnknownObject(o) => write!(f, "pair references unknown object {o}"),
             ProblemError::DuplicateName(name) => {
-                write!(f, "duplicate object name {name:?} (hash placement would collide)")
+                write!(
+                    f,
+                    "duplicate object name {name:?} (hash placement would collide)"
+                )
             }
             ProblemError::SelfPair(o) => write!(f, "pair connects {o} to itself"),
             ProblemError::InvalidNumber(msg) => write!(f, "invalid number: {msg}"),
@@ -403,7 +406,10 @@ impl CcaProblem {
             let prev = old_to_new.insert(old, ObjectId(new_idx as u32));
             assert!(prev.is_none(), "duplicate object {old} in keep list");
         }
-        let names = keep.iter().map(|&o| self.names[o.index()].clone()).collect();
+        let names = keep
+            .iter()
+            .map(|&o| self.names[o.index()].clone())
+            .collect();
         let sizes = keep.iter().map(|&o| self.sizes[o.index()]).collect();
         let pairs: Vec<Pair> = self
             .pairs
@@ -699,7 +705,10 @@ mod tests {
         for pair in p.pairs() {
             assert!(pair.a < pair.b);
         }
-        assert!(p.pairs().windows(2).all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)));
+        assert!(p
+            .pairs()
+            .windows(2)
+            .all(|w| (w[0].a, w[0].b) < (w[1].a, w[1].b)));
     }
 
     #[test]

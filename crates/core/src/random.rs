@@ -42,7 +42,9 @@ mod tests {
         for i in 0..objects {
             b.add_object(format!("keyword{i}"), 8);
         }
-        b.uniform_capacities(nodes, u64::MAX / nodes as u64).build().unwrap()
+        b.uniform_capacities(nodes, u64::MAX / nodes as u64)
+            .build()
+            .unwrap()
     }
 
     #[test]

@@ -216,10 +216,8 @@ pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, 
         }
         d
     };
-    let mut sized: Vec<(Vec<f64>, &Vec<crate::problem::ObjectId>)> = clusters
-        .iter()
-        .map(|m| (cluster_demand(m), m))
-        .collect();
+    let mut sized: Vec<(Vec<f64>, &Vec<crate::problem::ObjectId>)> =
+        clusters.iter().map(|m| (cluster_demand(m), m)).collect();
     sized.sort_unstable_by(|(da, ma), (db, mb)| {
         db[0]
             .partial_cmp(&da[0])
@@ -236,16 +234,17 @@ pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, 
             v
         })
         .collect();
-    let fits = |rem_k: &[f64], demand: &[f64]| {
-        rem_k.iter().zip(demand).all(|(&r, &d)| r + 1e-9 >= d)
-    };
+    let fits =
+        |rem_k: &[f64], demand: &[f64]| rem_k.iter().zip(demand).all(|(&r, &d)| r + 1e-9 >= d);
     let mut x = vec![0.0f64; t * n];
     for (demand, m) in sized {
         let mut row = vec![0.0f64; n];
         // Best-fit on storage among nodes that fit in every dimension.
-        let fit = (0..n)
-            .filter(|&k| fits(&rem[k], &demand))
-            .min_by(|&a, &b| rem[a][0].partial_cmp(&rem[b][0]).unwrap_or(std::cmp::Ordering::Equal));
+        let fit = (0..n).filter(|&k| fits(&rem[k], &demand)).min_by(|&a, &b| {
+            rem[a][0]
+                .partial_cmp(&rem[b][0])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         if let Some(k) = fit {
             row[k] = 1.0;
             for (dst, d) in rem[k].iter_mut().zip(&demand) {
@@ -280,8 +279,7 @@ pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, 
                 let take = feasible_take(&rem[k], remaining);
                 if take <= 1e-15 {
                     return Err(LpError::Numerical(
-                        "fractional packing stalled despite sufficient aggregate capacity"
-                            .into(),
+                        "fractional packing stalled despite sufficient aggregate capacity".into(),
                     ));
                 }
                 for (dim, &d) in demand.iter().enumerate() {
@@ -365,7 +363,8 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
             parent[ra] = rb;
         }
     }
-    let mut members: std::collections::HashMap<usize, Vec<usize>> = std::collections::HashMap::new();
+    let mut members: std::collections::HashMap<usize, Vec<usize>> =
+        std::collections::HashMap::new();
     for i in 0..t {
         let r = find(&mut parent, i);
         members.entry(r).or_default().push(i);
@@ -382,7 +381,10 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
         .collect();
     // Largest first; ties by smallest member id for determinism.
     components.sort_unstable_by_key(|(size, m)| {
-        (std::cmp::Reverse(*size), m.iter().copied().min().unwrap_or(0))
+        (
+            std::cmp::Reverse(*size),
+            m.iter().copied().min().unwrap_or(0),
+        )
     });
 
     // First-fit-decreasing fractional packing.
@@ -393,7 +395,11 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
         if size == 0 {
             // Weightless component: park it on the emptiest node.
             let k = (0..n)
-                .max_by(|&a, &b| rem[a].partial_cmp(&rem[b]).unwrap_or(std::cmp::Ordering::Equal))
+                .max_by(|&a, &b| {
+                    rem[a]
+                        .partial_cmp(&rem[b])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
                 .expect("n > 0");
             row[k] = 1.0;
         } else {
@@ -407,7 +413,9 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
             while assigned < 1.0 - 1e-12 {
                 let k = (0..n)
                     .max_by(|&a, &b| {
-                        rem[a].partial_cmp(&rem[b]).unwrap_or(std::cmp::Ordering::Equal)
+                        rem[a]
+                            .partial_cmp(&rem[b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .expect("n > 0");
                 let take = ((rem[k] / size as f64).max(0.0)).min(1.0 - assigned);
@@ -473,7 +481,10 @@ fn solve_by_cutting_planes(
             if ka != kb {
                 let mut signs = vec![(ka as u32, true), (kb as u32, false)];
                 signs.sort_unstable();
-                let cut = Cut { pair: edge.id.index(), signs };
+                let cut = Cut {
+                    pair: edge.id.index(),
+                    signs,
+                };
                 if cut_set.insert(cut.clone()) {
                     cuts.push(cut);
                 }
@@ -539,7 +550,12 @@ fn solve_by_cutting_planes(
                 format!("cap_{k}"),
                 Relation::Le,
                 problem.capacity(k) as f64,
-                (0..t).map(|i| (x(i, k), problem.size(crate::problem::ObjectId(i as u32)) as f64)),
+                (0..t).map(|i| {
+                    (
+                        x(i, k),
+                        problem.size(crate::problem::ObjectId(i as u32)) as f64,
+                    )
+                }),
             );
         }
         // Secondary resource capacities (paper 3.3), one row per
@@ -643,7 +659,8 @@ fn solve_by_cutting_planes(
             break;
         }
 
-        violated.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        violated
+            .sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
         for (_, cut) in violated.into_iter().take(options.max_cuts_per_round) {
             cut_set.insert(cut.clone());
             cuts.push(cut);
@@ -874,7 +891,8 @@ mod tests {
         let objs: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 3)).collect();
         for i in 0..6 {
             for j in i + 1..6 {
-                b.add_pair(objs[i], objs[j], rng.random::<f64>(), 2.0).unwrap();
+                b.add_pair(objs[i], objs[j], rng.random::<f64>(), 2.0)
+                    .unwrap();
             }
         }
         let p = b.uniform_capacities(3, 9).build().unwrap();
@@ -928,7 +946,8 @@ mod tests {
             for i in 0..t {
                 for j in i + 1..t {
                     if rng.random::<f64>() < 0.4 {
-                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 2.0).unwrap();
+                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 2.0)
+                            .unwrap();
                     }
                 }
             }
@@ -949,7 +968,10 @@ mod tests {
                     assert!(v.fractional.is_stochastic(1e-9));
                     // Expected loads respect capacity.
                     for (k, load) in v.fractional.expected_loads(&p).iter().enumerate() {
-                        assert!(*load <= p.capacity(k) as f64 + 1e-6, "trial {trial} node {k}");
+                        assert!(
+                            *load <= p.capacity(k) as f64 + 1e-6,
+                            "trial {trial} node {k}"
+                        );
                     }
                 }
                 (Err(LpError::Infeasible), Err(LpError::Infeasible)) => {}

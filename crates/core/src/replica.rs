@@ -192,7 +192,11 @@ impl DomainTree {
     /// Number of top-level zones.
     #[must_use]
     pub fn num_zones(&self) -> usize {
-        self.zone_of.iter().map(|&z| z as usize + 1).max().unwrap_or(0)
+        self.zone_of
+            .iter()
+            .map(|&z| z as usize + 1)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Leaf domain of `node`.
@@ -784,14 +788,7 @@ mod tests {
         assert!(rp.spread_valid(&tree));
         assert!(rp.spread_violations(&tree).is_empty());
         // r above the domain count is a typed error.
-        let err = spread_copies(
-            &p,
-            &tree,
-            Placement::new(vec![0; 6], 6),
-            4,
-            1.0,
-        )
-        .unwrap_err();
+        let err = spread_copies(&p, &tree, Placement::new(vec![0; 6], 6), 4, 1.0).unwrap_err();
         assert!(matches!(
             err,
             ProblemError::ReplicaSpread {

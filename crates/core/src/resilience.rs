@@ -211,14 +211,23 @@ impl DegradationReport {
                 },
                 RungOutcome::Failed(m) | RungOutcome::Skipped(m) => m.clone(),
             };
-            let _ = writeln!(out, "  {:<12} {:<10} {detail}", a.rung.name(), a.outcome.label());
+            let _ = writeln!(
+                out,
+                "  {:<12} {:<10} {detail}",
+                a.rung.name(),
+                a.outcome.label()
+            );
         }
         let _ = writeln!(
             out,
             "selected: {}{}{}{}",
             self.selected,
             if self.degraded { " (degraded)" } else { "" },
-            if self.floor_overridden { " (floor overridden)" } else { "" },
+            if self.floor_overridden {
+                " (floor overridden)"
+            } else {
+                ""
+            },
             if self.repaired { " (repaired)" } else { "" },
         );
         if self.deadline_exceeded {
@@ -917,8 +926,7 @@ mod tests {
     fn node_loss_replaces_onto_survivors() {
         let p = clustered(4, 3, 4);
         let r = solve_resilient(&p, &ResilienceOptions::default());
-        let (degraded, replaced, loss) =
-            survive_node_loss(&p, &r.placement, &[1], 1.05);
+        let (degraded, replaced, loss) = survive_node_loss(&p, &r.placement, &[1], 1.05);
         assert_eq!(degraded.capacity(1), 0);
         assert_eq!(replaced.num_objects(), p.num_objects());
         assert!(replaced.loads(&degraded)[1] == 0, "dead node still loaded");

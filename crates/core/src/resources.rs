@@ -160,11 +160,17 @@ mod tests {
         assert!(r.validate(2, 1).is_ok());
         assert!(matches!(
             r.validate(3, 1),
-            Err(ResourceError::DemandLength { expected: 3, got: 2 })
+            Err(ResourceError::DemandLength {
+                expected: 3,
+                got: 2
+            })
         ));
         assert!(matches!(
             r.validate(2, 2),
-            Err(ResourceError::CapacityLength { expected: 2, got: 1 })
+            Err(ResourceError::CapacityLength {
+                expected: 2,
+                got: 1
+            })
         ));
     }
 

@@ -565,7 +565,10 @@ mod tests {
                 "threads = {threads}"
             );
             assert_eq!(par.cost.to_bits(), serial.cost.to_bits());
-            assert_eq!(par.max_load_ratio.to_bits(), serial.max_load_ratio.to_bits());
+            assert_eq!(
+                par.max_load_ratio.to_bits(),
+                serial.max_load_ratio.to_bits()
+            );
             assert_eq!(par.repetitions, serial.repetitions);
             assert_eq!(par.within_capacity, serial.within_capacity);
         }

@@ -114,7 +114,7 @@ mod tests {
         b.add_pair(o[0], o[1], 0.9, 10.0).unwrap(); // weight 9  (rank 1)
         b.add_pair(o[2], o[3], 0.5, 10.0).unwrap(); // weight 5  (rank 2)
         b.add_pair(o[1], o[2], 0.1, 10.0).unwrap(); // weight 1  (rank 3)
-        // objects 4, 5 never paired; sizes 50, 60.
+                                                    // objects 4, 5 never paired; sizes 50, 60.
         b.uniform_capacities(2, 300).build().unwrap()
     }
 

@@ -342,11 +342,8 @@ impl LiveReport {
     #[must_use]
     pub fn counters_consistent(&self) -> bool {
         let executed = self.served + self.degraded;
-        self.queries
-            == executed + self.shed_admission + self.shed_overload + self.shed_deadline
-            && self.pre_histogram.total()
-                + self.mid_histogram.total()
-                + self.post_histogram.total()
+        self.queries == executed + self.shed_admission + self.shed_overload + self.shed_deadline
+            && self.pre_histogram.total() + self.mid_histogram.total() + self.post_histogram.total()
                 == executed
             && self.pre_histogram.total() == self.pre_queries
             && self.post_histogram.total() == self.post_queries
@@ -439,7 +436,10 @@ impl LiveReport {
                 );
             }
             (Some(pre), None) => {
-                let _ = writeln!(out, "shipped bytes/query: {pre:.1} (no post-migration window)");
+                let _ = writeln!(
+                    out,
+                    "shipped bytes/query: {pre:.1} (no post-migration window)"
+                );
             }
             _ => {}
         }
@@ -580,10 +580,16 @@ mod tests {
         assert!(r.within_budget());
         assert!(r.degraded(), "shed queries mark the run degraded");
         r.max_epoch_migrated_bytes = 65;
-        assert!(!r.within_budget(), "one over-budget epoch must trip the gate");
+        assert!(
+            !r.within_budget(),
+            "one over-budget epoch must trip the gate"
+        );
         r.max_epoch_migrated_bytes = 64;
         r.pre_queries += 1;
-        assert!(!r.counters_consistent(), "window scalars must match histograms");
+        assert!(
+            !r.counters_consistent(),
+            "window scalars must match histograms"
+        );
     }
 
     #[test]

@@ -142,7 +142,8 @@ pub fn place(problem: &CcaProblem, strategy: &Strategy) -> Result<PlacementRepor
             )?;
             let mut placement = rounded.placement;
             if opts.repair && !rounded.within_capacity {
-                let _ = crate::repair::repair_capacity(problem, &mut placement, opts.capacity_slack);
+                let _ =
+                    crate::repair::repair_capacity(problem, &mut placement, opts.capacity_slack);
             }
             Ok(report(
                 problem,

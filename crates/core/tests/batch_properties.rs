@@ -15,8 +15,10 @@ use cca_core::{
     ObjectId, Pair, Placement, PlacementBatch, ReplicaPlacement,
 };
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/batch_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/batch_properties.regressions"
+);
 
 /// Shrinkable description of a random CCA instance with dyadic weights
 /// plus a batch of candidate assignment columns over it.
@@ -40,14 +42,23 @@ impl Shrink for BatchCase {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
         for columns in self.columns.shrink() {
-            out.push(BatchCase { columns, ..self.clone() });
+            out.push(BatchCase {
+                columns,
+                ..self.clone()
+            });
         }
         for pairs in self.pairs.shrink() {
-            out.push(BatchCase { pairs, ..self.clone() });
+            out.push(BatchCase {
+                pairs,
+                ..self.clone()
+            });
         }
         for nodes in self.nodes.shrink() {
             if nodes >= 1 {
-                out.push(BatchCase { nodes, ..self.clone() });
+                out.push(BatchCase {
+                    nodes,
+                    ..self.clone()
+                });
             }
         }
         out
@@ -103,7 +114,9 @@ fn build(c: &BatchCase) -> CcaProblem {
     let nodes = c.nodes.max(1);
     let total: u64 = c.sizes.iter().map(|&s| u64::from(s.max(1))).sum();
     let cap = (total * u64::from(c.cap_sixteenths.max(1))) / 16 + 1;
-    b.uniform_capacities(nodes, cap).build().expect("valid problem")
+    b.uniform_capacities(nodes, cap)
+        .build()
+        .expect("valid problem")
 }
 
 fn candidates(c: &BatchCase, p: &CcaProblem) -> Vec<Placement> {
@@ -418,11 +431,15 @@ fn degenerate_batches_keep_fold_identities() {
 fn zero_weight_edges_keep_serial_bits_at_every_width() {
     let mut b = CcaProblem::builder();
     let objs: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 1)).collect();
-    b.add_pair(objs[0], objs[1], 1e-200, 1e-200).expect("valid pair");
-    b.add_pair(objs[1], objs[2], 0.375, 1.0).expect("valid pair");
-    b.add_pair(objs[2], objs[3], 1e-300, 1e-100).expect("valid pair");
+    b.add_pair(objs[0], objs[1], 1e-200, 1e-200)
+        .expect("valid pair");
+    b.add_pair(objs[1], objs[2], 0.375, 1.0)
+        .expect("valid pair");
+    b.add_pair(objs[2], objs[3], 1e-300, 1e-100)
+        .expect("valid pair");
     b.add_pair(objs[3], objs[4], 0.5, 4.0).expect("valid pair");
-    b.add_pair(objs[4], objs[5], 1e-250, 1e-150).expect("valid pair");
+    b.add_pair(objs[4], objs[5], 1e-250, 1e-150)
+        .expect("valid pair");
     let built = b.uniform_capacities(3, 6).build().expect("valid problem");
     let zero_edges = built.graph().edges().filter(|e| e.weight == 0.0).count();
     assert_eq!(zero_edges, 3, "the r·w products must underflow to 0.0");

@@ -13,8 +13,10 @@ use cca_core::{
     improve_in_place, reconcile, CcaProblem, MigrateOptions, ObjectId, Placement, ReplicaPlacement,
 };
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/graph_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/graph_properties.regressions"
+);
 
 /// Shrinkable description of a random CCA instance with dyadic weights
 /// plus a placement and a move script over it.
@@ -34,15 +36,24 @@ impl Shrink for GraphCase {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
         for moves in self.moves.shrink() {
-            out.push(GraphCase { moves, ..self.clone() });
+            out.push(GraphCase {
+                moves,
+                ..self.clone()
+            });
         }
         for pairs in self.pairs.shrink() {
-            out.push(GraphCase { pairs, ..self.clone() });
+            out.push(GraphCase {
+                pairs,
+                ..self.clone()
+            });
         }
         // The assignment must keep one entry per object.
         for nodes in self.nodes.shrink() {
             if nodes >= 1 {
-                out.push(GraphCase { nodes, ..self.clone() });
+                out.push(GraphCase {
+                    nodes,
+                    ..self.clone()
+                });
             }
         }
         out
@@ -270,7 +281,9 @@ fn csr_structure_matches_pair_list() {
                     prop_assert_eq!(w.to_bits(), p.pairs()[e].weight().to_bits());
                     row_hits[e] += 1;
                     prop_assert!(
-                        graph.neighbors(other).any(|(back, bw)| back == o && bw == w),
+                        graph
+                            .neighbors(other)
+                            .any(|(back, bw)| back == o && bw == w),
                         "row of {other:?} is missing the back-edge to {o:?}"
                     );
                 }

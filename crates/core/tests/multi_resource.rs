@@ -2,11 +2,11 @@
 //! constraints (bandwidth/CPU) across every placement algorithm and both
 //! LP formulations.
 
+use cca_core::Strategy as PlacementStrategy;
 use cca_core::{
     capacity_bounded_clusters, exact_placement, greedy_placement, place, solve_relaxation,
     CcaProblem, ExactOptions, ObjectId, Placement, RelaxMethod, RelaxOptions, Resource,
 };
-use cca_core::Strategy as PlacementStrategy;
 
 /// Two objects that fit together by storage but not by bandwidth.
 fn bandwidth_bound_problem() -> (CcaProblem, ObjectId, ObjectId) {
@@ -67,9 +67,7 @@ fn lprr_respects_secondary_resources() {
     let (p, a, c) = bandwidth_bound_problem();
     let report = place(&p, &PlacementStrategy::lprr()).unwrap();
     assert_ne!(report.placement.node_of(a), report.placement.node_of(c));
-    assert!(report
-        .placement
-        .within_all_capacities(&p, 1.05 + 1e-9));
+    assert!(report.placement.within_all_capacities(&p, 1.05 + 1e-9));
     assert!((report.cost - 5.0).abs() < 1e-9);
 }
 
@@ -184,7 +182,9 @@ fn aggregate_resource_infeasibility_is_detected() {
 #[test]
 fn figure4_and_cutting_plane_agree_with_resources() {
     let mut b = CcaProblem::builder();
-    let objs: Vec<_> = (0..4).map(|i| b.add_object(format!("o{i}"), 4 + i as u64)).collect();
+    let objs: Vec<_> = (0..4)
+        .map(|i| b.add_object(format!("o{i}"), 4 + i as u64))
+        .collect();
     b.add_pair(objs[0], objs[1], 0.8, 3.0).unwrap();
     b.add_pair(objs[2], objs[3], 0.6, 2.0).unwrap();
     b.add_pair(objs[1], objs[2], 0.3, 1.0).unwrap();

@@ -28,8 +28,10 @@ use persist_cases::{
     serving_report,
 };
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/persist_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/persist_properties.regressions"
+);
 
 #[derive(Debug, Clone)]
 struct ReportCase {

@@ -28,17 +28,26 @@ impl Shrink for RandomCca {
         // Pairs shrink freely: `build` indexes objects modulo the count and
         // clamps correlation/cost back into the generator's domain.
         for pairs in self.pairs.shrink() {
-            out.push(RandomCca { pairs, ..self.clone() });
+            out.push(RandomCca {
+                pairs,
+                ..self.clone()
+            });
         }
         // At least one object must survive so modulo indexing stays total.
         for sizes in self.sizes.shrink() {
             if !sizes.is_empty() {
-                out.push(RandomCca { sizes, ..self.clone() });
+                out.push(RandomCca {
+                    sizes,
+                    ..self.clone()
+                });
             }
         }
         for nodes in self.nodes.shrink() {
             if nodes >= 1 {
-                out.push(RandomCca { nodes, ..self.clone() });
+                out.push(RandomCca {
+                    nodes,
+                    ..self.clone()
+                });
             }
         }
         for capacity_headroom in self.capacity_headroom.shrink() {
@@ -96,7 +105,9 @@ fn build(r: &RandomCca) -> CcaProblem {
     let total: u64 = r.sizes.iter().map(|&s| u64::from(s.max(1))).sum();
     // Capacity: enough in aggregate, plus some headroom.
     let cap = (total / nodes as u64 + 1) + u64::from(r.capacity_headroom);
-    b.uniform_capacities(nodes, cap).build().expect("valid problem")
+    b.uniform_capacities(nodes, cap)
+        .build()
+        .expect("valid problem")
 }
 
 /// Costs are within [0, total weight]; co-locating everything on one
@@ -375,7 +386,10 @@ fn builder_rejects_malformed_instances() {
             // Zero-size object: poison one size.
             let mut b = CcaProblem::builder();
             for (i, &s) in r.sizes.iter().enumerate() {
-                b.add_object(format!("o{i}"), if i == 0 { 0 } else { u64::from(s.max(1)) });
+                b.add_object(
+                    format!("o{i}"),
+                    if i == 0 { 0 } else { u64::from(s.max(1)) },
+                );
             }
             let nodes = r.nodes.max(1);
             prop_assert_eq!(
@@ -449,18 +463,27 @@ fn rounding_is_thread_count_invariant() {
             |(r, seed)| {
                 let p = build(r);
                 let vertex = construct_clustered_vertex(&p).expect("aggregate capacity suffices");
-                let serial =
-                    round_best_of_within(&vertex.fractional, &p, 24, 1.05, None, *seed, 1)
-                        .expect("stochastic vertex rounds");
+                let serial = round_best_of_within(&vertex.fractional, &p, 24, 1.05, None, *seed, 1)
+                    .expect("stochastic vertex rounds");
                 let serial_samples =
                     round_samples(&vertex.fractional, 24, *seed, 1).expect("samples");
                 for threads in [2usize, 8] {
-                    let par =
-                        round_best_of_within(&vertex.fractional, &p, 24, 1.05, None, *seed, threads)
-                            .expect("stochastic vertex rounds");
+                    let par = round_best_of_within(
+                        &vertex.fractional,
+                        &p,
+                        24,
+                        1.05,
+                        None,
+                        *seed,
+                        threads,
+                    )
+                    .expect("stochastic vertex rounds");
                     prop_assert_eq!(par.placement.as_slice(), serial.placement.as_slice());
                     prop_assert_eq!(par.cost.to_bits(), serial.cost.to_bits());
-                    prop_assert_eq!(par.max_load_ratio.to_bits(), serial.max_load_ratio.to_bits());
+                    prop_assert_eq!(
+                        par.max_load_ratio.to_bits(),
+                        serial.max_load_ratio.to_bits()
+                    );
                     prop_assert_eq!(par.repetitions, serial.repetitions);
                     prop_assert_eq!(par.within_capacity, serial.within_capacity);
                     let par_samples =
@@ -495,10 +518,7 @@ fn lprr_solve_is_thread_count_invariant() {
                     Ok(serial) => {
                         for threads in [2usize, 8] {
                             let par = place(&p, &opts(threads)).expect("same LP, same outcome");
-                            prop_assert_eq!(
-                                par.placement.as_slice(),
-                                serial.placement.as_slice()
-                            );
+                            prop_assert_eq!(par.placement.as_slice(), serial.placement.as_slice());
                             prop_assert_eq!(par.cost.to_bits(), serial.cost.to_bits());
                         }
                         Ok(())

@@ -19,8 +19,10 @@ use cca_core::{
 };
 use std::ops::Range;
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/shard_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/shard_properties.regressions"
+);
 
 /// Shrinkable description of a random CCA instance with dyadic weights
 /// plus a batch of candidate placements over it.
@@ -38,16 +40,25 @@ impl Shrink for ShardCase {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
         for pairs in self.pairs.shrink() {
-            out.push(ShardCase { pairs, ..self.clone() });
+            out.push(ShardCase {
+                pairs,
+                ..self.clone()
+            });
         }
         for candidates in self.candidates.shrink() {
             if !candidates.is_empty() {
-                out.push(ShardCase { candidates, ..self.clone() });
+                out.push(ShardCase {
+                    candidates,
+                    ..self.clone()
+                });
             }
         }
         for nodes in self.nodes.shrink() {
             if nodes >= 1 {
-                out.push(ShardCase { nodes, ..self.clone() });
+                out.push(ShardCase {
+                    nodes,
+                    ..self.clone()
+                });
             }
         }
         out
@@ -272,7 +283,9 @@ fn problem_dispatch_and_restriction_preserve_bits() {
             let sub_sharded = sub.sharded().expect("sharding must survive restrict_to");
             prop_assert_eq!(owned_edges(sub_sharded), sub.pairs().len());
             let sub_pl = Placement::new(
-                (0..sub.num_objects() as u32).map(|i| i % sub.num_nodes() as u32).collect(),
+                (0..sub.num_objects() as u32)
+                    .map(|i| i % sub.num_nodes() as u32)
+                    .collect(),
                 sub.num_nodes(),
             );
             for threads in THREADS {

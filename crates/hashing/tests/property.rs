@@ -119,7 +119,10 @@ fn hash_placement_balance() {
         let expected = total as f64 / nodes as f64;
         for (node, &c) in counts.iter().enumerate() {
             let dev = (c as f64 - expected).abs() / expected;
-            assert!(dev < 0.15, "node {node}/{nodes}: count {c}, expected {expected}");
+            assert!(
+                dev < 0.15,
+                "node {node}/{nodes}: count {c}, expected {expected}"
+            );
         }
     }
 }

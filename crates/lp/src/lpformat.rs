@@ -33,7 +33,13 @@ impl std::error::Error for ParseLpError {}
 fn sanitise(name: &str, fallback: &str) -> String {
     let mut out: String = name
         .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' || c == '.' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect();
     if out.is_empty()
         || out.starts_with(|c: char| c.is_ascii_digit() || c == '.')
@@ -285,9 +291,10 @@ pub fn parse_lp(text: &str) -> Result<Model, ParseLpError> {
                     pending = Some(line.to_string());
                 }
                 // Flush immediately when the relation is present.
-                if pending.as_deref().is_some_and(|b| {
-                    b.contains("<=") || b.contains(">=") || b.rfind('=').is_some()
-                }) {
+                if pending
+                    .as_deref()
+                    .is_some_and(|b| b.contains("<=") || b.contains(">=") || b.rfind('=').is_some())
+                {
                     let buf = pending.take().expect("just checked");
                     flush(&buf, &mut constraints, line_no)?;
                 }
@@ -361,7 +368,11 @@ fn parse_terms(text: &str, line_no: usize) -> Result<Vec<(String, f64)>, ParseLp
     let mut terms = Vec::new();
     let mut sign = 1.0;
     let mut coeff: Option<f64> = None;
-    for token in text.replace('+', " + ").replace('-', " - ").split_whitespace() {
+    for token in text
+        .replace('+', " + ")
+        .replace('-', " - ")
+        .split_whitespace()
+    {
         match token {
             "+" => {
                 sign = 1.0;
@@ -369,7 +380,11 @@ fn parse_terms(text: &str, line_no: usize) -> Result<Vec<(String, f64)>, ParseLp
             "-" => {
                 sign = -sign;
             }
-            t if t.chars().next().is_some_and(|c| c.is_ascii_digit() || c == '.') => {
+            t if t
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_ascii_digit() || c == '.') =>
+            {
                 let v: f64 = t.parse().map_err(|_| ParseLpError {
                     line: line_no,
                     message: format!("invalid number {t:?}"),

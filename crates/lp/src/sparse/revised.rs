@@ -222,9 +222,8 @@ impl<'a> Simplex<'a> {
                     return Err(LpError::DeadlineExceeded {
                         iterations: self.iterations,
                         elapsed_ms: self.started.elapsed().as_millis() as u64,
-                        budget_ms: deadline
-                            .saturating_duration_since(self.started)
-                            .as_millis() as u64,
+                        budget_ms: deadline.saturating_duration_since(self.started).as_millis()
+                            as u64,
                     });
                 }
             }
@@ -506,7 +505,9 @@ mod tests {
     #[test]
     fn frequent_refactorisation_gives_same_answer() {
         let mut m = Model::minimize();
-        let vars: Vec<_> = (0..6).map(|i| m.add_var(format!("x{i}"), 1.0 + i as f64)).collect();
+        let vars: Vec<_> = (0..6)
+            .map(|i| m.add_var(format!("x{i}"), 1.0 + i as f64))
+            .collect();
         for r in 0..4 {
             let row = m.add_constraint(format!("r{r}"), Relation::Ge, 3.0 + r as f64);
             for (i, &v) in vars.iter().enumerate() {

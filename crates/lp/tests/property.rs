@@ -24,17 +24,26 @@ impl Shrink for RandomLp {
         // Rows shrink freely (structurally and element-wise): `build` is
         // total for any row content.
         for rows in self.rows.shrink() {
-            out.push(RandomLp { rows, ..self.clone() });
+            out.push(RandomLp {
+                rows,
+                ..self.clone()
+            });
         }
         // The objective length fixes the variable count, so only same-length
         // (element-wise) candidates are valid.
         for objective in self.objective.shrink() {
             if objective.len() == self.objective.len() {
-                out.push(RandomLp { objective, ..self.clone() });
+                out.push(RandomLp {
+                    objective,
+                    ..self.clone()
+                });
             }
         }
         if self.maximize {
-            out.push(RandomLp { maximize: false, ..self.clone() });
+            out.push(RandomLp {
+                maximize: false,
+                ..self.clone()
+            });
         }
         out
     }
@@ -145,7 +154,11 @@ fn strong_duality_holds() {
                     .collect();
                 let mut dual_obj = 0.0;
                 // Row handles are dense indices by construction.
-                for (rhs, dual) in kept_rhs.iter().zip(&sol.duals).take(model.num_constraints()) {
+                for (rhs, dual) in kept_rhs
+                    .iter()
+                    .zip(&sol.duals)
+                    .take(model.num_constraints())
+                {
                     dual_obj += dual * rhs;
                 }
                 let scale = 1.0 + sol.objective.abs();

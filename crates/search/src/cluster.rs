@@ -209,9 +209,9 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::stopwords::StopwordList;
-    use cca_trace::{Corpus, TraceConfig, Vocabulary};
     use cca_rand::rngs::StdRng;
     use cca_rand::SeedableRng;
+    use cca_trace::{Corpus, TraceConfig, Vocabulary};
 
     #[test]
     fn placement_and_relocation_track_storage() {

@@ -128,9 +128,9 @@ impl DocPartitionedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_trace::TraceConfig;
     use cca_rand::rngs::StdRng;
     use cca_rand::SeedableRng;
+    use cca_trace::TraceConfig;
 
     fn fixture() -> (Corpus, Vocabulary, QueryLog) {
         let cfg = TraceConfig::tiny();

@@ -559,9 +559,9 @@ impl<'a> QueryEngine<'a> {
 mod tests {
     use super::*;
     use crate::stopwords::StopwordList;
-    use cca_trace::{Corpus, Query, TraceConfig, Vocabulary};
     use cca_rand::rngs::StdRng;
     use cca_rand::SeedableRng;
+    use cca_trace::{Corpus, Query, TraceConfig, Vocabulary};
 
     /// Builds a hand-crafted index: word ids 0..4 with controlled posting
     /// sizes, placed on 2 nodes.

@@ -170,9 +170,9 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cca_trace::TraceConfig;
     use cca_rand::rngs::StdRng;
     use cca_rand::SeedableRng;
+    use cca_trace::TraceConfig;
 
     fn build_tiny() -> (InvertedIndex, Vocabulary, Corpus) {
         let cfg = TraceConfig::tiny();

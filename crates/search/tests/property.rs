@@ -18,43 +18,49 @@ fn pages(raw: &BTreeSet<u64>) -> Vec<PageId> {
 /// Posting-list intersection and union agree with set semantics.
 #[test]
 fn set_algebra() {
-    Checker::new("set_algebra").cases(200).regressions(REGRESSIONS).run(
-        |rng| {
-            (
-                gen::btree_set(rng, 0..40, |r| gen::int(r, 0u64..100)),
-                gen::btree_set(rng, 0..40, |r| gen::int(r, 0u64..100)),
-            )
-        },
-        |(a, b)| {
-            let (pa, pb) = (pages(a), pages(b));
-            let want_and: Vec<PageId> = a.intersection(b).map(|&x| PageId(x)).collect();
-            let want_or: Vec<PageId> = a.union(b).map(|&x| PageId(x)).collect();
-            prop_assert_eq!(InvertedIndex::intersect(&pa, &pb), want_and);
-            prop_assert_eq!(InvertedIndex::union(&pa, &pb), want_or);
-            Ok(())
-        },
-    );
+    Checker::new("set_algebra")
+        .cases(200)
+        .regressions(REGRESSIONS)
+        .run(
+            |rng| {
+                (
+                    gen::btree_set(rng, 0..40, |r| gen::int(r, 0u64..100)),
+                    gen::btree_set(rng, 0..40, |r| gen::int(r, 0u64..100)),
+                )
+            },
+            |(a, b)| {
+                let (pa, pb) = (pages(a), pages(b));
+                let want_and: Vec<PageId> = a.intersection(b).map(|&x| PageId(x)).collect();
+                let want_or: Vec<PageId> = a.union(b).map(|&x| PageId(x)).collect();
+                prop_assert_eq!(InvertedIndex::intersect(&pa, &pb), want_and);
+                prop_assert_eq!(InvertedIndex::union(&pa, &pb), want_or);
+                Ok(())
+            },
+        );
 }
 
 /// Intersection is commutative and bounded by either input.
 #[test]
 fn intersection_commutative() {
-    Checker::new("intersection_commutative").cases(200).regressions(REGRESSIONS).run(
-        |rng| {
-            (
-                gen::btree_set(rng, 0..30, |r| gen::int(r, 0u64..60)),
-                gen::btree_set(rng, 0..30, |r| gen::int(r, 0u64..60)),
-            )
-        },
-        |(a, b)| {
-            let (pa, pb) = (pages(a), pages(b));
-            let ab = InvertedIndex::intersect(&pa, &pb);
-            let ba = InvertedIndex::intersect(&pb, &pa);
-            prop_assert_eq!(&ab, &ba);
-            prop_assert!(ab.len() <= pa.len().min(pb.len()));
-            Ok(())
-        },
-    );
+    Checker::new("intersection_commutative")
+        .cases(200)
+        .regressions(REGRESSIONS)
+        .run(
+            |rng| {
+                (
+                    gen::btree_set(rng, 0..30, |r| gen::int(r, 0u64..60)),
+                    gen::btree_set(rng, 0..30, |r| gen::int(r, 0u64..60)),
+                )
+            },
+            |(a, b)| {
+                let (pa, pb) = (pages(a), pages(b));
+                let ab = InvertedIndex::intersect(&pa, &pb);
+                let ba = InvertedIndex::intersect(&pb, &pa);
+                prop_assert_eq!(&ab, &ba);
+                prop_assert!(ab.len() <= pa.len().min(pb.len()));
+                Ok(())
+            },
+        );
 }
 
 struct Fixture {

@@ -102,7 +102,12 @@ impl Corpus {
         let total: usize = self
             .documents
             .iter()
-            .map(|d| d.words.iter().filter(|&&w| !vocabulary.is_stopword(w)).count())
+            .map(|d| {
+                d.words
+                    .iter()
+                    .filter(|&&w| !vocabulary.is_stopword(w))
+                    .count()
+            })
             .sum();
         total as f64 / self.documents.len() as f64
     }

@@ -105,13 +105,10 @@ pub fn write_query_log<W: Write>(mut writer: W, log: &QueryLog) -> Result<(), Pe
 /// ids, ids outside the declared universe, or empty/duplicate-word queries.
 pub fn read_query_log<R: Read>(reader: R) -> Result<QueryLog, PersistError> {
     let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .transpose()?
-        .ok_or(PersistError::Format {
-            line: 1,
-            message: "empty input".into(),
-        })?;
+    let header = lines.next().transpose()?.ok_or(PersistError::Format {
+        line: 1,
+        message: "empty input".into(),
+    })?;
     let universe: usize = header
         .strip_prefix("# cca-query-log v1 universe=")
         .and_then(|u| u.trim().parse().ok())
@@ -199,7 +196,10 @@ mod tests {
             ("# cca-query-log v1 universe=5\nx y\n", "non-numeric"),
             ("# cca-query-log v1 universe=5\n7\n", "out of universe"),
             ("# cca-query-log v1 universe=5\n1 1\n", "duplicate"),
-            ("# cca-query-log v1 universe=5\n   \n", "empty query counts as blank"),
+            (
+                "# cca-query-log v1 universe=5\n   \n",
+                "empty query counts as blank",
+            ),
         ] {
             let res = read_query_log(text.as_bytes());
             if what == "empty query counts as blank" {

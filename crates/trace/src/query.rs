@@ -120,8 +120,7 @@ impl QueryModel {
             let mut words = Vec::with_capacity(len);
             let mut guard = 0;
             while words.len() < len && guard < 1000 {
-                let w =
-                    WordId((config.num_stopwords + phrase_word_pop.sample(rng)) as u32);
+                let w = WordId((config.num_stopwords + phrase_word_pop.sample(rng)) as u32);
                 if !words.contains(&w) {
                     words.push(w);
                 }

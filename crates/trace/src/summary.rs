@@ -98,11 +98,7 @@ impl WorkloadSummary {
         let _ = writeln!(out, "distinct keywords:    {}", self.distinct_keywords);
         let _ = writeln!(out, "distinct pairs:       {}", self.distinct_pairs);
         if let Some(ratio) = self.skew_ratio {
-            let _ = writeln!(
-                out,
-                "pair skew (1/{}):   {ratio:.1}x",
-                self.skew_rank
-            );
+            let _ = writeln!(out, "pair skew (1/{}):   {ratio:.1}x", self.skew_rank);
         }
         if let Some(fit) = self.pair_skew_fit {
             let _ = writeln!(
@@ -162,10 +158,7 @@ mod tests {
         let s = WorkloadSummary::of(&w.queries, 50);
         assert_eq!(s.num_queries, w.queries.len());
         assert!((s.mean_query_length - w.queries.mean_length()).abs() < 1e-12);
-        assert_eq!(
-            s.length_histogram.iter().sum::<usize>(),
-            w.queries.len()
-        );
+        assert_eq!(s.length_histogram.iter().sum::<usize>(), w.queries.len());
         assert!(s.skew_ratio.is_some());
         assert!(s.pair_skew_fit.is_some());
         assert!(!s.report().is_empty());

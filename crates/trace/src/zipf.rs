@@ -30,7 +30,10 @@ impl Zipf {
     #[must_use]
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf support must be non-empty");
-        assert!(s.is_finite() && s >= 0.0, "exponent must be finite and >= 0");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "exponent must be finite and >= 0"
+        );
         let mut cumulative = Vec::with_capacity(n);
         let mut total = 0.0;
         for k in 0..n {
@@ -79,7 +82,9 @@ impl Zipf {
         let u = rng.random::<f64>() * total;
         // partition_point returns the first rank whose cumulative weight
         // exceeds u.
-        self.cumulative.partition_point(|&c| c <= u).min(self.cumulative.len() - 1)
+        self.cumulative
+            .partition_point(|&c| c <= u)
+            .min(self.cumulative.len() - 1)
     }
 }
 

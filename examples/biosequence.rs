@@ -46,8 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for _ in 0..num_queries {
         let parts: Vec<usize> = if rng.random::<f64>() < 0.8 {
             let g = group_dist.sample(&mut rng);
-            let members: Vec<usize> =
-                (0..num_partitions).filter(|&p| group_of[p] == g).collect();
+            let members: Vec<usize> = (0..num_partitions).filter(|&p| group_of[p] == g).collect();
             let take = 2 + rng.random_range(0..3.min(members.len() - 1));
             let mut chosen = members;
             // Fisher–Yates prefix shuffle.

@@ -58,9 +58,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let feb_rand = replay_on(&random.placement, &feb_log);
     let feb_lprr = replay_on(&lprr.placement, &feb_log);
     for (name, stats, base) in [
-        ("January log, random placement", &jan_rand, jan_rand.total_bytes),
-        ("January log, LPRR placement", &jan_lprr, jan_rand.total_bytes),
-        ("February log, random placement", &feb_rand, feb_rand.total_bytes),
+        (
+            "January log, random placement",
+            &jan_rand,
+            jan_rand.total_bytes,
+        ),
+        (
+            "January log, LPRR placement",
+            &jan_lprr,
+            jan_rand.total_bytes,
+        ),
+        (
+            "February log, random placement",
+            &feb_rand,
+            feb_rand.total_bytes,
+        ),
         (
             "February log, January's LPRR placement",
             &feb_lprr,

@@ -89,11 +89,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "{:>14} {:>16} {:>16} {:>8}   (in-place local search)",
-        "-", inplace.migrated_bytes, replay(&inplace.placement), inplace.moves
+        "-",
+        inplace.migrated_bytes,
+        replay(&inplace.placement),
+        inplace.moves
     );
     println!(
         "{:>14} {:>16} {:>16} {:>8}   (install target outright)",
-        "unlimited", full_migration, replay(&target.placement), "-"
+        "unlimited",
+        full_migration,
+        replay(&target.placement),
+        "-"
     );
     println!();
     println!("The reconciler ships only moves that pay for themselves under the");

@@ -38,7 +38,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Keyword-based partitioning under each placement strategy.
     for (name, strategy, s) in [
-        ("keyword-partitioned, random hash", Strategy::RandomHash, None),
+        (
+            "keyword-partitioned, random hash",
+            Strategy::RandomHash,
+            None,
+        ),
         ("keyword-partitioned, greedy", Strategy::Greedy, Some(scope)),
         ("keyword-partitioned, LPRR", Strategy::lprr(), Some(scope)),
     ] {

@@ -63,9 +63,9 @@
 use cca::algo::{
     compose_with_hashed_rest, figure4::Figure4Lp, format_placement, format_replica_placement,
     format_report, greedy_placement, importance_ranking, round_samples_scored, scope_subproblem,
-    solve_relaxation, solve_resilient_replicated,
-    spread_copies, validate_replica_spec, ControllerConfig, DomainTree, FaultPlan, ObjectId,
-    RelaxOptions, ResilienceOptions, Rung, SolveBudget, Strategy,
+    solve_relaxation, solve_resilient_replicated, spread_copies, validate_replica_spec,
+    ControllerConfig, DomainTree, FaultPlan, ObjectId, RelaxOptions, ResilienceOptions, Rung,
+    SolveBudget, Strategy,
 };
 use cca::online::{run_online, OnlineConfig};
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -220,9 +220,7 @@ fn usage() -> &'static str {
 /// oversized value is a usage error instead of an allocation failure, a
 /// flood of OS threads or a run that never ends.
 fn parse_count(flag: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64, String> {
-    let n: u64 = raw
-        .parse()
-        .map_err(|e| format!("{flag}: {e}"))?;
+    let n: u64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
     if n < *range.start() {
         return Err(format!("{flag} must be at least {}", range.start()));
     }
@@ -239,7 +237,11 @@ fn parse_count(flag: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64,
 fn parse_real(flag: &str, raw: &str, zero: bool, max: f64) -> Result<f64, String> {
     let f: f64 = raw.parse().map_err(|e| format!("{flag}: {e}"))?;
     if !(f.is_finite() && (f > 0.0 || zero && f == 0.0)) {
-        let what = if zero { "a finite non-negative" } else { "a positive" };
+        let what = if zero {
+            "a finite non-negative"
+        } else {
+            "a positive"
+        };
         return Err(format!("{flag} must be {what} number"));
     }
     if f > max {
@@ -356,9 +358,7 @@ fn build_pipeline(args: &Args) -> Result<Pipeline, String> {
 fn replica_spec(args: &Args) -> Result<DomainTree, String> {
     let tree = match &args.domains {
         None => DomainTree::flat(args.nodes),
-        Some(spec) => {
-            DomainTree::parse(spec, args.nodes).map_err(|e| format!("--domains: {e}"))?
-        }
+        Some(spec) => DomainTree::parse(spec, args.nodes).map_err(|e| format!("--domains: {e}"))?,
     };
     validate_replica_spec(args.replicas, &tree).map_err(|e| format!("--replicas: {e}"))?;
     Ok(tree)
@@ -385,8 +385,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     println!("problem pairs:        {}", p.problem.pairs().len());
     println!("node capacity:        {} bytes", p.problem.capacity(0));
     if let Some(path) = &args.out {
-        let mut file =
-            std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
+        let mut file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
         cca::trace::write_query_log(&mut file, &p.workload.queries)
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote query log to {path}");
@@ -431,7 +430,10 @@ fn print_loads(problem: &cca::algo::CcaProblem, placement: &cca::algo::Placement
     let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
     println!("per-node loads (bytes; mean {mean:.0}):");
     for (k, load) in loads.iter().enumerate() {
-        println!("  node {k:>3}: {load:>12} ({:.2}x mean)", *load as f64 / mean);
+        println!(
+            "  node {k:>3}: {load:>12} ({:.2}x mean)",
+            *load as f64 / mean
+        );
     }
 }
 
@@ -482,14 +484,22 @@ fn cmd_place(args: &Args) -> Result<ExitCode, String> {
     print!("{}", audit.report());
     print_loads(&p.problem, &report.placement);
     if let Some(path) = &args.out {
-        save(path, &format_placement(&p.problem, &report.placement), "placement")?;
+        save(
+            path,
+            &format_placement(&p.problem, &report.placement),
+            "placement",
+        )?;
     }
     Ok(exit_taxonomy(!audit.feasible(), false))
 }
 
 fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
-    let start = Rung::parse(&args.strategy)
-        .ok_or_else(|| format!("unknown strategy {} (lprr|partial-lprr|greedy|hash)", args.strategy))?;
+    let start = Rung::parse(&args.strategy).ok_or_else(|| {
+        format!(
+            "unknown strategy {} (lprr|partial-lprr|greedy|hash)",
+            args.strategy
+        )
+    })?;
     let floor = match &args.min_strategy {
         None => Rung::Hash,
         Some(s) => Rung::parse(s)
@@ -520,7 +530,11 @@ fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
     print!("{}", r.audit.report());
     print_loads(&r.effective_problem, &r.placement);
     if let Some(path) = &args.out {
-        save(path, &format_placement(&r.effective_problem, &r.placement), "placement")?;
+        save(
+            path,
+            &format_placement(&r.effective_problem, &r.placement),
+            "placement",
+        )?;
     }
     Ok(exit_taxonomy(!r.audit.feasible(), r.report.degraded))
 }
@@ -562,7 +576,10 @@ fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, Stri
         args.replicas,
     )
     .map_err(|e| e.to_string())?;
-    println!("strategy:   {} (replicated x{})", r.base.report.selected, args.replicas);
+    println!(
+        "strategy:   {} (replicated x{})",
+        r.base.report.selected, args.replicas
+    );
     println!("model cost: {:.2}", r.cost);
     println!(
         "replicas:   {} copies across {} leaf domains (spread valid: {})",
@@ -576,7 +593,10 @@ fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, Stri
     let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
     println!("per-node copy-inclusive loads (bytes; mean {mean:.0}):");
     for (k, load) in loads.iter().enumerate() {
-        println!("  node {k:>3}: {load:>12} ({:.2}x mean)", *load as f64 / mean);
+        println!(
+            "  node {k:>3}: {load:>12} ({:.2}x mean)",
+            *load as f64 / mean
+        );
     }
     if let Some(path) = &args.out {
         let text = format_replica_placement(&r.base.effective_problem, &r.replica);
@@ -614,15 +634,23 @@ fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
     let seed_placement = greedy_placement(&sub);
     let outcome = solve_relaxation(&sub, Some(&seed_placement), &RelaxOptions::default())
         .map_err(|e| e.to_string())?;
-    let (samples, model_costs) =
-        round_samples_scored(&outcome.fractional, &sub, args.candidates, args.seed, threads)
-            .map_err(|e| e.to_string())?;
+    let (samples, model_costs) = round_samples_scored(
+        &outcome.fractional,
+        &sub,
+        args.candidates,
+        args.seed,
+        threads,
+    )
+    .map_err(|e| e.to_string())?;
     let full: Vec<cca::algo::Placement> = samples
         .iter()
         .map(|s| compose_with_hashed_rest(&p.problem, &scope, s))
         .collect();
     let probed = p.probe_batch(&full);
-    println!("{:>9} {:>16} {:>16}", "candidate", "model cost", "probe bytes");
+    println!(
+        "{:>9} {:>16} {:>16}",
+        "candidate", "model cost", "probe bytes"
+    );
     let mut best: usize = 0;
     for (i, (&bytes, &cost)) in probed.iter().zip(&model_costs).enumerate() {
         println!("{i:>9} {cost:>16.2} {bytes:>16}");
@@ -656,7 +684,11 @@ fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
             rp.spread_valid(&tree)
         );
         if let Some(path) = &args.out {
-            save(path, &format_replica_placement(&p.problem, &rp), "replica placement")?;
+            save(
+                path,
+                &format_replica_placement(&p.problem, &rp),
+                "replica placement",
+            )?;
         }
         return Ok(exit_taxonomy(!audit.feasible(), false));
     }
@@ -799,10 +831,7 @@ fn cmd_serve(args: &Args) -> Result<ExitCode, String> {
         args.queries as f64 / elapsed.as_secs_f64().max(1e-9)
     ));
     emit_report(&text, &summary, args.out.as_deref(), "serving report")?;
-    Ok(exit_taxonomy(
-        !audit.feasible(),
-        outcome.report.degraded(),
-    ))
+    Ok(exit_taxonomy(!audit.feasible(), outcome.report.degraded()))
 }
 
 /// `cca live`: the live re-optimizing runtime (DESIGN.md §14). Places

@@ -18,7 +18,9 @@
 //! [`OnlineConfig::seed`] independently of the pipeline seed.
 
 use crate::pipeline::{CorrelationMode, Pipeline};
-use cca_core::controller::{Controller, ControllerConfig, ControllerReport, EpochObservation, EpochOutcome};
+use cca_core::controller::{
+    Controller, ControllerConfig, ControllerReport, EpochObservation, EpochOutcome,
+};
 use cca_core::{greedy_placement, CcaProblem, FaultPlan, ObjectId, Placement};
 use cca_rand::rngs::StdRng;
 use cca_rand::SeedableRng;

@@ -5,9 +5,11 @@
 //! Every figure harness and example builds on this module.
 
 use cca_core::{
-    place, place_partial, CcaProblem, ObjectId, Placement, PlacementReport, PlaceError, Strategy,
+    place, place_partial, CcaProblem, ObjectId, PlaceError, Placement, PlacementReport, Strategy,
 };
-use cca_search::{AggregationPolicy, Cluster, ExecutionStats, InvertedIndex, QueryEngine, StopwordList};
+use cca_search::{
+    AggregationPolicy, Cluster, ExecutionStats, InvertedIndex, QueryEngine, StopwordList,
+};
 use cca_trace::{PairStats, TraceConfig, WordId, Workload};
 
 /// How pair correlations are estimated from the query log.
@@ -114,7 +116,11 @@ impl Pipeline {
     pub fn build(config: &PipelineConfig) -> Self {
         assert!(config.num_nodes > 0, "pipeline needs at least one node");
         let workload = Workload::generate(&config.trace, config.seed);
-        let index = InvertedIndex::build(&workload.corpus, &workload.vocabulary, &StopwordList::smart());
+        let index = InvertedIndex::build(
+            &workload.corpus,
+            &workload.vocabulary,
+            &StopwordList::smart(),
+        );
 
         let stats = match config.correlation {
             CorrelationMode::AllPairs => PairStats::from_log(&workload.queries),
@@ -173,9 +179,7 @@ impl Pipeline {
         let capacity = (self.config.capacity_factor * self.index.total_bytes() as f64
             / num_nodes as f64)
             .ceil() as u64;
-        self.problem = self
-            .problem
-            .with_capacities(vec![capacity; num_nodes]);
+        self.problem = self.problem.with_capacities(vec![capacity; num_nodes]);
     }
 
     /// Computes a placement: full optimization (`scope = None`) or
@@ -349,7 +353,10 @@ fn assemble_problem(
         if r + 1e-15 < noise_floor {
             continue;
         }
-        let (oa, ob) = (object_of_word[pair.0.index()], object_of_word[pair.1.index()]);
+        let (oa, ob) = (
+            object_of_word[pair.0.index()],
+            object_of_word[pair.1.index()],
+        );
         if oa == usize::MAX || ob == usize::MAX {
             continue; // a queried word absent from the corpus
         }
@@ -404,8 +411,7 @@ mod tests {
     #[test]
     fn capacity_is_factor_times_average() {
         let p = tiny_pipeline();
-        let expected =
-            (2.0 * p.index.total_bytes() as f64 / 3.0).ceil() as u64;
+        let expected = (2.0 * p.index.total_bytes() as f64 / 3.0).ceil() as u64;
         assert_eq!(p.problem.capacity(0), expected);
     }
 

@@ -304,7 +304,11 @@ fn build_live_report(
     let last = records.iter().rposition(|r| r.migrated_bytes > 0);
     let mut stream = String::new();
     for (i, r) in records.iter().enumerate() {
-        let _ = writeln!(stream, "{}\t{}\t{}", r.epoch, r.migrated_bytes, r.report.digest);
+        let _ = writeln!(
+            stream,
+            "{}\t{}\t{}",
+            r.epoch, r.migrated_bytes, r.report.digest
+        );
         report.queries += r.report.queries;
         report.served += r.report.served;
         report.degraded += r.report.degraded;
@@ -484,7 +488,10 @@ mod tests {
         assert_eq!(out.report.migration_epochs, 0);
         assert_eq!(out.report.pre_epochs, out.report.epochs);
         assert_eq!(out.report.post_epochs, 0);
-        assert!(!out.report.improved(), "no post window, no improvement claim");
+        assert!(
+            !out.report.improved(),
+            "no post window, no improvement claim"
+        );
     }
 
     #[test]

@@ -301,9 +301,11 @@ pub fn serve(
                 admitted.push(k);
                 None
             };
-            answers.push(shed.map(|status| {
-                estimate_response(first + k, status, words, est_bytes, overhead_ns)
-            }));
+            answers.push(
+                shed.map(|status| {
+                    estimate_response(first + k, status, words, est_bytes, overhead_ns)
+                }),
+            );
         }
         carried = admitted.len();
 
@@ -442,7 +444,10 @@ mod tests {
             assert_eq!(resp.status, ResponseStatus::Served);
             assert_eq!(resp.bytes, serial.comm_bytes, "query {i}");
             assert_eq!(resp.pages, serial.pages.len() as u64, "query {i}");
-            assert_eq!(resp.latency_ns, service_ns(q.words.len(), serial.comm_bytes));
+            assert_eq!(
+                resp.latency_ns,
+                service_ns(q.words.len(), serial.comm_bytes)
+            );
         }
     }
 
@@ -472,7 +477,10 @@ mod tests {
                     ..ServeConfig::default()
                 },
             );
-            assert_eq!(out.report, base.report, "inflight {inflight} threads {threads}");
+            assert_eq!(
+                out.report, base.report,
+                "inflight {inflight} threads {threads}"
+            );
             assert_eq!(out.responses, base.responses);
         }
         // Batching telemetry is where the window size is allowed to show.
@@ -507,7 +515,13 @@ mod tests {
             burst: Some(queries.len()),
             ..ServeConfig::default()
         };
-        let out = serve(&p.index, &cluster, p.config().aggregation, &queries, &config);
+        let out = serve(
+            &p.index,
+            &cluster,
+            p.config().aggregation,
+            &queries,
+            &config,
+        );
         assert!(out.report.counters_consistent());
         assert_eq!(out.responses.len(), queries.len());
         assert!(out.report.shed_overload > 0, "10x capacity must overflow");

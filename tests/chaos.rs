@@ -31,7 +31,8 @@ fn chaos_problem() -> CcaProblem {
     for g in 0..4 {
         for i in 0..3 {
             for j in i + 1..3 {
-                b.add_pair(objs[g * 3 + i], objs[g * 3 + j], 0.8, 5.0).unwrap();
+                b.add_pair(objs[g * 3 + i], objs[g * 3 + j], 0.8, 5.0)
+                    .unwrap();
             }
         }
     }
@@ -40,13 +41,40 @@ fn chaos_problem() -> CcaProblem {
 
 fn fault_grid(seed: u64) -> Vec<FaultPlan> {
     vec![
-        FaultPlan { seed, ..FaultPlan::default() },
-        FaultPlan { seed, exhaust_lp_iterations: true, ..FaultPlan::default() },
-        FaultPlan { seed, poison_lp_after: Some(0), ..FaultPlan::default() },
-        FaultPlan { seed, poison_lp_after: Some(5), ..FaultPlan::default() },
-        FaultPlan { seed, fail_rounding: true, ..FaultPlan::default() },
-        FaultPlan { seed, drop_nodes: 1, ..FaultPlan::default() },
-        FaultPlan { seed, drop_nodes: 2, ..FaultPlan::default() },
+        FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            exhaust_lp_iterations: true,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            poison_lp_after: Some(0),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            poison_lp_after: Some(5),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            fail_rounding: true,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            drop_nodes: 1,
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed,
+            drop_nodes: 2,
+            ..FaultPlan::default()
+        },
         FaultPlan {
             seed,
             exhaust_lp_iterations: true,
@@ -100,8 +128,18 @@ fn same_seed_same_plan_is_byte_identical() {
         assert_eq!(a.report.floor_overridden, b.report.floor_overridden);
         assert_eq!(a.report.repaired, b.report.repaired);
         assert_eq!(a.cost, b.cost);
-        let outcomes_a: Vec<_> = a.report.attempts.iter().map(|x| x.outcome.clone()).collect();
-        let outcomes_b: Vec<_> = b.report.attempts.iter().map(|x| x.outcome.clone()).collect();
+        let outcomes_a: Vec<_> = a
+            .report
+            .attempts
+            .iter()
+            .map(|x| x.outcome.clone())
+            .collect();
+        let outcomes_b: Vec<_> = b
+            .report
+            .attempts
+            .iter()
+            .map(|x| x.outcome.clone())
+            .collect();
         assert_eq!(outcomes_a, outcomes_b);
     }
 }
@@ -112,24 +150,44 @@ fn reports_name_the_injected_fault() {
     let opts = ResilienceOptions::default();
     for (plan, needle) in [
         (
-            FaultPlan { seed: 3, exhaust_lp_iterations: true, ..FaultPlan::default() },
+            FaultPlan {
+                seed: 3,
+                exhaust_lp_iterations: true,
+                ..FaultPlan::default()
+            },
             "exhaust-lp-iterations",
         ),
         (
-            FaultPlan { seed: 3, poison_lp_after: Some(0), ..FaultPlan::default() },
+            FaultPlan {
+                seed: 3,
+                poison_lp_after: Some(0),
+                ..FaultPlan::default()
+            },
             "poison-lp@0",
         ),
         (
-            FaultPlan { seed: 3, fail_rounding: true, ..FaultPlan::default() },
+            FaultPlan {
+                seed: 3,
+                fail_rounding: true,
+                ..FaultPlan::default()
+            },
             "fail-rounding",
         ),
         (
-            FaultPlan { seed: 3, drop_nodes: 2, ..FaultPlan::default() },
+            FaultPlan {
+                seed: 3,
+                drop_nodes: 2,
+                ..FaultPlan::default()
+            },
             "drop-2-nodes",
         ),
     ] {
         let r = solve_resilient_with_faults(&p, &opts, &plan);
-        let fault = r.report.injected_fault.clone().expect("fault plan is not a noop");
+        let fault = r
+            .report
+            .injected_fault
+            .clone()
+            .expect("fault plan is not a noop");
         assert!(fault.contains(needle), "{fault} missing {needle}");
         assert!(r.report.summary().contains(needle));
     }
@@ -167,10 +225,22 @@ fn fault_grid_is_thread_count_invariant() {
             assert_eq!(r.report.selected, serial.report.selected);
             assert_eq!(r.report.degraded, serial.report.degraded);
             assert_eq!(r.cost.to_bits(), serial.cost.to_bits());
-            let outcomes: Vec<_> = r.report.attempts.iter().map(|x| x.outcome.clone()).collect();
-            let serial_outcomes: Vec<_> =
-                serial.report.attempts.iter().map(|x| x.outcome.clone()).collect();
-            assert_eq!(outcomes, serial_outcomes, "attempt ledger diverged under {plan:?}");
+            let outcomes: Vec<_> = r
+                .report
+                .attempts
+                .iter()
+                .map(|x| x.outcome.clone())
+                .collect();
+            let serial_outcomes: Vec<_> = serial
+                .report
+                .attempts
+                .iter()
+                .map(|x| x.outcome.clone())
+                .collect();
+            assert_eq!(
+                outcomes, serial_outcomes,
+                "attempt ledger diverged under {plan:?}"
+            );
         }
     }
 }
@@ -191,13 +261,20 @@ fn threaded_deadline_exhaustion_degrades_deterministically() {
             },
             ..ResilienceOptions::default()
         };
-        let plan = FaultPlan { seed: 17, ..FaultPlan::default() };
+        let plan = FaultPlan {
+            seed: 17,
+            ..FaultPlan::default()
+        };
         let a = solve_resilient_with_faults(&p, &opts, &plan);
         let b = solve_resilient_with_faults(&p, &opts, &plan);
         assert_eq!(a.placement.num_objects(), p.num_objects());
         assert!(a.report.deadline_exceeded, "expired budget must be flagged");
         assert!(a.report.degraded);
-        assert_eq!(a.report.selected, Rung::Hash, "only the hash rung is deadline-exempt");
+        assert_eq!(
+            a.report.selected,
+            Rung::Hash,
+            "only the hash rung is deadline-exempt"
+        );
         assert_eq!(
             a.placement.as_slice(),
             b.placement.as_slice(),
@@ -206,7 +283,10 @@ fn threaded_deadline_exhaustion_degrades_deterministically() {
         assert_eq!(a.report.selected, b.report.selected);
         // Every gated rung is audited in the ledger, not silently dropped.
         assert_eq!(a.report.attempts.len(), b.report.attempts.len());
-        assert!(a.report.attempts.len() >= 2, "gated rungs must still be recorded");
+        assert!(
+            a.report.attempts.len() >= 2,
+            "gated rungs must still be recorded"
+        );
     }
 }
 
@@ -216,23 +296,45 @@ fn threaded_deadline_exhaustion_degrades_deterministically() {
 fn threaded_poison_and_failed_rounding_match_serial() {
     let p = chaos_problem();
     for plan in [
-        FaultPlan { seed: 1, poison_lp_after: Some(0), ..FaultPlan::default() },
-        FaultPlan { seed: 5, fail_rounding: true, ..FaultPlan::default() },
+        FaultPlan {
+            seed: 1,
+            poison_lp_after: Some(0),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            seed: 5,
+            fail_rounding: true,
+            ..FaultPlan::default()
+        },
     ] {
         let serial = solve_resilient_with_faults(&p, &ResilienceOptions::default(), &plan);
         let threaded = solve_resilient_with_faults(
             &p,
-            &ResilienceOptions { threads: 8, ..ResilienceOptions::default() },
+            &ResilienceOptions {
+                threads: 8,
+                ..ResilienceOptions::default()
+            },
             &plan,
         );
         assert_eq!(threaded.placement.as_slice(), serial.placement.as_slice());
         assert_eq!(threaded.report.selected, serial.report.selected);
         assert_eq!(threaded.report.degraded, serial.report.degraded);
-        let outcomes: Vec<_> =
-            threaded.report.attempts.iter().map(|x| x.outcome.clone()).collect();
-        let serial_outcomes: Vec<_> =
-            serial.report.attempts.iter().map(|x| x.outcome.clone()).collect();
-        assert_eq!(outcomes, serial_outcomes, "failure ledger diverged under {plan:?}");
+        let outcomes: Vec<_> = threaded
+            .report
+            .attempts
+            .iter()
+            .map(|x| x.outcome.clone())
+            .collect();
+        let serial_outcomes: Vec<_> = serial
+            .report
+            .attempts
+            .iter()
+            .map(|x| x.outcome.clone())
+            .collect();
+        assert_eq!(
+            outcomes, serial_outcomes,
+            "failure ledger diverged under {plan:?}"
+        );
         assert_eq!(threaded.placement.num_objects(), p.num_objects());
         assert!(threaded.audit.feasible() || threaded.report.degraded);
     }
@@ -241,7 +343,11 @@ fn threaded_poison_and_failed_rounding_match_serial() {
 #[test]
 fn exhausted_lp_iterations_fail_the_lp_rungs_and_fall_through() {
     let p = chaos_problem();
-    let plan = FaultPlan { seed: 1, exhaust_lp_iterations: true, ..FaultPlan::default() };
+    let plan = FaultPlan {
+        seed: 1,
+        exhaust_lp_iterations: true,
+        ..FaultPlan::default()
+    };
     let r = solve_resilient_with_faults(&p, &ResilienceOptions::default(), &plan);
     // Both LP rungs die on the one-iteration simplex cap; greedy answers.
     for a in &r.report.attempts[..2] {
@@ -260,7 +366,11 @@ fn exhausted_lp_iterations_fail_the_lp_rungs_and_fall_through() {
 #[test]
 fn poisoned_objective_trips_the_health_alarm() {
     let p = chaos_problem();
-    let plan = FaultPlan { seed: 1, poison_lp_after: Some(0), ..FaultPlan::default() };
+    let plan = FaultPlan {
+        seed: 1,
+        poison_lp_after: Some(0),
+        ..FaultPlan::default()
+    };
     let r = solve_resilient_with_faults(&p, &ResilienceOptions::default(), &plan);
     match &r.report.attempts[0].outcome {
         RungOutcome::Failed(msg) => {
@@ -283,7 +393,11 @@ fn failed_rounding_is_repaired_at_the_ladder_level() {
         floor: Rung::Lprr,
         ..ResilienceOptions::default()
     };
-    let plan = FaultPlan { seed: 5, fail_rounding: true, ..FaultPlan::default() };
+    let plan = FaultPlan {
+        seed: 5,
+        fail_rounding: true,
+        ..FaultPlan::default()
+    };
     let r = solve_resilient_with_faults(&p, &opts, &plan);
     assert_eq!(r.report.selected, Rung::Lprr);
     // The least-overloaded candidate either already fit the raw
@@ -299,7 +413,11 @@ fn failed_rounding_is_repaired_at_the_ladder_level() {
 #[test]
 fn node_loss_evicts_the_dead_nodes_and_accounts_migration() {
     let p = chaos_problem();
-    let plan = FaultPlan { seed: 11, drop_nodes: 1, ..FaultPlan::default() };
+    let plan = FaultPlan {
+        seed: 11,
+        drop_nodes: 1,
+        ..FaultPlan::default()
+    };
     let r = solve_resilient_with_faults(&p, &ResilienceOptions::default(), &plan);
     let loss = r.report.node_loss.as_ref().expect("node loss recorded");
     assert_eq!(loss.dropped_nodes.len(), 1);

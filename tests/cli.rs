@@ -90,8 +90,17 @@ fn place_save_then_replay_round_trips() {
     let path_str = path.to_str().expect("utf-8 path");
 
     let (ok, stdout, stderr) = run(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--scope", "40", "--strategy", "greedy",
-        "--out", path_str,
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--scope",
+        "40",
+        "--strategy",
+        "greedy",
+        "--out",
+        path_str,
     ]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("per-node loads"));
@@ -99,7 +108,13 @@ fn place_save_then_replay_round_trips() {
     assert!(saved.starts_with("# cca-placement v1"));
 
     let (ok, stdout, stderr) = run(&[
-        "replay", "--preset", "tiny", "--nodes", "3", "--placement", path_str,
+        "replay",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--placement",
+        path_str,
     ]);
     assert!(ok, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("bytes moved:"));
@@ -158,7 +173,13 @@ fn replay_rejects_a_placement_for_another_node_count() {
 #[test]
 fn resilient_place_with_generous_deadline_succeeds() {
     let (code, stdout, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--deadline-ms",
+        "60000",
     ]);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("degradation ladder"));
@@ -169,7 +190,13 @@ fn resilient_place_with_generous_deadline_succeeds() {
 #[test]
 fn resilient_place_with_zero_deadline_degrades_to_hash() {
     let (code, stdout, _) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "0",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--deadline-ms",
+        "0",
     ]);
     assert_eq!(code, 2, "stdout: {stdout}");
     assert!(stdout.contains("selected: hash (degraded)"));
@@ -181,8 +208,17 @@ fn resilient_place_with_zero_deadline_degrades_to_hash() {
 #[test]
 fn place_output_is_identical_across_thread_counts() {
     let base = [
-        "place", "--preset", "tiny", "--nodes", "3", "--scope", "40", "--strategy", "lprr",
-        "--seed", "11",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--scope",
+        "40",
+        "--strategy",
+        "lprr",
+        "--seed",
+        "11",
     ];
     let mut outputs = Vec::new();
     for threads in ["1", "2", "8"] {
@@ -198,7 +234,12 @@ fn place_output_is_identical_across_thread_counts() {
     let (code0, ref out0) = outputs[0];
     for (i, (code, out)) in outputs.iter().enumerate().skip(1) {
         assert_eq!(*code, code0, "exit code changed with thread count");
-        assert_eq!(out, out0, "--threads {} changed the report", ["1", "2", "8"][i]);
+        assert_eq!(
+            out,
+            out0,
+            "--threads {} changed the report",
+            ["1", "2", "8"][i]
+        );
     }
 }
 
@@ -209,16 +250,33 @@ fn exit_codes_hold_at_every_thread_count() {
     for threads in ["1", "2", "8"] {
         // Generous deadline: the LPRR rung wins cleanly.
         let (code, stdout, stderr) = run_code(&[
-            "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",
-            "--threads", threads,
+            "place",
+            "--preset",
+            "tiny",
+            "--nodes",
+            "3",
+            "--deadline-ms",
+            "60000",
+            "--threads",
+            threads,
         ]);
-        assert_eq!(code, 0, "threads {threads}\nstdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(
+            code, 0,
+            "threads {threads}\nstdout: {stdout}\nstderr: {stderr}"
+        );
         assert!(stdout.contains("selected: lprr"));
 
         // Expired deadline: degraded to hash, code 2, on every worker count.
         let (code, stdout, _) = run_code(&[
-            "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "0",
-            "--threads", threads,
+            "place",
+            "--preset",
+            "tiny",
+            "--nodes",
+            "3",
+            "--deadline-ms",
+            "0",
+            "--threads",
+            threads,
         ]);
         assert_eq!(code, 2, "threads {threads}\nstdout: {stdout}");
         assert!(stdout.contains("selected: hash (degraded)"));
@@ -228,8 +286,17 @@ fn exit_codes_hold_at_every_thread_count() {
         // reports violations and the exit code is 3 — again regardless of
         // the worker count.
         let (code, stdout, _) = run_code(&[
-            "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",
-            "--capacity-factor", "0.4", "--threads", threads,
+            "place",
+            "--preset",
+            "tiny",
+            "--nodes",
+            "3",
+            "--deadline-ms",
+            "60000",
+            "--capacity-factor",
+            "0.4",
+            "--threads",
+            threads,
         ]);
         assert_eq!(code, 3, "threads {threads}\nstdout: {stdout}");
         assert!(stdout.contains("VIOLATION"), "stdout: {stdout}");
@@ -247,14 +314,20 @@ fn capacity_factor_option_validates() {
 fn threads_option_rejects_zero() {
     let (code, _, stderr) = run_code(&["place", "--preset", "tiny", "--threads", "0"]);
     assert_eq!(code, 1);
-    assert!(stderr.contains("--threads must be at least 1"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--threads must be at least 1"),
+        "stderr: {stderr}"
+    );
 }
 
 #[test]
 fn shards_option_rejects_zero() {
     let (code, _, stderr) = run_code(&["place", "--preset", "tiny", "--shards", "0"]);
     assert_eq!(code, 1);
-    assert!(stderr.contains("--shards must be at least 1"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--shards must be at least 1"),
+        "stderr: {stderr}"
+    );
 }
 
 /// The sharded-graph determinism contract at the CLI surface: with a
@@ -264,15 +337,29 @@ fn shards_option_rejects_zero() {
 #[test]
 fn sharded_place_is_identical_across_thread_counts_and_to_flat() {
     let base = [
-        "place", "--preset", "tiny", "--nodes", "3", "--scope", "40", "--strategy", "lprr",
-        "--seed", "11",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--scope",
+        "40",
+        "--strategy",
+        "lprr",
+        "--seed",
+        "11",
     ];
     let flat = {
         let mut args: Vec<&str> = base.to_vec();
         args.extend(["--threads", "1"]);
         run_code(&args)
     };
-    assert!(flat.0 == 0 || flat.0 == 3, "flat run: code {}\n{}", flat.0, flat.1);
+    assert!(
+        flat.0 == 0 || flat.0 == 3,
+        "flat run: code {}\n{}",
+        flat.0,
+        flat.1
+    );
     // --shards 1 ≡ no flag, to the byte.
     let single = {
         let mut args: Vec<&str> = base.to_vec();
@@ -307,24 +394,53 @@ fn sharded_place_is_identical_across_thread_counts_and_to_flat() {
 fn exit_codes_hold_under_sharding() {
     // Generous deadline: the LPRR rung wins cleanly.
     let (code, stdout, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",
-        "--threads", "2", "--shards", "2",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--deadline-ms",
+        "60000",
+        "--threads",
+        "2",
+        "--shards",
+        "2",
     ]);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("selected: lprr"));
 
     // Expired deadline: degraded to hash, code 2.
     let (code, stdout, _) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "0",
-        "--threads", "2", "--shards", "2",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--deadline-ms",
+        "0",
+        "--threads",
+        "2",
+        "--shards",
+        "2",
     ]);
     assert_eq!(code, 2, "stdout: {stdout}");
     assert!(stdout.contains("selected: hash (degraded)"));
 
     // Starved capacities: infeasible everywhere, code 3.
     let (code, stdout, _) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "3", "--deadline-ms", "60000",
-        "--capacity-factor", "0.4", "--threads", "2", "--shards", "2",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--deadline-ms",
+        "60000",
+        "--capacity-factor",
+        "0.4",
+        "--threads",
+        "2",
+        "--shards",
+        "2",
     ]);
     assert_eq!(code, 3, "stdout: {stdout}");
     assert!(stdout.contains("VIOLATION"), "stdout: {stdout}");
@@ -335,11 +451,27 @@ fn exit_codes_hold_under_sharding() {
 #[test]
 fn sharded_probe_matches_flat_probe() {
     let base = [
-        "probe", "--preset", "tiny", "--nodes", "3", "--scope", "30", "--candidates", "4",
-        "--seed", "5", "--threads", "2",
+        "probe",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--scope",
+        "30",
+        "--candidates",
+        "4",
+        "--seed",
+        "5",
+        "--threads",
+        "2",
     ];
     let flat = run_code(&base);
-    assert!(flat.0 == 0 || flat.0 == 3, "probe: code {}\n{}", flat.0, flat.1);
+    assert!(
+        flat.0 == 0 || flat.0 == 3,
+        "probe: code {}\n{}",
+        flat.0,
+        flat.1
+    );
     let mut args: Vec<&str> = base.to_vec();
     args.extend(["--shards", "3"]);
     let sharded = run_code(&args);
@@ -349,15 +481,19 @@ fn sharded_probe_matches_flat_probe() {
 
 #[test]
 fn resilient_place_validates_rung_names() {
-    let (code, _, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--min-strategy", "telepathy",
-    ]);
+    let (code, _, stderr) = run_code(&["place", "--preset", "tiny", "--min-strategy", "telepathy"]);
     assert_eq!(code, 1);
     assert!(stderr.contains("unknown min-strategy"));
 
     // A floor better than the start strategy is rejected.
     let (code, _, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--strategy", "greedy", "--min-strategy", "lprr",
+        "place",
+        "--preset",
+        "tiny",
+        "--strategy",
+        "greedy",
+        "--min-strategy",
+        "lprr",
     ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("better rung"));
@@ -384,8 +520,15 @@ fn probe_candidates_option_validates_and_probes() {
     // Boundary widths both run; generous capacity keeps the audit clean.
     for k in ["1", "3"] {
         let (code, stdout, stderr) = run_code(&[
-            "probe", "--preset", "tiny", "--scope", "40", "--capacity-factor", "8",
-            "--candidates", k,
+            "probe",
+            "--preset",
+            "tiny",
+            "--scope",
+            "40",
+            "--capacity-factor",
+            "8",
+            "--candidates",
+            k,
         ]);
         assert_eq!(code, 0, "k = {k}\nstdout: {stdout}\nstderr: {stderr}");
         assert!(stdout.contains("probe bytes"), "stdout: {stdout}");
@@ -397,13 +540,26 @@ fn probe_candidates_option_validates_and_probes() {
     // same taxonomy slot `place` uses for infeasible placements. (An
     // infeasible *relaxation* is an ordinary error: exit 1.)
     let (code, stdout, _) = run_code(&[
-        "probe", "--preset", "tiny", "--scope", "50", "--candidates", "4",
+        "probe",
+        "--preset",
+        "tiny",
+        "--scope",
+        "50",
+        "--candidates",
+        "4",
     ]);
     assert_eq!(code, 3, "stdout: {stdout}");
     assert!(stdout.contains("VIOLATION"), "stdout: {stdout}");
     let (code, _, stderr) = run_code(&[
-        "probe", "--preset", "tiny", "--scope", "40", "--capacity-factor", "0.4",
-        "--candidates", "2",
+        "probe",
+        "--preset",
+        "tiny",
+        "--scope",
+        "40",
+        "--capacity-factor",
+        "0.4",
+        "--candidates",
+        "2",
     ]);
     assert_eq!(code, 1, "stderr: {stderr}");
 }
@@ -413,20 +569,33 @@ fn probe_candidates_option_validates_and_probes() {
 #[test]
 fn probe_report_is_identical_across_thread_counts() {
     let base = [
-        "probe", "--preset", "tiny", "--scope", "40", "--capacity-factor", "8",
-        "--candidates", "4", "--seed", "11",
+        "probe",
+        "--preset",
+        "tiny",
+        "--scope",
+        "40",
+        "--capacity-factor",
+        "8",
+        "--candidates",
+        "4",
+        "--seed",
+        "11",
     ];
     let mut outputs = Vec::new();
     for threads in ["1", "2", "8"] {
         let mut args: Vec<&str> = base.to_vec();
         args.extend(["--threads", threads]);
         let (code, stdout, stderr) = run_code(&args);
-        assert_eq!(code, 0, "threads {threads}\nstdout: {stdout}\nstderr: {stderr}");
+        assert_eq!(
+            code, 0,
+            "threads {threads}\nstdout: {stdout}\nstderr: {stderr}"
+        );
         outputs.push(stdout);
     }
     for (i, out) in outputs.iter().enumerate().skip(1) {
         assert_eq!(
-            out, &outputs[0],
+            out,
+            &outputs[0],
             "--threads {} changed the probe report",
             ["1", "2", "8"][i]
         );
@@ -436,7 +605,13 @@ fn probe_report_is_identical_across_thread_counts() {
 #[test]
 fn export_lp_emits_parseable_lp() {
     let (ok, stdout, _) = run(&[
-        "export-lp", "--preset", "tiny", "--nodes", "2", "--scope", "6",
+        "export-lp",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "2",
+        "--scope",
+        "6",
     ]);
     assert!(ok);
     assert!(stdout.contains("Minimize"));
@@ -455,7 +630,10 @@ fn online_run_exit_taxonomy_and_report_shape() {
         "run", "--preset", "tiny", "--nodes", "4", "--epochs", "60", "--seed", "11",
     ]);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.starts_with("# cca-controller-report v1"), "stdout: {stdout}");
+    assert!(
+        stdout.starts_with("# cca-controller-report v1"),
+        "stdout: {stdout}"
+    );
     for needle in [
         "epochs\t60",
         "evaluated\t",
@@ -468,8 +646,17 @@ fn online_run_exit_taxonomy_and_report_shape() {
     }
 
     let (code, stdout, stderr) = run_code(&[
-        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "60", "--seed", "11",
-        "--drop-nodes", "1",
+        "run",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--epochs",
+        "60",
+        "--seed",
+        "11",
+        "--drop-nodes",
+        "1",
     ]);
     assert_eq!(code, 2, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("node_losses\t1"), "stdout: {stdout}");
@@ -481,8 +668,17 @@ fn online_run_exit_taxonomy_and_report_shape() {
 #[test]
 fn online_run_is_byte_identical_across_threads_and_shards() {
     let base = [
-        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "80", "--seed", "7",
-        "--drop-nodes", "1",
+        "run",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--epochs",
+        "80",
+        "--seed",
+        "7",
+        "--drop-nodes",
+        "1",
     ];
     let reference = {
         let mut args: Vec<&str> = base.to_vec();
@@ -495,7 +691,10 @@ fn online_run_is_byte_identical_across_threads_and_shards() {
             let mut args: Vec<&str> = base.to_vec();
             args.extend(["--threads", threads, "--shards", shards]);
             let (code, stdout, stderr) = run_code(&args);
-            assert_eq!(code, reference.0, "threads {threads} shards {shards}: {stderr}");
+            assert_eq!(
+                code, reference.0,
+                "threads {threads} shards {shards}: {stderr}"
+            );
             assert_eq!(
                 stdout, reference.1,
                 "threads {threads} shards {shards} changed the report"
@@ -514,8 +713,8 @@ fn online_run_saves_readable_report() {
     let path_str = path.to_str().expect("utf-8 path");
 
     let (code, stdout, stderr) = run_code(&[
-        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "40", "--seed", "3",
-        "--out", path_str,
+        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "40", "--seed", "3", "--out",
+        path_str,
     ]);
     assert_eq!(code, 0, "stderr: {stderr}");
     let saved = std::fs::read_to_string(&path).expect("report written");
@@ -534,8 +733,19 @@ fn online_run_saves_readable_report() {
 #[test]
 fn golden_controller_report() {
     let (code, stdout, stderr) = run_code(&[
-        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "80", "--seed", "7",
-        "--drop-nodes", "1", "--drift-sigma", "0.1",
+        "run",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--epochs",
+        "80",
+        "--seed",
+        "7",
+        "--drop-nodes",
+        "1",
+        "--drift-sigma",
+        "0.1",
     ]);
     assert_eq!(code, 2, "stderr: {stderr}");
     let expected = "# cca-controller-report v1\n\
@@ -558,7 +768,10 @@ fn golden_controller_report() {
         accumulated_loss\t0\n\
         final_cost\t0.9063796997070313\n\
         final_feasible\ttrue\n";
-    assert_eq!(stdout, expected, "golden controller report drifted:\n{stdout}");
+    assert_eq!(
+        stdout, expected,
+        "golden controller report drifted:\n{stdout}"
+    );
     let report: ControllerReport = read_report(stdout.as_bytes()).expect("parseable report");
     assert_eq!(format_report(&report), stdout);
 }
@@ -568,10 +781,23 @@ fn golden_controller_report() {
 /// accounting for them — never a hang or panic), 3 = infeasible placement.
 #[test]
 fn serve_exit_taxonomy_and_report_shape() {
-    let base = ["serve", "--preset", "tiny", "--nodes", "4", "--seed", "11", "--queries", "400"];
+    let base = [
+        "serve",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--seed",
+        "11",
+        "--queries",
+        "400",
+    ];
     let (code, stdout, stderr) = run_code(&base);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.starts_with("# cca-serving-report v1"), "stdout: {stdout}");
+    assert!(
+        stdout.starts_with("# cca-serving-report v1"),
+        "stdout: {stdout}"
+    );
     for needle in [
         "queries\t400",
         "served\t400",
@@ -606,8 +832,15 @@ fn serve_exit_taxonomy_and_report_shape() {
 #[test]
 fn serve_tight_deadline_sheds_heavy_tail() {
     let (code, stdout, stderr) = run_code(&[
-        "serve", "--preset", "small", "--seed", "11",
-        "--queries", "4000", "--deadline-ms", "1",
+        "serve",
+        "--preset",
+        "small",
+        "--seed",
+        "11",
+        "--queries",
+        "4000",
+        "--deadline-ms",
+        "1",
     ]);
     assert_eq!(code, 2, "stdout: {stdout}\nstderr: {stderr}");
     let field = |key: &str| -> u64 {
@@ -633,8 +866,17 @@ fn serve_tight_deadline_sheds_heavy_tail() {
 #[test]
 fn serve_report_is_byte_identical_across_threads_shards_inflight() {
     let base = [
-        "serve", "--preset", "tiny", "--nodes", "4", "--seed", "7",
-        "--queries", "500", "--deadline-ms", "1",
+        "serve",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--seed",
+        "7",
+        "--queries",
+        "500",
+        "--deadline-ms",
+        "1",
     ];
     let reference = {
         let mut args: Vec<&str> = base.to_vec();
@@ -651,7 +893,12 @@ fn serve_report_is_byte_identical_across_threads_shards_inflight() {
             for inflight in ["1", "64"] {
                 let mut args: Vec<&str> = base.to_vec();
                 args.extend([
-                    "--threads", threads, "--shards", shards, "--inflight", inflight,
+                    "--threads",
+                    threads,
+                    "--shards",
+                    shards,
+                    "--inflight",
+                    inflight,
                 ]);
                 let (code, stdout, stderr) = run_code(&args);
                 assert_eq!(
@@ -677,8 +924,17 @@ fn serve_saves_readable_report() {
     let path_str = path.to_str().expect("utf-8 path");
 
     let (code, stdout, stderr) = run_code(&[
-        "serve", "--preset", "tiny", "--nodes", "4", "--seed", "3",
-        "--queries", "300", "--out", path_str,
+        "serve",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--seed",
+        "3",
+        "--queries",
+        "300",
+        "--out",
+        path_str,
     ]);
     assert_eq!(code, 0, "stderr: {stderr}");
     let saved = std::fs::read_to_string(&path).expect("report written");
@@ -708,9 +964,7 @@ fn count_options_reject_zero_uniformly() {
         ("serve", "--inflight"),
     ] {
         // --drop-nodes 0 is legal (chaos off); everything else must fail.
-        let (code, _, stderr) = run_code(&[
-            cmd, "--preset", "tiny", "--epochs", "30", flag, "0",
-        ]);
+        let (code, _, stderr) = run_code(&[cmd, "--preset", "tiny", "--epochs", "30", flag, "0"]);
         if flag == "--drop-nodes" {
             assert_eq!(code, 0, "{cmd} {flag} 0 should be a clean run: {stderr}");
             continue;
@@ -726,9 +980,7 @@ fn count_options_reject_zero_uniformly() {
         assert!(stderr.contains(flag), "{cmd} {flag}: stderr: {stderr}");
     }
 
-    let (code, _, stderr) = run_code(&[
-        "run", "--preset", "tiny", "--drift-sigma", "-0.5",
-    ]);
+    let (code, _, stderr) = run_code(&["run", "--preset", "tiny", "--drift-sigma", "-0.5"]);
     assert_eq!(code, 1);
     assert!(
         stderr.contains("--drift-sigma must be a finite non-negative number"),
@@ -760,7 +1012,10 @@ fn count_options_reject_values_above_their_maxima() {
         for value in [max + 1, u64::MAX] {
             let value = value.to_string();
             let (code, stdout, stderr) = run_code(&[cmd, "--preset", "tiny", flag, &value]);
-            assert_eq!(code, 1, "{cmd} {flag} {value} must be a usage error: {stderr}");
+            assert_eq!(
+                code, 1,
+                "{cmd} {flag} {value} must be a usage error: {stderr}"
+            );
             assert!(stdout.is_empty(), "{cmd} {flag} {value}: stdout: {stdout}");
             assert!(
                 stderr.starts_with(&format!("error: {flag} must be at most {max}\n")),
@@ -899,26 +1154,50 @@ fn workload_saves_readable_query_log() {
 /// ship strictly fewer bytes per query — the tentpole headline, driven
 /// end to end through the binary.
 const LIVE_REPLAY: [&str; 19] = [
-    "live", "--preset", "tiny", "--nodes", "4", "--seed", "42",
-    "--epochs", "80", "--queries-per-epoch", "256",
-    "--drift-sigma", "0.25", "--drift-epochs", "0",
-    "--warm-drift", "24", "--migration-budget", "4096",
+    "live",
+    "--preset",
+    "tiny",
+    "--nodes",
+    "4",
+    "--seed",
+    "42",
+    "--epochs",
+    "80",
+    "--queries-per-epoch",
+    "256",
+    "--drift-sigma",
+    "0.25",
+    "--drift-epochs",
+    "0",
+    "--warm-drift",
+    "24",
+    "--migration-budget",
+    "4096",
 ];
 
 #[test]
 fn live_replay_migrates_under_budget_and_improves() {
     let (code, stdout, stderr) = run_code(&LIVE_REPLAY);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
-    assert!(stdout.starts_with("# cca-live-report v1"), "stdout: {stdout}");
+    assert!(
+        stdout.starts_with("# cca-live-report v1"),
+        "stdout: {stdout}"
+    );
     let report: LiveReport = read_report(stdout.as_bytes()).expect("parseable report");
     assert!(report.counters_consistent(), "counters: {stdout}");
-    assert!(report.migrations >= 1, "the regime shift must trigger a migration: {stdout}");
+    assert!(
+        report.migrations >= 1,
+        "the regime shift must trigger a migration: {stdout}"
+    );
     assert!(report.within_budget(), "pacing contract: {stdout}");
     assert!(
         report.improved(),
         "post-migration bytes/query must beat pre-migration: {stdout}"
     );
-    assert!(stderr.contains("pre-migration ->"), "stderr summary: {stderr}");
+    assert!(
+        stderr.contains("pre-migration ->"),
+        "stderr summary: {stderr}"
+    );
 }
 
 /// `live` follows the same exit taxonomy as `serve`: 2 when any query
@@ -928,8 +1207,17 @@ fn live_replay_migrates_under_budget_and_improves() {
 #[test]
 fn live_exit_taxonomy() {
     let base = [
-        "live", "--preset", "tiny", "--nodes", "4", "--seed", "42",
-        "--epochs", "10", "--queries-per-epoch", "64",
+        "live",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--seed",
+        "42",
+        "--epochs",
+        "10",
+        "--queries-per-epoch",
+        "64",
     ];
     let mut args = base.to_vec();
     args.extend(["--deadline-ms", "0"]);
@@ -966,7 +1254,12 @@ fn live_report_is_byte_identical_across_threads_shards_inflight() {
             for inflight in ["1", "64"] {
                 let mut args: Vec<&str> = LIVE_REPLAY.to_vec();
                 args.extend([
-                    "--threads", threads, "--shards", shards, "--inflight", inflight,
+                    "--threads",
+                    threads,
+                    "--shards",
+                    shards,
+                    "--inflight",
+                    inflight,
                 ]);
                 let (code, stdout, stderr) = run_code(&args);
                 assert_eq!(
@@ -1067,7 +1360,10 @@ fn golden_live_report() {
 fn live_flags_reject_bad_input() {
     let (code, _, stderr) = run_code(&["live", "--preset", "tiny", "--migration-budget", "0"]);
     assert_eq!(code, 1);
-    assert!(stderr.contains("--migration-budget must be at least 1"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--migration-budget must be at least 1"),
+        "stderr: {stderr}"
+    );
 
     let (code, _, stderr) = run_code(&["live", "--preset", "tiny", "--drift-epochs", "soon"]);
     assert_eq!(code, 1);
@@ -1104,7 +1400,15 @@ fn replicas_zero_rejected_at_parse_time() {
 fn replicas_exceeding_domains_rejected_everywhere() {
     for cmd in ["place", "probe", "serve", "run", "live"] {
         let (code, _, stderr) = run_code(&[
-            cmd, "--preset", "tiny", "--nodes", "4", "--replicas", "3", "--domains", "2",
+            cmd,
+            "--preset",
+            "tiny",
+            "--nodes",
+            "4",
+            "--replicas",
+            "3",
+            "--domains",
+            "2",
         ]);
         assert_eq!(code, 1, "{cmd}: wrong exit code");
         assert!(
@@ -1118,21 +1422,43 @@ fn replicas_exceeding_domains_rejected_everywhere() {
 #[test]
 fn domains_flag_rejects_bad_specs() {
     // Not a spec at all.
-    let (code, _, stderr) =
-        run_code(&["place", "--preset", "tiny", "--nodes", "4", "--domains", "many"]);
+    let (code, _, stderr) = run_code(&[
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--domains",
+        "many",
+    ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("--domains"), "stderr: {stderr}");
 
     // More leaf domains than nodes.
     let (code, _, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "4", "--domains", "5x2", "--replicas", "2",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--domains",
+        "5x2",
+        "--replicas",
+        "2",
     ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("--domains"), "stderr: {stderr}");
 
     // Zero domains.
-    let (code, _, stderr) =
-        run_code(&["serve", "--preset", "tiny", "--nodes", "4", "--domains", "0"]);
+    let (code, _, stderr) = run_code(&[
+        "serve",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--domains",
+        "0",
+    ]);
     assert_eq!(code, 1);
     assert!(stderr.contains("--domains"), "stderr: {stderr}");
 }
@@ -1145,19 +1471,42 @@ fn domains_flag_rejects_bad_specs() {
 #[test]
 fn replicas_one_flat_tree_is_byte_identical_to_default() {
     let base = [
-        "place", "--preset", "tiny", "--nodes", "3", "--scope", "40",
-        "--strategy", "greedy", "--seed", "7",
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "3",
+        "--scope",
+        "40",
+        "--strategy",
+        "greedy",
+        "--seed",
+        "7",
     ];
     let reference = run_code(&base);
     let mut args: Vec<&str> = base.to_vec();
     args.extend(["--replicas", "1", "--domains", "flat"]);
     let explicit = run_code(&args);
     assert_eq!(explicit.0, reference.0, "exit code changed");
-    assert_eq!(explicit.1, reference.1, "--replicas 1 --domains flat changed stdout");
+    assert_eq!(
+        explicit.1, reference.1,
+        "--replicas 1 --domains flat changed stdout"
+    );
 
     let run = [
-        "run", "--preset", "tiny", "--nodes", "4", "--epochs", "80", "--seed", "7",
-        "--drop-nodes", "1", "--drift-sigma", "0.1",
+        "run",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--epochs",
+        "80",
+        "--seed",
+        "7",
+        "--drop-nodes",
+        "1",
+        "--drift-sigma",
+        "0.1",
     ];
     for base in [&run[..], &LIVE_REPLAY[..]] {
         let reference = run_code(base);
@@ -1165,7 +1514,10 @@ fn replicas_one_flat_tree_is_byte_identical_to_default() {
         args.extend(["--domains", "flat"]);
         let explicit = run_code(&args);
         assert_eq!(explicit.0, reference.0, "{base:?}: exit code changed");
-        assert_eq!(explicit.1, reference.1, "{base:?}: --domains flat changed stdout");
+        assert_eq!(
+            explicit.1, reference.1,
+            "{base:?}: --domains flat changed stdout"
+        );
     }
 }
 
@@ -1179,9 +1531,21 @@ fn place_replicated_saves_v2_placement() {
     let path_str = path.to_str().expect("utf-8 path");
 
     let (code, stdout, stderr) = run_code(&[
-        "place", "--preset", "tiny", "--nodes", "4", "--scope", "40",
-        "--strategy", "greedy", "--replicas", "2", "--domains", "2",
-        "--out", path_str,
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--scope",
+        "40",
+        "--strategy",
+        "greedy",
+        "--replicas",
+        "2",
+        "--domains",
+        "2",
+        "--out",
+        path_str,
     ]);
     assert_eq!(code, 0, "stdout: {stdout}\nstderr: {stderr}");
     assert!(stdout.contains("replicated x2"), "stdout: {stdout}");
@@ -1203,8 +1567,19 @@ fn place_replicated_saves_v2_placement() {
 #[test]
 fn serve_replicated_reports_consistently() {
     let (code, stdout, stderr) = run_code(&[
-        "serve", "--preset", "tiny", "--nodes", "4", "--seed", "11",
-        "--queries", "200", "--replicas", "2", "--domains", "2",
+        "serve",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--seed",
+        "11",
+        "--queries",
+        "200",
+        "--replicas",
+        "2",
+        "--domains",
+        "2",
     ]);
     assert_eq!(code, 0, "stderr: {stderr}");
     let report: ServingReport = read_report(stdout.as_bytes()).expect("parseable report");

@@ -14,8 +14,10 @@ use cca::runtime::{run_live_with, LiveConfig};
 use cca::trace::TraceConfig;
 use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/live_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/live_properties.regressions"
+);
 
 /// Shrinkable live scenario. Codes keep every field an integer so the
 /// shrinker walks toward the degenerate corner (1 epoch, 1 query, no

@@ -36,7 +36,11 @@ fn node_decommission_end_to_end() {
     // Replay still works; traffic should not explode (the repair moves
     // correlation clusters together).
     let after = p.replay(&drained).total_bytes;
-    let random = p.evaluate(&Strategy::RandomHash, None).unwrap().replay.total_bytes;
+    let random = p
+        .evaluate(&Strategy::RandomHash, None)
+        .unwrap()
+        .replay
+        .total_bytes;
     assert!(
         after <= random,
         "drained placement ({after}) should stay below random ({random}); before was {before}"
@@ -96,10 +100,7 @@ fn query_log_round_trip_replays_identically() {
     let placement = p.place(&Strategy::Greedy, Some(60)).unwrap().placement;
     let cluster: Cluster = p.cluster_for(&placement);
     let engine = QueryEngine::new(&p.index, &cluster, AggregationPolicy::Intersection);
-    assert_eq!(
-        engine.replay(&p.workload.queries),
-        engine.replay(&loaded)
-    );
+    assert_eq!(engine.replay(&p.workload.queries), engine.replay(&loaded));
 }
 
 /// Pins `survive_node_loss` on the `small` preset (seed 42): the greedy

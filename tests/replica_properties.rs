@@ -42,8 +42,10 @@ use cca::serve::{serve, ServeConfig};
 use cca::trace::TraceConfig;
 use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, Shrink, StdRng};
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/replica_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/replica_properties.regressions"
+);
 
 /// The bit-identity matrix from the ISSUE: every thread count crossed
 /// with every shard count, including the unsharded CSR path.
@@ -68,22 +70,37 @@ impl Shrink for ReplicaCase {
         let mut out = Vec::new();
         for objects in self.objects.shrink() {
             if objects >= 2 {
-                out.push(ReplicaCase { objects, ..self.clone() });
+                out.push(ReplicaCase {
+                    objects,
+                    ..self.clone()
+                });
             }
         }
         for nodes in self.nodes.shrink() {
             if nodes >= 2 {
-                out.push(ReplicaCase { nodes, ..self.clone() });
+                out.push(ReplicaCase {
+                    nodes,
+                    ..self.clone()
+                });
             }
         }
         for seed in self.seed.shrink() {
-            out.push(ReplicaCase { seed, ..self.clone() });
+            out.push(ReplicaCase {
+                seed,
+                ..self.clone()
+            });
         }
         for move_object in self.move_object.shrink() {
-            out.push(ReplicaCase { move_object, ..self.clone() });
+            out.push(ReplicaCase {
+                move_object,
+                ..self.clone()
+            });
         }
         for move_target in self.move_target.shrink() {
-            out.push(ReplicaCase { move_target, ..self.clone() });
+            out.push(ReplicaCase {
+                move_target,
+                ..self.clone()
+            });
         }
         out
     }
@@ -117,13 +134,16 @@ fn build_problem(c: &ReplicaCase) -> CcaProblem {
             }
         }
     }
-    b.uniform_capacities(c.nodes, 20 * c.objects as u64).build().unwrap()
+    b.uniform_capacities(c.nodes, 20 * c.objects as u64)
+        .build()
+        .unwrap()
 }
 
 fn random_placement(c: &ReplicaCase) -> Placement {
     let mut rng = StdRng::seed_from_u64(c.seed ^ 0x9e37_79b9_7f4a_7c15);
-    let assignment: Vec<u32> =
-        (0..c.objects).map(|_| rng.random_range(0u32..c.nodes as u32)).collect();
+    let assignment: Vec<u32> = (0..c.objects)
+        .map(|_| rng.random_range(0u32..c.nodes as u32))
+        .collect();
     Placement::new(assignment, c.nodes)
 }
 
@@ -258,7 +278,13 @@ fn spread_invariant_survives_spread_migrate_and_repair() {
             let dead_domain = c.seed as usize % domains;
             let dead_nodes = tree.nodes_in(dead_domain).to_vec();
             let capacities: Vec<u64> = (0..problem.num_nodes())
-                .map(|k| if dead_nodes.contains(&k) { 0 } else { problem.capacity(k) })
+                .map(|k| {
+                    if dead_nodes.contains(&k) {
+                        0
+                    } else {
+                        problem.capacity(k)
+                    }
+                })
                 .collect();
             let degraded = problem.with_capacities(capacities);
             let mut repaired = polished.replica.clone();
@@ -311,7 +337,8 @@ fn chaos_fixture() -> (CcaProblem, DomainTree, ReplicaPlacement) {
     for g in 0..4 {
         for i in 0..3 {
             for j in i + 1..3 {
-                b.add_pair(objs[g * 3 + i], objs[g * 3 + j], 0.8, 5.0).unwrap();
+                b.add_pair(objs[g * 3 + i], objs[g * 3 + j], 0.8, 5.0)
+                    .unwrap();
             }
         }
     }
@@ -330,8 +357,7 @@ fn domain_kill_grid_repairs_deterministically() {
     let (problem, tree, rp) = chaos_fixture();
     assert!(rp.spread_valid(&tree));
     for domain in 0..tree.num_domains() {
-        let (degraded, repaired, report) =
-            survive_domain_loss(&problem, &tree, &rp, domain, 2.0);
+        let (degraded, repaired, report) = survive_domain_loss(&problem, &tree, &rp, domain, 2.0);
         assert_eq!(report.domain, domain);
         assert_eq!(report.dropped_nodes, tree.nodes_in(domain).to_vec());
         for o in problem.objects() {
@@ -383,7 +409,10 @@ fn reads_survive_domain_kill_end_to_end() {
     assert!(rp.spread_valid(&tree));
 
     let (_, repaired, report) = survive_domain_loss(&p.problem, &tree, &rp, 0, 2.0);
-    assert!(report.spread_valid, "repair must re-spread onto domains 1 and 2");
+    assert!(
+        report.spread_valid,
+        "repair must re-spread onto domains 1 and 2"
+    );
     for o in p.problem.objects() {
         for j in 0..repaired.replicas() {
             assert!(!report.dropped_nodes.contains(&repaired.node_of(o, j)));
@@ -398,7 +427,13 @@ fn reads_survive_domain_kill_end_to_end() {
         &cluster,
         p.config().aggregation,
         &queries,
-        &ServeConfig { inflight: 8, threads: 2, deadline_ms: None, burst: None, overhead_ns: 0 },
+        &ServeConfig {
+            inflight: 8,
+            threads: 2,
+            deadline_ms: None,
+            burst: None,
+            overhead_ns: 0,
+        },
     );
     assert!(out.report.served > 0, "reads must survive the domain kill");
     assert!(out.report.counters_consistent());

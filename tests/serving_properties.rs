@@ -16,8 +16,10 @@ use cca::serve::{serve, service_ns, Response, ResponseStatus, ServeConfig};
 use cca::trace::{Query, TraceConfig};
 use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, SeedableRng, Shrink, StdRng};
 
-const REGRESSIONS: &str =
-    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/serving_properties.regressions");
+const REGRESSIONS: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/serving_properties.regressions"
+);
 
 /// The ISSUE's required serving matrix.
 const INFLIGHTS: [usize; 3] = [1, 7, 64];
@@ -260,16 +262,24 @@ fn overload_sheds_loudly_never_silently() {
         inflight: 4,
         threads: 2,
         deadline_ms: None,
-        burst: Some(10 * ServeConfig {
-            inflight: 4,
-            ..ServeConfig::default()
-        }
-        .queue_capacity()),
+        burst: Some(
+            10 * ServeConfig {
+                inflight: 4,
+                ..ServeConfig::default()
+            }
+            .queue_capacity(),
+        ),
         overhead_ns: 0,
     };
     let offered = config.burst.unwrap();
     let queries = stream(&p, 77, offered);
-    let out = serve(&p.index, &cluster, p.config().aggregation, &queries, &config);
+    let out = serve(
+        &p.index,
+        &cluster,
+        p.config().aggregation,
+        &queries,
+        &config,
+    );
 
     assert!(out.report.counters_consistent());
     assert_eq!(out.responses.len(), offered, "every offered query answered");
@@ -289,7 +299,12 @@ fn overload_sheds_loudly_never_silently() {
     for r in out.responses.iter().filter(|r| r.status.executed()) {
         let serial = engine.execute(&queries[r.index]);
         assert_eq!(r.bytes, serial.comm_bytes, "query {}", r.index);
-        assert_eq!(r.pages_digest, pages_digest(&serial.pages), "query {}", r.index);
+        assert_eq!(
+            r.pages_digest,
+            pages_digest(&serial.pages),
+            "query {}",
+            r.index
+        );
     }
 }
 

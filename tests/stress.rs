@@ -37,7 +37,11 @@ fn large_random_lp_solves_and_validates() {
         .map(|i| m.add_var(format!("x{i}"), 0.5 + rng.random::<f64>()))
         .collect();
     for r in 0..250 {
-        let row = m.add_constraint(format!("r{r}"), Relation::Ge, 1.0 + rng.random::<f64>() * 3.0);
+        let row = m.add_constraint(
+            format!("r{r}"),
+            Relation::Ge,
+            1.0 + rng.random::<f64>() * 3.0,
+        );
         for &v in &vars {
             if rng.random::<f64>() < 0.05 {
                 m.set_coeff(row, v, 0.1 + rng.random::<f64>());

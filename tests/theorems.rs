@@ -185,7 +185,11 @@ fn theorem2_expected_cost() {
     let clustered = solve_relaxation(&sub, None, &RelaxOptions::default()).unwrap();
     let trials = 4000;
     let total: f64 = (0..trials)
-        .map(|_| round_once(&clustered.fractional, &mut rng).expect("stochastic vertex").communication_cost(&sub))
+        .map(|_| {
+            round_once(&clustered.fractional, &mut rng)
+                .expect("stochastic vertex")
+                .communication_cost(&sub)
+        })
         .sum();
     let emp = total / f64::from(trials);
     let spread = 0.05 * (1.0 + sub.total_pair_weight());
@@ -200,7 +204,10 @@ fn theorem2_expected_cost() {
 #[test]
 fn theorem3_expected_loads() {
     let sub = pipeline_subproblem(12);
-    for method in [RelaxMethod::ClusteredVertex, RelaxMethod::CombinatorialVertex] {
+    for method in [
+        RelaxMethod::ClusteredVertex,
+        RelaxMethod::CombinatorialVertex,
+    ] {
         let out = solve_relaxation(
             &sub,
             None,
@@ -264,7 +271,10 @@ fn theorem1_multiway_cut_embedding() {
     // enumerate: u with t0, v with t1: cost = t1u(2)+t2u(1)+t2v(3)+uv(1) = 7;
     // u with t0, v with t2: 2+1+4+1 = 8; u,v with t0: 2+1+4+3 = 10;
     // u with t1, v with t1: 5+1+3 = 9; u t1 v t2: 5+1+4+1 = 11; ...
-    assert!((cost - 7.0).abs() < 1e-9, "minimum 3-way cut is 7, got {cost}");
+    assert!(
+        (cost - 7.0).abs() < 1e-9,
+        "minimum 3-way cut is 7, got {cost}"
+    );
     assert_eq!(placement.node_of(u), placement.node_of(t0));
     assert_eq!(placement.node_of(v), placement.node_of(t1));
 }
