@@ -388,7 +388,8 @@ fn fig6_and_7(ledger: &mut Vec<String>) {
             by_scope[&fig7_scope].clone()
         } else {
             for p in &mut pipelines {
-                p.renode(n);
+                p.renode(n)
+                    .expect("a sweep node count re-splits a valid capacity");
             }
             let baselines: Vec<u64> = pipelines.iter().map(random_bytes).collect();
             sweep_cells(&pipelines, &baselines, fig7_scope)

@@ -15,7 +15,7 @@
 //! Besides the TSV table it writes `BENCH_graph.json` (override the path
 //! with `CCA_BENCH_OUT`).
 
-use cca::algo::{random_hash_placement, CcaProblem, ObjectId, Placement, ReplicaPlacement};
+use cca::algo::{random_hash_placement, CcaProblem, ObjectId, Pair, Placement, ReplicaPlacement};
 use cca_bench::{bench_pipeline, header, quick_mode, BENCH_SEED};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
@@ -26,10 +26,9 @@ use std::time::Instant;
 /// The ≥5× floor the 10k-Zipf move-delta comparison must clear.
 const MOVE_DELTA_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// The historic dense evaluation: one full scan of the pair list.
-fn scan_cost(problem: &CcaProblem, placement: &Placement) -> f64 {
-    problem
-        .pairs()
+/// The historic dense evaluation: one full scan of an AoS pair list.
+fn scan_cost(pairs: &[Pair], placement: &Placement) -> f64 {
+    pairs
         .iter()
         .filter(|p| placement.node_of(p.a) != placement.node_of(p.b))
         .map(|p| p.weight())
@@ -106,6 +105,17 @@ fn run_instance(
 ) -> InstanceResult {
     let placement = random_hash_placement(problem);
     let graph = problem.graph();
+    // The dense list carries each edge's snapped weight (`r = weight`,
+    // `w = 1`), so the scan and the CSR walk sum the same weights.
+    let pairs: Vec<Pair> = graph
+        .edges()
+        .map(|e| Pair {
+            a: e.a,
+            b: e.b,
+            correlation: e.weight,
+            comm_cost: 1.0,
+        })
+        .collect();
 
     // Cost evaluation: dense AoS scan vs CSR edge-array walk. Both fold
     // in pair order, so the results must agree to the bit.
@@ -131,7 +141,7 @@ fn run_instance(
     let (dense_ms, dense_sum) = best_of(3, || {
         let mut acc = 0.0f64;
         for it in 0..eval_iters {
-            acc = black_box(acc + scan_cost(black_box(problem), &rotated[it % rotated.len()]));
+            acc = black_box(acc + scan_cost(black_box(&pairs), &rotated[it % rotated.len()]));
         }
         acc
     });
@@ -159,14 +169,14 @@ fn run_instance(
             )
         })
         .collect();
-    let base = scan_cost(problem, &placement);
+    let base = scan_cost(&pairs, &placement);
     let (rescan_ms, rescan_sum) = best_of(3, || {
         let mut acc = 0.0f64;
         let mut moved = placement.clone();
         for &(o, k) in &script {
             let src = moved.node_of(o);
             moved.assign(o, k);
-            acc += scan_cost(black_box(problem), black_box(&moved)) - base;
+            acc += scan_cost(black_box(&pairs), black_box(&moved)) - base;
             moved.assign(o, src);
         }
         acc

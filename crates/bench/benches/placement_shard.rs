@@ -1,5 +1,5 @@
 //! Sharded-CSR bench at the million-object scale — the headline artifact
-//! for the range-sharded graph view (DESIGN.md §11).
+//! for the sharded graph view (DESIGN.md §11).
 //!
 //! The instance is `cca_trace::zipf_instance`'s 10⁶-object / 10⁷-edge
 //! Zipf table (50k / 500k in quick mode), with its pairs sorted by
@@ -7,21 +7,22 @@
 //! measures, on it:
 //!
 //! * flat [`cca_core::CorrelationGraph`] build time and resident bytes;
-//! * [`cca_core::ShardedGraph`] partition time and resident bytes for
-//!   shard counts {1, 2, 7}, and the number of EdgeId ranges the shards
-//!   own (one per non-empty shard on `(a, b)`-sorted pairs);
+//! * [`cca_core::ShardedGraph`] resident bytes for shard counts
+//!   {1, 2, 7} (the view is its shard count, so there is nothing to
+//!   build);
 //! * `cost` and 8-wide `cost_batch` evaluation time for every
 //!   (shards, threads) combination, threads {1, 2}, vs. the flat serial
-//!   walks, **hard-asserting bit identity** for each — the instance's
-//!   dyadic weights (multiples of ⅛ × integral costs) make every
-//!   reduction shape exact, so shard/thread invariance is `==` on raw
-//!   bits, not a tolerance;
+//!   walks, **hard-asserting bit identity** for each — every edge weight
+//!   is a multiple of the graph's quantum, so every reduction shape is
+//!   exact and shard/thread invariance is `==` on raw bits, not a
+//!   tolerance;
 //! * the `> 2²⁴`-node **wide (f64) interleave regime**: a batch over
 //!   `2²⁴ + 1` nodes scored by flat and sharded walks must agree to the
 //!   bit, proving the fallback is a tested regime at generator scale;
-//! * the same measurements on **fragmented partitions**: the pairs in
-//!   the generator's draw order, where the owners alternate along the
-//!   edge list and each shard owns many short ranges — the shape
+//! * the same measurements on the pairs in the generator's **draw
+//!   order**: the flat build fills the CSR rows in a scattered order, and
+//!   each shard's slice reads rows scattered over the whole object
+//!   range — the shape
 //!   `restrict_to` (unsorted keep list) and `prune_pairs` (weight order)
 //!   leave behind.
 //!
@@ -66,11 +67,9 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 struct ShardResult {
     shards: usize,
     threads: usize,
-    build_ms: f64,
     cost_ms: f64,
     batch_ms: f64,
     memory_bytes: usize,
-    ranges: usize,
     bits_match: bool,
 }
 
@@ -101,13 +100,13 @@ fn measure_flat(
         batch_ms,
         memory_bytes: graph.memory_bytes(),
     };
-    println!("flat\t-\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t-\t-");
+    println!("flat\t-\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t-");
     (graph, flat, cost, costs)
 }
 
-/// Partitions `graph` for every shard count and times the sharded folds
-/// at every thread count, asserting each result bit-equals the flat
-/// `flat_cost` / `flat_batch`.
+/// Times the sharded folds of `graph` for every shard count at every
+/// thread count, asserting each result bit-equals the flat `flat_cost` /
+/// `flat_batch`.
 fn measure_sharded(
     graph: &CorrelationGraph,
     shard_counts: &[usize],
@@ -118,9 +117,7 @@ fn measure_sharded(
 ) -> Vec<ShardResult> {
     let mut results = Vec::new();
     for &shards in shard_counts {
-        // The partition is one sequential pass: no thread axis.
-        let (build_ms, sg) = best_of(2, || ShardedGraph::build(graph, shards));
-        let ranges = (0..sg.shard_count()).map(|s| sg.edge_ranges(s).len()).sum();
+        let sg = ShardedGraph::new(graph, shards);
         for threads in THREAD_COUNTS {
             let (cost_ms, s_cost) = best_of(3, || black_box(&sg).cost(graph, placement, threads));
             let (batch_ms, s_batch) =
@@ -138,17 +135,13 @@ fn measure_sharded(
                 "{shards} shards / {threads} threads diverged from the flat CSR \
                  (cost {cost_match}, batch {batch_match})"
             );
-            println!(
-                "{shards}\t{threads}\t{build_ms:.1}\t{cost_ms:.2}\t{batch_ms:.2}\t{ranges}\t{bits_match}"
-            );
+            println!("{shards}\t{threads}\t-\t{cost_ms:.2}\t{batch_ms:.2}\t{bits_match}");
             results.push(ShardResult {
                 shards,
                 threads,
-                build_ms,
                 cost_ms,
                 batch_ms,
                 memory_bytes: sg.memory_bytes(),
-                ranges,
                 bits_match,
             });
         }
@@ -174,18 +167,15 @@ fn sharded_json(results: &[ShardResult], medges: f64) -> String {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"shards\": {}, \"threads\": {}, \"build_ms\": {:.3}, \"cost_ms\": {:.3}, \
-                 \"cost_batch_ms\": {:.3}, \"memory_bytes\": {}, \"ranges\": {}, \
-                 \"bits_match\": {}, \"build_medges_per_s\": {:.3}, \"eval_medges_per_s\": {:.3}}}",
+                "    {{\"shards\": {}, \"threads\": {}, \"cost_ms\": {:.3}, \
+                 \"cost_batch_ms\": {:.3}, \"memory_bytes\": {}, \"bits_match\": {}, \
+                 \"eval_medges_per_s\": {:.3}}}",
                 r.shards,
                 r.threads,
-                r.build_ms,
                 r.cost_ms,
                 r.batch_ms,
                 r.memory_bytes,
-                r.ranges,
                 r.bits_match,
-                medges / (r.build_ms / 1e3),
                 medges / (r.cost_ms / 1e3),
             )
         })
@@ -202,8 +192,8 @@ fn write_json(
     results: &[ShardResult],
     wide_nodes: usize,
     wide_bits_match: bool,
-    fragmented_flat: &FlatResult,
-    fragmented: &[ShardResult],
+    draw_order_flat: &FlatResult,
+    draw_order: &[ShardResult],
     path: &str,
 ) {
     let medges = edges as f64 / 1e6;
@@ -224,12 +214,12 @@ fn write_json(
         "  \"wide_interleave\": {{\"num_nodes\": {wide_nodes}, \"bits_match\": {wide_bits_match}}},\n"
     ));
     out.push_str(&format!(
-        "  \"fragmented_flat\": {},\n",
-        flat_json(fragmented_flat, medges)
+        "  \"draw_order_flat\": {},\n",
+        flat_json(draw_order_flat, medges)
     ));
     out.push_str(&format!(
-        "  \"fragmented_sharded\": {}\n",
-        sharded_json(fragmented, medges)
+        "  \"draw_order_sharded\": {}\n",
+        sharded_json(draw_order, medges)
     ));
     out.push_str("}\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("writing {path}: {e}"));
@@ -292,7 +282,7 @@ fn main() {
     let batch = PlacementBatch::from_placements(&rotated);
 
     let columns = [
-        "shards", "threads", "build_ms", "cost_ms", "batch_ms", "ranges", "bits",
+        "shards", "threads", "build_ms", "cost_ms", "batch_ms", "bits",
     ];
     header("sharded vs flat CSR, (a, b)-sorted pairs", &columns);
     let (graph, flat, flat_cost, flat_batch) = measure_flat(objects, &pairs, 2, &placement, &batch);
@@ -322,7 +312,7 @@ fn main() {
         b
     };
     let wide_flat = graph.cost_batch(&wide_batch);
-    let wide_sharded = ShardedGraph::build(&graph, 7).cost_batch(&graph, &wide_batch, 2);
+    let wide_sharded = ShardedGraph::new(&graph, 7).cost_batch(&graph, &wide_batch, 2);
     let wide_bits_match = wide_flat
         .iter()
         .zip(&wide_sharded)
@@ -335,13 +325,13 @@ fn main() {
     println!("# wide interleave at {wide_nodes} nodes: bits_match {wide_bits_match}");
     drop((graph, wide_batch));
 
-    // Fragmented partitions: the same instance in draw order, so every
-    // shard's edges are scattered over the whole edge list (one shard
-    // is always one range, so it is not measured again).
+    // The same instance in draw order: each slice's endpoints are
+    // scattered over the whole object range (one shard is the flat walk,
+    // so it is not measured again).
     header("sharded vs flat CSR, draw-order pairs", &columns);
-    let (graph, fragmented_flat, flat_cost, flat_batch) =
+    let (graph, draw_order_flat, flat_cost, flat_batch) =
         measure_flat(objects, &draw_order(), 1, &placement, &batch);
-    let fragmented = measure_sharded(
+    let draw_order_sharded = measure_sharded(
         &graph,
         &SHARD_COUNTS[1..],
         &placement,
@@ -359,8 +349,8 @@ fn main() {
         &results,
         wide_nodes,
         wide_bits_match,
-        &fragmented_flat,
-        &fragmented,
+        &draw_order_flat,
+        &draw_order_sharded,
         &path,
     );
 }

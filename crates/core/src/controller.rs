@@ -9,13 +9,11 @@
 //!    ([`EpochObservation`]) and maintains an EWMA estimate of every base
 //!    edge's correlation, indexed by the canonical CSR
 //!    [`EdgeId`](crate::graph::EdgeId) order. Estimates are quantized to a
-//!    dyadic 2⁻²⁰ grid so every shard-parallel reduction over the
-//!    estimated weights is exact — controller runs are byte-identical for
-//!    any `threads` and any shard count of the base problem (DESIGN.md
-//!    §11).
+//!    2⁻²⁰ grid, the EWMA's resolution. Controller runs are byte-identical
+//!    for any `threads` and any shard count of the base problem: every
+//!    graph sums exact weights (DESIGN.md §11).
 //! 2. **Detects drift per scope.** Objects are range-partitioned into
-//!    scopes (an edge belongs to its smaller endpoint's scope, mirroring
-//!    [`ShardedGraph`](crate::shard::ShardedGraph) ownership); a scope's
+//!    scopes (an edge belongs to its smaller endpoint's scope); a scope's
 //!    drift is the relative L1 gap between estimated and placed-against
 //!    edge weights.
 //! 3. **Re-solves scoped.** The worst drifting scope is re-solved with
@@ -55,11 +53,8 @@ use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
-/// Denominator of the dyadic estimate grid: correlation estimates are
-/// multiples of 2⁻²⁰. With integral communication costs this keeps every
-/// per-edge weight `r·w` and (within magnitude bound 2⁵³ on `Σ k·w`)
-/// every partial sum exactly representable, so the sharded reductions of
-/// DESIGN.md §11 reproduce the flat fold bit for bit.
+/// Denominator of the estimate grid: correlation estimates are multiples
+/// of 2⁻²⁰, the resolution of the EWMA's values.
 const EST_GRID: f64 = (1u64 << 20) as f64;
 
 /// Snaps a correlation estimate onto the dyadic 2⁻²⁰ grid.
@@ -358,8 +353,7 @@ impl ControllerReport {
 pub struct Controller {
     config: ControllerConfig,
     /// The base problem: object table, sizes, names, canonical edge set
-    /// and original capacities. Never cost-evaluated under sharding (its
-    /// weights are not dyadic); estimates are indexed by its `EdgeId`s.
+    /// and original capacities; estimates are indexed by its `EdgeId`s.
     base: CcaProblem,
     /// Surviving per-node capacities (zero once a node is lost).
     live_capacities: Vec<u64>,
@@ -628,9 +622,9 @@ impl Controller {
             self.node_losses += 1;
         }
 
-        // Repair against the estimated weights (dyadic, shard-exact):
-        // survive_node_loss re-packs the displaced objects and polishes
-        // in place; slack escalates by ¼ per retry.
+        // Repair against the estimated weights: survive_node_loss
+        // re-packs the displaced objects and polishes in place; slack
+        // escalates by ¼ per retry.
         let est = self.estimated_problem();
         let mut retries = 0u32;
         let (repaired, moves, bytes, recovered) = loop {
@@ -770,7 +764,7 @@ impl Controller {
             .build()
             .expect("estimated problem mirrors the valid base problem");
         // The base problem's shard count carries over (results are
-        // identical for any count — estimates are dyadic).
+        // identical for any count).
         if let Some(s) = self.base.sharded() {
             est.set_sharding(s.shard_count(), self.config.threads);
         }
@@ -828,7 +822,9 @@ impl Controller {
             .collect();
         // `restrict_to` carries the estimate's sharding over to `sub`.
         let (sub, ids) = est.restrict_to(&keep);
-        let sub = sub.with_capacities(sub_caps);
+        let sub = sub
+            .with_capacities(sub_caps)
+            .expect("residual capacities are at most the problem's own");
 
         let options = ResilienceOptions {
             budget: cfg.budget.clone(),
@@ -971,9 +967,9 @@ impl Controller {
             .copied()
             .filter(|&n| !self.dead[n])
             .collect();
-        let (degraded, repaired, _info) =
-            survive_node_loss(est, candidate, &probe_nodes, self.config.capacity_slack);
-        repaired.within_all_capacities(&degraded, self.config.capacity_slack)
+        survive_node_loss(est, candidate, &probe_nodes, self.config.capacity_slack)
+            .2
+            .feasible
     }
 }
 

@@ -8,13 +8,17 @@
 //! `restrict_to` / `prune_pairs`), that every solve layer walks instead:
 //!
 //! * **Edge list in storage order.** [`EdgeId`] `e` maps back to
-//!   `problem.pairs()[e]`; the edge weight `r·w` is precomputed once with
-//!   the same multiplication the `Pair::weight` call sites performed, so
-//!   every sum over edges reproduces the historic pair-scan **bit for
-//!   bit**. The pair list is *never* re-sorted here: `restrict_to` yields
-//!   pairs in keep-list order and `prune_pairs` leaves them weight-sorted,
-//!   and both orders are load-bearing (f64 summation order, LP column
-//!   order). See DESIGN.md §9 for the full iteration-order contract.
+//!   `problem.pairs()[e]`. The pair list is *never* re-sorted here:
+//!   `restrict_to` yields pairs in keep-list order and `prune_pairs`
+//!   leaves them weight-sorted, and both orders are load-bearing (LP
+//!   column order). See DESIGN.md §9 for the full iteration-order
+//!   contract.
+//! * **Exact weights.** Each edge weight is its pair's `r·w` snapped once,
+//!   at build, to an integer multiple of the graph's quantum `q`, a power
+//!   of two chosen from the total weight (see
+//!   [`CorrelationGraph::try_build`]). Every weight, every subset sum and
+//!   every move delta is then an exact `f64`, so a fold returns the same
+//!   bits whichever order, shard or thread adds its edges.
 //! * **CSR rows in pair-scan order.** Row `i` lists the neighbours of `i`
 //!   in the order a single scan of the pair list discovers them — exactly
 //!   the push order of the per-module `adjacency()` vectors this replaces
@@ -24,11 +28,10 @@
 //!   ranking §4.2, audit) are total orders (the `(a, b)` tie-break is
 //!   unique per edge), so they equal what a per-call `sort_unstable` of
 //!   pair indices produced, for any starting permutation.
-//! * **Edge folds over [`EdgeId`] ranges.** The cost folds (`cost`,
-//!   `cost_batch`, `cost_replicas`) are each written once, over a list of
-//!   ascending EdgeId ranges threaded through one accumulator. The flat
-//!   graph is the one-range case; a shard of
-//!   [`crate::shard::ShardedGraph`] is the ranges it owns.
+//! * **Edge folds over one [`EdgeId`] range.** The cost folds (`cost`,
+//!   `cost_batch`, `cost_replicas`) are each written once, over a range of
+//!   the edge list. The flat graph is the whole range; a shard of
+//!   [`crate::shard::ShardedGraph`] is a contiguous slice of it.
 
 use crate::placement::Placement;
 use crate::problem::{ObjectId, Pair, ProblemError};
@@ -49,8 +52,7 @@ impl EdgeId {
     }
 }
 
-/// One edge of the correlation graph: a pair plus its precomputed
-/// objective weight `r·w`.
+/// One edge of the correlation graph: a pair plus its objective weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// The edge's id (index into the problem's pair list).
@@ -59,7 +61,7 @@ pub struct Edge {
     pub a: ObjectId,
     /// Larger-id endpoint.
     pub b: ObjectId,
-    /// Precomputed objective weight `r(a,b)·w(a,b)`.
+    /// Objective weight: `r(a,b)·w(a,b)` snapped to the graph's quantum.
     pub weight: f64,
 }
 
@@ -71,6 +73,8 @@ pub struct Edge {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationGraph {
     num_objects: usize,
+    // Every weight below is an integer multiple of this power of two.
+    quantum: f64,
     // Edge list (EdgeId order == pair storage order).
     edge_a: Vec<ObjectId>,
     edge_b: Vec<ObjectId>,
@@ -336,27 +340,40 @@ fn walk_dyn<T: Copy + PartialEq>(
     }
 }
 
+/// The weight quantum of a pair list whose weights sum to `total`:
+/// `2^(⌈log₂ total⌉ − 52)`, the exponent clamped to f64's normal range,
+/// so `total ≤ 2^52·q`. Read from the bits, where `log2` could round.
+fn quantum_for(total: f64) -> f64 {
+    let bits = total.abs().to_bits();
+    let floor_log2 = (bits >> 52) as i64 - 1023;
+    let ceil_log2 = floor_log2 + i64::from(bits & ((1 << 52) - 1) != 0);
+    f64::from_bits((((ceil_log2 - 52).clamp(-1022, 1023) + 1023) as u64) << 52)
+}
+
 impl CorrelationGraph {
     /// Builds the CSR view over `pairs` for `num_objects` objects.
     ///
     /// # Panics
     ///
     /// Panics if a pair references an object `>= num_objects` (the builder
-    /// validates ids before this runs), or if the instance overflows the
-    /// `u32` CSR indexing — use [`CorrelationGraph::try_build`] to get a
-    /// [`ProblemError::GraphTooLarge`] instead.
+    /// validates ids before this runs), or if [`CorrelationGraph::try_build`]
+    /// returns an error.
     #[must_use]
     pub fn build(num_objects: usize, pairs: &[Pair]) -> CorrelationGraph {
         CorrelationGraph::try_build(num_objects, pairs)
             .unwrap_or_else(|e| panic!("correlation graph build failed: {e}"))
     }
 
-    /// Fallible [`CorrelationGraph::build`]: returns
-    /// [`ProblemError::GraphTooLarge`] when the instance would overflow the
-    /// `u32` CSR offsets / [`EdgeId`] casts (more than `u32::MAX / 2` pairs,
-    /// whose `2·m` half-edge slots would wrap the offset accumulator, or
-    /// more than `u32::MAX` objects), instead of silently wrapping. The
-    /// bound is checked before any allocation.
+    /// Fallible [`CorrelationGraph::build`].
+    ///
+    /// Edge `e`'s weight is `pairs[e].weight()` snapped to the nearest
+    /// integer multiple of the quantum `q = 2^(⌈log₂ W⌉ − 52)`, where `W`
+    /// is the pairs' total weight summed in storage order (the exponent
+    /// clamped to f64's normal range). Then `W ≤ 2^52·q`, snapping adds
+    /// at most `m·q/2` with `m < 2^31`, and so every subset sum of the
+    /// snapped weights, in any order, is an exact multiple of `q` below
+    /// `2^53·q`: an exact `f64`. Weights that already are multiples of `q`
+    /// do not move.
     ///
     /// # Panics
     ///
@@ -365,9 +382,33 @@ impl CorrelationGraph {
     ///
     /// # Errors
     ///
-    /// [`ProblemError::GraphTooLarge`] as described above.
+    /// [`ProblemError::GraphTooLarge`] when the instance would overflow the
+    /// `u32` CSR offsets / [`EdgeId`] casts (more than `u32::MAX / 2`
+    /// pairs, whose `2·m` half-edge slots would wrap the offset
+    /// accumulator, or more than `u32::MAX` objects), checked before any
+    /// allocation; [`ProblemError::Overflow`] when `W` is not finite.
     pub fn try_build(num_objects: usize, pairs: &[Pair]) -> Result<CorrelationGraph, ProblemError> {
         check_csr_bounds(num_objects, pairs.len())?;
+        let total: f64 = pairs.iter().map(Pair::weight).sum();
+        if !total.is_finite() {
+            return Err(ProblemError::Overflow("total pair weight".into()));
+        }
+        Ok(CorrelationGraph::with_quantum(
+            num_objects,
+            pairs,
+            quantum_for(total),
+        ))
+    }
+
+    /// [`CorrelationGraph::try_build`] with a given quantum. `pairs` must be
+    /// a subset of the pairs of the graph `quantum` came from: the
+    /// subgraph then has its parent's weights, bit for bit, and its sums
+    /// stay below the parent's bound.
+    pub(crate) fn with_quantum(
+        num_objects: usize,
+        pairs: &[Pair],
+        quantum: f64,
+    ) -> CorrelationGraph {
         let m = pairs.len();
         let mut edge_a = Vec::with_capacity(m);
         let mut edge_b = Vec::with_capacity(m);
@@ -382,7 +423,7 @@ impl CorrelationGraph {
             );
             edge_a.push(pair.a);
             edge_b.push(pair.b);
-            edge_weight.push(pair.weight());
+            edge_weight.push((pair.weight() / quantum).round() * quantum);
             degree[pair.a.index()] += 1;
             degree[pair.b.index()] += 1;
         }
@@ -434,8 +475,9 @@ impl CorrelationGraph {
                         .cmp(&(edge_a[y.index()], edge_b[y.index()])),
                 )
         });
-        Ok(CorrelationGraph {
+        CorrelationGraph {
             num_objects,
+            quantum,
             edge_a,
             edge_b,
             edge_weight,
@@ -444,7 +486,7 @@ impl CorrelationGraph {
             nbr_weights,
             by_correlation,
             by_weight,
-        })
+        }
     }
 
     /// Approximate resident size of the CSR view in bytes (edge columns,
@@ -461,6 +503,13 @@ impl CorrelationGraph {
             + self.nbr_weights.len() * size_of::<f64>()
             + self.by_correlation.len() * size_of::<EdgeId>()
             + self.by_weight.len() * size_of::<EdgeId>()
+    }
+
+    /// The weight quantum `q`: every edge weight is an integer multiple of
+    /// it (see [`CorrelationGraph::try_build`]).
+    #[must_use]
+    pub fn quantum(&self) -> f64 {
+        self.quantum
     }
 
     /// Number of objects (CSR rows).
@@ -500,7 +549,7 @@ impl CorrelationGraph {
         }
     }
 
-    /// Precomputed weight `r·w` of edge `e`.
+    /// Weight of edge `e`: its pair's `r·w` snapped to the quantum.
     ///
     /// # Panics
     ///
@@ -548,15 +597,15 @@ impl CorrelationGraph {
     }
 
     /// The CCA objective `Σ_{f(a)≠f(b)} r·w` of `placement`, summed over
-    /// edges in [`EdgeId`] order — bit-identical to the historic pair-list
-    /// scan.
+    /// edges in [`EdgeId`] order from `-0.0` (an exact sum, see
+    /// [`CorrelationGraph::try_build`]).
     ///
     /// # Panics
     ///
     /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost(&self, placement: &Placement) -> f64 {
-        self.cost_over(&[self.all_edges()], placement)
+        self.cost_over(self.all_edges(), placement)
     }
 
     /// Every edge as one range: the flat graph is the one-shard case of
@@ -566,7 +615,7 @@ impl CorrelationGraph {
     }
 
     /// The structure-of-arrays edge columns of the edges in `range`.
-    fn columns(&self, range: &Range<EdgeId>) -> (&[ObjectId], &[ObjectId], &[f64]) {
+    fn columns(&self, range: Range<EdgeId>) -> (&[ObjectId], &[ObjectId], &[f64]) {
         let r = range.start.index()..range.end.index();
         (
             &self.edge_a[r.clone()],
@@ -575,32 +624,24 @@ impl CorrelationGraph {
         )
     }
 
-    /// The one serial edge fold: the weights of the edges in `ranges` that
-    /// `split` selects, added range by range (ascending [`EdgeId`] within
-    /// each) to a single accumulator that starts at `sum`'s `-0.0`
-    /// identity — the `filter · map · sum` sequence of the historic
-    /// pair-list scan. Zipped iteration keeps the loop free of bounds
-    /// checks.
-    fn split_sum(
-        &self,
-        ranges: &[Range<EdgeId>],
-        split: impl Fn(ObjectId, ObjectId) -> bool,
-    ) -> f64 {
-        ranges.iter().fold(-0.0, |acc, range| {
-            let (edge_a, edge_b, edge_weight) = self.columns(range);
-            edge_a
-                .iter()
-                .zip(edge_b)
-                .zip(edge_weight)
-                .filter(|&((&a, &b), _)| split(a, b))
-                .fold(acc, |sum, (_, &w)| sum + w)
-        })
+    /// The one serial edge fold: the weights of the edges in `range` that
+    /// `split` selects, added in [`EdgeId`] order to an accumulator that
+    /// starts at `sum`'s `-0.0` identity. Zipped iteration keeps the loop
+    /// free of bounds checks.
+    fn split_sum(&self, range: Range<EdgeId>, split: impl Fn(ObjectId, ObjectId) -> bool) -> f64 {
+        let (edge_a, edge_b, edge_weight) = self.columns(range);
+        edge_a
+            .iter()
+            .zip(edge_b)
+            .zip(edge_weight)
+            .filter(|&((&a, &b), _)| split(a, b))
+            .fold(-0.0, |sum, (_, &w)| sum + w)
     }
 
-    /// [`CorrelationGraph::cost`] over the edges in `ranges` only (the
-    /// edges one shard owns), folded into one accumulator from `-0.0`.
-    pub(crate) fn cost_over(&self, ranges: &[Range<EdgeId>], placement: &Placement) -> f64 {
-        self.split_sum(ranges, |a, b| placement.node_of(a) != placement.node_of(b))
+    /// [`CorrelationGraph::cost`] over the edges in `range` only (one
+    /// shard's slice).
+    pub(crate) fn cost_over(&self, range: Range<EdgeId>, placement: &Placement) -> f64 {
+        self.split_sum(range, |a, b| placement.node_of(a) != placement.node_of(b))
     }
 
     /// Scores every candidate of `batch` in a **single** walk of the CSR
@@ -610,8 +651,8 @@ impl CorrelationGraph {
     ///
     /// Column `c` of the result is **bit-identical** to
     /// `cost(batch.placement(c))`: each accumulator starts at `sum`'s
-    /// `-0.0` identity and folds exactly the weights the serial
-    /// `filter · map · sum` walk folds, in the same EdgeId order. In
+    /// `-0.0` identity and folds exactly the weights the serial walk
+    /// folds, in the same EdgeId order. In
     /// particular a batch of 1 equals [`CorrelationGraph::cost`], and
     /// reordering the batch permutes the result identically — batch
     /// membership never changes any candidate's score. An empty batch
@@ -622,31 +663,26 @@ impl CorrelationGraph {
     /// Panics if the batch covers fewer objects than the graph.
     #[must_use]
     pub fn cost_batch(&self, batch: &PlacementBatch) -> Vec<f64> {
-        self.cost_batch_over(&[self.all_edges()], batch)
+        self.cost_batch_over(self.all_edges(), batch)
     }
 
-    /// [`CorrelationGraph::cost_batch`] over the edges in `ranges` only:
-    /// each candidate's accumulator starts at `-0.0` and runs through
-    /// every range in turn.
+    /// [`CorrelationGraph::cost_batch`] over the edges in `range` only,
+    /// each candidate's accumulator starting at `-0.0`.
     ///
     /// The inner loop is branchless (`-= -w` or `-= 0.0` by select), which
     /// lets the compiler vectorise across candidates, and exact for every
     /// weight: `x - (-w)` is `x + w`, and `x - 0.0` is `x` for every `x`,
     /// `-0.0` included, so each accumulator takes the serial fold's values
     /// edge by edge.
-    pub(crate) fn cost_batch_over(
-        &self,
-        ranges: &[Range<EdgeId>],
-        batch: &PlacementBatch,
-    ) -> Vec<f64> {
+    pub(crate) fn cost_batch_over(&self, range: Range<EdgeId>, batch: &PlacementBatch) -> Vec<f64> {
         let k = batch.width();
         let mut acc = vec![-0.0f64; k];
         if k == 0 {
             return acc;
         }
         match batch.interleaved() {
-            InterleavedRows::Narrow(rows) => self.batch_walk(ranges, rows, k, &mut acc),
-            InterleavedRows::Wide(rows) => self.batch_walk(ranges, rows, k, &mut acc),
+            InterleavedRows::Narrow(rows) => self.batch_walk(range, rows, k, &mut acc),
+            InterleavedRows::Wide(rows) => self.batch_walk(range, rows, k, &mut acc),
         }
         acc
     }
@@ -657,26 +693,23 @@ impl CorrelationGraph {
     /// for all candidates.
     fn batch_walk<T: Copy + PartialEq>(
         &self,
-        ranges: &[Range<EdgeId>],
+        range: Range<EdgeId>,
         rows: &[T],
         k: usize,
         acc: &mut [f64],
     ) {
-        for range in ranges {
-            let (ea, eb, ew) = self.columns(range);
-            // Monomorphise the hot widths: a compile-time K fully unrolls
-            // the lane loop, keeps the K accumulators in registers, and
-            // elides every per-lane bounds check. Other widths take the
-            // dynamic-width loop, whose per-edge overhead amortises as k
-            // grows.
-            match k {
-                1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
-                2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
-                4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
-                8 => walk_const::<8, T>(ea, eb, ew, rows, acc),
-                16 => walk_const::<16, T>(ea, eb, ew, rows, acc),
-                _ => walk_dyn(ea, eb, ew, rows, k, acc),
-            }
+        let (ea, eb, ew) = self.columns(range);
+        // Monomorphise the hot widths: a compile-time K fully unrolls the
+        // lane loop, keeps the K accumulators in registers, and elides
+        // every per-lane bounds check. Other widths take the dynamic-width
+        // loop, whose per-edge overhead amortises as k grows.
+        match k {
+            1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
+            2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
+            4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
+            8 => walk_const::<8, T>(ea, eb, ew, rows, acc),
+            16 => walk_const::<16, T>(ea, eb, ew, rows, acc),
+            _ => walk_dyn(ea, eb, ew, rows, k, acc),
         }
     }
 
@@ -697,20 +730,15 @@ impl CorrelationGraph {
     /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost_replicas(&self, rp: &ReplicaPlacement) -> f64 {
-        self.cost_replicas_over(&[self.all_edges()], rp)
+        self.cost_replicas_over(self.all_edges(), rp)
     }
 
-    /// [`CorrelationGraph::cost_replicas`] over the edges in `ranges`
-    /// only, folded into one accumulator from `-0.0`.
-    pub(crate) fn cost_replicas_over(
-        &self,
-        ranges: &[Range<EdgeId>],
-        rp: &ReplicaPlacement,
-    ) -> f64 {
+    /// [`CorrelationGraph::cost_replicas`] over the edges in `range` only.
+    pub(crate) fn cost_replicas_over(&self, range: Range<EdgeId>, rp: &ReplicaPlacement) -> f64 {
         if rp.replicas() == 1 {
-            return self.cost_over(ranges, rp.primary());
+            return self.cost_over(range, rp.primary());
         }
-        self.split_sum(ranges, |a, b| rp.split(a, b))
+        self.split_sum(range, |a, b| rp.split(a, b))
     }
 
     /// Communication-cost change of moving **replica `j`** of object `i`
@@ -904,7 +932,8 @@ mod tests {
         for (e, pair) in p.pairs().iter().enumerate() {
             let edge = g.edge(EdgeId(e as u32));
             assert_eq!((edge.a, edge.b), (pair.a, pair.b));
-            assert_eq!(edge.weight.to_bits(), pair.weight().to_bits());
+            let snapped = (pair.weight() / g.quantum()).round() * g.quantum();
+            assert_eq!(edge.weight.to_bits(), snapped.to_bits());
         }
     }
 
@@ -1034,42 +1063,107 @@ mod tests {
     }
 
     #[test]
-    fn range_folds_thread_one_accumulator_through_every_range() {
+    fn range_folds_cover_only_their_slice() {
         let p = problem();
         let g = p.graph();
-        // Edges (0,1) w9 and (2,3) w5, skipping (0,2) w1.
-        let ranges = [EdgeId(0)..EdgeId(1), EdgeId(2)..EdgeId(3)];
+        // Edges (0,2) w1 and (2,3) w5, skipping (0,1) w9.
+        let slice = EdgeId(1)..EdgeId(3);
         let pl = Placement::new(vec![0, 1, 0, 1], 2);
-        assert_eq!(g.cost_over(&ranges, &pl), 14.0);
-        assert_eq!(g.cost_over(&[], &pl).to_bits(), (-0.0f64).to_bits());
-        // The second column splits only the skipped edge, and the third
-        // nothing: both keep the `-0.0` identity across the two ranges.
+        assert_eq!(g.cost_over(slice.clone(), &pl), 5.0);
+        assert_eq!(
+            g.cost_over(EdgeId(1)..EdgeId(1), &pl).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        // The third column splits nothing and keeps the `-0.0` identity.
         // Width 4 runs a fixed-width kernel, width 3 the dynamic one.
         let candidates = [
             pl.clone(),
-            Placement::new(vec![0, 0, 1, 1], 2),
-            Placement::new(vec![0; 4], 2),
             Placement::new(vec![0, 1, 1, 1], 2),
+            Placement::new(vec![0; 4], 2),
+            Placement::new(vec![1, 0, 0, 1], 2),
         ];
         for width in [3, 4] {
             let batch = PlacementBatch::from_placements(&candidates[..width]);
             let bits: Vec<u64> = g
-                .cost_batch_over(&ranges, &batch)
+                .cost_batch_over(slice.clone(), &batch)
                 .iter()
                 .map(|c| c.to_bits())
                 .collect();
-            assert_eq!(bits, [14.0f64, -0.0, -0.0, 9.0].map(f64::to_bits)[..width]);
+            assert_eq!(bits, [5.0f64, 1.0, -0.0, 6.0].map(f64::to_bits)[..width]);
         }
         // Two copies: (0,1) and (2,3) share a node, only (0,2) is split.
         let rp = ReplicaPlacement::from_columns(vec![
             Placement::new(vec![0, 0, 1, 1], 3),
             Placement::new(vec![2, 1, 1, 0], 3),
         ]);
+        assert_eq!(g.cost_replicas_over(slice, &rp), 1.0);
         assert_eq!(
-            g.cost_replicas_over(&ranges, &rp).to_bits(),
+            g.cost_replicas_over(EdgeId(2)..EdgeId(3), &rp).to_bits(),
             (-0.0f64).to_bits()
         );
         assert_eq!(g.cost_replicas(&rp), 1.0);
+    }
+
+    #[test]
+    fn quantum_bounds_the_total_weight() {
+        let pow2 = |e: i32| 2f64.powi(e);
+        assert_eq!(quantum_for(1.0), pow2(-52));
+        assert_eq!(quantum_for(1.5), pow2(-51));
+        assert_eq!(quantum_for(15.0), pow2(-48));
+        assert_eq!(quantum_for(16.0), pow2(-48));
+        assert_eq!(quantum_for(f64::MAX), pow2(972));
+        // Empty and tiny totals clamp to the smallest normal power of two.
+        for tiny in [0.0, -0.0, 1e-310, 1e-300] {
+            assert_eq!(quantum_for(tiny), f64::MIN_POSITIVE, "total {tiny}");
+        }
+    }
+
+    #[test]
+    fn snapped_weights_sum_exactly_in_any_order() {
+        // Tenths are not binary fractions: raw sums depend on their order.
+        let pairs: Vec<Pair> = (0..40u32)
+            .map(|i| Pair {
+                a: ObjectId(i),
+                b: ObjectId(i + 1),
+                correlation: f64::from(i % 9 + 1) / 10.0,
+                comm_cost: f64::from(i % 7 + 1) * 1.37,
+            })
+            .collect();
+        let g = CorrelationGraph::build(41, &pairs);
+        let total: f64 = pairs.iter().map(Pair::weight).sum();
+        assert_eq!(g.quantum(), quantum_for(total));
+        for (edge, pair) in g.edges().zip(&pairs) {
+            let units = edge.weight / g.quantum();
+            assert_eq!(units, units.round(), "{edge:?} is off the grid");
+            assert!((edge.weight - pair.weight()).abs() <= g.quantum() / 2.0);
+        }
+        let weights: Vec<f64> = g.edges().map(|e| e.weight).collect();
+        let forward: f64 = weights.iter().sum();
+        let reversed: f64 = weights.iter().rev().sum();
+        let interleaved: f64 =
+            weights.iter().step_by(2).sum::<f64>() + weights.iter().skip(1).step_by(2).sum::<f64>();
+        let halves: f64 = pairs
+            .chunks(20)
+            .map(|half| {
+                half.iter()
+                    .map(|p| (p.weight() / g.quantum()).round() * g.quantum())
+                    .sum::<f64>()
+            })
+            .sum();
+        for other in [reversed, interleaved, halves] {
+            assert_eq!(forward.to_bits(), other.to_bits());
+        }
+        // A non-finite total is a typed error, not an infinite cost.
+        let huge = Pair {
+            a: ObjectId(0),
+            b: ObjectId(1),
+            correlation: f64::MAX,
+            comm_cost: 2.0,
+        };
+        assert_eq!(
+            CorrelationGraph::try_build(2, &[huge]),
+            Err(ProblemError::Overflow("total pair weight".into()))
+        );
     }
 
     #[test]

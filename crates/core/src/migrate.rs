@@ -1045,7 +1045,7 @@ mod tests {
         /// capacities.
         resource: Option<(Vec<u64>, Vec<u64>)>,
         /// `(a, b, correlation in 997ths, comm cost in 7ths)`: weights
-        /// are not dyadic, so float sums round.
+        /// are not dyadic, so the graph snaps them to its quantum.
         edges: Vec<(usize, usize, u32, u32)>,
         capacities: Vec<u64>,
         start: Vec<u32>,

@@ -44,7 +44,9 @@ pub struct Pair {
 }
 
 impl Pair {
-    /// The pair's objective weight `r(i,j) · w(i,j)`.
+    /// The pair's raw objective weight `r(i,j) · w(i,j)`. The graph's
+    /// edge weight is this product snapped to the graph's quantum
+    /// ([`CorrelationGraph::try_build`]); every cost reads that one.
     #[must_use]
     pub fn weight(&self) -> f64 {
         self.correlation * self.comm_cost
@@ -73,9 +75,10 @@ pub enum ProblemError {
     /// (Individual zero-capacity nodes stay legal — they model failed or
     /// drained nodes.)
     ZeroCapacity,
-    /// A total that capacity checks sum — the object sizes, the node
-    /// capacities, or a secondary resource's demands or capacities —
-    /// does not fit a `u64`; names the total.
+    /// A total does not fit its type; names the total. The totals that
+    /// capacity checks sum (the object sizes, the node capacities, a
+    /// secondary resource's demands or capacities) must fit a `u64`, and
+    /// the total pair weight must be a finite `f64`.
     Overflow(String),
     /// A secondary resource's vectors do not match the problem dimensions.
     Resource(ResourceError),
@@ -115,7 +118,7 @@ impl fmt::Display for ProblemError {
             ProblemError::NoNodes => f.write_str("problem has no nodes"),
             ProblemError::ZeroSizeObject(o) => write!(f, "object {o} has size zero"),
             ProblemError::ZeroCapacity => f.write_str("every node has zero capacity"),
-            ProblemError::Overflow(total) => write!(f, "{total} overflows a u64"),
+            ProblemError::Overflow(total) => write!(f, "{total} overflows"),
             ProblemError::Resource(e) => write!(f, "invalid resource: {e}"),
             ProblemError::GraphTooLarge { objects, pairs } => write!(
                 f,
@@ -164,9 +167,9 @@ pub struct CcaProblem {
     pairs: Vec<Pair>,
     resources: Vec<Resource>,
     graph: CorrelationGraph,
-    // Opt-in partition of `graph` into shards (None by default — the flat
-    // fold is the one-shard case). Rebuilt with `graph` by `restrict_to`
-    // / `prune_pairs`.
+    // Opt-in shard count of the bulk folds (None by default — the flat
+    // fold is the one-shard case). Carried by `restrict_to` /
+    // `prune_pairs`.
     sharded: Option<ShardedGraph>,
 }
 
@@ -233,22 +236,20 @@ impl CcaProblem {
         &self.graph
     }
 
-    /// Enables the range-sharded graph view: partitions the graph into
-    /// `shard_count` shards (clamped to `[1, num_objects]`), each the
-    /// [`crate::EdgeId`] ranges of the edges it owns. The partition is one
-    /// sequential pass over the edge list and a pure function of
-    /// `(pairs, shard_count)`; `threads` is unused.
+    /// Enables the sharded graph view: `shard_count` contiguous
+    /// [`crate::EdgeId`] slices of the graph (the count clamped to
+    /// `[1, num_objects]`); `threads` is unused.
     ///
     /// Once enabled, the bulk `eval_*` folds (`eval_cost`,
-    /// `eval_cost_batch`, `eval_cost_replicas`) run shard-parallel;
-    /// [`CcaProblem::graph`] and everything built on it are unaffected.
-    /// [`CcaProblem::restrict_to`] and [`CcaProblem::prune_pairs`]
-    /// re-partition the new graph with the same shard count.
+    /// `eval_cost_batch`, `eval_cost_replicas`) run shard-parallel, with
+    /// the flat folds' bits; [`CcaProblem::graph`] and everything built
+    /// on it are unaffected. [`CcaProblem::restrict_to`] and
+    /// [`CcaProblem::prune_pairs`] carry the shard count.
     pub fn set_sharding(&mut self, shard_count: usize, _threads: usize) {
-        self.sharded = Some(ShardedGraph::build(&self.graph, shard_count));
+        self.sharded = Some(ShardedGraph::new(&self.graph, shard_count));
     }
 
-    /// The range-sharded graph view, if [`CcaProblem::set_sharding`] was
+    /// The sharded graph view, if [`CcaProblem::set_sharding`] was
     /// called.
     #[must_use]
     pub fn sharded(&self) -> Option<&ShardedGraph> {
@@ -256,11 +257,10 @@ impl CcaProblem {
     }
 
     /// The CCA objective of `placement`: shard-parallel on the sharded
-    /// view when sharding is enabled ([`ShardedGraph::cost`], identical
-    /// for every `threads` value), else the flat serial
-    /// [`CorrelationGraph::cost`]. Both run the graph's one edge fold;
-    /// with sharding disabled, or with a single shard, the bits are the
-    /// flat serial walk's.
+    /// view when sharding is enabled ([`ShardedGraph::cost`]), else the
+    /// flat serial [`CorrelationGraph::cost`]. Both run the graph's one
+    /// edge fold and return the same bits for every shard and thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -275,9 +275,8 @@ impl CcaProblem {
 
     /// Batched candidate scoring, shard-parallel when sharding is enabled
     /// ([`ShardedGraph::cost_batch`]), else the flat serial
-    /// [`CorrelationGraph::cost_batch`]. Column `c` is deterministic for
-    /// every `threads` value either way; with sharding disabled or a
-    /// single shard it is bit-identical to `cost(batch.placement(c))`.
+    /// [`CorrelationGraph::cost_batch`]. Column `c` is bit-identical to
+    /// `cost(batch.placement(c))` either way.
     ///
     /// # Panics
     ///
@@ -374,12 +373,13 @@ impl CcaProblem {
         self.sizes.iter().sum()
     }
 
-    /// Total objective weight `Σ r·w` over all pairs — the communication
-    /// cost of a placement that splits every pair, and the normalisation
-    /// constant for "fraction of cost saved".
+    /// Total objective weight `Σ r·w` over all edges (the graph's
+    /// snapped weights) — the communication cost of a placement that
+    /// splits every pair, and the normalisation constant for "fraction of
+    /// cost saved".
     #[must_use]
     pub fn total_pair_weight(&self) -> f64 {
-        self.pairs.iter().map(Pair::weight).sum()
+        self.graph.edges().map(|e| e.weight).sum()
     }
 
     /// Returns `true` if all objects could fit under the node capacities in
@@ -427,15 +427,14 @@ impl CcaProblem {
             .collect();
         // NOTE: the restricted pair list stays in *storage order* of the
         // parent (filtered, endpoints remapped) — it is NOT re-sorted by
-        // the new (a, b). Both the cost summation order and the LP column
-        // order ride on this, so the graph is rebuilt over the list as-is.
-        let graph = CorrelationGraph::build(keep.len(), &pairs);
-        // A sharded parent yields a sharded subproblem: same shard count,
-        // re-partitioning the restricted graph.
+        // the new (a, b). The LP column order rides on this, so the graph
+        // is rebuilt over the list as-is, with the parent's quantum.
+        let graph = CorrelationGraph::with_quantum(keep.len(), &pairs, self.graph.quantum());
+        // A sharded parent yields a sharded subproblem.
         let sharded = self
             .sharded
             .as_ref()
-            .map(|s| ShardedGraph::build(&graph, s.shard_count()));
+            .map(|s| ShardedGraph::new(&graph, s.shard_count()));
         (
             CcaProblem {
                 names,
@@ -452,45 +451,80 @@ impl CcaProblem {
 
     /// Returns a copy with node capacities replaced.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `capacities` is empty.
-    #[must_use]
-    pub fn with_capacities(&self, capacities: Vec<u64>) -> CcaProblem {
-        assert!(!capacities.is_empty(), "problem needs at least one node");
-        assert!(
-            self.resources.is_empty() || capacities.len() == self.capacities.len(),
-            "cannot change the node count of a problem with secondary resources"
-        );
-        CcaProblem {
+    /// [`ProblemError::NoNodes`] if `capacities` is empty,
+    /// [`ProblemError::Resource`] if the problem has secondary resources
+    /// and `capacities` changes its node count, and
+    /// [`ProblemError::Overflow`] if the capacities' total does not fit a
+    /// `u64`.
+    pub fn with_capacities(&self, capacities: Vec<u64>) -> Result<CcaProblem, ProblemError> {
+        if capacities.is_empty() {
+            return Err(ProblemError::NoNodes);
+        }
+        for res in &self.resources {
+            res.validate(self.num_objects(), capacities.len())
+                .map_err(ProblemError::Resource)?;
+        }
+        check_totals(&self.sizes, &capacities, &self.resources)?;
+        Ok(CcaProblem {
             capacities,
             ..self.clone()
-        }
+        })
     }
 
     /// Keeps only the `max_pairs` heaviest pairs by objective weight
-    /// (ties by pair id), per the paper's sparse-`E` assumption (§3.1).
-    /// Returns the number of pairs dropped.
+    /// (the graph's snapped weights, ties by `(a, b)`), per the paper's
+    /// sparse-`E` assumption (§3.1). Returns the number of pairs dropped.
     pub fn prune_pairs(&mut self, max_pairs: usize) -> usize {
         if self.pairs.len() <= max_pairs {
             return 0;
         }
-        self.pairs.sort_unstable_by(|x, y| {
-            y.weight()
-                .partial_cmp(&x.weight())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then((x.a, x.b).cmp(&(y.a, y.b)))
-        });
         let dropped = self.pairs.len() - max_pairs;
-        self.pairs.truncate(max_pairs);
-        // The surviving pairs stay in the weight-sorted order the truncate
-        // left them in (NOT re-sorted by (a, b)); rebuild the CSR view over
-        // that exact order.
-        self.graph = CorrelationGraph::build(self.sizes.len(), &self.pairs);
+        // The survivors stay in weight order (NOT re-sorted by (a, b)),
+        // and the CSR view is rebuilt over that exact order with the
+        // same quantum.
+        self.pairs = self.graph.edges_by_weight()[..max_pairs]
+            .iter()
+            .map(|e| self.pairs[e.index()])
+            .collect();
+        self.graph =
+            CorrelationGraph::with_quantum(self.sizes.len(), &self.pairs, self.graph.quantum());
         if let Some(s) = &self.sharded {
-            self.sharded = Some(ShardedGraph::build(&self.graph, s.shard_count()));
+            self.sharded = Some(ShardedGraph::new(&self.graph, s.shard_count()));
         }
         dropped
+    }
+}
+
+/// Checks that every total a capacity check sums fits a `u64`: the object
+/// sizes, the node capacities, and each resource's demands and
+/// capacities, in that order.
+fn check_totals(
+    sizes: &[u64],
+    capacities: &[u64],
+    resources: &[Resource],
+) -> Result<(), ProblemError> {
+    fn sum(mut values: impl Iterator<Item = u64>) -> Option<u64> {
+        values.try_fold(0u64, u64::checked_add)
+    }
+    let (t, n) = (sizes.len(), capacities.len());
+    let mut totals = vec![
+        ("total size".to_string(), sum(sizes.iter().copied())),
+        (
+            "total capacity".to_string(),
+            sum(capacities.iter().copied()),
+        ),
+    ];
+    for res in resources {
+        let demand = sum((0..t).map(|i| res.demand(i)));
+        let capacity = sum((0..n).map(|k| res.capacity(k)));
+        totals.push((format!("total {} demand", res.name()), demand));
+        totals.push((format!("total {} capacity", res.name()), capacity));
+    }
+    match totals.into_iter().find(|(_, sum)| sum.is_none()) {
+        Some((total, _)) => Err(ProblemError::Overflow(total)),
+        None => Ok(()),
     }
 }
 
@@ -594,7 +628,8 @@ impl CcaProblemBuilder {
     /// accumulated correlation or weight `r·w` is not finite,
     /// [`ProblemError::Overflow`] naming the first total of sizes,
     /// capacities, or a resource's demands or capacities that does not
-    /// fit a `u64`, or any error recorded during building.
+    /// fit a `u64`, or the total pair weight when it is not finite, or
+    /// any error recorded during building.
     pub fn build(&mut self) -> Result<CcaProblem, ProblemError> {
         if let Some(e) = self.error.take() {
             return Err(e);
@@ -637,27 +672,7 @@ impl CcaProblemBuilder {
                 return Err(ProblemError::Resource(e));
             }
         }
-        // Every total a capacity check sums must fit a `u64`.
-        fn sum(mut values: impl Iterator<Item = u64>) -> Option<u64> {
-            values.try_fold(0u64, u64::checked_add)
-        }
-        let (t, n) = (self.sizes.len(), self.capacities.len());
-        let mut totals = vec![
-            ("total size".to_string(), sum(self.sizes.iter().copied())),
-            (
-                "total capacity".to_string(),
-                sum(self.capacities.iter().copied()),
-            ),
-        ];
-        for res in &self.resources {
-            let demand = sum((0..t).map(|i| res.demand(i)));
-            let capacity = sum((0..n).map(|k| res.capacity(k)));
-            totals.push((format!("total {} demand", res.name()), demand));
-            totals.push((format!("total {} capacity", res.name()), capacity));
-        }
-        if let Some((total, _)) = totals.into_iter().find(|(_, sum)| sum.is_none()) {
-            return Err(ProblemError::Overflow(total));
-        }
+        check_totals(&self.sizes, &self.capacities, &self.resources)?;
         let graph = CorrelationGraph::try_build(self.sizes.len(), &pairs)?;
         Ok(CcaProblem {
             names: self.names.clone(),
@@ -860,7 +875,7 @@ mod tests {
         let capacity = build(&[1], vec![1, 1], bw(vec![1], vec![half, half]));
         assert_eq!(overflow(capacity), "total bw capacity");
         let msg = ProblemError::Overflow("total size".into()).to_string();
-        assert_eq!(msg, "total size overflows a u64");
+        assert_eq!(msg, "total size overflows");
         // The largest totals that fit still build.
         assert!(build(&[u64::MAX - 1, 1], vec![u64::MAX], None).is_ok());
     }
@@ -906,8 +921,7 @@ mod tests {
         // Disabled: eval_* are the flat walks.
         assert_eq!(p.eval_cost(&pl, 4).to_bits(), flat_cost.to_bits());
         assert!(p.sharded().is_none());
-        // Enabled: same bits on this dyadic-weight instance, for any
-        // shard count and thread count.
+        // Enabled: the same bits for any shard count and thread count.
         for shards in [1, 2, 3] {
             p.set_sharding(shards, 2);
             assert_eq!(p.sharded().unwrap().shard_count(), shards);
@@ -935,14 +949,6 @@ mod tests {
         }
     }
 
-    /// Edges the partition's shards own, summed over every range.
-    fn owned_edges(s: &ShardedGraph) -> usize {
-        (0..s.shard_count())
-            .flat_map(|i| s.edge_ranges(i))
-            .map(|r| r.end.index() - r.start.index())
-            .sum()
-    }
-
     #[test]
     fn sharding_propagates_through_restrict_and_prune() {
         let mut p = sample();
@@ -950,20 +956,112 @@ mod tests {
         let (sub, _) = p.restrict_to(&[ObjectId(2), ObjectId(0)]);
         let sub_sharded = sub.sharded().expect("restrict_to must keep sharding");
         assert_eq!(sub_sharded.shard_count(), 2);
-        assert_eq!(sub_sharded.rows_per_shard(), 1);
-        assert_eq!(owned_edges(sub_sharded), sub.pairs().len());
         let pl = Placement::new(vec![0, 1], 2);
         assert_eq!(
             sub.eval_cost(&pl, 2).to_bits(),
             sub.graph().cost(&pl).to_bits()
         );
+        // The count is carried, clamped to the subproblem's objects.
+        let (one, _) = p.restrict_to(&[ObjectId(1)]);
+        assert_eq!(one.sharded().unwrap().shard_count(), 1);
         p.prune_pairs(1);
         let pruned_sharded = p.sharded().expect("prune_pairs must keep sharding");
         assert_eq!(pruned_sharded.shard_count(), 2);
-        assert_eq!(owned_edges(pruned_sharded), 1);
         // An unsharded problem stays unsharded through both paths.
-        let q = sample();
+        let mut q = sample();
         assert!(q.restrict_to(&[ObjectId(0)]).0.sharded().is_none());
+        q.prune_pairs(1);
+        assert!(q.sharded().is_none());
+    }
+
+    #[test]
+    fn restricted_and_pruned_weights_are_the_parents() {
+        // Tenths are not binary fractions, so most weights snap.
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 1)).collect();
+        for (i, &(a, d)) in [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5), (1, 4)]
+            .iter()
+            .enumerate()
+        {
+            let tenths = f64::from(i as u32 % 9 + 1) / 10.0;
+            b.add_pair(o[a], o[d], tenths, 3.7 * (i + 1) as f64)
+                .unwrap();
+        }
+        let p = b.uniform_capacities(2, 6).build().unwrap();
+        let parent: HashMap<(ObjectId, ObjectId), u64> = p
+            .graph()
+            .edges()
+            .map(|e| ((e.a, e.b), e.weight.to_bits()))
+            .collect();
+        assert!(p
+            .pairs()
+            .iter()
+            .any(|pair| { parent[&(pair.a, pair.b)] != pair.weight().to_bits() }));
+        let keep = [5, 1, 4, 0, 2].map(ObjectId);
+        let (sub, ids) = p.restrict_to(&keep);
+        assert_eq!(sub.graph().quantum(), p.graph().quantum());
+        for e in sub.graph().edges() {
+            let (a, d) = (ids[e.a.index()], ids[e.b.index()]);
+            assert_eq!(e.weight.to_bits(), parent[&(a.min(d), a.max(d))]);
+        }
+        let mut pruned = p.clone();
+        pruned.prune_pairs(4);
+        assert_eq!(pruned.graph().quantum(), p.graph().quantum());
+        let kept: Vec<u64> = pruned.graph().edges().map(|e| e.weight.to_bits()).collect();
+        let heaviest: Vec<u64> = p.graph().edges_by_weight()[..4]
+            .iter()
+            .map(|&e| p.graph().edge_weight(e).to_bits())
+            .collect();
+        assert_eq!(kept, heaviest);
+        assert_eq!(
+            pruned.total_pair_weight(),
+            heaviest.iter().map(|&w| f64::from_bits(w)).sum::<f64>()
+        );
+    }
+
+    #[test]
+    fn non_finite_total_weight_is_overflow() {
+        // Each weight is finite; their total is not.
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..3).map(|i| b.add_object(format!("o{i}"), 1)).collect();
+        b.add_pair(o[0], o[1], 1.0, f64::MAX).unwrap();
+        b.add_pair(o[1], o[2], 1.0, f64::MAX).unwrap();
+        assert_eq!(
+            b.uniform_capacities(2, 10).build().unwrap_err(),
+            ProblemError::Overflow("total pair weight".into())
+        );
+    }
+
+    #[test]
+    fn with_capacities_errors_are_typed() {
+        let p = sample();
+        assert_eq!(
+            p.with_capacities(vec![u64::MAX, 1]).unwrap_err(),
+            ProblemError::Overflow("total capacity".into())
+        );
+        assert_eq!(
+            p.with_capacities(Vec::new()).unwrap_err(),
+            ProblemError::NoNodes
+        );
+        let bw = Resource::new("bw", vec![1, 1, 1], vec![5, 5]);
+        let mut b = CcaProblem::builder();
+        for i in 0..3 {
+            b.add_object(format!("o{i}"), 1);
+        }
+        let with_bw = b
+            .uniform_capacities(2, 10)
+            .add_resource(bw)
+            .build()
+            .unwrap();
+        assert!(matches!(
+            with_bw.with_capacities(vec![10; 3]),
+            Err(ProblemError::Resource(ResourceError::CapacityLength {
+                expected: 3,
+                got: 2
+            }))
+        ));
+        let wider = p.with_capacities(vec![7, 8, 9]).unwrap();
+        assert_eq!((wider.num_nodes(), wider.capacity(2)), (3, 9));
     }
 
     #[test]

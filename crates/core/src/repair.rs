@@ -165,10 +165,9 @@ impl<'a> Repairer<'a> {
     /// Fills `clusters` with the clusters on `node`: connected groups
     /// (within the correlation graph) of its members, discovered from
     /// `members[node]` in ascending id by a stack DFS over CSR neighbours,
-    /// then sorted largest first. Equal-size clusters keep whatever order
-    /// `sort_unstable_by_key` leaves them in, and the step's strict-<
-    /// selection depends on it, so the sort and its `Vec<ObjectId>`
-    /// elements must not change.
+    /// so each cluster's root is its smallest member. A stable sort then
+    /// orders them by size descending, then by smallest member id, and
+    /// the step's strict-< selection takes the first of equal scores.
     fn discover_clusters(&mut self, node: usize) {
         let placement = self.rp.primary();
         self.spare.extend(self.clusters.drain(..).map(|mut c| {
@@ -195,8 +194,7 @@ impl<'a> Repairer<'a> {
             }
             self.clusters.push(cluster);
         }
-        self.clusters
-            .sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
+        self.clusters.sort_by_key(|c| std::cmp::Reverse(c.len()));
     }
 
     /// Candidate 1: the whole-cluster move off `src` with the lowest
@@ -554,7 +552,7 @@ mod reference {
                 }
                 clusters.push(cluster);
             }
-            clusters.sort_unstable_by_key(|c| std::cmp::Reverse(c.len()));
+            clusters.sort_by_key(|c| std::cmp::Reverse(c.len()));
             clusters
         }
 
@@ -771,7 +769,7 @@ mod tests {
         /// capacities.
         resource: Option<(Vec<u64>, Vec<u64>)>,
         /// `(a, b, correlation in 997ths, comm cost in 7ths)`: weights
-        /// are not dyadic, so float sums round.
+        /// are not dyadic, so the graph snaps them to its quantum.
         edges: Vec<(usize, usize, u32, u32)>,
         /// Storage capacities; 0 marks a dead node.
         capacities: Vec<u64>,
@@ -1006,6 +1004,24 @@ mod tests {
         // Pairs stayed together.
         assert_eq!(pl.node_of(o[0]), pl.node_of(o[1]));
         assert_eq!(pl.node_of(o[2]), pl.node_of(o[3]));
+    }
+
+    #[test]
+    fn equal_clusters_move_in_smallest_id_order() {
+        // Three equal pairs crammed on node 0, each free to move: equal
+        // size, equal (zero) score, and one move fixes the overload. The
+        // cluster holding the smallest id moves.
+        let mut b = CcaProblem::builder();
+        let o: Vec<_> = (0..6).map(|i| b.add_object(format!("o{i}"), 10)).collect();
+        for (a, d) in [(2, 5), (0, 4), (1, 3)] {
+            b.add_pair(o[a], o[d], 0.5, 10.0).unwrap();
+        }
+        let p = b.capacities(vec![40, 100]).build().unwrap();
+        let mut pl = Placement::new(vec![0; 6], 2);
+        let out = repair_capacity_with(&p, &mut pl, 1.0, 0);
+        assert!(out.feasible);
+        assert_eq!(out.moves, 2);
+        assert_eq!(pl.as_slice(), &[1, 0, 0, 0, 1, 0]);
     }
 
     #[test]

@@ -931,7 +931,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let degraded = p.with_capacities(capacities);
+                let degraded = p.with_capacities(capacities).unwrap();
                 let mut got = want.clone();
                 let outcome = repair_replica_spread(&degraded, &tree, &mut got, &c.dead, c.slack);
                 let mut expected = want;
@@ -980,7 +980,7 @@ mod tests {
         // candidates.
         let mut got = ReplicaPlacement::from_primary(Placement::new(vec![0, 2], 3));
         let mut old = got.clone();
-        let degraded = p.with_capacities(vec![0, 100, 100]);
+        let degraded = p.with_capacities(vec![0, 100, 100]).unwrap();
         let out = repair_replica_spread(&degraded, &tree, &mut got, &[0], 1.0);
         assert_eq!(out.moves, 1);
         assert_eq!(got.node_of(o0, 0), 2, "the copy must fit its bandwidth");

@@ -160,6 +160,9 @@ pub struct NodeLossReport {
     pub migrated_bytes: u64,
     /// Objects moved relative to the pre-loss placement.
     pub moves: usize,
+    /// Whether the re-placed placement fits the degraded problem at the
+    /// capacity slack used, i.e. whether the loss was absorbed.
+    pub feasible: bool,
 }
 
 /// Structured account of a resilient solve: every rung attempted, what
@@ -593,14 +596,17 @@ fn without_nodes(problem: &CcaProblem, dead_nodes: &[usize]) -> CcaProblem {
             }
         })
         .collect();
-    problem.with_capacities(capacities)
+    problem
+        .with_capacities(capacities)
+        .expect("zeroed capacities keep the problem's totals")
 }
 
 /// Simulates losing `dead_nodes`: their storage capacity drops to zero in
 /// a copy of `problem`, the placement is repaired off them (and polished
 /// with capacity-respecting migration), and the data movement is
 /// accounted. Returns the degraded problem, the re-placed placement, and
-/// the loss report.
+/// the loss report, which says whether the re-placed placement fits the
+/// degraded problem at `capacity_slack` (at least 1).
 ///
 /// Secondary-resource capacities are *not* zeroed — [`CcaProblem`] keeps
 /// them per-resource, and a storage capacity of zero already evicts every
@@ -638,6 +644,7 @@ pub fn survive_node_loss(
             .objects()
             .filter(|&o| placement.node_of(o) != replaced.node_of(o))
             .count(),
+        feasible: replaced.within_all_capacities(&degraded, slack),
     };
     (degraded, replaced, report)
 }
@@ -986,6 +993,7 @@ mod tests {
         let p = b.uniform_capacities(2, 10).build().unwrap();
         let start = Placement::new(vec![0, 1], 2);
         let (degraded, replaced, loss) = survive_node_loss(&p, &start, &[0], 1.0);
+        assert!(!loss.feasible);
         assert!(!replaced.within_all_capacities(&degraded, 1.0));
         assert_eq!(replaced.node_of(a), 0);
         assert_eq!((loss.moves, loss.migrated_bytes), (0, 0));

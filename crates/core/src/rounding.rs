@@ -608,7 +608,7 @@ mod tests {
         b.add_object("a", 5);
         b.add_object("b", 5);
         let p = b.uniform_capacities(2, 10).build().unwrap();
-        let dead = p.with_capacities(vec![10, 0]);
+        let dead = p.with_capacities(vec![10, 0]).unwrap();
         let on_live = Placement::new(vec![0, 0], 2);
         let on_dead = Placement::new(vec![0, 1], 2);
         assert!((max_load_ratio(&dead, &on_live) - 1.0).abs() < 1e-12);

@@ -63,7 +63,9 @@ pub fn scope_subproblem(
         let capacities = (0..problem.num_nodes())
             .map(|k| problem.capacity(k).saturating_sub(per_node))
             .collect();
-        sub = sub.with_capacities(capacities);
+        sub = sub
+            .with_capacities(capacities)
+            .expect("lowered capacities keep the problem's totals");
     }
     sub
 }
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn capacity_deduction_saturates_at_zero() {
-        let p = problem().with_capacities(vec![10, 10]);
+        let p = problem().with_capacities(vec![10, 10]).unwrap();
         let scope = [ObjectId(0)];
         let sub = scope_subproblem(&p, &scope, true);
         assert_eq!(sub.capacity(0), 0);

@@ -1,148 +1,85 @@
-//! Range-sharded view of the correlation graph for million-object
-//! instances.
+//! Sharded view of the correlation graph for million-object instances.
 //!
-//! [`ShardedGraph`] partitions the problem's one
-//! [`crate::graph::CorrelationGraph`] by *object range*: shard `s` owns
-//! the row block `[s·rows_per_shard, (s+1)·rows_per_shard)` and the edges
-//! whose **smaller endpoint** falls in that block, recorded as ascending
-//! [`EdgeId`] ranges of the graph's one edge list. It copies no rows and
-//! no edge columns: the bulk folds (`cost`, `cost_batch`,
-//! `cost_replicas`) run each shard's ranges through the graph's range
-//! folds on `cca-par` workers, and the per-shard partials are added **in
-//! shard-index order** from `-0.0`, so every result is identical for
-//! every `threads` value.
+//! [`ShardedGraph`] splits the problem's one
+//! [`crate::graph::CorrelationGraph`] into contiguous [`EdgeId`] slices:
+//! of `S` shards over `m` edges, shard `s` folds the edges
+//! `[s·⌈m/S⌉, (s+1)·⌈m/S⌉)` of the graph it is handed. It keeps only its
+//! shard count, and copies no rows and no edge columns. The bulk folds
+//! (`cost`, `cost_batch`, `cost_replicas`) run each slice through the
+//! graph's range folds on `cca-par` workers and add the per-shard
+//! partials in shard-index order from `-0.0`.
 //!
-//! Bit-compatibility with the flat graph (DESIGN.md §11):
-//!
-//! - `shard_count = 1` owns every edge as the one range the flat folds
-//!   walk, and `-0.0 + x` is bitwise `x`, so its results are the flat
-//!   bits. Trailing empty shards contribute the `-0.0` reduce identity.
-//! - For `shard_count > 1` the partials are a different association of
-//!   the same per-edge terms. On dyadic weights every addition is exact
-//!   and the bits still match the flat fold; otherwise they can differ in
-//!   the last bits.
+//! Every edge weight is an exact multiple of the graph's quantum, so
+//! every sum is exact and the results are the flat folds' bits for every
+//! shard count and every `threads` value (DESIGN.md §11).
 
 use crate::graph::{CorrelationGraph, EdgeId, PlacementBatch};
 use crate::placement::Placement;
 use crate::replica::ReplicaPlacement;
-use std::ops::Range;
 
-/// Partition of a [`CorrelationGraph`] into contiguous row blocks, each
-/// holding the ascending [`EdgeId`] ranges of the edges it owns (see the
-/// module docs for the bit contract).
+/// A split of a [`CorrelationGraph`]'s edge list into contiguous slices
+/// (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardedGraph {
-    rows_per_shard: usize,
-    /// Edge count of the partitioned graph; every fold checks its graph
-    /// against it.
-    num_edges: usize,
-    /// Shard `s` owns the edges of `shards[s]`, ranges in ascending
-    /// [`EdgeId`] order.
-    shards: Vec<Vec<Range<EdgeId>>>,
+    shard_count: usize,
 }
 
 impl ShardedGraph {
-    /// Partitions `graph` into `shard_count` shards (clamped to
-    /// `[1, max(num_objects, 1)]`) in one pass over its edge list. Runs
-    /// of consecutive edges with the same owner become one range, so a
-    /// graph whose pairs are sorted by `(a, b)` — every problem straight
-    /// from [`crate::CcaProblemBuilder::build`] — gives each shard at
-    /// most one range.
+    /// `shard_count` slices of `graph`'s edges, the count clamped to
+    /// `[1, max(num_objects, 1)]`. Past the edge count, trailing slices
+    /// are empty.
     #[must_use]
-    pub fn build(graph: &CorrelationGraph, shard_count: usize) -> ShardedGraph {
-        let num_objects = graph.num_objects();
-        let shard_count = shard_count.clamp(1, num_objects.max(1));
-        // Ceil split so exactly `shard_count` blocks cover every row; the
-        // max(1) keeps the owner division defined on empty graphs.
-        let rows_per_shard = num_objects.div_ceil(shard_count).max(1);
-        let mut shards = vec![Vec::new(); shard_count];
-        for edge in graph.edges() {
-            let owned: &mut Vec<Range<EdgeId>> =
-                &mut shards[edge.a.min(edge.b).index() / rows_per_shard];
-            let next = EdgeId(edge.id.0 + 1);
-            match owned.last_mut() {
-                Some(range) if range.end == edge.id => range.end = next,
-                _ => owned.push(edge.id..next),
-            }
-        }
+    pub fn new(graph: &CorrelationGraph, shard_count: usize) -> ShardedGraph {
         ShardedGraph {
-            rows_per_shard,
-            num_edges: graph.num_edges(),
-            shards,
+            shard_count: shard_count.clamp(1, graph.num_objects().max(1)),
         }
     }
 
-    /// Number of shards (the clamped `shard_count` the view was built
-    /// with; trailing shards may own no rows).
+    /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shard_count
     }
 
-    /// Rows per shard (ceil of `num_objects / shard_count`).
-    #[must_use]
-    pub fn rows_per_shard(&self) -> usize {
-        self.rows_per_shard
-    }
-
-    /// The ascending [`EdgeId`] ranges of the edges shard `s` owns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= shard_count()`.
-    #[must_use]
-    pub fn edge_ranges(&self, s: usize) -> &[Range<EdgeId>] {
-        &self.shards[s]
-    }
-
-    /// Resident size of the partition in bytes: its range lists, a few
-    /// bytes per shard when the pairs are sorted by `(a, b)`.
+    /// Resident size of the view in bytes: its shard count.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.shards.len() * size_of::<Vec<Range<EdgeId>>>()
-            + self.shards.iter().map(Vec::len).sum::<usize>() * size_of::<Range<EdgeId>>()
+        size_of::<ShardedGraph>()
     }
 
-    /// Runs `fold` over `graph` and each shard's edge ranges on up to
-    /// `threads` `cca-par` workers and returns the partials in
-    /// shard-index order, whichever worker produced them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph` does not have the partitioned edge count.
+    /// Runs `fold` over each shard's slice of `graph` on up to `threads`
+    /// `cca-par` workers and returns the partials in shard-index order,
+    /// whichever worker produced them.
     fn partials<T: Send>(
         &self,
         graph: &CorrelationGraph,
         threads: usize,
-        fold: impl Fn(&CorrelationGraph, &[Range<EdgeId>]) -> T + Sync,
+        fold: impl Fn(std::ops::Range<EdgeId>) -> T + Sync,
     ) -> Vec<T> {
-        assert_eq!(
-            graph.num_edges(),
-            self.num_edges,
-            "graph is not the one this partition was built from"
-        );
-        cca_par::par_map_indexed(threads, self.shards.len(), |s| fold(graph, &self.shards[s]))
+        let m = graph.num_edges();
+        let per = m.div_ceil(self.shard_count);
+        let edge = |e: usize| EdgeId(e.min(m) as u32);
+        cca_par::par_map_indexed(threads, self.shard_count, |s| {
+            fold(edge(s * per)..edge((s + 1) * per))
+        })
     }
 
-    /// The CCA objective of `placement` on `graph` (the graph this
-    /// partition was built from): each shard folds its owned edges in
-    /// [`EdgeId`] order from `-0.0`, and the partials are added in shard
-    /// order from `-0.0`. Identical for every `threads` value; with one
-    /// shard, bit-identical to [`CorrelationGraph::cost`].
+    /// The CCA objective of `placement` on `graph`: each shard folds its
+    /// slice in [`EdgeId`] order from `-0.0`, and the partials are added
+    /// in shard order from `-0.0`. Bit-identical to
+    /// [`CorrelationGraph::cost`] for every shard and thread count.
     ///
     /// # Panics
     ///
-    /// Panics if the placement covers fewer objects than the graph, or if
-    /// `graph`'s edge count differs from the partitioned graph's.
+    /// Panics if the placement covers fewer objects than the graph.
     #[must_use]
     pub fn cost(&self, graph: &CorrelationGraph, placement: &Placement, threads: usize) -> f64 {
-        sum_in_shard_order(self.partials(graph, threads, |g, edges| g.cost_over(edges, placement)))
+        let partials = self.partials(graph, threads, |edges| graph.cost_over(edges, placement));
+        partials.into_iter().sum()
     }
 
     /// [`CorrelationGraph::cost_batch`] per shard, the partials of each
-    /// column added in shard order from `-0.0` — the reduction of
-    /// [`ShardedGraph::cost`], column by column. An empty batch yields an
+    /// column added in shard order from `-0.0`. An empty batch yields an
     /// empty vector.
     ///
     /// # Panics
@@ -156,7 +93,7 @@ impl ShardedGraph {
         threads: usize,
     ) -> Vec<f64> {
         let mut totals = vec![-0.0f64; batch.width()];
-        for partial in self.partials(graph, threads, |g, edges| g.cost_batch_over(edges, batch)) {
+        for partial in self.partials(graph, threads, |edges| graph.cost_batch_over(edges, batch)) {
             for (t, p) in totals.iter_mut().zip(partial) {
                 *t += p;
             }
@@ -165,8 +102,7 @@ impl ShardedGraph {
     }
 
     /// [`CorrelationGraph::cost_replicas`] per shard, reduced as
-    /// [`ShardedGraph::cost`]; with `r = 1` it is
-    /// `cost(graph, rp.primary(), threads)` bit for bit.
+    /// [`ShardedGraph::cost`].
     ///
     /// # Panics
     ///
@@ -178,22 +114,15 @@ impl ShardedGraph {
         rp: &ReplicaPlacement,
         threads: usize,
     ) -> f64 {
-        sum_in_shard_order(
-            self.partials(graph, threads, |g, edges| g.cost_replicas_over(edges, rp)),
-        )
+        let partials = self.partials(graph, threads, |edges| graph.cost_replicas_over(edges, rp));
+        partials.into_iter().sum()
     }
-}
-
-/// Adds per-shard partials in shard order from the `-0.0` identity
-/// (`-0.0 + x` is bitwise `x`, so one shard returns its partial as is).
-fn sum_in_shard_order(partials: Vec<f64>) -> f64 {
-    partials.into_iter().fold(-0.0, |total, p| total + p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{CcaProblem, ObjectId};
+    use crate::problem::CcaProblem;
 
     fn problem() -> CcaProblem {
         // Dyadic weights: correlations in eighths, costs integral.
@@ -216,69 +145,44 @@ mod tests {
     #[test]
     fn builder_order_gives_each_shard_one_range() {
         let p = problem();
-        // Pairs sorted by (a, b): (0,1) (0,2) (1,3) (1,4) (2,3) (3,4).
-        let sg = ShardedGraph::build(p.graph(), 2);
-        assert_eq!(sg.rows_per_shard(), 3);
-        assert_eq!(sg.edge_ranges(0), &[EdgeId(0)..EdgeId(5)]);
-        assert_eq!(sg.edge_ranges(1), &[EdgeId(5)..EdgeId(6)]);
-        let one = ShardedGraph::build(p.graph(), 1);
-        assert_eq!(one.edge_ranges(0), &[p.graph().all_edges()]);
-    }
-
-    #[test]
-    fn scattered_owners_give_several_ranges_that_cover_every_edge_once() {
-        let p = problem();
-        // New ids 0,2,4,3,1 for objects 0..5: the pair list keeps its
-        // storage order, so edge 4 (now (3, 4)) interrupts shard 0's run.
-        let keep: Vec<ObjectId> = [0, 4, 1, 3, 2].map(ObjectId).to_vec();
-        let (sub, _) = p.restrict_to(&keep);
-        let sg = ShardedGraph::build(sub.graph(), 2);
-        let ranges: Vec<_> = (0..2).flat_map(|s| sg.edge_ranges(s).to_vec()).collect();
-        assert!(
-            ranges.len() > 2,
-            "expected a fragmented partition: {ranges:?}"
+        let g = p.graph();
+        // Six edges in three shards: shard s folds the slice [2s, 2s + 2),
+        // so adding the three slice folds in order is the sharded fold.
+        let sg = ShardedGraph::new(g, 3);
+        let pl = Placement::new(vec![0, 1, 2, 0, 1], 3);
+        let slices = (0..3)
+            .map(|s| g.cost_over(EdgeId(2 * s)..EdgeId(2 * s + 2), &pl))
+            .fold(-0.0, |total, p| total + p);
+        assert_eq!(sg.cost(g, &pl, 2).to_bits(), slices.to_bits());
+        assert_eq!(
+            ShardedGraph::new(g, 1).cost(g, &pl, 2).to_bits(),
+            g.cost_over(g.all_edges(), &pl).to_bits()
         );
-        let mut hits = vec![0; sub.graph().num_edges()];
-        for s in 0..sg.shard_count() {
-            for range in sg.edge_ranges(s) {
-                assert!(range.start < range.end);
-                for e in range.start.0..range.end.0 {
-                    let edge = sub.graph().edge(EdgeId(e));
-                    assert_eq!(edge.a.min(edge.b).index() / sg.rows_per_shard(), s);
-                    hits[e as usize] += 1;
-                }
-            }
-            assert!(sg.edge_ranges(s).windows(2).all(|w| w[0].end < w[1].start));
-        }
-        assert!(hits.iter().all(|&h| h == 1));
     }
 
     #[test]
     fn shard_count_clamps_and_trailing_shards_may_be_empty() {
         let p = problem();
-        // 64 requested shards clamp to num_objects = 5.
-        let sg = ShardedGraph::build(p.graph(), 64);
-        assert_eq!(sg.shard_count(), 5);
-        assert!(sg.edge_ranges(4).is_empty());
-        // Zero-object graph still builds one (empty) shard, whose cost is
-        // the `-0.0` reduce identity.
+        let g = p.graph();
+        // 64 requested shards clamp to the 5 objects, 0 to one shard.
+        assert_eq!(ShardedGraph::new(g, 64).shard_count(), 5);
+        assert_eq!(ShardedGraph::new(g, 0).shard_count(), 1);
+        // Five shards take slices of two of the six edges: the last two
+        // are empty and add the `-0.0` identity.
+        let pl = Placement::new(vec![0, 1, 2, 0, 1], 3);
+        let five = ShardedGraph::new(g, 5);
+        assert_eq!(five.cost(g, &pl, 1).to_bits(), g.cost(&pl).to_bits());
+        let colocated = Placement::new(vec![0; 5], 3);
+        assert_eq!(five.cost(g, &colocated, 2).to_bits(), (-0.0f64).to_bits());
+        // An edgeless graph still folds one (empty) shard to `-0.0`.
         let g0 = CorrelationGraph::build(0, &[]);
-        let empty = ShardedGraph::build(&g0, 4);
+        let empty = ShardedGraph::new(&g0, 4);
         assert_eq!(empty.shard_count(), 1);
-        assert_eq!(empty.memory_bytes(), size_of::<Vec<Range<EdgeId>>>());
+        assert!(empty.memory_bytes() > 0);
         assert_eq!(
             empty.cost(&g0, &Placement::new(Vec::new(), 1), 1).to_bits(),
             (-0.0f64).to_bits()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "graph is not the one this partition was built from")]
-    fn folding_another_graph_panics() {
-        let p = problem();
-        let sg = ShardedGraph::build(p.graph(), 2);
-        let other = CorrelationGraph::build(5, &p.pairs()[..5]);
-        let _ = sg.cost(&other, &Placement::new(vec![0; 5], 3), 1);
     }
 
     #[test]
@@ -292,7 +196,7 @@ mod tests {
             Placement::new(vec![2, 1, 0, 0, 1], 3),
         ]);
         for shards in [1, 2, 3, 5] {
-            let sg = ShardedGraph::build(g, shards);
+            let sg = ShardedGraph::new(g, shards);
             for threads in [1, 2, 4] {
                 assert_eq!(sg.cost(g, &pl, threads).to_bits(), g.cost(&pl).to_bits());
                 let got: Vec<u64> = sg
@@ -308,7 +212,7 @@ mod tests {
                 );
             }
         }
-        assert!(ShardedGraph::build(g, 2)
+        assert!(ShardedGraph::new(g, 2)
             .cost_batch(g, &PlacementBatch::new(5, 3), 2)
             .is_empty());
     }

@@ -2,9 +2,10 @@
 //! move deltas.
 //!
 //! Every equality here is **exact** (`==` on `f64`, often on raw bits),
-//! not epsilon-tolerant: the generator draws dyadic-rational weights
-//! (multiples of 1/8 with small magnitudes), so every partial sum is
-//! exactly representable and any summation-order discrepancy the graph
+//! not epsilon-tolerant. The generator draws dyadic weights (multiples of
+//! 1/8 with small magnitudes), tenths, and reals across several
+//! magnitudes; the graph snaps each to its quantum, so every partial sum
+//! is exactly representable and any summation-order discrepancy the graph
 //! layer introduced would show up as a hard mismatch, not as noise under
 //! a tolerance.
 
@@ -18,14 +19,15 @@ const REGRESSIONS: &str = concat!(
     "/tests/graph_properties.regressions"
 );
 
-/// Shrinkable description of a random CCA instance with dyadic weights
-/// plus a placement and a move script over it.
+/// Shrinkable description of a random CCA instance plus a placement and
+/// a move script over it.
 #[derive(Debug, Clone)]
 struct GraphCase {
     sizes: Vec<u8>,
     nodes: usize,
-    /// (a, b, correlation eighths in 1..=8, cost in 1..=16)
-    pairs: Vec<(usize, usize, u8, u8)>,
+    /// (a, b, correlation, cost): eighths × integers, tenths × integers,
+    /// or reals across magnitudes, one kind per case.
+    pairs: Vec<(usize, usize, f64, f64)>,
     /// Initial assignment, reduced modulo `nodes`.
     assignment: Vec<u8>,
     /// Move script: (object, target node), reduced modulo the dimensions.
@@ -63,12 +65,30 @@ impl Shrink for GraphCase {
 fn graph_case(rng: &mut StdRng) -> GraphCase {
     let t = rng.random_range(2usize..10);
     let sizes = (0..t).map(|_| rng.random_range(1u8..12)).collect();
+    let kind = rng.random_range(0u8..3);
     let pairs = gen::vec(rng, 0..t * 3, |r| {
+        let (correlation, cost) = match kind {
+            // Dyadic: every raw sum is exact already.
+            0 => (
+                f64::from(r.random_range(1u8..=8)) / 8.0,
+                f64::from(r.random_range(1u8..=16)),
+            ),
+            // Tenths: `0.3 · 7` is not a binary fraction.
+            1 => (
+                f64::from(r.random_range(1u8..=9)) / 10.0,
+                f64::from(r.random_range(1u8..=16)),
+            ),
+            // Reals from 1e-3 to 1e6.
+            _ => (
+                r.random_range(0.001..1.0),
+                r.random_range(1.0..10.0) * 10f64.powi(r.random_range(-3i32..=6)),
+            ),
+        };
         (
             r.random_range(0..t),
             r.random_range(0..t),
-            r.random_range(1u8..=8),  // correlation = eighths/8 — dyadic
-            r.random_range(1u8..=16), // integral cost
+            correlation,
+            cost,
         )
     });
     let nodes = rng.random_range(1usize..5);
@@ -93,19 +113,11 @@ fn build(c: &GraphCase) -> CcaProblem {
         .enumerate()
         .map(|(i, &s)| b.add_object(format!("o{i}"), u64::from(s.max(1))))
         .collect();
-    for &(a, d, eighths, cost) in &c.pairs {
+    for &(a, d, correlation, cost) in &c.pairs {
         let (a, d) = (a % objs.len(), d % objs.len());
         if a != d {
-            // correlation k/8 with k in 1..=8 and integral cost: the pair
-            // weight r·w is an exact multiple of 1/8, so all cost sums in
-            // these tests are exact in f64.
-            b.add_pair(
-                objs[a],
-                objs[d],
-                f64::from(eighths.clamp(1, 8)) / 8.0,
-                f64::from(cost.max(1)),
-            )
-            .expect("valid pair");
+            b.add_pair(objs[a], objs[d], correlation, cost)
+                .expect("valid pair");
         }
     }
     let nodes = c.nodes.max(1);
@@ -113,6 +125,13 @@ fn build(c: &GraphCase) -> CcaProblem {
     b.uniform_capacities(nodes, total + 8)
         .build()
         .expect("valid problem")
+}
+
+/// Pair `e`'s `r·w` snapped to the graph's quantum: the weight every
+/// cost reads.
+fn snapped(p: &CcaProblem, e: usize) -> f64 {
+    let q = p.graph().quantum();
+    (p.pairs()[e].weight() / q).round() * q
 }
 
 fn placement(c: &GraphCase, p: &CcaProblem) -> Placement {
@@ -162,12 +181,12 @@ fn move_delta_equals_full_recompute_difference() {
 
 /// A running cost — the start's full walk plus each applied move's
 /// `r = 1` move delta — driven through an arbitrary move script agrees with the
-/// full recompute after **every** step, exactly; each delta is exactly
-/// the cost change its move causes. Post-move comparisons use `f64 ==`
-/// (still exact — dyadic weights): the one bit a running sum cannot
-/// track is the sign of zero (`2.0 + (-2.0)` is `+0.0` while the
-/// recompute's empty fold is `-0.0`), and `==` treats ±0.0 as equal
-/// without admitting any magnitude error.
+/// full recompute after **every** step, exactly, on non-dyadic weights
+/// as well; each delta is exactly the cost change its move causes.
+/// Post-move comparisons use `f64 ==` (still exact — snapped weights):
+/// the one bit a running sum cannot track is the sign of zero
+/// (`2.0 + (-2.0)` is `+0.0` while the recompute's empty fold is `-0.0`),
+/// and `==` treats ±0.0 as equal without admitting any magnitude error.
 #[test]
 fn incremental_cost_tracks_multi_move_sequences() {
     Checker::new("incremental_cost_tracks_multi_move_sequences")
@@ -258,13 +277,13 @@ fn csr_structure_matches_pair_list() {
             let graph = p.graph();
             prop_assert_eq!(graph.num_edges(), p.pairs().len());
             prop_assert_eq!(graph.num_objects(), p.num_objects());
-            // Back-map: edge `e` of the graph is `pairs()[e]`, same weight
-            // bits (the graph precomputes the identical r·w multiply).
+            // Back-map: edge `e` of the graph is `pairs()[e]`, its weight
+            // the pair's `r·w` snapped to the quantum.
             for (e, pair) in p.pairs().iter().enumerate() {
                 let edge = graph.edge(cca_core::EdgeId(e as u32));
                 prop_assert_eq!(edge.a, pair.a);
                 prop_assert_eq!(edge.b, pair.b);
-                prop_assert_eq!(edge.weight.to_bits(), pair.weight().to_bits());
+                prop_assert_eq!(edge.weight.to_bits(), snapped(&p, e).to_bits());
             }
             // Each edge appears in exactly both endpoint rows; rows are
             // symmetric.
@@ -278,7 +297,7 @@ fn csr_structure_matches_pair_list() {
             for o in p.objects() {
                 for (other, w) in graph.neighbors(o) {
                     let e = edge_of[&(o.min(other), o.max(other))];
-                    prop_assert_eq!(w.to_bits(), p.pairs()[e].weight().to_bits());
+                    prop_assert_eq!(w.to_bits(), snapped(&p, e).to_bits());
                     row_hits[e] += 1;
                     prop_assert!(
                         graph
@@ -297,9 +316,9 @@ fn csr_structure_matches_pair_list() {
         });
 }
 
-/// The graph cost is bit-identical to the historic dense pair scan
-/// (`filter · map · sum` over the pair list), including the `-0.0` that
-/// scan produces for fully co-located placements.
+/// The graph cost is bit-identical to a dense pair scan (`filter · map ·
+/// sum` over the pair list, with snapped weights), including the `-0.0`
+/// that scan produces for fully co-located placements.
 #[test]
 fn graph_cost_is_bitwise_pair_scan() {
     Checker::new("graph_cost_is_bitwise_pair_scan")
@@ -308,11 +327,9 @@ fn graph_cost_is_bitwise_pair_scan() {
         .run(graph_case, |c| {
             let p = build(c);
             let pl = placement(c, &p);
-            let scan: f64 = p
-                .pairs()
-                .iter()
-                .filter(|pr| pl.node_of(pr.a) != pl.node_of(pr.b))
-                .map(|pr| pr.weight())
+            let scan: f64 = (0..p.pairs().len())
+                .filter(|&e| pl.node_of(p.pairs()[e].a) != pl.node_of(p.pairs()[e].b))
+                .map(|e| snapped(&p, e))
                 .sum();
             prop_assert_eq!(
                 p.graph().cost(&pl).to_bits(),

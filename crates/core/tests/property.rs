@@ -307,9 +307,10 @@ fn drain_empties_node_or_fails() {
             let node = 0usize;
             let (degraded, out, report) = cca_core::survive_node_loss(&p, &start, &[node], 2.0);
             prop_assert_eq!(report.dropped_nodes, vec![node]);
+            prop_assert_eq!(report.feasible, out.within_all_capacities(&degraded, 2.0));
             // An infeasible repair means legitimately undrainable: the
             // dead node's zero capacity holds no object.
-            if out.within_all_capacities(&degraded, 2.0 + 1e-9) {
+            if report.feasible {
                 for o in p.objects() {
                     prop_assert_ne!(out.node_of(o), node);
                 }

@@ -12,9 +12,8 @@
 //!   correlations (paper Fig 2A's skew);
 //! * Zipf-heavy-tailed object sizes (paper Fig 5's index sizes);
 //! * **dyadic** edge weights — correlations are exact multiples of ⅛ and
-//!   communication costs are small integers — so every cost fold over
-//!   the instance is exact in `f64` and shard/thread invariance checks
-//!   can demand bit-identical results for *any* reduction shape.
+//!   communication costs are small integers — so the correlation graph's
+//!   snap of every weight to its quantum moves none of them.
 //!
 //! Everything is a pure function of the seed.
 

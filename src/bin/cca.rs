@@ -167,9 +167,7 @@ fn usage() -> &'static str {
                               for any N)\n\
        --shards N             evaluate bulk costs on an N-shard graph\n\
                               view, 1..=10000000 (every subcommand;\n\
-                              --shards 1 equals no sharding; with more\n\
-                              shards, non-dyadic weights may change the\n\
-                              last bits of a cost)\n\
+                              results are identical for any N)\n\
        --capacity-factor F    per-node capacity as a multiple of the\n\
                               average load, in (0, 1000000] (default 2.0,\n\
                               as in the paper)\n\
@@ -340,10 +338,8 @@ fn build_pipeline(args: &Args) -> Result<Pipeline, String> {
     if let Some(n) = args.shards {
         // Bulk cost evaluation (rounding ranking, migrate/repair
         // scoring, probe candidate scoring via the scoped
-        // subproblem) runs shard-parallel, for every subcommand. At one
-        // shard its bits are the unsharded run's. The presets' weights are
-        // not dyadic, so with more shards a cost can differ from the flat
-        // fold in its last bits (DESIGN.md §11).
+        // subproblem) runs shard-parallel, for every subcommand, with the
+        // unsharded run's bits at any shard count (DESIGN.md §11).
         p.problem.set_sharding(n, args.threads());
     }
     Ok(p)

@@ -5,7 +5,8 @@
 //! Every figure harness and example builds on this module.
 
 use cca_core::{
-    place, place_partial, CcaProblem, ObjectId, PlaceError, Placement, PlacementReport, Strategy,
+    place, place_partial, CcaProblem, ObjectId, PlaceError, Placement, PlacementReport,
+    ProblemError, Strategy,
 };
 use cca_search::{
     AggregationPolicy, Cluster, ExecutionStats, InvertedIndex, QueryEngine, StopwordList,
@@ -170,16 +171,18 @@ impl Pipeline {
     /// per-node capacities (`capacity_factor × total ÷ nodes`) without
     /// regenerating the workload or index. Used by the node-count sweeps.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `num_nodes` is zero.
-    pub fn renode(&mut self, num_nodes: usize) {
-        assert!(num_nodes > 0, "pipeline needs at least one node");
-        self.config.num_nodes = num_nodes;
+    /// [`ProblemError::NoNodes`] if `num_nodes` is zero, and
+    /// [`ProblemError::Overflow`] if the new capacities' total does not
+    /// fit a `u64`; the pipeline is then unchanged.
+    pub fn renode(&mut self, num_nodes: usize) -> Result<(), ProblemError> {
         let capacity = (self.config.capacity_factor * self.index.total_bytes() as f64
             / num_nodes as f64)
             .ceil() as u64;
-        self.problem = self.problem.with_capacities(vec![capacity; num_nodes]);
+        self.problem = self.problem.with_capacities(vec![capacity; num_nodes])?;
+        self.config.num_nodes = num_nodes;
+        Ok(())
     }
 
     /// Computes a placement: full optimization (`scope = None`) or

@@ -369,8 +369,7 @@ fn sharded_place_is_identical_across_thread_counts_and_to_flat() {
     assert_eq!(single.0, flat.0, "--shards 1 changed the exit code");
     assert_eq!(single.1, flat.1, "--shards 1 changed the report");
     // Fixed shard count, swept thread counts: byte-identical reports —
-    // and identical to the flat run (dyadic workload weights make every
-    // shard reduction exact).
+    // and identical to the flat run (every shard reduction is exact).
     for shards in ["2", "7"] {
         for threads in ["1", "2", "8"] {
             let mut args: Vec<&str> = base.to_vec();

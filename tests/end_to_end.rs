@@ -192,7 +192,7 @@ fn slack_trades_cost_for_balance() {
 fn node_scaling_effects() {
     let mut p = pipeline(21, 5);
     let r5 = p.evaluate(&Strategy::RandomHash, None).unwrap();
-    p.renode(25);
+    p.renode(25).unwrap();
     let r25 = p.evaluate(&Strategy::RandomHash, None).unwrap();
     assert!(
         r25.replay.total_bytes > r5.replay.total_bytes,

@@ -286,7 +286,7 @@ fn spread_invariant_survives_spread_migrate_and_repair() {
                     }
                 })
                 .collect();
-            let degraded = problem.with_capacities(capacities);
+            let degraded = problem.with_capacities(capacities).unwrap();
             let mut repaired = polished.replica.clone();
             let outcome =
                 repair_replica_spread(&degraded, &tree, &mut repaired, &dead_nodes, slack);
@@ -599,7 +599,9 @@ fn polish_matches_the_per_target_reference() {
             // Tight capacities: with slack r, a node fits about its
             // even share of the r copies, so the capacity filter binds.
             let total: u64 = base.objects().map(|o| base.size(o)).sum();
-            let base = base.with_capacities(vec![total.div_ceil(nodes as u64); nodes]);
+            let base = base
+                .with_capacities(vec![total.div_ceil(nodes as u64); nodes])
+                .map_err(|e| e.to_string())?;
             for shards in [None, Some(2), Some(7)] {
                 let mut problem = base.clone();
                 if let Some(s) = shards {

@@ -211,9 +211,8 @@ fn batched_admission_matches_serial_execution() {
 
 /// The persisted report is byte-identical across the full
 /// inflight × threads × shards matrix (sharding enters through the
-/// placement solve; the dyadic workload guarantees bit-equal greedy
-/// placements, and serving must preserve that equality to the report
-/// byte).
+/// placement solve, whose sharded sums are exact, and serving must
+/// preserve that equality to the report byte).
 #[test]
 fn serving_report_is_byte_identical_across_the_matrix() {
     let mut reference: Option<String> = None;
