@@ -24,7 +24,7 @@
 //! table it writes `BENCH_controller.json` (override the path with
 //! `CCA_BENCH_OUT`).
 
-use cca::algo::{format_placement, format_report, ControllerConfig, FaultPlan};
+use cca::algo::{format_placement, format_report, ControllerConfig};
 use cca::online::{run_online, OnlineConfig, OnlineOutcome};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::trace::TraceConfig;
@@ -38,21 +38,17 @@ const NODES: usize = 10;
 const DROP_NODES: usize = 2;
 
 fn online_config(epochs: u64, threads: usize) -> OnlineConfig {
-    let mut config = OnlineConfig {
+    OnlineConfig {
         epochs,
         seed: BENCH_SEED,
-        ..OnlineConfig::default()
-    };
-    config.faults = FaultPlan {
         drop_nodes: DROP_NODES,
-        seed: BENCH_SEED ^ 0xfa17,
-        ..FaultPlan::default()
-    };
-    config.controller = ControllerConfig {
-        threads,
-        ..ControllerConfig::default()
-    };
-    config
+        fault_seed: BENCH_SEED ^ 0xfa17,
+        controller: ControllerConfig {
+            threads,
+            ..ControllerConfig::default()
+        },
+        ..OnlineConfig::default()
+    }
 }
 
 fn render(outcome: &OnlineOutcome) -> String {

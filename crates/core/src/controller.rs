@@ -29,8 +29,8 @@
 //!    into per-scope loss state until a migration pays for itself), and
 //!    only if the candidate survives a [`survive_node_loss`] probe
 //!    (`rejected_not_worthwhile` / `rejected_not_robust` accounting).
-//! 5. **Survives faults.** Seeded [`FaultPlan`] node loss triggers
-//!    repair-then-continue with bounded escalating-slack retries, and
+//! 5. **Survives faults.** Seeded node loss ([`Controller::inject_fault`])
+//!    triggers repair-then-continue with bounded escalating-slack retries, and
 //!    degraded scoped solves back off exponentially (bounded) instead of
 //!    spinning — the loop never crashes and never silently stalls.
 //!
@@ -47,15 +47,49 @@ use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::DomainTree;
 use crate::resilience::{
-    solve_resilient, survive_node_loss, FaultPlan, ResilienceOptions, Rung, SolveBudget,
+    pick_dead_nodes, solve_resilient, survive_node_loss, ResilienceOptions, Rung,
 };
-use cca_rand::rngs::StdRng;
-use cca_rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Denominator of the estimate grid: correlation estimates are multiples
 /// of 2⁻²⁰, the resolution of the EWMA's values.
 const EST_GRID: f64 = (1u64 << 20) as f64;
+
+/// EWMA smoothing factor: the estimate update is
+/// `est ← quantize((1−α)·est + α·observed)`. It is dyadic (¼), so the
+/// un-quantized intermediate stays exact.
+const EWMA_ALPHA: f64 = 0.25;
+
+/// Minimum relative L1 drift (`Σ|est−placed| / Σ placed`) a scope must
+/// show before a scoped re-solve is attempted.
+const DRIFT_THRESHOLD: f64 = 0.05;
+
+/// At most this many objects (by incident estimated weight) enter a
+/// scoped re-solve.
+const SCOPE_TOP: usize = 96;
+
+/// Capacity slack for repair, robustness probes and migration.
+const CAPACITY_SLACK: f64 = 1.05;
+
+/// Best rung a scoped re-solve tries.
+const SOLVE_START: Rung = Rung::Greedy;
+
+/// Worst rung a scoped re-solve may select.
+const SOLVE_FLOOR: Rung = Rung::Hash;
+
+/// Degraded scoped solves for a scope are retried (with exponential epoch
+/// backoff) at most this many times before the degraded candidate
+/// proceeds to the gates anyway.
+const MAX_SOLVE_RETRIES: u32 = 2;
+
+/// Base epoch backoff after a degraded scoped solve; doubles per
+/// consecutive degradation (capped at 2⁶×).
+const BACKOFF_EPOCHS: u64 = 16;
+
+/// Escalating-slack repair attempts after a node loss before the loss is
+/// recorded as unrecovered (the loop still continues).
+const MAX_REPAIR_RETRIES: u32 = 3;
 
 /// Snaps a correlation estimate onto the dyadic 2⁻²⁰ grid.
 #[must_use]
@@ -63,51 +97,27 @@ pub fn quantize_estimate(r: f64) -> f64 {
     (r * EST_GRID).round() / EST_GRID
 }
 
-/// Tuning knobs of the online controller. `Default` is calibrated for the
-/// pipeline presets: evaluate every 16 epochs, amortize migrations over a
-/// 128-epoch horizon, greedy scoped re-solves (the LP rungs stay available
-/// via [`ControllerConfig::start`]).
+/// What callers set on the online controller. `Default` is calibrated for
+/// the pipeline presets: evaluate every 16 epochs over 4 scopes and
+/// amortize migrations over a 128-epoch horizon. The rest of the loop's
+/// tuning is fixed: an EWMA of α = ¼, a drift threshold of 5%, greedy
+/// scoped re-solves over at most 96 objects, a capacity slack of 1.05 and
+/// bounded retry and backoff counts.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
-    /// EWMA smoothing factor in `(0, 1]`; the estimate update is
-    /// `est ← quantize((1−α)·est + α·observed)`. Keep it dyadic (the
-    /// default is ¼) so the un-quantized intermediate stays exact.
-    pub ewma_alpha: f64,
     /// Gate evaluation cadence: drift is checked every this many epochs.
     pub evaluate_every: u64,
-    /// Minimum relative L1 drift (`Σ|est−placed| / Σ placed`) a scope
-    /// must show before a scoped re-solve is attempted.
-    pub drift_threshold: f64,
     /// Epochs a migration may take to amortize: accepted when
     /// `accumulated_loss + horizon·per_epoch_saving > migration_bytes`.
     pub horizon_epochs: u64,
     /// Number of contiguous object-range scopes drift is tracked per.
     pub scope_count: usize,
-    /// At most this many objects (by incident estimated weight) enter a
-    /// scoped re-solve.
-    pub scope_top: usize,
-    /// Capacity slack for repair, robustness probes and migration.
-    pub capacity_slack: f64,
     /// Worker threads for solves and batched scoring (results are
     /// identical for any value).
     pub threads: usize,
-    /// Budget applied to every scoped resilient solve. A wall-clock
-    /// deadline here is the **only** nondeterministic knob in the loop.
-    pub budget: SolveBudget,
-    /// Best rung a scoped re-solve may try.
-    pub start: Rung,
-    /// Worst rung a scoped re-solve may select.
-    pub floor: Rung,
-    /// Degraded scoped solves for a scope are retried (with exponential
-    /// epoch backoff) at most this many times before the degraded
-    /// candidate proceeds to the gates anyway.
-    pub max_solve_retries: u32,
-    /// Base epoch backoff after a degraded scoped solve; doubles per
-    /// consecutive degradation (capped at 2⁶×).
-    pub backoff_epochs: u64,
-    /// Escalating-slack repair attempts after a node loss before the
-    /// loss is recorded as unrecovered (the loop still continues).
-    pub max_repair_retries: u32,
+    /// Wall-clock deadline of every scoped resilient solve; `None` means
+    /// unlimited. It is the **only** nondeterministic knob in the loop.
+    pub deadline: Option<Duration>,
     /// When set, accepted migrations are not applied in one bulk
     /// [`reconcile`]; they are staged as a [`MigrationSchedule`] and the
     /// driver ships at most this many bytes per epoch via
@@ -125,20 +135,11 @@ pub struct ControllerConfig {
 impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
-            ewma_alpha: 0.25,
             evaluate_every: 16,
-            drift_threshold: 0.05,
             horizon_epochs: 128,
             scope_count: 4,
-            scope_top: 96,
-            capacity_slack: 1.05,
             threads: 1,
-            budget: SolveBudget::default(),
-            start: Rung::Greedy,
-            floor: Rung::Hash,
-            max_solve_retries: 2,
-            backoff_epochs: 16,
-            max_repair_retries: 3,
+            deadline: None,
             migration_budget_per_epoch: None,
             domains: None,
         }
@@ -231,7 +232,7 @@ pub struct FaultRecovery {
     /// Bytes moved while repairing.
     pub bytes: u64,
     /// Whether the repaired placement fits the surviving capacities
-    /// (under the configured slack). `false` never stops the loop.
+    /// (under the controller's slack). `false` never stops the loop.
     pub recovered: bool,
 }
 
@@ -293,7 +294,7 @@ pub struct ControllerReport {
     /// Final placement cost under the current estimated weights.
     pub final_cost: f64,
     /// Whether the final placement fits the surviving capacities under
-    /// the configured slack.
+    /// the controller's slack.
     pub final_feasible: bool,
 }
 
@@ -373,8 +374,9 @@ pub struct Controller {
     /// Edge indices owned by each scope (by smaller endpoint).
     scope_edges: Vec<Vec<u32>>,
     scopes: Vec<ScopeState>,
-    epoch: u64,
-    queries_total: u64,
+    /// Running tallies: epochs, queries and every counter of the report;
+    /// [`Controller::report`] fills in the end-of-run fields.
+    tally: ControllerReport,
     /// Scratch: per-edge observed correlation for the current epoch.
     obs_scratch: Vec<f64>,
     /// An accepted migration still being shipped slice by slice
@@ -383,21 +385,6 @@ pub struct Controller {
     /// Schedules abandoned because a slice stalled (every pending object
     /// over budget or capacity-blocked).
     abandoned_migrations: u64,
-    // Counters (see ControllerReport).
-    evaluated: u64,
-    migrations: u64,
-    objects_moved: u64,
-    migrated_bytes: u64,
-    rejected_not_worthwhile: u64,
-    rejected_not_robust: u64,
-    degradations: u64,
-    solve_retries: u64,
-    repairs: u64,
-    repair_retries: u64,
-    repair_moves: u64,
-    repair_bytes: u64,
-    node_losses: u64,
-    unrecovered_losses: u64,
 }
 
 impl Controller {
@@ -408,20 +395,14 @@ impl Controller {
     /// # Panics
     ///
     /// Panics when the placement does not match the problem's dimensions
-    /// or the configuration is degenerate (`ewma_alpha` outside `(0, 1]`,
-    /// zero `evaluate_every`/`scope_count`/`scope_top`, slack below 1).
+    /// or the configuration is degenerate (zero `evaluate_every` or
+    /// `scope_count`).
     #[must_use]
     pub fn new(problem: &CcaProblem, placement: Placement, mut config: ControllerConfig) -> Self {
         assert_eq!(placement.num_objects(), problem.num_objects());
         assert_eq!(placement.num_nodes(), problem.num_nodes());
-        assert!(
-            config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0,
-            "ewma_alpha must be in (0, 1]"
-        );
         assert!(config.evaluate_every >= 1, "evaluate_every must be >= 1");
         assert!(config.scope_count >= 1, "scope_count must be >= 1");
-        assert!(config.scope_top >= 1, "scope_top must be >= 1");
-        assert!(config.capacity_slack >= 1.0, "capacity_slack must be >= 1");
         config
             .domains
             .get_or_insert_with(|| DomainTree::flat(problem.num_nodes()));
@@ -465,25 +446,10 @@ impl Controller {
             scope_of,
             scope_edges,
             scopes: vec![ScopeState::default(); scope_count],
-            epoch: 0,
-            queries_total: 0,
+            tally: ControllerReport::default(),
             obs_scratch,
             pending_migration: None,
             abandoned_migrations: 0,
-            evaluated: 0,
-            migrations: 0,
-            objects_moved: 0,
-            migrated_bytes: 0,
-            rejected_not_worthwhile: 0,
-            rejected_not_robust: 0,
-            degradations: 0,
-            solve_retries: 0,
-            repairs: 0,
-            repair_retries: 0,
-            repair_moves: 0,
-            repair_bytes: 0,
-            node_losses: 0,
-            unrecovered_losses: 0,
             config,
         }
     }
@@ -497,7 +463,7 @@ impl Controller {
     /// Epochs stepped so far.
     #[must_use]
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.tally.epochs
     }
 
     /// Surviving node count.
@@ -530,11 +496,11 @@ impl Controller {
     /// Ingests one epoch of observations and, on the evaluation cadence,
     /// runs the drift-detect → scoped-solve → gate → migrate pipeline.
     pub fn step(&mut self, obs: &EpochObservation) -> EpochOutcome {
-        self.epoch += 1;
-        self.queries_total = self.queries_total.saturating_add(obs.queries);
+        self.tally.epochs += 1;
+        self.tally.queries = self.tally.queries.saturating_add(obs.queries);
         self.update_estimates(obs);
 
-        if !self.epoch.is_multiple_of(self.config.evaluate_every) {
+        if !self.tally.epochs.is_multiple_of(self.config.evaluate_every) {
             return EpochOutcome::Idle;
         }
         if self.pending_migration.is_some() {
@@ -547,7 +513,7 @@ impl Controller {
         let Some((scope, drift)) = self.pick_scope() else {
             return EpochOutcome::Idle; // every scope is backing off
         };
-        if drift < self.config.drift_threshold {
+        if drift < DRIFT_THRESHOLD {
             return EpochOutcome::NoDrift { scope, drift };
         }
         self.evaluate_scope(scope)
@@ -569,8 +535,8 @@ impl Controller {
         let budget = self.config.migration_budget_per_epoch.unwrap_or(u64::MAX);
         let est = self.estimated_problem();
         let slice = schedule.advance(&est, &mut self.placement, budget);
-        self.objects_moved += slice.moves;
-        self.migrated_bytes += slice.bytes;
+        self.tally.objects_moved += slice.moves;
+        self.tally.migrated_bytes += slice.bytes;
         if slice.stalled {
             self.abandoned_migrations += 1;
         } else if !slice.complete {
@@ -591,35 +557,28 @@ impl Controller {
         self.abandoned_migrations
     }
 
-    /// Drops `plan.drop_nodes` surviving nodes (chosen by `plan.seed`,
-    /// never the last one) and repairs the placement onto the survivors
-    /// with bounded escalating-slack retries. The loop continues even
-    /// when repair cannot regain feasibility (`recovered == false`);
+    /// Drops `drop_nodes` surviving nodes (chosen by `seed`, never the
+    /// last one) and repairs the placement onto the survivors with
+    /// bounded escalating-slack retries. The loop continues even when
+    /// repair cannot regain feasibility (`recovered == false`);
     /// [`ControllerReport::final_feasible`] and the CLI exit taxonomy
-    /// surface it. Returns `None` when the plan drops no nodes or only
-    /// one node survives.
-    pub fn inject_fault(&mut self, plan: &FaultPlan) -> Option<FaultRecovery> {
-        if plan.drop_nodes == 0 {
+    /// surface it. Returns `None` when `drop_nodes` is zero or only one
+    /// node survives.
+    pub fn inject_fault(&mut self, drop_nodes: usize, seed: u64) -> Option<FaultRecovery> {
+        if drop_nodes == 0 {
             return None;
         }
-        let mut alive: Vec<usize> = (0..self.dead.len()).filter(|&k| !self.dead[k]).collect();
+        let alive: Vec<usize> = (0..self.dead.len()).filter(|&k| !self.dead[k]).collect();
         if alive.len() <= 1 {
             return None;
         }
-        // Seeded partial Fisher–Yates over the surviving nodes, mirroring
-        // the resilience harness's pick; at least one node survives.
-        let kill = plan.drop_nodes.min(alive.len() - 1);
-        let mut rng = StdRng::seed_from_u64(plan.seed ^ 0x6e6f6465);
-        for i in 0..kill {
-            let j = rng.random_range(i..alive.len());
-            alive.swap(i, j);
-        }
-        let mut dropped: Vec<usize> = alive[..kill].to_vec();
-        dropped.sort_unstable();
+        // The resilience harness's seeded pick over the surviving nodes;
+        // at least one node survives.
+        let dropped = pick_dead_nodes(alive, drop_nodes, seed ^ 0x6e6f6465);
         for &k in &dropped {
             self.dead[k] = true;
             self.live_capacities[k] = 0;
-            self.node_losses += 1;
+            self.tally.node_losses += 1;
         }
 
         // Repair against the estimated weights: survive_node_loss
@@ -628,22 +587,22 @@ impl Controller {
         let est = self.estimated_problem();
         let mut retries = 0u32;
         let (repaired, moves, bytes, recovered) = loop {
-            let slack = self.config.capacity_slack + 0.25 * f64::from(retries);
+            let slack = CAPACITY_SLACK + 0.25 * f64::from(retries);
             let (degraded, repaired, info) =
                 survive_node_loss(&est, &self.placement, &dropped, slack);
-            let ok = repaired.within_all_capacities(&degraded, self.config.capacity_slack);
-            if ok || retries >= self.config.max_repair_retries {
+            let ok = repaired.within_all_capacities(&degraded, CAPACITY_SLACK);
+            if ok || retries >= MAX_REPAIR_RETRIES {
                 break (repaired, info.moves as u64, info.migrated_bytes, ok);
             }
             retries += 1;
         };
         self.placement = repaired;
-        self.repairs += 1;
-        self.repair_retries += u64::from(retries);
-        self.repair_moves += moves;
-        self.repair_bytes += bytes;
+        self.tally.repairs += 1;
+        self.tally.repair_retries += u64::from(retries);
+        self.tally.repair_moves += moves;
+        self.tally.repair_bytes += bytes;
         if !recovered {
-            self.unrecovered_losses += 1;
+            self.tally.unrecovered_losses += 1;
         }
         Some(FaultRecovery {
             dropped_nodes: dropped,
@@ -658,32 +617,13 @@ impl Controller {
     #[must_use]
     pub fn report(&self) -> ControllerReport {
         let est = self.estimated_problem();
-        // `+ 0.0` turns the empty cost fold's `-0.0` (no split edge) into
-        // `0.0` and leaves every other value's bits unchanged.
-        let final_cost = est.eval_cost(&self.placement, self.config.threads) + 0.0;
-        let final_feasible = self
-            .placement
-            .within_all_capacities(&est, self.config.capacity_slack);
         ControllerReport {
-            epochs: self.epoch,
-            queries: self.queries_total,
-            evaluated: self.evaluated,
-            migrations: self.migrations,
-            objects_moved: self.objects_moved,
-            migrated_bytes: self.migrated_bytes,
-            rejected_not_worthwhile: self.rejected_not_worthwhile,
-            rejected_not_robust: self.rejected_not_robust,
-            degradations: self.degradations,
-            solve_retries: self.solve_retries,
-            repairs: self.repairs,
-            repair_retries: self.repair_retries,
-            repair_moves: self.repair_moves,
-            repair_bytes: self.repair_bytes,
-            node_losses: self.node_losses,
-            unrecovered_losses: self.unrecovered_losses,
             accumulated_loss: self.scopes.iter().map(|s| s.accumulated_loss).sum(),
-            final_cost,
-            final_feasible,
+            // `+ 0.0` turns the empty cost fold's `-0.0` (no split edge)
+            // into `0.0` and leaves every other value's bits unchanged.
+            final_cost: est.eval_cost(&self.placement, self.config.threads) + 0.0,
+            final_feasible: self.placement.within_all_capacities(&est, CAPACITY_SLACK),
+            ..self.tally.clone()
         }
     }
 
@@ -706,10 +646,9 @@ impl Controller {
                 self.obs_scratch[e as usize] += count as f64 / q;
             }
         }
-        let alpha = self.config.ewma_alpha;
         for (e, est) in self.est_r.iter_mut().enumerate() {
             let observed = self.obs_scratch[e].min(1.0);
-            *est = quantize_estimate((1.0 - alpha) * *est + alpha * observed);
+            *est = quantize_estimate((1.0 - EWMA_ALPHA) * *est + EWMA_ALPHA * observed);
         }
         for e in touched {
             self.obs_scratch[e as usize] = 0.0;
@@ -735,7 +674,7 @@ impl Controller {
     fn pick_scope(&self) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for s in 0..self.scopes.len() {
-            if self.scopes[s].backoff_until > self.epoch || self.scope_edges[s].is_empty() {
+            if self.scopes[s].backoff_until > self.tally.epochs || self.scope_edges[s].is_empty() {
                 continue;
             }
             let d = self.scope_drift(s);
@@ -771,7 +710,7 @@ impl Controller {
         est
     }
 
-    /// Top `scope_top` objects of scope `s` by incident estimated weight
+    /// Top `SCOPE_TOP` objects of scope `s` by incident estimated weight
     /// (ties toward the smaller id), ascending by id.
     fn scope_selection(&self, s: usize) -> Vec<ObjectId> {
         let mut incident: HashMap<u32, f64> = HashMap::new();
@@ -789,7 +728,7 @@ impl Controller {
         // non-negative finite sums so the order is unchanged, and a NaN
         // benefit estimate can no longer panic the controller mid-run.
         ranked.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        ranked.truncate(self.config.scope_top);
+        ranked.truncate(SCOPE_TOP);
         let mut keep: Vec<ObjectId> = ranked.into_iter().map(|(o, _)| ObjectId(o)).collect();
         keep.sort_unstable();
         keep
@@ -827,25 +766,25 @@ impl Controller {
             .expect("residual capacities are at most the problem's own");
 
         let options = ResilienceOptions {
-            budget: cfg.budget.clone(),
-            start: cfg.start,
-            floor: cfg.floor,
+            deadline: cfg.deadline,
+            start: SOLVE_START,
+            floor: SOLVE_FLOOR,
             threads: cfg.threads,
             ..ResilienceOptions::default()
         };
         let solved = solve_resilient(&sub, &options);
         if solved.report.degraded {
-            self.degradations += 1;
+            self.tally.degradations += 1;
             let state = &mut self.scopes[s];
-            if state.consecutive_degraded < cfg.max_solve_retries {
+            if state.consecutive_degraded < MAX_SOLVE_RETRIES {
                 // Bounded exponential backoff, then retry; the scope never
-                // stalls silently — after max_solve_retries the degraded
+                // stalls silently — after MAX_SOLVE_RETRIES the degraded
                 // candidate proceeds to the gates below.
                 let shift = state.consecutive_degraded.min(6);
-                let retry_at = self.epoch + (cfg.backoff_epochs << shift).max(1);
+                let retry_at = self.tally.epochs + (BACKOFF_EPOCHS << shift).max(1);
                 state.consecutive_degraded += 1;
                 state.backoff_until = retry_at;
-                self.solve_retries += 1;
+                self.tally.solve_retries += 1;
                 return EpochOutcome::SolveDegraded { scope: s, retry_at };
             }
         }
@@ -867,17 +806,18 @@ impl Controller {
         // Accrue the loss incurred since this scope's last verdict, then
         // gate: the migration must amortize within the horizon counting
         // what rejecting has already cost us (SkyPie MigrationOptimizer).
-        let mean_queries = self.queries_total as f64 / self.epoch as f64;
+        let epoch = self.tally.epochs;
+        let mean_queries = self.tally.queries as f64 / epoch as f64;
         let per_epoch_saving = saving_per_query * mean_queries;
-        let since = self.epoch - self.scopes[s].last_eval;
+        let since = epoch - self.scopes[s].last_eval;
         self.scopes[s].accumulated_loss += per_epoch_saving * since as f64;
-        self.scopes[s].last_eval = self.epoch;
-        self.evaluated += 1;
+        self.scopes[s].last_eval = epoch;
+        self.tally.evaluated += 1;
 
         let projected =
             self.scopes[s].accumulated_loss + per_epoch_saving * cfg.horizon_epochs as f64;
         if saving_per_query <= 0.0 || projected <= bytes as f64 {
-            self.rejected_not_worthwhile += 1;
+            self.tally.rejected_not_worthwhile += 1;
             return EpochOutcome::RejectedNotWorthwhile {
                 scope: s,
                 projected,
@@ -887,18 +827,18 @@ impl Controller {
         }
 
         if !self.candidate_is_robust(&est, &candidate) {
-            self.rejected_not_robust += 1;
+            self.tally.rejected_not_robust += 1;
             return EpochOutcome::RejectedNotRobust { scope: s };
         }
 
         let migrate = MigrateOptions {
-            capacity_slack: cfg.capacity_slack,
+            capacity_slack: CAPACITY_SLACK,
             ..MigrateOptions::default()
         };
         // Acceptance bookkeeping is identical either way: the migration
         // counts, the regret ledger resets, and the drift baseline snaps
         // to the estimates the candidate was solved against.
-        self.migrations += 1;
+        self.tally.migrations += 1;
         self.scopes[s].accumulated_loss = 0.0;
         for &e in &self.scope_edges[s] {
             self.placed_r[e as usize] = self.est_r[e as usize];
@@ -913,8 +853,8 @@ impl Controller {
         }
         let outcome = reconcile(&est, &self.placement, &candidate, u64::MAX, &migrate);
         self.placement = outcome.placement;
-        self.objects_moved += outcome.moves as u64;
-        self.migrated_bytes += outcome.migrated_bytes;
+        self.tally.objects_moved += outcome.moves as u64;
+        self.tally.migrated_bytes += outcome.migrated_bytes;
         EpochOutcome::Migrated {
             scope: s,
             moves: outcome.moves as u64,
@@ -928,9 +868,9 @@ impl Controller {
     /// [`ControllerConfig::domains`] tree (with the flat default, two
     /// nodes) have an alive node — a [`survive_node_loss`] probe dropping
     /// every alive node of the heaviest-loaded surviving domain must
-    /// repair back to feasibility under the configured slack.
+    /// repair back to feasibility under the controller's slack.
     fn candidate_is_robust(&self, est: &CcaProblem, candidate: &Placement) -> bool {
-        if !candidate.within_all_capacities(est, self.config.capacity_slack) {
+        if !candidate.within_all_capacities(est, CAPACITY_SLACK) {
             return false;
         }
         let tree = (self.config.domains.as_ref()).expect("Controller::new resolves the tree");
@@ -967,7 +907,7 @@ impl Controller {
             .copied()
             .filter(|&n| !self.dead[n])
             .collect();
-        survive_node_loss(est, candidate, &probe_nodes, self.config.capacity_slack)
+        survive_node_loss(est, candidate, &probe_nodes, CAPACITY_SLACK)
             .2
             .feasible
     }
@@ -1001,7 +941,6 @@ mod tests {
             evaluate_every: 4,
             horizon_epochs: 64,
             scope_count: 2,
-            scope_top: 8,
             ..ControllerConfig::default()
         }
     }
@@ -1154,13 +1093,8 @@ mod tests {
         for _ in 0..8 {
             c.step(&steady_obs());
         }
-        let plan = FaultPlan {
-            drop_nodes: 1,
-            seed: 7,
-            ..FaultPlan::default()
-        };
         let rec = c
-            .inject_fault(&plan)
+            .inject_fault(1, 7)
             .expect("three nodes: a loss is injectable");
         assert_eq!(rec.dropped_nodes.len(), 1);
         assert!(rec.recovered, "24 spare bytes: repair must converge");
@@ -1191,12 +1125,7 @@ mod tests {
         b.add_pair(ObjectId(0), ObjectId(1), 0.5, 4.0).unwrap();
         let p = b.uniform_capacities(2, 8).build().unwrap();
         let mut c = Controller::new(&p, start_placement(&p), config());
-        let plan = FaultPlan {
-            drop_nodes: 1,
-            seed: 3,
-            ..FaultPlan::default()
-        };
-        let rec = c.inject_fault(&plan).expect("two nodes: one may die");
+        let rec = c.inject_fault(1, 3).expect("two nodes: one may die");
         assert!(!rec.recovered, "16 bytes cannot fit one 8-byte node");
         let out = c.step(&steady_obs());
         assert!(matches!(
@@ -1253,15 +1182,10 @@ mod tests {
     fn fault_on_last_survivor_is_refused() {
         let p = base_problem();
         let mut c = Controller::new(&p, start_placement(&p), config());
-        let plan = |seed| FaultPlan {
-            drop_nodes: 1,
-            seed,
-            ..FaultPlan::default()
-        };
-        assert!(c.inject_fault(&plan(1)).is_some());
-        assert!(c.inject_fault(&plan(2)).is_some());
+        assert!(c.inject_fault(1, 1).is_some());
+        assert!(c.inject_fault(1, 2).is_some());
         assert_eq!(c.alive_nodes(), 1);
-        assert!(c.inject_fault(&plan(3)).is_none(), "the last node survives");
+        assert!(c.inject_fault(1, 3).is_none(), "the last node survives");
     }
 
     #[test]

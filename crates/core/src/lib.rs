@@ -116,7 +116,7 @@ pub use resilience::{
     solve_resilient, solve_resilient_replicated, solve_resilient_with_faults, survive_domain_loss,
     survive_node_loss, DegradationReport, DomainLossReport, FaultPlan, NodeLossReport,
     ResilienceOptions, ResilientPlacement, ResilientReplicaPlacement, Rung, RungAttempt,
-    RungOutcome, SolveBudget, LADDER,
+    RungOutcome, LADDER,
 };
 pub use resources::{Resource, ResourceError};
 pub use rounding::{
@@ -126,6 +126,4 @@ pub use rounding::{
 pub use scope::{compose_with_hashed_rest, importance_ranking, scope_subproblem};
 pub use serving::{LatencyHistogram, LiveReport, ServingReport};
 pub use shard::ShardedGraph;
-pub use solver::{
-    place, place_partial, place_partial_with, LprrOptions, PlacementReport, Strategy,
-};
+pub use solver::{place, place_partial, LprrOptions, PlacementReport, Strategy};

@@ -52,9 +52,9 @@ pub enum StopReason {
     Converged,
     /// [`RelaxOptions::max_rounds`] solve/separate rounds were exhausted.
     RoundLimit,
-    /// The LP iteration budget ([`RelaxOptions::max_total_lp_iterations`]
-    /// or the per-solve [`SolverOptions::max_iterations`]) ran out; the
-    /// outcome holds the best fractional solution found so far.
+    /// One round's simplex hit the per-solve cap
+    /// [`SolverOptions::max_iterations`]; the outcome holds the best
+    /// fractional solution found so far.
     IterationCap,
     /// The wall-clock deadline ([`SolverOptions::deadline`]) passed; the
     /// outcome holds the best fractional solution found so far.
@@ -79,6 +79,16 @@ impl StopReason {
     }
 }
 
+/// A cut must be violated by more than this to be added.
+const CUT_TOLERANCE: f64 = 1e-6;
+
+/// At most this many cuts are added per round (most violated first).
+const MAX_CUTS_PER_ROUND: usize = 8192;
+
+/// Entries of `|x_{i,k} − x_{j,k}|` below this are given `σ_k = 0`,
+/// keeping cut rows sparse.
+const SIGN_EPSILON: f64 = 1e-9;
+
 /// Options for [`solve_relaxation`].
 #[derive(Debug, Clone)]
 pub struct RelaxOptions {
@@ -87,17 +97,6 @@ pub struct RelaxOptions {
     /// Maximum solve/separate rounds before giving up (the outcome then has
     /// `converged = false` and its objective is a lower bound).
     pub max_rounds: usize,
-    /// Budget on simplex iterations summed across all cut-generation
-    /// rounds; once exhausted the solve stops with the best solution so
-    /// far ([`StopReason::IterationCap`]). `0` means no budget.
-    pub max_total_lp_iterations: u64,
-    /// A cut must be violated by more than this to be added.
-    pub tolerance: f64,
-    /// At most this many cuts are added per round (most violated first).
-    pub max_cuts_per_round: usize,
-    /// Entries of `|x_{i,k} − x_{j,k}|` below this are given `σ_k = 0`,
-    /// keeping cut rows sparse.
-    pub sign_epsilon: f64,
     /// Options forwarded to the sparse simplex.
     pub solver: SolverOptions,
     /// Use the dense reference simplex instead (tiny instances / tests).
@@ -109,10 +108,6 @@ impl Default for RelaxOptions {
         RelaxOptions {
             method: RelaxMethod::default(),
             max_rounds: 60,
-            max_total_lp_iterations: 0,
-            tolerance: 1e-6,
-            max_cuts_per_round: 8192,
-            sign_epsilon: 1e-9,
             solver: SolverOptions::default(),
             use_dense_solver: false,
         }
@@ -498,24 +493,17 @@ fn solve_by_cutting_planes(
     let mut best: Option<(FractionalPlacement, f64)> = None;
 
     while rounds < options.max_rounds.max(1) {
-        // Budget checks between rounds: once a usable solution exists,
-        // exhausting the wall clock or the iteration budget degrades to
-        // best-so-far instead of erroring.
-        if best.is_some() {
-            if options
+        // Deadline check between rounds: once a usable solution exists,
+        // an expired wall clock degrades to best-so-far instead of
+        // erroring.
+        if best.is_some()
+            && options
                 .solver
                 .deadline
                 .is_some_and(|d| std::time::Instant::now() >= d)
-            {
-                stop = StopReason::Deadline;
-                break;
-            }
-            if options.max_total_lp_iterations > 0
-                && lp_iterations >= options.max_total_lp_iterations
-            {
-                stop = StopReason::IterationCap;
-                break;
-            }
+        {
+            stop = StopReason::Deadline;
+            break;
         }
         rounds += 1;
 
@@ -587,16 +575,7 @@ fn solve_by_cutting_planes(
         let solved = if options.use_dense_solver {
             model.solve_dense()
         } else {
-            let mut solver_opts = options.solver.clone();
-            if options.max_total_lp_iterations > 0 {
-                let remaining = options.max_total_lp_iterations - lp_iterations;
-                solver_opts.max_iterations = if solver_opts.max_iterations == 0 {
-                    remaining
-                } else {
-                    solver_opts.max_iterations.min(remaining)
-                };
-            }
-            model.solve(&solver_opts)
+            model.solve(&options.solver)
         };
         let sol = match solved {
             Ok(sol) => sol,
@@ -631,14 +610,14 @@ fn solve_by_cutting_planes(
             let e = edge.id.index();
             let z_val = sol.value(z_vars[e]);
             let true_z = frac.split_indicator(edge.a, edge.b);
-            if true_z - z_val > options.tolerance {
+            if true_z - z_val > CUT_TOLERANCE {
                 let (ra, rb) = (frac.row(edge.a), frac.row(edge.b));
                 let mut signs: Vec<(u32, bool)> = Vec::new();
                 for k in 0..n {
                     let diff = ra[k] - rb[k];
-                    if diff > options.sign_epsilon {
+                    if diff > SIGN_EPSILON {
                         signs.push((k as u32, true));
-                    } else if diff < -options.sign_epsilon {
+                    } else if diff < -SIGN_EPSILON {
                         signs.push((k as u32, false));
                     }
                 }
@@ -661,7 +640,7 @@ fn solve_by_cutting_planes(
 
         violated
             .sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
-        for (_, cut) in violated.into_iter().take(options.max_cuts_per_round) {
+        for (_, cut) in violated.into_iter().take(MAX_CUTS_PER_ROUND) {
             cut_set.insert(cut.clone());
             cuts.push(cut);
         }
@@ -765,9 +744,10 @@ mod tests {
 
     #[test]
     fn iteration_budget_degrades_to_best_so_far() {
-        // The 3-clique needs more than one solve/separate round, so a
-        // budget just below the unconstrained total must stop mid-run with
-        // the best solution so far instead of erroring.
+        // The 3-clique needs three solve/separate rounds of 7, 10 and 13
+        // simplex pivots. The per-solve cap is checked before each pivot,
+        // so a cap of 8 lets round 1 finish and stops round 2: the solve
+        // must end with round 1's solution instead of erroring.
         let mut b = CcaProblem::builder();
         let o: Vec<_> = (0..3).map(|i| b.add_object(format!("o{i}"), 10)).collect();
         b.add_pair(o[0], o[1], 1.0, 5.0).unwrap();
@@ -778,17 +758,12 @@ mod tests {
         assert_eq!(full.stop, StopReason::Converged);
         assert!(full.rounds > 1, "need a multi-round instance");
         assert!(full.lp_iterations > 1);
-        let out = solve_relaxation(
-            &p,
-            None,
-            &RelaxOptions {
-                max_total_lp_iterations: full.lp_iterations - 1,
-                ..cp()
-            },
-        )
-        .unwrap();
+        let mut capped = cp();
+        capped.solver.max_iterations = 8;
+        let out = solve_relaxation(&p, None, &capped).unwrap();
         assert_eq!(out.stop, StopReason::IterationCap);
         assert!(!out.converged);
+        assert!(out.rounds > 1, "round 1 must fit the cap");
         assert!(out.lp_iterations <= full.lp_iterations);
         assert!(out.fractional.is_stochastic(1e-6));
     }

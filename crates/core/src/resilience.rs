@@ -11,10 +11,9 @@
 //! with a [`DegradationReport`] describing every rung attempted, why each
 //! stopped, and whether the result is degraded or infeasible.
 //!
-//! Budgets ([`SolveBudget`]) bound the wall-clock time, total simplex
-//! iterations, and rounding repetitions of the expensive rungs; past the
-//! deadline only the O(t) hash rung still runs, so the ladder's response
-//! time is bounded by the cheapest strategy.
+//! A wall-clock deadline ([`ResilienceOptions::deadline`]) bounds the
+//! expensive rungs; past it only the O(t) hash rung still runs, so the
+//! ladder's response time is bounded by the cheapest strategy.
 //!
 //! [`FaultPlan`] injects *deterministic* faults for testing: LP iteration
 //! exhaustion, a poisoned (non-finite) simplex objective, all-infeasible
@@ -41,25 +40,9 @@ use crate::random::random_hash_placement;
 use crate::relax::RelaxMethod;
 use crate::repair::{repair_capacity, repair_replica_spread};
 use crate::replica::{spread_copies, validate_replica_spec, DomainTree, ReplicaPlacement};
-use crate::solver::{place, place_partial_with, LprrOptions, Strategy};
+use crate::solver::{place, place_partial, LprrOptions, Strategy};
 use cca_rand::rngs::StdRng;
 use cca_rand::{Rng, SeedableRng};
-
-/// Resource budget for one resilient solve.
-#[derive(Debug, Clone, Default)]
-pub struct SolveBudget {
-    /// Wall-clock budget measured from the start of the solve. Past it,
-    /// in-flight LP work aborts with its best solution so far and only the
-    /// hash rung is still attempted. `None` means unlimited.
-    pub deadline: Option<Duration>,
-    /// Cap on simplex iterations summed over all cut-generation rounds
-    /// (forwarded to [`crate::RelaxOptions::max_total_lp_iterations`]).
-    /// `0` means unlimited.
-    pub max_lp_iterations: u64,
-    /// Cap on rounding repetitions (overrides
-    /// [`LprrOptions::repetitions`] when non-zero).
-    pub max_rounding_repetitions: usize,
-}
 
 /// One rung of the degradation ladder, best first. The `Ord` order is the
 /// ladder order: a *later* rung is a *worse* (but cheaper and more
@@ -312,8 +295,10 @@ impl FaultPlan {
 pub struct ResilienceOptions {
     /// LPRR configuration used by the LP rungs.
     pub lprr: LprrOptions,
-    /// Budgets applied across the whole ladder.
-    pub budget: SolveBudget,
+    /// Wall-clock budget measured from the start of the solve. Past it,
+    /// in-flight LP work aborts with its best solution so far and only the
+    /// hash rung is still attempted. `None` means unlimited.
+    pub deadline: Option<Duration>,
     /// Best rung to try (rungs above it are skipped).
     pub start: Rung,
     /// Worst rung permitted (quality floor). If nothing in
@@ -335,7 +320,7 @@ impl Default for ResilienceOptions {
     fn default() -> Self {
         ResilienceOptions {
             lprr: LprrOptions::default(),
-            budget: SolveBudget::default(),
+            deadline: None,
             start: Rung::Lprr,
             floor: Rung::Hash,
             partial_scope: None,
@@ -380,17 +365,11 @@ pub fn solve_resilient_with_faults(
     faults: &FaultPlan,
 ) -> ResilientPlacement {
     let start_time = Instant::now();
-    let deadline = options.budget.deadline.map(|d| start_time + d);
+    let deadline = options.deadline.map(|d| start_time + d);
 
-    // Materialise the budget and the fault plan as LPRR configuration.
+    // Materialise the deadline and the fault plan as LPRR configuration.
     let mut lprr = options.lprr.clone();
     lprr.relax.solver.deadline = deadline;
-    if options.budget.max_lp_iterations > 0 {
-        lprr.relax.max_total_lp_iterations = options.budget.max_lp_iterations;
-    }
-    if options.budget.max_rounding_repetitions > 0 {
-        lprr.repetitions = options.budget.max_rounding_repetitions;
-    }
     lprr.rng_seed = lprr.rng_seed.wrapping_add(faults.seed);
     lprr.threads = options.threads.max(lprr.threads);
     if faults.exhaust_lp_iterations {
@@ -516,7 +495,8 @@ pub fn solve_resilient_with_faults(
     let mut node_loss = None;
     let mut effective_problem = problem.clone();
     if faults.drop_nodes > 0 && problem.num_nodes() > 1 {
-        let dead = pick_dead_nodes(problem.num_nodes(), faults.drop_nodes, faults.seed);
+        let nodes = (0..problem.num_nodes()).collect();
+        let dead = pick_dead_nodes(nodes, faults.drop_nodes, faults.seed);
         let (degraded, replaced, loss) = survive_node_loss(problem, &placement, &dead, slack);
         effective_problem = degraded;
         placement = replaced;
@@ -561,28 +541,27 @@ fn attempt_rung(
     match rung {
         Rung::Lprr => place(problem, &Strategy::Lprr(lprr.clone())).map(|r| r.placement),
         Rung::PartialLprr => {
-            place_partial_with(problem, scope, &Strategy::Lprr(lprr.clone()), false)
-                .map(|r| r.placement)
+            place_partial(problem, scope, &Strategy::Lprr(lprr.clone())).map(|r| r.placement)
         }
         Rung::Greedy => Ok(greedy_placement(problem)),
         Rung::Hash => Ok(random_hash_placement(problem)),
     }
 }
 
-/// Picks `k` distinct dead nodes (at most `n - 1`, so at least one node
-/// survives) by a seeded partial Fisher–Yates shuffle. Deterministic per
-/// `(n, k, seed)`.
-fn pick_dead_nodes(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    let k = k.min(n.saturating_sub(1));
+/// Picks `k` distinct dead nodes out of `candidates` (at most
+/// `candidates.len() - 1`, so at least one survives) by a seeded partial
+/// Fisher–Yates shuffle, ascending. Deterministic per
+/// `(candidates, k, seed)`.
+pub(crate) fn pick_dead_nodes(mut candidates: Vec<usize>, k: usize, seed: u64) -> Vec<usize> {
+    let k = k.min(candidates.len().saturating_sub(1));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut nodes: Vec<usize> = (0..n).collect();
     for i in 0..k {
-        let j = rng.random_range(i..n);
-        nodes.swap(i, j);
+        let j = rng.random_range(i..candidates.len());
+        candidates.swap(i, j);
     }
-    let mut dead: Vec<usize> = nodes[..k].to_vec();
-    dead.sort_unstable();
-    dead
+    candidates.truncate(k);
+    candidates.sort_unstable();
+    candidates
 }
 
 /// A copy of `problem` whose `dead_nodes` have zero storage capacity.
@@ -854,10 +833,7 @@ mod tests {
     fn zero_deadline_degrades_to_hash() {
         let p = clustered(4, 3, 3);
         let opts = ResilienceOptions {
-            budget: SolveBudget {
-                deadline: Some(Duration::ZERO),
-                ..SolveBudget::default()
-            },
+            deadline: Some(Duration::ZERO),
             ..ResilienceOptions::default()
         };
         let r = solve_resilient(&p, &opts);
@@ -1001,13 +977,15 @@ mod tests {
 
     #[test]
     fn dead_node_picks_are_deterministic_and_bounded() {
-        let a = pick_dead_nodes(8, 3, 42);
-        let b = pick_dead_nodes(8, 3, 42);
+        let nodes = |n: usize| (0..n).collect::<Vec<_>>();
+        let a = pick_dead_nodes(nodes(8), 3, 42);
+        let b = pick_dead_nodes(nodes(8), 3, 42);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         // Never kills the whole cluster.
-        assert_eq!(pick_dead_nodes(4, 99, 7).len(), 3);
-        assert!(pick_dead_nodes(1, 1, 7).is_empty());
+        assert_eq!(pick_dead_nodes(nodes(4), 99, 7).len(), 3);
+        assert!(pick_dead_nodes(nodes(1), 1, 7).is_empty());
+        assert!(pick_dead_nodes(Vec::new(), 1, 7).is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::greedy::greedy_placement;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::random::random_hash_placement;
-use crate::relax::{solve_relaxation, RelaxOptions};
+use crate::relax::{solve_relaxation, RelaxMethod, RelaxOptions};
 use crate::rounding::round_best_of_within;
 use crate::scope::{compose_with_hashed_rest, importance_ranking, scope_subproblem};
 
@@ -22,8 +22,6 @@ pub struct LprrOptions {
     /// strict; the paper's conservative-capacity discussion motivates a
     /// little slack such as 1.05).
     pub capacity_slack: f64,
-    /// Seed the cut generation with the greedy placement's tight cuts.
-    pub seed_with_greedy: bool,
     /// Run the greedy capacity-repair pass on the selected rounding (see
     /// [`crate::repair`]): Theorem 3 only bounds expected loads, so a
     /// particular rounding can overshoot.
@@ -43,7 +41,6 @@ impl Default for LprrOptions {
             relax: RelaxOptions::default(),
             repetitions: 16,
             capacity_slack: 1.05,
-            seed_with_greedy: true,
             repair: true,
             rng_seed: 0x5eed,
             threads: 1,
@@ -129,7 +126,10 @@ pub fn place(problem: &CcaProblem, strategy: &Strategy) -> Result<PlacementRepor
             Ok(report(problem, placement, None, true, "greedy"))
         }
         Strategy::Lprr(opts) => {
-            let seed_placement = opts.seed_with_greedy.then(|| greedy_placement(problem));
+            // Cut generation starts from the greedy placement's tight cuts;
+            // the other methods never read a seed.
+            let seed_placement =
+                (opts.relax.method == RelaxMethod::CuttingPlane).then(|| greedy_placement(problem));
             let outcome = solve_relaxation(problem, seed_placement.as_ref(), &opts.relax)?;
             let rounded = round_best_of_within(
                 &outcome.fractional,
@@ -163,8 +163,9 @@ pub fn place(problem: &CcaProblem, strategy: &Strategy) -> Result<PlacementRepor
 /// paper's LP did ("our constraint is set at two times the average
 /// per-node index size"); hash-placed out-of-scope objects add their load
 /// on top, so realised loads can exceed the nominal capacity by the
-/// (well-balanced) hashed share. Use [`place_partial_with`] to instead
-/// deduct the expected hashed load from the subproblem's capacities.
+/// (well-balanced) hashed share. [`scope_subproblem`]'s
+/// `deduct_hashed_load` flag builds the stricter subproblem that deducts
+/// the expected hashed load from the capacities instead.
 ///
 /// # Errors
 ///
@@ -174,25 +175,9 @@ pub fn place_partial(
     scope_size: usize,
     strategy: &Strategy,
 ) -> Result<PlacementReport, PlaceError> {
-    place_partial_with(problem, scope_size, strategy, false)
-}
-
-/// [`place_partial`] with control over capacity accounting: when
-/// `deduct_hashed_load` is set, the subproblem's per-node capacities are
-/// reduced by the expected load of the hash-placed out-of-scope objects.
-///
-/// # Errors
-///
-/// Propagates LP failures from the scoped subproblem.
-pub fn place_partial_with(
-    problem: &CcaProblem,
-    scope_size: usize,
-    strategy: &Strategy,
-    deduct_hashed_load: bool,
-) -> Result<PlacementReport, PlaceError> {
     let ranking = importance_ranking(problem);
     let scope: Vec<ObjectId> = ranking.into_iter().take(scope_size).collect();
-    let sub = scope_subproblem(problem, &scope, deduct_hashed_load);
+    let sub = scope_subproblem(problem, &scope, false);
     let sub_report = place(&sub, strategy)?;
     let placement = compose_with_hashed_rest(problem, &scope, &sub_report.placement);
     Ok(report(

@@ -41,9 +41,10 @@ struct BatchCase {
 impl Shrink for BatchCase {
     fn shrink(&self) -> Vec<Self> {
         let mut out = Vec::new();
-        for columns in self.columns.shrink() {
+        // Drop whole columns only: each must keep one entry per object.
+        for keep in 0..self.columns.len() {
             out.push(BatchCase {
-                columns,
+                columns: self.columns[..keep].to_vec(),
                 ..self.clone()
             });
         }
@@ -88,6 +89,22 @@ fn batch_case(rng: &mut StdRng) -> BatchCase {
         columns,
         cap_sixteenths: rng.random_range(6u8..=24),
         seed: rng.random(),
+    }
+}
+
+/// Every shrink candidate keeps each column at the object count, so a
+/// shrunk failure still reports the divergence it found instead of a
+/// placement-dimension panic.
+#[test]
+fn shrinking_keeps_every_column_whole() {
+    let mut rng = StdRng::seed_from_u64(0x5b1c);
+    for _ in 0..64 {
+        let case = batch_case(&mut rng);
+        for shrunk in case.shrink() {
+            for col in &shrunk.columns {
+                assert_eq!(col.len(), shrunk.sizes.len(), "{shrunk:?}");
+            }
+        }
     }
 }
 

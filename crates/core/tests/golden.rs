@@ -30,7 +30,6 @@ fn lprr_pipeline_cost_is_pinned() {
         relax: RelaxOptions::default(),
         repetitions: 16,
         capacity_slack: 1.0,
-        seed_with_greedy: true,
         repair: true,
         rng_seed: 20080617,
         threads: 1,

@@ -150,19 +150,19 @@ impl std::error::Error for LpError {}
 /// Options controlling the sparse revised simplex.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Hard cap on simplex iterations (per phase). `0` means no limit.
+    /// Hard cap on simplex iterations, counted over both phases of one
+    /// solve. `0` means no limit.
     pub max_iterations: u64,
     /// Refactorise the basis after this many eta updates.
     pub refactor_every: usize,
-    /// Switch to Bland's rule after this many consecutive degenerate pivots.
-    pub bland_after_degenerate: usize,
     /// Wall-clock deadline; checked periodically inside the pivot loop.
     /// Past it the solve aborts with [`LpError::DeadlineExceeded`].
     pub deadline: Option<std::time::Instant>,
     /// Abort with [`LpError::Stalled`] after this many consecutive
     /// iterations without objective progress. `0` disables the watchdog.
-    /// Set it well above `bland_after_degenerate` so the anti-cycling rule
-    /// gets a chance to break degeneracy first.
+    /// Set it well above the 200 degenerate pivots after which pricing
+    /// switches to Bland's rule, so the anti-cycling rule gets a chance to
+    /// break degeneracy first.
     pub stall_iteration_limit: u64,
     /// Fault injection for resilience tests: from this iteration on, the
     /// first basic value is overwritten with NaN, which the health check
@@ -176,7 +176,6 @@ impl Default for SolverOptions {
         SolverOptions {
             max_iterations: 0,
             refactor_every: 64,
-            bland_after_degenerate: 200,
             deadline: None,
             stall_iteration_limit: 0,
             chaos_poison_after: None,

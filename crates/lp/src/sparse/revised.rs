@@ -4,13 +4,17 @@
 //! factorisation plus a product-form eta file; the basis is refactorised
 //! every [`SolverOptions::refactor_every`] pivots (and whenever a fresh
 //! factorisation is needed for numerical hygiene). Pricing is full Dantzig
-//! with a Bland's-rule fallback after a configurable run of degenerate
-//! pivots, which guarantees termination.
+//! with a Bland's-rule fallback after `BLAND_AFTER_DEGENERATE`
+//! consecutive degenerate pivots, which guarantees termination.
 
 use crate::model::{LpError, Model, Solution, SolveStatus, SolverOptions};
 use crate::sparse::lu::LuFactors;
 use crate::standard::StandardForm;
 use crate::tol;
+
+/// Pricing switches to Bland's rule after this many consecutive
+/// degenerate pivots.
+const BLAND_AFTER_DEGENERATE: usize = 200;
 
 /// A product-form eta: basis position `pos` was replaced, with pivot column
 /// `w = B^{-1} a_entering` stored sparsely.
@@ -261,7 +265,7 @@ impl<'a> Simplex<'a> {
                 }
                 last_objective = obj;
             }
-            let bland = self.degenerate_streak > self.opts.bland_after_degenerate;
+            let bland = self.degenerate_streak > BLAND_AFTER_DEGENERATE;
             let y = self.multipliers(c);
             let Some(entering) = self.price(c, &y, barred_from, bland) else {
                 return Ok(PhaseOutcome::Optimal);

@@ -65,7 +65,7 @@ use cca::algo::{
     format_report, greedy_placement, importance_ranking, round_samples_scored, scope_subproblem,
     solve_relaxation, solve_resilient_replicated, spread_copies, validate_replica_spec,
     ControllerConfig, DomainTree, FaultPlan, ObjectId, RelaxOptions, ResilienceOptions, Rung,
-    SolveBudget, Strategy,
+    Strategy,
 };
 use cca::online::{run_online, OnlineConfig};
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -489,7 +489,10 @@ fn cmd_place(args: &Args) -> Result<ExitCode, String> {
     Ok(exit_taxonomy(!audit.feasible(), false))
 }
 
-fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
+/// The degradation ladder's options from `--strategy` (the start rung),
+/// `--min-strategy` (the floor), `--deadline-ms`, `--scope` and
+/// `--threads`. The floor must be the start rung or a worse one.
+fn ladder_options(args: &Args) -> Result<ResilienceOptions, String> {
     let start = Rung::parse(&args.strategy).ok_or_else(|| {
         format!(
             "unknown strategy {} (lprr|partial-lprr|greedy|hash)",
@@ -507,18 +510,19 @@ fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
              the floor must be the same rung or a worse one"
         ));
     }
-    let p = build_pipeline(args)?;
-    let options = ResilienceOptions {
-        budget: SolveBudget {
-            deadline: args.deadline_ms.map(Duration::from_millis),
-            ..SolveBudget::default()
-        },
+    Ok(ResilienceOptions {
+        deadline: args.deadline_ms.map(Duration::from_millis),
         start,
         floor,
         partial_scope: args.scope,
         threads: args.threads(),
         ..ResilienceOptions::default()
-    };
+    })
+}
+
+fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
+    let options = ladder_options(args)?;
+    let p = build_pipeline(args)?;
     let r = p.place_resilient(&options);
     println!("strategy:   {} (resilient)", r.report.selected);
     println!("model cost: {:.2}", r.cost);
@@ -541,29 +545,8 @@ fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
 /// distinct leaf domains of `--domains`. Saved placements use the
 /// `# cca-placement v2` format.
 fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, String> {
-    let start = Rung::parse(&args.strategy).ok_or_else(|| {
-        format!(
-            "unknown strategy {} (lprr|partial-lprr|greedy|hash)",
-            args.strategy
-        )
-    })?;
-    let floor = match &args.min_strategy {
-        None => Rung::Hash,
-        Some(s) => Rung::parse(s)
-            .ok_or_else(|| format!("unknown min-strategy {s} (lprr|partial-lprr|greedy|hash)"))?,
-    };
+    let options = ladder_options(args)?;
     let p = build_pipeline(args)?;
-    let options = ResilienceOptions {
-        budget: SolveBudget {
-            deadline: args.deadline_ms.map(Duration::from_millis),
-            ..SolveBudget::default()
-        },
-        start,
-        floor,
-        partial_scope: args.scope,
-        threads: args.threads(),
-        ..ResilienceOptions::default()
-    };
     let r = solve_resilient_replicated(
         &p.problem,
         &options,
@@ -706,10 +689,7 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
     let p = build_pipeline(args)?;
     let controller = ControllerConfig {
         threads: args.threads(),
-        budget: SolveBudget {
-            deadline: args.deadline_ms.map(Duration::from_millis),
-            ..SolveBudget::default()
-        },
+        deadline: args.deadline_ms.map(Duration::from_millis),
         // `--domains` upgrades the robustness gate to probe whole-domain
         // loss; absent the flag the probe is the exact historic
         // heaviest-node check.
@@ -721,11 +701,8 @@ fn cmd_run(args: &Args) -> Result<ExitCode, String> {
         queries_per_epoch: args.queries_per_epoch,
         drift_sigma: args.drift_sigma,
         seed: args.seed,
-        faults: FaultPlan {
-            drop_nodes: args.drop_nodes,
-            seed: args.seed ^ 0xfa01_7000,
-            ..FaultPlan::default()
-        },
+        drop_nodes: args.drop_nodes,
+        fault_seed: args.seed ^ 0xfa01_7000,
         controller,
     };
     eprintln!(

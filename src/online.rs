@@ -5,26 +5,27 @@
 //! model), then, epoch by epoch, drifts the query model cumulatively
 //! (`cca_trace::drift`, small per-epoch σ), samples a fresh query log,
 //! re-estimates pair statistics under the pipeline's
-//! [`CorrelationMode`], and feeds the observed co-occurrence counts to a
-//! [`Controller`] — which detects drift, gates migrations on projected
-//! savings vs. [`cca::algo::migration_bytes`](cca_core::migration_bytes),
-//! and survives injected node loss (DESIGN.md §12).
+//! [`CorrelationMode`](crate::pipeline::CorrelationMode), and feeds the
+//! observed co-occurrence counts to a [`Controller`] — which detects
+//! drift, gates migrations on projected savings vs.
+//! [`cca::algo::migration_bytes`](cca_core::migration_bytes), and
+//! survives injected node loss (DESIGN.md §12).
 //!
 //! Determinism: with no wall-clock deadline in
-//! [`ControllerConfig::budget`], the entire run — estimates, gate
+//! [`ControllerConfig::deadline`], the entire run — estimates, gate
 //! decisions, migrations, repairs, the final report — is a pure function
 //! of `(pipeline, OnlineConfig)`; the thread count and the shard count
 //! of the pipeline's problem change only how fast it runs. The drift and sampling RNG streams are seeded from
 //! [`OnlineConfig::seed`] independently of the pipeline seed.
 
-use crate::pipeline::{CorrelationMode, Pipeline};
+use crate::pipeline::{pair_stats, Pipeline};
 use cca_core::controller::{
     Controller, ControllerConfig, ControllerReport, EpochObservation, EpochOutcome,
 };
-use cca_core::{greedy_placement, CcaProblem, FaultPlan, ObjectId, Placement};
+use cca_core::{greedy_placement, CcaProblem, ObjectId, Placement};
 use cca_rand::rngs::StdRng;
 use cca_rand::SeedableRng;
-use cca_trace::{DriftConfig, PairStats, QueryLog};
+use cca_trace::{DriftConfig, QueryLog};
 
 /// Configuration of one online run.
 #[derive(Debug, Clone)]
@@ -41,9 +42,11 @@ pub struct OnlineConfig {
     pub drift_sigma: f64,
     /// Seed of the drift / sampling streams.
     pub seed: u64,
-    /// Chaos: `drop_nodes` node losses (seeded by `faults.seed`) spread
-    /// evenly across the run.
-    pub faults: FaultPlan,
+    /// Chaos: this many single node losses spread evenly across the run.
+    pub drop_nodes: usize,
+    /// Seed of the node-loss picks; loss `i` draws from `fault_seed + i`
+    /// (wrapping).
+    pub fault_seed: u64,
     /// Controller tuning.
     pub controller: ControllerConfig,
 }
@@ -55,7 +58,8 @@ impl Default for OnlineConfig {
             queries_per_epoch: 64,
             drift_sigma: 0.02,
             seed: 42,
-            faults: FaultPlan::default(),
+            drop_nodes: 0,
+            fault_seed: 0,
             controller: ControllerConfig::default(),
         }
     }
@@ -83,7 +87,8 @@ pub fn fault_epochs(epochs: u64, drop_nodes: usize) -> Vec<u64> {
 }
 
 /// Folds one epoch's query log into the controller's estimation feed:
-/// pair statistics under the pipeline's [`CorrelationMode`], mapped from
+/// pair statistics under the pipeline's
+/// [`CorrelationMode`](crate::pipeline::CorrelationMode), mapped from
 /// word ids to object ids, with co-occurrence ratios recovered as integer
 /// counts. Shared by the offline driver ([`run_online`]) and the live
 /// runtime ([`crate::runtime::run_live`]), which feeds the *executed*
@@ -91,15 +96,7 @@ pub fn fault_epochs(epochs: u64, drop_nodes: usize) -> Vec<u64> {
 /// not two.
 #[must_use]
 pub fn epoch_observation(pipeline: &Pipeline, log: &QueryLog) -> EpochObservation {
-    let stats = match pipeline.config().correlation {
-        CorrelationMode::AllPairs => PairStats::from_log(log),
-        CorrelationMode::TwoSmallest => {
-            PairStats::from_log_two_smallest(log, |w| pipeline.index.size_bytes(w))
-        }
-        CorrelationMode::LargestRest => {
-            PairStats::from_log_largest_rest(log, |w| pipeline.index.size_bytes(w))
-        }
-    };
+    let stats = pair_stats(pipeline.config().correlation, log, &pipeline.index);
 
     let queries = stats.num_queries();
     let mut pair_counts = Vec::new();
@@ -147,17 +144,12 @@ pub fn run_online_with(
     let mut drift_rng = StdRng::seed_from_u64(config.seed ^ 0x00d2_1f70);
     let mut sample_rng = StdRng::seed_from_u64(config.seed ^ 0x5a3b_1e00);
 
-    let fault_at = fault_epochs(config.epochs, config.faults.drop_nodes);
+    let fault_at = fault_epochs(config.epochs, config.drop_nodes);
     let mut next_fault = 0usize;
 
     for epoch in 1..=config.epochs {
         while next_fault < fault_at.len() && fault_at[next_fault] == epoch {
-            let plan = FaultPlan {
-                drop_nodes: 1,
-                seed: config.faults.seed.wrapping_add(next_fault as u64),
-                ..FaultPlan::default()
-            };
-            controller.inject_fault(&plan);
+            controller.inject_fault(1, config.fault_seed.wrapping_add(next_fault as u64));
             next_fault += 1;
         }
 

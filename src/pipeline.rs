@@ -11,7 +11,7 @@ use cca_core::{
 use cca_search::{
     AggregationPolicy, Cluster, ExecutionStats, InvertedIndex, QueryEngine, StopwordList,
 };
-use cca_trace::{PairStats, TraceConfig, WordId, Workload};
+use cca_trace::{PairStats, QueryLog, TraceConfig, WordId, Workload};
 
 /// How pair correlations are estimated from the query log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -27,6 +27,28 @@ pub enum CorrelationMode {
     /// paper's §3.2 adjustment for union-like operations. Pair this with
     /// [`AggregationPolicy::Union`] replay.
     LargestRest,
+}
+
+/// Pairs co-requested fewer than this many times are ignored (the noise
+/// floor of the correlation estimate).
+const MIN_PAIR_COUNT: u64 = 2;
+
+/// Pair statistics of `log` under `mode`; the §3.2 adjustments rank a
+/// query's keywords by their index sizes.
+pub(crate) fn pair_stats(
+    mode: CorrelationMode,
+    log: &QueryLog,
+    index: &InvertedIndex,
+) -> PairStats {
+    match mode {
+        CorrelationMode::AllPairs => PairStats::from_log(log),
+        CorrelationMode::TwoSmallest => {
+            PairStats::from_log_two_smallest(log, |w| index.size_bytes(w))
+        }
+        CorrelationMode::LargestRest => {
+            PairStats::from_log_largest_rest(log, |w| index.size_bytes(w))
+        }
+    }
 }
 
 /// Configuration of the evaluation pipeline.
@@ -47,8 +69,6 @@ pub struct PipelineConfig {
     /// Keep at most this many heaviest pairs in the CCA problem (the
     /// sparse-`E` assumption of §3.1); `0` disables pruning.
     pub max_pairs: usize,
-    /// Ignore pairs co-requested fewer than this many times (noise floor).
-    pub min_pair_count: u64,
     /// How the replayed engine aggregates multi-keyword operations.
     /// Intersection matches [`CorrelationMode::TwoSmallest`]; Union
     /// matches [`CorrelationMode::LargestRest`].
@@ -57,8 +77,7 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// A pipeline over `trace` and `num_nodes` nodes with the paper's
-    /// defaults (capacity factor 2.0, two-smallest correlations, pair noise
-    /// floor of 2 co-occurrences).
+    /// defaults (capacity factor 2.0, two-smallest correlations).
     #[must_use]
     pub fn new(trace: TraceConfig, num_nodes: usize) -> Self {
         PipelineConfig {
@@ -68,7 +87,6 @@ impl PipelineConfig {
             capacity_factor: 2.0,
             correlation: CorrelationMode::TwoSmallest,
             max_pairs: 0,
-            min_pair_count: 2,
             aggregation: AggregationPolicy::Intersection,
         }
     }
@@ -123,15 +141,7 @@ impl Pipeline {
             &StopwordList::smart(),
         );
 
-        let stats = match config.correlation {
-            CorrelationMode::AllPairs => PairStats::from_log(&workload.queries),
-            CorrelationMode::TwoSmallest => {
-                PairStats::from_log_two_smallest(&workload.queries, |w| index.size_bytes(w))
-            }
-            CorrelationMode::LargestRest => {
-                PairStats::from_log_largest_rest(&workload.queries, |w| index.size_bytes(w))
-            }
-        };
+        let stats = pair_stats(config.correlation, &workload.queries, &index);
 
         // Objects: every indexed keyword, in deterministic (word id) order.
         let mut keywords: Vec<WordId> = index.keywords().collect();
@@ -293,16 +303,8 @@ impl Pipeline {
     /// identical to [`Pipeline::build`]'s, so placements are directly
     /// comparable and [`cca_core::migration_bytes`] applies.
     #[must_use]
-    pub fn problem_for_log(&self, log: &cca_trace::QueryLog) -> CcaProblem {
-        let stats = match self.config.correlation {
-            CorrelationMode::AllPairs => PairStats::from_log(log),
-            CorrelationMode::TwoSmallest => {
-                PairStats::from_log_two_smallest(log, |w| self.index.size_bytes(w))
-            }
-            CorrelationMode::LargestRest => {
-                PairStats::from_log_largest_rest(log, |w| self.index.size_bytes(w))
-            }
-        };
+    pub fn problem_for_log(&self, log: &QueryLog) -> CcaProblem {
+        let stats = pair_stats(self.config.correlation, log, &self.index);
         assemble_problem(
             &self.config,
             &self.workload,
@@ -351,7 +353,7 @@ fn assemble_problem(
 
     // Pairs: correlation r from the log; communication cost w = bytes
     // shipped when split = size of the smaller index.
-    let noise_floor = config.min_pair_count as f64 / stats.num_queries().max(1) as f64;
+    let noise_floor = MIN_PAIR_COUNT as f64 / stats.num_queries().max(1) as f64;
     for (pair, r) in stats.iter() {
         if r + 1e-15 < noise_floor {
             continue;

@@ -14,7 +14,6 @@
 
 use cca::algo::{
     solve_resilient_with_faults, CcaProblem, FaultPlan, ResilienceOptions, Rung, RungOutcome,
-    SolveBudget,
 };
 use std::time::Duration;
 
@@ -255,10 +254,7 @@ fn threaded_deadline_exhaustion_degrades_deterministically() {
     for threads in [2usize, 8] {
         let opts = ResilienceOptions {
             threads,
-            budget: SolveBudget {
-                deadline: Some(Duration::ZERO),
-                ..SolveBudget::default()
-            },
+            deadline: Some(Duration::ZERO),
             ..ResilienceOptions::default()
         };
         let plan = FaultPlan {

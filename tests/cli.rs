@@ -484,18 +484,23 @@ fn resilient_place_validates_rung_names() {
     assert_eq!(code, 1);
     assert!(stderr.contains("unknown min-strategy"));
 
-    // A floor better than the start strategy is rejected.
-    let (code, _, stderr) = run_code(&[
-        "place",
-        "--preset",
-        "tiny",
-        "--strategy",
-        "greedy",
-        "--min-strategy",
-        "lprr",
-    ]);
-    assert_eq!(code, 1);
-    assert!(stderr.contains("better rung"));
+    // A floor better than the start strategy is rejected, for one copy
+    // and for replicated placement alike.
+    for replicas in [&[][..], &["--nodes", "4", "--replicas", "2"]] {
+        let mut args = vec![
+            "place",
+            "--preset",
+            "tiny",
+            "--strategy",
+            "greedy",
+            "--min-strategy",
+            "lprr",
+        ];
+        args.extend(replicas);
+        let (code, _, stderr) = run_code(&args);
+        assert_eq!(code, 1, "{args:?}: stderr: {stderr}");
+        assert!(stderr.contains("better rung"), "{args:?}: stderr: {stderr}");
+    }
 }
 
 /// `probe --candidates` taxonomy: the bounds 1..=1024 are enforced at

@@ -4,7 +4,7 @@
 //! the migration-counter invariant, accumulated-loss monotonicity, and
 //! fault recovery under the drifting query stream.
 
-use cca::algo::{format_placement, format_report, ControllerConfig, EpochOutcome, FaultPlan};
+use cca::algo::{format_placement, format_report, ControllerConfig, EpochOutcome};
 use cca::online::{fault_epochs, run_online, run_online_with, OnlineConfig, OnlineOutcome};
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::trace::TraceConfig;
@@ -16,21 +16,17 @@ fn pipeline(nodes: usize) -> Pipeline {
 }
 
 fn online_config(epochs: u64, drop_nodes: usize, threads: usize) -> OnlineConfig {
-    let mut config = OnlineConfig {
+    OnlineConfig {
         epochs,
         seed: 7,
-        ..OnlineConfig::default()
-    };
-    config.faults = FaultPlan {
         drop_nodes,
-        seed: 0xfa17,
-        ..FaultPlan::default()
-    };
-    config.controller = ControllerConfig {
-        threads,
-        ..ControllerConfig::default()
-    };
-    config
+        fault_seed: 0xfa17,
+        controller: ControllerConfig {
+            threads,
+            ..ControllerConfig::default()
+        },
+        ..OnlineConfig::default()
+    }
 }
 
 fn render(outcome: &OnlineOutcome) -> String {
