@@ -685,10 +685,11 @@ impl Controller {
         best
     }
 
-    /// Rebuilds the estimated problem: base objects and edges with the
-    /// current (dyadic) correlation estimates and the surviving
-    /// capacities. Zero estimates drop out of the built edge set, which
-    /// is harmless — `est_r`/`placed_r` stay indexed by base edges.
+    /// Rebuilds the estimated problem: base objects, edges and secondary
+    /// resources with the current (dyadic) correlation estimates and the
+    /// surviving storage capacities. Zero estimates drop out of the built
+    /// edge set, which is harmless — `est_r`/`placed_r` stay indexed by
+    /// base edges.
     fn estimated_problem(&self) -> CcaProblem {
         let mut b = CcaProblem::builder();
         for o in self.base.objects() {
@@ -697,6 +698,9 @@ impl Controller {
         for (e, p) in self.base.pairs().iter().enumerate() {
             b.add_pair(p.a, p.b, self.est_r[e], p.comm_cost)
                 .expect("base pairs stay valid under quantized estimates");
+        }
+        for res in self.base.resources() {
+            b.add_resource(res.clone());
         }
         let mut est = b
             .capacities(self.live_capacities.clone())
@@ -1328,5 +1332,22 @@ mod tests {
             assert!(c.estimate(e) <= b);
         }
         assert!(c.report().counters_consistent());
+    }
+
+    /// The estimate keeps the base problem's secondary resources (paper
+    /// §3.3): a placement that overloads bandwidth is not feasible.
+    #[test]
+    fn estimate_keeps_secondary_resources() {
+        let mut b = CcaProblem::builder();
+        let x = b.add_object("x", 10);
+        let y = b.add_object("y", 10);
+        b.add_pair(x, y, 0.5, 8.0).unwrap();
+        b.add_resource(crate::Resource::new("bw", vec![10, 10], vec![10, 10]));
+        let p = b.uniform_capacities(2, 100).build().unwrap();
+        let start = Placement::new(vec![0, 0], 2);
+        assert!(!start.within_all_capacities(&p, CAPACITY_SLACK));
+        let c = Controller::new(&p, start, config());
+        assert!(!c.report().final_feasible);
+        assert_eq!(c.estimated_problem().resources(), p.resources());
     }
 }

@@ -83,9 +83,6 @@ impl From<crate::problem::ProblemError> for CcaError {
     }
 }
 
-/// Historical name of [`CcaError`] at the [`crate::place`] entry points.
-pub type PlaceError = CcaError;
-
 #[cfg(test)]
 mod tests {
     use super::*;

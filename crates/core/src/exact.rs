@@ -9,39 +9,25 @@
 use crate::graph::CorrelationGraph;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
-use cca_par::par_map_indexed;
 
 /// Options for [`exact_placement`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExactOptions {
     /// Abort after visiting this many search nodes (returns `None`).
     pub max_visited: u64,
-    /// Worker threads for the top-level branch fan-out. `1` is the
-    /// classic serial search, bit-for-bit; with more threads the search
-    /// expands a fixed frontier of `PARALLEL_FRONTIER_TARGET` branches
-    /// (independent of the thread count, so `threads = 2` and
-    /// `threads = 8` return identical placements) and explores them
-    /// concurrently.
-    pub threads: usize,
 }
 
 impl Default for ExactOptions {
     fn default() -> Self {
         ExactOptions {
             max_visited: 50_000_000,
-            threads: 1,
         }
     }
 }
 
-/// Number of top-level branches the parallel search carves the tree into.
-/// Deliberately a constant rather than a multiple of the thread count:
-/// the branch decomposition — and therefore the visit budget per branch
-/// and the result — must not depend on how many workers happen to run.
-const PARALLEL_FRONTIER_TARGET: usize = 32;
-
-/// Shared, read-only precomputation for one `exact_placement` call.
-struct SearchSpace<'a> {
+/// One depth-first branch-and-bound: the problem's precomputed branching
+/// order, limits and demands, plus the search state.
+struct Search<'a> {
     problem: &'a CcaProblem,
     /// Objects in branching order (heaviest pair involvement first).
     order: Vec<ObjectId>,
@@ -52,82 +38,31 @@ struct SearchSpace<'a> {
     limits: Vec<Vec<u64>>,
     /// Cached integer demand vectors per object.
     demands: Vec<Vec<u64>>,
-}
-
-struct Search<'a> {
-    space: &'a SearchSpace<'a>,
     best_cost: f64,
     best: Option<Vec<u32>>,
     current: Vec<u32>,
-    /// `loads[node][dim]`, mirroring `SearchSpace::limits`.
+    /// `loads[node][dim]`, mirroring `limits`.
     loads: Vec<Vec<u64>>,
     visited: u64,
     max_visited: u64,
 }
 
-/// A partial assignment of the first `depth` objects in branching order —
-/// the unit of work handed to one parallel branch.
-struct Prefix {
-    current: Vec<u32>,
-    loads: Vec<Vec<u64>>,
-    cost: f64,
-    depth: usize,
-}
-
-impl SearchSpace<'_> {
-    /// Branching limit at `depth` given the partial assignment `current`.
-    /// For uniform capacities only the used nodes plus one fresh node are
-    /// worth trying (interchangeable nodes make the rest symmetric).
-    fn max_node(&self, current: &[u32], depth: usize) -> usize {
+impl Search<'_> {
+    /// Branching limit at `depth`. For uniform capacities only the used
+    /// nodes plus one fresh node are worth trying (interchangeable nodes
+    /// make the rest symmetric).
+    fn max_node(&self, depth: usize) -> usize {
         let n = self.problem.num_nodes();
         if !self.uniform_capacity {
             return n;
         }
         let mut hi = -1i64;
         for d in 0..depth {
-            hi = hi.max(i64::from(current[self.order[d].index()]));
+            hi = hi.max(i64::from(self.current[self.order[d].index()]));
         }
         ((hi + 2).min(n as i64)) as usize
     }
 
-    /// All capacity-feasible one-object extensions of `prefix`, in node
-    /// order — the same child order the serial DFS visits, so the
-    /// parallel branch decomposition preserves the serial tie-breaking.
-    fn expand(&self, prefix: &Prefix) -> Vec<Prefix> {
-        let obj = self.order[prefix.depth];
-        let max_node = self.max_node(&prefix.current, prefix.depth);
-        let mut children = Vec::new();
-        'nodes: for k in 0..max_node {
-            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
-                if prefix.loads[k][dim] + d > self.limits[k][dim] {
-                    continue 'nodes;
-                }
-            }
-            let mut extra = 0.0;
-            for (other, weight) in self.graph.neighbors(obj) {
-                let assigned = prefix.current[other.index()];
-                if assigned != u32::MAX && assigned as usize != k {
-                    extra += weight;
-                }
-            }
-            let mut current = prefix.current.clone();
-            current[obj.index()] = k as u32;
-            let mut loads = prefix.loads.clone();
-            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
-                loads[k][dim] += d;
-            }
-            children.push(Prefix {
-                current,
-                loads,
-                cost: prefix.cost + extra,
-                depth: prefix.depth + 1,
-            });
-        }
-        children
-    }
-}
-
-impl Search<'_> {
     fn dfs(&mut self, depth: usize, cost: f64) {
         if self.visited >= self.max_visited {
             return;
@@ -136,37 +71,37 @@ impl Search<'_> {
         if cost >= self.best_cost - 1e-12 {
             return;
         }
-        if depth == self.space.order.len() {
+        if depth == self.order.len() {
             self.best_cost = cost;
             self.best = Some(self.current.clone());
             return;
         }
-        let obj = self.space.order[depth];
+        let obj = self.order[depth];
         // Symmetry breaking for uniform capacities: only branch on nodes
         // 0..=max_used+1.
-        let max_node = self.space.max_node(&self.current, depth);
+        let max_node = self.max_node(depth);
         'nodes: for k in 0..max_node {
-            for (dim, &d) in self.space.demands[obj.index()].iter().enumerate() {
-                if self.loads[k][dim] + d > self.space.limits[k][dim] {
+            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
+                if self.loads[k][dim] + d > self.limits[k][dim] {
                     continue 'nodes;
                 }
             }
             // Incremental cost: split pairs against already-assigned
             // neighbours.
             let mut extra = 0.0;
-            for (other, weight) in self.space.graph.neighbors(obj) {
+            for (other, weight) in self.graph.neighbors(obj) {
                 let assigned = self.current[other.index()];
                 if assigned != u32::MAX && assigned as usize != k {
                     extra += weight;
                 }
             }
-            for (dim, &d) in self.space.demands[obj.index()].iter().enumerate() {
+            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
                 self.loads[k][dim] += d;
             }
             self.current[obj.index()] = k as u32;
             self.dfs(depth + 1, cost + extra);
             self.current[obj.index()] = u32::MAX;
-            for (dim, &d) in self.space.demands[obj.index()].iter().enumerate() {
+            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
                 self.loads[k][dim] -= d;
             }
         }
@@ -247,86 +182,23 @@ pub fn exact_placement(problem: &CcaProblem, options: &ExactOptions) -> Option<(
             v
         })
         .collect();
-    let space = SearchSpace {
+    let mut search = Search {
         problem,
         order,
         graph,
         uniform_capacity,
         limits,
         demands,
-    };
-    let root = Prefix {
+        best_cost: f64::INFINITY,
+        best: None,
         current: vec![u32::MAX; t],
         loads: vec![vec![0; dims]; problem.num_nodes()],
-        cost: 0.0,
-        depth: 0,
+        visited: 0,
+        max_visited: options.max_visited,
     };
+    search.dfs(0, 0.0);
 
-    let assignment = if options.threads <= 1 {
-        // Classic serial branch-and-bound, bit-for-bit the historic path.
-        let mut search = Search {
-            space: &space,
-            best_cost: f64::INFINITY,
-            best: None,
-            current: root.current,
-            loads: root.loads,
-            visited: 0,
-            max_visited: options.max_visited,
-        };
-        search.dfs(0, 0.0);
-        search.best
-    } else {
-        // Expand a frontier of partial assignments breadth-first (children
-        // in DFS order) until there is enough independent work, then
-        // explore each branch concurrently. The frontier size and the
-        // per-branch visit budget depend only on the problem — never on
-        // the thread count — so any `threads >= 2` returns the same
-        // placement.
-        let mut frontier = vec![root];
-        while frontier.len() < PARALLEL_FRONTIER_TARGET
-            && frontier.first().is_some_and(|p| p.depth < t)
-        {
-            let mut next = Vec::new();
-            for prefix in &frontier {
-                next.extend(space.expand(prefix));
-            }
-            if next.is_empty() {
-                // Every partial assignment is already capacity-infeasible.
-                return None;
-            }
-            frontier = next;
-        }
-        let per_branch = (options.max_visited / frontier.len() as u64).max(1);
-        let results: Vec<Option<(f64, Vec<u32>)>> =
-            par_map_indexed(options.threads, frontier.len(), |i| {
-                let prefix = &frontier[i];
-                let mut search = Search {
-                    space: &space,
-                    best_cost: f64::INFINITY,
-                    best: None,
-                    current: prefix.current.clone(),
-                    loads: prefix.loads.clone(),
-                    visited: 0,
-                    max_visited: per_branch,
-                };
-                search.dfs(prefix.depth, prefix.cost);
-                search.best.map(|b| (search.best_cost, b))
-            });
-        // Reduce in branch order with the DFS's own strict-improvement
-        // rule, mirroring the order the serial search would have found
-        // these optima in.
-        let mut best_cost = f64::INFINITY;
-        let mut best = None;
-        for (cost, assignment) in results.into_iter().flatten() {
-            if cost < best_cost - 1e-12 {
-                best_cost = cost;
-                best = Some(assignment);
-            }
-        }
-        best
-    };
-
-    assignment.map(|assignment| {
+    search.best.map(|assignment| {
         let placement = Placement::new(assignment, problem.num_nodes());
         let cost = placement.communication_cost(problem);
         (placement, cost)
@@ -460,65 +332,6 @@ mod tests {
             }
         }
         let p = b.uniform_capacities(4, 10).build().unwrap();
-        let opts = ExactOptions {
-            max_visited: 1,
-            ..ExactOptions::default()
-        };
-        assert!(exact_placement(&p, &opts).is_none());
-    }
-
-    #[test]
-    fn parallel_search_matches_serial_cost() {
-        let mut rng = StdRng::seed_from_u64(77);
-        for trial in 0..10 {
-            let t = 3 + rng.random_range(0..5usize);
-            let n = 2 + rng.random_range(0..2usize);
-            let mut b = CcaProblem::builder();
-            let objs: Vec<_> = (0..t)
-                .map(|i| b.add_object(format!("o{i}"), 1 + rng.random_range(0..4)))
-                .collect();
-            for i in 0..t {
-                for j in i + 1..t {
-                    if rng.random::<f64>() < 0.6 {
-                        b.add_pair(objs[i], objs[j], rng.random::<f64>(), 1.0)
-                            .unwrap();
-                    }
-                }
-            }
-            let p = b.uniform_capacities(n, 8).build().unwrap();
-            let serial = exact_placement(&p, &ExactOptions::default());
-            let two = exact_placement(
-                &p,
-                &ExactOptions {
-                    threads: 2,
-                    ..ExactOptions::default()
-                },
-            );
-            let eight = exact_placement(
-                &p,
-                &ExactOptions {
-                    threads: 8,
-                    ..ExactOptions::default()
-                },
-            );
-            match (&serial, &two) {
-                (Some((_, sc)), Some((_, pc))) => assert!(
-                    (sc - pc).abs() < 1e-9,
-                    "trial {trial}: serial {sc} vs parallel {pc}"
-                ),
-                (None, None) => {}
-                other => panic!("trial {trial}: serial/parallel disagree: {other:?}"),
-            }
-            // Any two parallel thread counts share one branch
-            // decomposition, so they agree byte-for-byte.
-            match (&two, &eight) {
-                (Some((p2, c2)), Some((p8, c8))) => {
-                    assert_eq!(p2.as_slice(), p8.as_slice(), "trial {trial}");
-                    assert_eq!(c2.to_bits(), c8.to_bits(), "trial {trial}");
-                }
-                (None, None) => {}
-                other => panic!("trial {trial}: 2 vs 8 threads disagree: {other:?}"),
-            }
-        }
+        assert!(exact_placement(&p, &ExactOptions { max_visited: 1 }).is_none());
     }
 }

@@ -89,7 +89,7 @@ pub use controller::{
     quantize_estimate, Controller, ControllerConfig, ControllerReport, EpochObservation,
     EpochOutcome, FaultRecovery,
 };
-pub use error::{CcaError, PlaceError};
+pub use error::CcaError;
 pub use exact::{exact_placement, ExactOptions};
 pub use fractional::FractionalPlacement;
 pub use graph::{CorrelationGraph, Edge, EdgeId, PlacementBatch};

@@ -745,9 +745,10 @@ mod tests {
     #[test]
     fn iteration_budget_degrades_to_best_so_far() {
         // The 3-clique needs three solve/separate rounds of 7, 10 and 13
-        // simplex pivots. The per-solve cap is checked before each pivot,
-        // so a cap of 8 lets round 1 finish and stops round 2: the solve
-        // must end with round 1's solution instead of erroring.
+        // simplex pivots. The per-solve cap stops a solve only when it
+        // needs a pivot beyond the cap, so a cap of 8 lets round 1 finish
+        // and stops round 2: the solve must end with round 1's solution
+        // instead of erroring.
         let mut b = CcaProblem::builder();
         let o: Vec<_> = (0..3).map(|i| b.add_object(format!("o{i}"), 10)).collect();
         b.add_pair(o[0], o[1], 1.0, 5.0).unwrap();

@@ -30,15 +30,14 @@ use crate::audit::{audit_placement, PlacementAudit};
 use crate::error::CcaError;
 use crate::greedy::greedy_placement;
 use crate::migrate::{
-    improve_in_place, improve_replicas_in_place, migration_bytes, replica_migration_bytes,
-    MigrateOptions,
+    improve_replicas_in_place, migration_bytes, replica_migration_bytes, MigrateOptions,
 };
 use crate::placement::Placement;
 use crate::problem::CcaProblem;
 use crate::problem::ProblemError;
 use crate::random::random_hash_placement;
 use crate::relax::RelaxMethod;
-use crate::repair::{repair_capacity, repair_replica_spread};
+use crate::repair::{repair_capacity, repair_capacity_with, repair_replica_spread};
 use crate::replica::{spread_copies, validate_replica_spec, DomainTree, ReplicaPlacement};
 use crate::solver::{place, place_partial, LprrOptions, Strategy};
 use cca_rand::rngs::StdRng;
@@ -581,11 +580,12 @@ fn without_nodes(problem: &CcaProblem, dead_nodes: &[usize]) -> CcaProblem {
 }
 
 /// Simulates losing `dead_nodes`: their storage capacity drops to zero in
-/// a copy of `problem`, the placement is repaired off them (and polished
-/// with capacity-respecting migration), and the data movement is
-/// accounted. Returns the degraded problem, the re-placed placement, and
-/// the loss report, which says whether the re-placed placement fits the
-/// degraded problem at `capacity_slack` (at least 1).
+/// a copy of `problem`, one capacity-repair pass evacuates them and
+/// polishes the result with capacity-respecting local search, and the
+/// data movement is accounted. Returns the degraded problem, the
+/// re-placed placement, and the loss report, which says whether the
+/// re-placed placement fits the degraded problem at `capacity_slack` (at
+/// least 1).
 ///
 /// Secondary-resource capacities are *not* zeroed — [`CcaProblem`] keeps
 /// them per-resource, and a storage capacity of zero already evicts every
@@ -601,16 +601,10 @@ pub fn survive_node_loss(
     let slack = capacity_slack.max(1.0);
     let degraded = without_nodes(problem, dead_nodes);
     let mut replaced = placement.clone();
-    let _ = repair_capacity(&degraded, &mut replaced, slack);
-    let polished = improve_in_place(
-        &degraded,
-        &replaced,
-        &MigrateOptions {
-            capacity_slack: slack,
-            ..MigrateOptions::default()
-        },
-    );
-    let replaced = polished.placement;
+    // Repair's two polish sweeps plus a default polish's, all on the
+    // ledger the eviction built.
+    let sweeps = 2 + MigrateOptions::default().max_sweeps;
+    let _ = repair_capacity_with(&degraded, &mut replaced, slack, sweeps);
     let report = NodeLossReport {
         dropped_nodes: {
             let mut d: Vec<usize> = dead_nodes.to_vec();

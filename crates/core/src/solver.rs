@@ -1,6 +1,6 @@
 //! High-level placement API tying the strategies together.
 
-use crate::error::PlaceError;
+use crate::error::CcaError;
 use crate::greedy::greedy_placement;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
@@ -115,7 +115,7 @@ pub struct PlacementReport {
 ///
 /// LPRR propagates LP failures (notably infeasibility when the capacities
 /// cannot host all objects); the baselines are infallible.
-pub fn place(problem: &CcaProblem, strategy: &Strategy) -> Result<PlacementReport, PlaceError> {
+pub fn place(problem: &CcaProblem, strategy: &Strategy) -> Result<PlacementReport, CcaError> {
     match strategy {
         Strategy::RandomHash => {
             let placement = random_hash_placement(problem);
@@ -174,7 +174,7 @@ pub fn place_partial(
     problem: &CcaProblem,
     scope_size: usize,
     strategy: &Strategy,
-) -> Result<PlacementReport, PlaceError> {
+) -> Result<PlacementReport, CcaError> {
     let ranking = importance_ranking(problem);
     let scope: Vec<ObjectId> = ranking.into_iter().take(scope_size).collect();
     let sub = scope_subproblem(problem, &scope, false);
@@ -330,7 +330,7 @@ mod tests {
         let p = b.uniform_capacities(2, 5).build().unwrap();
         assert!(matches!(
             place(&p, &Strategy::lprr()),
-            Err(PlaceError::Lp(cca_lp::LpError::Infeasible))
+            Err(CcaError::Lp(cca_lp::LpError::Infeasible))
         ));
         assert!(place(&p, &Strategy::RandomHash).is_ok());
     }

@@ -151,13 +151,8 @@ impl Tableau {
         self.basis[row] = col;
     }
 
-    fn run_phase(&mut self, max_iterations: u64) -> Result<PhaseOutcome, LpError> {
+    fn run_phase(&mut self) -> Result<PhaseOutcome, LpError> {
         loop {
-            if max_iterations > 0 && self.iterations >= max_iterations {
-                return Err(LpError::IterationLimit {
-                    iterations: self.iterations,
-                });
-            }
             let bland = self.degenerate_streak > 100;
             let Some(entering) = self.choose_entering(bland) else {
                 return Ok(PhaseOutcome::Optimal);
@@ -202,7 +197,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, LpError> {
     // Phase 1: minimise the sum of artificials (skipped when none exist).
     if sf.artificial_start < sf.n {
         tab.set_costs(&sf.phase1_obj());
-        match tab.run_phase(0)? {
+        match tab.run_phase()? {
             PhaseOutcome::Optimal => {}
             PhaseOutcome::Unbounded => {
                 return Err(LpError::Numerical(
@@ -221,7 +216,7 @@ pub(crate) fn solve(model: &Model) -> Result<Solution, LpError> {
 
     // Phase 2: the real objective.
     tab.set_costs(&sf.obj);
-    match tab.run_phase(0)? {
+    match tab.run_phase()? {
         PhaseOutcome::Optimal => {}
         PhaseOutcome::Unbounded => return Err(LpError::Unbounded),
     }

@@ -150,8 +150,10 @@ impl std::error::Error for LpError {}
 /// Options controlling the sparse revised simplex.
 #[derive(Debug, Clone)]
 pub struct SolverOptions {
-    /// Hard cap on simplex iterations, counted over both phases of one
-    /// solve. `0` means no limit.
+    /// Cap on simplex iterations, counted over both phases of one solve: a
+    /// solve that reaches its optimum within this many returns, and one
+    /// that needs a further pivot fails with [`LpError::IterationLimit`].
+    /// `0` means no limit.
     pub max_iterations: u64,
     /// Refactorise the basis after this many eta updates.
     pub refactor_every: usize,

@@ -213,11 +213,6 @@ impl<'a> Simplex<'a> {
         let mut last_objective = f64::INFINITY;
         let mut stalled_for: u64 = 0;
         loop {
-            if self.opts.max_iterations > 0 && self.iterations >= self.opts.max_iterations {
-                return Err(LpError::IterationLimit {
-                    iterations: self.iterations,
-                });
-            }
             // Deadline watchdog, amortised over 16 pivots (the first check
             // fires immediately, so a pre-expired deadline aborts before
             // any work is done).
@@ -270,6 +265,12 @@ impl<'a> Simplex<'a> {
             let Some(entering) = self.price(c, &y, barred_from, bland) else {
                 return Ok(PhaseOutcome::Optimal);
             };
+            // The cap stops only a solve that needs one more pivot.
+            if self.opts.max_iterations > 0 && self.iterations >= self.opts.max_iterations {
+                return Err(LpError::IterationLimit {
+                    iterations: self.iterations,
+                });
+            }
             let mut w = vec![0.0; self.sf.m];
             self.sf.a.add_col_into(entering, 1.0, &mut w);
             self.ftran(&mut w);
@@ -528,6 +529,8 @@ mod tests {
         assert!(approx_eq(a.objective, b.objective, 1e-9));
     }
 
+    /// The cap stops only a solve that needs another pivot: a solve that
+    /// is optimal after exactly `max_iterations` pivots returns.
     #[test]
     fn iteration_limit_is_honoured() {
         let mut m = Model::minimize();
@@ -538,13 +541,21 @@ mod tests {
                 m.set_coeff(row, v, (1 + (i * r + i) % 5) as f64);
             }
         }
-        let res = m.solve(&SolverOptions {
-            max_iterations: 1,
-            ..SolverOptions::default()
-        });
+        let full = m.solve(&SolverOptions::default()).unwrap();
+        let k = full.iterations;
+        assert!(k >= 2, "need a multi-pivot solve, got {k}");
+        let capped = |max_iterations| {
+            m.solve(&SolverOptions {
+                max_iterations,
+                ..SolverOptions::default()
+            })
+        };
+        let at_cap = capped(k).expect("a solve that fits the cap returns");
+        assert_eq!(at_cap.iterations, k);
+        assert_eq!(at_cap.objective.to_bits(), full.objective.to_bits());
         assert!(matches!(
-            res,
-            Err(crate::LpError::IterationLimit { .. }) | Ok(_)
+            capped(k - 1),
+            Err(crate::LpError::IterationLimit { iterations }) if iterations == k - 1
         ));
     }
 

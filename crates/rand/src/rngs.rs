@@ -25,10 +25,6 @@ impl SeedableRng for StdRng {
     }
 }
 
-/// Alias kept for call sites that want to signal "small, fast, not
-/// cryptographic" — the workspace has exactly one engine.
-pub type SmallRng = StdRng;
-
 #[cfg(test)]
 mod tests {
     use super::*;

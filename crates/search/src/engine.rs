@@ -291,10 +291,7 @@ impl<'a> QueryEngine<'a> {
                 transfers: Vec::new(),
             };
         }
-        // Ascending index size, ties by id for determinism.
-        let mut order: Vec<WordId> = query.words.clone();
-        order.sort_unstable_by_key(|&w| (self.index.posting(w).len(), w));
-
+        let order = self.intersection_order(&query.words);
         let (a, b) = (order[0], order[1]);
         let mut transfers = Vec::new();
         // Ship the smaller of the first two to a replica of the larger —
@@ -345,19 +342,9 @@ impl<'a> QueryEngine<'a> {
                 transfers: Vec::new(),
             };
         }
-        // Largest object's node hosts the union.
-        let host_word = *query
-            .words
-            .iter()
-            .max_by_key(|&&w| (self.index.posting(w).len(), w))
-            .expect("non-empty");
         // Gather at the replica of the host word that minimises shipped
         // bytes over the whole query (`gather_node_on` tie-breaks).
-        let shipments: Vec<(WordId, u64)> = query
-            .words
-            .iter()
-            .map(|&w| (w, self.index.size_bytes(w)))
-            .collect();
+        let (host_word, shipments) = self.union_gather(&query.words);
         let host = gather_node_on(self.cluster, host_word, &shipments);
         let mut transfers = Vec::new();
         let mut result: Vec<PageId> = Vec::new();
@@ -382,16 +369,15 @@ impl<'a> QueryEngine<'a> {
     /// keywords matter and how many bytes each would ship. Computing this
     /// once lets any number of candidate clusters be scored without
     /// re-sorting the query per candidate (see [`Self::probe_batch`]);
-    /// both [`Self::model_probe`] and `Pipeline::probe` bottom out here.
+    /// [`Self::model_probe`], [`Self::home_node`] and `Pipeline::probe`
+    /// all bottom out here.
     fn probe_shape(&self, query: &Query) -> ProbeShape {
         if query.words.len() < 2 {
             return ProbeShape::Free;
         }
         match self.policy {
             AggregationPolicy::Intersection => {
-                // Same ordering rule as execute_intersection.
-                let mut order: Vec<WordId> = query.words.clone();
-                order.sort_unstable_by_key(|&w| (self.index.posting(w).len(), w));
+                let order = self.intersection_order(&query.words);
                 let (a, b) = (order[0], order[1]);
                 ProbeShape::FirstHop {
                     a,
@@ -400,21 +386,33 @@ impl<'a> QueryEngine<'a> {
                 }
             }
             AggregationPolicy::Union => {
-                let host = *query
-                    .words
-                    .iter()
-                    .max_by_key(|&&w| (self.index.posting(w).len(), w))
-                    .expect("len >= 2");
-                ProbeShape::Gather {
-                    host,
-                    shipments: query
-                        .words
-                        .iter()
-                        .map(|&w| (w, self.index.size_bytes(w)))
-                        .collect(),
-                }
+                let (host, shipments) = self.union_gather(&query.words);
+                ProbeShape::Gather { host, shipments }
             }
         }
+    }
+
+    /// The §4 intersection order: ascending posting length, ties by word
+    /// id for determinism.
+    fn intersection_order(&self, words: &[WordId]) -> Vec<WordId> {
+        let mut order = words.to_vec();
+        order.sort_unstable_by_key(|&w| (self.index.posting(w).len(), w));
+        order
+    }
+
+    /// The union's host word (the longest posting list, ties to the larger
+    /// id), whose node gathers the union, and every word's shipment bytes
+    /// in query order. `words` must be non-empty.
+    fn union_gather(&self, words: &[WordId]) -> (WordId, Vec<(WordId, u64)>) {
+        let host = *words
+            .iter()
+            .max_by_key(|&&w| (self.index.posting(w).len(), w))
+            .expect("non-empty query");
+        let shipments = words
+            .iter()
+            .map(|&w| (w, self.index.size_bytes(w)))
+            .collect();
+        (host, shipments)
     }
 
     /// Predicts the communication bytes of `query` **without** touching
@@ -472,32 +470,10 @@ impl<'a> QueryEngine<'a> {
     ///   empty query (both are free to evaluate anywhere).
     #[must_use]
     pub fn home_node(&self, query: &Query) -> usize {
-        if query.words.is_empty() {
-            return 0;
-        }
-        if query.words.len() == 1 {
-            return self.node_of(query.words[0]);
-        }
-        match self.policy {
-            AggregationPolicy::Intersection => {
-                // Same ordering and replica-selection rule as
-                // execute_intersection: evaluation starts where the first
-                // intersection runs.
-                let mut order: Vec<WordId> = query.words.clone();
-                order.sort_unstable_by_key(|&w| (self.index.posting(w).len(), w));
-                join_node_on(self.cluster, order[0], order[1])
-            }
-            AggregationPolicy::Union => {
-                let host = *query
-                    .words
-                    .iter()
-                    .max_by_key(|&&w| (self.index.posting(w).len(), w))
-                    .expect("len >= 2");
-                let shipments: Vec<(WordId, u64)> = query
-                    .words
-                    .iter()
-                    .map(|&w| (w, self.index.size_bytes(w)))
-                    .collect();
+        match self.probe_shape(query) {
+            ProbeShape::Free => query.words.first().map_or(0, |&w| self.node_of(w)),
+            ProbeShape::FirstHop { a, b, .. } => join_node_on(self.cluster, a, b),
+            ProbeShape::Gather { host, shipments } => {
                 gather_node_on(self.cluster, host, &shipments)
             }
         }

@@ -1,5 +1,5 @@
-//! Trace statistics: pair correlations, importance ranking, and the
-//! skew/stability/dominance analyses behind the paper's Figures 2 and 5.
+//! Trace statistics: pair correlations and the skew/stability analyses
+//! behind the paper's Figure 2.
 
 use crate::query::QueryLog;
 use crate::words::WordId;
@@ -213,70 +213,6 @@ impl PairStats {
     }
 }
 
-/// Cumulative dominance curves for the paper's Figure 5.
-///
-/// Given a full keyword `ranking` (most important first), per-keyword sizes
-/// and per-pair communication costs, returns for each rank prefix the
-/// fraction of total index size and of total communication cost covered.
-/// A pair's cost is covered once **both** endpoints are within the prefix
-/// (both must be in the optimization scope for the optimizer to help).
-#[must_use]
-pub fn dominance_curves(
-    ranking: &[WordId],
-    size_of: impl Fn(WordId) -> f64,
-    stats: &PairStats,
-    pair_cost: impl Fn(PairKey, f64) -> f64,
-) -> DominanceCurves {
-    // Adjacency: word -> (neighbour, cost).
-    let mut adj: HashMap<WordId, Vec<(WordId, f64)>> = HashMap::new();
-    let mut total_cost = 0.0;
-    for (p, r) in stats.iter() {
-        let cost = pair_cost(p, r);
-        total_cost += cost;
-        adj.entry(p.0).or_default().push((p.1, cost));
-        adj.entry(p.1).or_default().push((p.0, cost));
-    }
-    let total_size: f64 = ranking.iter().map(|&w| size_of(w)).sum();
-
-    let mut included = std::collections::HashSet::with_capacity(ranking.len());
-    let mut cum_size = Vec::with_capacity(ranking.len());
-    let mut cum_cost = Vec::with_capacity(ranking.len());
-    let mut size_acc = 0.0;
-    let mut cost_acc = 0.0;
-    for &w in ranking {
-        size_acc += size_of(w);
-        if let Some(neigh) = adj.get(&w) {
-            for &(u, c) in neigh {
-                if included.contains(&u) {
-                    cost_acc += c;
-                }
-            }
-        }
-        included.insert(w);
-        cum_size.push(if total_size > 0.0 {
-            size_acc / total_size
-        } else {
-            0.0
-        });
-        cum_cost.push(if total_cost > 0.0 {
-            cost_acc / total_cost
-        } else {
-            0.0
-        });
-    }
-    DominanceCurves { cum_size, cum_cost }
-}
-
-/// Output of [`dominance_curves`]: normalised cumulative fractions, indexed
-/// by ranking prefix length − 1.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DominanceCurves {
-    /// Cumulative fraction of total index size.
-    pub cum_size: Vec<f64>,
-    /// Cumulative fraction of total pairwise communication cost.
-    pub cum_cost: Vec<f64>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,25 +329,5 @@ mod tests {
         // (3,4) r=0.25 -> 0.25 (unchanged); (5,6) r=0.25 -> 0 (changed).
         let frac = s_jan.fraction_changed_beyond_2x(&s_feb, 3);
         assert!((frac - 1.0 / 3.0).abs() < 1e-12, "frac {frac}");
-    }
-
-    #[test]
-    fn dominance_curves_monotone_and_normalised() {
-        let log = log_from(&[&[1, 2], &[1, 2], &[2, 3], &[4, 5]]);
-        let s = PairStats::from_log(&log);
-        let ranking = vec![w(1), w(2), w(3), w(4), w(5)];
-        let curves = dominance_curves(&ranking, |x| 1.0 + x.0 as f64, &s, |_, r| r);
-        assert_eq!(curves.cum_size.len(), 5);
-        for win in curves.cum_size.windows(2) {
-            assert!(win[0] <= win[1] + 1e-12);
-        }
-        for win in curves.cum_cost.windows(2) {
-            assert!(win[0] <= win[1] + 1e-12);
-        }
-        assert!((curves.cum_size.last().unwrap() - 1.0).abs() < 1e-12);
-        assert!((curves.cum_cost.last().unwrap() - 1.0).abs() < 1e-12);
-        // After including words 1 and 2 the (1,2) cost (2 of 4 pair counts)
-        // is covered.
-        assert!((curves.cum_cost[1] - 0.5).abs() < 1e-12);
     }
 }

@@ -2,7 +2,6 @@
 
 use cca_check::{gen, prop_assert, prop_assert_eq, Checker, StdRng};
 use cca_rand::SeedableRng;
-use cca_trace::stats::dominance_curves;
 use cca_trace::{PairKey, PairStats, Query, QueryLog, TraceConfig, Vocabulary, WordId, Workload};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/property.regressions");
@@ -107,33 +106,6 @@ fn two_smallest_counts_one_pair_per_query() {
                 mass(&two),
                 expected
             );
-            Ok(())
-        });
-}
-
-/// Dominance curves are monotone in [0, 1] and end at 1 when the
-/// ranking covers every word with size/pairs.
-#[test]
-fn dominance_curves_monotone() {
-    Checker::new("dominance_curves_monotone")
-        .cases(120)
-        .regressions(REGRESSIONS)
-        .run(arbitrary_queries, |raw| {
-            let log = log_of(raw);
-            if log.is_empty() {
-                return Ok(());
-            }
-            let stats = PairStats::from_log(&log);
-            let ranking: Vec<WordId> = (0..60).map(WordId).collect();
-            let curves = dominance_curves(&ranking, |w| 1.0 + f64::from(w.0), &stats, |_, r| r);
-            for series in [&curves.cum_size, &curves.cum_cost] {
-                prop_assert!(series.windows(2).all(|w| w[0] <= w[1] + 1e-12));
-                prop_assert!(series.iter().all(|&v| (-1e-12..=1.0 + 1e-12).contains(&v)));
-            }
-            prop_assert!((curves.cum_size.last().unwrap() - 1.0).abs() < 1e-9);
-            if stats.num_pairs() > 0 {
-                prop_assert!((curves.cum_cost.last().unwrap() - 1.0).abs() < 1e-9);
-            }
             Ok(())
         });
 }

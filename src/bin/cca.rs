@@ -63,9 +63,9 @@
 use cca::algo::{
     compose_with_hashed_rest, figure4::Figure4Lp, format_placement, format_replica_placement,
     format_report, greedy_placement, importance_ranking, round_samples_scored, scope_subproblem,
-    solve_relaxation, solve_resilient_replicated, spread_copies, validate_replica_spec,
-    ControllerConfig, DomainTree, FaultPlan, ObjectId, RelaxOptions, ResilienceOptions, Rung,
-    Strategy,
+    solve_relaxation, solve_resilient, solve_resilient_replicated, spread_copies,
+    validate_replica_spec, ControllerConfig, DomainTree, FaultPlan, ObjectId, RelaxOptions,
+    ResilienceOptions, Rung, Strategy,
 };
 use cca::online::{run_online, OnlineConfig};
 use cca::pipeline::{Pipeline, PipelineConfig};
@@ -469,13 +469,14 @@ fn cmd_place(args: &Args) -> Result<ExitCode, String> {
         return cmd_place_replicated(args, &tree);
     }
     if args.deadline_ms.is_some() || args.min_strategy.is_some() {
-        return cmd_place_resilient(args);
+        return cmd_place_ladder(args);
     }
     let p = build_pipeline(args)?;
     let s = strategy(&args.strategy, args.threads())?;
     let report = p.place(&s, args.scope).map_err(|e| e.to_string())?;
     println!("strategy:   {}", report.strategy);
-    println!("model cost: {:.2}", report.cost);
+    // `+ 0.0` prints an all-colocated placement's `-0.0` cost as `0.00`.
+    println!("model cost: {:.2}", report.cost + 0.0);
     let audit = cca::algo::audit_placement(&p.problem, &report.placement, 5);
     print!("{}", audit.report());
     print_loads(&p.problem, &report.placement);
@@ -520,10 +521,10 @@ fn ladder_options(args: &Args) -> Result<ResilienceOptions, String> {
     })
 }
 
-fn cmd_place_resilient(args: &Args) -> Result<ExitCode, String> {
+fn cmd_place_ladder(args: &Args) -> Result<ExitCode, String> {
     let options = ladder_options(args)?;
     let p = build_pipeline(args)?;
-    let r = p.place_resilient(&options);
+    let r = solve_resilient(&p.problem, &options);
     println!("strategy:   {} (resilient)", r.report.selected);
     println!("model cost: {:.2}", r.cost);
     print!("{}", r.report.summary());
@@ -559,7 +560,7 @@ fn cmd_place_replicated(args: &Args, tree: &DomainTree) -> Result<ExitCode, Stri
         "strategy:   {} (replicated x{})",
         r.base.report.selected, args.replicas
     );
-    println!("model cost: {:.2}", r.cost);
+    println!("model cost: {:.2}", r.cost + 0.0);
     println!(
         "replicas:   {} copies across {} leaf domains (spread valid: {})",
         args.replicas,
@@ -610,9 +611,8 @@ fn cmd_probe(args: &Args) -> Result<ExitCode, String> {
         sub.num_objects(),
         sub.num_nodes()
     );
-    let seed_placement = greedy_placement(&sub);
-    let outcome = solve_relaxation(&sub, Some(&seed_placement), &RelaxOptions::default())
-        .map_err(|e| e.to_string())?;
+    let outcome =
+        solve_relaxation(&sub, None, &RelaxOptions::default()).map_err(|e| e.to_string())?;
     let (samples, model_costs) = round_samples_scored(
         &outcome.fractional,
         &sub,

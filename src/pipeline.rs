@@ -5,8 +5,8 @@
 //! Every figure harness and example builds on this module.
 
 use cca_core::{
-    place, place_partial, CcaProblem, ObjectId, PlaceError, Placement, PlacementReport,
-    ProblemError, Strategy,
+    place, place_partial, CcaError, CcaProblem, ObjectId, Placement, PlacementReport, ProblemError,
+    Strategy,
 };
 use cca_search::{
     AggregationPolicy, Cluster, ExecutionStats, InvertedIndex, QueryEngine, StopwordList,
@@ -211,23 +211,11 @@ impl Pipeline {
         &self,
         strategy: &Strategy,
         scope: Option<usize>,
-    ) -> Result<PlacementReport, PlaceError> {
+    ) -> Result<PlacementReport, CcaError> {
         match scope {
             None => place(&self.problem, strategy),
             Some(m) => place_partial(&self.problem, m, strategy),
         }
-    }
-
-    /// Computes a placement through the degradation ladder of
-    /// [`cca_core::resilience`]: always returns a placement, degrading
-    /// from LPRR towards hash placement under deadlines or failures, with
-    /// a structured report of what happened.
-    #[must_use]
-    pub fn place_resilient(
-        &self,
-        options: &cca_core::ResilienceOptions,
-    ) -> cca_core::ResilientPlacement {
-        cca_core::solve_resilient(&self.problem, options)
     }
 
     /// Materialises a placement as a cluster (word-level lookup table).
@@ -324,7 +312,7 @@ impl Pipeline {
         &self,
         strategy: &Strategy,
         scope: Option<usize>,
-    ) -> Result<Evaluation, PlaceError> {
+    ) -> Result<Evaluation, CcaError> {
         let report = self.place(strategy, scope)?;
         let replay = self.replay(&report.placement);
         let cluster = self.cluster_for(&report.placement);

@@ -203,6 +203,51 @@ fn resilient_place_with_zero_deadline_degrades_to_hash() {
     assert!(stdout.contains("deadline exceeded"));
 }
 
+/// A placement that splits no pair costs `0.00`, never `-0.00`: on one
+/// node every object is colocated.
+#[test]
+fn place_prints_a_zero_cost_without_sign() {
+    let args = [
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "1",
+        "--strategy",
+        "greedy",
+    ];
+    let (_, stdout, stderr) = run_code(&args);
+    assert_eq!(
+        stdout.lines().nth(1),
+        Some("model cost: 0.00"),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+}
+
+/// The replicated path prints a colocated placement's cost as `0.00` too.
+#[test]
+fn replicated_place_prints_a_zero_cost_without_sign() {
+    let args = [
+        "place",
+        "--preset",
+        "tiny",
+        "--nodes",
+        "4",
+        "--replicas",
+        "2",
+        "--strategy",
+        "greedy",
+        "--min-strategy",
+        "hash",
+    ];
+    let (_, stdout, stderr) = run_code(&args);
+    assert_eq!(
+        stdout.lines().nth(1),
+        Some("model cost: 0.00"),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+}
+
 /// The determinism contract at the CLI surface: `place` prints the same
 /// report (placement summary, cost, loads) for any `--threads` value.
 #[test]
