@@ -3,7 +3,7 @@
 
 use crate::placement::Placement;
 use crate::problem::CcaProblem;
-use cca_hash::hash_placement;
+use cca_hash::hash_placement_many;
 
 /// Places every object on the node given by the MD5 hash of its name
 /// modulo the node count: "Random hash-based index placement or its
@@ -24,12 +24,17 @@ use cca_hash::hash_placement;
 /// ```
 #[must_use]
 pub fn random_hash_placement(problem: &CcaProblem) -> Placement {
-    let n = problem.num_nodes();
-    let assignment = problem
-        .objects()
-        .map(|i| hash_placement(problem.name(i), n) as u32)
-        .collect();
-    Placement::new(assignment, n)
+    Placement::new(hashed_nodes(problem), problem.num_nodes())
+}
+
+/// The hash node of every object, in object order: every name hashed in
+/// one batch.
+pub(crate) fn hashed_nodes(problem: &CcaProblem) -> Vec<u32> {
+    let names: Vec<&str> = problem.objects().map(|i| problem.name(i)).collect();
+    hash_placement_many(&names, problem.num_nodes())
+        .into_iter()
+        .map(|k| k as u32)
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
-use cca_hash::hash_placement;
+use crate::random::hashed_nodes;
 
 /// The paper's §4.2 importance ranking over a CCA problem's objects:
 ///
@@ -93,20 +93,17 @@ pub fn compose_with_hashed_rest(
         problem.num_nodes(),
         "node counts disagree"
     );
-    let n = problem.num_nodes();
-    let mut assignment: Vec<u32> = problem
-        .objects()
-        .map(|o| hash_placement(problem.name(o), n) as u32)
-        .collect();
+    let mut assignment = hashed_nodes(problem);
     for (sub_idx, &orig) in scope.iter().enumerate() {
         assignment[orig.index()] = sub_placement.node_of(ObjectId(sub_idx as u32)) as u32;
     }
-    Placement::new(assignment, n)
+    Placement::new(assignment, problem.num_nodes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cca_hash::hash_placement;
 
     fn problem() -> CcaProblem {
         let mut b = CcaProblem::builder();

@@ -6,9 +6,12 @@
 //! hash code by the number of nodes and use the remainder as the ID of the
 //! placed node" (§4.1). This crate provides that machinery from scratch:
 //!
-//! * [`md5::Md5`] — an RFC 1321 MD5 implementation (streaming).
+//! * [`md5::Md5`] — an RFC 1321 MD5 implementation (streaming), and
+//!   [`md5::digest_many`], which hashes a batch of messages four at a
+//!   time.
 //! * [`PageId`] — the 8-byte truncated digest used as a document identifier.
-//! * [`hash_placement`] — the random hash-based node assignment.
+//! * [`hash_placement`] — the random hash-based node assignment, and
+//!   [`hash_placement_many`], the same assignment for a batch of keys.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,14 +69,39 @@ impl fmt::Display for PageId {
 #[must_use]
 pub fn hash_placement(key: &str, num_nodes: usize) -> usize {
     assert!(num_nodes > 0, "num_nodes must be positive");
-    let digest = md5::digest(key.as_bytes());
-    // Interpret the full 128-bit digest modulo the node count, mirroring
-    // "divide the hash code by the number of nodes and use the remainder".
-    let hi = u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"));
-    let lo = u64::from_be_bytes(digest[8..].try_into().expect("8 bytes"));
-    let n = num_nodes as u128;
-    let value = ((hi as u128) << 64) | lo as u128;
-    (value % n) as usize
+    node_of(&md5::digest(key.as_bytes()), num_nodes)
+}
+
+/// [`hash_placement`] of every key, hashed in one [`md5::digest_many`]
+/// call.
+///
+/// # Panics
+///
+/// Panics if `num_nodes` is zero.
+///
+/// ```
+/// use cca_hash::{hash_placement, hash_placement_many};
+/// let keys = ["car", "dealer", "software"];
+/// assert_eq!(
+///     hash_placement_many(&keys, 10),
+///     keys.map(|k| hash_placement(k, 10))
+/// );
+/// ```
+#[must_use]
+pub fn hash_placement_many(keys: &[&str], num_nodes: usize) -> Vec<usize> {
+    assert!(num_nodes > 0, "num_nodes must be positive");
+    let messages: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
+    md5::digest_many(&messages)
+        .iter()
+        .map(|digest| node_of(digest, num_nodes))
+        .collect()
+}
+
+/// The node of a key with MD5 `digest`: the full 128-bit digest modulo
+/// the node count, mirroring "divide the hash code by the number of
+/// nodes and use the remainder".
+fn node_of(digest: &[u8; 16], num_nodes: usize) -> usize {
+    (u128::from_be_bytes(*digest) % num_nodes as u128) as usize
 }
 
 #[cfg(test)]
@@ -125,5 +153,11 @@ mod tests {
     #[should_panic(expected = "num_nodes must be positive")]
     fn zero_nodes_panics() {
         let _ = hash_placement("k", 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_nodes must be positive")]
+    fn zero_nodes_panics_for_a_batch() {
+        let _ = hash_placement_many(&[], 0);
     }
 }

@@ -2,7 +2,7 @@
 
 use cca_check::{gen, prop_assert, prop_assert_eq, prop_assert_ne, Checker};
 use cca_hash::md5::{digest, Md5};
-use cca_hash::{hash_placement, PageId};
+use cca_hash::{hash_placement, hash_placement_many, PageId};
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/property.regressions");
 
@@ -84,6 +84,29 @@ fn placement_in_range() {
                 let p = hash_placement(key, nodes);
                 prop_assert!(p < nodes);
                 prop_assert_eq!(p, hash_placement(key, nodes));
+                Ok(())
+            },
+        );
+}
+
+/// The batched placement equals the one-key placement of every key.
+#[test]
+fn batched_placement_equals_per_key() {
+    Checker::new("batched_placement_equals_per_key")
+        .cases(300)
+        .regressions(REGRESSIONS)
+        .run(
+            |rng| {
+                (
+                    gen::vec(rng, 0..40, |r| gen::ascii_string(r, 0..80)),
+                    gen::int(rng, 1usize..=1000),
+                )
+            },
+            |(keys, nodes)| {
+                let nodes = (*nodes).max(1); // shrinking may drive nodes to 0
+                let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+                let per_key: Vec<usize> = keys.iter().map(|k| hash_placement(k, nodes)).collect();
+                prop_assert_eq!(hash_placement_many(&keys, nodes), per_key);
                 Ok(())
             },
         );

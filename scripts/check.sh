@@ -14,10 +14,11 @@
 #             (adds the tier-2 chaos suite): unit tests, the Lemma 1/2 and
 #             Theorem 2/3 batteries, golden and replay pins, property
 #             suites, threads x shards x inflight byte identity, CLI
-#             taxonomies; then the benchmark package's tests (perfbench/,
-#             its own workspace): every workload at smoke size with all
-#             output checks on seeds 1 and 7919, so a library change that
-#             breaks the benchmark fails here
+#             taxonomies; then cca-hash's tests again in release mode
+#             (the MD5 kernel as it ships); then the benchmark package's
+#             tests (perfbench/, its own workspace): every workload at
+#             smoke size with all output checks on seeds 1 and 7919, so a
+#             library change that breaks the benchmark fails here
 #   cli       release-binary contracts: `place` exit codes and thread
 #             identity, a `run` chaos soak, a `serve` load run, the `live`
 #             regime-shift replay, replica identity and spread; then every
@@ -215,6 +216,9 @@ step_clippy() {
 step_test() {
   cargo test -q
   cargo test -q --features chaos
+  # The MD5 lanes vectorize only at opt-level 3: test the kernel as
+  # perfbench and the release binaries run it.
+  cargo test -q --release -p cca-hash
   cargo test -q --offline --manifest-path perfbench/Cargo.toml
 }
 

@@ -302,13 +302,16 @@ fn build_live_report(
     };
     let first = records.iter().position(|r| r.migrated_bytes > 0);
     let last = records.iter().rposition(|r| r.migrated_bytes > 0);
-    let mut stream = String::new();
+    let mut hasher = md5::Md5::new();
+    let mut line = String::new();
     for (i, r) in records.iter().enumerate() {
+        line.clear();
         let _ = writeln!(
-            stream,
+            line,
             "{}\t{}\t{}",
             r.epoch, r.migrated_bytes, r.report.digest
         );
+        hasher.update(line.as_bytes());
         report.queries += r.report.queries;
         report.served += r.report.served;
         report.degraded += r.report.degraded;
@@ -349,7 +352,7 @@ fn build_live_report(
             }
         }
     }
-    report.digest = md5::Md5::hex(&md5::digest(stream.as_bytes()));
+    report.digest = md5::Md5::hex(&hasher.finalize());
     report.refresh_quantiles();
     report
 }

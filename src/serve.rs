@@ -5,7 +5,8 @@
 //! loop). Each window makes one batched [`QueryEngine::probe_each`]
 //! admission estimate, decides admission query by query in arrival
 //! order, and executes the admitted queries as one home-node-grouped
-//! [`cca_par::par_map_indexed`] sweep. Per-query latency budgets follow
+//! [`cca_par::par_map_indexed`] sweep, whose page lists are then hashed
+//! together with [`md5::digest_many`]. Per-query latency budgets follow
 //! the established 0/2/3 degrade taxonomy.
 //!
 //! # Virtual time is the determinism contract
@@ -201,18 +202,19 @@ pub struct Response {
 }
 
 impl Response {
-    /// The digest record of this response: one line of the stream the
-    /// report digest is computed over.
-    fn record(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\n",
+    /// Appends the digest record of this response to `line`: one line of
+    /// the stream the report digest is computed over.
+    fn write_record(&self, line: &mut String) {
+        let _ = writeln!(
+            line,
+            "{}\t{}\t{}\t{}\t{}\t{}",
             self.index,
             self.status.code(),
             self.bytes,
             self.latency_ns,
             self.pages,
             md5::Md5::hex(&self.pages_digest)
-        )
+        );
     }
 }
 
@@ -327,17 +329,20 @@ pub fn serve(
                     GATE_GRACE_MS.saturating_add(ms.saturating_mul(admitted.len() as u64)),
                 )
         }));
+        // Each executed response comes back with its page bytes; the page
+        // digests are filled in after the batch, lanes of messages at once.
         let executed = par_map_indexed(config.threads, admitted.len(), |j| {
             let k = admitted[j];
             let words = chunk[k].words.len();
             if gate.expired() {
-                return estimate_response(
+                let shed = estimate_response(
                     first + k,
                     ResponseStatus::ShedDeadline,
                     words,
                     estimates[k],
                     overhead_ns,
                 );
+                return (shed, Vec::new());
             }
             let r = engine.execute(&chunk[k]);
             let mut page_bytes = Vec::with_capacity(r.pages.len() * 8);
@@ -349,15 +354,23 @@ pub fn serve(
                 Some(b) if latency_ns > b => ResponseStatus::Degraded,
                 _ => ResponseStatus::Served,
             };
-            Response {
+            let response = Response {
                 index: first + k,
                 status,
                 bytes: r.comm_bytes,
                 latency_ns,
                 pages: r.pages.len() as u64,
-                pages_digest: md5::digest(&page_bytes),
-            }
+                pages_digest: [0; 16],
+            };
+            (response, page_bytes)
         });
+        let (mut executed, pages): (Vec<Response>, Vec<Vec<u8>>) = executed.into_iter().unzip();
+        for (response, digest) in executed
+            .iter_mut()
+            .zip(digest_pages(config.threads, &pages))
+        {
+            response.pages_digest = digest;
+        }
         for (&k, response) in admitted.iter().zip(executed) {
             answers[k] = Some(response);
         }
@@ -378,15 +391,34 @@ pub fn serve(
     }
 }
 
+/// The MD5 of each page-byte string: one [`md5::digest_many`] call per
+/// contiguous group of ⌈len / threads⌉ strings, the groups spread over
+/// `threads` workers.
+fn digest_pages(threads: usize, pages: &[Vec<u8>]) -> Vec<[u8; 16]> {
+    let group = pages.len().div_ceil(threads.max(1)).max(1);
+    par_map_indexed(threads, pages.len().div_ceil(group), |g| {
+        let messages: Vec<&[u8]> = pages[g * group..]
+            .iter()
+            .take(group)
+            .map(Vec::as_slice)
+            .collect();
+        md5::digest_many(&messages)
+    })
+    .concat()
+}
+
 /// Folds the arrival-ordered responses into the persisted report.
 fn build_report(responses: &[Response]) -> ServingReport {
     let mut report = ServingReport {
         queries: responses.len() as u64,
         ..ServingReport::default()
     };
-    let mut stream = String::new();
+    let mut hasher = md5::Md5::new();
+    let mut line = String::new();
     for r in responses {
-        let _ = write!(stream, "{}", r.record());
+        line.clear();
+        r.write_record(&mut line);
+        hasher.update(line.as_bytes());
         match r.status {
             ResponseStatus::Served => report.served += 1,
             ResponseStatus::Degraded => report.degraded += 1,
@@ -401,7 +433,7 @@ fn build_report(responses: &[Response]) -> ServingReport {
             report.estimated_bytes += r.bytes;
         }
     }
-    report.digest = md5::Md5::hex(&md5::digest(stream.as_bytes()));
+    report.digest = md5::Md5::hex(&hasher.finalize());
     report.refresh_quantiles();
     report
 }
