@@ -4,10 +4,11 @@
 //! [`ServeConfig::inflight`] queries ([`ServeConfig::burst`] in the open
 //! loop). Each window makes one batched [`QueryEngine::probe_each`]
 //! admission estimate, decides admission query by query in arrival
-//! order, and executes the admitted queries as one home-node-grouped
-//! [`cca_par::par_map_indexed`] sweep, whose page lists are then hashed
-//! together with [`md5::digest_many`]. Per-query latency budgets follow
-//! the established 0/2/3 degrade taxonomy.
+//! order, and executes the admitted queries in home-node order as
+//! [`cca_par::par_map_indexed`] sweeps of at most `DIGEST_SLICE`
+//! queries, each followed by one [`md5::digest_many`] call over its page
+//! lists. Per-query latency budgets follow the established 0/2/3 degrade
+//! taxonomy.
 //!
 //! # Virtual time is the determinism contract
 //!
@@ -77,6 +78,14 @@ pub const SERVICE_BYTE_NS: u64 = 1024;
 /// exists to abandon a hung batch, so it must be far above scheduler
 /// noise — a tripped gate leaks real time into the report.
 const GATE_GRACE_MS: u64 = 1_000;
+
+/// Admitted queries executed between two page-digest calls. A slice runs
+/// as one `par_map_indexed` batch; then one [`md5::digest_many`] call on
+/// the calling thread hashes its page lists, lanes of messages at once,
+/// and drops them. So no `inflight` holds more page lists than the
+/// default window of 64, which is one slice. Hashing the slice in
+/// per-worker groups instead was slower at 2 threads (DESIGN.md §13).
+const DIGEST_SLICE: usize = 64;
 
 /// The virtual service time charged to a query with `words` keywords
 /// moving `comm_bytes` bytes. Saturating: overflow clamps at `u64::MAX`
@@ -329,10 +338,9 @@ pub fn serve(
                     GATE_GRACE_MS.saturating_add(ms.saturating_mul(admitted.len() as u64)),
                 )
         }));
-        // Each executed response comes back with its page bytes; the page
-        // digests are filled in after the batch, lanes of messages at once.
-        let executed = par_map_indexed(config.threads, admitted.len(), |j| {
-            let k = admitted[j];
+        // Each executed response comes back with its page bytes, which
+        // its slice's `digest_many` call turns into `pages_digest`.
+        let execute = |k: usize| -> (Response, Vec<u8>) {
             let words = chunk[k].words.len();
             if gate.expired() {
                 let shed = estimate_response(
@@ -363,16 +371,19 @@ pub fn serve(
                 pages_digest: [0; 16],
             };
             (response, page_bytes)
-        });
-        let (mut executed, pages): (Vec<Response>, Vec<Vec<u8>>) = executed.into_iter().unzip();
-        for (response, digest) in executed
-            .iter_mut()
-            .zip(digest_pages(config.threads, &pages))
-        {
-            response.pages_digest = digest;
-        }
-        for (&k, response) in admitted.iter().zip(executed) {
-            answers[k] = Some(response);
+        };
+        for slice in admitted.chunks(DIGEST_SLICE) {
+            let (executed, pages): (Vec<Response>, Vec<Vec<u8>>) =
+                par_map_indexed(config.threads, slice.len(), |j| execute(slice[j]))
+                    .into_iter()
+                    .unzip();
+            let messages: Vec<&[u8]> = pages.iter().map(Vec::as_slice).collect();
+            for ((&k, mut response), digest) in
+                slice.iter().zip(executed).zip(md5::digest_many(&messages))
+            {
+                response.pages_digest = digest;
+                answers[k] = Some(response);
+            }
         }
         responses.extend(
             answers
@@ -389,22 +400,6 @@ pub fn serve(
         batches,
         max_batch,
     }
-}
-
-/// The MD5 of each page-byte string: one [`md5::digest_many`] call per
-/// contiguous group of ⌈len / threads⌉ strings, the groups spread over
-/// `threads` workers.
-fn digest_pages(threads: usize, pages: &[Vec<u8>]) -> Vec<[u8; 16]> {
-    let group = pages.len().div_ceil(threads.max(1)).max(1);
-    par_map_indexed(threads, pages.len().div_ceil(group), |g| {
-        let messages: Vec<&[u8]> = pages[g * group..]
-            .iter()
-            .take(group)
-            .map(Vec::as_slice)
-            .collect();
-        md5::digest_many(&messages)
-    })
-    .concat()
 }
 
 /// Folds the arrival-ordered responses into the persisted report.
@@ -480,12 +475,20 @@ mod tests {
                 resp.latency_ns,
                 service_ns(q.words.len(), serial.comm_bytes)
             );
+            let page_bytes: Vec<u8> = serial
+                .pages
+                .iter()
+                .flat_map(|p| p.0.to_le_bytes())
+                .collect();
+            assert_eq!(resp.pages_digest, md5::digest(&page_bytes), "query {i}");
         }
     }
 
     #[test]
     fn report_is_identical_across_inflight_and_threads() {
         let (p, cluster, queries) = fixture();
+        // The whole-stream window spans several digest slices.
+        assert!(queries.len() > 2 * DIGEST_SLICE);
         let base = serve(
             &p.index,
             &cluster,
