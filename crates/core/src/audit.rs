@@ -15,7 +15,8 @@ use crate::problem::{CcaProblem, ObjectId};
 pub struct CapacityViolation {
     /// Node index.
     pub node: usize,
-    /// Dimension: 0 = storage, `1 + r` = secondary resource `r`.
+    /// Index of the dimension in the problem's capacity table: 0 =
+    /// storage, `1 + r` = secondary resource `r`.
     pub dimension: usize,
     /// Name of the dimension (`"storage"` or the resource name).
     pub dimension_name: String,
@@ -152,7 +153,10 @@ pub fn audit_placement(problem: &CcaProblem, placement: &Placement, top: usize) 
     assert_eq!(placement.num_objects(), problem.num_objects());
     let n = placement.num_nodes();
 
-    let loads = placement.loads(problem);
+    let dim_loads: Vec<Vec<u64>> = (0..problem.dimensions().len())
+        .map(|d| placement.dimension_loads(problem, d))
+        .collect();
+    let loads = dim_loads[0].clone();
     let mean = if n == 0 {
         0.0
     } else {
@@ -165,26 +169,15 @@ pub fn audit_placement(problem: &CcaProblem, placement: &Placement, top: usize) 
     };
 
     let mut violations = Vec::new();
-    for (k, &load) in loads.iter().enumerate() {
-        if load > problem.capacity(k) {
-            violations.push(CapacityViolation {
-                node: k,
-                dimension: 0,
-                dimension_name: "storage".into(),
-                load,
-                capacity: problem.capacity(k),
-            });
-        }
-    }
-    for (r, res) in problem.resources().iter().enumerate() {
-        for (k, &load) in placement.resource_loads(problem, r).iter().enumerate() {
-            if load > res.capacity(k) {
+    for (d, (dim, dim_loads)) in problem.dimensions().iter().zip(dim_loads).enumerate() {
+        for (k, (load, &capacity)) in dim_loads.into_iter().zip(dim.capacities()).enumerate() {
+            if load > capacity {
                 violations.push(CapacityViolation {
                     node: k,
-                    dimension: 1 + r,
-                    dimension_name: res.name().to_string(),
+                    dimension: d,
+                    dimension_name: dim.name().to_string(),
                     load,
-                    capacity: res.capacity(k),
+                    capacity,
                 });
             }
         }

@@ -65,29 +65,19 @@ impl PartialOrd for Merge {
 #[must_use]
 pub fn capacity_bounded_clusters(problem: &CcaProblem, max_bytes: u64) -> Vec<Vec<ObjectId>> {
     let t = problem.num_objects();
-    // Per-dimension budgets: storage first, then each resource's smallest
-    // node capacity.
-    let mut budgets: Vec<u64> = vec![max_bytes];
-    for res in problem.resources() {
-        budgets.push(
-            (0..problem.num_nodes())
-                .map(|k| res.capacity(k))
-                .min()
-                .unwrap_or(0),
-        );
-    }
+    let dims = problem.dimensions();
+    // Per-dimension budgets over the capacity table: `max_bytes` for
+    // storage, each other dimension's smallest node capacity.
+    let mut budgets: Vec<u64> = (dims.iter())
+        .map(|d| d.capacities().iter().copied().min().unwrap_or(0))
+        .collect();
+    budgets[0] = max_bytes;
     // Cluster state: representative id -> (members, size); merged clusters
     // are tombstoned.
     let mut members: Vec<Vec<u32>> = (0..t as u32).map(|i| vec![i]).collect();
     let mut sizes: Vec<Vec<u64>> = problem
         .objects()
-        .map(|o| {
-            let mut v = vec![problem.size(o)];
-            for res in problem.resources() {
-                v.push(res.demand(o.index()));
-            }
-            v
-        })
+        .map(|o| dims.iter().map(|d| d.demand(o.index())).collect())
         .collect();
     let mut alive: Vec<bool> = vec![true; t];
     let fits = |a: &[u64], b: &[u64], budgets: &[u64]| {

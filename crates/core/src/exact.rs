@@ -34,7 +34,8 @@ struct Search<'a> {
     /// CSR adjacency over the correlated pairs.
     graph: &'a CorrelationGraph,
     uniform_capacity: bool,
-    /// `limits[node][dim]`: dimension 0 is storage, then resources.
+    /// `limits[node][dim]` over the problem's capacity table (storage
+    /// first).
     limits: Vec<Vec<u64>>,
     /// Cached integer demand vectors per object.
     demands: Vec<Vec<u64>>,
@@ -154,33 +155,15 @@ pub fn exact_placement(problem: &CcaProblem, options: &ExactOptions) -> Option<(
             .then(x.cmp(&y))
     });
 
-    let uniform_capacity = (0..problem.num_nodes()).all(|k| {
-        problem.capacity(k) == problem.capacity(0)
-            && problem
-                .resources()
-                .iter()
-                .all(|r| r.capacity(k) == r.capacity(0))
-    });
-
-    let dims = 1 + problem.resources().len();
+    let dims = problem.dimensions();
+    let uniform_capacity =
+        (0..problem.num_nodes()).all(|k| dims.iter().all(|d| d.capacity(k) == d.capacity(0)));
     let limits: Vec<Vec<u64>> = (0..problem.num_nodes())
-        .map(|k| {
-            let mut v = vec![problem.capacity(k)];
-            for res in problem.resources() {
-                v.push(res.capacity(k));
-            }
-            v
-        })
+        .map(|k| dims.iter().map(|d| d.capacity(k)).collect())
         .collect();
     let demands: Vec<Vec<u64>> = problem
         .objects()
-        .map(|o| {
-            let mut v = vec![problem.size(o)];
-            for res in problem.resources() {
-                v.push(res.demand(o.index()));
-            }
-            v
-        })
+        .map(|o| dims.iter().map(|d| d.demand(o.index())).collect())
         .collect();
     let mut search = Search {
         problem,
@@ -192,7 +175,7 @@ pub fn exact_placement(problem: &CcaProblem, options: &ExactOptions) -> Option<(
         best_cost: f64::INFINITY,
         best: None,
         current: vec![u32::MAX; t],
-        loads: vec![vec![0; dims]; problem.num_nodes()],
+        loads: vec![vec![0; dims.len()]; problem.num_nodes()],
         visited: 0,
         max_visited: options.max_visited,
     };

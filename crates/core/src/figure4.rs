@@ -11,6 +11,51 @@ use crate::fractional::FractionalPlacement;
 use crate::problem::CcaProblem;
 use cca_lp::{Col, LpError, Model, Relation, SolverOptions};
 
+/// Adds the columns `x_{i,k}` that both LP formulations start with, one
+/// per object and node, object-major, and returns them:
+/// `x[i * num_nodes + k]` is `x_{i,k}`.
+pub(crate) fn add_x_columns(model: &mut Model, problem: &CcaProblem) -> Vec<Col> {
+    let n = problem.num_nodes();
+    let mut x = Vec::with_capacity(problem.num_objects() * n);
+    for i in problem.objects() {
+        for k in 0..n {
+            x.push(model.add_var(format!("x_{}_{k}", i.0), 0.0));
+        }
+    }
+    x
+}
+
+/// Adds the rows both LP formulations share, over the columns of
+/// [`add_x_columns`]: (5) `assign_i`, each object fully placed, then one
+/// capacity row `Σ_i d(i)·x_{i,k} <= c(k)` per dimension of the capacity
+/// table and node: storage's (9) as `cap_k`, then secondary resource
+/// `r`'s (paper §3.3, "in a way similar to (9)") as `res{r}_cap_k`.
+pub(crate) fn add_placement_rows(model: &mut Model, problem: &CcaProblem, x: &[Col]) {
+    let n = problem.num_nodes();
+    for i in problem.objects() {
+        model.add_constraint_with(
+            format!("assign_{}", i.0),
+            Relation::Eq,
+            1.0,
+            (0..n).map(|k| (x[i.index() * n + k], 1.0)),
+        );
+    }
+    for (d, dim) in problem.dimensions().iter().enumerate() {
+        for k in 0..n {
+            let name = match d {
+                0 => format!("cap_{k}"),
+                _ => format!("res{}_cap_{k}", d - 1),
+            };
+            model.add_constraint_with(
+                name,
+                Relation::Le,
+                dim.capacity(k) as f64,
+                (problem.objects()).map(|i| (x[i.index() * n + k], dim.demand(i.index()) as f64)),
+            );
+        }
+    }
+}
+
 /// The Figure-4 LP together with handles to its `x` variables.
 #[derive(Debug, Clone)]
 pub struct Figure4Lp {
@@ -34,14 +79,7 @@ impl Figure4Lp {
         let t = problem.num_objects();
         let n = problem.num_nodes();
         let mut model = Model::minimize();
-
-        // x variables.
-        let mut x_vars = Vec::with_capacity(t * n);
-        for i in problem.objects() {
-            for k in 0..n {
-                x_vars.push(model.add_var(format!("x_{}_{k}", i.0), 0.0));
-            }
-        }
+        let x_vars = add_x_columns(&mut model, problem);
         let x = |i: usize, k: usize| x_vars[i * n + k];
 
         // y variables with objective weight r·w/2 (z substituted out),
@@ -77,41 +115,8 @@ impl Figure4Lp {
             }
         }
 
-        // (5): each object fully placed.
-        for i in problem.objects() {
-            model.add_constraint_with(
-                format!("assign_{}", i.0),
-                Relation::Eq,
-                1.0,
-                (0..n).map(|k| (x(i.index(), k), 1.0)),
-            );
-        }
-
-        // (9): per-node capacity.
-        for k in 0..n {
-            model.add_constraint_with(
-                format!("cap_{k}"),
-                Relation::Le,
-                problem.capacity(k) as f64,
-                problem
-                    .objects()
-                    .map(|i| (x(i.index(), k), problem.size(i) as f64)),
-            );
-        }
-
-        // Secondary resource capacities (paper 3.3).
-        for (r, res) in problem.resources().iter().enumerate() {
-            for k in 0..n {
-                model.add_constraint_with(
-                    format!("res{r}_cap_{k}"),
-                    Relation::Le,
-                    res.capacity(k) as f64,
-                    problem
-                        .objects()
-                        .map(|i| (x(i.index(), k), res.demand(i.index()) as f64)),
-                );
-            }
-        }
+        // (5), (9) and the secondary capacities.
+        add_placement_rows(&mut model, problem, &x_vars);
 
         Figure4Lp {
             model,

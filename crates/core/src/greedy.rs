@@ -40,24 +40,18 @@ use cca_hash::hash_placement;
 pub fn greedy_placement(problem: &CcaProblem) -> Placement {
     let t = problem.num_objects();
     let n = problem.num_nodes();
+    let dims = problem.dimensions();
     let mut assignment = vec![u32::MAX; t];
-    // free[node][dim]: dimension 0 is storage, then secondary resources.
+    // free[node][dim] and demands[object][dim] over the capacity table
+    // (storage first), as exact integers.
     let mut free: Vec<Vec<i128>> = (0..n)
-        .map(|k| {
-            let mut v = vec![problem.capacity(k) as i128];
-            for res in problem.resources() {
-                v.push(res.capacity(k) as i128);
-            }
-            v
-        })
+        .map(|k| dims.iter().map(|d| i128::from(d.capacity(k))).collect())
         .collect();
     let demands: Vec<Vec<i128>> = problem
         .objects()
         .map(|o| {
-            problem
-                .demand_vector(o)
-                .into_iter()
-                .map(|d| d as i128)
+            dims.iter()
+                .map(|d| i128::from(d.demand(o.index())))
                 .collect()
         })
         .collect();
@@ -205,6 +199,24 @@ mod tests {
         assert_eq!(greedy_placement(&p), greedy_placement(&p));
     }
 
+    /// The fit test compares exact integers: an object of 2^53 + 1 bytes,
+    /// a size no `f64` holds, does not fit its hash node's 2^53 bytes, so
+    /// it lands on the other node, which holds it exactly.
+    #[test]
+    fn fit_test_sees_sizes_beyond_f64_precision() {
+        let size = (1u64 << 53) + 1;
+        let mut b = CcaProblem::builder();
+        let o = b.add_object("big", size);
+        let hashed = hash_placement("big", 2);
+        let mut capacities = vec![size; 2];
+        capacities[hashed] = size - 1;
+        let p = b.capacities(capacities).build().unwrap();
+        let pl = greedy_placement(&p);
+        assert_eq!(pl.node_of(o), 1 - hashed);
+        let audit = crate::audit::audit_placement(&p, &pl, 1);
+        assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+    }
+
     #[test]
     fn overflow_fallback_places_everything() {
         // Capacities too small for everything: greedy must still return a
@@ -217,6 +229,6 @@ mod tests {
         let pl = greedy_placement(&p);
         assert_eq!(pl.num_objects(), 4);
         // Not within strict capacity (40 > 24 total), but complete.
-        assert!(pl.max_capacity_violation(&p) > 0);
+        assert!(!pl.within_capacity(&p, 1.0));
     }
 }

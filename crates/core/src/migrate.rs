@@ -238,11 +238,12 @@ pub(crate) fn polish(
 }
 
 /// The capacity ledger: the load of every copy on every node, in every
-/// dimension — storage, then each secondary resource (paper §3.3) —
-/// against that dimension's `capacity · slack`. It owns the fit test,
-/// the overload measure, group fits and move application for every
-/// mover. Each dimension is a contiguous column, so a problem without
-/// secondary resources scans storage alone.
+/// dimension of the problem's capacity table — storage, then each
+/// secondary resource (paper §3.3) — against that dimension's
+/// `capacity · slack`. It owns the fit test, the overload measure, group
+/// fits and move application for every mover. Each dimension is a
+/// contiguous column, so a problem without secondary resources scans
+/// storage alone.
 pub(crate) struct Loads {
     dims: Vec<Dim>,
 }
@@ -263,31 +264,27 @@ impl Loads {
     /// The ledger of the copies in `columns` (one column per copy) under
     /// the problem's own demands.
     pub(crate) fn new(problem: &CcaProblem, columns: &[Placement], slack: f64) -> Self {
-        Loads::with_demands(problem, columns, slack, |i, d| match d {
-            0 => problem.size(i) as f64,
-            _ => problem.resources()[d - 1].demand(i.index()) as f64,
+        let dims = problem.dimensions();
+        Loads::with_demands(problem, columns, slack, |i, d| {
+            dims[d].demand(i.index()) as f64
         })
     }
 
     /// [`Loads::new`] with `demand(i, d)` as one copy of object `i`'s
-    /// demand in dimension `d` (0 is storage, then each secondary
-    /// resource).
+    /// demand in dimension `d` of the capacity table.
     pub(crate) fn with_demands(
         problem: &CcaProblem,
         columns: &[Placement],
         slack: f64,
         demand: impl Fn(ObjectId, usize) -> f64,
     ) -> Self {
-        let n = problem.num_nodes();
-        let dims = (0..=problem.resources().len())
-            .map(|d| {
-                let capacity = |k| match d {
-                    0 => problem.capacity(k),
-                    _ => problem.resources()[d - 1].capacity(k),
-                };
-                let cap: Vec<f64> = (0..n).map(|k| capacity(k) as f64 * slack).collect();
+        let dims = (problem.dimensions().iter().enumerate())
+            .map(|(d, dim)| {
+                let cap: Vec<f64> = (dim.capacities().iter())
+                    .map(|&c| c as f64 * slack)
+                    .collect();
                 let demand: Vec<f64> = problem.objects().map(|i| demand(i, d)).collect();
-                let mut load = vec![0.0; n];
+                let mut load = vec![0.0; problem.num_nodes()];
                 for column in columns {
                     for (&k, &x) in column.as_slice().iter().zip(&demand) {
                         load[k as usize] += x;
@@ -749,7 +746,11 @@ mod reference {
                 .collect();
             let demands: Vec<Vec<f64>> = problem
                 .objects()
-                .map(|o| problem.demand_vector(o))
+                .map(|o| {
+                    (problem.dimensions().iter())
+                        .map(|d| d.demand(o.index()) as f64)
+                        .collect()
+                })
                 .collect();
             let mut loads = vec![vec![0.0; dims]; n];
             for o in problem.objects() {

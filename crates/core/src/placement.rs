@@ -67,23 +67,41 @@ impl Placement {
         &self.assignment
     }
 
-    /// Per-node total object size under `problem`.
+    /// Per-node load in dimension `d` of the problem's capacity table
+    /// ([`CcaProblem::dimensions`]; 0 is storage): the summed demand of
+    /// the objects on each node.
     ///
     /// # Panics
     ///
-    /// Panics if the placement and problem disagree on object count.
+    /// Panics if `d` is out of range or the placement and problem
+    /// disagree on object count.
     #[must_use]
-    pub fn loads(&self, problem: &CcaProblem) -> Vec<u64> {
+    pub fn dimension_loads(&self, problem: &CcaProblem, d: usize) -> Vec<u64> {
         assert_eq!(
             self.num_objects(),
             problem.num_objects(),
             "placement and problem disagree on object count"
         );
         let mut loads = vec![0u64; self.num_nodes];
-        for i in problem.objects() {
-            loads[self.node_of(i)] += problem.size(i);
+        for (&k, &demand) in self
+            .assignment
+            .iter()
+            .zip(problem.dimensions()[d].demands())
+        {
+            loads[k as usize] += demand;
         }
         loads
+    }
+
+    /// Per-node total object size under `problem`: the storage loads,
+    /// dimension 0 of [`Placement::dimension_loads`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the placement and problem disagree on object count.
+    #[must_use]
+    pub fn loads(&self, problem: &CcaProblem) -> Vec<u64> {
+        self.dimension_loads(problem, 0)
     }
 
     /// Total communication cost `Σ_{f(i)≠f(j)} r(i,j)·w(i,j)` — the CCA
@@ -96,62 +114,26 @@ impl Placement {
         problem.graph().cost(self)
     }
 
-    /// Returns `true` if every node's load is within its capacity, scaled
-    /// by `slack` (use `slack = 1.0` for strict adherence; the paper
-    /// suggests conservative capacities so slight overshoot is tolerable).
+    /// Returns `true` if every node's storage load is within its
+    /// capacity, scaled by `slack` (use `slack = 1.0` for strict
+    /// adherence; the paper suggests conservative capacities so slight
+    /// overshoot is tolerable).
     #[must_use]
     pub fn within_capacity(&self, problem: &CcaProblem, slack: f64) -> bool {
-        self.loads(problem)
-            .iter()
-            .enumerate()
-            .all(|(k, &load)| load as f64 <= problem.capacity(k) as f64 * slack)
+        self.within_dimension(problem, 0, slack)
     }
 
-    /// Per-node load of secondary resource `r` (paper 3.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range or the dimensions disagree.
-    #[must_use]
-    pub fn resource_loads(&self, problem: &CcaProblem, r: usize) -> Vec<u64> {
-        let resource = &problem.resources()[r];
-        let mut loads = vec![0u64; self.num_nodes];
-        for i in problem.objects() {
-            loads[self.node_of(i)] += resource.demand(i.index());
-        }
-        loads
-    }
-
-    /// Like [`Placement::within_capacity`] but also checks every secondary
-    /// resource registered on the problem.
+    /// Like [`Placement::within_capacity`], in every dimension of the
+    /// problem's capacity table: storage and each secondary resource.
     #[must_use]
     pub fn within_all_capacities(&self, problem: &CcaProblem, slack: f64) -> bool {
-        if !self.within_capacity(problem, slack) {
-            return false;
-        }
-        for (r, resource) in problem.resources().iter().enumerate() {
-            let loads = self.resource_loads(problem, r);
-            if loads
-                .iter()
-                .enumerate()
-                .any(|(k, &load)| load as f64 > resource.capacity(k) as f64 * slack)
-            {
-                return false;
-            }
-        }
-        true
+        (0..problem.dimensions().len()).all(|d| self.within_dimension(problem, d, slack))
     }
 
-    /// Largest per-node overshoot beyond capacity, in bytes (0 when
-    /// feasible).
-    #[must_use]
-    pub fn max_capacity_violation(&self, problem: &CcaProblem) -> u64 {
-        self.loads(problem)
-            .iter()
-            .enumerate()
-            .map(|(k, &load)| load.saturating_sub(problem.capacity(k)))
-            .max()
-            .unwrap_or(0)
+    fn within_dimension(&self, problem: &CcaProblem, d: usize, slack: f64) -> bool {
+        (self.dimension_loads(problem, d).into_iter())
+            .zip(problem.dimensions()[d].capacities())
+            .all(|(load, &cap)| load as f64 <= cap as f64 * slack)
     }
 }
 
@@ -190,13 +172,15 @@ mod tests {
         let pl = Placement::new(vec![0, 0, 1], 2);
         assert_eq!(pl.loads(&p), vec![30, 30]);
         assert!(pl.within_capacity(&p, 1.0));
-        assert_eq!(pl.max_capacity_violation(&p), 0);
+        assert!(pl.within_all_capacities(&p, 1.0));
 
         let overloaded = Placement::new(vec![0, 0, 0], 2);
         assert_eq!(overloaded.loads(&p), vec![60, 0]);
+        assert_eq!(overloaded.dimension_loads(&p, 0), vec![60, 0]);
         assert!(!overloaded.within_capacity(&p, 1.0));
+        assert!(!overloaded.within_all_capacities(&p, 1.0));
         assert!(overloaded.within_capacity(&p, 1.5));
-        assert_eq!(overloaded.max_capacity_violation(&p), 20);
+        assert!(overloaded.within_all_capacities(&p, 1.5));
     }
 
     #[test]

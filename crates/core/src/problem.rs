@@ -141,6 +141,12 @@ impl std::error::Error for ProblemError {}
 /// An instance of the CCA problem: objects with sizes, nodes with
 /// capacities, and correlated pairs (paper Figure 3).
 ///
+/// Every capacity dimension is one entry of one table
+/// ([`CcaProblem::dimensions`]): entry 0 is storage, named `"storage"`,
+/// with the object sizes as its demands and the node capacities as its
+/// capacities; each secondary resource (paper §3.3) follows in
+/// registration order.
+///
 /// Build instances with [`CcaProblem::builder`]:
 ///
 /// ```
@@ -162,10 +168,9 @@ impl std::error::Error for ProblemError {}
 #[derive(Debug, Clone)]
 pub struct CcaProblem {
     names: Vec<String>,
-    sizes: Vec<u64>,
-    capacities: Vec<u64>,
+    /// The capacity table: storage, then each secondary resource.
+    dims: Vec<Resource>,
     pairs: Vec<Pair>,
-    resources: Vec<Resource>,
     graph: CorrelationGraph,
     // Opt-in shard count of the bulk folds (None by default — the flat
     // fold is the one-shard case). Carried by `restrict_to` /
@@ -183,13 +188,13 @@ impl CcaProblem {
     /// Number of objects `|T|`.
     #[must_use]
     pub fn num_objects(&self) -> usize {
-        self.sizes.len()
+        self.dims[0].demands().len()
     }
 
     /// Number of nodes `|N|`.
     #[must_use]
     pub fn num_nodes(&self) -> usize {
-        self.capacities.len()
+        self.dims[0].capacities().len()
     }
 
     /// Size `s(i)` of object `i`.
@@ -199,7 +204,7 @@ impl CcaProblem {
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn size(&self, i: ObjectId) -> u64 {
-        self.sizes[i.index()]
+        self.dims[0].demand(i.index())
     }
 
     /// Name of object `i` (used by hash-based placement).
@@ -219,7 +224,7 @@ impl CcaProblem {
     /// Panics if `k` is out of range.
     #[must_use]
     pub fn capacity(&self, k: usize) -> u64 {
-        self.capacities[k]
+        self.dims[0].capacity(k)
     }
 
     /// All correlated pairs (the sparse set `E`).
@@ -343,34 +348,31 @@ impl CcaProblem {
         self.graph.replica_move_deltas(rp, i, j, deltas);
     }
 
-    /// Secondary capacity constraints (paper 3.3); empty in the base
-    /// formulation.
+    /// The capacity table: one entry per capacity dimension, storage
+    /// (named `"storage"`) first, then each secondary resource in
+    /// registration order. Every fit test, load fold and LP capacity row
+    /// walks it.
     #[must_use]
-    pub fn resources(&self) -> &[Resource] {
-        &self.resources
+    pub fn dimensions(&self) -> &[Resource] {
+        &self.dims
     }
 
-    /// The demand vector of object `i` across storage (entry 0) and every
-    /// secondary resource.
+    /// Secondary capacity constraints (paper 3.3): the capacity table
+    /// after storage; empty in the base formulation.
     #[must_use]
-    pub fn demand_vector(&self, i: ObjectId) -> Vec<f64> {
-        let mut v = Vec::with_capacity(1 + self.resources.len());
-        v.push(self.sizes[i.index()] as f64);
-        for res in &self.resources {
-            v.push(res.demand(i.index()) as f64);
-        }
-        v
+    pub fn resources(&self) -> &[Resource] {
+        &self.dims[1..]
     }
 
     /// Iterator over object ids.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> {
-        (0..self.sizes.len() as u32).map(ObjectId)
+        (0..self.num_objects() as u32).map(ObjectId)
     }
 
     /// Total object size `S = Σ s(i)`.
     #[must_use]
     pub fn total_size(&self) -> u64 {
-        self.sizes.iter().sum()
+        self.dims[0].total_demand()
     }
 
     /// Total objective weight `Σ r·w` over all edges (the graph's
@@ -382,18 +384,18 @@ impl CcaProblem {
         self.graph.edges().map(|e| e.weight).sum()
     }
 
-    /// Returns `true` if all objects could fit under the node capacities in
-    /// aggregate (a necessary feasibility condition).
+    /// Returns `true` if, in every dimension of the capacity table, the
+    /// total demand is at most the total capacity (a necessary
+    /// feasibility condition).
     #[must_use]
     pub fn aggregate_capacity_suffices(&self) -> bool {
-        let cap: u64 = self.capacities.iter().sum();
-        self.total_size() <= cap
+        (self.dims.iter()).all(|d| d.total_demand() <= d.total_capacity())
     }
 
     /// Restriction of this problem to `keep` (in the given order): returns
     /// the subproblem plus the mapping from new ids to original ids. Pairs
     /// with either endpoint outside `keep` are dropped. Node capacities are
-    /// copied unchanged.
+    /// copied unchanged in every dimension.
     ///
     /// # Panics
     ///
@@ -410,7 +412,6 @@ impl CcaProblem {
             .iter()
             .map(|&o| self.names[o.index()].clone())
             .collect();
-        let sizes = keep.iter().map(|&o| self.sizes[o.index()]).collect();
         let pairs: Vec<Pair> = self
             .pairs
             .iter()
@@ -438,10 +439,8 @@ impl CcaProblem {
         (
             CcaProblem {
                 names,
-                sizes,
-                capacities: self.capacities.clone(),
+                dims: self.dims.iter().map(|d| d.restrict(keep)).collect(),
                 pairs,
-                resources: self.resources.iter().map(|r| r.restrict(keep)).collect(),
                 graph,
                 sharded,
             },
@@ -449,7 +448,8 @@ impl CcaProblem {
         )
     }
 
-    /// Returns a copy with node capacities replaced.
+    /// Returns a copy with the node capacities of storage (dimension 0)
+    /// replaced.
     ///
     /// # Errors
     ///
@@ -462,15 +462,14 @@ impl CcaProblem {
         if capacities.is_empty() {
             return Err(ProblemError::NoNodes);
         }
-        for res in &self.resources {
+        for res in self.resources() {
             res.validate(self.num_objects(), capacities.len())
                 .map_err(ProblemError::Resource)?;
         }
-        check_totals(&self.sizes, &capacities, &self.resources)?;
-        Ok(CcaProblem {
-            capacities,
-            ..self.clone()
-        })
+        let mut problem = self.clone();
+        problem.dims[0].set_capacities(capacities);
+        check_totals(&problem.dims)?;
+        Ok(problem)
     }
 
     /// Keeps only the `max_pairs` heaviest pairs by objective weight
@@ -489,7 +488,7 @@ impl CcaProblem {
             .map(|e| self.pairs[e.index()])
             .collect();
         self.graph =
-            CorrelationGraph::with_quantum(self.sizes.len(), &self.pairs, self.graph.quantum());
+            CorrelationGraph::with_quantum(self.num_objects(), &self.pairs, self.graph.quantum());
         if let Some(s) = &self.sharded {
             self.sharded = Some(ShardedGraph::new(&self.graph, s.shard_count()));
         }
@@ -497,35 +496,32 @@ impl CcaProblem {
     }
 }
 
-/// Checks that every total a capacity check sums fits a `u64`: the object
-/// sizes, the node capacities, and each resource's demands and
-/// capacities, in that order.
-fn check_totals(
-    sizes: &[u64],
-    capacities: &[u64],
-    resources: &[Resource],
-) -> Result<(), ProblemError> {
-    fn sum(mut values: impl Iterator<Item = u64>) -> Option<u64> {
-        values.try_fold(0u64, u64::checked_add)
+/// Checks that every total a capacity check sums fits a `u64`: each
+/// dimension's demands, then its capacities, in table order. Storage's
+/// totals are the "total size" and the "total capacity".
+fn check_totals(dims: &[Resource]) -> Result<(), ProblemError> {
+    let fits = |values: &[u64]| {
+        values
+            .iter()
+            .try_fold(0u64, |s, &v| s.checked_add(v))
+            .is_some()
+    };
+    for (d, dim) in dims.iter().enumerate() {
+        let (demand, capacity) = match d {
+            0 => ("total size".to_string(), "total capacity".to_string()),
+            _ => (
+                format!("total {} demand", dim.name()),
+                format!("total {} capacity", dim.name()),
+            ),
+        };
+        if !fits(dim.demands()) {
+            return Err(ProblemError::Overflow(demand));
+        }
+        if !fits(dim.capacities()) {
+            return Err(ProblemError::Overflow(capacity));
+        }
     }
-    let (t, n) = (sizes.len(), capacities.len());
-    let mut totals = vec![
-        ("total size".to_string(), sum(sizes.iter().copied())),
-        (
-            "total capacity".to_string(),
-            sum(capacities.iter().copied()),
-        ),
-    ];
-    for res in resources {
-        let demand = sum((0..t).map(|i| res.demand(i)));
-        let capacity = sum((0..n).map(|k| res.capacity(k)));
-        totals.push((format!("total {} demand", res.name()), demand));
-        totals.push((format!("total {} capacity", res.name()), capacity));
-    }
-    match totals.into_iter().find(|(_, sum)| sum.is_none()) {
-        Some((total, _)) => Err(ProblemError::Overflow(total)),
-        None => Ok(()),
-    }
+    Ok(())
 }
 
 /// Builder for [`CcaProblem`].
@@ -672,14 +668,16 @@ impl CcaProblemBuilder {
                 return Err(ProblemError::Resource(e));
             }
         }
-        check_totals(&self.sizes, &self.capacities, &self.resources)?;
+        let storage = Resource::new("storage", self.sizes.clone(), self.capacities.clone());
+        let dims: Vec<Resource> = std::iter::once(storage)
+            .chain(self.resources.iter().cloned())
+            .collect();
+        check_totals(&dims)?;
         let graph = CorrelationGraph::try_build(self.sizes.len(), &pairs)?;
         Ok(CcaProblem {
             names: self.names.clone(),
-            sizes: self.sizes.clone(),
-            capacities: self.capacities.clone(),
+            dims,
             pairs,
-            resources: self.resources.clone(),
             graph,
             sharded: None,
         })
@@ -711,6 +709,39 @@ mod tests {
         assert_eq!(p.name(ObjectId(2)), "gamma");
         assert!(p.aggregate_capacity_suffices());
         assert!((p.total_pair_weight() - (5.0 + 2.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_table_puts_storage_first() {
+        let build = |bw_caps: Vec<u64>| {
+            let mut b = CcaProblem::builder();
+            for (i, size) in [10, 20, 30].into_iter().enumerate() {
+                b.add_object(format!("o{i}"), size);
+            }
+            b.uniform_capacities(2, 40)
+                .add_resource(Resource::new("bw", vec![1, 2, 3], bw_caps))
+                .build()
+                .unwrap()
+        };
+        let p = build(vec![5, 4]);
+        let names: Vec<&str> = p.dimensions().iter().map(Resource::name).collect();
+        assert_eq!(names, ["storage", "bw"]);
+        assert_eq!(p.resources(), &p.dimensions()[1..]);
+        assert_eq!(p.dimensions()[0].demand(2), p.size(ObjectId(2)));
+        assert_eq!(p.dimensions()[0].capacity(1), p.capacity(1));
+        assert!(p.aggregate_capacity_suffices());
+        // Storage fits in aggregate, bandwidth (6 > 5) does not.
+        assert!(!build(vec![3, 2]).aggregate_capacity_suffices());
+        // `with_capacities` replaces storage's capacities only; `restrict_to`
+        // restricts every dimension.
+        let wider = p.with_capacities(vec![7, 8]).unwrap();
+        assert_eq!(wider.resources(), p.resources());
+        assert_eq!((wider.capacity(0), wider.capacity(1)), (7, 8));
+        let (sub, _) = p.restrict_to(&[ObjectId(2), ObjectId(0)]);
+        let demands = |d: &Resource| [0, 1].map(|i| d.demand(i));
+        assert_eq!(demands(&sub.dimensions()[0]), [30, 10]);
+        assert_eq!(demands(&sub.dimensions()[1]), [3, 1]);
+        assert_eq!(sub.total_size(), 40);
     }
 
     #[test]

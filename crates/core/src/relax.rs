@@ -18,6 +18,7 @@
 //! rounds (there are finitely many sign patterns), and the tests verify the
 //! two formulations agree numerically.
 
+use crate::figure4::{add_placement_rows, add_x_columns};
 use crate::fractional::FractionalPlacement;
 use crate::graph::EdgeId;
 use crate::placement::Placement;
@@ -180,36 +181,28 @@ pub fn solve_relaxation(
 ///
 /// # Errors
 ///
-/// [`LpError::Infeasible`] when the total object size exceeds the total
-/// capacity.
+/// [`LpError::Infeasible`] when, in some dimension of the capacity
+/// table, the total demand exceeds the total capacity.
 pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, LpError> {
     let t = problem.num_objects();
     let n = problem.num_nodes();
-    let total_cap: u64 = (0..n).map(|k| problem.capacity(k)).sum();
-    if problem.total_size() > total_cap {
+    if !problem.aggregate_capacity_suffices() {
         return Err(LpError::Infeasible);
-    }
-    // Secondary resources must also fit in aggregate.
-    for res in problem.resources() {
-        if res.total_demand() > res.total_capacity() {
-            return Err(LpError::Infeasible);
-        }
     }
     let max_bytes = (0..n).map(|k| problem.capacity(k)).min().expect("n > 0");
     let clusters = crate::cluster::capacity_bounded_clusters(problem, max_bytes);
 
-    // First-fit-decreasing over remaining multi-dimensional capacity
-    // (dimension 0 is storage, then one per secondary resource).
-    let dims = 1 + problem.resources().len();
+    // First-fit-decreasing over the remaining capacity in every dimension
+    // of the capacity table (storage first).
+    let dims = problem.dimensions();
     let cluster_demand = |m: &[crate::problem::ObjectId]| -> Vec<f64> {
-        let mut d = vec![0.0f64; dims];
+        let mut demand = vec![0.0f64; dims.len()];
         for &o in m {
-            d[0] += problem.size(o) as f64;
-            for (r, res) in problem.resources().iter().enumerate() {
-                d[1 + r] += res.demand(o.index()) as f64;
+            for (x, d) in demand.iter_mut().zip(dims) {
+                *x += d.demand(o.index()) as f64;
             }
         }
-        d
+        demand
     };
     let mut sized: Vec<(Vec<f64>, &Vec<crate::problem::ObjectId>)> =
         clusters.iter().map(|m| (cluster_demand(m), m)).collect();
@@ -221,13 +214,7 @@ pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, 
     });
 
     let mut rem: Vec<Vec<f64>> = (0..n)
-        .map(|k| {
-            let mut v = vec![problem.capacity(k) as f64];
-            for res in problem.resources() {
-                v.push(res.capacity(k) as f64);
-            }
-            v
-        })
+        .map(|k| dims.iter().map(|d| d.capacity(k) as f64).collect())
         .collect();
     let fits =
         |rem_k: &[f64], demand: &[f64]| rem_k.iter().zip(demand).all(|(&r, &d)| r + 1e-9 >= d);
@@ -321,22 +308,23 @@ pub fn construct_clustered_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, 
 ///
 /// # Errors
 ///
+/// [`LpError::InvalidModel`] when the problem has secondary resources;
 /// [`LpError::Infeasible`] when the total object size exceeds the total
 /// capacity.
 pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, LpError> {
-    if !problem.resources().is_empty() {
+    if problem.dimensions().len() > 1 {
         // With secondary capacity constraints the shared-row argument no
         // longer guarantees a 0 optimum; use the cutting-plane method for
         // an exact relaxation of such problems.
         return Err(LpError::InvalidModel(
-            "the degenerate optimal-vertex construction requires a problem without              secondary resources; use RelaxMethod::CuttingPlane"
+            "the degenerate optimal-vertex construction requires a problem without \
+             secondary resources; use RelaxMethod::CuttingPlane"
                 .into(),
         ));
     }
     let t = problem.num_objects();
     let n = problem.num_nodes();
-    let total_cap: u64 = (0..n).map(|k| problem.capacity(k)).sum();
-    if problem.total_size() > total_cap {
+    if !problem.aggregate_capacity_suffices() {
         return Err(LpError::Infeasible);
     }
 
@@ -509,12 +497,7 @@ fn solve_by_cutting_planes(
 
         // Assemble the LP.
         let mut model = Model::minimize();
-        let mut x_vars: Vec<Col> = Vec::with_capacity(t * n);
-        for i in problem.objects() {
-            for k in 0..n {
-                x_vars.push(model.add_var(format!("x_{}_{k}", i.0), 0.0));
-            }
-        }
+        let x_vars = add_x_columns(&mut model, problem);
         let x = |i: usize, k: usize| x_vars[i * n + k];
         // One z column per graph edge, in [`EdgeId`] order — the stable
         // edge-order contract keeps simplex column order (and therefore
@@ -525,39 +508,7 @@ fn solve_by_cutting_planes(
             .map(|edge| model.add_var(format!("z_{}", edge.id.index()), edge.weight))
             .collect();
 
-        for i in 0..t {
-            model.add_constraint_with(
-                format!("assign_{i}"),
-                Relation::Eq,
-                1.0,
-                (0..n).map(|k| (x(i, k), 1.0)),
-            );
-        }
-        for k in 0..n {
-            model.add_constraint_with(
-                format!("cap_{k}"),
-                Relation::Le,
-                problem.capacity(k) as f64,
-                (0..t).map(|i| {
-                    (
-                        x(i, k),
-                        problem.size(crate::problem::ObjectId(i as u32)) as f64,
-                    )
-                }),
-            );
-        }
-        // Secondary resource capacities (paper 3.3), one row per
-        // (resource, node), exactly "in a way similar to (9)".
-        for (r, res) in problem.resources().iter().enumerate() {
-            for k in 0..n {
-                model.add_constraint_with(
-                    format!("res{r}_cap_{k}"),
-                    Relation::Le,
-                    res.capacity(k) as f64,
-                    (0..t).map(|i| (x(i, k), res.demand(i) as f64)),
-                );
-            }
-        }
+        add_placement_rows(&mut model, problem, &x_vars);
         for (c, cut) in cuts.iter().enumerate() {
             let edge = problem.graph().edge(EdgeId(cut.pair as u32));
             let (ia, ib) = (edge.a.index(), edge.b.index());

@@ -75,15 +75,9 @@ struct Repairer<'a> {
 }
 
 impl<'a> Repairer<'a> {
-    /// `demands[i]` is object `i`'s demand vector (storage, then each
-    /// secondary resource); [`repair_capacity_with`] passes the problem's
-    /// own.
-    fn new(
-        problem: &'a CcaProblem,
-        placement: Placement,
-        slack: f64,
-        demands: Vec<Vec<f64>>,
-    ) -> Self {
+    /// `loads` is the ledger of `placement`; [`repair_capacity_with`]
+    /// passes the one of the problem's own demands.
+    fn new(problem: &'a CcaProblem, placement: Placement, loads: Loads) -> Self {
         let n = problem.num_nodes();
         let mut members = vec![Vec::new(); n];
         for i in problem.objects() {
@@ -93,7 +87,7 @@ impl<'a> Repairer<'a> {
         Repairer {
             problem,
             graph: problem.graph(),
-            loads: Loads::with_demands(problem, rp.columns(), slack, |i, d| demands[i.index()][d]),
+            loads,
             rp,
             members,
             seen: vec![0; problem.num_objects()],
@@ -360,14 +354,11 @@ pub fn repair_capacity_with(
 ) -> RepairOutcome {
     assert!(slack >= 1.0, "slack must be at least 1.0");
     assert_eq!(placement.num_objects(), problem.num_objects());
-    let demands: Vec<Vec<f64>> = problem
-        .objects()
-        .map(|i| problem.demand_vector(i))
-        .collect();
+    let loads = Loads::new(problem, std::slice::from_ref(placement), slack);
     // Take the placement out for the repair (the stand-in holds no
     // objects) and put the repaired one back.
     let start = std::mem::replace(placement, Placement::new(Vec::new(), placement.num_nodes()));
-    let (outcome, repaired) = Repairer::new(problem, start, slack, demands).run(improvement_sweeps);
+    let (outcome, repaired) = Repairer::new(problem, start, loads).run(improvement_sweeps);
     *placement = repaired;
     outcome
 }
@@ -892,7 +883,9 @@ mod tests {
         let p = b.build().expect("valid problem");
         let demands = (p.objects())
             .map(|i| {
-                let mut v = p.demand_vector(i);
+                let mut v: Vec<f64> = (p.dimensions().iter())
+                    .map(|d| d.demand(i.index()) as f64)
+                    .collect();
                 v[0] = c.sizes[i.index()] as f64;
                 v
             })
@@ -919,8 +912,11 @@ mod tests {
                     c.sweeps,
                     demands.clone(),
                 );
-                let (outcome, got) =
-                    Repairer::new(&p, start.clone(), c.slack, demands).run(c.sweeps);
+                let loads =
+                    Loads::with_demands(&p, std::slice::from_ref(&start), c.slack, |i, d| {
+                        demands[i.index()][d]
+                    });
+                let (outcome, got) = Repairer::new(&p, start.clone(), loads).run(c.sweeps);
                 prop_assert_eq!(outcome, want);
                 prop_assert_eq!(got, expected);
                 if c.sizes.iter().all(|&s| s > 0) {

@@ -8,17 +8,21 @@
 //! to (9)."
 //!
 //! A [`Resource`] carries a per-object demand vector and per-node capacity
-//! vector; every placement algorithm in this crate honours all registered
-//! resources in its fit checks, and the LP builders emit one capacity row
-//! per `(resource, node)`.
+//! vector. A problem's capacity table
+//! ([`CcaProblem::dimensions`](crate::CcaProblem::dimensions)) holds one
+//! per dimension: storage first, then each registered resource. Every
+//! placement algorithm in this crate walks that table in its fit checks,
+//! and the LP builders emit one capacity row per `(dimension, node)`.
 
 use std::fmt;
 
-/// One secondary resource dimension (e.g. bandwidth, CPU).
+/// One capacity dimension: storage, or a secondary resource (e.g.
+/// bandwidth, CPU).
 ///
-/// The primary storage dimension is *not* represented here — it lives in
-/// the problem's object sizes and node capacities — so a problem with no
-/// registered resources behaves exactly as the paper's base formulation.
+/// Storage is a `Resource` too: entry 0 of the problem's capacity table,
+/// named `"storage"`, built from the object sizes and node capacities. A
+/// problem with no registered resources has that one entry and behaves
+/// exactly as the paper's base formulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
     name: String,
@@ -109,6 +113,21 @@ impl Resource {
     #[must_use]
     pub fn total_capacity(&self) -> u64 {
         self.capacities.iter().sum()
+    }
+
+    /// Every object's demand, by object index.
+    pub(crate) fn demands(&self) -> &[u64] {
+        &self.demands
+    }
+
+    /// Every node's capacity, by node index.
+    pub(crate) fn capacities(&self) -> &[u64] {
+        &self.capacities
+    }
+
+    /// Replaces every node's capacity; the problem checks the length.
+    pub(crate) fn set_capacities(&mut self, capacities: Vec<u64>) {
+        self.capacities = capacities;
     }
 
     pub(crate) fn restrict(&self, keep: &[crate::problem::ObjectId]) -> Resource {

@@ -95,34 +95,26 @@ pub struct RoundingOutcome {
     pub max_load_ratio: f64,
 }
 
-/// Worst per-node load divided by *raw* (un-slacked) capacity, across the
-/// storage dimension and every secondary resource. A node with zero
-/// capacity and non-zero load yields `INFINITY`; with zero load it
-/// contributes nothing.
+/// Worst per-node load divided by *raw* (un-slacked) capacity, across
+/// every dimension of the capacity table. A node with zero capacity and
+/// non-zero load yields `INFINITY`; with zero load it contributes nothing.
 pub(crate) fn max_load_ratio(problem: &CcaProblem, placement: &Placement) -> f64 {
-    fn worst(loads: &[u64], capacity: impl Fn(usize) -> u64) -> f64 {
-        loads
-            .iter()
-            .enumerate()
-            .map(|(k, &load)| {
-                let cap = capacity(k);
-                if load == 0 {
-                    0.0
-                } else if cap == 0 {
-                    f64::INFINITY
-                } else {
-                    load as f64 / cap as f64
-                }
-            })
-            .fold(0.0, f64::max)
-    }
-    let mut ratio = worst(&placement.loads(problem), |k| problem.capacity(k));
-    for (r, resource) in problem.resources().iter().enumerate() {
-        ratio = ratio.max(worst(&placement.resource_loads(problem, r), |k| {
-            resource.capacity(k)
-        }));
-    }
-    ratio
+    let ratio = |load: u64, cap: u64| {
+        if load == 0 {
+            0.0
+        } else if cap == 0 {
+            f64::INFINITY
+        } else {
+            load as f64 / cap as f64
+        }
+    };
+    (problem.dimensions().iter().enumerate())
+        .flat_map(|(d, dim)| {
+            (placement.dimension_loads(problem, d).into_iter())
+                .zip(dim.capacities())
+                .map(move |(load, &cap)| ratio(load, cap))
+        })
+        .fold(0.0, f64::max)
 }
 
 /// Runs Algorithm 2.1 `repetitions` times and keeps the best placement, as

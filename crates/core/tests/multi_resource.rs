@@ -46,7 +46,7 @@ fn placement_checks_all_dimensions() {
     // Storage is fine, bandwidth (16 > 10) is not.
     assert!(together.within_capacity(&p, 1.0));
     assert!(!together.within_all_capacities(&p, 1.0));
-    assert_eq!(together.resource_loads(&p, 0), vec![16, 0]);
+    assert_eq!(together.dimension_loads(&p, 1), vec![16, 0]);
 
     let split = Placement::new(vec![0, 1], 2);
     assert!(split.within_all_capacities(&p, 1.0));
@@ -166,7 +166,14 @@ fn degenerate_vertex_refuses_resource_problems() {
             ..RelaxOptions::default()
         },
     );
-    assert!(matches!(res, Err(cca_lp::LpError::InvalidModel(_))));
+    let Err(cca_lp::LpError::InvalidModel(msg)) = res else {
+        panic!("expected an invalid-model error, got {res:?}");
+    };
+    assert_eq!(
+        msg,
+        "the degenerate optimal-vertex construction requires a problem without \
+         secondary resources; use RelaxMethod::CuttingPlane"
+    );
 }
 
 #[test]

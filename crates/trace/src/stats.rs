@@ -35,7 +35,6 @@ impl PairKey {
 #[derive(Debug, Clone)]
 pub struct PairStats {
     counts: HashMap<PairKey, u64>,
-    word_counts: HashMap<WordId, u64>,
     num_queries: u64,
 }
 
@@ -116,18 +115,13 @@ impl PairStats {
     #[must_use]
     pub fn from_log_with(log: &QueryLog, pairs_of: impl Fn(&[WordId]) -> Vec<PairKey>) -> Self {
         let mut counts: HashMap<PairKey, u64> = HashMap::new();
-        let mut word_counts: HashMap<WordId, u64> = HashMap::new();
         for q in log.iter() {
-            for &w in &q.words {
-                *word_counts.entry(w).or_default() += 1;
-            }
             for p in pairs_of(&q.words) {
                 *counts.entry(p).or_default() += 1;
             }
         }
         PairStats {
             counts,
-            word_counts,
             num_queries: log.len() as u64,
         }
     }
@@ -151,15 +145,6 @@ impl PairStats {
             return 0.0;
         }
         *self.counts.get(&pair).unwrap_or(&0) as f64 / self.num_queries as f64
-    }
-
-    /// Empirical request frequency of a single keyword.
-    #[must_use]
-    pub fn word_frequency(&self, w: WordId) -> f64 {
-        if self.num_queries == 0 {
-            return 0.0;
-        }
-        *self.word_counts.get(&w).unwrap_or(&0) as f64 / self.num_queries as f64
     }
 
     /// Iterator over `(pair, correlation)` for all observed pairs.
@@ -253,7 +238,6 @@ mod tests {
         assert!((s.correlation(PairKey::new(w(1), w(2))) - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.correlation(PairKey::new(w(1), w(3))) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.correlation(PairKey::new(w(1), w(4))), 0.0);
-        assert!((s.word_frequency(w(1)) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

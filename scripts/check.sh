@@ -9,7 +9,9 @@
 #             release build of every target, then with `--features chaos`
 #   clippy    rustfmt's check over the workspace; `-D warnings` over
 #             every crate and target of the workspace; rustdoc with
-#             warnings denied over the workspace's docs
+#             warnings denied over the workspace's docs; both with
+#             `--features chaos`, which only adds code (the chaos suite
+#             and the simplex's fault hook), so nothing goes unlinted
 #   test      the full test suite, then again with `--features chaos`
 #             (adds the tier-2 chaos suite): unit tests, the Lemma 1/2 and
 #             Theorem 2/3 batteries, golden and replay pins, property
@@ -209,8 +211,8 @@ step_hermetic() {
 
 step_clippy() {
   cargo fmt --all -- --check
-  cargo clippy -q --workspace --all-targets -- -D warnings
-  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+  cargo clippy -q --workspace --all-targets --features chaos -- -D warnings
+  RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --features chaos
 }
 
 step_test() {
