@@ -716,12 +716,188 @@ impl MigrationSchedule {
 /// (the single-copy delta kernel, now the test-only
 /// `single_copy_move_deltas`, and `Placement::assign`), as the
 /// differential oracle the polish must match move for move.
+///
+/// `reconcile` as it was before the group walk, with its own `HashSet`
+/// DFS (`components`) and its own gain loop, and
+/// `MigrationSchedule::advance` over it without the schedule's tallies:
+/// their logic kept verbatim as the differential oracles of the grouped
+/// movers.
 #[cfg(test)]
 mod reference {
-    use super::{MigrateOptions, MigrationOutcome};
+    use super::{Loads as Ledger, MigrateOptions, MigrationOutcome, MigrationSlice};
     use crate::graph::single_copy_move_deltas;
     use crate::placement::Placement;
     use crate::problem::{CcaProblem, ObjectId};
+
+    pub(super) fn reconcile(
+        problem: &CcaProblem,
+        current: &Placement,
+        desired: &Placement,
+        budget_bytes: u64,
+        options: &MigrateOptions,
+    ) -> MigrationOutcome {
+        assert_eq!(desired.num_nodes(), current.num_nodes());
+        let graph = problem.graph();
+        let mut placement = current.clone();
+        let mut loads = Ledger::new(
+            problem,
+            std::slice::from_ref(current),
+            options.capacity_slack,
+        );
+        let mut budget = budget_bytes;
+        let mut moves = 0usize;
+        let mut migrated = 0u64;
+
+        for _ in 0..options.max_sweeps.max(1) {
+            let pending: Vec<ObjectId> = problem
+                .objects()
+                .filter(|&o| placement.node_of(o) != desired.node_of(o))
+                .collect();
+            if pending.is_empty() {
+                break;
+            }
+            let mut candidates: Vec<(f64, u64, Vec<ObjectId>, usize)> = Vec::new();
+            let same_target = |a, b| desired.node_of(a) == desired.node_of(b);
+            for group in components(problem, &pending, same_target) {
+                let target = desired.node_of(group[0]);
+                let in_group: std::collections::HashSet<ObjectId> = group.iter().copied().collect();
+                let mut gain = 0.0;
+                for &o in &group {
+                    let src = placement.node_of(o);
+                    for (other, w) in graph.neighbors(o) {
+                        if in_group.contains(&other) {
+                            if placement.node_of(other) != src {
+                                gain += w / 2.0;
+                            }
+                            continue;
+                        }
+                        let on = placement.node_of(other);
+                        if on == src {
+                            gain -= w;
+                        } else if on == target {
+                            gain += w;
+                        }
+                    }
+                }
+                let bytes: u64 = group.iter().map(|&o| problem.size(o)).sum();
+                if gain > 1e-12 || options.apply_nonpositive_gains {
+                    candidates.push((gain / (bytes.max(1)) as f64, bytes, group, target));
+                }
+            }
+            if candidates.is_empty() {
+                break;
+            }
+            candidates.sort_unstable_by(|a, b| {
+                b.0.partial_cmp(&a.0)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.2[0].cmp(&b.2[0]))
+            });
+            let mut any = false;
+            for (_, bytes, group, target) in candidates {
+                if bytes > budget || !loads.fits_demand(target, &loads.demand(&group)) {
+                    continue;
+                }
+                for &o in &group {
+                    let src = placement.node_of(o);
+                    loads.apply(o, src, target);
+                    placement.assign(o, target);
+                    migrated += problem.size(o);
+                    moves += 1;
+                }
+                budget -= bytes;
+                any = true;
+            }
+            if !any {
+                break;
+            }
+        }
+
+        MigrationOutcome {
+            comm_cost: placement.communication_cost(problem),
+            placement,
+            migrated_bytes: migrated,
+            moves,
+        }
+    }
+
+    fn components(
+        problem: &CcaProblem,
+        seeds: &[ObjectId],
+        joins: impl Fn(ObjectId, ObjectId) -> bool,
+    ) -> Vec<Vec<ObjectId>> {
+        let is_seed: std::collections::HashSet<ObjectId> = seeds.iter().copied().collect();
+        let mut visited = std::collections::HashSet::new();
+        let mut groups = Vec::new();
+        for &start in seeds {
+            if !visited.insert(start) {
+                continue;
+            }
+            let mut group = Vec::new();
+            let mut stack = vec![start];
+            while let Some(o) = stack.pop() {
+                group.push(o);
+                for (other, _) in problem.graph().neighbors(o) {
+                    if is_seed.contains(&other) && joins(start, other) && visited.insert(other) {
+                        stack.push(other);
+                    }
+                }
+            }
+            groups.push(group);
+        }
+        groups
+    }
+
+    /// One slice of a schedule toward `desired` under `options` (with
+    /// `apply_nonpositive_gains` already forced on).
+    pub(super) fn advance(
+        problem: &CcaProblem,
+        desired: &Placement,
+        options: &MigrateOptions,
+        placement: &mut Placement,
+        budget_bytes: u64,
+    ) -> MigrationSlice {
+        let out = reconcile(problem, placement, desired, budget_bytes, options);
+        let mut moves = out.moves as u64;
+        let mut bytes = out.migrated_bytes;
+        *placement = out.placement;
+
+        if bytes == 0 {
+            let mut loads = Ledger::new(
+                problem,
+                std::slice::from_ref(placement),
+                options.capacity_slack,
+            );
+            let mut remaining = budget_bytes;
+            for o in problem.objects() {
+                let target = desired.node_of(o);
+                let src = placement.node_of(o);
+                if src == target {
+                    continue;
+                }
+                let size = problem.size(o);
+                if size > remaining || !loads.fits(target, o) {
+                    continue;
+                }
+                loads.apply(o, src, target);
+                placement.assign(o, target);
+                remaining -= size;
+                bytes += size;
+                moves += 1;
+            }
+        }
+        let (remaining_objects, remaining_bytes) = problem
+            .objects()
+            .filter(|&o| placement.node_of(o) != desired.node_of(o))
+            .fold((0u64, 0u64), |(n, b), o| (n + 1, b + problem.size(o)));
+        MigrationSlice {
+            moves,
+            bytes,
+            remaining_objects,
+            remaining_bytes,
+            complete: remaining_objects == 0,
+            stalled: moves == 0 && remaining_objects > 0,
+        }
+    }
 
     /// Tracks per-node, per-dimension loads for incremental feasibility
     /// checks.
@@ -1214,6 +1390,148 @@ mod tests {
             "the generator must reach moving cases with ({}) and without a resource ({})",
             resource_moved.get(),
             moved.get() - resource_moved.get()
+        );
+    }
+
+    /// A random instance for the `reconcile` and schedule differentials.
+    #[derive(Debug, Clone)]
+    struct ReconcileCase {
+        base: PolishCase,
+        desired: Vec<u32>,
+        budget: u64,
+        nonpositive: bool,
+        /// The schedule's per-slice budgets.
+        slices: Vec<u64>,
+    }
+
+    impl Shrink for ReconcileCase {
+        fn shrink(&self) -> Vec<Self> {
+            (self.base.shrink().into_iter())
+                .map(|base| ReconcileCase {
+                    base,
+                    ..self.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// [`polish_case`]'s instances with a desired placement that mostly
+    /// sends each correlated group to one node (a target copied along
+    /// four edges in five, one object in ten redrawn), from the start
+    /// placement or from scratch. Budgets are 0, a part of the diff or
+    /// `u64::MAX`, for `reconcile` and for each of 1–6 schedule slices.
+    fn reconcile_case(rng: &mut StdRng) -> ReconcileCase {
+        let base = polish_case(rng);
+        let n = base.capacities.len() as u32;
+        let mut desired: Vec<u32> = match rng.random_bool(0.25) {
+            true => base.start.clone(),
+            false => (base.start.iter())
+                .map(|_| rng.random_range(0..n))
+                .collect(),
+        };
+        for &(a, b, _, _) in &base.edges {
+            if rng.random_bool(0.8) {
+                desired[b] = desired[a];
+            }
+        }
+        for d in &mut desired {
+            if rng.random_bool(0.1) {
+                *d = rng.random_range(0..n);
+            }
+        }
+        let diff: u64 = (base.sizes.iter().zip(&base.start).zip(&desired))
+            .filter(|((_, s), d)| s != d)
+            .map(|((&size, _), _)| size)
+            .sum();
+        let budget = |rng: &mut StdRng| match rng.random_range(0..5) {
+            0 => 0,
+            1 => rng.random_range(1..=40),
+            2 | 3 => rng.random_range(0..=diff),
+            _ => u64::MAX,
+        };
+        ReconcileCase {
+            budget: budget(rng),
+            slices: (0..rng.random_range(1..=6)).map(|_| budget(rng)).collect(),
+            nonpositive: rng.random_bool(0.5),
+            desired,
+            base,
+        }
+    }
+
+    fn reconcile_options(c: &ReconcileCase) -> MigrateOptions {
+        MigrateOptions {
+            capacity_slack: c.base.slack,
+            max_sweeps: c.base.sweeps,
+            apply_nonpositive_gains: c.nonpositive,
+            ..MigrateOptions::default()
+        }
+    }
+
+    /// `reconcile` makes the old implementation's every move: same
+    /// placement, moves, bytes and cost bits, across secondary resources,
+    /// slacks, budgets and both gain rules.
+    #[test]
+    fn reconcile_matches_reference_move_for_move() {
+        let (moved, partial) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("reconcile_matches_reference_move_for_move")
+            .cases(1200)
+            .run(reconcile_case, |c| {
+                let p = polish_problem(&c.base);
+                let start = Placement::new(c.base.start.clone(), p.num_nodes());
+                let desired = Placement::new(c.desired.clone(), p.num_nodes());
+                let options = reconcile_options(c);
+                let want = reference::reconcile(&p, &start, &desired, c.budget, &options);
+                let got = reconcile(&p, &start, &desired, c.budget, &options);
+                prop_assert_eq!(&got.placement, &want.placement);
+                prop_assert_eq!(got.moves, want.moves);
+                prop_assert_eq!(got.migrated_bytes, want.migrated_bytes);
+                prop_assert_eq!(got.comm_cost.to_bits(), want.comm_cost.to_bits());
+                moved.set(moved.get() + u32::from(want.moves > 0));
+                partial.set(partial.get() + u32::from(want.moves > 0 && want.placement != desired));
+                Ok(())
+            });
+        assert!(
+            partial.get() > 0 && moved.get() > partial.get(),
+            "the generator must reach partial ({}) and complete ({}) moving cases",
+            partial.get(),
+            moved.get() - partial.get()
+        );
+    }
+
+    /// `MigrationSchedule::advance`, slice by slice, returns the old
+    /// implementation's every slice and placement.
+    #[test]
+    fn schedule_matches_reference_slice_for_slice() {
+        let (fallback, stalled) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("schedule_matches_reference_slice_for_slice")
+            .cases(1200)
+            .run(reconcile_case, |c| {
+                let p = polish_problem(&c.base);
+                let start = Placement::new(c.base.start.clone(), p.num_nodes());
+                let desired = Placement::new(c.desired.clone(), p.num_nodes());
+                let options = reconcile_options(c);
+                let mut schedule = MigrationSchedule::new(desired.clone(), options);
+                let forced = MigrateOptions {
+                    apply_nonpositive_gains: true,
+                    ..options
+                };
+                let (mut got_at, mut want_at) = (start.clone(), start);
+                for &budget in &c.slices {
+                    let want = reference::advance(&p, &desired, &forced, &mut want_at, budget);
+                    let got = schedule.advance(&p, &mut got_at, budget);
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(&got_at, &want_at);
+                    let grouped = reconcile(&p, &got_at, &desired, budget, &forced);
+                    fallback.set(fallback.get() + u32::from(want.moves > 0 && grouped.moves == 0));
+                    stalled.set(stalled.get() + u32::from(want.stalled));
+                }
+                Ok(())
+            });
+        assert!(
+            fallback.get() > 0 && stalled.get() > 0,
+            "the generator must reach per-object ({}) and stalled ({}) slices",
+            fallback.get(),
+            stalled.get()
         );
     }
 }

@@ -612,13 +612,258 @@ fn solve_by_cutting_planes(
     })
 }
 
+/// `construct_optimal_vertex` as it was before the group walk, with its
+/// own union-find and `HashMap` of components: its logic kept verbatim as
+/// the differential oracle of the vertex.
+#[cfg(test)]
+mod reference {
+    use super::{RelaxOutcome, StopReason};
+    use crate::fractional::FractionalPlacement;
+    use crate::problem::CcaProblem;
+    use cca_lp::LpError;
+
+    pub(super) fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, LpError> {
+        if problem.dimensions().len() > 1 {
+            return Err(LpError::InvalidModel(
+                "the degenerate optimal-vertex construction requires a problem without \
+                 secondary resources; use RelaxMethod::CuttingPlane"
+                    .into(),
+            ));
+        }
+        let t = problem.num_objects();
+        let n = problem.num_nodes();
+        if !problem.aggregate_capacity_suffices() {
+            return Err(LpError::Infeasible);
+        }
+
+        let mut parent: Vec<usize> = (0..t).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        for edge in problem.graph().edges() {
+            let (ra, rb) = (
+                find(&mut parent, edge.a.index()),
+                find(&mut parent, edge.b.index()),
+            );
+            if ra != rb {
+                parent[ra] = rb;
+            }
+        }
+        let mut members: std::collections::HashMap<usize, Vec<usize>> =
+            std::collections::HashMap::new();
+        for i in 0..t {
+            let r = find(&mut parent, i);
+            members.entry(r).or_default().push(i);
+        }
+        let mut components: Vec<(u64, Vec<usize>)> = members
+            .into_values()
+            .map(|m| {
+                let size: u64 = m
+                    .iter()
+                    .map(|&i| problem.size(crate::problem::ObjectId(i as u32)))
+                    .sum();
+                (size, m)
+            })
+            .collect();
+        components.sort_unstable_by_key(|(size, m)| {
+            (
+                std::cmp::Reverse(*size),
+                m.iter().copied().min().unwrap_or(0),
+            )
+        });
+
+        let mut rem: Vec<f64> = (0..n).map(|k| problem.capacity(k) as f64).collect();
+        let mut x = vec![0.0f64; t * n];
+        for (size, m) in components {
+            let mut row = vec![0.0f64; n];
+            if size == 0 {
+                let k = (0..n)
+                    .max_by(|&a, &b| {
+                        rem[a]
+                            .partial_cmp(&rem[b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("n > 0");
+                row[k] = 1.0;
+            } else {
+                let mut assigned = 0.0f64;
+                if let Some(k) = (0..n).find(|&k| rem[k] >= size as f64) {
+                    row[k] = 1.0;
+                    rem[k] -= size as f64;
+                    assigned = 1.0;
+                }
+                while assigned < 1.0 - 1e-12 {
+                    let k = (0..n)
+                        .max_by(|&a, &b| {
+                            rem[a]
+                                .partial_cmp(&rem[b])
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                        .expect("n > 0");
+                    let take = ((rem[k] / size as f64).max(0.0)).min(1.0 - assigned);
+                    debug_assert!(take > 0.0, "aggregate capacity was checked above");
+                    if take <= 0.0 {
+                        return Err(LpError::Numerical(
+                            "fractional packing stalled despite sufficient aggregate capacity"
+                                .into(),
+                        ));
+                    }
+                    row[k] += take;
+                    rem[k] -= take * size as f64;
+                    assigned += take;
+                }
+            }
+            for &i in &m {
+                x[i * n..(i + 1) * n].copy_from_slice(&row);
+            }
+        }
+
+        let mut fractional = FractionalPlacement::new(x, t, n);
+        fractional.normalise();
+        let objective = fractional.expected_cost(problem);
+        debug_assert!(objective.abs() < 1e-9, "vertex must be optimal (0)");
+        Ok(RelaxOutcome {
+            fractional,
+            objective,
+            rounds: 0,
+            cuts: 0,
+            converged: true,
+            lp_iterations: 0,
+            stop: StopReason::Converged,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::figure4::Figure4Lp;
     use crate::problem::{CcaProblem, ObjectId};
+    use crate::resources::Resource;
+    use cca_check::{prop_assert_eq, Checker, Shrink};
     use cca_rand::rngs::StdRng;
+    use cca_rand::seq::SliceRandom;
     use cca_rand::{Rng, SeedableRng};
+    use std::cell::Cell;
+
+    /// A random instance for the optimal-vertex differential.
+    #[derive(Debug, Clone)]
+    struct VertexCase {
+        sizes: Vec<u64>,
+        edges: Vec<(usize, usize)>,
+        capacities: Vec<u64>,
+        /// Adds a secondary resource, which the vertex rejects.
+        resource: bool,
+    }
+
+    impl Shrink for VertexCase {
+        fn shrink(&self) -> Vec<Self> {
+            (self.edges.shrink().into_iter())
+                .map(|edges| VertexCase {
+                    edges,
+                    ..self.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// 1–60 objects in shuffled groups of 1–8 with mostly in-group edges,
+    /// sizes drawn from 1–3 in half the cases (so components tie on size),
+    /// on 1–8 nodes holding 50–250% of an even share, about one node in
+    /// six empty; one case in ten has a secondary resource.
+    fn vertex_case(rng: &mut StdRng) -> VertexCase {
+        let t = rng.random_range(1usize..=60);
+        let n = rng.random_range(1usize..=8);
+        let max_size = if rng.random_bool(0.5) { 3 } else { 40 };
+        let sizes: Vec<u64> = (0..t).map(|_| rng.random_range(1..=max_size)).collect();
+        let mut order: Vec<usize> = (0..t).collect();
+        order.shuffle(rng);
+        let mut edges = Vec::new();
+        let mut rest = &order[..];
+        while !rest.is_empty() {
+            let (group, tail) = rest.split_at(rng.random_range(1..=8).min(rest.len()));
+            for w in group.windows(2) {
+                if rng.random_bool(0.9) {
+                    edges.push((w[0], w[1]));
+                }
+            }
+            rest = tail;
+        }
+        for _ in 0..rng.random_range(0..=t / 10) {
+            edges.push((rng.random_range(0..t), rng.random_range(0..t)));
+        }
+        let total: u64 = sizes.iter().sum();
+        let mut capacities: Vec<u64> = (0..n)
+            .map(|_| match rng.random_range(0..6) {
+                0 => 0,
+                _ => total * rng.random_range(50..=250) / (100 * n as u64),
+            })
+            .collect();
+        if capacities.iter().all(|&c| c == 0) {
+            capacities[0] = 1;
+        }
+        VertexCase {
+            sizes,
+            edges,
+            capacities,
+            resource: rng.random_bool(0.1),
+        }
+    }
+
+    /// The vertex of the group walk equals the union-find vertex: every
+    /// row bit for bit, the objective bits and every other field, or the
+    /// same error.
+    #[test]
+    fn optimal_vertex_matches_reference_row_for_row() {
+        let (spread, infeasible) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("optimal_vertex_matches_reference_row_for_row")
+            .cases(1200)
+            .run(vertex_case, |c| {
+                let mut b = CcaProblem::builder();
+                let o: Vec<ObjectId> = (c.sizes.iter().enumerate())
+                    .map(|(i, &s)| b.add_object(format!("o{i}"), s))
+                    .collect();
+                for &(a, d) in &c.edges {
+                    if a != d {
+                        b.add_pair(o[a], o[d], 0.5, 2.0).expect("valid pair");
+                    }
+                }
+                b.capacities(c.capacities.clone());
+                if c.resource {
+                    let n = c.capacities.len();
+                    b.add_resource(Resource::new("bandwidth", vec![1; o.len()], vec![100; n]));
+                }
+                let p = b.build().expect("valid problem");
+                let bits = |r: Result<RelaxOutcome, LpError>| {
+                    r.map(|out| {
+                        let rows: Vec<u64> = (p.objects())
+                            .flat_map(|i| out.fractional.row(i).to_vec())
+                            .map(f64::to_bits)
+                            .collect();
+                        let fields = (out.rounds, out.cuts, out.converged, out.lp_iterations);
+                        (rows, out.objective.to_bits(), fields, out.stop)
+                    })
+                };
+                let want = bits(reference::construct_optimal_vertex(&p));
+                if let Ok((rows, ..)) = &want {
+                    let fractional = rows.iter().any(|&x| x != 0 && x != 1f64.to_bits());
+                    spread.set(spread.get() + u32::from(fractional));
+                }
+                infeasible.set(infeasible.get() + u32::from(want == Err(LpError::Infeasible)));
+                prop_assert_eq!(bits(construct_optimal_vertex(&p)), want);
+                Ok(())
+            });
+        assert!(
+            spread.get() > 0 && infeasible.get() > 0,
+            "the generator must reach spread ({}) and infeasible ({}) cases",
+            spread.get(),
+            infeasible.get()
+        );
+    }
 
     fn cp() -> RelaxOptions {
         RelaxOptions {
