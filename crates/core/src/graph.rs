@@ -878,6 +878,148 @@ fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = u
     })
 }
 
+/// The connected groups of a seed set, and what moving one would change:
+/// the one group walk behind repair's clusters, `reconcile`'s pending
+/// components and the combinatorial optimal vertex.
+///
+/// [`GroupWalk::walk`] grows a group from each seed that no earlier group
+/// reached, in seed order, by a stack DFS over CSR neighbours that a join
+/// predicate admits. With seeds in ascending id, each group's first member
+/// (its root) is its smallest, and groups come in ascending root order.
+/// Each group stamps its members with its own `u64`, and stamps only grow,
+/// so one array says both "reached by this walk" and "in group `g`":
+/// nothing is hashed, and no buffer is cleared object by object.
+#[derive(Default)]
+pub(crate) struct GroupWalk {
+    /// `stamp[i]`: the stamp of the last group that reached object `i`.
+    stamp: Vec<u64>,
+    /// The last group's stamp; this walk's groups hold those above `base`.
+    last: u64,
+    base: u64,
+    /// Every group's members, group after group, each in DFS order.
+    members: Vec<ObjectId>,
+    /// Each group as its range of `members`.
+    groups: Vec<Range<usize>>,
+    stack: Vec<ObjectId>,
+    /// `join[k]`: the last fold's weight to non-members on node `k`; only
+    /// the entries listed in `touched` can be non-zero.
+    join: Vec<f64>,
+    touched: Vec<usize>,
+}
+
+impl GroupWalk {
+    pub(crate) fn new(num_objects: usize, num_nodes: usize) -> GroupWalk {
+        GroupWalk {
+            stamp: vec![0; num_objects],
+            join: vec![0.0; num_nodes],
+            ..GroupWalk::default()
+        }
+    }
+
+    /// Replaces the groups with those of `seeds`: a neighbour `other` of a
+    /// member `o` joins `o`'s group when no group of this walk has reached
+    /// it and `joins(o, other)`.
+    pub(crate) fn walk(
+        &mut self,
+        graph: &CorrelationGraph,
+        seeds: impl IntoIterator<Item = ObjectId>,
+        joins: impl Fn(ObjectId, ObjectId) -> bool,
+    ) {
+        self.members.clear();
+        self.groups.clear();
+        self.base = self.last;
+        for seed in seeds {
+            if self.stamp[seed.index()] > self.base {
+                continue;
+            }
+            self.last += 1;
+            let (stamp, start) = (self.last, self.members.len());
+            self.stamp[seed.index()] = stamp;
+            self.stack.push(seed);
+            while let Some(o) = self.stack.pop() {
+                self.members.push(o);
+                for (other, _) in graph.neighbors(o) {
+                    if self.stamp[other.index()] <= self.base && joins(o, other) {
+                        self.stamp[other.index()] = stamp;
+                        self.stack.push(other);
+                    }
+                }
+            }
+            self.groups.push(start..self.members.len());
+        }
+    }
+
+    /// The number of groups.
+    pub(crate) fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Group `g`'s members, root first, in DFS order.
+    pub(crate) fn group(&self, g: usize) -> &[ObjectId] {
+        &self.members[self.groups[g].clone()]
+    }
+
+    /// Orders the groups by `key` descending. The sort is stable, so
+    /// groups of equal key keep walk order: ascending root, for seeds in
+    /// ascending id.
+    pub(crate) fn sort_descending<K: Ord>(&mut self, key: impl Fn(&[ObjectId]) -> K) {
+        let members = &self.members;
+        (self.groups).sort_by_cached_key(|r| std::cmp::Reverse(key(&members[r.clone()])));
+    }
+
+    /// The fold over group `g` under `placement`, in one walk of its
+    /// members' CSR rows. Returns `(split, left)`: `split` is the weight
+    /// of the group's edges whose ends sit on different nodes, each edge
+    /// once; `left` is the weight from members to non-members on the
+    /// member's own node, which moving the group leaves behind. The weight
+    /// from members to non-members on each other node `k`, which a move to
+    /// `k` would join, is [`GroupWalk::join`]`(k)` until the next fold.
+    /// Every weight is a multiple of the graph's quantum, so each sum is
+    /// exact in any order (see [`CorrelationGraph::try_build`]).
+    pub(crate) fn fold(
+        &mut self,
+        graph: &CorrelationGraph,
+        g: usize,
+        placement: &Placement,
+    ) -> (f64, f64) {
+        for k in self.touched.drain(..) {
+            self.join[k] = 0.0;
+        }
+        let members = &self.members[self.groups[g].clone()];
+        let stamp = self.stamp[members[0].index()];
+        let (mut split, mut left) = (0.0, 0.0);
+        for &o in members {
+            let home = placement.node_of(o);
+            for (other, w) in graph.neighbors(o) {
+                let on = placement.node_of(other);
+                if self.stamp[other.index()] == stamp {
+                    if on != home && o < other {
+                        split += w;
+                    }
+                } else if on == home {
+                    left += w;
+                } else {
+                    if self.join[on] == 0.0 {
+                        self.touched.push(on);
+                    }
+                    self.join[on] += w;
+                }
+            }
+        }
+        (split, left)
+    }
+
+    /// The last fold's weight from the group to non-members on node `k`.
+    pub(crate) fn join(&self, k: usize) -> f64 {
+        self.join[k]
+    }
+
+    /// `max(0, maxₖ join(k))` of the last fold.
+    pub(crate) fn max_join(&self) -> f64 {
+        (self.touched.iter()).fold(0.0, |m, &k| f64::max(m, self.join[k]))
+    }
+}
+
 /// The single-copy move delta of moving `i` to each node in `targets`, as
 /// its own kernel computed it before every mover ran the `r = 1` replica
 /// kernel: one row walk, each entry starting at `0.0` and folding `+w`

@@ -25,6 +25,7 @@
 //! [`improve_in_place`] is its `r = 1` case over a flat domain tree, and
 //! every single-copy move delta is the `r = 1` replica kernel.
 
+use crate::graph::GroupWalk;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::{DomainTree, ReplicaPlacement};
@@ -405,46 +406,29 @@ pub fn reconcile(
     let mut moves = 0usize;
     let mut migrated = 0u64;
 
+    let mut groups = GroupWalk::new(problem.num_objects(), problem.num_nodes());
     for _ in 0..options.max_sweeps.max(1) {
         // Pending objects, grouped into connected components that share a
         // desired target: a correlated group often has to move *together*
         // for the move to pay off, so gains are evaluated per component.
-        let pending: Vec<ObjectId> = problem
-            .objects()
-            .filter(|&o| placement.node_of(o) != desired.node_of(o))
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        let mut candidates: Vec<(f64, u64, Vec<ObjectId>, usize)> = Vec::new();
-        let same_target = |a, b| desired.node_of(a) == desired.node_of(b);
-        for group in components(problem, &pending, same_target) {
-            let target = desired.node_of(group[0]);
-            // Gain of moving the whole group to the target at once.
-            let in_group: std::collections::HashSet<ObjectId> = group.iter().copied().collect();
-            let mut gain = 0.0;
-            for &o in &group {
-                let src = placement.node_of(o);
-                for (other, w) in graph.neighbors(o) {
-                    if in_group.contains(&other) {
-                        // Internal edge: contributes only if the members
-                        // are currently split (they will be together).
-                        if placement.node_of(other) != src {
-                            gain += w / 2.0; // counted from both endpoints
-                        }
-                        continue;
-                    }
-                    let on = placement.node_of(other);
-                    if on == src {
-                        gain -= w; // leaves a current partner behind
-                    } else if on == target {
-                        gain += w; // joins a partner at the target
-                    }
-                }
-            }
-            let bytes: u64 = group.iter().map(|&o| problem.size(o)).sum();
+        let pending = |o: ObjectId| placement.node_of(o) != desired.node_of(o);
+        groups.walk(
+            graph,
+            problem.objects().filter(|&o| pending(o)),
+            |o, other| pending(other) && desired.node_of(other) == desired.node_of(o),
+        );
+        // (gain per byte, bytes, group): groups come in ascending root order.
+        let mut candidates: Vec<(f64, u64, usize)> = Vec::new();
+        for g in 0..groups.len() {
+            let target = desired.node_of(groups.group(g)[0]);
+            // Gain of moving the whole group to the target at once: its
+            // split edges join, the partners it leaves behind split, and
+            // the partners on the target join (no member is on it yet).
+            let (split, left) = groups.fold(graph, g, &placement);
+            let gain = split - left + groups.join(target);
+            let bytes: u64 = groups.group(g).iter().map(|&o| problem.size(o)).sum();
             if gain > 1e-12 || options.apply_nonpositive_gains {
-                candidates.push((gain / (bytes.max(1)) as f64, bytes, group, target));
+                candidates.push((gain / (bytes.max(1)) as f64, bytes, g));
             }
         }
         if candidates.is_empty() {
@@ -453,17 +437,19 @@ pub fn reconcile(
         candidates.sort_unstable_by(|a, b| {
             b.0.partial_cmp(&a.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.2[0].cmp(&b.2[0]))
+                .then(a.2.cmp(&b.2))
         });
         let mut any = false;
-        for (_, bytes, group, target) in candidates {
+        for (_, bytes, g) in candidates {
+            let group = groups.group(g);
+            let target = desired.node_of(group[0]);
             // The whole group must fit on the target (members already
             // there contribute nothing; none are, by construction of
             // `pending`).
-            if bytes > budget || !loads.fits_demand(target, &loads.demand(&group)) {
+            if bytes > budget || !loads.fits_demand(target, &loads.demand(group)) {
                 continue;
             }
-            for &o in &group {
+            for &o in group {
                 let src = placement.node_of(o);
                 loads.apply(o, src, target);
                 placement.assign(o, target);
@@ -484,36 +470,6 @@ pub fn reconcile(
         migrated_bytes: migrated,
         moves,
     }
-}
-
-/// The correlated groups of `seeds`: each grown from its first unvisited
-/// seed by a stack DFS over CSR neighbours that are seeds too and that
-/// `joins(first, neighbour)` admits.
-fn components(
-    problem: &CcaProblem,
-    seeds: &[ObjectId],
-    joins: impl Fn(ObjectId, ObjectId) -> bool,
-) -> Vec<Vec<ObjectId>> {
-    let is_seed: std::collections::HashSet<ObjectId> = seeds.iter().copied().collect();
-    let mut visited = std::collections::HashSet::new();
-    let mut groups = Vec::new();
-    for &start in seeds {
-        if !visited.insert(start) {
-            continue;
-        }
-        let mut group = Vec::new();
-        let mut stack = vec![start];
-        while let Some(o) = stack.pop() {
-            group.push(o);
-            for (other, _) in problem.graph().neighbors(o) {
-                if is_seed.contains(&other) && joins(start, other) && visited.insert(other) {
-                    stack.push(other);
-                }
-            }
-        }
-        groups.push(group);
-    }
-    groups
 }
 
 /// Local-search improvement from `current` where each move must pay for
@@ -583,9 +539,6 @@ pub struct MigrationSlice {
 pub struct MigrationSchedule {
     desired: Placement,
     options: MigrateOptions,
-    slices: u64,
-    total_moves: u64,
-    total_bytes: u64,
 }
 
 impl MigrationSchedule {
@@ -602,34 +555,7 @@ impl MigrationSchedule {
                 apply_nonpositive_gains: true,
                 ..options
             },
-            slices: 0,
-            total_moves: 0,
-            total_bytes: 0,
         }
-    }
-
-    /// The placement this schedule is converging to.
-    #[must_use]
-    pub fn desired(&self) -> &Placement {
-        &self.desired
-    }
-
-    /// Slices applied so far.
-    #[must_use]
-    pub fn slices(&self) -> u64 {
-        self.slices
-    }
-
-    /// Objects moved across all slices so far.
-    #[must_use]
-    pub fn total_moves(&self) -> u64 {
-        self.total_moves
-    }
-
-    /// Bytes shipped across all slices so far.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Applies one slice of at most `budget_bytes` toward the desired
@@ -691,10 +617,6 @@ impl MigrationSchedule {
             bytes <= budget_bytes,
             "slice {bytes} over budget {budget_bytes}"
         );
-
-        self.slices += 1;
-        self.total_moves += moves;
-        self.total_bytes += bytes;
         let (remaining_objects, remaining_bytes) = problem
             .objects()
             .filter(|&o| placement.node_of(o) != self.desired.node_of(o))
@@ -1145,20 +1067,20 @@ mod tests {
         let desired = Placement::new(vec![0, 0, 0, 1, 1, 1], 2);
         let total = migration_bytes(&p, &placement, &desired);
         let mut schedule = MigrationSchedule::new(desired.clone(), MigrateOptions::default());
-        let mut shipped = 0u64;
+        let (mut shipped, mut moved) = (0u64, 0u64);
         for _ in 0..16 {
             let slice = schedule.advance(&p, &mut placement, 10);
             assert!(slice.bytes <= 10, "slice over budget: {slice:?}");
             assert!(!slice.stalled, "feasible schedule stalled: {slice:?}");
             shipped += slice.bytes;
+            moved += slice.moves;
             if slice.complete {
                 break;
             }
         }
         assert_eq!(placement, desired);
         assert_eq!(shipped, total);
-        assert_eq!(schedule.total_bytes(), total);
-        assert_eq!(schedule.total_moves(), total / 10);
+        assert_eq!(moved, total / 10);
     }
 
     #[test]

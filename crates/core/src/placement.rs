@@ -130,10 +130,25 @@ impl Placement {
         (0..problem.dimensions().len()).all(|d| self.within_dimension(problem, d, slack))
     }
 
+    /// Every node's load in dimension `d` against `capacity · slack`, the
+    /// limit an `f64` product. A load is compared with it exactly: a load
+    /// above 2^53 is not rounded to the limit first.
     fn within_dimension(&self, problem: &CcaProblem, d: usize, slack: f64) -> bool {
         (self.dimension_loads(problem, d).into_iter())
             .zip(problem.dimensions()[d].capacities())
-            .all(|(load, &cap)| load as f64 <= cap as f64 * slack)
+            .all(|(load, &cap)| at_most(load, cap as f64 * slack))
+    }
+}
+
+/// `load ≤ limit` on the exact values: an integer is at most a finite
+/// non-negative `limit` iff it is at most `⌊limit⌋`, which `u64` holds
+/// exactly below 2^64. A NaN or negative limit admits no load but 0
+/// against `-0.0`, as the `f64` comparison does.
+fn at_most(load: u64, limit: f64) -> bool {
+    match limit {
+        l if l >= 18_446_744_073_709_551_616.0 => true,
+        l if l >= 0.0 => load <= l as u64,
+        _ => false,
     }
 }
 
@@ -181,6 +196,61 @@ mod tests {
         assert!(!overloaded.within_all_capacities(&p, 1.0));
         assert!(overloaded.within_capacity(&p, 1.5));
         assert!(overloaded.within_all_capacities(&p, 1.5));
+    }
+
+    #[test]
+    fn capacity_checks_are_exact_above_2_pow_53() {
+        let mut b = CcaProblem::builder();
+        b.add_object("big", (1 << 53) + 1);
+        let p = b.capacities(vec![1 << 53]).build().unwrap();
+        let pl = Placement::new(vec![0], 1);
+        assert!(!pl.within_capacity(&p, 1.0));
+        assert!(!pl.within_all_capacities(&p, 1.0));
+        assert!(pl.within_capacity(&p, 1.0 + f64::EPSILON));
+        assert_eq!(
+            crate::audit::audit_placement(&p, &pl, 0).violations.len(),
+            1
+        );
+    }
+
+    #[test]
+    fn exact_comparison_keeps_the_f64_result_below_2_pow_53() {
+        let limits = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            41.999_999_999_999_99,
+            42.0,
+            1e15 + 0.5,
+            9_007_199_254_740_991.0,
+            9_007_199_254_740_992.0,
+            1.8e19,
+            18_446_744_073_709_549_568.0,
+            18_446_744_073_709_551_616.0,
+        ];
+        let loads = [0, 1, 41, 42, 43, 999_999_999_999_999, 1_000_000_000_000_000];
+        let loads = loads.into_iter().chain([(1 << 53) - 1, (1 << 53) - 2]);
+        for load in loads {
+            for limit in limits {
+                assert_eq!(
+                    at_most(load, limit),
+                    load as f64 <= limit,
+                    "{load} vs {limit}"
+                );
+            }
+        }
+        for load in [(1 << 53) + 1, u64::MAX - 1] {
+            assert!(!at_most(load, load as f64 - 4096.0));
+            assert!(at_most(load, f64::INFINITY) && !at_most(load, f64::NAN));
+        }
+        assert!(!at_most((1 << 53) + 1, 9_007_199_254_740_992.0));
+        assert!(at_most(u64::MAX, 18_446_744_073_709_551_616.0));
+        assert!(!at_most(u64::MAX, 18_446_744_073_709_549_568.0));
     }
 
     #[test]

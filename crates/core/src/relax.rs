@@ -20,9 +20,9 @@
 
 use crate::figure4::{add_placement_rows, add_x_columns};
 use crate::fractional::FractionalPlacement;
-use crate::graph::EdgeId;
+use crate::graph::{EdgeId, GroupWalk};
 use crate::placement::Placement;
-use crate::problem::CcaProblem;
+use crate::problem::{CcaProblem, ObjectId};
 use cca_lp::{Col, LpError, Model, Relation, SolverOptions};
 use std::collections::HashSet;
 
@@ -328,55 +328,29 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
         return Err(LpError::Infeasible);
     }
 
-    // Connected components of the pair graph (union-find).
-    let mut parent: Vec<usize> = (0..t).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for edge in problem.graph().edges() {
-        let (ra, rb) = (
-            find(&mut parent, edge.a.index()),
-            find(&mut parent, edge.b.index()),
-        );
-        if ra != rb {
-            parent[ra] = rb;
-        }
-    }
-    let mut members: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for i in 0..t {
-        let r = find(&mut parent, i);
-        members.entry(r).or_default().push(i);
-    }
-    let mut components: Vec<(u64, Vec<usize>)> = members
-        .into_values()
-        .map(|m| {
-            let size: u64 = m
-                .iter()
-                .map(|&i| problem.size(crate::problem::ObjectId(i as u32)))
-                .sum();
-            (size, m)
-        })
-        .collect();
-    // Largest first; ties by smallest member id for determinism.
-    components.sort_unstable_by_key(|(size, m)| {
-        (
-            std::cmp::Reverse(*size),
-            m.iter().copied().min().unwrap_or(0),
-        )
-    });
+    // Connected components of the pair graph, largest first, ties by
+    // smallest member id.
+    let mut components = GroupWalk::new(t, n);
+    components.walk(problem.graph(), problem.objects(), |_, _| true);
+    let bytes = |m: &[ObjectId]| m.iter().map(|&i| problem.size(i)).sum::<u64>();
+    components.sort_descending(bytes);
 
-    // First-fit-decreasing fractional packing.
+    // First-fit-decreasing fractional packing. Objects have positive
+    // sizes (the builder rejects size 0), so every component has weight.
     let mut rem: Vec<f64> = (0..n).map(|k| problem.capacity(k) as f64).collect();
     let mut x = vec![0.0f64; t * n];
-    for (size, m) in components {
+    for c in 0..components.len() {
+        let m = components.group(c);
+        let size = bytes(m) as f64;
         let mut row = vec![0.0f64; n];
-        if size == 0 {
-            // Weightless component: park it on the emptiest node.
+        let mut assigned = 0.0f64;
+        // Whole-component fit first (keeps rows integral), then spread.
+        if let Some(k) = (0..n).find(|&k| rem[k] >= size) {
+            row[k] = 1.0;
+            rem[k] -= size;
+            assigned = 1.0;
+        }
+        while assigned < 1.0 - 1e-12 {
             let k = (0..n)
                 .max_by(|&a, &b| {
                     rem[a]
@@ -384,37 +358,19 @@ pub fn construct_optimal_vertex(problem: &CcaProblem) -> Result<RelaxOutcome, Lp
                         .unwrap_or(std::cmp::Ordering::Equal)
                 })
                 .expect("n > 0");
-            row[k] = 1.0;
-        } else {
-            let mut assigned = 0.0f64;
-            // Whole-component fit first (keeps rows integral), then spread.
-            if let Some(k) = (0..n).find(|&k| rem[k] >= size as f64) {
-                row[k] = 1.0;
-                rem[k] -= size as f64;
-                assigned = 1.0;
+            let take = ((rem[k] / size).max(0.0)).min(1.0 - assigned);
+            debug_assert!(take > 0.0, "aggregate capacity was checked above");
+            if take <= 0.0 {
+                return Err(LpError::Numerical(
+                    "fractional packing stalled despite sufficient aggregate capacity".into(),
+                ));
             }
-            while assigned < 1.0 - 1e-12 {
-                let k = (0..n)
-                    .max_by(|&a, &b| {
-                        rem[a]
-                            .partial_cmp(&rem[b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("n > 0");
-                let take = ((rem[k] / size as f64).max(0.0)).min(1.0 - assigned);
-                debug_assert!(take > 0.0, "aggregate capacity was checked above");
-                if take <= 0.0 {
-                    return Err(LpError::Numerical(
-                        "fractional packing stalled despite sufficient aggregate capacity".into(),
-                    ));
-                }
-                row[k] += take;
-                rem[k] -= take * size as f64;
-                assigned += take;
-            }
+            row[k] += take;
+            rem[k] -= take * size;
+            assigned += take;
         }
-        for &i in &m {
-            x[i * n..(i + 1) * n].copy_from_slice(&row);
+        for &i in m {
+            x[i.index() * n..(i.index() + 1) * n].copy_from_slice(&row);
         }
     }
 

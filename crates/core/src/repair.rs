@@ -26,7 +26,7 @@
 //! All reported experiment costs are measured *after* repair, so the
 //! comparison against the baselines stays honest.
 
-use crate::graph::CorrelationGraph;
+use crate::graph::{CorrelationGraph, GroupWalk};
 use crate::migrate::{polish, Loads, MigrateOptions};
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
@@ -55,22 +55,8 @@ struct Repairer<'a> {
     /// `members[node]`: the objects placed on `node`, ascending by id;
     /// [`Repairer::apply_move`] keeps it in step with `rp`.
     members: Vec<Vec<ObjectId>>,
-    /// `seen[obj] == seen_stamp`: `obj` was discovered in this step.
-    seen: Vec<u64>,
-    seen_stamp: u64,
-    /// `tag[obj] == cluster_tag`: `obj` is in the cluster being scored.
-    /// `u64`, because one repair can score more clusters than `u32` counts.
-    tag: Vec<u64>,
-    cluster_tag: u64,
-    /// Clusters on the current source node, largest first.
-    clusters: Vec<Vec<ObjectId>>,
-    /// Emptied cluster buffers, reused by the next discovery.
-    spare: Vec<Vec<ObjectId>>,
-    stack: Vec<ObjectId>,
-    /// `join[k]`: one cluster's edge weight to objects on node `k`; only
-    /// the entries listed in `touched` can be non-zero.
-    join: Vec<f64>,
-    touched: Vec<usize>,
+    /// The clusters on the current source node, largest first.
+    clusters: GroupWalk,
     moves: usize,
 }
 
@@ -90,15 +76,7 @@ impl<'a> Repairer<'a> {
             loads,
             rp,
             members,
-            seen: vec![0; problem.num_objects()],
-            seen_stamp: 0,
-            tag: vec![0; problem.num_objects()],
-            cluster_tag: 0,
-            clusters: Vec::new(),
-            spare: Vec::new(),
-            stack: Vec::new(),
-            join: vec![0.0; n],
-            touched: Vec::new(),
+            clusters: GroupWalk::new(problem.num_objects(), n),
             moves: 0,
         }
     }
@@ -156,103 +134,43 @@ impl<'a> Repairer<'a> {
         self.moves += 1;
     }
 
-    /// Fills `clusters` with the clusters on `node`: connected groups
-    /// (within the correlation graph) of its members, discovered from
-    /// `members[node]` in ascending id by a stack DFS over CSR neighbours,
-    /// so each cluster's root is its smallest member. A stable sort then
-    /// orders them by size descending, then by smallest member id, and
-    /// the step's strict-< selection takes the first of equal scores.
-    fn discover_clusters(&mut self, node: usize) {
-        let placement = self.rp.primary();
-        self.spare.extend(self.clusters.drain(..).map(|mut c| {
-            c.clear();
-            c
-        }));
-        self.seen_stamp += 1;
-        let stamp = self.seen_stamp;
-        for &i in &self.members[node] {
-            if self.seen[i.index()] == stamp {
-                continue;
-            }
-            let mut cluster = self.spare.pop().unwrap_or_default();
-            self.seen[i.index()] = stamp;
-            self.stack.push(i);
-            while let Some(o) = self.stack.pop() {
-                cluster.push(o);
-                for (other, _) in self.graph.neighbors(o) {
-                    if placement.node_of(other) == node && self.seen[other.index()] != stamp {
-                        self.seen[other.index()] = stamp;
-                        self.stack.push(other);
-                    }
-                }
-            }
-            self.clusters.push(cluster);
-        }
-        self.clusters.sort_by_key(|c| std::cmp::Reverse(c.len()));
-    }
-
     /// Candidate 1: the whole-cluster move off `src` with the lowest
     /// Δcost per byte (zero cut cost for a complete component; cheap for
     /// weakly attached groups), as `(cluster index, target)`. Singletons
     /// are scored like any other cluster.
     fn best_cluster_move(&mut self, src: usize) -> Option<(usize, usize)> {
         let n = self.problem.num_nodes();
-        let placement = self.rp.primary();
         let mut best: Option<(f64, usize, usize)> = None;
-        for (c, cluster) in self.clusters.iter().enumerate() {
-            // Cut cost to the rest of src plus joins at each target.
-            self.cluster_tag += 1;
-            for &o in cluster {
-                self.tag[o.index()] = self.cluster_tag;
-            }
-            let mut base = 0.0;
-            for &o in cluster {
-                for (other, w) in self.graph.neighbors(o) {
-                    if self.tag[other.index()] == self.cluster_tag {
-                        continue;
-                    }
-                    let on = placement.node_of(other);
-                    if on == src {
-                        base += w;
-                    } else {
-                        if self.join[on] == 0.0 {
-                            self.touched.push(on);
-                        }
-                        self.join[on] += w;
-                    }
-                }
-            }
+        for c in 0..self.clusters.len() {
+            // Cut cost to the rest of src, then joins at each target.
+            let (_, base) = self.clusters.fold(self.graph, c, self.rp.primary());
+            let cluster = self.clusters.group(c);
             let size = (cluster.iter())
                 .fold(0.0, |s, &o| s + self.loads.size(o))
                 .max(1.0);
-            // Exact bound: every target's score (base − join[k]) / size is
-            // at least (base − max(0, maxₖ join[k])) / size, as IEEE
+            // Exact bound: every target's score (base − join(k)) / size is
+            // at least (base − max(0, maxₖ join(k))) / size, as IEEE
             // subtraction and division by a positive number are monotone.
             // Unless that bound is below the best score, no target can win
             // the strict-< selection: skip the demand sum and group fits.
-            let could_win = best.is_none_or(|(bs, _, _)| {
-                let max_join = (self.touched.iter())
-                    .map(|&k| self.join[k])
-                    .fold(0.0, f64::max);
-                (base - max_join) / size < bs
-            });
-            if could_win {
-                let demand = self.loads.demand(cluster);
-                // A cluster with zero demand in every dimension frees nothing.
-                if demand.iter().any(|&d| d != 0.0) {
-                    for k in 0..n {
-                        if k == src || !self.loads.fits_demand(k, &demand) {
-                            continue;
-                        }
-                        let score = (base - self.join[k]) / size;
-                        if best.is_none_or(|(bs, _, _)| score < bs) {
-                            best = Some((score, c, k));
-                        }
-                    }
-                }
+            let could_win =
+                best.is_none_or(|(bs, _, _)| (base - self.clusters.max_join()) / size < bs);
+            if !could_win {
+                continue;
             }
-            for k in self.touched.drain(..) {
-                self.join[k] = 0.0;
+            let demand = self.loads.demand(cluster);
+            // A cluster with zero demand in every dimension frees nothing.
+            if demand.iter().all(|&d| d == 0.0) {
+                continue;
+            }
+            for k in 0..n {
+                if k == src || !self.loads.fits_demand(k, &demand) {
+                    continue;
+                }
+                let score = (base - self.clusters.join(k)) / size;
+                if best.is_none_or(|(bs, _, _)| score < bs) {
+                    best = Some((score, c, k));
+                }
             }
         }
         best.map(|(_, c, k)| (c, k))
@@ -303,13 +221,21 @@ impl<'a> Repairer<'a> {
             return Ok(false); // feasible
         };
 
-        self.discover_clusters(src);
+        // The clusters on src: its members' groups over edges between
+        // objects on src, walked in ascending id so each root is its
+        // cluster's smallest member; largest first, then by root, and the
+        // strict-< selection takes the first of equal scores.
+        let placement = self.rp.primary();
+        (self.clusters).walk(self.graph, self.members[src].iter().copied(), |_, other| {
+            placement.node_of(other) == src
+        });
+        self.clusters.sort_descending(<[ObjectId]>::len);
         if let Some((c, target)) = self.best_cluster_move(src) {
-            let cluster = std::mem::take(&mut self.clusters[c]);
-            for &o in &cluster {
+            let clusters = std::mem::take(&mut self.clusters);
+            for &o in clusters.group(c) {
                 self.apply_move(o, src, target);
             }
-            self.clusters[c] = cluster;
+            self.clusters = clusters;
             return Ok(true);
         }
 

@@ -11,7 +11,9 @@
 #             every crate and target of the workspace; rustdoc with
 #             warnings denied over the workspace's docs; both with
 #             `--features chaos`, which only adds code (the chaos suite
-#             and the simplex's fault hook), so nothing goes unlinted
+#             and the simplex's fault hook), so nothing goes unlinted;
+#             then rustfmt's check and `-D warnings` over every target of
+#             the benchmark package (perfbench/, its own workspace)
 #   test      the full test suite, then again with `--features chaos`
 #             (adds the tier-2 chaos suite): unit tests, the Lemma 1/2 and
 #             Theorem 2/3 batteries, golden and replay pins, property
@@ -213,6 +215,8 @@ step_clippy() {
   cargo fmt --all -- --check
   cargo clippy -q --workspace --all-targets --features chaos -- -D warnings
   RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --features chaos
+  cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+  cargo clippy -q --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 }
 
 step_test() {
