@@ -888,7 +888,10 @@ fn homes_ascending(rp: &ReplicaPlacement, i: ObjectId) -> impl Iterator<Item = u
 /// (its root) is its smallest, and groups come in ascending root order.
 /// Each group stamps its members with its own `u64`, and stamps only grow,
 /// so one array says both "reached by this walk" and "in group `g`":
-/// nothing is hashed, and no buffer is cleared object by object.
+/// nothing is hashed, and no buffer is cleared object by object. The fold
+/// and the accessors are `#[inline]`: a repair step folds every cluster
+/// on its source node, thousands of singletons on a dead one, and the
+/// calls cross codegen units.
 #[derive(Default)]
 pub(crate) struct GroupWalk {
     /// `stamp[i]`: the stamp of the last group that reached object `i`.
@@ -950,11 +953,13 @@ impl GroupWalk {
     }
 
     /// The number of groups.
+    #[inline]
     pub(crate) fn len(&self) -> usize {
         self.groups.len()
     }
 
     /// Group `g`'s members, root first, in DFS order.
+    #[inline]
     pub(crate) fn group(&self, g: usize) -> &[ObjectId] {
         &self.members[self.groups[g].clone()]
     }
@@ -964,7 +969,7 @@ impl GroupWalk {
     /// ascending id.
     pub(crate) fn sort_descending<K: Ord>(&mut self, key: impl Fn(&[ObjectId]) -> K) {
         let members = &self.members;
-        (self.groups).sort_by_cached_key(|r| std::cmp::Reverse(key(&members[r.clone()])));
+        (self.groups).sort_by_key(|r| std::cmp::Reverse(key(&members[r.clone()])));
     }
 
     /// The fold over group `g` under `placement`, in one walk of its
@@ -976,6 +981,7 @@ impl GroupWalk {
     /// `k` would join, is [`GroupWalk::join`]`(k)` until the next fold.
     /// Every weight is a multiple of the graph's quantum, so each sum is
     /// exact in any order (see [`CorrelationGraph::try_build`]).
+    #[inline]
     pub(crate) fn fold(
         &mut self,
         graph: &CorrelationGraph,
@@ -991,12 +997,14 @@ impl GroupWalk {
         for &o in members {
             let home = placement.node_of(o);
             for (other, w) in graph.neighbors(o) {
-                let on = placement.node_of(other);
                 if self.stamp[other.index()] == stamp {
-                    if on != home && o < other {
+                    if o < other && placement.node_of(other) != home {
                         split += w;
                     }
-                } else if on == home {
+                    continue;
+                }
+                let on = placement.node_of(other);
+                if on == home {
                     left += w;
                 } else {
                     if self.join[on] == 0.0 {
@@ -1010,11 +1018,13 @@ impl GroupWalk {
     }
 
     /// The last fold's weight from the group to non-members on node `k`.
+    #[inline]
     pub(crate) fn join(&self, k: usize) -> f64 {
         self.join[k]
     }
 
     /// `max(0, maxₖ join(k))` of the last fold.
+    #[inline]
     pub(crate) fn max_join(&self) -> f64 {
         (self.touched.iter()).fold(0.0, |m, &k| f64::max(m, self.join[k]))
     }
