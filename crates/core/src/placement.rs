@@ -142,14 +142,10 @@ impl Placement {
 
 /// `load ≤ limit` on the exact values: an integer is at most a finite
 /// non-negative `limit` iff it is at most `⌊limit⌋`, which `u64` holds
-/// exactly below 2^64. A NaN or negative limit admits no load but 0
-/// against `-0.0`, as the `f64` comparison does.
+/// exactly below 2^64. A NaN or negative limit admits no load and
+/// `-0.0` admits only 0, as the `f64` comparison does.
 fn at_most(load: u64, limit: f64) -> bool {
-    match limit {
-        l if l >= 18_446_744_073_709_551_616.0 => true,
-        l if l >= 0.0 => load <= l as u64,
-        _ => false,
-    }
+    limit >= 18_446_744_073_709_551_616.0 || (limit >= 0.0 && load <= limit as u64)
 }
 
 #[cfg(test)]
