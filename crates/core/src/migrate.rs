@@ -639,8 +639,8 @@ impl MigrationSchedule {
 /// `single_copy_move_deltas`, and `Placement::assign`), as the
 /// differential oracle the polish must match move for move.
 ///
-/// `reconcile` as it was before the group walk, with its own `HashSet`
-/// DFS (`components`) and its own gain loop, and
+/// `reconcile` as it was before the group walk, with its own hashed DFS
+/// (`components`) and its own gain loop, and
 /// `MigrationSchedule::advance` over it without the schedule's tallies:
 /// their logic kept verbatim as the differential oracles of the grouped
 /// movers.

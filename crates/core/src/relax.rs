@@ -569,7 +569,7 @@ fn solve_by_cutting_planes(
 }
 
 /// `construct_optimal_vertex` as it was before the group walk, with its
-/// own union-find and `HashMap` of components: its logic kept verbatim as
+/// own union-find and hashed component lists: its logic kept verbatim as
 /// the differential oracle of the vertex.
 #[cfg(test)]
 mod reference {
