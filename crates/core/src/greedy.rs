@@ -123,9 +123,111 @@ pub fn greedy_placement(problem: &CcaProblem) -> Placement {
     Placement::new(assignment, n)
 }
 
+/// `greedy_placement` as it was before it ran on the capacity ledger,
+/// with its own exact `i128` free-space and demand tables. Kept verbatim
+/// as the differential oracle the ledger version must match placement
+/// for placement.
+#[cfg(test)]
+mod reference {
+    use crate::placement::Placement;
+    use crate::problem::{CcaProblem, ObjectId};
+    use cca_hash::hash_placement;
+
+    pub(super) fn greedy_placement(problem: &CcaProblem) -> Placement {
+        let t = problem.num_objects();
+        let n = problem.num_nodes();
+        let dims = problem.dimensions();
+        let mut assignment = vec![u32::MAX; t];
+        // free[node][dim] and demands[object][dim] over the capacity table
+        // (storage first), as exact integers.
+        let mut free: Vec<Vec<i128>> = (0..n)
+            .map(|k| dims.iter().map(|d| i128::from(d.capacity(k))).collect())
+            .collect();
+        let demands: Vec<Vec<i128>> = problem
+            .objects()
+            .map(|o| {
+                dims.iter()
+                    .map(|d| i128::from(d.demand(o.index())))
+                    .collect()
+            })
+            .collect();
+        let fits =
+            |free_k: &[i128], demand: &[i128]| free_k.iter().zip(demand).all(|(&f, &d)| f >= d);
+
+        let place =
+            |assignment: &mut Vec<u32>, free: &mut Vec<Vec<i128>>, i: ObjectId, k: usize| {
+                assignment[i.index()] = k as u32;
+                for (f, d) in free[k].iter_mut().zip(&demands[i.index()]) {
+                    *f -= d;
+                }
+            };
+
+        // The graph precomputes the (descending correlation, ties (a, b))
+        // visit order once at build; the unique (a, b) tie-break makes it a
+        // total order, so it equals the per-call sort this replaces.
+        for &e in problem.graph().edges_by_correlation() {
+            let pair = &problem.pairs()[e.index()];
+            let (a, b) = (pair.a, pair.b);
+            let (pa, pb) = (assignment[a.index()], assignment[b.index()]);
+            match (pa, pb) {
+                (u32::MAX, u32::MAX) => {
+                    let need: Vec<i128> = demands[a.index()]
+                        .iter()
+                        .zip(&demands[b.index()])
+                        .map(|(&x, &y)| x + y)
+                        .collect();
+                    // Most free storage first, ties by node id.
+                    if let Some(k) = (0..n)
+                        .filter(|&k| fits(&free[k], &need))
+                        .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
+                    {
+                        place(&mut assignment, &mut free, a, k);
+                        place(&mut assignment, &mut free, b, k);
+                    }
+                }
+                (k, u32::MAX) if fits(&free[k as usize], &demands[b.index()]) => {
+                    place(&mut assignment, &mut free, b, k as usize);
+                }
+                (u32::MAX, k) if fits(&free[k as usize], &demands[a.index()]) => {
+                    place(&mut assignment, &mut free, a, k as usize);
+                }
+                _ => {}
+            }
+        }
+
+        // Complete the placement for objects the greedy pass never placed.
+        for i in problem.objects() {
+            if assignment[i.index()] != u32::MAX {
+                continue;
+            }
+            let demand = &demands[i.index()];
+            let hashed = hash_placement(problem.name(i), n);
+            let k = if fits(&free[hashed], demand) {
+                hashed
+            } else if let Some(k) = (0..n)
+                .filter(|&k| fits(&free[k], demand))
+                .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
+            {
+                k
+            } else {
+                // Nothing fits: overflow onto the least-loaded node.
+                (0..n)
+                    .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
+                    .expect("n > 0")
+            };
+            place(&mut assignment, &mut free, i, k);
+        }
+
+        Placement::new(assignment, n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::Resource;
+    use cca_check::{prop_assert_eq, Checker, Rng, Shrink, StdRng};
+    use std::cell::Cell;
 
     #[test]
     fn most_correlated_pair_is_colocated() {
@@ -197,6 +299,147 @@ mod tests {
         }
         let p = b.uniform_capacities(3, 30).build().unwrap();
         assert_eq!(greedy_placement(&p), greedy_placement(&p));
+    }
+
+    /// A random instance for the greedy differential.
+    #[derive(Debug, Clone)]
+    struct GreedyCase {
+        sizes: Vec<u64>,
+        /// Optional secondary resource: per-object demands, per-node
+        /// capacities.
+        resource: Option<(Vec<u64>, Vec<u64>)>,
+        /// `(a, b, correlation in 997ths, comm cost in 7ths)`.
+        edges: Vec<(usize, usize, u32, u32)>,
+        /// Storage capacities; some are 0.
+        capacities: Vec<u64>,
+    }
+
+    impl Shrink for GreedyCase {
+        fn shrink(&self) -> Vec<Self> {
+            (self.edges.shrink().into_iter())
+                .map(|edges| GreedyCase {
+                    edges,
+                    ..self.clone()
+                })
+                .collect()
+        }
+    }
+
+    /// 1–30 objects of 1–40 units plus a jitter of 0–3 bytes, where a
+    /// unit is 1 byte, 2^20, 2^48 or 2^52 bytes (sizes reach 2^57), on
+    /// 1–8 nodes, about one in five of them at capacity 0. A node's
+    /// capacity is 50–250% of an even share of the total, or in one case
+    /// in three the sum of random sizes that first reaches that share,
+    /// off by at most one byte, so fits are decided at the last byte
+    /// above 2^53 too. A secondary
+    /// resource in half the cases. In one case in three the correlations
+    /// take only three values, so pairs tie and their order decides.
+    fn greedy_case(rng: &mut StdRng) -> GreedyCase {
+        let unit = [1u64, 1 << 20, 1 << 48, 1 << 52][rng.random_range(0..4)];
+        let t = rng.random_range(1usize..=30);
+        let n = rng.random_range(1usize..=8);
+        let sizes: Vec<u64> = (0..t)
+            .map(|_| rng.random_range(1u64..=40) * unit + rng.random_range(0..=3))
+            .collect();
+        let ties = rng.random_bool(1.0 / 3.0);
+        let mut edges = Vec::new();
+        for _ in 0..rng.random_range(0..=2 * t) {
+            let r = match ties {
+                true => rng.random_range(1u32..=3) * 300,
+                false => rng.random_range(1u32..=997),
+            };
+            edges.push((
+                rng.random_range(0..t),
+                rng.random_range(0..t),
+                r,
+                rng.random_range(1u32..=70),
+            ));
+        }
+        let capacities = |rng: &mut StdRng, demands: &[u64]| -> Vec<u64> {
+            let total: u128 = demands.iter().map(|&d| u128::from(d)).sum();
+            let exact = rng.random_bool(1.0 / 3.0);
+            let mut caps: Vec<u64> = (0..n)
+                .map(|_| {
+                    if rng.random_bool(0.2) {
+                        return 0;
+                    }
+                    let pct = u128::from(rng.random_range(50u64..=250));
+                    let share = total * pct / (100 * n as u128);
+                    if !exact {
+                        return share as u64;
+                    }
+                    let mut sum = 0u128;
+                    for _ in 0..2 * t {
+                        if sum >= share {
+                            break;
+                        }
+                        sum += u128::from(demands[rng.random_range(0..t)]);
+                    }
+                    (sum as u64 + rng.random_range(0..=2)).saturating_sub(1)
+                })
+                .collect();
+            if caps.iter().all(|&c| c == 0) {
+                caps[rng.random_range(0..n)] = demands[0];
+            }
+            caps
+        };
+        let capacities_storage = capacities(rng, &sizes);
+        let resource = rng.random_bool(0.5).then(|| {
+            let demands: Vec<u64> = (0..t)
+                .map(|_| rng.random_range(0u64..=6) * unit + rng.random_range(0..=1))
+                .collect();
+            let caps = capacities(rng, &demands);
+            (demands, caps)
+        });
+        GreedyCase {
+            sizes,
+            resource,
+            edges,
+            capacities: capacities_storage,
+        }
+    }
+
+    /// The ledger version makes every placement of the `i128` tables it
+    /// replaced: pairs tied on correlation, zero capacities, secondary
+    /// resources, the overflow fallback and sizes and capacities beyond
+    /// 2^53 included.
+    #[test]
+    fn greedy_matches_reference_placement() {
+        let (overflowed, beyond) = (Cell::new(0u32), Cell::new(0u32));
+        Checker::new("greedy_matches_reference_placement")
+            .cases(1200)
+            .run(greedy_case, |c| {
+                let mut b = CcaProblem::builder();
+                let o: Vec<ObjectId> = (c.sizes.iter().enumerate())
+                    .map(|(i, &s)| b.add_object(format!("o{i}"), s))
+                    .collect();
+                for &(a, d, r, w) in &c.edges {
+                    if a != d {
+                        b.add_pair(o[a], o[d], f64::from(r) / 997.0, f64::from(w) / 7.0)
+                            .expect("valid pair");
+                    }
+                }
+                b.capacities(c.capacities.clone());
+                if let Some((demands, caps)) = &c.resource {
+                    b.add_resource(Resource::new("bandwidth", demands.clone(), caps.clone()));
+                }
+                let p = b.build().expect("valid problem");
+                let want = reference::greedy_placement(&p);
+                prop_assert_eq!(&greedy_placement(&p), &want);
+                let over = (p.dimensions().iter().enumerate()).any(|(d, dim)| {
+                    (want.dimension_loads(&p, d).iter().enumerate())
+                        .any(|(k, &load)| load > dim.capacity(k))
+                });
+                overflowed.set(overflowed.get() + u32::from(over));
+                beyond.set(beyond.get() + u32::from(c.capacities.iter().any(|&c| c > 1 << 53)));
+                Ok(())
+            });
+        assert!(
+            overflowed.get() > 0 && beyond.get() > 0,
+            "the generator must reach the overflow fallback ({}) and capacities above 2^53 ({})",
+            overflowed.get(),
+            beyond.get()
+        );
     }
 
     /// The fit test compares exact integers: an object of 2^53 + 1 bytes,
