@@ -9,6 +9,7 @@
 use crate::graph::CorrelationGraph;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
+use crate::resources::Loads;
 
 /// Options for [`exact_placement`].
 #[derive(Debug, Clone, Copy)]
@@ -26,7 +27,7 @@ impl Default for ExactOptions {
 }
 
 /// One depth-first branch-and-bound: the problem's precomputed branching
-/// order, limits and demands, plus the search state.
+/// order, plus the search state.
 struct Search<'a> {
     problem: &'a CcaProblem,
     /// Objects in branching order (heaviest pair involvement first).
@@ -34,16 +35,12 @@ struct Search<'a> {
     /// CSR adjacency over the correlated pairs.
     graph: &'a CorrelationGraph,
     uniform_capacity: bool,
-    /// `limits[node][dim]` over the problem's capacity table (storage
-    /// first).
-    limits: Vec<Vec<u64>>,
-    /// Cached integer demand vectors per object.
-    demands: Vec<Vec<u64>>,
     best_cost: f64,
     best: Option<Vec<u32>>,
     current: Vec<u32>,
-    /// `loads[node][dim]`, mirroring `limits`.
-    loads: Vec<Vec<u64>>,
+    /// The capacity ledger of `current` at slack 1, where every limit is
+    /// the capacity.
+    loads: Loads,
     visited: u64,
     max_visited: u64,
 }
@@ -81,11 +78,9 @@ impl Search<'_> {
         // Symmetry breaking for uniform capacities: only branch on nodes
         // 0..=max_used+1.
         let max_node = self.max_node(depth);
-        'nodes: for k in 0..max_node {
-            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
-                if self.loads[k][dim] + d > self.limits[k][dim] {
-                    continue 'nodes;
-                }
+        for k in 0..max_node {
+            if !self.loads.fits(k, obj) {
+                continue;
             }
             // Incremental cost: split pairs against already-assigned
             // neighbours.
@@ -96,15 +91,11 @@ impl Search<'_> {
                     extra += weight;
                 }
             }
-            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
-                self.loads[k][dim] += d;
-            }
+            self.loads.add(obj, k);
             self.current[obj.index()] = k as u32;
             self.dfs(depth + 1, cost + extra);
             self.current[obj.index()] = u32::MAX;
-            for (dim, &d) in self.demands[obj.index()].iter().enumerate() {
-                self.loads[k][dim] -= d;
-            }
+            self.loads.remove(obj, k);
         }
     }
 }
@@ -158,24 +149,15 @@ pub fn exact_placement(problem: &CcaProblem, options: &ExactOptions) -> Option<(
     let dims = problem.dimensions();
     let uniform_capacity =
         (0..problem.num_nodes()).all(|k| dims.iter().all(|d| d.capacity(k) == d.capacity(0)));
-    let limits: Vec<Vec<u64>> = (0..problem.num_nodes())
-        .map(|k| dims.iter().map(|d| d.capacity(k)).collect())
-        .collect();
-    let demands: Vec<Vec<u64>> = problem
-        .objects()
-        .map(|o| dims.iter().map(|d| d.demand(o.index())).collect())
-        .collect();
     let mut search = Search {
         problem,
         order,
         graph,
         uniform_capacity,
-        limits,
-        demands,
         best_cost: f64::INFINITY,
         best: None,
         current: vec![u32::MAX; t],
-        loads: vec![vec![0; dims.len()]; problem.num_nodes()],
+        loads: Loads::new(problem, &[], 1.0),
         visited: 0,
         max_visited: options.max_visited,
     };

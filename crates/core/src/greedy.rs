@@ -6,7 +6,9 @@
 
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
+use crate::resources::Loads;
 use cca_hash::hash_placement;
+use std::cmp::Reverse;
 
 /// Computes the greedy correlation-aware placement.
 ///
@@ -38,30 +40,13 @@ use cca_hash::hash_placement;
 /// ```
 #[must_use]
 pub fn greedy_placement(problem: &CcaProblem) -> Placement {
-    let t = problem.num_objects();
     let n = problem.num_nodes();
-    let dims = problem.dimensions();
-    let mut assignment = vec![u32::MAX; t];
-    // free[node][dim] and demands[object][dim] over the capacity table
-    // (storage first), as exact integers.
-    let mut free: Vec<Vec<i128>> = (0..n)
-        .map(|k| dims.iter().map(|d| i128::from(d.capacity(k))).collect())
-        .collect();
-    let demands: Vec<Vec<i128>> = problem
-        .objects()
-        .map(|o| {
-            dims.iter()
-                .map(|d| i128::from(d.demand(o.index())))
-                .collect()
-        })
-        .collect();
-    let fits = |free_k: &[i128], demand: &[i128]| free_k.iter().zip(demand).all(|(&f, &d)| f >= d);
-
-    let place = |assignment: &mut Vec<u32>, free: &mut Vec<Vec<i128>>, i: ObjectId, k: usize| {
+    let mut assignment = vec![u32::MAX; problem.num_objects()];
+    // The capacity ledger at slack 1, where every limit is the capacity.
+    let mut loads = Loads::new(problem, &[], 1.0);
+    let place = |assignment: &mut [u32], loads: &mut Loads, i: ObjectId, k: usize| {
         assignment[i.index()] = k as u32;
-        for (f, d) in free[k].iter_mut().zip(&demands[i.index()]) {
-            *f -= d;
-        }
+        loads.add(i, k);
     };
 
     // The graph precomputes the (descending correlation, ties (a, b))
@@ -70,28 +55,19 @@ pub fn greedy_placement(problem: &CcaProblem) -> Placement {
     for &e in problem.graph().edges_by_correlation() {
         let pair = &problem.pairs()[e.index()];
         let (a, b) = (pair.a, pair.b);
-        let (pa, pb) = (assignment[a.index()], assignment[b.index()]);
-        match (pa, pb) {
+        match (assignment[a.index()], assignment[b.index()]) {
             (u32::MAX, u32::MAX) => {
-                let need: Vec<i128> = demands[a.index()]
-                    .iter()
-                    .zip(&demands[b.index()])
-                    .map(|(&x, &y)| x + y)
-                    .collect();
-                // Most free storage first, ties by node id.
-                if let Some(k) = (0..n)
-                    .filter(|&k| fits(&free[k], &need))
-                    .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
-                {
-                    place(&mut assignment, &mut free, a, k);
-                    place(&mut assignment, &mut free, b, k);
+                let need = loads.demand(&[a, b]);
+                if let Some(k) = roomiest(&loads, n, |k| loads.fits_demand(k, &need)) {
+                    place(&mut assignment, &mut loads, a, k);
+                    place(&mut assignment, &mut loads, b, k);
                 }
             }
-            (k, u32::MAX) if fits(&free[k as usize], &demands[b.index()]) => {
-                place(&mut assignment, &mut free, b, k as usize);
+            (k, u32::MAX) if loads.fits(k as usize, b) => {
+                place(&mut assignment, &mut loads, b, k as usize);
             }
-            (u32::MAX, k) if fits(&free[k as usize], &demands[a.index()]) => {
-                place(&mut assignment, &mut free, a, k as usize);
+            (u32::MAX, k) if loads.fits(k as usize, a) => {
+                place(&mut assignment, &mut loads, a, k as usize);
             }
             _ => {}
         }
@@ -102,33 +78,36 @@ pub fn greedy_placement(problem: &CcaProblem) -> Placement {
         if assignment[i.index()] != u32::MAX {
             continue;
         }
-        let demand = &demands[i.index()];
         let hashed = hash_placement(problem.name(i), n);
-        let k = if fits(&free[hashed], demand) {
+        let k = if loads.fits(hashed, i) {
             hashed
-        } else if let Some(k) = (0..n)
-            .filter(|&k| fits(&free[k], demand))
-            .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
-        {
+        } else if let Some(k) = roomiest(&loads, n, |k| loads.fits(k, i)) {
             k
         } else {
             // Nothing fits: overflow onto the least-loaded node.
-            (0..n)
-                .max_by_key(|&k| (free[k][0], std::cmp::Reverse(k)))
-                .expect("n > 0")
+            roomiest(&loads, n, |_| true).expect("n > 0")
         };
-        place(&mut assignment, &mut free, i, k);
+        place(&mut assignment, &mut loads, i, k);
     }
 
     Placement::new(assignment, n)
 }
 
-/// `greedy_placement` as it was before it ran on the capacity ledger,
-/// with its own exact `i128` free-space and demand tables. Kept verbatim
-/// as the differential oracle the ledger version must match placement
-/// for placement.
+/// Among the `n` nodes `fits` admits, the one with the most free storage,
+/// ties toward the lowest id.
+fn roomiest(loads: &Loads, n: usize, fits: impl Fn(usize) -> bool) -> Option<usize> {
+    (0..n)
+        .filter(|&k| fits(k))
+        .max_by_key(|&k| (loads.headroom(k), Reverse(k)))
+}
+
 #[cfg(test)]
 mod reference {
+    //! `greedy_placement` as it was before it ran on the capacity ledger,
+    //! with its own exact `i128` free-space and demand tables. Kept
+    //! verbatim as the differential oracle the ledger version must match
+    //! placement for placement.
+
     use crate::placement::Placement;
     use crate::problem::{CcaProblem, ObjectId};
     use cca_hash::hash_placement;
@@ -444,7 +423,8 @@ mod tests {
 
     /// The fit test compares exact integers: an object of 2^53 + 1 bytes,
     /// a size no `f64` holds, does not fit its hash node's 2^53 bytes, so
-    /// it lands on the other node, which holds it exactly.
+    /// it lands on the other node, which holds it exactly, and the
+    /// placement check agrees with the audit.
     #[test]
     fn fit_test_sees_sizes_beyond_f64_precision() {
         let size = (1u64 << 53) + 1;
@@ -458,6 +438,7 @@ mod tests {
         assert_eq!(pl.node_of(o), 1 - hashed);
         let audit = crate::audit::audit_placement(&p, &pl, 1);
         assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+        assert!(pl.within_capacity(&p, 1.0));
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! [`crate::resilience::survive_node_loss`]: zero the node's capacity,
 //! repair, polish.
 //!
-//! Every mover here, the capacity repair of [`crate::repair`] and the copy
-//! rule of [`crate::replica`] keep their loads in one capacity ledger
-//! (`Loads`) and check every dimension of it: storage and each secondary
-//! resource (paper §3.3). The local search is written once, as the
+//! Every mover here, the capacity repair of [`crate::repair`], the copy
+//! rule of [`crate::replica`], greedy and the exact search keep their
+//! loads in one capacity ledger (`Loads`, beside the capacity rule in
+//! [`crate::resources`]) and check every dimension of it: storage and
+//! each secondary resource (paper §3.3). The local search is written once, as the
 //! spread-preserving replica polish of [`improve_replicas_in_place`];
 //! [`improve_in_place`] is its `r = 1` case over a flat domain tree, and
 //! every single-copy move delta is the `r = 1` replica kernel.
@@ -29,6 +30,7 @@ use crate::graph::GroupWalk;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
 use crate::replica::{DomainTree, ReplicaPlacement};
+use crate::resources::Loads;
 
 /// Options for [`reconcile`] and [`improve_in_place`].
 #[derive(Debug, Clone, Copy)]
@@ -236,139 +238,6 @@ pub(crate) fn polish(
         }
     }
     (moves, migrated)
-}
-
-/// The capacity ledger: the load of every copy on every node, in every
-/// dimension of the problem's capacity table — storage, then each
-/// secondary resource (paper §3.3) — against that dimension's
-/// `capacity · slack`. It owns the fit test, the overload measure, group
-/// fits and move application for every mover. Each dimension is a
-/// contiguous column, so a problem without secondary resources scans
-/// storage alone.
-pub(crate) struct Loads {
-    dims: Vec<Dim>,
-}
-
-/// One dimension of [`Loads`].
-struct Dim {
-    /// `demand[i]`: one copy of object `i`.
-    demand: Vec<f64>,
-    /// `load[k]`: every copy on node `k`.
-    load: Vec<f64>,
-    /// `cap[k]`: node `k`'s `capacity · slack`.
-    cap: Vec<f64>,
-    /// `fit[k]`: `cap[k]` plus the fit test's tolerance.
-    fit: Vec<f64>,
-}
-
-impl Loads {
-    /// The ledger of the copies in `columns` (one column per copy) under
-    /// the problem's own demands.
-    pub(crate) fn new(problem: &CcaProblem, columns: &[Placement], slack: f64) -> Self {
-        let dims = problem.dimensions();
-        Loads::with_demands(problem, columns, slack, |i, d| {
-            dims[d].demand(i.index()) as f64
-        })
-    }
-
-    /// [`Loads::new`] with `demand(i, d)` as one copy of object `i`'s
-    /// demand in dimension `d` of the capacity table.
-    pub(crate) fn with_demands(
-        problem: &CcaProblem,
-        columns: &[Placement],
-        slack: f64,
-        demand: impl Fn(ObjectId, usize) -> f64,
-    ) -> Self {
-        let dims = (problem.dimensions().iter().enumerate())
-            .map(|(d, dim)| {
-                let cap: Vec<f64> = (dim.capacities().iter())
-                    .map(|&c| c as f64 * slack)
-                    .collect();
-                let demand: Vec<f64> = problem.objects().map(|i| demand(i, d)).collect();
-                let mut load = vec![0.0; problem.num_nodes()];
-                for column in columns {
-                    for (&k, &x) in column.as_slice().iter().zip(&demand) {
-                        load[k as usize] += x;
-                    }
-                }
-                Dim {
-                    fit: cap.iter().map(|&c| c + 1e-9).collect(),
-                    demand,
-                    load,
-                    cap,
-                }
-            })
-            .collect();
-        Loads { dims }
-    }
-
-    /// The fit test: one more copy of `obj` fits on `node` when, in every
-    /// dimension, `load + demand ≤ capacity · slack` (with a tolerance
-    /// for rounding in the limit).
-    pub(crate) fn fits(&self, node: usize, obj: ObjectId) -> bool {
-        (self.dims.iter()).all(|d| d.load[node] + d.demand[obj.index()] <= d.fit[node])
-    }
-
-    /// [`Loads::fits`] on every node: `out[k]` says whether one more copy
-    /// of `obj` fits on node `k`.
-    pub(crate) fn fit_row(&self, obj: ObjectId, out: &mut [bool]) {
-        out.fill(true);
-        for d in &self.dims {
-            let x = d.demand[obj.index()];
-            for ((ok, &load), &fit) in out.iter_mut().zip(&d.load).zip(&d.fit) {
-                *ok &= load + x <= fit;
-            }
-        }
-    }
-
-    /// The summed demand of one copy of each object in `group`, one entry
-    /// per dimension.
-    pub(crate) fn demand(&self, group: &[ObjectId]) -> Vec<f64> {
-        (self.dims.iter())
-            .map(|d| group.iter().fold(0.0, |s, o| s + d.demand[o.index()]))
-            .collect()
-    }
-
-    /// Group fits: the fit test for a group whose summed demand is
-    /// `demand` ([`Loads::demand`]).
-    pub(crate) fn fits_demand(&self, node: usize, demand: &[f64]) -> bool {
-        (self.dims.iter().zip(demand)).all(|(d, &x)| d.load[node] + x <= d.fit[node])
-    }
-
-    /// The storage demand of one copy of `obj`.
-    pub(crate) fn size(&self, obj: ObjectId) -> f64 {
-        self.dims[0].demand[obj.index()]
-    }
-
-    /// The storage load of `node`: every copy on it.
-    pub(crate) fn storage(&self, node: usize) -> f64 {
-        self.dims[0].load[node]
-    }
-
-    /// The overload measure: `node`'s worst relative excess
-    /// `(load − cap) / (1 + cap)` over every dimension, without the fit
-    /// test's tolerance.
-    pub(crate) fn overload(&self, node: usize) -> f64 {
-        (self.dims.iter())
-            .map(|d| (d.load[node] - d.cap[node]) / (1.0 + d.cap[node]))
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Moves one copy of `obj` from `src` to `dst`.
-    pub(crate) fn apply(&mut self, obj: ObjectId, src: usize, dst: usize) {
-        for d in &mut self.dims {
-            let x = d.demand[obj.index()];
-            d.load[src] -= x;
-            d.load[dst] += x;
-        }
-    }
-
-    /// Places one more copy of `obj` on `node`.
-    pub(crate) fn add(&mut self, obj: ObjectId, node: usize) {
-        for d in &mut self.dims {
-            d.load[node] += d.demand[obj.index()];
-        }
-    }
 }
 
 /// Moves from `current` toward `desired` without exceeding

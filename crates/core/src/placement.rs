@@ -1,6 +1,7 @@
 //! Integral placements `f : T -> N` and their evaluation.
 
 use crate::problem::{CcaProblem, ObjectId};
+use crate::resources::{limit, within};
 
 /// An integral object placement: every object is assigned to exactly one
 /// node.
@@ -117,7 +118,9 @@ impl Placement {
     /// Returns `true` if every node's storage load is within its
     /// capacity, scaled by `slack` (use `slack = 1.0` for strict
     /// adherence; the paper suggests conservative capacities so slight
-    /// overshoot is tolerable).
+    /// overshoot is tolerable): the exact load is at most the limit every
+    /// mover's fit test uses, `⌊capacity · slack + 1e-9⌋`, which is the
+    /// capacity at slack 1.
     #[must_use]
     pub fn within_capacity(&self, problem: &CcaProblem, slack: f64) -> bool {
         self.within_dimension(problem, 0, slack)
@@ -130,22 +133,12 @@ impl Placement {
         (0..problem.dimensions().len()).all(|d| self.within_dimension(problem, d, slack))
     }
 
-    /// Every node's load in dimension `d` against `capacity · slack`, the
-    /// limit an `f64` product. A load is compared with it exactly: a load
-    /// above 2^53 is not rounded to the limit first.
+    /// Every node's load in dimension `d` against its limit at `slack`.
     fn within_dimension(&self, problem: &CcaProblem, d: usize, slack: f64) -> bool {
         (self.dimension_loads(problem, d).into_iter())
             .zip(problem.dimensions()[d].capacities())
-            .all(|(load, &cap)| at_most(load, cap as f64 * slack))
+            .all(|(load, &cap)| within(load, 0, limit(cap, slack)))
     }
-}
-
-/// `load ≤ limit` on the exact values: an integer is at most a finite
-/// non-negative `limit` iff it is at most `⌊limit⌋`, which `u64` holds
-/// exactly below 2^64. A NaN or negative limit admits no load and
-/// `-0.0` admits only 0, as the `f64` comparison does.
-fn at_most(load: u64, limit: f64) -> bool {
-    limit >= 18_446_744_073_709_551_616.0 || (limit >= 0.0 && load <= limit as u64)
 }
 
 #[cfg(test)]
@@ -209,44 +202,77 @@ mod tests {
         );
     }
 
+    /// The limit keeps the `f64` fit test the capacity ledger used,
+    /// `load ≤ capacity · slack + 1e-9`, for every load and capacity
+    /// below 2^53, at NaN, signed-zero, negative and infinite slacks too.
+    /// Above 2^53 the comparison is exact, and at slack 1 the limit is
+    /// the capacity, whichever way the `f64` product rounds it.
     #[test]
     fn exact_comparison_keeps_the_f64_result_below_2_pow_53() {
-        let limits = [
+        let slacks = [
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
             -1.5,
             -0.0,
             0.0,
+            1e-300,
             0.5,
+            0.999_999_999_999_9,
             1.0,
-            41.999_999_999_999_99,
-            42.0,
-            1e15 + 0.5,
-            9_007_199_254_740_991.0,
-            9_007_199_254_740_992.0,
-            1.8e19,
-            18_446_744_073_709_549_568.0,
-            18_446_744_073_709_551_616.0,
+            1.05,
+            1.15,
+            1.3,
+            2.0,
+            2.3,
+            1e300,
         ];
-        let loads = [0, 1, 41, 42, 43, 999_999_999_999_999, 1_000_000_000_000_000];
-        let loads = loads.into_iter().chain([(1 << 53) - 1, (1 << 53) - 2]);
-        for load in loads {
-            for limit in limits {
-                assert_eq!(
-                    at_most(load, limit),
-                    load as f64 <= limit,
-                    "{load} vs {limit}"
-                );
+        let capacities: [u64; 9] = [
+            0,
+            1,
+            3,
+            20,
+            100,
+            999,
+            1_000_000_000_000,
+            (1 << 52) - 1,
+            (1 << 53) - 1,
+        ];
+        for c in capacities {
+            for s in slacks {
+                let fit = c as f64 * s + 1e-9;
+                let at = fit.clamp(0.0, (1u64 << 53) as f64) as u64;
+                let loads = [
+                    0,
+                    1,
+                    c.saturating_sub(1),
+                    c,
+                    c + 1,
+                    at.saturating_sub(1),
+                    at,
+                    at + 1,
+                ];
+                for load in loads.into_iter().filter(|&l| l < 1 << 53) {
+                    assert_eq!(
+                        within(load, 0, limit(c, s)),
+                        load as f64 <= fit,
+                        "{load} vs {c} · {s}"
+                    );
+                }
             }
         }
-        for load in [(1 << 53) + 1, u64::MAX - 1] {
-            assert!(!at_most(load, load as f64 - 4096.0));
-            assert!(at_most(load, f64::INFINITY) && !at_most(load, f64::NAN));
+        let big = (1u64 << 53) + 1;
+        for c in [big, big + 2, u64::MAX - 1, u64::MAX] {
+            assert_eq!(limit(c, 1.0), Some(c));
         }
-        assert!(!at_most((1 << 53) + 1, 9_007_199_254_740_992.0));
-        assert!(at_most(u64::MAX, 18_446_744_073_709_551_616.0));
-        assert!(!at_most(u64::MAX, 18_446_744_073_709_549_568.0));
+        assert_eq!((big + 2) as f64, (big + 3) as f64, "rounds up");
+        assert!(!within(big, 0, limit(1 << 53, 1.0)));
+        assert!(within(big, 0, limit(1 << 53, 1.0 + f64::EPSILON)));
+        assert_eq!(limit(big, 0.5), Some(1 << 52));
+        assert_eq!(limit(u64::MAX, 1.5), Some(u64::MAX));
+        assert!(within(u64::MAX, 0, limit(1, f64::INFINITY)));
+        assert!(!within(u64::MAX, 1, limit(u64::MAX, 1.0)));
+        assert!(within(u64::MAX - 1, 1, limit(u64::MAX, 1.0)));
     }
 
     #[test]

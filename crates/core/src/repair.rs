@@ -27,17 +27,20 @@
 //! comparison against the baselines stays honest.
 
 use crate::graph::{CorrelationGraph, GroupWalk};
-use crate::migrate::{polish, Loads, MigrateOptions};
+use crate::migrate::{polish, MigrateOptions};
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId};
-use crate::replica::{pick_copy_node, DomainTree, ReplicaPlacement};
+use crate::replica::{place_copies, DomainTree, ReplicaPlacement};
+use crate::resources::Loads;
 
 /// Outcome of [`repair_capacity`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepairOutcome {
     /// Number of objects moved (cluster moves count each member).
     pub moves: usize,
-    /// Whether all nodes ended within `capacity * slack`.
+    /// Whether the eviction left every node within its limit at the
+    /// slack, the limit [`Placement::within_all_capacities`] checks. The
+    /// improvement sweeps keep such a placement within it.
     pub feasible: bool,
 }
 
@@ -50,7 +53,7 @@ struct Repairer<'a> {
     /// steps and the polish move the same copies.
     rp: ReplicaPlacement,
     /// Every node's load in every dimension (storage, then each secondary
-    /// resource, paper 3.3) against `capacity · slack`.
+    /// resource, paper 3.3) against its limit at the slack.
     loads: Loads,
     /// `members[node]`: the objects placed on `node`, ascending by id;
     /// [`Repairer::apply_move`] keeps it in step with `rp`.
@@ -89,20 +92,14 @@ impl<'a> Repairer<'a> {
         // that stays within limits, so total overload strictly decreases;
         // the cap is defence in depth.
         let max_steps = 4 * self.problem.num_objects() + 16;
-        let mut feasible = true;
         for _ in 0..max_steps {
-            match self.step() {
-                Ok(true) => continue,
-                Ok(false) => break,
-                Err(()) => {
-                    feasible = false;
-                    break;
-                }
+            if !self.step() {
+                break;
             }
         }
-        if feasible {
-            feasible = (0..self.problem.num_nodes()).all(|k| self.loads.overload(k) <= 1e-12);
-        }
+        // The verdict is the eviction's: the sweeps move only to nodes
+        // where a copy fits, so they never break it.
+        let feasible = !(0..self.problem.num_nodes()).any(|k| self.loads.over(k));
         if improvement_sweeps > 0 {
             let tree = DomainTree::flat(self.rp.num_nodes());
             let options = MigrateOptions {
@@ -146,7 +143,7 @@ impl<'a> Repairer<'a> {
             let (_, base) = self.clusters.fold(self.graph, c, self.rp.primary());
             let cluster = self.clusters.group(c);
             let size = (cluster.iter())
-                .fold(0.0, |s, &o| s + self.loads.size(o))
+                .fold(0.0, |s, &o| s + self.loads.size(o) as f64)
                 .max(1.0);
             // Exact bound: every target's score (base − join(k)) / size is
             // at least (base − max(0, maxₖ join(k))) / size, as IEEE
@@ -160,7 +157,7 @@ impl<'a> Repairer<'a> {
             }
             let demand = self.loads.demand(cluster);
             // A cluster with zero demand in every dimension frees nothing.
-            if demand.iter().all(|&d| d == 0.0) {
+            if demand.iter().all(|&d| d == 0) {
                 continue;
             }
             for k in 0..n {
@@ -186,7 +183,7 @@ impl<'a> Repairer<'a> {
         let mut fitting: Vec<usize> = Vec::with_capacity(n);
         let mut deltas = vec![0.0f64; n];
         for &i in &self.members[src] {
-            if self.loads.demand(&[i]).iter().all(|&d| d == 0.0) {
+            if self.loads.demand(&[i]).iter().all(|&d| d == 0) {
                 continue;
             }
             fitting.clear();
@@ -197,7 +194,7 @@ impl<'a> Repairer<'a> {
             self.problem
                 .eval_replica_move_deltas(&self.rp, i, 0, &mut deltas);
             for &k in &fitting {
-                let score = deltas[k] / self.loads.size(i).max(1.0);
+                let score = deltas[k] / (self.loads.size(i) as f64).max(1.0);
                 if best.is_none_or(|(bs, _, _)| score < bs) {
                     best = Some((score, i, k));
                 }
@@ -206,19 +203,20 @@ impl<'a> Repairer<'a> {
         best.map(|(_, i, k)| (i, k))
     }
 
-    /// Tries one repair step on the most overloaded node. Returns `false`
-    /// when nothing is overloaded, and `Err` when nothing can move.
+    /// Tries one repair step on the most overloaded of the nodes over
+    /// their limit. Returns `false` when no node is over its limit or
+    /// nothing can move.
     ///
     /// A step costs O(members(src) + their edges) plus the cluster sort
     /// and one group-fits scan per cluster that survives the score bound.
-    fn step(&mut self) -> Result<bool, ()> {
+    fn step(&mut self) -> bool {
         let n = self.problem.num_nodes();
         let Some((src, _)) = (0..n)
-            .map(|k| (k, self.loads.overload(k)))
-            .filter(|&(_, over)| over > 1e-12)
+            .filter(|&k| self.loads.over(k))
+            .map(|k| (k, self.loads.overload(self.problem, k)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
         else {
-            return Ok(false); // feasible
+            return false; // feasible
         };
 
         // The clusters on src: its members' groups over edges between
@@ -236,23 +234,23 @@ impl<'a> Repairer<'a> {
                 self.apply_move(o, src, target);
             }
             self.clusters = clusters;
-            return Ok(true);
+            return true;
         }
 
         // Only when no cluster fits anywhere: evict single objects, members
         // of larger clusters included.
         let Some((obj, target)) = self.best_object_move(src) else {
-            return Err(()); // stuck: nothing fits anywhere
+            return false; // stuck: nothing fits anywhere
         };
         self.apply_move(obj, src, target);
-        Ok(true)
+        true
     }
 }
 
-/// Moves objects between nodes until every node's load is within
-/// `capacity(k) * slack`, then runs up to `improvement_sweeps` bounded
-/// local-search sweeps (capacity-respecting, strictly cost-reducing moves
-/// only).
+/// Moves objects between nodes until every node's load is within its
+/// limit at `slack` (the limit [`Placement::within_all_capacities`]
+/// checks), then runs up to `improvement_sweeps` bounded local-search
+/// sweeps (capacity-respecting, strictly cost-reducing moves only).
 ///
 /// # Panics
 ///
@@ -339,41 +337,11 @@ pub fn repair_replica_spread(
     for &n in dead_nodes {
         dead[n] = true;
     }
-    let alive = |node: usize| !dead[node];
-    // Copies leaving a dead node lighten it, which nothing reads: dead
-    // nodes are never candidates.
+    // Copies leaving a dead node stay in its load, which nothing reads:
+    // dead nodes are never candidates.
     let mut loads = Loads::new(problem, rp.columns(), slack);
-    let r = rp.replicas();
-    let mut moves = 0usize;
-    let mut migrated_bytes = 0u64;
-    for i in problem.objects() {
-        let mut used_leaves: Vec<usize> = Vec::with_capacity(r);
-        let mut used_zones: Vec<usize> = Vec::with_capacity(r);
-        for n in rp.nodes_of(i).filter(|&n| alive(n)) {
-            used_leaves.push(tree.domain_of(n));
-            used_zones.push(tree.zone_of(n));
-        }
-        for j in 0..r {
-            let n = rp.node_of(i, j);
-            if alive(n) {
-                continue;
-            }
-            let target =
-                pick_copy_node(tree, &loads, alive, &used_leaves, &used_zones, i).or_else(|| {
-                    (0..tree.num_nodes())
-                        .filter(|&node| alive(node))
-                        .min_by(|&a, &b| loads.storage(a).total_cmp(&loads.storage(b)))
-                });
-            if let Some(target) = target {
-                loads.apply(i, n, target);
-                rp.assign(i, j, target);
-                used_leaves.push(tree.domain_of(target));
-                used_zones.push(tree.zone_of(target));
-                moves += 1;
-                migrated_bytes += problem.size(i);
-            }
-        }
-    }
+    let (moves, migrated_bytes) =
+        place_copies(problem, tree, rp, &mut loads, |k| !dead[k], |_, k| dead[k]);
     ReplicaRepairOutcome {
         moves,
         migrated_bytes,
@@ -672,7 +640,7 @@ mod reference {
 mod tests {
     use super::*;
     use crate::resources::Resource;
-    use cca_check::{prop_assert_eq, Checker, Rng, Shrink, StdRng};
+    use cca_check::{prop_assert, prop_assert_eq, Checker, Rng, Shrink, StdRng};
     use cca_rand::seq::SliceRandom;
     use std::cell::Cell;
 
@@ -840,7 +808,7 @@ mod tests {
                 );
                 let loads =
                     Loads::with_demands(&p, std::slice::from_ref(&start), c.slack, |i, d| {
-                        demands[i.index()][d]
+                        demands[i.index()][d] as u64
                     });
                 let (outcome, got) = Repairer::new(&p, start.clone(), loads).run(c.sweeps);
                 prop_assert_eq!(outcome, want);
@@ -1003,6 +971,202 @@ mod tests {
         assert!(out.feasible);
         assert_eq!(out.moves, 0); // no overload, no sweeps => untouched
         assert_eq!(pl.node_of(o[0]), 1);
+    }
+
+    /// Two 1 TB nodes with everything on node 0, one byte over its
+    /// capacity: that byte is an overload like any other, and it moves.
+    #[test]
+    fn a_one_byte_overload_of_a_terabyte_node_is_repaired() {
+        let mut b = CcaProblem::builder();
+        let byte = b.add_object("byte", 1);
+        b.add_object("a", 500_000_000_000);
+        b.add_object("b", 500_000_000_000);
+        let p = b.uniform_capacities(2, 1_000_000_000_000).build().unwrap();
+        let mut pl = Placement::new(vec![0, 0, 0], 2);
+        let out = repair_capacity(&p, &mut pl, 1.0);
+        assert_eq!(
+            out,
+            RepairOutcome {
+                moves: 1,
+                feasible: true
+            }
+        );
+        assert_eq!(pl.as_slice(), &[1, 0, 0]);
+        assert!(pl.within_capacity(&p, 1.0));
+        let audit = crate::audit::audit_placement(&p, &pl, 0);
+        assert!(audit.violations.is_empty(), "{:?}", audit.violations);
+        assert_eq!(pl.node_of(byte), 1);
+    }
+
+    /// Above 2^53 a one-byte overload is still an overload: an object of
+    /// 2^53 + 1 bytes on a node of 2^53 bytes, with nowhere to go.
+    #[test]
+    fn a_one_byte_overload_above_2_pow_53_is_infeasible() {
+        let mut b = CcaProblem::builder();
+        b.add_object("big", (1 << 53) + 1);
+        b.add_object("byte", 1);
+        let p = b.uniform_capacities(2, 1 << 53).build().unwrap();
+        let mut pl = Placement::new(vec![0, 1], 2);
+        let out = repair_capacity(&p, &mut pl, 1.0);
+        assert!(!out.feasible, "{out:?}");
+        assert!(!pl.within_capacity(&p, 1.0));
+    }
+
+    /// A random instance for the verdict property.
+    #[derive(Debug, Clone)]
+    struct VerdictCase {
+        sizes: Vec<u64>,
+        /// Optional secondary resource: per-object demands, per-node
+        /// capacities.
+        resource: Option<(Vec<u64>, Vec<u64>)>,
+        edges: Vec<(usize, usize, u32)>,
+        capacities: Vec<u64>,
+        start: Vec<u32>,
+        desired: Vec<u32>,
+        slack: f64,
+        nonpositive: bool,
+    }
+
+    impl Shrink for VerdictCase {}
+
+    /// 1–6 nodes whose capacities are drawn log-uniformly from 1 to 2^60
+    /// bytes, or are 10^12 bytes, and 1–24 objects placed at random. Each
+    /// node's start load is its limit `⌊capacity · slack⌋` plus −2 to +2
+    /// bytes, or 30–150% of it (at most 2^61), cut into the sizes of the
+    /// objects on it; a secondary resource in half the cases is cut the
+    /// same way. One case in five is a rounding edge: up to 60 objects on
+    /// nodes of 100 bytes at slack 1.15, whose `f64` product is just
+    /// under 115.
+    fn verdict_case(rng: &mut StdRng) -> VerdictCase {
+        let edge = rng.random_bool(0.2);
+        let n = rng.random_range(1usize..=6);
+        let t = rng.random_range(1usize..=if edge { 60 } else { 24 });
+        let slack = match edge {
+            true => 1.15,
+            false => [1.0, 1.05, 1.15, 1.3, 2.0][rng.random_range(0..5)],
+        };
+        let start: Vec<u32> = (0..t).map(|_| rng.random_range(0..n as u32)).collect();
+        let capacity = |rng: &mut StdRng| match (edge, rng.random_range(0..4)) {
+            (true, _) => 100,
+            (false, 0) => 1_000_000_000_000,
+            _ => {
+                let e = rng.random_range(0u32..=59);
+                rng.random_range(1u64 << e..=(2u64 << e) - 1)
+            }
+        };
+        // Cuts each node's start load into the demands of its objects,
+        // each at least `min`.
+        let cut = |rng: &mut StdRng, caps: &[u64], min: u64| -> Vec<u64> {
+            let mut demands = vec![0u64; t];
+            for (k, &cap) in caps.iter().enumerate() {
+                let on: Vec<usize> = (0..t).filter(|&i| start[i] as usize == k).collect();
+                let floor = min * on.len() as u64;
+                let limit = (cap as f64 * slack) as u64;
+                let load = match rng.random_bool(0.5) {
+                    true => limit.saturating_add_signed(rng.random_range(-2i64..=2)),
+                    false => (limit as f64 * rng.random_range(0.3..1.5)) as u64,
+                };
+                let spare = load.clamp(floor, 1 << 61) - floor;
+                let mut cuts: Vec<u64> = (1..on.len())
+                    .map(|_| rng.random_range(0..=spare))
+                    .chain([spare])
+                    .collect();
+                cuts.sort_unstable();
+                let mut prev = 0;
+                for (&i, &c) in on.iter().zip(&cuts) {
+                    demands[i] = c - prev + min;
+                    prev = c;
+                }
+            }
+            demands
+        };
+        let capacities: Vec<u64> = (0..n).map(|_| capacity(rng)).collect();
+        let sizes = cut(rng, &capacities, 1);
+        let resource = rng.random_bool(0.5).then(|| {
+            let caps: Vec<u64> = (0..n).map(|_| capacity(rng)).collect();
+            (cut(rng, &caps, 0), caps)
+        });
+        let edges = (0..rng.random_range(0..=2 * t))
+            .map(|_| {
+                let (a, b) = (rng.random_range(0..t), rng.random_range(0..t));
+                (a, b, rng.random_range(1u32..=997))
+            })
+            .collect();
+        VerdictCase {
+            sizes,
+            resource,
+            edges,
+            capacities,
+            desired: (0..t).map(|_| rng.random_range(0..n as u32)).collect(),
+            start,
+            slack,
+            nonpositive: rng.random_bool(0.5),
+        }
+    }
+
+    /// Repair's verdict is the placement check's on the placement its
+    /// eviction leaves, at every scale: a node one byte over its limit is
+    /// infeasible for both, at a 1 TB node and above 2^53 too. The
+    /// improvement sweeps keep that verdict and a feasible placement. The
+    /// polish and `reconcile`, started within capacity, end within
+    /// capacity, at slack 1.15 too.
+    #[test]
+    fn repair_verdict_is_the_placement_check() {
+        let (infeasible, feasible, kept) = (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+        Checker::new("repair_verdict_is_the_placement_check")
+            .cases(1000)
+            .run(verdict_case, |c| {
+                let mut b = CcaProblem::builder();
+                let o: Vec<ObjectId> = (c.sizes.iter().enumerate())
+                    .map(|(i, &s)| b.add_object(format!("o{i}"), s))
+                    .collect();
+                for &(a, d, r) in &c.edges {
+                    if a != d {
+                        b.add_pair(o[a], o[d], f64::from(r) / 997.0, 1.0)
+                            .expect("valid pair");
+                    }
+                }
+                b.capacities(c.capacities.clone());
+                if let Some((demands, caps)) = &c.resource {
+                    b.add_resource(Resource::new("bandwidth", demands.clone(), caps.clone()));
+                }
+                let p = b.build().expect("valid problem");
+                let n = p.num_nodes();
+                let start = Placement::new(c.start.clone(), n);
+                let mut pl = start.clone();
+                let out = repair_capacity_with(&p, &mut pl, c.slack, 0);
+                prop_assert_eq!(out.feasible, pl.within_all_capacities(&p, c.slack));
+                // The sweeps keep a feasible verdict's placement within
+                // capacity and leave the verdict alone.
+                let mut swept = start.clone();
+                let verdict = repair_capacity(&p, &mut swept, c.slack).feasible;
+                prop_assert_eq!(verdict, out.feasible);
+                prop_assert!(!verdict || swept.within_all_capacities(&p, c.slack));
+                infeasible.set(infeasible.get() + u32::from(!out.feasible));
+                feasible.set(feasible.get() + u32::from(out.feasible && out.moves > 0));
+                if start.within_all_capacities(&p, c.slack) {
+                    let options = MigrateOptions {
+                        capacity_slack: c.slack,
+                        apply_nonpositive_gains: c.nonpositive,
+                        ..MigrateOptions::default()
+                    };
+                    let polished = crate::migrate::improve_in_place(&p, &start, &options);
+                    prop_assert!(polished.placement.within_all_capacities(&p, c.slack));
+                    let desired = Placement::new(c.desired.clone(), n);
+                    let moved = crate::migrate::reconcile(&p, &start, &desired, u64::MAX, &options);
+                    prop_assert!(moved.placement.within_all_capacities(&p, c.slack));
+                    kept.set(kept.get() + u32::from(polished.moves + moved.moves > 0));
+                }
+                Ok(())
+            });
+        assert!(
+            infeasible.get() > 0 && feasible.get() > 0 && kept.get() > 0,
+            "the generator must reach infeasible ({}) and repaired ({}) verdicts, and moves from \
+             a start within capacity ({})",
+            infeasible.get(),
+            feasible.get(),
+            kept.get()
+        );
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //! * **Replica scans** are always in ascending replica-index order
 //!   (primary first), so "first colocated replica" is well defined.
 
-use crate::migrate::Loads;
 use crate::placement::Placement;
 use crate::problem::{CcaProblem, ObjectId, ProblemError};
+use crate::resources::Loads;
 
 // ---------------------------------------------------------------------------
 // DomainTree
@@ -399,45 +399,37 @@ impl ReplicaPlacement {
     /// Panics if `tree` covers a different node count.
     #[must_use]
     pub fn spread_valid(&self, tree: &DomainTree) -> bool {
+        self.violations(tree).next().is_none()
+    }
+
+    /// Objects violating the spread invariant (ascending ids). Empty iff
+    /// [`ReplicaPlacement::spread_valid`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tree` covers a different node count.
+    #[must_use]
+    pub fn spread_violations(&self, tree: &DomainTree) -> Vec<ObjectId> {
+        self.violations(tree).collect()
+    }
+
+    /// The one scan of the copy pairs: the objects two of whose copies
+    /// share a leaf domain, ascending.
+    fn violations<'a>(&'a self, tree: &'a DomainTree) -> impl Iterator<Item = ObjectId> + 'a {
         assert_eq!(
             tree.num_nodes(),
             self.num_nodes(),
             "domain tree and placement disagree on node count"
         );
         let r = self.replicas();
-        for i in 0..self.num_objects() {
-            let i = ObjectId(i as u32);
-            for a in 0..r {
-                let da = tree.domain_of(self.node_of(i, a));
-                for b in (a + 1)..r {
-                    if tree.domain_of(self.node_of(i, b)) == da {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Objects violating the spread invariant (ascending ids). Empty iff
-    /// [`ReplicaPlacement::spread_valid`].
-    #[must_use]
-    pub fn spread_violations(&self, tree: &DomainTree) -> Vec<ObjectId> {
-        let r = self.replicas();
-        let mut out = Vec::new();
-        'obj: for i in 0..self.num_objects() {
-            let i = ObjectId(i as u32);
-            for a in 0..r {
-                let da = tree.domain_of(self.node_of(i, a));
-                for b in (a + 1)..r {
-                    if tree.domain_of(self.node_of(i, b)) == da {
-                        out.push(i);
-                        continue 'obj;
-                    }
-                }
-            }
-        }
-        out
+        (0..self.num_objects() as u32)
+            .map(ObjectId)
+            .filter(move |&i| {
+                (0..r).any(|a| {
+                    let da = tree.domain_of(self.node_of(i, a));
+                    (a + 1..r).any(|b| tree.domain_of(self.node_of(i, b)) == da)
+                })
+            })
     }
 }
 
@@ -468,47 +460,70 @@ pub fn validate_replica_spec(replicas: usize, tree: &DomainTree) -> Result<(), P
     Ok(())
 }
 
-/// Picks the target node for one more copy of `obj`, given the leaf
-/// domains and zones already used by the object's other copies. This is
-/// the single tie-break rule shared by spreading and repair (see the
-/// module docs): candidates are `alive` nodes outside `used_leaves`; rank
-/// by `(zone used, copy does not fit, storage load, node id)` and take
-/// the minimum, where "fits" is the capacity ledger's fit test in every
-/// dimension. Returns `None` only when every alive node's leaf is already
-/// used.
-pub(crate) fn pick_copy_node(
+/// The one copy-placement pass of spreading and of the dead-copy
+/// re-spread, and so the copy rule. Objects are visited in ascending id,
+/// and each copy `j` on a node for which `homeless(j, node)` holds, in
+/// ascending `j`, moves to the `alive` node outside the leaf domains of
+/// the object's other copies (those that stay and those placed before it)
+/// that ranks lowest by `(zone already used, copy does not fit, storage
+/// load, node id)`, "fits" being the ledger's fit test in every
+/// dimension. When every alive leaf is taken, it moves to the alive node
+/// with the lightest storage load, the lowest id among equals. Each
+/// placed copy is added to `loads`, which reads no node a copy leaves.
+/// Returns `(copies placed, bytes placed)`.
+pub(crate) fn place_copies(
+    problem: &CcaProblem,
     tree: &DomainTree,
-    loads: &Loads,
+    rp: &mut ReplicaPlacement,
+    loads: &mut Loads,
     alive: impl Fn(usize) -> bool,
-    used_leaves: &[usize],
-    used_zones: &[usize],
-    obj: ObjectId,
-) -> Option<usize> {
-    let mut best: Option<(bool, bool, f64, usize)> = None;
-    for node in 0..tree.num_nodes() {
-        if !alive(node) || used_leaves.contains(&tree.domain_of(node)) {
-            continue;
+    homeless: impl Fn(usize, usize) -> bool,
+) -> (usize, u64) {
+    let r = rp.replicas();
+    let alive = &alive;
+    let nodes = || (0..tree.num_nodes()).filter(move |&k| alive(k));
+    let (mut used_leaves, mut used_zones) = (Vec::with_capacity(r), Vec::with_capacity(r));
+    let (mut moves, mut bytes) = (0usize, 0u64);
+    for i in problem.objects() {
+        used_leaves.clear();
+        used_zones.clear();
+        for (j, node) in rp.nodes_of(i).enumerate() {
+            if !homeless(j, node) {
+                used_leaves.push(tree.domain_of(node));
+                used_zones.push(tree.zone_of(node));
+            }
         }
-        let key = (
-            used_zones.contains(&tree.zone_of(node)),
-            !loads.fits(node, obj),
-            loads.storage(node),
-            node,
-        );
-        if best.is_none_or(|b| key < b) {
-            best = Some(key);
+        for j in 0..r {
+            if !homeless(j, rp.node_of(i, j)) {
+                continue;
+            }
+            let target = (nodes())
+                .filter(|&k| !used_leaves.contains(&tree.domain_of(k)))
+                .min_by_key(|&k| {
+                    let zone_used = used_zones.contains(&tree.zone_of(k));
+                    (zone_used, !loads.fits(k, i), loads.storage(k))
+                })
+                .or_else(|| nodes().min_by_key(|&k| loads.storage(k)));
+            if let Some(target) = target {
+                loads.add(i, target);
+                rp.assign(i, j, target);
+                used_leaves.push(tree.domain_of(target));
+                used_zones.push(tree.zone_of(target));
+                moves += 1;
+                bytes += problem.size(i);
+            }
         }
     }
-    best.map(|(_, _, _, node)| node)
+    (moves, bytes)
 }
 
 /// Spreads `replicas` copies of every object across the leaf domains of
 /// `tree`, keeping `primary` as column 0 untouched. Copies are placed
 /// object-by-object in ascending id order, each copy by the deterministic
-/// `pick_copy_node` rule (fresh zone first, then a node where the copy
-/// fits in every dimension, then lightest storage load, then lowest node
-/// id) — the round-robin-across-domains behaviour of the greedy/hash
-/// rungs falls out of the load ranking.
+/// copy rule (fresh zone first, then a node where the copy fits in every
+/// dimension, then lightest storage load, then lowest node id) — the
+/// round-robin-across-domains behaviour of the greedy/hash rungs falls
+/// out of the load ranking.
 ///
 /// With `replicas = 1` this returns `primary` wrapped unchanged.
 ///
@@ -534,30 +549,10 @@ pub fn spread_copies(
     if replicas == 1 {
         return Ok(ReplicaPlacement::from_primary(primary));
     }
-    let num_objects = primary.num_objects();
     let mut loads = Loads::new(problem, std::slice::from_ref(&primary), slack);
-    let mut columns: Vec<Vec<u32>> = vec![vec![0u32; num_objects]; replicas - 1];
-    for i in problem.objects() {
-        let mut used_leaves = vec![tree.domain_of(primary.node_of(i))];
-        let mut used_zones = vec![tree.zone_of(primary.node_of(i))];
-        for column in columns.iter_mut() {
-            let node = pick_copy_node(tree, &loads, |_| true, &used_leaves, &used_zones, i)
-                .expect("validate_replica_spec guarantees a free leaf domain");
-            column[i.index()] = node as u32;
-            loads.add(i, node);
-            used_leaves.push(tree.domain_of(node));
-            used_zones.push(tree.zone_of(node));
-        }
-    }
-    let num_nodes = primary.num_nodes();
-    let mut cols = Vec::with_capacity(replicas);
-    cols.push(primary);
-    cols.extend(
-        columns
-            .into_iter()
-            .map(|assignment| Placement::new(assignment, num_nodes)),
-    );
-    Ok(ReplicaPlacement::from_columns(cols))
+    let mut rp = ReplicaPlacement::from_columns(vec![primary; replicas]);
+    place_copies(problem, tree, &mut rp, &mut loads, |_| true, |j, _| j > 0);
+    Ok(rp)
 }
 
 /// The copy-target rule as it was before it took the capacity ledger's
