@@ -19,7 +19,9 @@
 #             Theorem 2/3 batteries, golden and replay pins, property
 #             suites, threads x shards x inflight byte identity, CLI
 #             taxonomies; then cca-hash's tests again in release mode
-#             (the MD5 kernel as it ships); then the benchmark package's
+#             (the MD5 kernel as it ships), and cca-core's unit tests and
+#             multi-resource pins in release mode (the integer capacity
+#             ledger without overflow checks); then the benchmark package's
 #             tests (perfbench/, its own workspace): every workload at
 #             smoke size with all output checks on seeds 1 and 7919, so a
 #             library change that breaks the benchmark fails here
@@ -225,6 +227,9 @@ step_test() {
   # The MD5 lanes vectorize only at opt-level 3: test the kernel as
   # perfbench and the release binaries run it.
   cargo test -q --release -p cca-hash
+  # Release builds drop overflow checks: test the integer capacity
+  # ledger as it ships.
+  cargo test -q --release -p cca-core --lib --test multi_resource
   cargo test -q --offline --manifest-path perfbench/Cargo.toml
 }
 
