@@ -21,10 +21,11 @@
 //! rule of [`crate::replica`], greedy and the exact search keep their
 //! loads in one capacity ledger (`Loads`, beside the capacity rule in
 //! [`crate::resources`]) and check every dimension of it: storage and
-//! each secondary resource (paper §3.3). The local search is written once, as the
-//! spread-preserving replica polish of [`improve_replicas_in_place`];
-//! [`improve_in_place`] is its `r = 1` case over a flat domain tree, and
-//! every single-copy move delta is the `r = 1` replica kernel.
+//! each secondary resource (paper §3.3). The local search is written
+//! once, as the spread-preserving replica polish of
+//! [`improve_replicas_in_place`]; [`improve_in_place`] is its `r = 1`
+//! case over a flat domain tree, and every single-copy move delta is the
+//! `r = 1` replica kernel.
 
 use crate::graph::GroupWalk;
 use crate::placement::Placement;

@@ -304,7 +304,7 @@ pub struct ReplicaRepairOutcome {
 /// copy on a node in `dead_nodes` is re-placed onto an alive node whose
 /// leaf domain holds no surviving copy of the object, by the
 /// deterministic copy-target rule of [`crate::replica`] (fresh zone, then
-/// fitting under `capacity · slack` in every dimension, then lightest
+/// fitting the limit at `slack` in every dimension, then lightest
 /// copy-inclusive storage load, then lowest node id). Objects are visited
 /// in ascending id order, replicas in ascending index order —
 /// reproducible across threads and shards. If every alive leaf already
