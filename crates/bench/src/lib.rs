@@ -3,10 +3,11 @@
 //! The `paper` bench regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md's experiment index), prints the series the
 //! paper plots as TSV and records them in `BENCH_paper.json`; the other
-//! bench targets measure the substrate (kernels, solve layer, serving,
-//! live runtime). This crate holds the common plumbing: canonical
-//! pipeline construction, quick mode, where each bench writes its JSON,
-//! table formatting and the micro-benchmark timer.
+//! bench targets measure the substrate (cost kernels, batched and
+//! sharded folds, the solve layer). This crate holds the common
+//! plumbing: canonical pipeline construction, quick mode, where each
+//! bench writes its JSON, table formatting and the micro-benchmark
+//! timer.
 
 pub mod timing;
 

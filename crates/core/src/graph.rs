@@ -673,9 +673,14 @@ impl CorrelationGraph {
     /// lets the compiler vectorise across candidates, and exact for every
     /// weight: `x - (-w)` is `x + w`, and `x - 0.0` is `x` for every `x`,
     /// `-0.0` included, so each accumulator takes the serial fold's values
-    /// edge by edge.
+    /// edge by edge. A batch of one has nothing to amortise the interleave
+    /// over, so it runs the serial fold on its column directly.
     pub(crate) fn cost_batch_over(&self, range: Range<EdgeId>, batch: &PlacementBatch) -> Vec<f64> {
         let k = batch.width();
+        if k == 1 {
+            let column = batch.column(0);
+            return vec![self.split_sum(range, |a, b| column[a.index()] != column[b.index()])];
+        }
         let mut acc = vec![-0.0f64; k];
         if k == 0 {
             return acc;
@@ -704,7 +709,6 @@ impl CorrelationGraph {
         // every per-lane bounds check. Other widths take the dynamic-width
         // loop, whose per-edge overhead amortises as k grows.
         match k {
-            1 => walk_const::<1, T>(ea, eb, ew, rows, acc),
             2 => walk_const::<2, T>(ea, eb, ew, rows, acc),
             4 => walk_const::<4, T>(ea, eb, ew, rows, acc),
             8 => walk_const::<8, T>(ea, eb, ew, rows, acc),

@@ -25,18 +25,25 @@
 #             tests (perfbench/, its own workspace): every workload at
 #             smoke size with all output checks on seeds 1 and 7919, so a
 #             library change that breaks the benchmark fails here
-#   cli       release-binary contracts: `place` exit codes and thread
-#             identity, a `run` chaos soak, a `serve` load run, the `live`
-#             regime-shift replay, replica identity and spread; then every
-#             program in examples/ runs and must exit 0
+#   cli       release-binary contracts, each on a pinned scenario:
+#             `place` exit codes and thread identity; a `run` chaos soak
+#             (repairs, gate counters partition the evaluations); a
+#             `serve` load run under a 1 ms budget (counters partition
+#             the stream, the budget bites, no overflow, ordered latency
+#             quantiles); the `live` regime-shift replay (paced, improved,
+#             feasible); the replicated read path at r = 1, 2, 3 (spread
+#             kept, executed bytes never rise with r); replica identity
+#             and spread in `place`; then every program in examples/ runs
+#             and must exit 0
 #   bench     quick-mode smokes of every bench target: the gated benches
 #             (each asserts its own contract and must write JSON), the
 #             paper bench under the paper shape gate, and placement_micro,
 #             which must exit 0; the 8-thread speed-up gate arms only on
 #             hosts with 8 or more cores
 #   baseline  the committed BENCH_*.json files: full (non-quick) runs with
-#             their invariants recorded true and throughput above floors;
-#             BENCH_paper.json under the paper shape gate
+#             their invariants recorded true and the sharded folds above
+#             their throughput floors; BENCH_paper.json under the paper
+#             shape gate
 #
 # A step stops at its first failing command. The driver still runs the
 # remaining steps, prints one verdict line per step, and exits non-zero
@@ -197,6 +204,12 @@ partition() {
   ' "$tmp/$1" || fail "$1: counters do not partition the offered stream"
 }
 
+# holds FILE CONDITION MESSAGE: CONDITION, an awk expression over v[KEY]
+# (the number on the report line `KEY<tab>VALUE`), is true for FILE.
+holds() {
+  awk -F'\t' '{ v[$1] = $2 + 0 } END { exit !('"$2"') }' "$tmp/$1" || fail "$1: $3"
+}
+
 # -- steps ---------------------------------------------------------------
 
 step_hermetic() {
@@ -255,12 +268,20 @@ step_cli() {
   line soak.a $'node_losses\t2' "chaos soak did not record both node losses"
   line soak.a $'unrecovered_losses\t0' "chaos soak left a node loss unrepaired"
   line soak.a $'final_feasible\ttrue' "chaos soak ended infeasible"
+  holds soak.a 'v["evaluated"] > 0' "drift never triggered an evaluation"
+  holds soak.a \
+    'v["evaluated"] == v["migrations"] + v["rejected_not_worthwhile"] + v["rejected_not_robust"]' \
+    "gate counters do not partition the evaluations"
 
   # serve: a load run under a 1 ms budget sheds deterministically.
   twins serve "--threads 2" "--threads 8 --shards 7 --inflight 1" \
     serve --preset small --seed 42 --queries 10000 --deadline-ms 1
   line serve.a $'shed_deadline\t0' "the wall-clock backstop tripped on a healthy run"
+  line serve.a $'shed_overload\t0' "the closed loop overflowed its queue"
   partition serve.a
+  holds serve.a 'v["degraded"] + v["shed_admission"] > 0' "the 1 ms budget never bit"
+  holds serve.a 'v["p50_ns"] <= v["p95_ns"] && v["p95_ns"] <= v["p99_ns"]' \
+    "latency quantiles out of order"
 
   # live: the pinned regime-shift replay migrates under its per-epoch
   # budget and improves shipped bytes per query.
@@ -272,6 +293,8 @@ step_cli() {
   "$cca" "${live[@]}" --threads 2 --shards 2 --inflight 1 >"$tmp/live.3"
   same live.1 live.2 live.3 || fail "live report differs across thread/shard/inflight counts"
   partition live.1
+  holds live.1 'v["migration_epochs"] >= 2' "the budget did not pace the migration over epochs"
+  line live.1 $'final_feasible\ttrue' "the live replay ended infeasible"
   awk -F'\t' '{ v[$1] = $2 + 0 }
     END {
       if (v["migrations"] < 1 || v["migrated_bytes"] == 0)
@@ -309,6 +332,27 @@ step_cli() {
   done
   same r2.1 r2.2 r2.3 || fail "r=2 place differs across threads x shards"
 
+  # The replicated read path: one stream served at r = 1, 2, 3 copies over
+  # 5 leaf domains. The engine reads the cheapest copy, so executed bytes
+  # never rise with r.
+  local r code bytes prev=
+  for r in 1 2 3; do
+    flags=
+    [ "$r" -eq 1 ] || flags="--replicas $r --domains 5"
+    code=0
+    # shellcheck disable=SC2086 # word-split the flag list on purpose
+    "$cca" serve --preset small --seed 20080617 --queries 10000 --deadline-ms 1 $flags \
+      >"$tmp/read.$r" 2>"$tmp/read.$r.err" || code=$?
+    [ "$code" -eq 0 ] || [ "$code" -eq 2 ] || fail "r=$r serve exited $code (want 0 or 2)"
+    partition "read.$r"
+    [ "$r" -eq 1 ] || has "$tmp/read.$r.err" 'spread valid: true'
+    bytes=$(awk -F'\t' '$1 == "executed_bytes" { print $2 }' "$tmp/read.$r")
+    [ -z "$prev" ] || [ "$bytes" -le "$prev" ] ||
+      fail "executed bytes rose from $prev to $bytes at r=$r"
+    prev=$bytes
+    echo "OK: r=$r served the stream, executed $bytes bytes."
+  done
+
   # examples: each one runs to completion.
   local ex
   cargo build -q --release --examples
@@ -321,8 +365,7 @@ step_cli() {
 
 step_bench() {
   local b cores slow
-  for b in placement_graph placement_batch placement_parallel placement_shard \
-    controller_soak serving_load live_replay replica_read paper; do
+  for b in placement_graph placement_batch placement_parallel placement_shard paper; do
     echo "-- $b (quick)"
     CCA_BENCH_QUICK=1 CCA_BENCH_OUT="$tmp/$b.json" cargo bench -q -p cca-bench --bench "$b"
     [ -s "$tmp/$b.json" ] || fail "$b smoke wrote no JSON"
@@ -354,29 +397,14 @@ step_baseline() {
     '"edges": 10000000' '"quick": false' '"draw_order_sharded": [' \
     '"wide_interleave": {"num_nodes": 16777217, "bits_match": true}'
   lacks BENCH_shard.json '"bits_match": false'
-  has BENCH_controller.json '"bench": "controller_soak"' '"epochs": 10000' '"quick": false' \
-    '"invariant_ok": true' '"repair_converged": true' '"reports_identical": true' \
-    '"final_feasible": true'
-  has BENCH_serving.json '"bench": "serving_load"' '"queries": 10000' '"quick": false' \
-    '"invariant_ok": true' '"reports_identical": true' '"shed_deadline": 0'
-  has BENCH_live.json '"bench": "live_replay"' '"epochs": 100' '"quick": false' \
-    '"counters_consistent": true' '"within_budget": true' '"improved": true' \
-    '"reports_identical": true'
-  has BENCH_replica.json '"bench": "replica_read"' '"queries": 10000' '"quick": false' \
-    '"r1_report_identical_to_single_copy": true'
-  lacks BENCH_replica.json '"spread_valid": false' '"counters_ok": false'
   has BENCH_paper.json '"bench": "paper"' '"quick": false'
   paper_shape BENCH_paper.json
 
   # Throughput floors, 5-7% of the recording host's figures, so they trip
-  # on a real regression (a quadratic loop, a per-query rescan, a solve
-  # every epoch), not on host-to-host noise. At 10^7 edges every sharded
-  # eval must clear 50 Medges/s, on sorted and draw-order pairs alike;
-  # the flat sort-based CSR build must clear 0.2.
-  floor BENCH_controller.json epochs_per_s 500
-  floor BENCH_serving.json queries_per_s 5000
-  floor BENCH_live.json queries_per_s 5000
-  floor BENCH_replica.json queries_per_s 5000
+  # on a real regression (a quadratic loop, a per-edge rescan), not on
+  # host-to-host noise. At 10^7 edges every sharded eval must clear
+  # 50 Medges/s, on sorted and draw-order pairs alike; the flat
+  # sort-based CSR build must clear 0.2.
   floor BENCH_shard.json eval_medges_per_s 50 '"shards":'
   floor BENCH_shard.json build_medges_per_s 0.2 '"flat":'
 }

@@ -26,8 +26,9 @@
 //! queue-wait component**. Consequently the whole
 //! [`ServingReport`] (counters, histogram, quantiles, digest) is
 //! byte-identical across `threads` × `shards` × `inflight`; wall-clock
-//! throughput is measured by the caller and reported separately
-//! (BENCH_serving.json). The wall clock enters execution only through the
+//! throughput is measured by the caller and reported separately (`cca
+//! serve` prints it on stderr, and perfbench's `serve-paper` workload
+//! times it). The wall clock enters execution only through the
 //! [`DeadlineGate`] liveness backstop, which never trips in a healthy
 //! run (see [`ResponseStatus::ShedDeadline`]).
 //!

@@ -9,6 +9,7 @@
 //! `serve` may batch, reorder, and parallelize however it likes, but its
 //! per-query [`Response`]s must equal the reference exactly.
 
+use cca::algo::{spread_copies, DomainTree};
 use cca::hashing::md5;
 use cca::pipeline::{Pipeline, PipelineConfig};
 use cca::search::QueryEngine;
@@ -212,37 +213,50 @@ fn batched_admission_matches_serial_execution() {
 /// The persisted report is byte-identical across the full
 /// inflight × threads × shards matrix (sharding enters through the
 /// placement solve, whose sharded sums are exact, and serving must
-/// preserve that equality to the report byte).
+/// preserve that equality to the report byte), and across the single-copy
+/// cluster and the one-copy replicated cluster spread over a flat and a
+/// contiguous domain tree (the §15 r = 1 equivalence).
 #[test]
 fn serving_report_is_byte_identical_across_the_matrix() {
     let mut reference: Option<String> = None;
     for shards in SHARDS {
         let p = tiny_pipeline(Some(shards));
         let placement = cca::algo::greedy_placement(&p.problem);
-        let cluster = p.cluster_for(&placement);
+        let nodes = p.problem.num_nodes();
+        let mut clusters = vec![("single-copy", p.cluster_for(&placement))];
+        for (name, tree) in [
+            ("flat r=1", DomainTree::flat(nodes)),
+            ("contiguous r=1", DomainTree::contiguous(nodes, 2).unwrap()),
+        ] {
+            let rp = spread_copies(&p.problem, &tree, placement.clone(), 1, 1.0).unwrap();
+            clusters.push((name, p.cluster_for_replicas(&rp)));
+        }
         let queries = stream(&p, 0x5e12_7e00, 600);
-        for inflight in INFLIGHTS {
-            for threads in THREADS {
-                let out = serve(
-                    &p.index,
-                    &cluster,
-                    p.config().aggregation,
-                    &queries,
-                    &ServeConfig {
-                        inflight,
-                        threads,
-                        deadline_ms: Some(1),
-                        burst: None,
-                        overhead_ns: 0,
-                    },
-                );
-                let text = cca::algo::format_report(&out.report);
-                match &reference {
-                    None => reference = Some(text),
-                    Some(r) => assert_eq!(
-                        &text, r,
-                        "report changed at shards {shards} inflight {inflight} threads {threads}"
-                    ),
+        for (cluster_name, cluster) in &clusters {
+            for inflight in INFLIGHTS {
+                for threads in THREADS {
+                    let out = serve(
+                        &p.index,
+                        cluster,
+                        p.config().aggregation,
+                        &queries,
+                        &ServeConfig {
+                            inflight,
+                            threads,
+                            deadline_ms: Some(1),
+                            burst: None,
+                            overhead_ns: 0,
+                        },
+                    );
+                    let text = cca::algo::format_report(&out.report);
+                    match &reference {
+                        None => reference = Some(text),
+                        Some(r) => assert_eq!(
+                            &text, r,
+                            "report changed at {cluster_name} shards {shards} \
+                             inflight {inflight} threads {threads}"
+                        ),
+                    }
                 }
             }
         }
